@@ -166,8 +166,6 @@ int main(int argc, char** argv) {
   flags.define("max_attempts", "4", "delivery attempts per superstep");
   flags.define("repart_period", "8",
                "distributed run: repartition + migrate every N steps (0 = off)");
-  flags.define("format", "binary",
-               "descriptor wire format for the broadcast: text|binary");
   flags.define("checkpoint_period", "10",
                "recovery probe: durable checkpoint every N steps (0 = skip "
                "the probe)");
@@ -180,12 +178,6 @@ int main(int argc, char** argv) {
                "mid-way through a checkpoint period so replay is nonempty)");
   try {
     flags.parse(argc, argv);
-    const std::string format_name = flags.get_string("format");
-    require(format_name == "text" || format_name == "binary",
-            "--format must be text or binary");
-    const TreeWireFormat wire_format = format_name == "binary"
-                                           ? TreeWireFormat::kBinary
-                                           : TreeWireFormat::kText;
     const double resolution = flags.get_double("resolution");
     const idx_t snapshots = static_cast<idx_t>(flags.get_int("snapshots"));
     const idx_t stride = static_cast<idx_t>(flags.get_int("stride"));
@@ -223,7 +215,6 @@ int main(int argc, char** argv) {
     config.decomposition.k = k;
     config.search.search_margin = 0.5 * cell;
     config.search.contact_tolerance = 0.25 * cell;
-    config.wire_format = wire_format;
 
     std::vector<int> body(
         static_cast<std::size_t>(sim.initial_mesh().num_nodes()));
@@ -237,19 +228,18 @@ int main(int argc, char** argv) {
 
     const ImpactSim::Snapshot snap0 = sim.snapshot(0);
 
-    // Wire-codec A/B microbenchmark on snapshot 0's descriptor tree, so the
-    // codec win is quantified in the JSON rather than asserted: encode and
-    // decode cost per tree, and the broadcast bytes before/after.
+    // Wire-codec A/B microbenchmark on snapshot 0's descriptor tree: the
+    // binary codec the broadcast ships against the text dump, so the codec
+    // win is quantified in the JSON rather than asserted — encode and decode
+    // cost per tree, and the bytes of each.
     std::ostringstream wire_json;
     {
       McmlDtPartitioner wire_part(snap0.mesh, snap0.surface,
                                   config.decomposition);
       const SubdomainDescriptors wire_desc =
           wire_part.build_descriptors(snap0.mesh, snap0.surface);
-      const std::string text_wire =
-          encode_tree(wire_desc.tree(), TreeWireFormat::kText);
-      const std::string binary_wire =
-          encode_tree(wire_desc.tree(), TreeWireFormat::kBinary);
+      const std::string text_wire = tree_to_string(wire_desc.tree());
+      const std::string binary_wire = tree_to_binary(wire_desc.tree());
       constexpr int kCodecIters = 50;
       const auto per_tree_ns = [](Timer& timer) {
         return timer.milliseconds() * 1e6 / kCodecIters;
@@ -257,27 +247,28 @@ int main(int argc, char** argv) {
       std::size_t sink = 0;
       Timer timer;
       for (int i = 0; i < kCodecIters; ++i) {
-        sink += encode_tree(wire_desc.tree(), TreeWireFormat::kText).size();
+        sink += tree_to_string(wire_desc.tree()).size();
       }
       const double text_encode_ns = per_tree_ns(timer);
       timer.reset();
       for (int i = 0; i < kCodecIters; ++i) {
-        sink += encode_tree(wire_desc.tree(), TreeWireFormat::kBinary).size();
+        sink += tree_to_binary(wire_desc.tree()).size();
       }
       const double binary_encode_ns = per_tree_ns(timer);
       timer.reset();
       for (int i = 0; i < kCodecIters; ++i) {
-        sink += static_cast<std::size_t>(decode_tree(text_wire).num_nodes());
+        sink += static_cast<std::size_t>(
+            tree_from_string(text_wire).num_nodes());
       }
       const double text_decode_ns = per_tree_ns(timer);
       timer.reset();
       for (int i = 0; i < kCodecIters; ++i) {
-        sink += static_cast<std::size_t>(decode_tree(binary_wire).num_nodes());
+        sink += static_cast<std::size_t>(
+            tree_from_binary(binary_wire).num_nodes());
       }
       const double binary_decode_ns = per_tree_ns(timer);
       require(sink > 0, "codec microbenchmark produced nothing");
-      wire_json << "{\"format\": \"" << format_name
-                << "\", \"tree_nodes\": " << wire_desc.num_tree_nodes()
+      wire_json << "{\"tree_nodes\": " << wire_desc.num_tree_nodes()
                 << ", \"text_bytes\": " << text_wire.size()
                 << ", \"binary_bytes\": " << binary_wire.size()
                 << ",\n  \"text_encode_ns\": " << text_encode_ns
@@ -389,7 +380,6 @@ int main(int argc, char** argv) {
         DistributedSimConfig dconfig;
         dconfig.decomposition = config.decomposition;
         dconfig.search = config.search;
-        dconfig.wire_format = wire_format;
         dconfig.repartition_period = repart_period;
         DistributedSim dist(sim, dconfig);
         DistributedSim oracle(sim, dconfig);
@@ -491,7 +481,7 @@ int main(int argc, char** argv) {
       first_record = false;
       json << "  {\"threads\": " << t
            << ", \"pool_threads\": " << ThreadPool::global().num_threads()
-           << ", \"format\": \"" << format_name << "\", \"nodes\": "
+           << ", \"nodes\": "
            << sim.initial_mesh().num_nodes() << ", \"k\": " << k
            << ", \"steady_steps\": " << steady_steps
            << ",\n   \"reference_mean_ms\": " << ref_mean
@@ -560,7 +550,6 @@ int main(int argc, char** argv) {
       DistributedSimConfig dconfig;
       dconfig.decomposition = config.decomposition;
       dconfig.search = config.search;
-      dconfig.wire_format = wire_format;
       dconfig.repartition_period = repart_period;
 
       const auto run_all = [&](DistributedSim& dsim,

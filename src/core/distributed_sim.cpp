@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "runtime/label_codec.hpp"
-#include "tree/tree_io.hpp"
 #include "util/timer.hpp"
 
 namespace cpart {
@@ -39,20 +38,6 @@ void scan_element_faces(const ImpactSim& sim, const MeshTopology& topo,
   }
 }
 
-bool event_order(const ContactEvent& a, const ContactEvent& b) {
-  if (a.node != b.node) return a.node < b.node;
-  return a.distance < b.distance;
-}
-
-void finalize_events(DistributedStepReport& report) {
-  std::sort(report.events.begin(), report.events.end(), event_order);
-  report.contact_events = to_idx(report.events.size());
-  report.penetrating_events = 0;
-  for (const ContactEvent& e : report.events) {
-    if (e.signed_distance < 0) ++report.penetrating_events;
-  }
-}
-
 FaceRecord record_from_msg(const FaceShipMsg& m) {
   FaceRecord rec;
   rec.key = m.face;
@@ -83,7 +68,6 @@ DistributedSim::DistributedSim(const ImpactSim& sim,
       partitioner_(repartitioner_config(config)),
       topo_(sim.initial_mesh()),
       exchange_(config.decomposition.k),
-      executor_(config.decomposition.k),
       async_(config.decomposition.k) {
   config_.search.validate("DistributedSim");
   require(config_.repartition_period >= 0,
@@ -314,31 +298,15 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
   report.step = s;
   report.migrated = migrate;
 
-  // Recycle last step's descriptor tree into the induction workspace while
-  // the descriptors are still alive — superstep A's begin_step drops them.
-  if (states_[0].descriptors.has_value()) {
-    induce_ws_.recycle(states_[0].descriptors->release_tree());
-  }
-
-  // Neighbor topology of this step's halo: dst waits on just these source
-  // rows instead of all k (the send lists change across migrations, so the
-  // inverse is rebuilt per step).
-  halo_providers_.assign(static_cast<std::size_t>(np), {});
-  for (idx_t r = 0; r < np; ++r) {
-    for (const HaloSend& hs : states_[static_cast<std::size_t>(r)].halo_sends) {
-      halo_providers_[static_cast<std::size_t>(hs.dst)].push_back(r);
-    }
-  }
-  for (std::vector<idx_t>& list : halo_providers_) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-  }
+  // Neighbor topology of this step's halo (the send lists change across
+  // migrations, so the inverse is rebuilt per step).
+  build_halo_providers(states_, halo_providers_);
 
   // --- Supersteps A+B in one dependency-driven run: owned kinematics +
   // halo post, then — per rank, as soon as its own halo neighbors' rows
   // commit (delivery #1) — ghost intake, local surface extraction, and the
-  // contact-point gather to rank 0. The gather commits in the driver
-  // delivery below. ---------------------------------------------------------
+  // contact-point gather to rank 0, which rank 0 collects in a third phase
+  // (delivery #2): the gathered points in ascending contact-id order. -------
   const auto phase_a = [&](idx_t r) {
     if (any_death_ && death_mask_[static_cast<std::size_t>(r)]) {
       // The injected death: the rank vanishes at step entry, before any of
@@ -396,12 +364,37 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
           r, 0, ContactPointMsg{v, st.positions[static_cast<std::size_t>(v)]});
     }
   };
-  const std::array<AsyncPhase, 2> kinematics_phases = {
+  std::vector<Vec3> points;
+  std::vector<idx_t> labels;
+  const auto gather_phase = [&](idx_t r) {
+    if (r != 0) return;
+    const SubdomainState& st = states_[0];
+    const auto& in = exchange_.coupling_forward().inbox(0);
+    std::vector<std::pair<idx_t, Vec3>> pts;
+    pts.reserve(st.contact_nodes.size() + in.size());
+    for (idx_t v : st.contact_nodes) {
+      pts.emplace_back(v, st.positions[static_cast<std::size_t>(v)]);
+    }
+    for (const ContactPointMsg& m : in) pts.emplace_back(m.node, m.position);
+    // Each node has exactly one owner, so ids are unique and the sort is a
+    // total order — the global ascending contact-id order of the oracle.
+    std::sort(pts.begin(), pts.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    points.reserve(pts.size());
+    labels.reserve(pts.size());
+    for (const auto& [id, p] : pts) {
+      points.push_back(p);
+      labels.push_back(st.node_owner[static_cast<std::size_t>(id)]);
+    }
+  };
+  const std::array<AsyncPhase, 3> kinematics_phases = {
       AsyncPhase{.body = phase_a, .writes = channel_bit(ChannelId::kHalo)},
       AsyncPhase{.body = phase_b,
                  .reads = channel_bit(ChannelId::kHalo),
                  .writes = channel_bit(ChannelId::kCouplingForward),
                  .providers = &halo_providers_},
+      AsyncPhase{.body = gather_phase,
+                 .reads = channel_bit(ChannelId::kCouplingForward)},
   };
   // Injected hangs arm the executor's watchdog so a rank that never
   // publishes is declared dead instead of deadlocking the run.
@@ -410,11 +403,9 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
     fault_options.watchdog_deadline_ms = config_.watchdog_deadline_ms;
     fault_options.hung = hang_mask_;
   }
-  async_.run(kinematics_phases, exchange_, fault_options);  // delivery #1
+  async_.run(kinematics_phases, exchange_, fault_options);  // deliveries #1-2
   report.fe_exchange = exchange_.take_fe_traffic();
   report.halo_payload_bytes = exchange_.take_halo_bytes();
-
-  exchange_.deliver(channel_bit(ChannelId::kCouplingForward));  // #2
   report.coupling_exchange = exchange_.take_coupling_traffic();
   report.coupling_payload_bytes = exchange_.take_coupling_bytes();
 
@@ -435,42 +426,16 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
                                    &report.repart_cross_group);
   }
 
-  // --- Driver section (was superstep C): rank 0's induction runs on the
-  // calling thread so it can fan subtrees out across the whole ThreadPool
-  // (dopts.parallel — a rank program must never dispatch pool work), warmed
-  // by the recycled storage of last step's tree. The broadcast payloads are
-  // the binary codecs: encode_tree for the descriptor tree, one delta-coded
-  // label blob per step instead of one message per changed node. -------------
+  // --- Driver section (was superstep C): rank 0's descriptor update runs
+  // on the calling thread (see induce_and_broadcast_descriptors), plus on
+  // migration steps one delta-coded blob of the changed labels. -------------
   {
     SubdomainState& st = states_[0];
-    std::vector<std::pair<idx_t, Vec3>> pts;
-    pts.reserve(st.contact_nodes.size() +
-                exchange_.coupling_forward().inbox(0).size());
-    for (idx_t v : st.contact_nodes) {
-      pts.emplace_back(v, st.positions[static_cast<std::size_t>(v)]);
-    }
-    for (const ContactPointMsg& m : exchange_.coupling_forward().inbox(0)) {
-      pts.emplace_back(m.node, m.position);
-    }
-    // Each node has exactly one owner, so ids are unique and the sort is a
-    // total order — the global ascending contact-id order of the oracle.
-    std::sort(pts.begin(), pts.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<Vec3> points;
-    std::vector<idx_t> labels;
-    points.reserve(pts.size());
-    labels.reserve(pts.size());
-    for (const auto& [id, p] : pts) {
-      points.push_back(p);
-      labels.push_back(st.node_owner[static_cast<std::size_t>(id)]);
-    }
-    DescriptorOptions dopts = config_.decomposition.descriptor;
-    dopts.dim = topo_.mesh().dim();
-    dopts.parallel = true;
-    st.descriptors.emplace(points, labels, np, dopts, &induce_ws_);
-    exchange_.descriptors().broadcast(
-        0, DescriptorTreeMsg{encode_tree(st.descriptors->tree(),
-                                         config_.wire_format)});
+    induce_and_broadcast_descriptors(
+        points, labels, np,
+        step_descriptor_options(config_.decomposition.descriptor,
+                                topo_.mesh().dim()),
+        induce_ws_, st.descriptors, exchange_);
     if (migrate) {
       for (idx_t v = 0; v < nn; ++v) {
         const auto sv = static_cast<std::size_t>(v);
@@ -496,10 +461,8 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
   const int dim = topo_.mesh().dim();
   const auto phase_d = [&](idx_t r) {
     SubdomainState& st = states_[static_cast<std::size_t>(r)];
+    receive_descriptors(exchange_, r, np, st.descriptors);
     if (r != 0) {
-      const auto& in = exchange_.descriptors().inbox(r);
-      require(in.size() == 1, "DistributedSim: descriptor broadcast lost");
-      st.descriptors.emplace(decode_tree(in.front().wire), np);
       const auto& lin = exchange_.labels().inbox(r);
       if (!lin.empty()) {
         require(lin.size() == 1, "DistributedSim: label broadcast lost");
@@ -642,17 +605,7 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
     }
   }
 
-  // Deterministic merge: rank order, then one global (node, distance) sort.
-  report.events_per_processor.assign(static_cast<std::size_t>(np), 0);
-  report.events.clear();
-  for (idx_t q = 0; q < np; ++q) {
-    const SubdomainState& st = states_[static_cast<std::size_t>(q)];
-    report.events_per_processor[static_cast<std::size_t>(q)] =
-        to_idx(st.events.size());
-    report.events.insert(report.events.end(), st.events.begin(),
-                         st.events.end());
-  }
-  finalize_events(report);
+  merge_rank_events(states_, report);
 
   const std::vector<idx_t>& owner = states_[0].node_owner;
   std::vector<wgt_t> hits(static_cast<std::size_t>(nn));
@@ -751,15 +704,13 @@ void DistributedSim::run_reference_body(idx_t s, bool migrate,
     points.push_back(positions[static_cast<std::size_t>(v)]);
     labels.push_back(owner[static_cast<std::size_t>(v)]);
   }
-  DescriptorOptions dopts = config_.decomposition.descriptor;
-  dopts.dim = topo_.mesh().dim();
-  dopts.parallel = true;
-  const SubdomainDescriptors descriptors(points, labels, np, dopts);
+  const SubdomainDescriptors descriptors(
+      points, labels, np,
+      step_descriptor_options(config_.decomposition.descriptor,
+                              topo_.mesh().dim()));
   report.descriptor_tree_nodes = descriptors.num_tree_nodes();
   report.descriptor_broadcast_bytes =
-      static_cast<wgt_t>(
-          encode_tree(descriptors.tree(), config_.wire_format).size()) *
-      std::max<wgt_t>(0, np - 1);
+      descriptor_broadcast_bytes(descriptors, np);
 
   // Repartition: computed here (where the SPMD driver computes it, from the
   // same labels and contact mask) but APPLIED only after the search — the
@@ -874,18 +825,20 @@ void DistributedSim::run_reference_body(idx_t s, bool migrate,
 
 void DistributedSim::scatter_global_state(std::span<const idx_t> owner,
                                           std::span<const wgt_t> hits) {
-  executor_.superstep([&](idx_t r) {
+  // One phase without channels: a plain superstep that consumes no
+  // exchange superstep, so the fault-schedule cursor stays where it is.
+  const AsyncPhase scatter{.body = [&](idx_t r) {
     SubdomainState& st = states_[static_cast<std::size_t>(r)];
     st.node_owner.assign(owner.begin(), owner.end());
     st.contact_hits.assign(hits.begin(), hits.end());
     st.rebuild_views(topo_, k());
-  });
+  }};
+  async_.run({&scatter, 1}, exchange_);
 }
 
 std::uint64_t DistributedSim::config_hash() const {
   std::uint64_t h = kFnvOffsetBasis;
   h = fnv1a_value(h, k());
-  h = fnv1a_value(h, static_cast<int>(config_.wire_format));
   h = fnv1a_value(h, config_.repartition_period);
   h = fnv1a_value(h, config_.repartition.seed);
   h = fnv1a_value(h, topo_.num_nodes());
@@ -923,13 +876,14 @@ bool DistributedSim::restore_from_checkpoint() {
     // unusable for this instance; treat as no checkpoint at all.
     return false;
   }
-  executor_.superstep([&](idx_t r) {
+  const AsyncPhase restore{.body = [&](idx_t r) {
     SubdomainState& st = states_[static_cast<std::size_t>(r)];
     st.node_owner = ck->node_owner;
     st.positions = ck->positions;
     st.contact_hits = ck->contact_hits;
     st.rebuild_views(topo_, k());
-  });
+  }};
+  async_.run({&restore, 1}, exchange_);
   // Roll the cursors back: the step counter drives the migration cadence
   // and the rank-fault schedule; the exchange superstep cursor keys the
   // transport fault schedule, so the replayed deliveries re-draw exactly
@@ -981,12 +935,13 @@ bool DistributedSim::resume() {
   // same scatter the rank-death recovery performs, minus replay (the
   // suspend commit was taken at the current step).
   states_.resize(static_cast<std::size_t>(k()));
-  executor_.superstep([&](idx_t r) {
+  const AsyncPhase rebuild{.body = [&](idx_t r) {
     SubdomainState& st = states_[static_cast<std::size_t>(r)];
     st.init(topo_, r, ck->node_owner, k());
     st.positions = ck->positions;
     st.contact_hits = ck->contact_hits;
-  });
+  }};
+  async_.run({&rebuild, 1}, exchange_);
   steps_run_ = ck->step;
   exchange_.set_next_superstep(ck->superstep);
   replay_pos_ = 0;

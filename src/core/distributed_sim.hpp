@@ -33,16 +33,15 @@
 //      element records against the immutable topology, and every rank
 //      rebuilds its ownership views from the new labels.
 //
-// Supersteps A+B and D+E+F each run as one dependency-driven
-// AsyncExecutor::run: each phase declares the channels it reads, and a rank
-// enters its next phase the moment its own inbox cells commit — B waits
-// only on its halo neighbors' rows, and the descriptor/label broadcast
-// group is born closed so its per-rank wire validations spread across the
-// workers while D proceeds. The contact-point gather boundary remains a
-// driver-side delivery (rank 0's induction must run on the calling
-// thread), and the migration commit F consumes the migration channels as
-// the last phase of the second run. The per-step delivery count (4, or 5
-// with migration) and the staged-inbox commit semantics are unchanged.
+// Supersteps A+B (plus rank 0's gather of the contact points) and D+E+F
+// each run as one dependency-driven AsyncExecutor::run: each phase declares
+// the channels it reads, and a rank enters its next phase the moment its
+// own inbox cells commit — B waits only on its halo neighbors' rows, and
+// the descriptor/label broadcast group is born closed so its per-rank wire
+// validations spread across the workers while D proceeds. Rank 0's
+// induction C runs on the calling thread between the two runs, and the
+// migration commit F consumes the migration channels as the last phase of
+// the second run: 4 deliveries per step, 5 with migration.
 //
 // The pre-refactor shape survives as run_step_reference(): one centralized
 // body computing the same step on gathered global state, with all traffic
@@ -68,7 +67,6 @@
 #include "runtime/async_executor.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/exchange.hpp"
-#include "runtime/rank_executor.hpp"
 #include "runtime/subdomain_state.hpp"
 #include "sim/impact_sim.hpp"
 
@@ -77,10 +75,6 @@ namespace cpart {
 struct DistributedSimConfig {
   McmlDtConfig decomposition{};
   SearchConfig search{};
-  /// Wire encoding of the per-step descriptor-tree broadcast (and the
-  /// analytic byte model of the reference flavor — both switch together,
-  /// so cross-flavor byte comparisons hold in either format).
-  TreeWireFormat wire_format = TreeWireFormat::kBinary;
   /// Repartition (and migrate state) every `period` steps; 0 disables. The
   /// first eligible step is step index `period` (never the first step run).
   idx_t repartition_period = 0;
@@ -107,7 +101,7 @@ struct DistributedSimConfig {
   double watchdog_deadline_ms = 250.0;
 };
 
-struct DistributedStepReport {
+struct DistributedStepReport : StepEvents {
   idx_t step = 0;
   bool migrated = false;  // this step ran the repartition+migration protocol
   StepTraffic fe_exchange;         // halo (superstep A)
@@ -129,10 +123,6 @@ struct DistributedStepReport {
   /// repartition ran instead of the group-local ones. Always false with the
   /// hierarchy disabled.
   bool repart_cross_group = false;
-  idx_t contact_events = 0;
-  idx_t penetrating_events = 0;
-  std::vector<ContactEvent> events;  // merged, sorted by (node, distance)
-  std::vector<idx_t> events_per_processor;
   /// FNV-1a over the end-of-step ownership map and the owner-authoritative
   /// contact-hit accumulators — the cheap cross-flavor state oracle.
   std::uint64_t ownership_hash = 0;
@@ -301,10 +291,6 @@ class DistributedSim {
   std::vector<int> body_of_node_;  // same-body search exclusion
   std::vector<SubdomainState> states_;
   Exchange exchange_;
-  // The step's multi-phase runs are dependency-driven (async_); the plain
-  // striped executor remains for single supersteps whose cross-rank data
-  // already moved (scatter_global_state).
-  RankExecutor executor_;
   AsyncExecutor async_;
   idx_t steps_run_ = 0;
   // Driver scratch.

@@ -27,12 +27,52 @@ LocalSearchOptions SearchConfig::local_options(
   return local;
 }
 
-namespace {
-
-bool event_order(const ContactEvent& a, const ContactEvent& b) {
-  if (a.node != b.node) return a.node < b.node;
-  return a.distance < b.distance;
+void finalize_events(StepEvents& out) {
+  std::sort(out.events.begin(), out.events.end(),
+            [](const ContactEvent& a, const ContactEvent& b) {
+              if (a.node != b.node) return a.node < b.node;
+              return a.distance < b.distance;
+            });
+  out.contact_events = to_idx(out.events.size());
+  out.penetrating_events = 0;
+  for (const ContactEvent& e : out.events) {
+    if (e.signed_distance < 0) ++out.penetrating_events;
+  }
 }
+
+DescriptorOptions step_descriptor_options(DescriptorOptions base, int dim) {
+  base.dim = dim;
+  base.parallel = true;
+  return base;
+}
+
+void induce_and_broadcast_descriptors(std::span<const Vec3> points,
+                                      std::span<const idx_t> labels, idx_t k,
+                                      const DescriptorOptions& options,
+                                      TreeInduceWorkspace& workspace,
+                                      std::optional<SubdomainDescriptors>& out,
+                                      Exchange& exchange) {
+  if (out.has_value()) workspace.recycle(out->release_tree());
+  out.emplace(points, labels, k, options, &workspace);
+  exchange.descriptors().broadcast(
+      0, DescriptorTreeMsg{tree_to_binary(out->tree())});
+}
+
+void receive_descriptors(Exchange& exchange, idx_t r, idx_t k,
+                         std::optional<SubdomainDescriptors>& out) {
+  if (r == 0) return;
+  const auto& in = exchange.descriptors().inbox(r);
+  require(in.size() == 1, "descriptor broadcast lost");
+  out.emplace(tree_from_binary(in.front().wire), k);
+}
+
+wgt_t descriptor_broadcast_bytes(const SubdomainDescriptors& descriptors,
+                                 idx_t k) {
+  return static_cast<wgt_t>(tree_to_binary(descriptors.tree()).size()) *
+         std::max<wgt_t>(0, k - 1);
+}
+
+namespace {
 
 /// The face shipment payload: ids plus the coordinates the receiver's
 /// search needs.
@@ -48,27 +88,6 @@ FaceShipMsg make_face_msg(const Mesh& mesh, const SurfaceFace& face, idx_t f) {
   return m;
 }
 
-/// Deterministic merge: per-rank events concatenated in rank order, then
-/// one global sort by (node, distance) — the identical input sequence and
-/// comparison the centralized implementation sorts, hence bit-identical
-/// output.
-template <typename Report>
-void merge_rank_events(const std::vector<Rank>& ranks, Report& report) {
-  report.events_per_processor.assign(ranks.size(), 0);
-  report.events.clear();
-  for (std::size_t q = 0; q < ranks.size(); ++q) {
-    report.events_per_processor[q] = to_idx(ranks[q].events.size());
-    report.events.insert(report.events.end(), ranks[q].events.begin(),
-                         ranks[q].events.end());
-  }
-  std::sort(report.events.begin(), report.events.end(), event_order);
-  report.contact_events = to_idx(report.events.size());
-  report.penetrating_events = 0;
-  for (const ContactEvent& e : report.events) {
-    if (e.signed_distance < 0) ++report.penetrating_events;
-  }
-}
-
 void init_phase(RankPhaseBreakdown& phase, idx_t k) {
   phase.descriptor_ms.assign(static_cast<std::size_t>(k), 0.0);
   phase.halo_ms.assign(static_cast<std::size_t>(k), 0.0);
@@ -80,21 +99,104 @@ void init_phase(RankPhaseBreakdown& phase, idx_t k) {
   phase.search_wait_ms.assign(static_cast<std::size_t>(k), 0.0);
 }
 
-/// providers[dst] = sorted unique list of ranks that post halo nodes to dst
-/// — the inverse of the per-rank halo send lists, so the consuming phase can
-/// wait on just its neighbors' rows instead of all k.
-void build_halo_providers(const std::vector<SubdomainView>& views, idx_t k,
-                          std::vector<std::vector<idx_t>>& providers) {
-  providers.assign(static_cast<std::size_t>(k), {});
-  for (idx_t r = 0; r < k; ++r) {
-    for (const HaloSend& hs : views[static_cast<std::size_t>(r)].halo_sends) {
-      providers[static_cast<std::size_t>(hs.dst)].push_back(r);
+/// The rank-phase bodies both snapshot-driven pipelines run, over one
+/// step's snapshot, ownership views and rank states.
+struct SnapshotPhases {
+  const Mesh& mesh;
+  const Surface& surface;
+  const std::vector<SubdomainView>& views;
+  std::vector<Rank>& ranks;
+  Exchange& exchange;
+
+  const SubdomainView& view(idx_t r) const {
+    return views[static_cast<std::size_t>(r)];
+  }
+  Rank& rank(idx_t r) const { return ranks[static_cast<std::size_t>(r)]; }
+
+  /// Halo post: rank r sends each boundary node of its halo send list.
+  void post_halo(idx_t r) const {
+    for (const HaloSend& hs : view(r).halo_sends) {
+      exchange.halo().send(r, hs.dst,
+                           HaloNodeMsg{hs.node, mesh.node(hs.node)});
     }
   }
-  for (std::vector<idx_t>& list : providers) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
+
+  /// Ghost intake + element shipping: rank r takes its ghost layer off the
+  /// halo inbox, then ships each owned face to every other rank `filter`
+  /// names for the face's margin-inflated box.
+  template <typename Filter>
+  void ship_faces(idx_t r, real_t margin, const Filter& filter) const {
+    Rank& rk = rank(r);
+    const auto& ghosts_in = exchange.halo().inbox(r);
+    rk.ghosts.assign(ghosts_in.begin(), ghosts_in.end());
+    for (idx_t f : view(r).owned_faces) {
+      const SurfaceFace& face = surface.faces[static_cast<std::size_t>(f)];
+      rk.query_parts.clear();
+      filter.query_box(face_bbox(mesh, face, margin), rk.query_parts);
+      for (idx_t q : rk.query_parts) {
+        if (q == r) continue;
+        exchange.faces().send(r, q, make_face_msg(mesh, face, f));
+      }
+    }
   }
+
+  /// Local search: rank r's contact nodes against its owned + received
+  /// faces.
+  void search_local(idx_t r, const LocalSearchOptions& local) const {
+    Rank& rk = rank(r);
+    const SubdomainView& v = view(r);
+    rk.merge_faces(v.owned_faces, exchange.faces().inbox(r));
+    if (v.contact_nodes.empty() || rk.local_faces.empty()) return;
+    local_contact_search_subset_into(mesh, surface, v.contact_nodes,
+                                     rk.local_faces, local, rk.search_scratch,
+                                     rk.events);
+  }
+};
+
+/// The reference flavors' global + local search. Every face ships from its
+/// owner to each other processor `filter` names (one unit each, charged to
+/// the returned traffic); processor q then searches its own nodes (the
+/// node_ids labelled q) against the faces it holds, in processor order.
+template <typename Filter>
+StepTraffic reference_search(const Mesh& mesh, const Surface& surface,
+                             std::span<const idx_t> face_owner,
+                             std::span<const idx_t> node_ids,
+                             std::span<const idx_t> node_labels, idx_t k,
+                             real_t margin, const LocalSearchOptions& local,
+                             const Filter& filter, StepEvents& out) {
+  VirtualCluster cluster(k);
+  // faces_on[q]: the faces processor q holds after the exchange (its own
+  // plus every face shipped to it).
+  std::vector<std::vector<idx_t>> faces_on(static_cast<std::size_t>(k));
+  std::vector<idx_t> parts;
+  for (idx_t f = 0; f < surface.num_faces(); ++f) {
+    const idx_t home = face_owner[static_cast<std::size_t>(f)];
+    faces_on[static_cast<std::size_t>(home)].push_back(f);
+    parts.clear();
+    filter.query_box(
+        face_bbox(mesh, surface.faces[static_cast<std::size_t>(f)], margin),
+        parts);
+    for (idx_t q : parts) {
+      if (q == home) continue;
+      cluster.send(home, q, 1);
+      faces_on[static_cast<std::size_t>(q)].push_back(f);
+    }
+  }
+  std::vector<std::vector<idx_t>> nodes_on(static_cast<std::size_t>(k));
+  for (std::size_t i = 0; i < node_ids.size(); ++i) {
+    nodes_on[static_cast<std::size_t>(node_labels[i])].push_back(node_ids[i]);
+  }
+  out.events.clear();
+  out.events_per_processor.assign(static_cast<std::size_t>(k), 0);
+  for (std::size_t q = 0; q < nodes_on.size(); ++q) {
+    if (nodes_on[q].empty() || faces_on[q].empty()) continue;
+    const std::vector<ContactEvent> events = local_contact_search_subset(
+        mesh, surface, nodes_on[q], faces_on[q], local);
+    out.events_per_processor[q] = to_idx(events.size());
+    out.events.insert(out.events.end(), events.begin(), events.end());
+  }
+  finalize_events(out);
+  return cluster.finish();
 }
 
 }  // namespace
@@ -173,35 +275,25 @@ PipelineStepReport ContactPipeline::run_step_spmd(
                         num_parts, views_);
   if (halo_version_ != graph_cache_.version()) {
     build_halo_sends(graph, part, num_parts, views_);
-    build_halo_providers(views_, num_parts, halo_providers_);
+    build_halo_providers(views_, halo_providers_);
     halo_version_ = graph_cache_.version();
   }
 
-  // --- Driver section: induce this snapshot's descriptors on behalf of
-  // rank 0 — parallel subtree induction across the whole pool, warm-started
-  // from last step's recycled tree storage — and broadcast the encoded
-  // tree. Charged to descriptor_ms[0], where rank 0's induce+serialize was
-  // timed before the phase fusion. The broadcast group is born closed (its
-  // rows are posted here, before the run), so the k per-destination wire
-  // validations — the former serial section of delivery #1 — spread across
-  // the async workers while the halo phase proceeds underneath them. --------
+  // --- Driver section: rank 0's descriptor update, charged to
+  // descriptor_ms[0]. The broadcast group is born closed (its rows are
+  // posted here, before the run), so the k per-destination wire
+  // validations spread across the async workers while the halo phase
+  // proceeds underneath them. ------------------------------------------------
   {
     Timer timer;
-    if (ranks_[0].descriptors.has_value()) {
-      induce_ws_.recycle(ranks_[0].descriptors->release_tree());
-    }
     for (Rank& rank : ranks_) rank.begin_step();
     std::vector<Vec3> points;
     points.reserve(surface.contact_nodes.size());
     for (idx_t id : surface.contact_nodes) points.push_back(mesh.node(id));
-    DescriptorOptions dopts = partitioner_.config().descriptor;
-    dopts.dim = mesh.dim();
-    dopts.parallel = true;
-    ranks_[0].descriptors.emplace(points, contact_labels_, num_parts, dopts,
-                                  &induce_ws_);
-    exchange_.descriptors().broadcast(
-        0, DescriptorTreeMsg{encode_tree(ranks_[0].descriptors->tree(),
-                                         config_.wire_format)});
+    induce_and_broadcast_descriptors(
+        points, contact_labels_, num_parts,
+        step_descriptor_options(partitioner_.config().descriptor, mesh.dim()),
+        induce_ws_, ranks_[0].descriptors, exchange_);
     report.phase.descriptor_ms[0] += timer.milliseconds();
   }
   report.descriptor_tree_nodes = ranks_[0].descriptors->num_tree_nodes();
@@ -211,61 +303,31 @@ PipelineStepReport ContactPipeline::run_step_spmd(
   // shipping (reads halo from just this rank's neighbors — delivery #2),
   // local search (reads faces — delivery #3). A rank enters each phase the
   // moment its own inbox cells commit; there is no global barrier. ----------
-  const auto parse_phase = [&](idx_t r) {
-    // Every other rank parses its own copy off the wire (the format round-
-    // trips doubles exactly, so all k copies answer queries identically).
-    if (r == 0) return;
-    const auto& in = exchange_.descriptors().inbox(r);
-    require(in.size() == 1, "ContactPipeline: descriptor broadcast lost");
-    ranks_[static_cast<std::size_t>(r)].descriptors.emplace(
-        decode_tree(in.front().wire), num_parts);
-  };
-  const auto halo_phase = [&](idx_t r) {
-    for (const HaloSend& hs : views_[static_cast<std::size_t>(r)].halo_sends) {
-      exchange_.halo().send(r, hs.dst,
-                            HaloNodeMsg{hs.node, mesh.node(hs.node)});
-    }
-  };
-  const auto ship_phase = [&](idx_t r) {
-    Rank& rank = ranks_[static_cast<std::size_t>(r)];
-    const auto& ghosts_in = exchange_.halo().inbox(r);
-    rank.ghosts.assign(ghosts_in.begin(), ghosts_in.end());
-    for (idx_t f : views_[static_cast<std::size_t>(r)].owned_faces) {
-      const SurfaceFace& face = surface.faces[static_cast<std::size_t>(f)];
-      const BBox box = face_bbox(mesh, face, config_.search.search_margin);
-      rank.query_parts.clear();
-      rank.descriptors->query_box(box, rank.query_parts);
-      for (idx_t q : rank.query_parts) {
-        if (q == r) continue;
-        exchange_.faces().send(r, q, make_face_msg(mesh, face, f));
-      }
-    }
-  };
+  const SnapshotPhases step{mesh, surface, views_, ranks_, exchange_};
+  const real_t margin = config_.search.search_margin;
   const LocalSearchOptions local = config_.search.local_options(body_of_node);
-  const auto search_phase = [&](idx_t r) {
-    Rank& rank = ranks_[static_cast<std::size_t>(r)];
-    const SubdomainView& view = views_[static_cast<std::size_t>(r)];
-    rank.merge_faces(view.owned_faces, exchange_.faces().inbox(r));
-    if (view.contact_nodes.empty() || rank.local_faces.empty()) return;
-    local_contact_search_subset_into(mesh, surface, view.contact_nodes,
-                                     rank.local_faces, local,
-                                     rank.search_scratch, rank.events);
-  };
   const std::array<AsyncPhase, 4> phases = {
-      AsyncPhase{.body = parse_phase,
+      AsyncPhase{.body =
+                     [&](idx_t r) {
+                       receive_descriptors(exchange_, r, num_parts,
+                                           step.rank(r).descriptors);
+                     },
                  .reads = channel_bit(ChannelId::kDescriptors),
                  .ms_accum = report.phase.descriptor_ms,
                  .wait_ms_accum = report.phase.descriptor_wait_ms},
-      AsyncPhase{.body = halo_phase,
+      AsyncPhase{.body = [&](idx_t r) { step.post_halo(r); },
                  .writes = channel_bit(ChannelId::kHalo),
                  .ms_accum = report.phase.halo_ms},
-      AsyncPhase{.body = ship_phase,
+      AsyncPhase{.body =
+                     [&](idx_t r) {
+                       step.ship_faces(r, margin, *step.rank(r).descriptors);
+                     },
                  .reads = channel_bit(ChannelId::kHalo),
                  .writes = channel_bit(ChannelId::kFaces),
                  .ms_accum = report.phase.ship_ms,
                  .wait_ms_accum = report.phase.ship_wait_ms,
                  .providers = &halo_providers_},
-      AsyncPhase{.body = search_phase,
+      AsyncPhase{.body = [&](idx_t r) { step.search_local(r, local); },
                  .reads = channel_bit(ChannelId::kFaces),
                  .ms_accum = report.phase.search_ms,
                  .wait_ms_accum = report.phase.search_wait_ms},
@@ -287,89 +349,35 @@ PipelineStepReport ContactPipeline::run_step_reference(
   validate_snapshot_identity(mesh, surface, element_type0_, num_nodes0_,
                              num_elements0_, "ContactPipeline");
   const idx_t num_parts = k();
+  const std::vector<idx_t>& part = partitioner_.node_partition();
   PipelineStepReport report;
 
-  // --- Phase 1: descriptor update + broadcast. The tree is built with the
-  // exact options the SPMD driver uses (parallel subtree induction
-  // included — node numbering, and hence the text encoding, depends on it),
-  // so the modeled broadcast bytes match the SPMD path in either format. ----
+  // --- Phase 1: descriptor update + broadcast, induced with the exact
+  // options the SPMD driver uses, so the modeled broadcast bytes match. -----
   std::vector<Vec3> points;
   std::vector<idx_t> labels;
   points.reserve(surface.contact_nodes.size());
   labels.reserve(surface.contact_nodes.size());
   for (idx_t id : surface.contact_nodes) {
     points.push_back(mesh.node(id));
-    labels.push_back(
-        partitioner_.node_partition()[static_cast<std::size_t>(id)]);
+    labels.push_back(part[static_cast<std::size_t>(id)]);
   }
-  DescriptorOptions dopts = partitioner_.config().descriptor;
-  dopts.dim = mesh.dim();
-  dopts.parallel = true;
-  const SubdomainDescriptors descriptors(points, labels, num_parts, dopts);
+  const SubdomainDescriptors descriptors(
+      points, labels, num_parts,
+      step_descriptor_options(partitioner_.config().descriptor, mesh.dim()));
   report.descriptor_tree_nodes = descriptors.num_tree_nodes();
   report.descriptor_broadcast_bytes =
-      static_cast<wgt_t>(
-          encode_tree(descriptors.tree(), config_.wire_format).size()) *
-      std::max<wgt_t>(0, num_parts - 1);
+      descriptor_broadcast_bytes(descriptors, num_parts);
 
   // --- Phase 2: FE halo exchange. ------------------------------------------
-  const CsrGraph graph = nodal_graph(mesh);
-  report.fe_exchange =
-      fe_halo_traffic(graph, partitioner_.node_partition(), num_parts);
+  report.fe_exchange = fe_halo_traffic(nodal_graph(mesh), part, num_parts);
 
-  // --- Phase 3: global search & element shipping. --------------------------
-  const std::vector<idx_t> owners =
-      face_owners(surface, partitioner_.node_partition(), num_parts);
-  VirtualCluster cluster(num_parts);
-  // faces_on[q]: the elements processor q holds after the exchange (its own
-  // plus every element shipped to it).
-  std::vector<std::vector<idx_t>> faces_on(static_cast<std::size_t>(num_parts));
-  {
-    std::vector<idx_t> parts;
-    for (idx_t f = 0; f < surface.num_faces(); ++f) {
-      const idx_t home = owners[static_cast<std::size_t>(f)];
-      faces_on[static_cast<std::size_t>(home)].push_back(f);
-      parts.clear();
-      const BBox box = face_bbox(mesh, surface.faces[static_cast<std::size_t>(f)],
-                                 config_.search.search_margin);
-      descriptors.query_box(box, parts);
-      for (idx_t q : parts) {
-        if (q == home) continue;
-        cluster.send(home, q, 1);
-        faces_on[static_cast<std::size_t>(q)].push_back(f);
-      }
-    }
-  }
-  report.search_exchange = cluster.finish();
-
-  // --- Phase 4: per-processor local search. --------------------------------
-  // nodes_on[q]: processor q's own contact nodes.
-  std::vector<std::vector<idx_t>> nodes_on(static_cast<std::size_t>(num_parts));
-  for (idx_t id : surface.contact_nodes) {
-    nodes_on[static_cast<std::size_t>(
-                 partitioner_.node_partition()[static_cast<std::size_t>(id)])]
-        .push_back(id);
-  }
-  const LocalSearchOptions local = config_.search.local_options(body_of_node);
-  report.events_per_processor.assign(static_cast<std::size_t>(num_parts), 0);
-  for (idx_t q = 0; q < num_parts; ++q) {
-    if (nodes_on[static_cast<std::size_t>(q)].empty() ||
-        faces_on[static_cast<std::size_t>(q)].empty()) {
-      continue;
-    }
-    std::vector<ContactEvent> local_events = local_contact_search_subset(
-        mesh, surface, nodes_on[static_cast<std::size_t>(q)],
-        faces_on[static_cast<std::size_t>(q)], local);
-    report.events_per_processor[static_cast<std::size_t>(q)] =
-        to_idx(local_events.size());
-    report.events.insert(report.events.end(), local_events.begin(),
-                         local_events.end());
-  }
-  std::sort(report.events.begin(), report.events.end(), event_order);
-  report.contact_events = to_idx(report.events.size());
-  for (const ContactEvent& e : report.events) {
-    if (e.signed_distance < 0) ++report.penetrating_events;
-  }
+  // --- Phases 3-4: global search & element shipping, then per-processor
+  // local search. -----------------------------------------------------------
+  report.search_exchange = reference_search(
+      mesh, surface, face_owners(surface, part, num_parts),
+      surface.contact_nodes, labels, num_parts, config_.search.search_margin,
+      config_.search.local_options(body_of_node), descriptors, report);
   return report;
 }
 
@@ -470,17 +478,13 @@ void MlRcbPipeline::run_step_spmd(const Mesh& mesh, const Surface& surface,
 
   // --- Phases 1-3 in one dependency-driven run. Phase 1 posts halo nodes,
   // forward coupling, and the subdomain-box allgather; phase 2 consumes all
-  // three (delivery #1 — the exact channel set the first full-mask barrier
-  // delivery used to carry), returns the coupling points and ships elements;
+  // three (delivery #1), returns the coupling points and ships elements;
   // phase 3 consumes the return coupling and shipped faces (delivery #2).
   // A rank enters each phase once its own inbox cells commit. ---------------
+  const SnapshotPhases step{mesh, surface, views_, ranks_, exchange_};
   const auto post_phase = [&](idx_t r) {
-    Rank& rank = ranks_[static_cast<std::size_t>(r)];
-    rank.begin_step();
-    for (const HaloSend& hs : views_[static_cast<std::size_t>(r)].halo_sends) {
-      exchange_.halo().send(r, hs.dst,
-                            HaloNodeMsg{hs.node, mesh.node(hs.node)});
-    }
+    step.rank(r).begin_step();
+    step.post_halo(r);
     // Forward coupling: this FE rank ships each of its contact points
     // whose (relabelled) RCB owner is elsewhere.
     for (std::size_t i = 0; i < fe_labels_.size(); ++i) {
@@ -496,7 +500,6 @@ void MlRcbPipeline::run_step_spmd(const Mesh& mesh, const Surface& surface,
     exchange_.boxes().broadcast(r, SubdomainBoxMsg{r, filter.box(r)});
   };
   const auto ship_phase = [&](idx_t r) {
-    Rank& rank = ranks_[static_cast<std::size_t>(r)];
     // Return trip: each received contact point goes back to its source
     // after the search (the "twice the M2MComm value" of Section 5.2).
     const auto& coupling_in = exchange_.coupling_forward().inbox(r);
@@ -507,29 +510,9 @@ void MlRcbPipeline::run_step_spmd(const Mesh& mesh, const Surface& surface,
             r, sr.from, coupling_in[static_cast<std::size_t>(i)]);
       }
     }
-    const auto& ghosts_in = exchange_.halo().inbox(r);
-    rank.ghosts.assign(ghosts_in.begin(), ghosts_in.end());
-    for (idx_t f : views_[static_cast<std::size_t>(r)].owned_faces) {
-      const SurfaceFace& face = surface.faces[static_cast<std::size_t>(f)];
-      const BBox box = face_bbox(mesh, face, config_.search.search_margin);
-      rank.query_parts.clear();
-      filter.query_box(box, rank.query_parts);
-      for (idx_t q : rank.query_parts) {
-        if (q == r) continue;
-        exchange_.faces().send(r, q, make_face_msg(mesh, face, f));
-      }
-    }
+    step.ship_faces(r, config_.search.search_margin, filter);
   };
   const LocalSearchOptions local = config_.search.local_options(body_of_node);
-  const auto search_phase = [&](idx_t r) {
-    Rank& rank = ranks_[static_cast<std::size_t>(r)];
-    const SubdomainView& view = views_[static_cast<std::size_t>(r)];
-    rank.merge_faces(view.owned_faces, exchange_.faces().inbox(r));
-    if (view.contact_nodes.empty() || rank.local_faces.empty()) return;
-    local_contact_search_subset_into(mesh, surface, view.contact_nodes,
-                                     rank.local_faces, local,
-                                     rank.search_scratch, rank.events);
-  };
   const ChannelMask post_mask = channel_bit(ChannelId::kHalo) |
                                 channel_bit(ChannelId::kCouplingForward) |
                                 channel_bit(ChannelId::kBoxes);
@@ -544,7 +527,7 @@ void MlRcbPipeline::run_step_spmd(const Mesh& mesh, const Surface& surface,
                  .writes = ship_mask,
                  .ms_accum = report.phase.ship_ms,
                  .wait_ms_accum = report.phase.ship_wait_ms},
-      AsyncPhase{.body = search_phase,
+      AsyncPhase{.body = [&](idx_t r) { step.search_local(r, local); },
                  .reads = ship_mask,
                  .ms_accum = report.phase.search_ms,
                  .wait_ms_accum = report.phase.search_wait_ms},
@@ -575,80 +558,35 @@ void MlRcbPipeline::run_reference_phases(const Mesh& mesh,
                                          std::span<const int> body_of_node,
                                          MlRcbStepReport& report) const {
   const idx_t num_parts = k();
+  const std::vector<idx_t>& fe_part = partitioner_.node_partition();
+  const std::vector<idx_t>& cids = partitioner_.contact_ids();
+  const std::vector<idx_t>& clabels = partitioner_.contact_labels();
 
   // FE halo exchange in the graph decomposition.
-  const CsrGraph graph = nodal_graph(mesh);
-  report.fe_exchange =
-      fe_halo_traffic(graph, partitioner_.node_partition(), num_parts);
+  report.fe_exchange = fe_halo_traffic(nodal_graph(mesh), fe_part, num_parts);
 
   // Coupling: surface-node data to the contact decomposition and back.
   std::vector<idx_t> fe_labels;
   fe_labels.reserve(surface.contact_nodes.size());
   for (idx_t id : surface.contact_nodes) {
-    fe_labels.push_back(
-        partitioner_.node_partition()[static_cast<std::size_t>(id)]);
+    fe_labels.push_back(fe_part[static_cast<std::size_t>(id)]);
   }
-  const M2MResult m2m =
-      m2m_comm(fe_labels, partitioner_.contact_labels(), num_parts);
-  report.coupling_exchange = m2m_traffic(
-      fe_labels, partitioner_.contact_labels(), m2m.relabel, num_parts);
+  const M2MResult m2m = m2m_comm(fe_labels, clabels, num_parts);
+  report.coupling_exchange =
+      m2m_traffic(fe_labels, clabels, m2m.relabel, num_parts);
 
-  // Global search in the RCB decomposition: subdomain bounding boxes.
+  // Global + local search in the RCB decomposition, filtered by the
+  // subdomain bounding boxes.
   std::vector<idx_t> rcb_node_labels(
       static_cast<std::size_t>(mesh.num_nodes()), 0);
-  for (std::size_t i = 0; i < partitioner_.contact_ids().size(); ++i) {
-    rcb_node_labels[static_cast<std::size_t>(partitioner_.contact_ids()[i])] =
-        partitioner_.contact_labels()[i];
+  for (std::size_t i = 0; i < cids.size(); ++i) {
+    rcb_node_labels[static_cast<std::size_t>(cids[i])] = clabels[i];
   }
-  const std::vector<idx_t> owners =
-      face_owners(surface, rcb_node_labels, num_parts);
-  const BBoxFilter filter = partitioner_.make_bbox_filter(mesh);
-  VirtualCluster cluster(num_parts);
-  std::vector<std::vector<idx_t>> faces_on(static_cast<std::size_t>(num_parts));
-  {
-    std::vector<idx_t> parts;
-    for (idx_t f = 0; f < surface.num_faces(); ++f) {
-      const idx_t home = owners[static_cast<std::size_t>(f)];
-      faces_on[static_cast<std::size_t>(home)].push_back(f);
-      parts.clear();
-      const BBox box = face_bbox(mesh, surface.faces[static_cast<std::size_t>(f)],
-                                 config_.search.search_margin);
-      filter.query_box(box, parts);
-      for (idx_t q : parts) {
-        if (q == home) continue;
-        cluster.send(home, q, 1);
-        faces_on[static_cast<std::size_t>(q)].push_back(f);
-      }
-    }
-  }
-  report.search_exchange = cluster.finish();
-
-  // Local search in the RCB decomposition.
-  std::vector<std::vector<idx_t>> nodes_on(static_cast<std::size_t>(num_parts));
-  for (std::size_t i = 0; i < partitioner_.contact_ids().size(); ++i) {
-    nodes_on[static_cast<std::size_t>(partitioner_.contact_labels()[i])]
-        .push_back(partitioner_.contact_ids()[i]);
-  }
-  const LocalSearchOptions local = config_.search.local_options(body_of_node);
-  report.events_per_processor.assign(static_cast<std::size_t>(num_parts), 0);
-  for (idx_t q = 0; q < num_parts; ++q) {
-    if (nodes_on[static_cast<std::size_t>(q)].empty() ||
-        faces_on[static_cast<std::size_t>(q)].empty()) {
-      continue;
-    }
-    const auto local_events = local_contact_search_subset(
-        mesh, surface, nodes_on[static_cast<std::size_t>(q)],
-        faces_on[static_cast<std::size_t>(q)], local);
-    report.events_per_processor[static_cast<std::size_t>(q)] =
-        to_idx(local_events.size());
-    report.events.insert(report.events.end(), local_events.begin(),
-                         local_events.end());
-  }
-  std::sort(report.events.begin(), report.events.end(), event_order);
-  report.contact_events = to_idx(report.events.size());
-  for (const ContactEvent& e : report.events) {
-    if (e.signed_distance < 0) ++report.penetrating_events;
-  }
+  report.search_exchange = reference_search(
+      mesh, surface, face_owners(surface, rcb_node_labels, num_parts), cids,
+      clabels, num_parts, config_.search.search_margin,
+      config_.search.local_options(body_of_node),
+      partitioner_.make_bbox_filter(mesh), report);
 }
 
 }  // namespace cpart

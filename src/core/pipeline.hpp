@@ -25,7 +25,9 @@
 // filter end-to-end.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -40,6 +42,7 @@
 #include "runtime/health.hpp"
 #include "runtime/rank.hpp"
 #include "runtime/virtual_cluster.hpp"
+#include "tree/descriptor_tree.hpp"
 #include "tree/tree_io.hpp"
 
 namespace cpart {
@@ -110,11 +113,88 @@ struct SearchConfig {
 struct PipelineConfig {
   McmlDtConfig decomposition{};
   SearchConfig search{};
-  /// Wire encoding of the per-step descriptor-tree broadcast; both flavors
-  /// switch together, so cross-flavor byte comparisons hold in either
-  /// format (see tree/tree_io.hpp).
-  TreeWireFormat wire_format = TreeWireFormat::kBinary;
 };
+
+/// The contact events of one step, shared by every step report.
+struct StepEvents {
+  idx_t contact_events = 0;
+  idx_t penetrating_events = 0;
+  std::vector<ContactEvent> events;  // merged, sorted by (node, distance)
+  /// Contact events found by each processor (sums to contact_events).
+  std::vector<idx_t> events_per_processor;
+};
+
+// ---------------------------------------------------------------------------
+// Phase helpers shared by the step drivers (ContactPipeline, MlRcbPipeline,
+// DistributedSim): each driver is a phase list over these plus its own
+// state. The SPMD and reference flavors call the same helpers, which is
+// what keeps them bit-identical.
+// ---------------------------------------------------------------------------
+
+/// Sorts `out.events` by (node, distance) — the deterministic order every
+/// step flavor reports — and recounts contact and penetrating events.
+void finalize_events(StepEvents& out);
+
+/// Deterministic merge of per-rank events: concatenated in rank order (with
+/// the per-rank counts), then finalize_events — the identical sequence and
+/// comparison the centralized flavors sort, hence bit-identical output.
+template <typename RankState>
+void merge_rank_events(const std::vector<RankState>& ranks, StepEvents& out) {
+  out.events_per_processor.assign(ranks.size(), 0);
+  out.events.clear();
+  for (std::size_t q = 0; q < ranks.size(); ++q) {
+    out.events_per_processor[q] = to_idx(ranks[q].events.size());
+    out.events.insert(out.events.end(), ranks[q].events.begin(),
+                      ranks[q].events.end());
+  }
+  finalize_events(out);
+}
+
+/// providers[dst] = sorted unique ranks whose halo_sends post to dst — the
+/// inverse of the send lists, so a halo-consuming phase waits on just its
+/// neighbors' rows (AsyncPhase::providers) instead of all k.
+template <typename View>
+void build_halo_providers(const std::vector<View>& views,
+                          std::vector<std::vector<idx_t>>& providers) {
+  providers.assign(views.size(), {});
+  for (std::size_t r = 0; r < views.size(); ++r) {
+    for (const HaloSend& hs : views[r].halo_sends) {
+      providers[static_cast<std::size_t>(hs.dst)].push_back(to_idx(r));
+    }
+  }
+  for (std::vector<idx_t>& list : providers) {
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+  }
+}
+
+/// A step's descriptor induction options: `base` with the mesh dimension
+/// and parallel subtree induction (node numbering, and hence the wire
+/// bytes, depend on it, so every flavor must induce with these).
+DescriptorOptions step_descriptor_options(DescriptorOptions base, int dim);
+
+/// Rank 0's descriptor update: induces this step's descriptors into `out`
+/// — warm-started from the tree `out` held last step — and broadcasts the
+/// binary wire to the other k-1 ranks. Runs on the driver thread: parallel
+/// induction dispatches pool work, which a rank program must never do.
+void induce_and_broadcast_descriptors(std::span<const Vec3> points,
+                                      std::span<const idx_t> labels, idx_t k,
+                                      const DescriptorOptions& options,
+                                      TreeInduceWorkspace& workspace,
+                                      std::optional<SubdomainDescriptors>& out,
+                                      Exchange& exchange);
+
+/// Rank r's side of the broadcast: decodes its own copy of the wire into
+/// `out` (every rank needs its own — query_box keeps per-instance scratch).
+/// Rank 0 keeps the copy it induced. Throws TreeParseError on a rejected
+/// wire.
+void receive_descriptors(Exchange& exchange, idx_t r, idx_t k,
+                         std::optional<SubdomainDescriptors>& out);
+
+/// The reference flavors' byte model of the broadcast: the binary wire of
+/// `descriptors` once per receiving rank.
+wgt_t descriptor_broadcast_bytes(const SubdomainDescriptors& descriptors,
+                                 idx_t k);
 
 /// Per-rank wall milliseconds of each SPMD phase of the last run_step
 /// (empty after run_step_reference, which has no per-rank execution).
@@ -132,7 +212,7 @@ struct RankPhaseBreakdown {
   std::vector<double> search_wait_ms;
 };
 
-struct PipelineStepReport {
+struct PipelineStepReport : StepEvents {
   StepTraffic fe_exchange;       // phase 2
   StepTraffic search_exchange;   // phase 3
   wgt_t descriptor_tree_nodes = 0;
@@ -150,11 +230,6 @@ struct PipelineStepReport {
   idx_t repart_moved_nodes = 0;
   idx_t repart_moved_elements = 0;
   wgt_t repart_moved_bytes = 0;
-  idx_t contact_events = 0;
-  idx_t penetrating_events = 0;
-  std::vector<ContactEvent> events;  // merged, sorted by (node, distance)
-  /// Contact events found by each processor (sums to contact_events).
-  std::vector<idx_t> events_per_processor;
   RankPhaseBreakdown phase;  // SPMD path only
   /// Transport detection/recovery counters of this step. clean() on a
   /// healthy step; degraded() when the step fell back to the reference
@@ -218,10 +293,8 @@ class ContactPipeline {
   std::vector<Rank> ranks_;
   Exchange exchange_;
   AsyncExecutor executor_;
-  // Inverse of views_[*].halo_sends — halo_providers_[dst] lists every rank
-  // that posts halo nodes to dst. Rebuilt with the halo lists (same
-  // halo_version_ key); lets the ship phase start on a rank once just its
-  // neighbors' rows closed.
+  // build_halo_providers(views_), rebuilt with the halo lists (same
+  // halo_version_ key).
   std::vector<std::vector<idx_t>> halo_providers_;
   TreeInduceWorkspace induce_ws_;      // warm storage across step inductions
   std::vector<idx_t> contact_labels_;  // per-step gather scratch
@@ -237,7 +310,7 @@ struct MlRcbPipelineConfig {
   SearchConfig search{};
 };
 
-struct MlRcbStepReport {
+struct MlRcbStepReport : StepEvents {
   StepTraffic fe_exchange;
   StepTraffic coupling_exchange;  // mesh-to-mesh, both directions
   StepTraffic search_exchange;
@@ -247,10 +320,6 @@ struct MlRcbStepReport {
   wgt_t face_payload_bytes = 0;
   wgt_t coupling_payload_bytes = 0;
   wgt_t box_allgather_bytes = 0;  // RCB subdomain-box allgather
-  idx_t contact_events = 0;
-  idx_t penetrating_events = 0;
-  std::vector<ContactEvent> events;
-  std::vector<idx_t> events_per_processor;
   RankPhaseBreakdown phase;  // SPMD path only (descriptor_ms stays 0)
   /// Transport health of this step (see PipelineStepReport::health).
   PipelineHealth health;

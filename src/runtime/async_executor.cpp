@@ -12,12 +12,66 @@
 
 #include "parallel/thread_pool.hpp"
 #include "runtime/exchange.hpp"
-#include "runtime/rank_executor.hpp"
 #include "util/timer.hpp"
 
 namespace cpart {
 
 namespace {
+
+/// Worker count for a rank dispatch. Bounded by the pool (every worker must
+/// hold a real thread for the whole dispatch), by k (static stride then
+/// gives each of the first W workers at least one rank), and by the
+/// machine's concurrency (workers beyond the physical threads only add
+/// context switches).
+unsigned rank_dispatch_workers(const ThreadPool& pool, idx_t k) {
+  // Inside parallel work (a session step job, a parallel_tasks body) the
+  // dispatch runs inline on the calling thread only, so a striped loop at
+  // W > 1 would execute its workers sequentially — fatal for gang bodies
+  // that block on sibling workers (the futex readiness waits below).
+  // Width 1 is always valid: results are width-independent by invariant.
+  if (ThreadPool::in_worker()) return 1;
+  unsigned hw = std::thread::hardware_concurrency();
+  if (hw == 0) hw = pool.num_threads();  // unknown: trust the pool size
+  const unsigned cap = std::min(std::max(1u, pool.num_threads()),
+                                std::max(1u, hw));
+  return static_cast<unsigned>(
+      std::min<idx_t>(static_cast<idx_t>(cap), k));
+}
+
+/// Mirrors ThreadPool's dispatch outcome for per-rank failures: one failing
+/// rank rethrows its original exception, several aggregate into a
+/// ParallelGroupError keyed by rank id.
+[[noreturn]] void raise_rank_errors(
+    std::vector<std::pair<idx_t, std::exception_ptr>>&& errors) {
+  if (errors.size() == 1) {
+    std::rethrow_exception(errors.front().second);
+  }
+  std::sort(errors.begin(), errors.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<ParallelGroupError::Failure> failures;
+  failures.reserve(errors.size());
+  for (auto& [rank, err] : errors) {
+    ParallelGroupError::Failure f;
+    f.index = rank;
+    try {
+      std::rethrow_exception(err);
+    } catch (const std::exception& e) {
+      f.message = e.what();
+    } catch (...) {
+      f.message = "unknown exception";
+    }
+    failures.push_back(std::move(f));
+  }
+  throw ParallelGroupError(std::move(failures));
+}
+
+TransportError exhausted_error(std::uint64_t superstep, idx_t attempts,
+                               idx_t corrupt_cells) {
+  std::ostringstream os;
+  os << "Exchange: superstep " << superstep << " still has " << corrupt_cells
+     << " corrupt cell(s) after " << attempts << " delivery attempt(s)";
+  return TransportError(os.str(), superstep, attempts, corrupt_cells);
+}
 
 std::string rank_death_message(const std::vector<idx_t>& ranks) {
   std::ostringstream os;
@@ -41,8 +95,7 @@ bool is_rank_death(const std::exception_ptr& error) {
 
 /// One channel group: the mask a consuming phase reads, delivered as one
 /// async superstep. Groups are ordered by consuming phase, and group j of a
-/// run keys its fault decisions on superstep base+j — the number the j'th
-/// deliver() barrier of the fused schedule would have used.
+/// run keys its fault decisions on superstep base+j.
 struct Group {
   ChannelMask mask = 0;
   idx_t consume_phase = 0;
@@ -62,10 +115,9 @@ struct DstScratch {
 
 enum class WaitOutcome { kReady, kFailed, kExhausted };
 
-// Same bounded spin as SpmdBarrier before parking on the futex: short,
-// because oversubscribed workers spinning steal the CPU the publisher
-// needs; long enough to catch the common fast publication without a
-// syscall.
+// Bounded spin before parking on the futex: short, because oversubscribed
+// workers spinning steal the CPU the publisher needs; long enough to catch
+// the common fast publication without a syscall.
 constexpr int kSpinIterations = 128;
 
 }  // namespace
@@ -137,12 +189,12 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
   const std::uint64_t base = exchange.next_superstep();
   const idx_t max_attempts = exchange.retry_policy().max_attempts;
   // With a fault injector armed, validation of each group additionally
-  // waits for every rank to complete all prior phases — the exact moment
-  // the fused schedule's barrier would deliver. This keeps the injector's
-  // (superstep, attempt, channel, src, dst) decision consumption, and in
-  // particular which group exhausts the retry budget first, bit-identical
-  // to the barrier build at any thread count. Fault-free runs (the normal
-  // case) skip the gate entirely and overlap freely.
+  // waits for every rank to complete all prior phases — the BSP boundary
+  // of the phase sequence. This keeps the injector's (superstep, attempt,
+  // channel, src, dst) decision consumption, and in particular which group
+  // exhausts the retry budget first, identical at any thread count.
+  // Fault-free runs (the normal case) skip the gate entirely and overlap
+  // freely.
   const bool gated = exchange.fault_injector() != nullptr;
 
   // Termination-detection state. row_closed[g*k + src] publishes that src's
@@ -161,7 +213,7 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
 
   // Groups whose channels were fully posted before the run are born
   // closed: their per-destination validations start immediately and spread
-  // across the workers — the former serial section of the fused schedule.
+  // across the workers.
   for (idx_t g = 0; g < G; ++g) {
     if (groups[static_cast<std::size_t>(g)].close_phase >= 0) continue;
     rows_closed[static_cast<std::size_t>(g)].store(k_,
@@ -226,13 +278,12 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
   };
 
   // Full per-cell validation of destination r's column of group g: every
-  // (channel, src, r) cell gets its own retry loop with the barrier-exact
-  // injector keys (attempt numbers 0..), then the column commits atomically
+  // (channel, src, r) cell gets its own retry loop keyed (channel,
+  // superstep, attempt 0.., src, r), then the column commits atomically
   // from r's point of view (inbox assembled in ascending source order).
   // Empty cells — every cell outside the provider topology — validate
-  // trivially without consuming an injector decision, exactly as in the
-  // barrier loop. Returns false when any cell exhausted the budget (the
-  // column is then left uncommitted).
+  // trivially without consuming an injector decision. Returns false when
+  // any cell exhausted the budget (the column is then left uncommitted).
   const auto validate_and_commit = [&](idx_t g, idx_t r,
                                        DstScratch& s) -> bool {
     const Group& grp = groups[static_cast<std::size_t>(g)];
@@ -346,7 +397,7 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
         idx_t ex = exhausted.load(std::memory_order_acquire);
         // After an exhaustion, the only remaining work is draining the
         // exhausting group's validation (below) so the detection counters
-        // match the barrier build; everything else unwinds. Under the
+        // cover every cell of it; everything else unwinds. Under the
         // gate no worker can still be at an earlier phase at this point.
         if (ex != kNoGroup && g != ex) return;
         // A rank failure at phase p_fail completes phase p_fail for every
@@ -420,12 +471,12 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
     }
   });
 
-  // Epilogue (single-threaded): fold exactly the groups the fused
-  // schedule's barriers would have delivered. A rank failure at phase
-  // p_fail keeps the groups consumed at or before p_fail; an exhaustion at
-  // group ex keeps groups 0..ex (with ex itself counted as the exhausted
-  // delivery) and takes precedence — the barrier throws at the delivery
-  // boundary, before any same-phase rank failure could exist.
+  // Epilogue (single-threaded): fold exactly the groups the BSP phase
+  // sequence would have delivered. A rank failure at phase p_fail keeps the
+  // groups consumed at or before p_fail; an exhaustion at group ex keeps
+  // groups 0..ex (with ex itself counted as the exhausted delivery) and
+  // takes precedence — a delivery fails before its consuming phase runs,
+  // so no same-phase rank failure can exist.
   const idx_t p_fail = min_failed.load(std::memory_order_acquire);
   const idx_t ex_g = exhausted.load(std::memory_order_acquire);
   const bool is_ex = ex_g != kNoGroup;
@@ -474,8 +525,8 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
           scratch[static_cast<std::size_t>(ex_g * k_ + r)].exhausted_cells;
     }
     exchange.abort_step();
-    throw Exchange::exhausted_error(base + static_cast<std::uint64_t>(ex_g),
-                                    max_attempts, corrupt);
+    throw exhausted_error(base + static_cast<std::uint64_t>(ex_g),
+                          max_attempts, corrupt);
   }
   // Deaths take precedence and merge: every hung rank plus any bodies that
   // threw RankDeathError surface as one RankDeathError naming the whole

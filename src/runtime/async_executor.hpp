@@ -1,12 +1,8 @@
-// Dependency-driven rank execution: channel-granular async supersteps.
+// Dependency-driven rank execution: the one executor for rank programs.
 //
-// RankExecutor's fused-phase schedule separated consecutive rank phases
-// with a full SpmdBarrier whose winner delivered whole channels in a serial
-// section — every rank waited for every other rank at every phase boundary,
-// even for channels it does not read. AsyncExecutor replaces that schedule
-// with dependency-driven execution: each phase declares the ChannelMask it
-// reads and the mask it writes, and a rank starts its next phase the moment
-// *its own* inbox cells for the channels that phase reads have been
+// A run is a sequence of rank phases. Each phase declares the ChannelMask
+// it reads and the mask it writes, and a rank starts its next phase the
+// moment *its own* inbox cells for the channels that phase reads have been
 // committed. There is no global barrier inside a run:
 //
 //   * Publication is per (channel-group, source-rank) row: when a rank
@@ -19,33 +15,35 @@
 //     on just those rows; without one the rank waits for all k rows).
 //   * Quiescence is established by a termination detector, not a barrier:
 //     per-group closed-row counters against the sent-row total, plus a
-//     monotone epoch word waiters park on (spin-then-futex, the SpmdBarrier
-//     idiom). A group is quiescent for rank r once every row r consumes is
-//     closed; the run is quiescent when every phase completed or an abort
-//     (rank failure, retry-budget exhaustion) was published on the epoch.
+//     monotone epoch word waiters park on (bounded spin, then futex). A
+//     group is quiescent for rank r once every row r consumes is closed;
+//     the run is quiescent when every phase completed or an abort (rank
+//     failure, retry-budget exhaustion) was published on the epoch.
 //   * Slow serial sections overlap with phases that do not depend on them:
 //     a group whose channels were posted before the run (the rank-0
 //     descriptor broadcast, the migration label batch) is born closed, so
-//     its k per-destination validations — the former serial section —
-//     spread across the workers while independent phases proceed.
+//     its k per-destination validations spread across the workers while
+//     independent phases proceed.
+//   * A phase that reads nothing is a plain superstep: body(rank) once per
+//     rank, striped over the workers. A run of only such phases (state
+//     scatter, checkpoint restore) touches no channel and consumes no
+//     Exchange superstep.
 //
 // Determinism: commit assembles each inbox in ascending source order at
-// consumption time, so results never depend on arrival order. The fault
-// schedule is preserved exactly: per-cell validation keys injector
-// decisions on (channel, superstep, attempt, src, dst) — the barrier
-// build's exact tuple, with group j of a run numbered superstep base+j —
-// and when an injector is armed, group validation additionally gates on
-// completion of all prior phases, so detection counters, retry accounting,
-// and budget exhaustion stay bit-identical to the barrier schedule at any
-// thread count. Health accounting folds per-group, as if one
-// deliver(mask) had run per group (see Exchange::async_fold_group);
-// readiness waits are counted as per-channel stalls in PipelineHealth.
+// consumption time, so results never depend on arrival order. Group j of a
+// run is one delivery, numbered superstep base+j, and per-cell validation
+// keys injector decisions on (channel, superstep, attempt, src, dst); when
+// an injector is armed, group validation additionally gates on completion
+// of all prior phases, so detection counters, retry accounting, and budget
+// exhaustion are identical at any thread count. Health accounting folds
+// per group (see Exchange::async_fold_group); readiness waits are counted
+// as per-channel stalls in PipelineHealth.
 //
-// Failure semantics match RankExecutor: every rank completes the earliest
-// failing phase before the run unwinds (later-phase work is discarded), a
-// single failing rank rethrows its original exception, several aggregate
-// into ParallelGroupError, and an exhausted retry budget aborts the step
-// and throws the barrier-identical TransportError.
+// Failure semantics are BSP: every rank completes the earliest failing
+// phase before the run unwinds (later-phase work is discarded), a single
+// failing rank rethrows its original exception, several aggregate into
+// ParallelGroupError ordered by rank id, and an exhausted retry budget
+// aborts the step and throws TransportError.
 #pragma once
 
 #include <functional>
@@ -89,8 +87,8 @@ struct AsyncPhase {
   ChannelMask reads = 0;
   /// Channels this phase's bodies post into (send/broadcast). A written
   /// channel read by a later phase of the same run commits inside the run;
-  /// one read by no phase stays staged for a driver-side deliver() after
-  /// the run (the rank-0 contact gather pattern).
+  /// one read by no phase stays staged, and a later run reads it as a
+  /// born-closed group.
   ChannelMask writes = 0;
   /// Optional per-rank wall-ms accumulator for the body (size k).
   std::span<double> ms_accum = {};
@@ -102,7 +100,7 @@ struct AsyncPhase {
   /// Lets dst proceed once just those rows are closed (neighbor-granular
   /// delivery). nullptr = any rank may post, wait for all k rows. Ignored
   /// while a fault injector is armed (validation then gates on full phase
-  /// completion to keep the fault schedule barrier-identical).
+  /// completion to keep the fault schedule thread-count independent).
   const std::vector<std::vector<idx_t>>* providers = nullptr;
 };
 
@@ -133,7 +131,8 @@ class AsyncExecutor {
   /// w, w+W, ...; a worker advances phase-major (all owned ranks through
   /// phase p before phase p+1), blocking per owned rank only on that
   /// rank's input rows. Consumes one Exchange superstep per group (a
-  /// phase with non-zero reads), in phase order.
+  /// phase with non-zero reads), in phase order; phases without reads
+  /// leave the exchange untouched.
   void run(std::span<const AsyncPhase> phases, Exchange& exchange,
            const AsyncRunOptions& options = {}) const;
 

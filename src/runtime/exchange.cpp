@@ -1,9 +1,5 @@
 #include "runtime/exchange.hpp"
 
-#include <chrono>
-#include <sstream>
-#include <thread>
-
 namespace cpart {
 
 Exchange::Exchange(idx_t k)
@@ -29,104 +25,6 @@ void Exchange::set_retry_policy(const RetryPolicy& policy) {
   require(policy.backoff_base_ms >= 0,
           "Exchange: backoff base must be non-negative");
   retry_ = policy;
-}
-
-void Exchange::deliver(ChannelMask mask) {
-  const std::uint64_t superstep = superstep_++;
-  ++health_.deliveries;
-
-  const auto selected = [mask](ChannelId id) {
-    return (mask & channel_bit(id)) != 0;
-  };
-
-  idx_t corrupt = 0;
-  for (idx_t attempt = 0; attempt < retry_.max_attempts; ++attempt) {
-    ++health_.delivery_attempts;
-    corrupt = 0;
-    if (selected(ChannelId::kDescriptors)) {
-      corrupt += descriptors_.attempt_deliver(
-          injector_, ChannelId::kDescriptors, superstep, attempt, health_);
-    }
-    if (selected(ChannelId::kHalo)) {
-      corrupt += halo_.attempt_deliver(injector_, ChannelId::kHalo, superstep,
-                                       attempt, health_);
-    }
-    if (selected(ChannelId::kFaces)) {
-      corrupt += faces_.attempt_deliver(injector_, ChannelId::kFaces,
-                                        superstep, attempt, health_);
-    }
-    if (selected(ChannelId::kCouplingForward)) {
-      corrupt += coupling_forward_.attempt_deliver(
-          injector_, ChannelId::kCouplingForward, superstep, attempt, health_);
-    }
-    if (selected(ChannelId::kCouplingReturn)) {
-      corrupt += coupling_return_.attempt_deliver(
-          injector_, ChannelId::kCouplingReturn, superstep, attempt, health_);
-    }
-    if (selected(ChannelId::kBoxes)) {
-      corrupt += boxes_.attempt_deliver(injector_, ChannelId::kBoxes,
-                                        superstep, attempt, health_);
-    }
-    if (selected(ChannelId::kLabels)) {
-      corrupt += labels_.attempt_deliver(injector_, ChannelId::kLabels,
-                                         superstep, attempt, health_);
-    }
-    if (selected(ChannelId::kMigrateNodes)) {
-      corrupt += migrate_nodes_.attempt_deliver(
-          injector_, ChannelId::kMigrateNodes, superstep, attempt, health_);
-    }
-    if (selected(ChannelId::kMigrateElements)) {
-      corrupt += migrate_elements_.attempt_deliver(
-          injector_, ChannelId::kMigrateElements, superstep, attempt, health_);
-    }
-    if (corrupt == 0) break;
-    if (attempt + 1 >= retry_.max_attempts) {
-      ++health_.exhausted_deliveries;
-      const idx_t attempts = retry_.max_attempts;
-      abort_step();
-      throw exhausted_error(superstep, attempts, corrupt);
-    }
-    ++health_.retries;
-    const double backoff = retry_.backoff_for(attempt);
-    health_.backoff_ms += backoff;
-    if (retry_.sleep_on_backoff) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          backoff));
-    }
-  }
-
-  if (selected(ChannelId::kDescriptors)) {
-    descriptor_bytes_ += descriptors_.commit(nullptr);
-  }
-  if (selected(ChannelId::kHalo)) {
-    halo_bytes_ += halo_.commit(&fe_cluster_);
-  }
-  if (selected(ChannelId::kFaces)) {
-    face_bytes_ += faces_.commit(&search_cluster_);
-  }
-  // Forward and return share one cluster finished once per step: a rank
-  // pair exchanging coupling data in both directions must count on the
-  // combined matrix exactly as m2m_traffic counts it.
-  if (selected(ChannelId::kCouplingForward)) {
-    coupling_bytes_ += coupling_forward_.commit(&coupling_cluster_);
-  }
-  if (selected(ChannelId::kCouplingReturn)) {
-    coupling_bytes_ += coupling_return_.commit(&coupling_cluster_);
-  }
-  if (selected(ChannelId::kBoxes)) {
-    box_bytes_ += boxes_.commit(nullptr);
-  }
-  if (selected(ChannelId::kLabels)) {
-    label_bytes_ += labels_.commit(nullptr);
-  }
-  // Node and element migrations share one cluster like the coupling pair:
-  // the redistribution matrix counts every record a rank pair exchanged.
-  if (selected(ChannelId::kMigrateNodes)) {
-    migration_bytes_ += migrate_nodes_.commit(&migration_cluster_);
-  }
-  if (selected(ChannelId::kMigrateElements)) {
-    migration_bytes_ += migrate_elements_.commit(&migration_cluster_);
-  }
 }
 
 bool Exchange::async_validate_cell(ChannelId id, std::uint64_t superstep,
@@ -176,8 +74,11 @@ void Exchange::async_commit_dst(ChannelId id, idx_t to, wgt_t& bytes) {
     case ChannelId::kFaces:
       bytes += faces_.commit_dst(to, &search_cluster_);
       return;
-    // Forward and return share one cluster, node and element migrations
-    // another — identical to the barrier commit mapping above.
+    // Forward and return share one cluster finished once per step, so a
+    // rank pair exchanging coupling data in both directions counts on the
+    // combined matrix exactly as m2m_traffic counts it. Node and element
+    // migrations share another: the redistribution matrix counts every
+    // record a rank pair exchanged.
     case ChannelId::kCouplingForward:
       bytes += coupling_forward_.commit_dst(to, &coupling_cluster_);
       return;
@@ -224,14 +125,6 @@ void Exchange::async_fold_group(const AsyncGroupAccounting& acc) {
         per_channel[static_cast<std::size_t>(ChannelId::kMigrateNodes)] +
         per_channel[static_cast<std::size_t>(ChannelId::kMigrateElements)];
   }
-}
-
-TransportError Exchange::exhausted_error(std::uint64_t superstep,
-                                         idx_t attempts, idx_t corrupt_cells) {
-  std::ostringstream os;
-  os << "Exchange: superstep " << superstep << " still has " << corrupt_cells
-     << " corrupt cell(s) after " << attempts << " delivery attempt(s)";
-  return TransportError(os.str(), superstep, attempts, corrupt_cells);
 }
 
 void Exchange::abort_step() {

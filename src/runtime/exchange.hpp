@@ -8,19 +8,20 @@
 // through channels, and VirtualCluster sits underneath as the transport:
 // the per-processor traffic matrices fall out of carrying the messages.
 //
-// Execution model is BSP: during a superstep every rank writes only its own
-// outbox row of each channel (rank-private cells — no locks), then the
-// step driver calls Exchange::deliver() as the barrier, which routes every
-// cell into the destination inboxes in ascending source order (the
-// deterministic delivery order) and charges the phase clusters.
+// Execution model: a rank phase writes only its own outbox row of each
+// channel (rank-private cells — no locks). One delivery is one async group
+// of the AsyncExecutor (runtime/async_executor.hpp): each destination rank
+// validates its own column of the group's cells and commits them into its
+// inbox in ascending source order (the deterministic delivery order),
+// charging the phase clusters.
 //
 // The transport does not trust the wire. Every cell is framed (message
 // count) and checksummed (FNV-1a over the logical wire fields) at send
-// time; deliver() validates both before anything reaches an inbox. Corrupt
+// time and validated per cell before anything reaches an inbox. Corrupt
 // cells — whether injected by a seeded FaultInjector or caused by genuine
 // memory corruption — are re-staged from the retained outbox and
-// re-delivered with bounded retries and exponential backoff; only when the
-// budget is exhausted does deliver() throw TransportError, which the
+// re-validated with bounded retries and exponential backoff; only when the
+// budget is exhausted does the run throw TransportError, which the
 // pipelines catch to degrade the step to the centralized reference path.
 // All detection and recovery activity is counted in PipelineHealth.
 #pragma once
@@ -129,10 +130,10 @@ inline bool fault_truncate_payload(HaloNodeMsg&, std::uint64_t) {
   return false;  // fixed-layout message: truncation cuts the cell tail
 }
 
-/// Descriptor broadcast: the serialized descriptor tree (tree_io wire
-/// format — binary or text, both with exact double round-trip). The
-/// transport treats the payload as opaque bytes; the per-cell frame and the
-/// byte-level fault hooks below work identically for either encoding.
+/// Descriptor broadcast: the serialized descriptor tree (tree_io binary
+/// codec, exact double round-trip). The transport treats the payload as
+/// opaque bytes; the per-cell frame and the byte-level fault hooks below
+/// never parse it.
 struct DescriptorTreeMsg {
   std::string wire;
 };
@@ -360,9 +361,9 @@ inline bool fault_truncate_payload(ElementMigrateMsg&, std::uint64_t) {
 // Errors and retry policy
 // ---------------------------------------------------------------------------
 
-/// Thrown by Exchange::deliver() when a superstep's delivery still has
-/// corrupt cells after the full retry budget. The pipelines catch it and
-/// complete the step through the centralized reference path.
+/// Thrown by AsyncExecutor::run when a delivery still has corrupt cells
+/// after the full retry budget. The pipelines catch it and complete the
+/// step through the centralized reference path.
 class TransportError : public std::runtime_error {
  public:
   TransportError(const std::string& msg, std::uint64_t superstep,
@@ -386,9 +387,9 @@ struct RetryPolicy {
   /// Total delivery attempts per superstep (first try + retries).
   idx_t max_attempts = 4;
   /// Exponential backoff base applied between attempts; always recorded in
-  /// PipelineHealth::backoff_ms, actually slept only when sleep_on_backoff
-  /// (the in-process transport has no congestion to wait out, so tests and
-  /// benches keep it off).
+  /// PipelineHealth::backoff_ms. Only the checkpoint store actually sleeps
+  /// it, and only when sleep_on_backoff: the in-process transport has no
+  /// congestion to wait out.
   double backoff_base_ms = 0.5;
   bool sleep_on_backoff = false;
 
@@ -424,11 +425,11 @@ struct SourceRange {
 /// send() may be called concurrently by different source ranks: the outbox
 /// cells are indexed (from, to), and rank r only ever writes row r. Each
 /// cell carries a frame (message count + running FNV-1a checksum) built at
-/// send time. Delivery is two-phase and runs on the step driver between
-/// supersteps: attempt_deliver() stages each pending cell onto the "wire"
+/// send time. Delivery is two-phase and per destination:
+/// attempt_deliver_cell() stages one pending cell onto the "wire"
 /// (optionally corrupted by a FaultInjector) and validates it against the
 /// frame — the outbox is retained until its cell validates, so corrupt
-/// cells can be re-staged; commit() then assembles the inboxes from the
+/// cells can be re-staged; commit_dst() then assembles one inbox from the
 /// validated cells in ascending source order and charges the transport.
 template <typename T>
 class TypedChannel {
@@ -469,33 +470,13 @@ class TypedChannel {
     }
   }
 
-  /// One delivery attempt: stages every pending cell onto the wire (through
-  /// `injector` when non-null — the wire copy may be corrupted, the outbox
-  /// stays pristine), recomputes count + checksum, and marks cells that
-  /// validate. Returns the number of cells that failed validation this
-  /// attempt; detection counters accumulate into `health`.
-  idx_t attempt_deliver(FaultInjector* injector, ChannelId id,
-                        std::uint64_t superstep, idx_t attempt,
-                        PipelineHealth& health) {
-    idx_t corrupt = 0;
-    for (idx_t from = 0; from < k_; ++from) {
-      for (idx_t to = 0; to < k_; ++to) {
-        if (!attempt_deliver_cell(injector, id, superstep, attempt, from, to,
-                                  health)) {
-          ++corrupt;
-        }
-      }
-    }
-    return corrupt;
-  }
-
-  /// One validation attempt of the single (from, to) cell — the identical
-  /// staging/validation body attempt_deliver() runs, with the identical
-  /// (channel, superstep, attempt, from, to) injector decision key, so the
-  /// async executor's per-cell retry loops consume the exact fault schedule
-  /// the barrier loop would. Returns true when the cell is staged OK (empty
-  /// cells validate trivially). Safe to call concurrently for distinct
-  /// cells; `health` is whatever scratch the caller owns.
+  /// One validation attempt of the single (from, to) cell: stages it onto
+  /// the wire (through `injector` when non-null — the wire copy may be
+  /// corrupted, the outbox stays pristine), recomputes count + checksum,
+  /// and keys the injector decision on (channel, superstep, attempt, from,
+  /// to). Returns true when the cell is staged OK (empty cells validate
+  /// trivially); detection counters accumulate into `health`, whatever
+  /// scratch the caller owns. Safe to call concurrently for distinct cells.
   bool attempt_deliver_cell(FaultInjector* injector, ChannelId id,
                             std::uint64_t superstep, idx_t attempt, idx_t from,
                             idx_t to, PipelineHealth& health) {
@@ -540,18 +521,6 @@ class TypedChannel {
     ch.redelivered_bytes += cell.bytes;
     health.redelivered_bytes += cell.bytes;
     return false;
-  }
-
-  /// Barrier second half, called once every cell validated: replaces the
-  /// inboxes with the staged cells in ascending source order, charges
-  /// `transport` (when non-null) with `units_per_item` per message, resets
-  /// the cells, and returns the payload bytes moved.
-  wgt_t commit(VirtualCluster* transport, wgt_t units_per_item = 1) {
-    wgt_t bytes = 0;
-    for (idx_t to = 0; to < k_; ++to) {
-      bytes += commit_dst(to, transport, units_per_item);
-    }
-    return bytes;
   }
 
   /// Per-destination commit: assembles rank `to`'s inbox from its validated
@@ -686,37 +655,22 @@ class Exchange {
   void set_retry_policy(const RetryPolicy& policy);
   const RetryPolicy& retry_policy() const { return retry_; }
 
-  /// The superstep barrier: validates and delivers the channels selected by
-  /// `mask` (outboxes -> inboxes), charging the phase clusters and
-  /// accumulating payload bytes. Channels outside the mask are untouched —
-  /// pending outboxes stay pending, last-committed inboxes stay readable —
-  /// which is what lets a phase barrier commit only the channels the next
-  /// phase reads. Corrupt cells are re-delivered from the retained outboxes
-  /// up to RetryPolicy::max_attempts; throws TransportError when the budget
-  /// is exhausted (after clearing the channels so the caller can fall back
-  /// cleanly). Every call counts as one delivery barrier regardless of the
-  /// mask, so health accounting is mask-agnostic.
-  void deliver(ChannelMask mask = kAllChannels);
-
   /// Clears every channel, the phase clusters, and the byte accumulators —
   /// but not the health counters. Used by the degraded path so the next
   /// step starts from a clean transport.
   void abort_step();
 
   // -------------------------------------------------------------------------
-  // Channel-granular async delivery (AsyncExecutor). The barrier path above
-  // and these entry points share the per-cell validation and per-destination
-  // commit bodies, so fault schedules, detection counters, traffic charges,
-  // and payload-byte accounting stay bit-identical between the two
-  // schedules. A "group" is one ChannelMask a consuming phase reads; the
-  // executor validates and commits each destination's cells independently,
-  // then folds the group's accounting here as if one deliver(mask) barrier
-  // had run.
+  // Channel-granular delivery (AsyncExecutor). A "group" is one ChannelMask
+  // a consuming phase reads: one delivery. The executor validates and
+  // commits each destination's cells independently, then folds the group's
+  // accounting here. Channels outside the group are untouched — pending
+  // outboxes stay pending, last-committed inboxes stay readable.
   // -------------------------------------------------------------------------
 
-  /// Superstep id the next delivery — barrier or async group — will key its
-  /// fault decisions on. Async groups of one run are numbered consecutively
-  /// from this value in group order.
+  /// Superstep id the next delivery will key its fault decisions on. The
+  /// groups of one run are numbered consecutively from this value in group
+  /// order.
   std::uint64_t next_superstep() const { return superstep_; }
 
   /// Rewinds (or advances) the superstep cursor. Checkpoint recovery
@@ -726,8 +680,8 @@ class Exchange {
   void set_next_superstep(std::uint64_t superstep) { superstep_ = superstep; }
 
   /// One validation attempt of the (from, to) cell of channel `id` at
-  /// (superstep, attempt) — the barrier loop's exact injector decision key.
-  /// Detection counters accumulate into `health`, a caller-private scratch
+  /// (superstep, attempt), which with (from, to) is the injector decision
+  /// key. Detection counters accumulate into `health`, a caller-private scratch
   /// folded later by async_fold_group. Returns true when the cell staged OK.
   /// Thread-safe for distinct cells.
   bool async_validate_cell(ChannelId id, std::uint64_t superstep,
@@ -742,15 +696,13 @@ class Exchange {
   void async_commit_dst(ChannelId id, idx_t to, wgt_t& bytes);
 
   /// Accounting of one completed (or exhausted) async group, folded into
-  /// the exchange exactly as the deliver(mask) barrier would have recorded
-  /// it: one delivery; `passes` validation passes (the barrier runs
-  /// min(1 + max per-cell failures, max_attempts) passes over the group);
-  /// passes-1 retries with exponential-backoff accounting; the
-  /// per-destination detection scratches merged in ascending rank order;
-  /// and the per-destination payload bytes added to the per-channel
-  /// accumulators. Advances the superstep counter by one. When `exhausted`,
-  /// also counts the exhausted delivery — the caller then abort_step()s and
-  /// throws exhausted_error(), matching the barrier's failure sequence.
+  /// the exchange: one delivery; `passes` validation passes (min(1 + max
+  /// per-cell failures, max_attempts)); passes-1 retries with
+  /// exponential-backoff accounting; the per-destination detection
+  /// scratches merged in ascending rank order; and the per-destination
+  /// payload bytes added to the per-channel accumulators. Advances the
+  /// superstep counter by one. When `exhausted`, also counts the exhausted
+  /// delivery — the caller then abort_step()s and throws TransportError.
   struct AsyncGroupAccounting {
     std::span<const PipelineHealth> dst_health;
     std::span<const std::array<wgt_t, kNumChannels>> dst_bytes;
@@ -758,12 +710,6 @@ class Exchange {
     bool exhausted = false;
   };
   void async_fold_group(const AsyncGroupAccounting& acc);
-
-  /// The TransportError deliver() throws on retry-budget exhaustion, with
-  /// the identical message text — shared so the async path's degraded-mode
-  /// handling is indistinguishable from the barrier's.
-  static TransportError exhausted_error(std::uint64_t superstep,
-                                        idx_t attempts, idx_t corrupt_cells);
 
   /// Health counters since the last take (reads reset them).
   PipelineHealth take_health() { return std::exchange(health_, {}); }
@@ -802,7 +748,7 @@ class Exchange {
   FaultInjector* injector_ = nullptr;
   RetryPolicy retry_{};
   PipelineHealth health_{};
-  std::uint64_t superstep_ = 0;  // deliver() barriers since construction
+  std::uint64_t superstep_ = 0;  // deliveries since construction
   wgt_t descriptor_bytes_ = 0;
   wgt_t halo_bytes_ = 0;
   wgt_t face_bytes_ = 0;

@@ -66,7 +66,7 @@ struct FaultConfig {
   double cell_fault_probability = 0.0;
   /// Relative weights of the fault kinds (need not sum to 1).
   std::array<double, kNumFaultKinds> kind_weights{1, 1, 1, 1, 1};
-  /// Inject only from this superstep (deliver() counter) on — lets a
+  /// Inject only from this superstep (Exchange delivery counter) on — lets a
   /// schedule spare the warm-up step.
   std::uint64_t first_superstep = 0;
   /// Per-(step, rank) probability that the rank dies this step (throws out

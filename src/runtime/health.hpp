@@ -38,11 +38,11 @@ inline constexpr int kNumChannels = 9;
 /// Stable lowercase name ("descriptors", "halo", ...) for reports and JSON.
 const char* channel_name(ChannelId id);
 
-/// Channel subset selector for Exchange::deliver(mask): per-channel
-/// delivery lets a phase barrier validate and commit only the channels the
-/// next phase actually reads, so ranks holding their halo/faces proceed
-/// without synchronizing on (say) the descriptor broadcast. Channels
-/// outside the mask keep their pending outboxes and their last-committed
+/// Channel subset selector: the channels an AsyncPhase reads or writes.
+/// Per-channel delivery lets a phase validate and commit only the channels
+/// it actually reads, so ranks holding their halo/faces proceed without
+/// synchronizing on (say) the descriptor broadcast. Channels outside a
+/// delivered mask keep their pending outboxes and their last-committed
 /// inboxes untouched.
 using ChannelMask = std::uint32_t;
 
@@ -75,10 +75,11 @@ struct ChannelHealth {
 };
 
 /// Transport + recovery counters of one pipeline step (or, summed, of a
-/// whole run). "Delivery" is one Exchange::deliver() barrier; "attempt" is
-/// one validation pass over its pending cells.
+/// whole run). "Delivery" is one async group (the channels one phase of an
+/// AsyncExecutor run reads); "attempt" is one validation pass over its
+/// pending cells.
 struct PipelineHealth {
-  wgt_t deliveries = 0;           // deliver() barriers entered
+  wgt_t deliveries = 0;           // async groups delivered
   wgt_t delivery_attempts = 0;    // validation passes (>= deliveries)
   wgt_t retries = 0;              // re-delivery attempts after corruption
   wgt_t corrupt_cells = 0;        // sum over channels

@@ -5,7 +5,6 @@
 namespace cpart {
 
 void Rank::begin_step() {
-  descriptors.reset();
   ghosts.clear();
   local_faces.clear();
   events.clear();

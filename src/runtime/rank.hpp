@@ -42,7 +42,9 @@ struct Rank {
   std::vector<idx_t> query_parts;
   SubsetSearchScratch search_scratch;
 
-  /// Clears the per-step products (keeps capacities and the view).
+  /// Clears the per-step products (keeps capacities and the view). The
+  /// descriptor copy is kept: the next broadcast replaces it, and rank 0
+  /// recycles its tree storage into the next induction.
   void begin_step();
 
   /// Rebuilds local_faces as the ascending merge of `owned` (already

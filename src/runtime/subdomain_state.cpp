@@ -60,7 +60,6 @@ void SubdomainState::begin_step() {
   contact_nodes.clear();
   owned_records.clear();
   local_records.clear();
-  descriptors.reset();
   events.clear();
   search_out.clear();
   query_parts.clear();

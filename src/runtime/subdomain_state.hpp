@@ -87,7 +87,9 @@ struct SubdomainState {
   void init(const MeshTopology& topo, idx_t r, std::span<const idx_t> owner,
             idx_t k);
 
-  /// Clears the per-step products.
+  /// Clears the per-step products. The descriptor copy is kept: the next
+  /// broadcast replaces it, and rank 0 recycles its tree storage into the
+  /// next induction.
   void begin_step();
 
   /// Recomputes owned_nodes / tracked_elements / owned_elements /

@@ -40,9 +40,9 @@ std::string tree_to_string(const DecisionTree& tree);
 
 /// Wire encodings of a descriptor tree. kText is the line-oriented decimal
 /// format above (debuggable, ~1.6x larger, ~14x slower to encode); kBinary
-/// is the versioned
-/// little-endian codec below (what the SPMD broadcast ships by default).
-/// Both round-trip exactly; decode_tree() tells them apart by magic.
+/// is the versioned little-endian codec below (the only one the SPMD
+/// broadcast ships). Both round-trip exactly; decode_tree() tells them
+/// apart by magic.
 enum class TreeWireFormat { kText, kBinary };
 
 /// Version byte of the binary codec. Bump on ANY layout change (field

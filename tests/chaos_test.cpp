@@ -16,6 +16,7 @@
 
 #include "core/pipeline.hpp"
 #include "parallel/thread_pool.hpp"
+#include "runtime/async_executor.hpp"
 #include "runtime/exchange.hpp"
 #include "runtime/fault_injector.hpp"
 #include "sim/impact_sim.hpp"
@@ -62,6 +63,14 @@ std::vector<HaloNodeMsg> halo_inbox_payload(idx_t base) {
   return items;
 }
 
+/// One delivery of everything posted so far: a single AsyncExecutor phase
+/// reading every channel. All rows were posted before the run, so the group
+/// is born closed.
+void deliver_posted(Exchange& ex) {
+  const AsyncPhase phase{.body = [](idx_t) {}, .reads = kAllChannels};
+  AsyncExecutor(ex.num_ranks()).run({&phase, 1}, ex);
+}
+
 // ---------------------------------------------------------------------------
 // Injection + detection unit tests
 // ---------------------------------------------------------------------------
@@ -94,7 +103,7 @@ TEST(Exchange, EveryFaultKindIsDetectedAndClassified) {
     ex.set_retry_policy({.max_attempts = 1});
     for (const HaloNodeMsg& m : halo_inbox_payload(0)) ex.halo().send(0, 1, m);
     for (const HaloNodeMsg& m : halo_inbox_payload(9)) ex.halo().send(2, 1, m);
-    EXPECT_THROW(ex.deliver(), TransportError)
+    EXPECT_THROW(deliver_posted(ex), TransportError)
         << fault_kind_name(static_cast<FaultKind>(kind));
     const PipelineHealth h = ex.take_health();
     EXPECT_EQ(h.corrupt_cells, injector.stats().faults_injected);
@@ -120,7 +129,7 @@ TEST(Exchange, EveryFaultKindIsDetectedAndClassified) {
     EXPECT_TRUE(ex.halo().inbox(1).empty());
     ex.set_fault_injector(nullptr);
     for (const HaloNodeMsg& m : halo_inbox_payload(0)) ex.halo().send(0, 1, m);
-    ex.deliver();
+    deliver_posted(ex);
     EXPECT_EQ(ex.halo().inbox(1).size(), 3u);
     EXPECT_TRUE(ex.take_health().clean());
   }
@@ -131,8 +140,12 @@ TEST(Exchange, PayloadTruncationOnDescriptorWireIsDetected) {
   Exchange ex(2);
   ex.set_fault_injector(&injector);
   ex.set_retry_policy({.max_attempts = 1});
-  ex.descriptors().send(0, 1, DescriptorTreeMsg{"cparttree 1\n0 -1\n"});
-  EXPECT_THROW(ex.deliver(), TransportError);
+  const std::vector<Vec3> points = {{0, 0, 0}, {1, 0, 0}, {1, 1, 0}};
+  const std::vector<idx_t> labels = {0, 1, 1};
+  const SubdomainDescriptors descriptors(points, labels, 2);
+  ex.descriptors().send(0, 1,
+                        DescriptorTreeMsg{tree_to_binary(descriptors.tree())});
+  EXPECT_THROW(deliver_posted(ex), TransportError);
   const PipelineHealth h = ex.take_health();
   // A variable-length message truncates its own payload: same message
   // count, different bytes -> checksum failure, not framing.
@@ -157,7 +170,7 @@ TEST(Exchange, RetryRedeliversPristinePayloadWithinBudget) {
   for (int step = 0; step < 64; ++step) {
     const wgt_t before = injector.stats().faults_injected;
     for (const HaloNodeMsg& m : payload) ex.halo().send(0, 1, m);
-    ex.deliver();  // must never throw at this budget
+    deliver_posted(ex);  // must never throw at this budget
     if (injector.stats().faults_injected > before) ++supersteps_with_faults;
     // Whatever the schedule did, the inbox is the pristine outbox.
     const auto& in = ex.halo().inbox(1);
@@ -182,7 +195,7 @@ TEST(Exchange, SelfSendsAreNeverFaulted) {
   ex.set_fault_injector(&injector);
   ex.set_retry_policy({.max_attempts = 1});
   ex.halo().send(0, 0, HaloNodeMsg{1, {}});  // dropped as local data
-  ex.deliver();
+  deliver_posted(ex);
   EXPECT_EQ(injector.stats().faults_injected, 0);
   EXPECT_TRUE(ex.take_health().clean());
 }

@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "parallel/spmd_barrier.hpp"
 #include "parallel/task_arena.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -270,55 +269,6 @@ TEST(ThreadPool, NonStdExceptionAggregatesAsUnknown) {
   }
 }
 
-TEST(SpmdBarrier, SinglePartcipantAlwaysWinsAndRunsSerial) {
-  SpmdBarrier barrier(1);
-  int serial_runs = 0;
-  for (int round = 0; round < 5; ++round) {
-    EXPECT_TRUE(barrier.arrive_and_wait([&] { ++serial_runs; }));
-  }
-  EXPECT_EQ(serial_runs, 5);
-}
-
-TEST(SpmdBarrier, PhasesAreTotallyOrderedAcrossThreads) {
-  // W raw threads hammer R rounds: within a round every participant's
-  // pre-barrier increment must be visible to every post-barrier read, the
-  // serial section must run exactly once per round, and no thread may enter
-  // round r+1 before round r's release. TSan runs this in CI.
-  constexpr unsigned kWorkers = 8;
-  constexpr int kRounds = 200;
-  SpmdBarrier barrier(kWorkers);
-  std::vector<int> arrivals(kRounds, 0);      // written under the barrier
-  std::atomic<int> serial_runs{0};
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  for (unsigned w = 0; w < kWorkers; ++w) {
-    threads.emplace_back([&, w] {
-      int wins = 0;
-      for (int r = 0; r < kRounds; ++r) {
-        if (barrier.arrive_and_wait([&, r] {
-              // Serial section: counts itself and closes the round.
-              serial_runs.fetch_add(1, std::memory_order_relaxed);
-              arrivals[static_cast<std::size_t>(r)] += 1;
-            })) {
-          ++wins;
-        }
-        // Every thread observes the serial write of its own round — the
-        // epoch release publishes it.
-        if (arrivals[static_cast<std::size_t>(r)] != 1) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      (void)wins;
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(serial_runs.load(), kRounds);
-  EXPECT_EQ(mismatches.load(), 0);
-  for (int r = 0; r < kRounds; ++r) {
-    EXPECT_EQ(arrivals[static_cast<std::size_t>(r)], 1) << "round " << r;
-  }
-}
-
 TEST(TaskArena, SubmitAndDrainRunsEveryJob) {
   ThreadPool pool(3);
   TaskArena arena(pool.workers());
@@ -493,25 +443,6 @@ TEST(SchedulerStats, CountsWorkAndArenas) {
   }
   EXPECT_GT(pool.scheduler_stats().gang_slots_executed, 0);
   EXPECT_EQ(pool.scheduler_stats().queued_items, 0);
-}
-
-TEST(SpmdBarrier, ExactlyOneWinnerPerRound) {
-  constexpr unsigned kWorkers = 5;
-  constexpr int kRounds = 100;
-  SpmdBarrier barrier(kWorkers);
-  std::atomic<int> wins{0};
-  std::vector<std::thread> threads;
-  for (unsigned w = 0; w < kWorkers; ++w) {
-    threads.emplace_back([&] {
-      for (int r = 0; r < kRounds; ++r) {
-        if (barrier.arrive_and_wait()) {
-          wins.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(wins.load(), kRounds);
 }
 
 }  // namespace

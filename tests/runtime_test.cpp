@@ -1,6 +1,12 @@
-// Tests for runtime/: the virtual cluster and the cross-validation between
-// executed traffic and the analytic metrics (FEComm, NRemote, M2MComm).
+// Tests for runtime/: the virtual cluster, the cross-validation between
+// executed traffic and the analytic metrics (FEComm, NRemote, M2MComm), and
+// the AsyncExecutor's plain-superstep and failure semantics.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "contact/search_metrics.hpp"
 #include "core/mcml_dt.hpp"
@@ -8,6 +14,10 @@
 #include "graph/graph_builder.hpp"
 #include "graph/graph_metrics.hpp"
 #include "mesh/mesh_graphs.hpp"
+#include "parallel/thread_pool.hpp"
+#include "runtime/async_executor.hpp"
+#include "runtime/exchange.hpp"
+#include "runtime/fault_injector.hpp"
 #include "runtime/health.hpp"
 #include "runtime/label_codec.hpp"
 #include "runtime/session_context.hpp"
@@ -303,6 +313,89 @@ TEST(LabelCodec, DecodeRejectsMalformedBlobs) {
   dup.push_back('\x02');  // owner 2
   EXPECT_THROW(decode_label_updates(dup), TreeParseError);
 }
+
+// ---------------------------------------------------------------------------
+// AsyncExecutor, at pool sizes 1 and 8 (more ranks than workers at both).
+// ---------------------------------------------------------------------------
+
+class AsyncExecutorTest : public ::testing::TestWithParam<unsigned> {
+ protected:
+  void SetUp() override { ThreadPool::set_global_threads(GetParam()); }
+  void TearDown() override { ThreadPool::set_global_threads(0); }
+
+  static constexpr idx_t kRanks = 11;
+};
+
+TEST_P(AsyncExecutorTest, PhaseWithoutReadsIsAPlainSuperstep) {
+  // An armed injector that would corrupt every cell it sees: a phase that
+  // reads nothing must validate nothing, move no cursor, and record no
+  // health — the property DistributedSim's scatter/restore/resume rely on.
+  FaultConfig fc;
+  fc.cell_fault_probability = 1.0;
+  FaultInjector injector(fc);
+  Exchange ex(kRanks);
+  ex.set_fault_injector(&injector);
+  ex.set_next_superstep(41);
+  ex.halo().send(1, 2, HaloNodeMsg{7, Vec3{1, 2, 3}});  // stays pending
+
+  std::vector<std::atomic<int>> runs(static_cast<std::size_t>(kRanks));
+  const AsyncPhase phase{.body = [&](idx_t r) {
+    runs[static_cast<std::size_t>(r)].fetch_add(1, std::memory_order_relaxed);
+  }};
+  AsyncExecutor(kRanks).run({&phase, 1}, ex);
+
+  for (const std::atomic<int>& n : runs) EXPECT_EQ(n.load(), 1);
+  EXPECT_EQ(ex.next_superstep(), 41u);
+  const PipelineHealth h = ex.take_health();
+  EXPECT_EQ(h, PipelineHealth{});
+  EXPECT_EQ(h.readiness_stalls, 0);
+  EXPECT_EQ(injector.stats().faults_injected, 0);
+  EXPECT_TRUE(ex.halo().inbox(2).empty());
+
+  // The pending halo cell survived: a reading phase delivers it as the
+  // next superstep.
+  ex.set_fault_injector(nullptr);
+  const AsyncPhase read{.body = [](idx_t) {},
+                        .reads = channel_bit(ChannelId::kHalo)};
+  AsyncExecutor(kRanks).run({&read, 1}, ex);
+  ASSERT_EQ(ex.halo().inbox(2).size(), 1u);
+  EXPECT_EQ(ex.halo().inbox(2).front().node, 7);
+  EXPECT_EQ(ex.next_superstep(), 42u);
+}
+
+TEST_P(AsyncExecutorTest, SingleFailingRankRethrowsOriginalException) {
+  Exchange ex(kRanks);
+  const AsyncPhase phase{.body = [](idx_t r) {
+    if (r == 6) throw std::out_of_range("rank 6");
+  }};
+  try {
+    AsyncExecutor(kRanks).run({&phase, 1}, ex);
+    FAIL() << "expected std::out_of_range";
+  } catch (const std::out_of_range& e) {
+    EXPECT_STREQ(e.what(), "rank 6");
+  }
+}
+
+TEST_P(AsyncExecutorTest, SeveralFailingRanksAggregateInRankOrder) {
+  Exchange ex(kRanks);
+  const AsyncPhase phase{.body = [](idx_t r) {
+    if (r % 4 == 1) throw std::runtime_error("rank " + std::to_string(r));
+  }};
+  try {
+    AsyncExecutor(kRanks).run({&phase, 1}, ex);
+    FAIL() << "expected ParallelGroupError";
+  } catch (const ParallelGroupError& e) {
+    ASSERT_EQ(e.failures().size(), 3u);  // ranks 1, 5, 9
+    for (std::size_t i = 0; i < e.failures().size(); ++i) {
+      const idx_t rank = 1 + 4 * static_cast<idx_t>(i);
+      EXPECT_EQ(e.failures()[i].index, rank);
+      EXPECT_EQ(e.failures()[i].message, "rank " + std::to_string(rank));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, AsyncExecutorTest,
+                         ::testing::Values(1u, 8u));
 
 }  // namespace
 }  // namespace cpart
