@@ -131,15 +131,23 @@ TEST(Fm, AsymmetricTargetFraction) {
 // Multilevel k-way partitioning (parameterized property sweep)
 // ---------------------------------------------------------------------------
 
+// gtest names each case by a byte dump of its KwayCase, so every byte of
+// the struct must be set: `name_tag` fills what would otherwise be padding
+// between `k` and `seed`, whose stack garbage used to leak into the names
+// and change them from build to build. Its values keep the names the cases
+// were first registered under; the test body ignores it.
 struct KwayCase {
   idx_t k;
+  std::uint32_t name_tag;
   std::uint64_t seed;
 };
+static_assert(sizeof(KwayCase) == 16, "KwayCase must have no padding");
 
 class KwayPartitionTest : public ::testing::TestWithParam<KwayCase> {};
 
 TEST_P(KwayPartitionTest, BalancedValidAndReasonableCut) {
-  const auto [k, seed] = GetParam();
+  const idx_t k = GetParam().k;
+  const std::uint64_t seed = GetParam().seed;
   const CsrGraph g = make_grid_graph(32, 32);
   PartitionOptions opts;
   opts.k = k;
@@ -157,9 +165,11 @@ TEST_P(KwayPartitionTest, BalancedValidAndReasonableCut) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, KwayPartitionTest,
-    ::testing::Values(KwayCase{2, 1}, KwayCase{3, 1}, KwayCase{4, 2},
-                      KwayCase{5, 3}, KwayCase{8, 4}, KwayCase{16, 5},
-                      KwayCase{25, 6}, KwayCase{2, 42}, KwayCase{8, 42}));
+    ::testing::Values(KwayCase{2, 0, 1}, KwayCase{3, 0, 1},
+                      KwayCase{4, 0x002C3B03u, 2}, KwayCase{5, 0xEFD00000u, 3},
+                      KwayCase{8, 0, 4}, KwayCase{16, 0, 5},
+                      KwayCase{25, 0x00091E03u, 6},
+                      KwayCase{2, 0xCAD00000u, 42}, KwayCase{8, 0, 42}));
 
 TEST(Partition, KEqualsOneTrivial) {
   const CsrGraph g = make_grid_graph(4, 4);
