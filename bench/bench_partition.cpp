@@ -29,6 +29,9 @@
 // the window accounting (peak resident bytes vs the configured limit — the
 // bounded-memory claim, asserted by CI), process peak RSS, and whether the
 // labels were bit-identical across all thread counts.
+//
+// Exit status is 2 when the flat or the hierarchical labels differ between
+// thread counts (the JSON is still written), 1 on bad flags.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -139,10 +142,12 @@ std::size_t peak_rss_bytes() {
 }
 
 /// The --hierarchical section: streamed large mesh -> bounded-window graph
-/// build -> two-level partition sweep. Returns the "hierarchy" JSON object.
+/// build -> two-level partition sweep. Returns the "hierarchy" JSON object;
+/// `labels_identical` reports whether every thread count gave the same labels.
 std::string run_hierarchical(const std::vector<unsigned>& thread_counts,
                              idx_t elements, idx_t k, idx_t groups,
-                             std::uint64_t seed, int reps, Table& table) {
+                             std::uint64_t seed, int reps, Table& table,
+                             bool& labels_identical) {
   const LargeImpactSpec spec = LargeImpactSpec::for_elements(elements);
   const std::string mesh_path =
       "bench_large_impact_" + std::to_string(elements) + ".cpmk";
@@ -190,7 +195,7 @@ std::string run_hierarchical(const std::vector<unsigned>& thread_counts,
       }
     }
   }
-  bool labels_identical = true;
+  labels_identical = true;
   for (std::size_t ti = 1; ti < parts.size(); ++ti) {
     if (parts[ti] != parts[0]) labels_identical = false;
   }
@@ -232,9 +237,6 @@ std::string run_hierarchical(const std::vector<unsigned>& thread_counts,
   }
   json << "\n  ]}";
   std::remove(mesh_path.c_str());
-  if (!labels_identical) {
-    std::cerr << "WARNING: hierarchical labels differ across thread counts\n";
-  }
   return json.str();
 }
 
@@ -307,6 +309,7 @@ int main(int argc, char** argv) {
       }
     }
 
+    bool labels_identical = true;
     double base_total = 0;
     bool first = true;
     for (std::size_t ti = 0; ti < thread_counts.size(); ++ti) {
@@ -316,6 +319,7 @@ int main(int argc, char** argv) {
       const wgt_t cut = edge_cut(g, part);
       const double balance = max_load_imbalance(g, part, k);
       if (first) base_total = times.total_ms();
+      if (part != best_part[0]) labels_identical = false;
 
       table.begin_row();
       table.add_cell(static_cast<long long>(t));
@@ -343,11 +347,16 @@ int main(int argc, char** argv) {
     if (flags.get_int("hierarchical") != 0) {
       Table htable({"threads", "group_ms", "local_ms", "total_ms", "speedup",
                     "final_cut", "final_balance"});
+      bool hierarchy_identical = true;
       const std::string hierarchy_json = run_hierarchical(
           thread_counts, static_cast<idx_t>(flags.get_int("elements")), k,
           static_cast<idx_t>(flags.get_int("groups")), opts.seed, reps,
-          htable);
+          htable, hierarchy_identical);
       htable.print(std::cout);
+      if (!hierarchy_identical) {
+        std::cerr << "FAIL: hierarchical labels differ across thread counts\n";
+        labels_identical = false;
+      }
       json << ",\n \"hierarchy\": " << hierarchy_json;
     }
     json << "}\n";
@@ -355,8 +364,12 @@ int main(int argc, char** argv) {
     const std::string out_path = flags.get_string("out");
     require(atomic_write_file(out_path, json.str()),
             "cannot write --out (atomic commit failed)");
-    std::cout << "\nWrote " << out_path
-              << ". The cut is identical at every thread count: the parallel "
+    std::cout << "\nWrote " << out_path << ".";
+    if (!labels_identical) {
+      std::cout << " Labels differ across thread counts.\n";
+      return 2;
+    }
+    std::cout << " The cut is identical at every thread count: the parallel "
                  "matching is schedule-independent.\n";
     return 0;
   } catch (const InputError& e) {

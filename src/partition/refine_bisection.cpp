@@ -172,16 +172,20 @@ idx_t fm_refine_bisection(const CsrGraph& g, std::span<idx_t> part01,
 
     // Move log for rollback to the best prefix.
     std::vector<idx_t> moves;
-    moves.reserve(static_cast<std::size_t>(n));
     double cur_viol = bal.violation();
     wgt_t cur_cut_delta = 0;  // relative to pass start
     double best_viol = cur_viol;
     wgt_t best_cut_delta = 0;
     std::size_t best_prefix = 0;
 
-    const idx_t move_limit = n;
+    // METIS's FM2WayCutRefine cutoff: a pass ends once it is more than this
+    // many moves past its best prefix, since a longer climb out of a local
+    // optimum rarely pays for itself.
+    const auto stall_limit = static_cast<std::size_t>(
+        std::min<idx_t>(std::max<idx_t>(n / 100, 15), 100));
     std::vector<HeapEntry> candidates;
-    while (to_idx(moves.size()) < move_limit) {
+    while (to_idx(moves.size()) < n &&
+           moves.size() - best_prefix <= stall_limit) {
       // Probe several fresh candidates from each side so that an
       // inadmissible high-gain entry cannot starve its whole side; keep the
       // admissible one with the best (violation_after, gain) ordering.

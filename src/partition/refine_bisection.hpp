@@ -4,7 +4,8 @@
 // vertex-weight components toward the target split (left side receives
 // `left_fraction` of each component, tolerance epsilon). Each pass performs
 // a sequence of locked moves with rollback to the best prefix, where states
-// are ordered lexicographically by (balance violation, cut).
+// are ordered lexicographically by (balance violation, cut). A pass stops
+// once it is more than min(max(n/100, 15), 100) moves past its best prefix.
 #pragma once
 
 #include <span>

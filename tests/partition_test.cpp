@@ -105,6 +105,34 @@ TEST(Fm, RepairsImbalance) {
   Rng rng(7);
   fm_refine_bisection(g, part, 0.5, 0.05, 20, rng);
   EXPECT_LE(bisection_violation(g, part, 0.5, 0.05), 1e-12);
+
+  // Above 2048 vertices the heaps hold only boundary vertices. With the first
+  // row on side 0, the repair fills row after row: a run of ~1900 moves, most
+  // of gain 0, each lowering the violation. A single pass must finish it, so
+  // the stall window (40 moves here) must never cut a repair short.
+  const CsrGraph big = make_grid_graph(64, 64);
+  std::vector<idx_t> big_part(4096, 1);
+  for (idx_t v = 0; v < 64; ++v) big_part[static_cast<std::size_t>(v)] = 0;
+  Rng big_rng(7);
+  const idx_t moved =
+      fm_refine_bisection(big, big_part, 0.5, 0.05, 1, big_rng);
+  // Side 1 must shrink to at most 1.05 * 2048 = 2150 vertices.
+  EXPECT_GE(moved, 4096 - 64 - 2150);
+  EXPECT_LE(bisection_violation(big, big_part, 0.5, 0.05), 1e-12);
+}
+
+TEST(Fm, StopsAtLocalOptimum) {
+  // A straight cut through a 128x128 grid is a minimum bisection: every move
+  // raises the cut, so FM rolls each pass back and changes nothing.
+  const CsrGraph g = make_grid_graph(128, 128);
+  std::vector<idx_t> part(16384);
+  for (idx_t v = 0; v < 16384; ++v) {
+    part[static_cast<std::size_t>(v)] = v >= 8192;
+  }
+  const std::vector<idx_t> before = part;
+  Rng rng(10);
+  EXPECT_EQ(fm_refine_bisection(g, part, 0.5, 0.05, 10, rng), 0);
+  EXPECT_EQ(part, before);
 }
 
 TEST(Fm, NeverWorsens) {
@@ -117,6 +145,47 @@ TEST(Fm, NeverWorsens) {
   fm_refine_bisection(g, part, 0.5, 0.05, 5, rng);
   EXPECT_LE(edge_cut(g, part), before);
   EXPECT_LE(bisection_violation(g, part, 0.5, 0.05), viol_before + 1e-12);
+
+  // Seeded sweep from random, possibly imbalanced starts, on both sides of
+  // the 2048-vertex boundary-seeding threshold and with one or two
+  // constraints: (violation, cut) never gets worse in lexicographic order.
+  const CsrGraph graphs[] = {make_grid_graph(10, 10), make_grid_graph(40, 40),
+                             make_grid_graph(48, 48),
+                             make_grid_graph_3d(14, 14, 14)};
+  for (const CsrGraph& base : graphs) {
+    const idx_t n = base.num_vertices();
+    for (idx_t ncon = 1; ncon <= 2; ++ncon) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " ncon=" << ncon
+                                          << " seed=" << seed);
+        Rng gen(seed * 1000 + static_cast<std::uint64_t>(n));
+        CsrGraph sweep_g = base;
+        if (ncon == 2) {
+          std::vector<wgt_t> vwgt(static_cast<std::size_t>(n) * 2);
+          for (idx_t v = 0; v < n; ++v) {
+            vwgt[static_cast<std::size_t>(v) * 2] = 1;
+            vwgt[static_cast<std::size_t>(v) * 2 + 1] = gen.uniform_int(3);
+          }
+          sweep_g.set_vertex_weights(vwgt, 2);
+        }
+        const double left = seed % 2 == 0 ? 0.5 : 0.35;
+        std::vector<idx_t> sweep_part(static_cast<std::size_t>(n));
+        for (auto& p : sweep_part) p = gen.uniform() < left ? 0 : 1;
+        const wgt_t cut0 = edge_cut(sweep_g, sweep_part);
+        const double viol0 =
+            bisection_violation(sweep_g, sweep_part, 0.5, 0.05);
+        Rng sweep_rng(seed);
+        fm_refine_bisection(sweep_g, sweep_part, 0.5, 0.05, 5, sweep_rng);
+        const wgt_t cut1 = edge_cut(sweep_g, sweep_part);
+        const double viol1 =
+            bisection_violation(sweep_g, sweep_part, 0.5, 0.05);
+        EXPECT_TRUE(viol1 < viol0 - 1e-12 ||
+                    (viol1 <= viol0 + 1e-12 && cut1 <= cut0))
+            << "violation " << viol0 << " -> " << viol1 << ", cut " << cut0
+            << " -> " << cut1;
+      }
+    }
+  }
 }
 
 TEST(Fm, AsymmetricTargetFraction) {
