@@ -178,9 +178,9 @@ idx_t fm_refine_bisection(const CsrGraph& g, std::span<idx_t> part01,
     wgt_t best_cut_delta = 0;
     std::size_t best_prefix = 0;
 
-    // METIS's FM2WayCutRefine cutoff: a pass ends once it is more than this
-    // many moves past its best prefix, since a longer climb out of a local
-    // optimum rarely pays for itself.
+    // METIS's FM_2WayCutRefine cutoff: a pass ends once it is more than
+    // this many moves past its best prefix, since a longer climb out of a
+    // local optimum rarely pays for itself.
     const auto stall_limit = static_cast<std::size_t>(
         std::min<idx_t>(std::max<idx_t>(n / 100, 15), 100));
     std::vector<HeapEntry> candidates;

@@ -168,9 +168,9 @@ TEST(Fm, NeverWorsens) {
           }
           sweep_g.set_vertex_weights(vwgt, 2);
         }
-        const double left = seed % 2 == 0 ? 0.5 : 0.35;
+        const double p_left = seed % 2 == 0 ? 0.5 : 0.35;
         std::vector<idx_t> sweep_part(static_cast<std::size_t>(n));
-        for (auto& p : sweep_part) p = gen.uniform() < left ? 0 : 1;
+        for (auto& p : sweep_part) p = gen.uniform() < p_left ? 0 : 1;
         const wgt_t cut0 = edge_cut(sweep_g, sweep_part);
         const double viol0 =
             bisection_violation(sweep_g, sweep_part, 0.5, 0.05);
