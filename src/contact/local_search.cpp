@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "parallel/thread_pool.hpp"
 
@@ -241,73 +242,27 @@ void local_contact_search_subset_into(const Mesh& mesh, const Surface& surface,
                                       const LocalSearchOptions& opts,
                                       SubsetSearchScratch& scratch,
                                       std::vector<ContactEvent>& out) {
-  require(opts.tolerance > 0,
-          "local_contact_search_subset: tolerance must be > 0");
-  out.clear();
-  // kd-tree over the face subset's centroids.
-  scratch.centroids.assign(face_ids.size(), Vec3{});
-  real_t max_radius = 0;
+  // The subset is searched as face records keyed by face index: the record
+  // triangulation and normal mirror face_triangles/face_normal, so the
+  // arithmetic is the same as on the SurfaceFace.
+  std::vector<FaceRecord> records(face_ids.size());
   for (std::size_t i = 0; i < face_ids.size(); ++i) {
     const idx_t f = face_ids[i];
     require(f >= 0 && f < surface.num_faces(),
             "local_contact_search_subset: face index out of range");
     const SurfaceFace& face = surface.faces[static_cast<std::size_t>(f)];
-    Vec3 c{};
-    for (idx_t id : face.nodes) c = c + mesh.node(id);
-    c = (1.0 / static_cast<real_t>(face.nodes.size())) * c;
-    scratch.centroids[i] = c;
-    for (idx_t id : face.nodes) {
-      max_radius = std::max(max_radius, norm(mesh.node(id) - c));
+    require(face.nodes.size() >= 2 && face.nodes.size() <= 4,
+            "local_contact_search_subset: face must have 2 to 4 nodes");
+    FaceRecord& rec = records[i];
+    rec.key = f;
+    rec.num_nodes = static_cast<std::int32_t>(face.nodes.size());
+    for (std::size_t j = 0; j < face.nodes.size(); ++j) {
+      rec.nodes[j] = face.nodes[j];
+      rec.coords[j] = mesh.node(face.nodes[j]);
     }
   }
-  const KdTree tree(scratch.centroids, mesh.dim());
-  const real_t reach = opts.tolerance + max_radius;
-
-  for (idx_t node : node_ids) {
-    const Vec3 p = mesh.node(node);
-    BBox box;
-    box.expand(p);
-    box.inflate(reach);
-    scratch.candidates.clear();
-    tree.query_box(box, scratch.candidates);
-    ContactEvent best;
-    bool have_best = false;
-    for (idx_t local : scratch.candidates) {
-      const idx_t f = face_ids[static_cast<std::size_t>(local)];
-      const SurfaceFace& face = surface.faces[static_cast<std::size_t>(f)];
-      if (std::find(face.nodes.begin(), face.nodes.end(), node) !=
-          face.nodes.end()) {
-        continue;
-      }
-      if (!opts.body_of_node.empty() &&
-          opts.body_of_node[static_cast<std::size_t>(node)] ==
-              opts.body_of_node[static_cast<std::size_t>(face.nodes.front())]) {
-        continue;
-      }
-      const FaceTest t = test_face(mesh, face, p, &scratch.triangles);
-      if (t.distance > opts.tolerance) continue;
-      ContactEvent e;
-      e.node = node;
-      e.face = f;
-      e.distance = t.distance;
-      e.signed_distance = t.signed_distance;
-      e.closest_point = t.closest;
-      if (opts.closest_only) {
-        if (!have_best || e.distance < best.distance) {
-          best = e;
-          have_best = true;
-        }
-      } else {
-        out.push_back(e);
-      }
-    }
-    if (opts.closest_only && have_best) out.push_back(best);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const ContactEvent& a, const ContactEvent& b) {
-              if (a.node != b.node) return a.node < b.node;
-              return a.distance < b.distance;
-            });
+  local_contact_search_records_into(node_ids, mesh.nodes(), mesh.dim(),
+                                    records, opts, scratch, out);
 }
 
 namespace {
@@ -343,8 +298,11 @@ Vec3 record_normal(const FaceRecord& rec) {
   return n;
 }
 
-FaceTest test_record(const FaceRecord& rec, Vec3 p,
-                     std::vector<std::array<Vec3, 3>>* scratch) {
+/// Distance part of the record test: the closest point over the record's
+/// triangulation. signed_distance is left 0 — record_signed_distance adds
+/// it, only for faces within tolerance.
+FaceTest closest_on_record(const FaceRecord& rec, Vec3 p,
+                           std::vector<std::array<Vec3, 3>>* scratch) {
   record_triangles(rec, scratch);
   FaceTest best{std::numeric_limits<real_t>::max(), 0, {}};
   for (const auto& tri : *scratch) {
@@ -355,11 +313,15 @@ FaceTest test_record(const FaceRecord& rec, Vec3 p,
       best.closest = c;
     }
   }
+  return best;
+}
+
+/// Signed gap of p behind the record's normal, given its closest point.
+real_t record_signed_distance(const FaceRecord& rec, Vec3 p,
+                              const FaceTest& t) {
   const Vec3 n = record_normal(rec);
   const real_t nn = norm(n);
-  best.signed_distance =
-      nn > 0 ? dot(p - best.closest, (1.0 / nn) * n) : best.distance;
-  return best;
+  return nn > 0 ? dot(p - t.closest, (1.0 / nn) * n) : t.distance;
 }
 
 bool record_contains_node(const FaceRecord& rec, idx_t node) {
@@ -368,6 +330,113 @@ bool record_contains_node(const FaceRecord& rec, idx_t node) {
   }
   return false;
 }
+
+/// Candidate faces of the rank kernels. Faces are grouped by the body of
+/// their first node, and each group gets its own kd-tree over face
+/// centroids, queried with tolerance + that group's largest face radius.
+/// This is conservative: every point of a face lies within its radius of
+/// its centroid, so a face whose closest point is within `tolerance` of p
+/// has its centroid within tolerance + radius of p. A node queries only
+/// the groups of other bodies, so its own body's faces (nearly all of its
+/// neighbours) are never generated. Without body info, or with more bodies
+/// than kMaxBodyTrees, all faces form one group and the kernel's same-body
+/// test does the filtering. Built per call; nothing outlives the search.
+class CandidateFaces {
+ public:
+  CandidateFaces(std::span<const FaceRecord> faces,
+                 std::span<const int> body_of_node, int dim,
+                 real_t tolerance, SubsetSearchScratch& scratch)
+      : body_of_node_(body_of_node) {
+    const auto body = [&](idx_t f) {
+      return body_of_node[static_cast<std::size_t>(
+          faces[static_cast<std::size_t>(f)].nodes[0])];
+    };
+    std::vector<idx_t>& order = scratch.order;
+    order.resize(faces.size());
+    std::iota(order.begin(), order.end(), idx_t{0});
+    if (!body_of_node.empty()) {
+      std::stable_sort(order.begin(), order.end(),
+                       [&](idx_t a, idx_t b) { return body(a) < body(b); });
+      std::size_t bodies = 0;
+      for (std::size_t k = 0; k < order.size(); ++k) {
+        if (k == 0 || body(order[k]) != body(order[k - 1])) ++bodies;
+      }
+      by_body_ = bodies <= kMaxBodyTrees;
+      if (!by_body_) std::iota(order.begin(), order.end(), idx_t{0});
+    }
+    order_ = order;
+
+    scratch.centroids.resize(faces.size());
+    std::size_t begin = 0;
+    while (begin < order.size()) {
+      std::size_t end = begin + 1;
+      while (end < order.size() &&
+             (!by_body_ || body(order[end]) == body(order[begin]))) {
+        ++end;
+      }
+      real_t max_radius = 0;
+      for (std::size_t k = begin; k < end; ++k) {
+        const FaceRecord& rec = faces[static_cast<std::size_t>(order[k])];
+        require(rec.num_nodes >= 2 && rec.num_nodes <= 4,
+                "local_contact_search_records: bad face record");
+        Vec3 c{};
+        for (std::int32_t j = 0; j < rec.num_nodes; ++j) {
+          c = c + rec.coords[static_cast<std::size_t>(j)];
+        }
+        c = (1.0 / static_cast<real_t>(rec.num_nodes)) * c;
+        scratch.centroids[k] = c;
+        for (std::int32_t j = 0; j < rec.num_nodes; ++j) {
+          max_radius = std::max(
+              max_radius, norm(rec.coords[static_cast<std::size_t>(j)] - c));
+        }
+      }
+      Group& g = groups_.emplace_back();
+      g.body = by_body_ ? body(order[begin]) : 0;
+      g.reach = tolerance + max_radius;
+      g.begin = begin;
+      g.tree = KdTree(std::span<const Vec3>(scratch.centroids)
+                          .subspan(begin, end - begin),
+                      dim);
+      begin = end;
+    }
+  }
+
+  /// Appends the candidate indices into `faces` for contact node `node`
+  /// at position `p`.
+  void query(idx_t node, Vec3 p, std::vector<idx_t>& out) const {
+    for (const Group& g : groups_) {
+      if (by_body_ &&
+          g.body == body_of_node_[static_cast<std::size_t>(node)]) {
+        continue;
+      }
+      BBox box;
+      box.expand(p);
+      box.inflate(g.reach);
+      const std::size_t first = out.size();
+      g.tree.query_box(box, out);
+      for (std::size_t k = first; k < out.size(); ++k) {
+        out[k] = order_[g.begin + static_cast<std::size_t>(out[k])];
+      }
+    }
+  }
+
+ private:
+  // Per-body trees cost one root-box test per other body and node, so a
+  // scene of many small bodies falls back to the single tree.
+  static constexpr std::size_t kMaxBodyTrees = 16;
+
+  struct Group {
+    int body = 0;
+    real_t reach = 0;
+    std::size_t begin = 0;  // tree point i is face order_[begin + i]
+    KdTree tree;
+  };
+
+  std::span<const int> body_of_node_;
+  std::span<const idx_t> order_;
+  bool by_body_ = false;
+  std::vector<Group> groups_;
+};
 
 }  // namespace
 
@@ -381,33 +450,13 @@ void local_contact_search_records_into(std::span<const idx_t> node_ids,
   require(opts.tolerance > 0,
           "local_contact_search_records: tolerance must be > 0");
   out.clear();
-  scratch.centroids.assign(faces.size(), Vec3{});
-  real_t max_radius = 0;
-  for (std::size_t i = 0; i < faces.size(); ++i) {
-    const FaceRecord& rec = faces[i];
-    require(rec.num_nodes >= 2 && rec.num_nodes <= 4,
-            "local_contact_search_records: bad face record");
-    Vec3 c{};
-    for (std::int32_t j = 0; j < rec.num_nodes; ++j) {
-      c = c + rec.coords[static_cast<std::size_t>(j)];
-    }
-    c = (1.0 / static_cast<real_t>(rec.num_nodes)) * c;
-    scratch.centroids[i] = c;
-    for (std::int32_t j = 0; j < rec.num_nodes; ++j) {
-      max_radius = std::max(
-          max_radius, norm(rec.coords[static_cast<std::size_t>(j)] - c));
-    }
-  }
-  const KdTree tree(scratch.centroids, dim);
-  const real_t reach = opts.tolerance + max_radius;
+  const CandidateFaces candidates(faces, opts.body_of_node, dim,
+                                  opts.tolerance, scratch);
 
   for (idx_t node : node_ids) {
     const Vec3 p = positions[static_cast<std::size_t>(node)];
-    BBox box;
-    box.expand(p);
-    box.inflate(reach);
     scratch.candidates.clear();
-    tree.query_box(box, scratch.candidates);
+    candidates.query(node, p, scratch.candidates);
     ContactEvent best;
     bool have_best = false;
     for (idx_t local : scratch.candidates) {
@@ -418,13 +467,13 @@ void local_contact_search_records_into(std::span<const idx_t> node_ids,
               opts.body_of_node[static_cast<std::size_t>(rec.nodes[0])]) {
         continue;
       }
-      const FaceTest t = test_record(rec, p, &scratch.triangles);
+      const FaceTest t = closest_on_record(rec, p, &scratch.triangles);
       if (t.distance > opts.tolerance) continue;
       ContactEvent e;
       e.node = node;
       e.face = rec.key;
       e.distance = t.distance;
-      e.signed_distance = t.signed_distance;
+      e.signed_distance = record_signed_distance(rec, p, t);
       e.closest_point = t.closest;
       if (opts.closest_only) {
         if (!have_best || e.distance < best.distance) {

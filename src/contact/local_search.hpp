@@ -80,13 +80,15 @@ std::vector<ContactEvent> local_contact_search_subset(
 /// scratch between concurrently searching ranks.
 struct SubsetSearchScratch {
   std::vector<Vec3> centroids;
+  std::vector<idx_t> order;  // face indices grouped by body
   std::vector<idx_t> candidates;
   std::vector<std::array<Vec3, 3>> triangles;
 };
 
 /// local_contact_search_subset() writing into `out` (cleared first) with
 /// all scratch drawn from `scratch`. The events — order included — are
-/// identical to the allocating overload.
+/// identical to the allocating overload. Runs the records kernel below on
+/// records built from the subset (key = face index).
 void local_contact_search_subset_into(const Mesh& mesh, const Surface& surface,
                                       std::span<const idx_t> node_ids,
                                       std::span<const idx_t> face_ids,
@@ -111,7 +113,9 @@ struct FaceRecord {
 /// drawn from `positions` (dense, indexed by global node id). Same
 /// arithmetic, exclusions, and (node, distance) ordering as
 /// local_contact_search_subset_into; events carry record.key in
-/// ContactEvent::face. `opts.body_of_node` uses global node ids too.
+/// ContactEvent::face. `opts.body_of_node` uses global node ids too; with
+/// it, each node queries per-body kd-trees of the *other* bodies' faces
+/// only, so same-body faces are never generated as candidates.
 void local_contact_search_records_into(std::span<const idx_t> node_ids,
                                        std::span<const Vec3> positions,
                                        int dim,

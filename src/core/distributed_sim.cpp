@@ -982,10 +982,9 @@ std::size_t DistributedSim::estimate_resident_bytes(idx_t num_nodes,
 
 std::uint64_t DistributedSim::ownership_hash(
     std::span<const idx_t> owner, std::span<const wgt_t> hits) const {
-  std::uint64_t h = kFnvOffsetBasis;
-  for (idx_t o : owner) h = fnv1a_value(h, o);
-  for (wgt_t w : hits) h = fnv1a_value(h, w);
-  return h;
+  const std::uint64_t h = fnv1a_bytes(kFnvOffsetBasis, owner.data(),
+                                      owner.size_bytes());
+  return fnv1a_bytes(h, hits.data(), hits.size_bytes());
 }
 
 std::vector<idx_t> DistributedSim::ownership_map() const {

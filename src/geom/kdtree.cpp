@@ -1,6 +1,8 @@
 #include "geom/kdtree.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <limits>
 #include <numeric>
 
@@ -53,10 +55,15 @@ idx_t KdTree::build(idx_t begin, idx_t end) {
 
 void KdTree::query_box(const BBox& box, std::vector<idx_t>& out) const {
   if (empty() || box.empty()) return;
-  std::vector<idx_t> stack{root_};
-  while (!stack.empty()) {
-    const Node& node = nodes_[static_cast<std::size_t>(stack.back())];
-    stack.pop_back();
+  // Median splits halve the range, so a root-to-leaf path has at most
+  // ceil(log2(size)) <= 31 interior nodes, and the DFS stack never holds
+  // more than one pending sibling per level plus two children: a fixed
+  // array suffices and a query never allocates.
+  std::array<idx_t, kMaxStack> stack;
+  std::size_t top = 0;
+  stack[top++] = root_;
+  while (top > 0) {
+    const Node& node = nodes_[static_cast<std::size_t>(stack[--top])];
     if (!box.intersects(node.bounds)) continue;
     if (node.axis < 0) {
       for (idx_t i = node.begin; i < node.end; ++i) {
@@ -67,8 +74,9 @@ void KdTree::query_box(const BBox& box, std::vector<idx_t>& out) const {
       }
       continue;
     }
-    stack.push_back(node.left);
-    stack.push_back(node.right);
+    assert(top + 2 <= stack.size());
+    stack[top++] = node.left;
+    stack[top++] = node.right;
   }
 }
 

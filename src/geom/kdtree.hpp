@@ -55,6 +55,8 @@ class KdTree {
   idx_t root_ = kInvalidIndex;
   int dim_ = 3;
   static constexpr idx_t kLeafSize = 12;
+  // Capacity of query_box's fixed traversal stack (see query_box).
+  static constexpr std::size_t kMaxStack = 64;
 };
 
 }  // namespace cpart

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "mesh/generators.hpp"
 #include "parallel/thread_pool.hpp"
@@ -79,8 +80,23 @@ ImpactSim::ImpactSim(const ImpactSimConfig& config) : config_(config) {
 
   initial_ = std::move(mesh);
   element_center0_.resize(static_cast<std::size_t>(initial_.num_elements()));
+  erosion_height_.resize(element_center0_.size());
   for (idx_t e = 0; e < initial_.num_elements(); ++e) {
-    element_center0_[static_cast<std::size_t>(e)] = initial_.element_center(e);
+    const auto se = static_cast<std::size_t>(e);
+    const Vec3 c = initial_.element_center(e);
+    element_center0_[se] = c;
+    // A plate element erodes once the nose has passed its centre while the
+    // centre lies inside the (slightly inflated) projectile cross-section.
+    // Under oblique incidence the axis sits at x = obliquity * descent when
+    // the nose crosses the element's height — the eroded channel is a
+    // tilted cylinder swept by the nose. The projectile deforms but never
+    // erodes.
+    const real_t axis_x = config_.obliquity * (nose_start_ - c.z);
+    const bool in_channel =
+        element_body_[se] != Body::kProjectile &&
+        std::hypot(c.x - axis_x, c.y) <= 1.05 * config_.proj_radius;
+    erosion_height_[se] =
+        in_channel ? c.z : -std::numeric_limits<real_t>::infinity();
   }
 
   // Travel: the nose ends below the lower plate by 60% of its own length,
@@ -97,18 +113,7 @@ real_t ImpactSim::nose_z(idx_t s) const {
 }
 
 bool ImpactSim::element_eroded(idx_t element, real_t nose) const {
-  if (element_body_[static_cast<std::size_t>(element)] == Body::kProjectile) {
-    return false;  // the projectile deforms but is not eroded
-  }
-  const Vec3 c = element_center0_[static_cast<std::size_t>(element)];
-  // Under oblique incidence the axis sits at x = obliquity * descent when
-  // the nose crosses the element's height — the eroded channel is a tilted
-  // cylinder swept by the nose.
-  const real_t axis_x = config_.obliquity * (nose_start_ - c.z);
-  const real_t rho = std::hypot(c.x - axis_x, c.y);
-  // A plate element erodes once the nose has passed its centre while the
-  // centre lies inside the (slightly inflated) projectile cross-section.
-  return rho <= 1.05 * config_.proj_radius && nose <= c.z;
+  return nose <= erosion_height_[static_cast<std::size_t>(element)];
 }
 
 Vec3 ImpactSim::displaced(idx_t node, real_t nose) const {

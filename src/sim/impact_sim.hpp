@@ -127,6 +127,10 @@ class ImpactSim {
   std::vector<Body> element_body_;
   std::vector<Body> node_body_;
   std::vector<Vec3> element_center0_;  // undeformed element centroids
+  // Nose height at or below which each element is eroded: its undeformed
+  // centroid z inside the erosion channel, -inf (never, for any finite
+  // nose) outside it and for projectile elements.
+  std::vector<real_t> erosion_height_;
   real_t nose_start_ = 0;
   real_t nose_end_ = 0;
   real_t plate1_top_ = 0, plate1_bottom_ = 0;

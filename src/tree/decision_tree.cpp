@@ -1,6 +1,7 @@
 #include "tree/decision_tree.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <deque>
 #include <numeric>
@@ -39,47 +40,46 @@ idx_t DecisionTree::locate(Vec3 p) const {
   return cur;
 }
 
-void DecisionTree::collect_box_leaves(const BBox& box,
-                                      std::vector<idx_t>& out) const {
-  if (empty() || box.empty()) return;
-  std::vector<idx_t> stack{root_};
-  while (!stack.empty()) {
-    const idx_t id = stack.back();
-    stack.pop_back();
+template <typename Fn>
+void DecisionTree::visit_box_leaves(const BBox& box, idx_t start,
+                                    Fn& fn) const {
+  // Inline DFS stack: a query never allocates. Descriptor trees are rarely
+  // deeper than the stack, and a deeper (pathological) subtree is finished
+  // on a fresh stack one call down, so depth is unbounded either way.
+  std::array<idx_t, kBoxStack> stack;
+  std::size_t top = 0;
+  stack[top++] = start;
+  while (top > 0) {
+    const idx_t id = stack[--top];
     const TreeNode& nd = node(id);
     if (!box.intersects(nd.bounds)) continue;
     if (nd.axis < 0) {
-      out.push_back(id);
+      fn(id, nd);
       continue;
     }
-    stack.push_back(nd.left);
-    stack.push_back(nd.right);
+    if (top + 2 > stack.size()) {
+      // The right child would be popped next anyway: visiting its subtree
+      // now keeps the leaf order of the plain push-left-push-right DFS.
+      visit_box_leaves(box, nd.right, fn);
+      stack[top++] = nd.left;
+      continue;
+    }
+    stack[top++] = nd.left;
+    stack[top++] = nd.right;
   }
+}
+
+void DecisionTree::collect_box_leaves(const BBox& box,
+                                      std::vector<idx_t>& out) const {
+  if (empty() || box.empty()) return;
+  auto leaf = [&](idx_t id, const TreeNode&) { out.push_back(id); };
+  visit_box_leaves(box, root_, leaf);
 }
 
 void DecisionTree::collect_box_labels(const BBox& box,
                                       std::vector<char>& mask) const {
-  if (empty() || box.empty()) return;
-  std::vector<idx_t> stack{root_};
-  while (!stack.empty()) {
-    const idx_t id = stack.back();
-    stack.pop_back();
-    const TreeNode& nd = node(id);
-    if (!box.intersects(nd.bounds)) continue;
-    if (nd.axis < 0) {
-      if (nd.label != kInvalidIndex) {
-        mask[static_cast<std::size_t>(nd.label)] = 1;
-      }
-      if (!nd.pure) {
-        for (idx_t l : minority_labels(id)) {
-          mask[static_cast<std::size_t>(l)] = 1;
-        }
-      }
-      continue;
-    }
-    stack.push_back(nd.left);
-    stack.push_back(nd.right);
-  }
+  std::vector<idx_t> touched;
+  collect_box_labels(box, mask, touched);
 }
 
 void DecisionTree::collect_box_labels(const BBox& box, std::vector<char>& mask,
@@ -92,22 +92,13 @@ void DecisionTree::collect_box_labels(const BBox& box, std::vector<char>& mask,
       touched.push_back(l);
     }
   };
-  std::vector<idx_t> stack{root_};
-  while (!stack.empty()) {
-    const idx_t id = stack.back();
-    stack.pop_back();
-    const TreeNode& nd = node(id);
-    if (!box.intersects(nd.bounds)) continue;
-    if (nd.axis < 0) {
-      if (nd.label != kInvalidIndex) set_label(nd.label);
-      if (!nd.pure) {
-        for (idx_t l : minority_labels(id)) set_label(l);
-      }
-      continue;
+  auto leaf = [&](idx_t id, const TreeNode& nd) {
+    if (nd.label != kInvalidIndex) set_label(nd.label);
+    if (!nd.pure) {
+      for (idx_t l : minority_labels(id)) set_label(l);
     }
-    stack.push_back(nd.left);
-    stack.push_back(nd.right);
-  }
+  };
+  visit_box_leaves(box, root_, leaf);
 }
 
 std::span<const idx_t> DecisionTree::minority_labels(idx_t id) const {

@@ -71,17 +71,18 @@ class DecisionTree {
   /// Appends the ids of every leaf whose region intersects `box`.
   void collect_box_leaves(const BBox& box, std::vector<idx_t>& out) const;
 
-  /// Sets mask[l] for every label l of a leaf intersecting `box`.
-  /// `mask` must be pre-sized to the number of labels and pre-cleared (the
-  /// call only sets bits). Impure leaves conservatively set the majority
-  /// label and all minority labels recorded at build time.
-  void collect_box_labels(const BBox& box, std::vector<char>& mask) const;
-
-  /// Touched-list variant: also appends each label to `touched` the first
-  /// time its mask bit is set, so the caller can reset only those entries
-  /// (O(|touched|)) instead of clearing the whole mask (O(num_labels)).
+  /// Sets mask[l] for every label l of a leaf intersecting `box`, and
+  /// appends l to `touched` the first time its bit is set, so the caller
+  /// can reset only those entries (O(|touched|)) instead of clearing the
+  /// whole mask (O(num_labels)). `mask` must be pre-sized to the number of
+  /// labels and pre-cleared (the call only sets bits). Impure leaves
+  /// conservatively set the majority label and all minority labels
+  /// recorded at build time. The traversal itself does not allocate.
   void collect_box_labels(const BBox& box, std::vector<char>& mask,
                           std::vector<idx_t>& touched) const;
+
+  /// Mask-only convenience wrapper over the touched-list query.
+  void collect_box_labels(const BBox& box, std::vector<char>& mask) const;
 
   /// Labels present in the (impure) leaf `id` beyond the majority label.
   std::span<const idx_t> minority_labels(idx_t id) const;
@@ -92,6 +93,12 @@ class DecisionTree {
   friend DecisionTree assemble_tree(std::vector<TreeNode> nodes, idx_t root,
                                     std::vector<idx_t> minority_offsets,
                                     std::vector<idx_t> minority_labels);
+
+  /// Calls fn(id, node) for every leaf whose bounds intersect `box`, in
+  /// the subtree under `start`, depth-first (right child first).
+  template <typename Fn>
+  void visit_box_leaves(const BBox& box, idx_t start, Fn& fn) const;
+  static constexpr std::size_t kBoxStack = 64;
 
   std::vector<TreeNode> nodes_;
   idx_t root_ = kInvalidIndex;

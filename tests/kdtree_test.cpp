@@ -90,6 +90,67 @@ TEST(KdTree, DuplicatePointsAllReturned) {
   EXPECT_EQ(out.size(), 40u);
 }
 
+/// Asserts query_box(box) returns exactly the points inside `box`, each
+/// once.
+void expect_box_matches_brute_force(const KdTree& tree,
+                                    const std::vector<Vec3>& pts,
+                                    const BBox& box) {
+  std::vector<idx_t> got;
+  tree.query_box(box, got);
+  std::vector<idx_t> want;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    if (box.contains(pts[i])) want.push_back(to_idx(i));
+  }
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want);
+}
+
+BBox box_around(Vec3 c, real_t r) {
+  BBox box;
+  box.expand(c);
+  box.inflate(r);
+  return box;
+}
+
+TEST(KdTree, BoxQueryAllIdenticalPoints) {
+  const std::vector<Vec3> pts(5000, Vec3{2, -1, 3});
+  const KdTree tree(pts);
+  expect_box_matches_brute_force(tree, pts, box_around(Vec3{2, -1, 3}, 0));
+  expect_box_matches_brute_force(tree, pts, box_around(Vec3{2, -1, 3.5}, 0.6));
+  expect_box_matches_brute_force(tree, pts, box_around(Vec3{2, -1, 3.5}, 0.4));
+}
+
+TEST(KdTree, BoxQueryCollinearPoints) {
+  // Points on a tilted line, every fourth one duplicated: splits always
+  // fall along one axis and some cuts land on repeated coordinates.
+  std::vector<Vec3> pts;
+  for (int i = 0; i < 4000; ++i) {
+    const real_t t = static_cast<real_t>(i / 4 * 4 + (i % 4 == 3 ? 0 : i % 4));
+    pts.push_back(Vec3{0.5 * t, 1 - 0.25 * t, 7});
+  }
+  const KdTree tree(pts);
+  Rng rng(11);
+  for (int trial = 0; trial < 50; ++trial) {
+    const real_t t = rng.uniform(-10, 4010);
+    expect_box_matches_brute_force(
+        tree, pts,
+        box_around(Vec3{0.5 * t, 1 - 0.25 * t, 7}, rng.uniform(0, 40)));
+  }
+  expect_box_matches_brute_force(tree, pts, box_around(Vec3{0, 1, 7}, 1e4));
+}
+
+TEST(KdTree, BoxQueryLargePointSet) {
+  Rng rng(5);
+  const auto pts = random_points(60000, rng);
+  const KdTree tree(pts);
+  for (int trial = 0; trial < 40; ++trial) {
+    const Vec3 c{rng.uniform(-1, 11), rng.uniform(-1, 11), rng.uniform(-1, 11)};
+    expect_box_matches_brute_force(tree, pts,
+                                   box_around(c, rng.uniform(0.05, 2.5)));
+  }
+  expect_box_matches_brute_force(tree, pts, box_around(Vec3{5, 5, 5}, 10));
+}
+
 TEST(KdTree, TwoDimensionalIgnoresZ) {
   Rng rng(3);
   auto pts = random_points(200, rng, 2);

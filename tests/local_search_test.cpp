@@ -3,8 +3,15 @@
 // candidate-driven variant used by the parallel pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
+#include <string>
+#include <utility>
+
 #include "contact/local_search.hpp"
 #include "mesh/generators.hpp"
+#include "util/rng.hpp"
 
 namespace cpart {
 namespace {
@@ -135,6 +142,231 @@ TEST(LocalSearch, CandidateVariantMatchesFullSearch) {
     // winning face may differ by scan order, the gap may not.
     EXPECT_DOUBLE_EQ(via_candidates[i].distance, full[i].distance);
   }
+}
+
+/// Three hex boxes: a lower slab, a box hovering `gap` above it, and a box
+/// sunk sideways into the slab — gap contacts, penetrations and plain
+/// distant faces in one scene. Body ids are deliberately not 0..2.
+struct ThreeBodies {
+  Mesh mesh;
+  Surface surface;
+  std::vector<int> body;
+  ThreeBodies() {
+    constexpr real_t gap = 0.05;
+    mesh = make_hex_box(3, 3, 2, Vec3{0, 0, 0}, Vec3{1.5, 1.5, 1});
+    body.assign(static_cast<std::size_t>(mesh.num_nodes()), 4);
+    mesh.append(make_hex_box(2, 2, 2, Vec3{0.2, 0.3, 1 + gap}, Vec3{1, 1, 1}));
+    body.resize(static_cast<std::size_t>(mesh.num_nodes()), -1);
+    mesh.append(
+        make_hex_box(2, 2, 2, Vec3{1.4, 0.45, 0.3}, Vec3{1, 0.8, 0.8}));
+    body.resize(static_cast<std::size_t>(mesh.num_nodes()), 9);
+    surface = extract_surface(mesh);
+  }
+};
+
+/// All-pairs reference for the rank kernels: every (node, face) pair with
+/// the same exclusions, the same triangulation ((0,1,2) + (0,2,3)) and the
+/// same normal, with no spatial structure at all. Every in-range face is
+/// kept; events are sorted by (node, face).
+std::vector<ContactEvent> brute_force_search(const Mesh& mesh,
+                                             const Surface& surface,
+                                             std::span<const idx_t> node_ids,
+                                             std::span<const idx_t> face_ids,
+                                             const LocalSearchOptions& opts) {
+  std::vector<ContactEvent> events;
+  for (idx_t node : node_ids) {
+    const Vec3 p = mesh.node(node);
+    for (idx_t f : face_ids) {
+      const auto& ids = surface.faces[static_cast<std::size_t>(f)].nodes;
+      if (std::find(ids.begin(), ids.end(), node) != ids.end()) continue;
+      if (!opts.body_of_node.empty() &&
+          opts.body_of_node[static_cast<std::size_t>(node)] ==
+              opts.body_of_node[static_cast<std::size_t>(ids[0])]) {
+        continue;
+      }
+      ContactEvent e;
+      e.node = node;
+      e.face = f;
+      e.distance = std::numeric_limits<real_t>::max();
+      for (std::size_t t = 1; t + 1 < ids.size(); ++t) {
+        const Vec3 c = closest_point_on_triangle(
+            p, mesh.node(ids[0]), mesh.node(ids[t]), mesh.node(ids[t + 1]));
+        if (norm(p - c) < e.distance) {
+          e.distance = norm(p - c);
+          e.closest_point = c;
+        }
+      }
+      if (e.distance > opts.tolerance) continue;
+      const Vec3 n = face_normal(mesh, surface.faces[static_cast<std::size_t>(f)]);
+      e.signed_distance = norm(n) > 0
+                              ? dot(p - e.closest_point, (1.0 / norm(n)) * n)
+                              : e.distance;
+      events.push_back(e);
+    }
+  }
+  std::sort(events.begin(), events.end(),
+            [](const ContactEvent& a, const ContactEvent& b) {
+              return std::pair(a.node, a.face) < std::pair(b.node, b.face);
+            });
+  return events;
+}
+
+/// Runs both rank kernels (subset over the Surface, records keyed by
+/// face + kKeyOffset) and checks them against the all-pairs reference,
+/// once keeping every face in range and once keeping the closest.
+void expect_kernels_match_brute_force(const Mesh& mesh, const Surface& surface,
+                                      std::span<const idx_t> node_ids,
+                                      std::span<const idx_t> face_ids,
+                                      LocalSearchOptions opts,
+                                      const std::string& what) {
+  constexpr idx_t kKeyOffset = 1000;
+  opts.closest_only = false;
+  const std::vector<ContactEvent> want =
+      brute_force_search(mesh, surface, node_ids, face_ids, opts);
+  ASSERT_FALSE(want.empty()) << what << ": scene produced no contacts";
+
+  std::vector<FaceRecord> records;
+  for (idx_t f : face_ids) {
+    const SurfaceFace& face = surface.faces[static_cast<std::size_t>(f)];
+    FaceRecord rec;
+    rec.key = kKeyOffset + f;
+    rec.num_nodes = static_cast<std::int32_t>(face.nodes.size());
+    for (std::size_t j = 0; j < face.nodes.size(); ++j) {
+      rec.nodes[j] = face.nodes[j];
+      rec.coords[j] = mesh.node(face.nodes[j]);
+    }
+    records.push_back(rec);
+  }
+  const auto run = [&](bool records_kernel, bool closest_only) {
+    LocalSearchOptions o = opts;
+    o.closest_only = closest_only;
+    SubsetSearchScratch scratch;
+    std::vector<ContactEvent> got;
+    if (records_kernel) {
+      local_contact_search_records_into(node_ids, mesh.nodes(), mesh.dim(),
+                                        records, o, scratch, got);
+      for (ContactEvent& e : got) e.face -= kKeyOffset;
+    } else {
+      local_contact_search_subset_into(mesh, surface, node_ids, face_ids, o,
+                                       scratch, got);
+    }
+    return got;
+  };
+
+  for (const bool records_kernel : {false, true}) {
+    const std::string kernel =
+        what + (records_kernel ? " records kernel" : " subset kernel");
+    // Every face in range: the same (node, face) set, the same gaps.
+    std::vector<ContactEvent> all = run(records_kernel, false);
+    std::sort(all.begin(), all.end(),
+              [](const ContactEvent& a, const ContactEvent& b) {
+                return std::pair(a.node, a.face) < std::pair(b.node, b.face);
+              });
+    ASSERT_EQ(all.size(), want.size()) << kernel;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(all[i].node, want[i].node) << kernel << " event " << i;
+      ASSERT_EQ(all[i].face, want[i].face) << kernel << " event " << i;
+      EXPECT_DOUBLE_EQ(all[i].distance, want[i].distance) << kernel;
+      EXPECT_DOUBLE_EQ(all[i].signed_distance, want[i].signed_distance)
+          << kernel;
+    }
+    // Closest only: one event per node in range, at the smallest gap, on a
+    // face the reference also found at that gap (ties may pick either).
+    const std::vector<ContactEvent> closest = run(records_kernel, true);
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < want.size();) {
+      std::size_t j = i;
+      real_t best = want[i].distance;
+      while (j < want.size() && want[j].node == want[i].node) {
+        best = std::min(best, want[j].distance);
+        ++j;
+      }
+      ASSERT_LT(k, closest.size()) << kernel;
+      EXPECT_EQ(closest[k].node, want[i].node) << kernel;
+      EXPECT_DOUBLE_EQ(closest[k].distance, best) << kernel;
+      const bool on_tied_face =
+          std::any_of(want.begin() + static_cast<std::ptrdiff_t>(i),
+                      want.begin() + static_cast<std::ptrdiff_t>(j),
+                      [&](const ContactEvent& e) {
+                        return e.face == closest[k].face &&
+                               e.distance == closest[k].distance;
+                      });
+      EXPECT_TRUE(on_tied_face) << kernel << " node " << want[i].node;
+      ++k;
+      i = j;
+    }
+    EXPECT_EQ(k, closest.size()) << kernel;
+  }
+}
+
+/// Every face index of `surface`, in a seeded shuffled order (the kernels
+/// must not depend on the face order they are given).
+std::vector<idx_t> shuffled_faces(const Surface& surface, std::uint64_t seed) {
+  std::vector<idx_t> faces(static_cast<std::size_t>(surface.num_faces()));
+  std::iota(faces.begin(), faces.end(), idx_t{0});
+  Rng rng(seed);
+  for (std::size_t i = faces.size(); i > 1; --i) {
+    std::swap(faces[i - 1],
+              faces[static_cast<std::size_t>(rng.uniform_int(to_idx(i)))]);
+  }
+  return faces;
+}
+
+TEST(LocalSearchKernels, MatchBruteForceOnThreeBodies) {
+  const ThreeBodies scene;
+  LocalSearchOptions opts;
+  opts.tolerance = 0.12;
+  opts.body_of_node = scene.body;
+  expect_kernels_match_brute_force(scene.mesh, scene.surface,
+                                   scene.surface.contact_nodes,
+                                   shuffled_faces(scene.surface, 1), opts,
+                                   "three bodies");
+}
+
+TEST(LocalSearchKernels, MatchBruteForceWithoutBodyInfo) {
+  // Face membership is the only exclusion: with a tolerance past half a
+  // cell, a node also sees non-incident faces of its own body.
+  const ThreeBodies scene;
+  LocalSearchOptions opts;
+  opts.tolerance = 0.55;
+  expect_kernels_match_brute_force(scene.mesh, scene.surface,
+                                   scene.surface.contact_nodes,
+                                   shuffled_faces(scene.surface, 2), opts,
+                                   "no body info");
+}
+
+TEST(LocalSearchKernels, MatchBruteForceWhenOneBodyHasNoFaces) {
+  // Body 9's nodes search, but none of its faces is in the subset.
+  const ThreeBodies scene;
+  LocalSearchOptions opts;
+  opts.tolerance = 0.12;
+  opts.body_of_node = scene.body;
+  std::vector<idx_t> faces;
+  for (idx_t f : shuffled_faces(scene.surface, 3)) {
+    const idx_t first = scene.surface.faces[static_cast<std::size_t>(f)].nodes[0];
+    if (scene.body[static_cast<std::size_t>(first)] != 9) faces.push_back(f);
+  }
+  ASSERT_LT(faces.size(), scene.surface.faces.size());
+  expect_kernels_match_brute_force(scene.mesh, scene.surface,
+                                   scene.surface.contact_nodes, faces, opts,
+                                   "one body without faces");
+}
+
+TEST(LocalSearchKernels, MatchBruteForceWithManyBodies) {
+  // More bodies than the kernels build separate trees for: every node is
+  // its own body modulo 23, so faces mix bodies arbitrarily.
+  const ThreeBodies scene;
+  std::vector<int> body(scene.body.size());
+  for (std::size_t v = 0; v < body.size(); ++v) {
+    body[v] = static_cast<int>(v % 23);
+  }
+  LocalSearchOptions opts;
+  opts.tolerance = 0.3;
+  opts.body_of_node = body;
+  expect_kernels_match_brute_force(scene.mesh, scene.surface,
+                                   scene.surface.contact_nodes,
+                                   shuffled_faces(scene.surface, 4), opts,
+                                   "many bodies");
 }
 
 TEST(LocalSearch, FaceNormalOrientation) {

@@ -84,6 +84,46 @@ TEST(ImpactSim, ProjectileElementsNeverErode) {
   EXPECT_GE(final.num_elements(), proj_elems);
 }
 
+/// The erosion rule in closed form, on the undeformed element centroid: a
+/// plate element erodes once the nose is at or below its centre while the
+/// centre lies within 1.05 proj_radius of the (possibly tilted) axis; the
+/// projectile never erodes.
+bool eroded_closed_form(const ImpactSim& sim, idx_t e, real_t nose) {
+  if (sim.element_body()[static_cast<std::size_t>(e)] == Body::kProjectile) {
+    return false;
+  }
+  const Vec3 c = sim.initial_mesh().element_center(e);
+  const real_t axis_x = sim.config().obliquity * (sim.nose_z(0) - c.z);
+  const real_t rho = std::hypot(c.x - axis_x, c.y);
+  return rho <= 1.05 * sim.config().proj_radius && nose <= c.z;
+}
+
+TEST(ImpactSim, ElementErodedMatchesClosedFormRule) {
+  for (const real_t obliquity : {0.0, 0.35}) {
+    ImpactSimConfig c;
+    c.scale_resolution(0.5);
+    c.obliquity = obliquity;
+    const ImpactSim sim(c);
+    ASSERT_EQ(sim.num_snapshots(), 100);
+    const idx_t ne = sim.initial_mesh().num_elements();
+    idx_t eroded_at_end = 0;
+    for (idx_t e = 0; e < ne; ++e) {
+      for (idx_t s = 0; s < sim.num_snapshots(); ++s) {
+        const real_t nose = sim.nose_z(s);
+        ASSERT_EQ(sim.element_eroded(e, nose), eroded_closed_form(sim, e, nose))
+            << "obliquity " << obliquity << " element " << e << " step " << s;
+      }
+      // The boundary of the rule: a nose exactly at the centroid height.
+      const real_t at = sim.initial_mesh().element_center(e).z;
+      ASSERT_EQ(sim.element_eroded(e, at), eroded_closed_form(sim, e, at))
+          << "obliquity " << obliquity << " element " << e << " nose == c.z";
+      eroded_at_end += sim.element_eroded(
+          e, sim.nose_z(sim.num_snapshots() - 1));
+    }
+    EXPECT_GT(eroded_at_end, 0) << "obliquity " << obliquity;
+  }
+}
+
 TEST(ImpactSim, ContactSurfaceEvolvesAndStaysInZone) {
   ImpactSimConfig c = tiny_config();
   c.contact_zone_factor = 2.0;

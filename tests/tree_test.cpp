@@ -10,6 +10,7 @@
 #include "tree/decision_tree.hpp"
 #include "tree/descriptor_tree.hpp"
 #include "tree/region_tree.hpp"
+#include "tree/tree_io.hpp"
 #include "util/rng.hpp"
 
 namespace cpart {
@@ -273,6 +274,81 @@ TEST(Induce, BoundsAreTight) {
 // ---------------------------------------------------------------------------
 // Descriptor trees
 // ---------------------------------------------------------------------------
+
+TEST(DecisionTree, DeepTreeBoxQueriesMatchPlainDfs) {
+  // A caterpillar tree 300 levels deep: interior node i cuts x at i, its
+  // left child is a leaf and its right child the next interior node. The
+  // DFS leaves one left sibling pending per level, so the traversal outgrows
+  // any fixed stack and must still visit leaves in push-left-push-right
+  // order.
+  constexpr idx_t kLevels = 300;
+  std::vector<TreeNode> nodes;
+  for (idx_t i = 0; i < kLevels; ++i) {
+    TreeNode inner;
+    inner.axis = 0;
+    inner.cut = static_cast<real_t>(i);
+    inner.left = to_idx(nodes.size()) + 1;
+    inner.right = to_idx(nodes.size()) + 2;
+    inner.bounds.expand(Vec3{static_cast<real_t>(i) - 1, 0, 0});
+    inner.bounds.expand(Vec3{static_cast<real_t>(kLevels), 1, 1});
+    nodes.push_back(inner);
+    TreeNode leaf;
+    leaf.label = i % 7;
+    leaf.pure = true;
+    leaf.bounds.expand(Vec3{static_cast<real_t>(i) - 1, 0, 0});
+    leaf.bounds.expand(Vec3{static_cast<real_t>(i) - 0.5, 1, 1});
+    nodes.push_back(leaf);
+  }
+  TreeNode last;
+  last.label = 3;
+  last.pure = true;
+  last.bounds.expand(Vec3{static_cast<real_t>(kLevels) - 1, 0, 0});
+  last.bounds.expand(Vec3{static_cast<real_t>(kLevels), 1, 1});
+  nodes.push_back(last);
+  const DecisionTree tree = assemble_tree(
+      nodes, 0, std::vector<idx_t>(nodes.size() + 1, 0), {});
+  ASSERT_EQ(tree.max_depth(), kLevels);
+
+  for (const real_t lo : {-5.0, 40.0, 250.0}) {
+    BBox box;
+    box.expand(Vec3{lo, 0.5, 0.5});
+    box.expand(Vec3{lo + 120, 0.5, 0.5});
+    std::vector<idx_t> want;
+    std::vector<idx_t> stack{tree.root()};
+    while (!stack.empty()) {
+      const idx_t id = stack.back();
+      stack.pop_back();
+      const TreeNode& nd = tree.node(id);
+      if (!box.intersects(nd.bounds)) continue;
+      if (nd.axis < 0) {
+        want.push_back(id);
+        continue;
+      }
+      stack.push_back(nd.left);
+      stack.push_back(nd.right);
+    }
+    ASSERT_GT(want.size(), 40u);
+    std::vector<idx_t> got;
+    tree.collect_box_leaves(box, got);
+    EXPECT_EQ(got, want) << "box from x = " << lo;
+
+    std::vector<char> want_mask(7, 0);
+    std::vector<idx_t> want_touched;
+    for (idx_t id : want) {
+      char& bit = want_mask[static_cast<std::size_t>(tree.node(id).label)];
+      if (!bit) want_touched.push_back(tree.node(id).label);
+      bit = 1;
+    }
+    std::vector<char> mask(7, 0);
+    std::vector<idx_t> touched;
+    tree.collect_box_labels(box, mask, touched);
+    EXPECT_EQ(mask, want_mask);
+    EXPECT_EQ(touched, want_touched);
+    std::vector<char> mask_only(7, 0);
+    tree.collect_box_labels(box, mask_only);
+    EXPECT_EQ(mask_only, want_mask);
+  }
+}
 
 TEST(Descriptors, QueryBoxFindsOnlyNearbyPartitions) {
   TwoClusters tc;
