@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "parallel/thread_pool.hpp"
 
@@ -355,8 +356,10 @@ class CandidateFaces {
     order.resize(faces.size());
     std::iota(order.begin(), order.end(), idx_t{0});
     if (!body_of_node.empty()) {
-      std::stable_sort(order.begin(), order.end(),
-                       [&](idx_t a, idx_t b) { return body(a) < body(b); });
+      // By (body, index): faces keep their relative order within a body.
+      std::sort(order.begin(), order.end(), [&](idx_t a, idx_t b) {
+        return std::pair(body(a), a) < std::pair(body(b), b);
+      });
       std::size_t bodies = 0;
       for (std::size_t k = 0; k < order.size(); ++k) {
         if (k == 0 || body(order[k]) != body(order[k - 1])) ++bodies;

@@ -79,12 +79,10 @@ ImpactSim::ImpactSim(const ImpactSimConfig& config) : config_(config) {
                     Body::kProjectile);
 
   initial_ = std::move(mesh);
-  element_center0_.resize(static_cast<std::size_t>(initial_.num_elements()));
-  erosion_height_.resize(element_center0_.size());
+  erosion_height_.resize(static_cast<std::size_t>(initial_.num_elements()));
   for (idx_t e = 0; e < initial_.num_elements(); ++e) {
     const auto se = static_cast<std::size_t>(e);
-    const Vec3 c = initial_.element_center(e);
-    element_center0_[se] = c;
+    const Vec3 c = initial_.element_center(e);  // undeformed centroid
     // A plate element erodes once the nose has passed its centre while the
     // centre lies inside the (slightly inflated) projectile cross-section.
     // Under oblique incidence the axis sits at x = obliquity * descent when

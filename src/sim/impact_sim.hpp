@@ -126,7 +126,6 @@ class ImpactSim {
   Mesh initial_;
   std::vector<Body> element_body_;
   std::vector<Body> node_body_;
-  std::vector<Vec3> element_center0_;  // undeformed element centroids
   // Nose height at or below which each element is eroded: its undeformed
   // centroid z inside the erosion channel, -inf (never, for any finite
   // nose) outside it and for projectile elements.
