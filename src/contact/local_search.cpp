@@ -352,34 +352,32 @@ class CandidateFaces {
       return body_of_node[static_cast<std::size_t>(
           faces[static_cast<std::size_t>(f)].nodes[0])];
     };
-    std::vector<idx_t>& order = scratch.order;
-    order.resize(faces.size());
-    std::iota(order.begin(), order.end(), idx_t{0});
+    order_.resize(faces.size());
+    std::iota(order_.begin(), order_.end(), idx_t{0});
     if (!body_of_node.empty()) {
       // By (body, index): faces keep their relative order within a body.
-      std::sort(order.begin(), order.end(), [&](idx_t a, idx_t b) {
+      std::sort(order_.begin(), order_.end(), [&](idx_t a, idx_t b) {
         return std::pair(body(a), a) < std::pair(body(b), b);
       });
       std::size_t bodies = 0;
-      for (std::size_t k = 0; k < order.size(); ++k) {
-        if (k == 0 || body(order[k]) != body(order[k - 1])) ++bodies;
+      for (std::size_t k = 0; k < order_.size(); ++k) {
+        if (k == 0 || body(order_[k]) != body(order_[k - 1])) ++bodies;
       }
       by_body_ = bodies <= kMaxBodyTrees;
-      if (!by_body_) std::iota(order.begin(), order.end(), idx_t{0});
+      if (!by_body_) std::iota(order_.begin(), order_.end(), idx_t{0});
     }
-    order_ = order;
 
     scratch.centroids.resize(faces.size());
     std::size_t begin = 0;
-    while (begin < order.size()) {
+    while (begin < order_.size()) {
       std::size_t end = begin + 1;
-      while (end < order.size() &&
-             (!by_body_ || body(order[end]) == body(order[begin]))) {
+      while (end < order_.size() &&
+             (!by_body_ || body(order_[end]) == body(order_[begin]))) {
         ++end;
       }
       real_t max_radius = 0;
       for (std::size_t k = begin; k < end; ++k) {
-        const FaceRecord& rec = faces[static_cast<std::size_t>(order[k])];
+        const FaceRecord& rec = faces[static_cast<std::size_t>(order_[k])];
         require(rec.num_nodes >= 2 && rec.num_nodes <= 4,
                 "local_contact_search_records: bad face record");
         Vec3 c{};
@@ -394,7 +392,7 @@ class CandidateFaces {
         }
       }
       Group& g = groups_.emplace_back();
-      g.body = by_body_ ? body(order[begin]) : 0;
+      g.body = by_body_ ? body(order_[begin]) : 0;
       g.reach = tolerance + max_radius;
       g.begin = begin;
       g.tree = KdTree(std::span<const Vec3>(scratch.centroids)
@@ -436,7 +434,7 @@ class CandidateFaces {
   };
 
   std::span<const int> body_of_node_;
-  std::span<const idx_t> order_;
+  std::vector<idx_t> order_;  // face indices, grouped by body
   bool by_body_ = false;
   std::vector<Group> groups_;
 };

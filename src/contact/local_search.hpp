@@ -80,7 +80,6 @@ std::vector<ContactEvent> local_contact_search_subset(
 /// scratch between concurrently searching ranks.
 struct SubsetSearchScratch {
   std::vector<Vec3> centroids;
-  std::vector<idx_t> order;  // face indices grouped by body
   std::vector<idx_t> candidates;
   std::vector<std::array<Vec3, 3>> triangles;
 };
