@@ -246,7 +246,8 @@ void local_contact_search_subset_into(const Mesh& mesh, const Surface& surface,
   // The subset is searched as face records keyed by face index: the record
   // triangulation and normal mirror face_triangles/face_normal, so the
   // arithmetic is the same as on the SurfaceFace.
-  std::vector<FaceRecord> records(face_ids.size());
+  std::vector<FaceRecord>& records = scratch.records;
+  records.resize(face_ids.size());
   for (std::size_t i = 0; i < face_ids.size(); ++i) {
     const idx_t f = face_ids[i];
     require(f >= 0 && f < surface.num_faces(),
@@ -339,32 +340,25 @@ bool record_contains_node(const FaceRecord& rec, idx_t node) {
 /// its centroid, so a face whose closest point is within `tolerance` of p
 /// has its centroid within tolerance + radius of p. A node queries only
 /// the groups of other bodies, so its own body's faces (nearly all of its
-/// neighbours) are never generated. Without body info, or with more bodies
-/// than kMaxBodyTrees, all faces form one group and the kernel's same-body
-/// test does the filtering. Built per call; nothing outlives the search.
+/// neighbours) are never generated. Without body info all faces form one
+/// group. Built per call; nothing outlives the search.
 class CandidateFaces {
  public:
   CandidateFaces(std::span<const FaceRecord> faces,
                  std::span<const int> body_of_node, int dim,
                  real_t tolerance, SubsetSearchScratch& scratch)
-      : body_of_node_(body_of_node) {
+      : body_of_node_(body_of_node), by_body_(!body_of_node.empty()) {
     const auto body = [&](idx_t f) {
       return body_of_node[static_cast<std::size_t>(
           faces[static_cast<std::size_t>(f)].nodes[0])];
     };
     order_.resize(faces.size());
     std::iota(order_.begin(), order_.end(), idx_t{0});
-    if (!body_of_node.empty()) {
+    if (by_body_) {
       // By (body, index): faces keep their relative order within a body.
       std::sort(order_.begin(), order_.end(), [&](idx_t a, idx_t b) {
         return std::pair(body(a), a) < std::pair(body(b), b);
       });
-      std::size_t bodies = 0;
-      for (std::size_t k = 0; k < order_.size(); ++k) {
-        if (k == 0 || body(order_[k]) != body(order_[k - 1])) ++bodies;
-      }
-      by_body_ = bodies <= kMaxBodyTrees;
-      if (!by_body_) std::iota(order_.begin(), order_.end(), idx_t{0});
     }
 
     scratch.centroids.resize(faces.size());
@@ -422,10 +416,6 @@ class CandidateFaces {
   }
 
  private:
-  // Per-body trees cost one root-box test per other body and node, so a
-  // scene of many small bodies falls back to the single tree.
-  static constexpr std::size_t kMaxBodyTrees = 16;
-
   struct Group {
     int body = 0;
     real_t reach = 0;
@@ -434,8 +424,8 @@ class CandidateFaces {
   };
 
   std::span<const int> body_of_node_;
-  std::vector<idx_t> order_;  // face indices, grouped by body
   bool by_body_ = false;
+  std::vector<idx_t> order_;  // face indices, grouped by body
   std::vector<Group> groups_;
 };
 
@@ -462,12 +452,8 @@ void local_contact_search_records_into(std::span<const idx_t> node_ids,
     bool have_best = false;
     for (idx_t local : scratch.candidates) {
       const FaceRecord& rec = faces[static_cast<std::size_t>(local)];
+      // Same-body faces were never generated (CandidateFaces).
       if (record_contains_node(rec, node)) continue;
-      if (!opts.body_of_node.empty() &&
-          opts.body_of_node[static_cast<std::size_t>(node)] ==
-              opts.body_of_node[static_cast<std::size_t>(rec.nodes[0])]) {
-        continue;
-      }
       const FaceTest t = closest_on_record(rec, p, &scratch.triangles);
       if (t.distance > opts.tolerance) continue;
       ContactEvent e;
@@ -477,7 +463,10 @@ void local_contact_search_records_into(std::span<const idx_t> node_ids,
       e.signed_distance = record_signed_distance(rec, p, t);
       e.closest_point = t.closest;
       if (opts.closest_only) {
-        if (!have_best || e.distance < best.distance) {
+        // Equidistant faces (a shared edge or vertex) go to the lower key,
+        // so the pick does not depend on the candidate order.
+        if (!have_best || e.distance < best.distance ||
+            (e.distance == best.distance && e.face < best.face)) {
           best = e;
           have_best = true;
         }

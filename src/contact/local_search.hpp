@@ -74,11 +74,26 @@ std::vector<ContactEvent> local_contact_search_subset(
     std::span<const idx_t> node_ids, std::span<const idx_t> face_ids,
     const LocalSearchOptions& opts);
 
-/// Reusable buffers for local_contact_search_subset_into. Each SPMD rank
+/// A self-contained surface-face record — what the rank-owned pipeline
+/// ships and searches instead of indices into a central Surface. `key` is a
+/// stable face id (element * faces_per_element + local_face, identical on
+/// every rank that derives the face), and the node coordinates travel with
+/// the record so the receiver needs no central mesh.
+struct FaceRecord {
+  idx_t key = kInvalidIndex;
+  std::int32_t num_nodes = 0;
+  std::array<idx_t, 4> nodes{kInvalidIndex, kInvalidIndex, kInvalidIndex,
+                             kInvalidIndex};
+  std::array<Vec3, 4> coords{};
+};
+
+/// Reusable buffers for local_contact_search_subset_into and
+/// local_contact_search_records_into. Each SPMD rank
 /// owns one instance: the buffers grow to the rank's largest step and make
 /// the steady-state per-step search allocation-light. Never share one
 /// scratch between concurrently searching ranks.
 struct SubsetSearchScratch {
+  std::vector<FaceRecord> records;  // subset_into only
   std::vector<Vec3> centroids;
   std::vector<idx_t> candidates;
   std::vector<std::array<Vec3, 3>> triangles;
@@ -95,24 +110,12 @@ void local_contact_search_subset_into(const Mesh& mesh, const Surface& surface,
                                       SubsetSearchScratch& scratch,
                                       std::vector<ContactEvent>& out);
 
-/// A self-contained surface-face record — what the rank-owned pipeline
-/// ships and searches instead of indices into a central Surface. `key` is a
-/// stable face id (element * faces_per_element + local_face, identical on
-/// every rank that derives the face), and the node coordinates travel with
-/// the record so the receiver needs no central mesh.
-struct FaceRecord {
-  idx_t key = kInvalidIndex;
-  std::int32_t num_nodes = 0;
-  std::array<idx_t, 4> nodes{kInvalidIndex, kInvalidIndex, kInvalidIndex,
-                             kInvalidIndex};
-  std::array<Vec3, 4> coords{};
-};
-
 /// Local search of `node_ids` against face records, with node positions
 /// drawn from `positions` (dense, indexed by global node id). Same
 /// arithmetic, exclusions, and (node, distance) ordering as
 /// local_contact_search_subset_into; events carry record.key in
-/// ContactEvent::face. `opts.body_of_node` uses global node ids too; with
+/// ContactEvent::face, and with closest_only a tie in distance goes to the
+/// lower key. `opts.body_of_node` uses global node ids too; with
 /// it, each node queries per-body kd-trees of the *other* bodies' faces
 /// only, so same-body faces are never generated as candidates.
 void local_contact_search_records_into(std::span<const idx_t> node_ids,

@@ -270,28 +270,22 @@ void expect_kernels_match_brute_force(const Mesh& mesh, const Surface& surface,
       EXPECT_DOUBLE_EQ(all[i].signed_distance, want[i].signed_distance)
           << kernel;
     }
-    // Closest only: one event per node in range, at the smallest gap, on a
-    // face the reference also found at that gap (ties may pick either).
+    // Closest only: one event per node in range, at the smallest gap, on
+    // the lowest face among those at that gap in the run above (same
+    // arithmetic, so ties are exact).
     const std::vector<ContactEvent> closest = run(records_kernel, true);
     std::size_t k = 0;
-    for (std::size_t i = 0; i < want.size();) {
+    for (std::size_t i = 0; i < all.size();) {
       std::size_t j = i;
-      real_t best = want[i].distance;
-      while (j < want.size() && want[j].node == want[i].node) {
-        best = std::min(best, want[j].distance);
+      const ContactEvent* best = &all[i];
+      while (j < all.size() && all[j].node == all[i].node) {
+        if (all[j].distance < best->distance) best = &all[j];
         ++j;
       }
       ASSERT_LT(k, closest.size()) << kernel;
-      EXPECT_EQ(closest[k].node, want[i].node) << kernel;
-      EXPECT_DOUBLE_EQ(closest[k].distance, best) << kernel;
-      const bool on_tied_face =
-          std::any_of(want.begin() + static_cast<std::ptrdiff_t>(i),
-                      want.begin() + static_cast<std::ptrdiff_t>(j),
-                      [&](const ContactEvent& e) {
-                        return e.face == closest[k].face &&
-                               e.distance == closest[k].distance;
-                      });
-      EXPECT_TRUE(on_tied_face) << kernel << " node " << want[i].node;
+      EXPECT_EQ(closest[k].node, best->node) << kernel;
+      EXPECT_EQ(closest[k].face, best->face) << kernel;
+      EXPECT_EQ(closest[k].distance, best->distance) << kernel;
       ++k;
       i = j;
     }
@@ -353,8 +347,8 @@ TEST(LocalSearchKernels, MatchBruteForceWhenOneBodyHasNoFaces) {
 }
 
 TEST(LocalSearchKernels, MatchBruteForceWithManyBodies) {
-  // More bodies than the kernels build separate trees for: every node is
-  // its own body modulo 23, so faces mix bodies arbitrarily.
+  // Many small per-body trees: every node is its own body modulo 23, so
+  // faces mix bodies arbitrarily.
   const ThreeBodies scene;
   std::vector<int> body(scene.body.size());
   for (std::size_t v = 0; v < body.size(); ++v) {
@@ -367,6 +361,36 @@ TEST(LocalSearchKernels, MatchBruteForceWithManyBodies) {
                                    scene.surface.contact_nodes,
                                    shuffled_faces(scene.surface, 4), opts,
                                    "many bodies");
+}
+
+TEST(LocalSearchKernels, ClosestTieGoesToLowerKey) {
+  // Node 6 hovers over the vertex (1, 0, 0) shared by two unit squares, so
+  // both faces are exactly equidistant; either record order picks key 3.
+  const std::vector<Vec3> positions = {{0, 0, 0}, {1, 0, 0}, {1, 1, 0},
+                                       {0, 1, 0}, {2, 0, 0}, {2, 1, 0},
+                                       {1, 0, 0.05}};
+  const auto square = [&](idx_t key, std::array<idx_t, 4> nodes) {
+    FaceRecord rec;
+    rec.key = key;
+    rec.num_nodes = 4;
+    rec.nodes = nodes;
+    for (std::size_t j = 0; j < 4; ++j) rec.coords[j] = positions[nodes[j]];
+    return rec;
+  };
+  const FaceRecord a = square(7, {0, 1, 2, 3});
+  const FaceRecord b = square(3, {1, 4, 5, 2});
+  const std::vector<idx_t> nodes = {6};
+  LocalSearchOptions opts;
+  for (const auto& records :
+       {std::vector<FaceRecord>{a, b}, std::vector<FaceRecord>{b, a}}) {
+    SubsetSearchScratch scratch;
+    std::vector<ContactEvent> events;
+    local_contact_search_records_into(nodes, positions, 3, records, opts,
+                                      scratch, events);
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].face, 3);
+    EXPECT_DOUBLE_EQ(events[0].distance, 0.05);
+  }
 }
 
 TEST(LocalSearch, FaceNormalOrientation) {
