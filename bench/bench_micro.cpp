@@ -129,10 +129,8 @@ void BM_TreeInductionParallel(benchmark::State& state) {
         (p.x < 5 ? 0 : 1) + 2 * (p.y < 5 ? 0 : 1) + 4 * (p.z < 5 ? 0 : 1) +
         8 * (p.x + p.y < 10 ? 0 : 1);
   }
-  TreeInduceOptions opts;
-  opts.parallel = true;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(induce_tree(pts, labels, 16, opts));
+    benchmark::DoNotOptimize(induce_tree(pts, labels, 16));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }

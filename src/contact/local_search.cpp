@@ -483,57 +483,4 @@ void local_contact_search_records_into(std::span<const idx_t> node_ids,
             });
 }
 
-std::vector<ContactEvent> local_contact_search_candidates(
-    const Mesh& mesh, const Surface& surface,
-    std::span<const std::vector<idx_t>> candidate_faces,
-    const LocalSearchOptions& opts) {
-  require(candidate_faces.size() == surface.contact_nodes.size(),
-          "local_contact_search_candidates: candidate list size mismatch");
-  std::vector<ContactEvent> events;
-  std::vector<std::array<Vec3, 3>> scratch;
-  for (std::size_t i = 0; i < candidate_faces.size(); ++i) {
-    const idx_t node = surface.contact_nodes[i];
-    const Vec3 p = mesh.node(node);
-    ContactEvent best;
-    bool have_best = false;
-    for (idx_t f : candidate_faces[i]) {
-      require(f >= 0 && f < surface.num_faces(),
-              "local_contact_search_candidates: face index out of range");
-      const SurfaceFace& face = surface.faces[static_cast<std::size_t>(f)];
-      if (std::find(face.nodes.begin(), face.nodes.end(), node) !=
-          face.nodes.end()) {
-        continue;
-      }
-      if (!opts.body_of_node.empty() &&
-          opts.body_of_node[static_cast<std::size_t>(node)] ==
-              opts.body_of_node[static_cast<std::size_t>(face.nodes.front())]) {
-        continue;
-      }
-      const FaceTest t = test_face(mesh, face, p, &scratch);
-      if (t.distance > opts.tolerance) continue;
-      ContactEvent e;
-      e.node = node;
-      e.face = f;
-      e.distance = t.distance;
-      e.signed_distance = t.signed_distance;
-      e.closest_point = t.closest;
-      if (opts.closest_only) {
-        if (!have_best || e.distance < best.distance) {
-          best = e;
-          have_best = true;
-        }
-      } else {
-        events.push_back(e);
-      }
-    }
-    if (opts.closest_only && have_best) events.push_back(best);
-  }
-  std::sort(events.begin(), events.end(),
-            [](const ContactEvent& a, const ContactEvent& b) {
-              if (a.node != b.node) return a.node < b.node;
-              return a.distance < b.distance;
-            });
-  return events;
-}
-
 }  // namespace cpart

@@ -56,15 +56,6 @@ Vec3 face_normal(const Mesh& mesh, const SurfaceFace& face);
 std::vector<ContactEvent> local_contact_search(
     const Mesh& mesh, const Surface& surface, const LocalSearchOptions& opts);
 
-/// Local search restricted to a candidate face subset per node — the shape
-/// the parallel pipeline produces (global search ships candidate elements
-/// to the owning processor of the nodes). `candidate_faces[i]` lists face
-/// indices to test against node `surface.contact_nodes[i]`.
-std::vector<ContactEvent> local_contact_search_candidates(
-    const Mesh& mesh, const Surface& surface,
-    std::span<const std::vector<idx_t>> candidate_faces,
-    const LocalSearchOptions& opts);
-
 /// Local search of a node subset against a face subset — what one
 /// processor executes after global search delivered its elements:
 /// `node_ids` are global node ids (the processor's own contact nodes),

@@ -431,11 +431,10 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
   // migration steps one delta-coded blob of the changed labels. -------------
   {
     SubdomainState& st = states_[0];
-    induce_and_broadcast_descriptors(
-        points, labels, np,
-        step_descriptor_options(config_.decomposition.descriptor,
-                                topo_.mesh().dim()),
-        induce_ws_, st.descriptors, exchange_);
+    DescriptorOptions options = config_.decomposition.descriptor;
+    options.dim = topo_.mesh().dim();
+    induce_and_broadcast_descriptors(points, labels, np, options, induce_ws_,
+                                     st.descriptors, exchange_);
     if (migrate) {
       for (idx_t v = 0; v < nn; ++v) {
         const auto sv = static_cast<std::size_t>(v);
@@ -704,10 +703,9 @@ void DistributedSim::run_reference_body(idx_t s, bool migrate,
     points.push_back(positions[static_cast<std::size_t>(v)]);
     labels.push_back(owner[static_cast<std::size_t>(v)]);
   }
-  const SubdomainDescriptors descriptors(
-      points, labels, np,
-      step_descriptor_options(config_.decomposition.descriptor,
-                              topo_.mesh().dim()));
+  DescriptorOptions options = config_.decomposition.descriptor;
+  options.dim = topo_.mesh().dim();
+  const SubdomainDescriptors descriptors(points, labels, np, options);
   report.descriptor_tree_nodes = descriptors.num_tree_nodes();
   report.descriptor_broadcast_bytes =
       descriptor_broadcast_bytes(descriptors, np);

@@ -119,7 +119,7 @@ struct DistributedStepReport : StepEvents {
   idx_t repart_moved_nodes = 0;
   idx_t repart_moved_elements = 0;
   /// True when a hierarchical repartition escalated past the group level:
-  /// some rank group breached cross_group_threshold and one global
+  /// some rank group breached kCrossGroupThreshold and one global
   /// repartition ran instead of the group-local ones. Always false with the
   /// hierarchy disabled.
   bool repart_cross_group = false;

@@ -1,16 +1,11 @@
 #include "core/experiment.hpp"
 
-#include <optional>
 #include <ostream>
 
 #include "contact/search_metrics.hpp"
-#include "core/distributed_sim.hpp"
-#include "core/pipeline.hpp"
 #include "graph/graph_metrics.hpp"
 #include "mesh/mesh_graphs.hpp"
-#include "parallel/thread_pool.hpp"
 #include "runtime/step_pipeline.hpp"
-#include "util/timer.hpp"
 
 namespace cpart {
 
@@ -45,14 +40,12 @@ ExperimentResult run_contact_experiment(const ExperimentConfig& config,
   require(config.k >= 1, "run_contact_experiment: k must be >= 1");
   require(config.snapshot_stride >= 1,
           "run_contact_experiment: stride must be >= 1");
-  // Baseline for the scheduler-activity delta reported in the result.
-  const SchedulerStats sched_start = ThreadPool::global().scheduler_stats();
   const ImpactSim sim(config.sim);
 
   // Contact tolerance from the plate cell size (geometry-scale aware).
   const real_t cell =
       config.sim.plate_width / static_cast<real_t>(config.sim.plate_cells_xy);
-  const real_t margin = static_cast<real_t>(config.margin_cell_fraction) * cell;
+  const real_t margin = static_cast<real_t>(kMarginCellFraction) * cell;
 
   // --- Build both partitioners on snapshot 0. ------------------------------
   // The pipeline owns the cross-snapshot state (snapshot workspace, warm
@@ -77,47 +70,6 @@ ExperimentResult run_contact_experiment(const ExperimentConfig& config,
   rcb_config.epsilon = config.epsilon;
   rcb_config.partitioner.seed = config.seed + 1;
   MlRcbPartitioner mlrcb(snap0.mesh, snap0.surface, rcb_config);
-
-  // Optional SPMD health probe: a real ContactPipeline driven over the same
-  // snapshots, with the configured fault schedule and retry budget armed on
-  // its exchange. The analytic metric sweep below is untouched by it.
-  std::optional<FaultInjector> probe_injector;
-  std::optional<ContactPipeline> probe;
-  if (config.spmd_health_probe) {
-    PipelineConfig probe_config;
-    probe_config.decomposition = dt_config;
-    probe_config.search.search_margin = margin;
-    probe_config.search.contact_tolerance = margin;
-    probe.emplace(snap0.mesh, snap0.surface, probe_config);
-    probe->exchange().set_retry_policy(config.retry);
-    if (config.fault.cell_fault_probability > 0) {
-      probe_injector.emplace(config.fault);
-      probe->exchange().set_fault_injector(&*probe_injector);
-    }
-  }
-
-  // Optional rank-owned DistributedSim probe: the live-migration protocol
-  // over the same snapshots, with the same fault schedule/retry budget.
-  std::optional<FaultInjector> dist_injector;
-  std::optional<DistributedSim> dist_probe;
-  if (config.distributed_probe) {
-    DistributedSimConfig dconfig;
-    dconfig.decomposition = dt_config;
-    dconfig.search.search_margin = margin;
-    dconfig.search.contact_tolerance = margin;
-    dconfig.repartition_period =
-        config.policy == UpdatePolicy::kPeriodicRepartition
-            ? config.repartition_period
-            : 0;
-    dconfig.repartition.epsilon = config.epsilon;
-    dconfig.repartition.seed = config.seed;
-    dist_probe.emplace(sim, dconfig);
-    dist_probe->exchange().set_retry_policy(config.retry);
-    if (config.fault.cell_fault_probability > 0) {
-      dist_injector.emplace(config.fault);
-      dist_probe->exchange().set_fault_injector(&*dist_injector);
-    }
-  }
 
   ExperimentResult result;
   result.k = config.k;
@@ -203,21 +155,6 @@ ExperimentResult run_contact_experiment(const ExperimentConfig& config,
               .remote_sends;
     }
 
-    if (probe) {
-      const PipelineStepReport pr = probe->run_step(snap.mesh, snap.surface);
-      result.spmd_health += pr.health;
-      ++result.spmd_probe_steps;
-    }
-    if (dist_probe) {
-      const DistributedStepReport dr = dist_probe->run_step(s);
-      result.distributed_health += dr.health;
-      ++result.distributed_probe_steps;
-      result.distributed_migration_steps += dr.migrated ? 1 : 0;
-      result.distributed_moved_nodes += dr.repart_moved_nodes;
-      result.distributed_moved_elements += dr.repart_moved_elements;
-      result.distributed_migration_bytes += dr.migration_payload_bytes;
-    }
-
     result.series.push_back(m);
     if (progress != nullptr) {
       *progress << "snapshot " << s << ": contact_nodes=" << m.contact_nodes
@@ -254,25 +191,6 @@ ExperimentResult run_contact_experiment(const ExperimentConfig& config,
       result.mcml_dt.fe_comm + result.mcml_dt.repart_moved;
   result.ml_rcb.total_step_comm = result.ml_rcb.fe_comm +
                                   2.0 * result.ml_rcb.m2m + result.ml_rcb.upd;
-  result.scheduler = ThreadPool::global().scheduler_stats();
-  result.scheduler.items_executed -= sched_start.items_executed;
-  result.scheduler.gang_slots_executed -= sched_start.gang_slots_executed;
-  if (probe && progress != nullptr) {
-    *progress << "spmd health over " << result.spmd_probe_steps
-              << " probe steps: " << result.spmd_health.summary()
-              << "\nscheduler: " << result.scheduler.items_executed
-              << " arena items, " << result.scheduler.gang_slots_executed
-              << " gang slots on " << result.scheduler.total_workers
-              << " workers\n";
-  }
-  if (dist_probe && progress != nullptr) {
-    *progress << "distributed probe over " << result.distributed_probe_steps
-              << " steps: " << result.distributed_migration_steps
-              << " migration steps moved " << result.distributed_moved_nodes
-              << " nodes / " << result.distributed_moved_elements
-              << " elements (" << result.distributed_migration_bytes
-              << " bytes); " << result.distributed_health.summary() << "\n";
-  }
   return result;
 }
 

@@ -16,10 +16,6 @@
 
 #include "core/mcml_dt.hpp"
 #include "core/ml_rcb.hpp"
-#include "parallel/worker_pool.hpp"
-#include "runtime/exchange.hpp"
-#include "runtime/fault_injector.hpp"
-#include "runtime/health.hpp"
 #include "sim/impact_sim.hpp"
 
 namespace cpart {
@@ -41,9 +37,6 @@ struct ExperimentConfig {
   double epsilon = 0.10;
   wgt_t contact_edge_weight = 5;
   std::uint64_t seed = 1;
-  /// Contact-search tolerance: surface-element boxes are inflated by this
-  /// fraction of the mean plate cell size before filtering.
-  double margin_cell_fraction = 0.5;
   UpdatePolicy policy = UpdatePolicy::kFixedPartition;
   idx_t repartition_period = 10;  // used by kPeriodicRepartition
   /// Ablation switches.
@@ -55,22 +48,11 @@ struct ExperimentConfig {
   /// Process only every `stride`-th snapshot (1 = all). Lets quick checks
   /// subsample the sequence without changing the simulated trajectory.
   idx_t snapshot_stride = 1;
-  /// Opt-in robustness probe: additionally drive the SPMD ContactPipeline
-  /// over the same snapshots and aggregate its transport health into the
-  /// result. Off by default — the metric sweep itself is analytic and runs
-  /// no exchange.
-  bool spmd_health_probe = false;
-  /// Opt-in probe of the rank-owned DistributedSim: drives the live
-  /// migration protocol over the same snapshots (repartitioning every
-  /// `repartition_period` steps under kPeriodicRepartition, never under
-  /// kFixedPartition) and aggregates its transport health and migration
-  /// accounting into the result. Shares the fault/retry knobs below.
-  bool distributed_probe = false;
-  /// Fault schedule for the probes (cell_fault_probability == 0 -> clean
-  /// transport) and their retry budget.
-  FaultConfig fault{};
-  RetryPolicy retry{};
 };
+
+/// Contact-search tolerance of the experiment: surface-element boxes are
+/// inflated by this fraction of the mean plate cell size before filtering.
+inline constexpr double kMarginCellFraction = 0.5;
 
 /// Per-snapshot metric record.
 struct SnapshotMetrics {
@@ -114,23 +96,6 @@ struct ExperimentResult {
   std::vector<SnapshotMetrics> series;
   AlgorithmAverages mcml_dt;
   AlgorithmAverages ml_rcb;
-  /// Aggregated transport health of the SPMD probe; all counters stay zero
-  /// when ExperimentConfig::spmd_health_probe is off.
-  PipelineHealth spmd_health;
-  idx_t spmd_probe_steps = 0;
-  /// Aggregates of the DistributedSim probe; all zero when
-  /// ExperimentConfig::distributed_probe is off.
-  PipelineHealth distributed_health;
-  idx_t distributed_probe_steps = 0;
-  idx_t distributed_migration_steps = 0;
-  wgt_t distributed_moved_nodes = 0;
-  wgt_t distributed_moved_elements = 0;
-  wgt_t distributed_migration_bytes = 0;
-  /// Shared-scheduler activity over this experiment: the global pool's
-  /// counters as a delta from experiment start (items_executed,
-  /// gang_slots_executed), with the instantaneous gauges (worker counts,
-  /// queue depths, registered arenas) sampled at the end.
-  SchedulerStats scheduler;
 };
 
 /// Runs the full experiment. When `progress` is non-null, one line per

@@ -40,12 +40,6 @@ void finalize_events(StepEvents& out) {
   }
 }
 
-DescriptorOptions step_descriptor_options(DescriptorOptions base, int dim) {
-  base.dim = dim;
-  base.parallel = true;
-  return base;
-}
-
 void induce_and_broadcast_descriptors(std::span<const Vec3> points,
                                       std::span<const idx_t> labels, idx_t k,
                                       const DescriptorOptions& options,
@@ -94,7 +88,6 @@ void init_phase(RankPhaseBreakdown& phase, idx_t k) {
   phase.ship_ms.assign(static_cast<std::size_t>(k), 0.0);
   phase.search_ms.assign(static_cast<std::size_t>(k), 0.0);
   phase.descriptor_wait_ms.assign(static_cast<std::size_t>(k), 0.0);
-  phase.halo_wait_ms.assign(static_cast<std::size_t>(k), 0.0);
   phase.ship_wait_ms.assign(static_cast<std::size_t>(k), 0.0);
   phase.search_wait_ms.assign(static_cast<std::size_t>(k), 0.0);
 }
@@ -199,8 +192,13 @@ StepTraffic reference_search(const Mesh& mesh, const Surface& surface,
   return cluster.finish();
 }
 
-}  // namespace
-
+/// Validates that (mesh, surface) plausibly continues the snapshot sequence
+/// a pipeline was constructed on: identical node count (node ids are stable
+/// across a simulation sequence), same element type, element count no larger
+/// than at construction (elements only erode, never appear), and contact
+/// arrays indexed by this mesh's nodes. Throws InputError naming `who` on
+/// any mismatch — a snapshot from a different simulation must be rejected,
+/// not silently re-balanced against.
 void validate_snapshot_identity(const Mesh& mesh, const Surface& surface,
                                 ElementType type0, idx_t num_nodes0,
                                 idx_t max_elements, const char* who) {
@@ -217,6 +215,8 @@ void validate_snapshot_identity(const Mesh& mesh, const Surface& surface,
           w + ": surface contact arrays are not indexed by this mesh's "
               "nodes");
 }
+
+}  // namespace
 
 ContactPipeline::ContactPipeline(const Mesh& mesh0, const Surface& surface0,
                                  const PipelineConfig& config)
@@ -290,10 +290,11 @@ PipelineStepReport ContactPipeline::run_step_spmd(
     std::vector<Vec3> points;
     points.reserve(surface.contact_nodes.size());
     for (idx_t id : surface.contact_nodes) points.push_back(mesh.node(id));
-    induce_and_broadcast_descriptors(
-        points, contact_labels_, num_parts,
-        step_descriptor_options(partitioner_.config().descriptor, mesh.dim()),
-        induce_ws_, ranks_[0].descriptors, exchange_);
+    DescriptorOptions options = partitioner_.config().descriptor;
+    options.dim = mesh.dim();
+    induce_and_broadcast_descriptors(points, contact_labels_, num_parts,
+                                     options, induce_ws_,
+                                     ranks_[0].descriptors, exchange_);
     report.phase.descriptor_ms[0] += timer.milliseconds();
   }
   report.descriptor_tree_nodes = ranks_[0].descriptors->num_tree_nodes();
@@ -362,9 +363,9 @@ PipelineStepReport ContactPipeline::run_step_reference(
     points.push_back(mesh.node(id));
     labels.push_back(part[static_cast<std::size_t>(id)]);
   }
-  const SubdomainDescriptors descriptors(
-      points, labels, num_parts,
-      step_descriptor_options(partitioner_.config().descriptor, mesh.dim()));
+  DescriptorOptions options = partitioner_.config().descriptor;
+  options.dim = mesh.dim();
+  const SubdomainDescriptors descriptors(points, labels, num_parts, options);
   report.descriptor_tree_nodes = descriptors.num_tree_nodes();
   report.descriptor_broadcast_bytes =
       descriptor_broadcast_bytes(descriptors, num_parts);

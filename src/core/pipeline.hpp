@@ -47,17 +47,6 @@
 
 namespace cpart {
 
-/// Validates that (mesh, surface) plausibly continues the snapshot sequence
-/// a pipeline was constructed on: identical node count (node ids are stable
-/// across a simulation sequence), same element type, element count no larger
-/// than at construction (elements only erode, never appear), and contact
-/// arrays indexed by this mesh's nodes. Throws InputError naming `who` on
-/// any mismatch — a snapshot from a different simulation must be rejected,
-/// not silently re-balanced against.
-void validate_snapshot_identity(const Mesh& mesh, const Surface& surface,
-                                ElementType type0, idx_t num_nodes0,
-                                idx_t max_elements, const char* who);
-
 /// Runs an SPMD step body, degrading on exactly the failure classes the
 /// robustness layer owns: transport retry exhaustion (TransportError),
 /// rejected descriptor wires (TreeParseError), and failing rank programs
@@ -168,11 +157,6 @@ void build_halo_providers(const std::vector<View>& views,
   }
 }
 
-/// A step's descriptor induction options: `base` with the mesh dimension
-/// and parallel subtree induction (node numbering, and hence the wire
-/// bytes, depend on it, so every flavor must induce with these).
-DescriptorOptions step_descriptor_options(DescriptorOptions base, int dim);
-
 /// Rank 0's descriptor update: induces this step's descriptors into `out`
 /// — warm-started from the tree `out` held last step — and broadcasts the
 /// binary wire to the other k-1 ranks. Runs on the driver thread: parallel
@@ -203,11 +187,11 @@ struct RankPhaseBreakdown {
   std::vector<double> halo_ms;        // halo posting
   std::vector<double> ship_ms;        // ghost intake + element shipping
   std::vector<double> search_ms;      // merge + local search
-  // Readiness-wait wall ms preceding each phase under the dependency-driven
-  // executor: time the rank spent blocked until the inbox rows its phase
-  // reads were closed (0 for phases with no reads or already-ready inputs).
+  // Readiness-wait wall ms preceding each phase that reads a channel under
+  // the dependency-driven executor: time the rank spent blocked until the
+  // inbox rows its phase reads were closed (0 for already-ready inputs).
+  // The halo phase reads no channel, so it never waits.
   std::vector<double> descriptor_wait_ms;
-  std::vector<double> halo_wait_ms;
   std::vector<double> ship_wait_ms;
   std::vector<double> search_wait_ms;
 };

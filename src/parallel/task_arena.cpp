@@ -41,25 +41,20 @@ struct TaskArena::DispatchState {
   std::vector<std::pair<unsigned, std::exception_ptr>> errors;  // under m
 };
 
-TaskArena::TaskArena(WorkerPool& pool, ArenaOptions options)
-    : pool_(pool),
-      options_(options),
-      queue_(pool.register_arena(options.weight)) {}
+TaskArena::TaskArena(WorkerPool& pool)
+    : pool_(pool), queue_(pool.register_arena()) {}
 
 TaskArena::~TaskArena() { pool_.unregister_arena(queue_.get()); }
 
 unsigned TaskArena::width() const {
   unsigned hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = pool_.num_threads();  // unknown: trust the pool size
-  unsigned w = std::min(pool_.num_threads(), std::max(1u, hw));
-  if (options_.max_parallelism > 0) w = std::min(w, options_.max_parallelism);
-  return std::max(1u, w);
+  return std::max(1u, std::min(pool_.num_threads(), hw));
 }
 
 ArenaStats TaskArena::stats() const {
   ArenaStats s;
   s.queue_depth = pool_.queue_depth(queue_.get());
-  s.weight = std::max<idx_t>(1, options_.weight);
   s.width = width();
   s.items_run = pool_.items_run(queue_.get());
   s.jobs_failed = jobs_failed_.load(std::memory_order_relaxed);

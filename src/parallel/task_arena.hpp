@@ -1,12 +1,12 @@
 // Per-session dispatch handle over the shared WorkerPool.
 //
 // A TaskArena is the unit of tenancy: it owns one scheduler queue in the
-// pool, a fair-share weight, and an optional parallelism cap, and exposes
-// the same fork-join surface the old single-owner ThreadPool had
-// (parallel_for / parallel_tasks / reductions) plus fire-and-forget job
-// submission for session step execution. Every session gets its own arena;
-// the pool's deficit-round-robin scheduler serves the arenas' queues in
-// weight proportion, so one arena's backlog cannot starve the others.
+// pool and exposes the same fork-join surface the old single-owner
+// ThreadPool had (parallel_for / parallel_tasks / reductions) plus
+// fire-and-forget job submission for session step execution. Every session
+// gets its own arena; the pool's round-robin scheduler serves the arenas'
+// queues one item per turn, so one arena's backlog cannot starve the
+// others.
 //
 // Dispatches are claim-based: chunk boundaries are fixed at dispatch time
 // (pure function of n and the arena width), participant slots are queued
@@ -29,20 +29,9 @@
 
 namespace cpart {
 
-struct ArenaOptions {
-  /// DRR quantum: queued items served per scheduling round. An arena with
-  /// weight 2 gets twice the service of a weight-1 arena under contention.
-  idx_t weight = 1;
-  /// Caps the width of this arena's dispatches (0 = no cap beyond the pool
-  /// and hardware sizes). A capped session still shares the whole pool —
-  /// the cap bounds its instantaneous fan-out, not which workers serve it.
-  unsigned max_parallelism = 0;
-};
-
 /// Point-in-time view of one arena, for service-level observability.
 struct ArenaStats {
   idx_t queue_depth = 0;   // items waiting in this arena's queue
-  idx_t weight = 1;
   unsigned width = 1;      // current dispatch width
   wgt_t items_run = 0;     // lifetime items executed by pool workers
   wgt_t jobs_failed = 0;   // submitted jobs that threw (backstop counter)
@@ -50,7 +39,7 @@ struct ArenaStats {
 
 class TaskArena {
  public:
-  explicit TaskArena(WorkerPool& pool, ArenaOptions options = {});
+  explicit TaskArena(WorkerPool& pool);
   ~TaskArena();
 
   TaskArena(const TaskArena&) = delete;
@@ -59,10 +48,10 @@ class TaskArena {
   WorkerPool& pool() const { return pool_; }
 
   /// Worker count a single dispatch spreads across: pool size capped at
-  /// the machine's concurrency and at options.max_parallelism. A pool
-  /// wider than the hardware exists so thread-count sweeps keep W real
-  /// workers on any host; fanning one dispatch across more runnable
-  /// workers than physical threads only adds context switches.
+  /// the machine's concurrency. A pool wider than the hardware exists so
+  /// thread-count sweeps keep W real workers on any host; fanning one
+  /// dispatch across more runnable workers than physical threads only adds
+  /// context switches.
   unsigned width() const;
 
   ArenaStats stats() const;
@@ -174,7 +163,6 @@ class TaskArena {
   static void drain_dispatch(DispatchState& s);
 
   WorkerPool& pool_;
-  ArenaOptions options_;
   std::unique_ptr<WorkerPool::ArenaQueue> queue_;
   std::atomic<wgt_t> jobs_failed_{0};
 };
@@ -182,9 +170,8 @@ class TaskArena {
 /// Binds an arena to the current thread for the duration: ThreadPool's
 /// facade dispatch methods route through the bound arena instead of the
 /// default one, so library code deep inside a session's step (partitioner,
-/// graph builders, the async executor) lands on the session's queue with
-/// the session's fair-share weight — without threading an arena reference
-/// through every call signature.
+/// graph builders, the async executor) lands on the session's queue —
+/// without threading an arena reference through every call signature.
 class ArenaScope {
  public:
   explicit ArenaScope(TaskArena& arena);

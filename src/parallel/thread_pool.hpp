@@ -6,10 +6,10 @@
 // analytic counts, so this library executes on shared memory and uses the
 // pool to parallelize the heavy loops (metric accounting, global search,
 // per-snapshot processing). The multi-tenant refactor split the machinery
-// into WorkerPool (threads + deficit-round-robin scheduler over arena
-// queues) and TaskArena (per-session dispatch handle); ThreadPool bundles
-// one of each and keeps the historical surface, so single-sim code — the
-// solvers, the benches, the tests — is unaware of tenancy. Dispatch
+// into WorkerPool (threads + round-robin scheduler over arena queues) and
+// TaskArena (per-session dispatch handle); ThreadPool bundles one of each
+// and keeps the historical surface, so single-sim code — the solvers, the
+// benches, the tests — is unaware of tenancy. Dispatch
 // semantics are unchanged: static blocked chunking fixed at dispatch time,
 // deterministic results for associative reductions via ordered per-chunk
 // combination, bit-identical output at any width (docs/parallelism.md).
@@ -17,7 +17,7 @@
 // Multi-session hosts (src/service/) create one TaskArena per session on
 // ThreadPool::workers() and bind it with ArenaScope; the facade's dispatch
 // methods route through the bound arena, so library code deep inside a
-// session lands on that session's queue with its fair-share weight.
+// session lands on that session's queue and takes its turn with the others.
 #pragma once
 
 #include <functional>

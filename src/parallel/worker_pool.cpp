@@ -107,10 +107,8 @@ SchedulerStats WorkerPool::stats() const {
   return s;
 }
 
-std::unique_ptr<WorkerPool::ArenaQueue> WorkerPool::register_arena(
-    idx_t weight) {
+std::unique_ptr<WorkerPool::ArenaQueue> WorkerPool::register_arena() {
   auto q = std::make_unique<ArenaQueue>();
-  q->weight = std::max<idx_t>(1, weight);
   std::lock_guard<std::mutex> lock(mutex_);
   ++registered_;
   return q;
@@ -170,7 +168,6 @@ void WorkerPool::remove_stale(ArenaQueue* q, const void* tag) {
       if (idx < cursor_) --cursor_;
       if (cursor_ >= ring_.size()) cursor_ = 0;
       q->linked = false;
-      q->deficit = 0;
     }
     now_idle = items.empty() && q->inflight == 0;
   }
@@ -198,25 +195,20 @@ bool WorkerPool::pop_next(ArenaQueue** q_out, Item* item_out) {
   if (ring_.empty()) return false;
   if (cursor_ >= ring_.size()) cursor_ = 0;
   ArenaQueue* q = ring_[cursor_];
-  // DRR: a queue arriving at the cursor with no credit gets one quantum
-  // (its weight) and is served that many items before the cursor moves on.
-  // Ring membership is maintained as linked <=> has queued items, so the
-  // queue at the cursor always yields an item.
-  if (q->deficit <= 0) q->deficit = q->weight;
+  // Round robin: the queue at the cursor yields one item, then the cursor
+  // moves on. Ring membership is maintained as linked <=> has queued
+  // items, so the queue at the cursor always yields an item.
   *item_out = std::move(q->items.front());
   q->items.pop_front();
-  --q->deficit;
   ++q->inflight;
   *q_out = q;
   if (q->items.empty()) {
     ring_.erase(ring_.begin() + static_cast<std::ptrdiff_t>(cursor_));
-    if (cursor_ >= ring_.size()) cursor_ = 0;
     q->linked = false;
-    q->deficit = 0;
-  } else if (q->deficit <= 0) {
+  } else {
     ++cursor_;
-    if (cursor_ >= ring_.size()) cursor_ = 0;
   }
+  if (cursor_ >= ring_.size()) cursor_ = 0;
   return true;
 }
 

@@ -1,13 +1,13 @@
-// Process-wide worker pool with weighted fair scheduling over arena queues.
+// Process-wide worker pool with round-robin scheduling over arena queues.
 //
 // The multi-tenant refactor splits the old single-owner ThreadPool into two
-// pieces: this WorkerPool — the process's threads plus a deficit-round-robin
+// pieces: this WorkerPool — the process's threads plus a round-robin
 // scheduler over per-arena run queues — and TaskArena (task_arena.hpp), the
 // per-session handle work is submitted through. One pool serves every
 // session; the scheduler decides whose queued item the next free worker
 // takes, so a session fanning out a million-element dispatch cannot starve
-// a hundred small sessions: each arena is served in proportion to its
-// weight, one item per deficit unit, round after round.
+// a hundred small sessions: each arena with queued items is served one
+// item per turn, round after round.
 //
 // Two kinds of work reach the workers:
 //   * arena items — participant slots of fork-join dispatches and queued
@@ -143,8 +143,6 @@ class WorkerPool {
   /// (via unique_ptr); every field is guarded by the pool mutex.
   struct ArenaQueue {
     std::deque<Item> items;
-    idx_t weight = 1;    // DRR quantum: items served per scheduling round
-    idx_t deficit = 0;   // remaining service credit this round
     bool linked = false; // member of ring_ (has queued items)
     idx_t inflight = 0;  // popped items still executing
     wgt_t items_run = 0; // lifetime items executed from this queue
@@ -167,7 +165,7 @@ class WorkerPool {
     unsigned participant = 0;
   };
 
-  std::unique_ptr<ArenaQueue> register_arena(idx_t weight);
+  std::unique_ptr<ArenaQueue> register_arena();
   /// Waits until the queue is empty and nothing is inflight, then unlinks
   /// it from the scheduler. The queue's storage stays with the arena.
   void unregister_arena(ArenaQueue* q);
@@ -194,8 +192,8 @@ class WorkerPool {
 
   static void run_gang_participant(GangState& gang, unsigned participant);
 
-  /// DRR pick across the ring of arenas with queued items. Returns false
-  /// when every queue is empty. Caller holds mutex_.
+  /// Round-robin pick across the ring of arenas with queued items. Returns
+  /// false when every queue is empty. Caller holds mutex_.
   bool pop_next(ArenaQueue** q_out, Item* item_out);
 
   void worker_loop();
@@ -205,7 +203,7 @@ class WorkerPool {
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;  // an arena queue went idle
   std::vector<ArenaQueue*> ring_;  // arenas with queued items
-  std::size_t cursor_ = 0;         // DRR position in ring_
+  std::size_t cursor_ = 0;         // round-robin position in ring_
   std::deque<GangSlot> gang_slots_;
   idx_t idle_count_ = 0;
   idx_t active_count_ = 0;

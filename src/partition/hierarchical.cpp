@@ -182,7 +182,7 @@ HierarchicalResult hierarchical_partition(const CsrGraph& g,
     for (idx_t v = 0; v < cur->num_vertices(); ++v) {
       parent[static_cast<std::size_t>(v)] = v;
     }
-    split_groups(*cur, parent, 0, groups, k, groups, hierarchy.group_epsilon,
+    split_groups(*cur, parent, 0, groups, k, groups, kGroupEpsilon,
                  base, rng, proxy_group);
   }
 

@@ -20,20 +20,22 @@
 
 namespace cpart {
 
+/// Imbalance tolerance of each top-level bisection. Tighter than the final
+/// epsilon: group-level imbalance multiplies into every part of the group
+/// and cannot be repaired by the group-local second level.
+inline constexpr double kGroupEpsilon = 0.05;
+
+/// Group-local repartitioning escalates to a full cross-group repartition
+/// only when some group's weight exceeds this multiple of its
+/// part-count-proportional target (see Partitioner::repartition).
+inline constexpr double kCrossGroupThreshold = 1.25;
+
 struct HierarchyOptions {
   /// Number of rank groups G; <= 1 disables the hierarchy.
   idx_t groups = 0;
-  /// Imbalance tolerance of each top-level bisection. Tighter than the
-  /// final epsilon: group-level imbalance multiplies into every part of
-  /// the group and cannot be repaired by the group-local second level.
-  double group_epsilon = 0.05;
   /// Stop coarsening the top-level proxy once it has at most about this
   /// many vertices (never below 32 * G).
   idx_t proxy_target = 8192;
-  /// Group-local repartitioning escalates to a full cross-group
-  /// repartition only when some group's weight exceeds this multiple of
-  /// its part-count-proportional target (see Partitioner::repartition).
-  double cross_group_threshold = 1.25;
 };
 
 /// Per-level diagnostics of one hierarchical partition.

@@ -79,7 +79,7 @@ std::vector<idx_t> Partitioner::repartition(const CsrGraph& g,
   // exception, not the steady state.
   const double imbalance =
       hierarchy_group_imbalance(g, vertex_group, k(), num_groups);
-  if (imbalance > config_.hierarchy.cross_group_threshold) {
+  if (imbalance > kCrossGroupThreshold) {
     if (moved_cross_group != nullptr) *moved_cross_group = true;
     return repartition_graph(g, old_part, ro);
   }

@@ -58,7 +58,7 @@ class Partitioner {
   /// Adapts `old_part` to the (possibly changed) graph, trading cut for
   /// migration volume. Hierarchical instances repartition each group's
   /// induced subgraph independently — migration traffic stays group-local —
-  /// unless some group's weight exceeds cross_group_threshold times its
+  /// unless some group's weight exceeds kCrossGroupThreshold times its
   /// proportional target, in which case one global repartition may move
   /// vertices across groups. `moved_cross_group`, when non-null, reports
   /// whether that escalation fired.

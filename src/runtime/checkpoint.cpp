@@ -1,10 +1,8 @@
 #include "runtime/checkpoint.hpp"
 
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "util/varint.hpp"
@@ -188,13 +186,8 @@ bool CheckpointStore::commit_with_retry(const std::string& path,
                                         const RetryPolicy& retry,
                                         double* backoff_ms) {
   for (idx_t attempt = 0; attempt < retry.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      const double backoff = retry.backoff_for(attempt - 1);
-      if (backoff_ms != nullptr) *backoff_ms += backoff;
-      if (retry.sleep_on_backoff) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(backoff));
-      }
+    if (attempt > 0 && backoff_ms != nullptr) {
+      *backoff_ms += retry.backoff_for(attempt - 1);
     }
     if (atomic_write_file(path, bytes, *shim_)) return true;
   }

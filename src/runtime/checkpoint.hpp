@@ -74,7 +74,7 @@ class CheckpointStore {
 
   /// Commits `data` durably, retrying failed writes up to
   /// `retry.max_attempts` with saturating exponential backoff (recorded
-  /// into *backoff_ms when non-null, slept only if retry.sleep_on_backoff).
+  /// into *backoff_ms when non-null, never slept).
   /// Returns false when the budget is exhausted — the previous checkpoint
   /// is then still the one load() returns (keep-last-good).
   bool write(const CheckpointData& data, const RetryPolicy& retry,

@@ -22,8 +22,6 @@ Exchange::Exchange(idx_t k)
 void Exchange::set_retry_policy(const RetryPolicy& policy) {
   require(policy.max_attempts >= 1,
           "Exchange: retry policy needs at least one attempt");
-  require(policy.backoff_base_ms >= 0,
-          "Exchange: backoff base must be non-negative");
   retry_ = policy;
 }
 

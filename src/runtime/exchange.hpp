@@ -386,12 +386,11 @@ class TransportError : public std::runtime_error {
 struct RetryPolicy {
   /// Total delivery attempts per superstep (first try + retries).
   idx_t max_attempts = 4;
-  /// Exponential backoff base applied between attempts; always recorded in
-  /// PipelineHealth::backoff_ms. Only the checkpoint store actually sleeps
-  /// it, and only when sleep_on_backoff: the in-process transport has no
-  /// congestion to wait out.
-  double backoff_base_ms = 0.5;
-  bool sleep_on_backoff = false;
+  /// Exponential backoff base applied between attempts. Accounted in
+  /// PipelineHealth::backoff_ms (and the checkpoint store's backoff total),
+  /// never slept: neither the in-process transport nor a local checkpoint
+  /// directory has congestion to wait out.
+  static constexpr double kBackoffBaseMs = 0.5;
 
   /// Doublings after which the backoff stops growing. 2^62 stays exactly
   /// representable as a double and inside std::uint64_t, so the shift is
@@ -404,8 +403,7 @@ struct RetryPolicy {
   /// saturation). Total so far grows linearly once saturated.
   double backoff_for(idx_t retry) const {
     const idx_t capped = retry < kBackoffSaturation ? retry : kBackoffSaturation;
-    return backoff_base_ms *
-           static_cast<double>(std::uint64_t{1} << capped);
+    return kBackoffBaseMs * static_cast<double>(std::uint64_t{1} << capped);
   }
 };
 

@@ -35,11 +35,6 @@ FaultInjector::FaultInjector(const FaultConfig& config) : config_(config) {
   require(config.rank_death_probability >= 0.0 &&
               config.rank_death_probability <= 1.0,
           "FaultInjector: rank_death_probability must be in [0, 1]");
-  require(config.rank_hang_probability >= 0.0 &&
-              config.rank_hang_probability <= 1.0,
-          "FaultInjector: rank_hang_probability must be in [0, 1]");
-  require(config.rank_death_probability + config.rank_hang_probability <= 1.0,
-          "FaultInjector: rank death + hang probabilities must not exceed 1");
   require((config.kill_rank == kInvalidIndex) ==
               (config.kill_step == kInvalidIndex),
           "FaultInjector: kill_rank and kill_step must be set together");
@@ -79,10 +74,7 @@ RankFaultKind FaultInjector::rank_fault(idx_t step, idx_t rank,
       step == config_.kill_step) {
     return config_.kill_hang ? RankFaultKind::kHang : RankFaultKind::kDeath;
   }
-  if (config_.rank_death_probability <= 0.0 &&
-      config_.rank_hang_probability <= 0.0) {
-    return RankFaultKind::kNone;
-  }
+  if (config_.rank_death_probability <= 0.0) return RankFaultKind::kNone;
   // Distinct decision domain from the cell-fault schedule: the extra
   // constant keeps a rank-fault draw from ever correlating with a
   // maybe_corrupt draw at the same coordinates.
@@ -91,12 +83,8 @@ RankFaultKind FaultInjector::rank_fault(idx_t step, idx_t rank,
   h = seed_mix(h, static_cast<std::uint64_t>(step));
   h = seed_mix(h, static_cast<std::uint64_t>(rank));
   Rng rng(h);
-  const double u = rng.uniform();
-  if (u < config_.rank_death_probability) return RankFaultKind::kDeath;
-  if (u < config_.rank_death_probability + config_.rank_hang_probability) {
-    return RankFaultKind::kHang;
-  }
-  return RankFaultKind::kNone;
+  return rng.uniform() < config_.rank_death_probability ? RankFaultKind::kDeath
+                                                        : RankFaultKind::kNone;
 }
 
 void FaultInjector::record_rank_fault(RankFaultKind kind) {

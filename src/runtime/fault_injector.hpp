@@ -66,21 +66,16 @@ struct FaultConfig {
   double cell_fault_probability = 0.0;
   /// Relative weights of the fault kinds (need not sum to 1).
   std::array<double, kNumFaultKinds> kind_weights{1, 1, 1, 1, 1};
-  /// Inject only from this superstep (Exchange delivery counter) on — lets a
-  /// schedule spare the warm-up step.
-  std::uint64_t first_superstep = 0;
   /// Per-(step, rank) probability that the rank dies this step (throws out
   /// of its phase body). Applies to incarnation 0 only — replays survive.
   double rank_death_probability = 0.0;
-  /// Per-(step, rank) probability that the rank hangs this step (never
-  /// publishes; only the executor watchdog can unblock the run).
-  double rank_hang_probability = 0.0;
   /// Explicit one-shot kill: rank `kill_rank` fails at step `kill_step`
   /// (incarnation 0 only). kInvalidIndex disables. Combines with the
   /// probabilistic schedule above.
   idx_t kill_rank = kInvalidIndex;
   idx_t kill_step = kInvalidIndex;
-  /// When true the explicit kill hangs instead of dying.
+  /// When true the explicit kill hangs instead of dying: the rank never
+  /// publishes, and only the executor watchdog can unblock the run.
   bool kill_hang = false;
 };
 
@@ -124,10 +119,7 @@ class FaultInjector {
   template <typename T>
   bool maybe_corrupt(ChannelId channel, std::uint64_t superstep, idx_t attempt,
                      idx_t from, idx_t to, std::vector<T>& wire) {
-    if (wire.empty() || config_.cell_fault_probability <= 0.0 ||
-        superstep < config_.first_superstep) {
-      return false;
-    }
+    if (wire.empty() || config_.cell_fault_probability <= 0.0) return false;
     Rng rng(decision_seed(channel, superstep, attempt, from, to));
     if (rng.uniform() >= config_.cell_fault_probability) return false;
     FaultKind kind = pick_kind(rng);

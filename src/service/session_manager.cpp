@@ -52,12 +52,7 @@ bool SessionManager::admission_fits(std::size_t estimate) const {
 
 void SessionManager::make_resident(Session& s) {
   if (!s.sim) s.sim = std::make_unique<ImpactSim>(s.config.sim);
-  if (!s.arena) {
-    ArenaOptions opts;
-    opts.weight = s.config.arena_weight;
-    opts.max_parallelism = s.config.max_parallelism;
-    s.arena = std::make_unique<TaskArena>(pool_, opts);
-  }
+  if (!s.arena) s.arena = std::make_unique<TaskArena>(pool_);
   if (!s.dist) {
     DistributedSimConfig dc = s.config.dist;
     if (!s.context.checkpoint_dir().empty())
@@ -159,9 +154,9 @@ void SessionManager::pump(const std::shared_ptr<Session>& s) {
     }
     s->job_active = more;
   }
-  // Requeue as a fresh arena item (instead of looping here) so the DRR
-  // scheduler re-decides between every step — this is the fairness
-  // mechanism, not an optimization.
+  // Requeue as a fresh arena item (instead of looping here) so the
+  // round-robin scheduler re-decides between every step — this is the
+  // fairness mechanism, not an optimization.
   if (more) {
     auto self = s;
     s->arena->submit([this, self] { pump(self); });
@@ -227,10 +222,7 @@ bool SessionManager::resume(const std::string& name) {
       mesh.num_nodes(), mesh.num_elements(), s->config.dist.decomposition.k);
   if (!admission_fits(estimate)) return false;
   if (!s->dist->resume()) return false;
-  ArenaOptions opts;
-  opts.weight = s->config.arena_weight;
-  opts.max_parallelism = s->config.max_parallelism;
-  s->arena = std::make_unique<TaskArena>(pool_, opts);
+  s->arena = std::make_unique<TaskArena>(pool_);
   s->accounted_bytes = s->dist->resident_bytes();
   resident_bytes_ += s->accounted_bytes;
   s->state = SessionState::kResident;

@@ -10,9 +10,9 @@
 //
 // Execution model: step() queues work on the session's arena and returns;
 // pool workers execute the steps. Each session runs one step per queued
-// arena item and requeues itself for the next, so the pool's deficit-
-// round-robin scheduler re-decides between every step — a session with a
-// thousand queued steps cannot monopolize the service, and a large
+// arena item and requeues itself for the next, so the pool's round-robin
+// scheduler re-decides between every step — a session with a thousand
+// queued steps cannot monopolize the service, and a large
 // session's long step occupies exactly one worker (its inner dispatches
 // run inline, see below). Lifecycle calls are driver-thread operations:
 // call them from one thread; only the step execution itself is concurrent.
@@ -58,10 +58,6 @@ struct SessionConfig {
   /// private subdirectory (SessionContext::checkpoint_dir) whenever the
   /// service has a checkpoint root.
   DistributedSimConfig dist{};
-  /// Fair-share weight of this session's arena (see ArenaOptions::weight).
-  idx_t arena_weight = 1;
-  /// Optional cap on the session's dispatch width (ArenaOptions).
-  unsigned max_parallelism = 0;
   /// Arm per-session fault injection: `faults` gives the schedule shape;
   /// its seed is replaced by the session's derived fault domain.
   bool inject_faults = false;

@@ -201,12 +201,12 @@ void TreeInduceWorkspace::recycle(DecisionTree&& tree) {
 /// so sortedness is preserved without re-sorting (the paper's "the required
 /// sorting can be done once for the entire set").
 ///
-/// Parallel mode (options.parallel): a sequential phase expands the tree
-/// until the work stack holds enough independent subranges, then each
-/// pending subtree is built concurrently into its own node buffer (the
-/// per-axis sorted arrays are shared — subranges are disjoint — while
-/// histograms and scratch are per-worker) and spliced into the final tree
-/// with deterministic offsets.
+/// Inputs of kConcurrentMinPoints or more take the concurrent build: a
+/// sequential phase expands the tree until the work stack holds enough
+/// independent subranges, then each pending subtree is built concurrently
+/// into its own node buffer (the per-axis sorted arrays are shared —
+/// subranges are disjoint — while histograms and scratch are per-worker)
+/// and spliced into the final tree under the plain build's numbering.
 ///
 /// All build state lives in a TreeInduceWorkspace::Impl (a local one when
 /// the caller passed no workspace): sorted orders saved there seed the next
@@ -227,15 +227,21 @@ class TreeInducer {
 
   using Item = InduceItem;
   using Context = InduceContext;
+  using Minorities = std::vector<std::pair<idx_t, std::vector<idx_t>>>;
+
+  /// Inputs at least this large sort their axes and build their subtrees
+  /// concurrently.
+  static constexpr idx_t kConcurrentMinPoints = 4096;
+  /// Frontier width of the concurrent build. A pinned constant, NOT derived
+  /// from the pool size, so the work split is the same at every width. 64
+  /// keeps >= 4 subtrees per worker at every pool size this library runs
+  /// (<= 16 workers).
+  static constexpr idx_t kFrontierTarget = 64;
 
   InducedTree run() {
     const idx_t n = to_idx(points_.size());
     InducedTree result;
     result.num_labels = num_labels_;
-    if (options_.want_point_leaf) {
-      result.point_leaf.assign(points_.size(), kInvalidIndex);
-      point_leaf_ = result.point_leaf.data();
-    }
     if (n == 0) return result;
 
     prepare_orders(n);
@@ -243,123 +249,33 @@ class TreeInducer {
     // so the buffer only needs the right size, not a cleared state.
     side_.resize(points_.size());
 
+    const bool concurrent = n >= kConcurrentMinPoints;
+    DecisionTree& tree = result.tree;
     Context& main_ctx = context(0);
-    if (main_ctx.nodes.capacity() < ws_.node_pool.capacity()) {
-      main_ctx.nodes = std::move(ws_.node_pool);
-      main_ctx.nodes.clear();
+    // Pooled node storage goes to whichever vector becomes the tree's.
+    std::vector<TreeNode>& storage = concurrent ? tree.nodes_ : main_ctx.nodes;
+    if (storage.capacity() < ws_.node_pool.capacity()) {
+      storage = std::move(ws_.node_pool);
+      storage.clear();
     }
     ws_.node_pool.clear();
-    const idx_t root = main_ctx.new_node();
-    main_ctx.stack.push_back({root, 0, n});
+    tree.root_ = main_ctx.new_node();
+    main_ctx.stack.push_back({tree.root_, 0, n});
 
-    // The frontier/splice path runs whenever parallel mode is requested on
-    // a large enough input — even with one worker (tasks then run inline).
-    // The frontier width is a pinned constant, NOT derived from the pool
-    // size: the frontier determines the splice order and with it the node
-    // numbering, so a worker-dependent width would make the serialized
-    // tree bytes differ across thread counts. 64 keeps >= 4 subtrees per
-    // worker at every pool size this library runs (<= 16 workers).
-    const bool go_parallel = options_.parallel && n >= 4096;
-    const idx_t frontier_target = go_parallel ? idx_t{64} : idx_t{0};
-
-    if (go_parallel) {
-      // Sequential phase: expand breadth-first-ish until the work stack
-      // holds enough independent subranges.
-      while (!main_ctx.stack.empty() &&
-             to_idx(main_ctx.stack.size()) < frontier_target) {
-        // Pop the widest item so the frontier ranges stay balanced.
-        std::size_t widest = 0;
-        for (std::size_t i = 1; i < main_ctx.stack.size(); ++i) {
-          if (main_ctx.stack[i].hi - main_ctx.stack[i].lo >
-              main_ctx.stack[widest].hi - main_ctx.stack[widest].lo) {
-            widest = i;
-          }
-        }
-        const Item item = main_ctx.stack[widest];
-        main_ctx.stack.erase(main_ctx.stack.begin() +
-                             static_cast<std::ptrdiff_t>(widest));
-        process(main_ctx, item);
-      }
+    Minorities minorities;
+    if (concurrent) {
+      build_concurrent(tree, minorities);
     } else {
-      while (!main_ctx.stack.empty()) {
-        const Item item = main_ctx.stack.back();
-        main_ctx.stack.pop_back();
-        process(main_ctx, item);
-      }
-    }
-
-    std::vector<Item> frontier;
-    std::size_t num_tasks = 0;
-    if (go_parallel && !main_ctx.stack.empty()) {
-      frontier = std::move(main_ctx.stack);
-      main_ctx.stack.clear();
-      num_tasks = frontier.size();
-      // Acquire (and reset) the pooled task contexts up front: the pool is
-      // a deque, so later growth never invalidates main_ctx.
-      for (std::size_t t = 0; t < num_tasks; ++t) context(t + 1);
-      ThreadPool::global().parallel_tasks(
-          to_idx(num_tasks), [&](idx_t t) {
-            Context& ctx = ws_.contexts[static_cast<std::size_t>(t) + 1];
-            const Item top = frontier[static_cast<std::size_t>(t)];
-            const idx_t local_root = ctx.new_node();
-            ctx.stack.push_back({local_root, top.lo, top.hi});
-            while (!ctx.stack.empty()) {
-              const Item item = ctx.stack.back();
-              ctx.stack.pop_back();
-              process(ctx, item);
-            }
-          });
-    }
-
-    // Splice: main context nodes keep their ids; each task's local node j
-    // maps to (j == 0 ? frontier node id : base_t + j - 1).
-    DecisionTree& tree = result.tree;
-    tree.root_ = root;
-    tree.nodes_ = std::move(main_ctx.nodes);
-    tree.num_leaves_ = main_ctx.leaves;
-    std::vector<std::pair<idx_t, std::vector<idx_t>>> all_minorities =
-        std::move(main_ctx.minorities);
-
-    std::vector<idx_t> base(num_tasks);
-    idx_t next = to_idx(tree.nodes_.size());
-    for (std::size_t t = 0; t < num_tasks; ++t) {
-      base[t] = next;
-      next += std::max<idx_t>(0, to_idx(ws_.contexts[t + 1].nodes.size()) - 1);
-    }
-    tree.nodes_.resize(static_cast<std::size_t>(next));
-    for (std::size_t t = 0; t < num_tasks; ++t) {
-      Context& ctx = ws_.contexts[t + 1];
-      const Item top = frontier[t];
-      auto remap = [&](idx_t local) {
-        return local == 0 ? top.node : base[t] + local - 1;
-      };
-      for (idx_t j = 0; j < to_idx(ctx.nodes.size()); ++j) {
-        TreeNode nd = ctx.nodes[static_cast<std::size_t>(j)];
-        if (nd.axis >= 0) {
-          nd.left = remap(nd.left);
-          nd.right = remap(nd.right);
-        }
-        tree.nodes_[static_cast<std::size_t>(remap(j))] = nd;
-      }
-      // Point-leaf entries of this subtree hold local ids; the subtree's
-      // points are exactly sorted_[0][top.lo .. top.hi).
-      if (point_leaf_ != nullptr) {
-        for (idx_t i = top.lo; i < top.hi; ++i) {
-          idx_t& slot = result.point_leaf[static_cast<std::size_t>(
-              sorted_[0][static_cast<std::size_t>(i)])];
-          slot = remap(slot);
-        }
-      }
-      for (auto& [local_id, labels] : ctx.minorities) {
-        all_minorities.emplace_back(remap(local_id), std::move(labels));
-      }
-      tree.num_leaves_ += ctx.leaves;
+      drain(main_ctx);
+      tree.nodes_ = std::move(main_ctx.nodes);
+      tree.num_leaves_ = main_ctx.leaves;
+      minorities = std::move(main_ctx.minorities);
     }
 
     // Compact the per-leaf minority labels into CSR form.
     tree.minority_offsets_.assign(
         static_cast<std::size_t>(tree.num_nodes()) + 1, 0);
-    for (const auto& [id, labels] : all_minorities) {
+    for (const auto& [id, labels] : minorities) {
       tree.minority_offsets_[static_cast<std::size_t>(id) + 1] =
           to_idx(labels.size());
     }
@@ -368,11 +284,13 @@ class TreeInducer {
     }
     tree.minority_labels_.resize(
         static_cast<std::size_t>(tree.minority_offsets_.back()));
-    for (const auto& [id, labels] : all_minorities) {
+    for (const auto& [id, labels] : minorities) {
       std::copy(labels.begin(), labels.end(),
                 tree.minority_labels_.begin() +
                     tree.minority_offsets_[static_cast<std::size_t>(id)]);
     }
+
+    if (options_.want_point_leaf) fill_point_leaf(tree, result.point_leaf);
     return result;
   }
 
@@ -555,12 +473,6 @@ class TreeInducer {
     nd.pure = pure;
     nd.count = hi - lo;
     ++ctx.leaves;
-    if (point_leaf_ != nullptr) {
-      for (idx_t i = lo; i < hi; ++i) {
-        point_leaf_[static_cast<std::size_t>(
-            sorted_[0][static_cast<std::size_t>(i)])] = id;
-      }
-    }
     if (!pure) {
       std::vector<idx_t> minorities;
       for (idx_t l = 0; l < num_labels_; ++l) {
@@ -630,7 +542,7 @@ class TreeInducer {
       // leaf-partitions the work copy in place.
       saved = arr;
     };
-    if (options_.parallel && n >= 4096 && options_.dim > 1) {
+    if (n >= kConcurrentMinPoints && options_.dim > 1) {
       // Axes are independent (separate work/order/repair buffers).
       ThreadPool::global().parallel_tasks(
           static_cast<idx_t>(options_.dim),
@@ -736,6 +648,134 @@ class TreeInducer {
     ctx.stack.push_back({right, boundary, hi});
   }
 
+  /// Processes `ctx`'s work stack to exhaustion, last in first out: each
+  /// split pushes its left then right child, so the right child is popped
+  /// first. Node ids follow creation order — the canonical numbering.
+  void drain(Context& ctx) {
+    while (!ctx.stack.empty()) {
+      const Item item = ctx.stack.back();
+      ctx.stack.pop_back();
+      process(ctx, item);
+    }
+  }
+
+  /// The concurrent build: expands the root in context 0 until the work
+  /// stack holds kFrontierTarget subranges, builds each pending subtree in
+  /// its own context, then splices everything into `tree`.
+  void build_concurrent(DecisionTree& tree, Minorities& minorities) {
+    Context& top = ws_.contexts[0];
+    while (!top.stack.empty() && to_idx(top.stack.size()) < kFrontierTarget) {
+      // Pop the widest item so the frontier ranges stay balanced.
+      std::size_t widest = 0;
+      for (std::size_t i = 1; i < top.stack.size(); ++i) {
+        if (top.stack[i].hi - top.stack[i].lo >
+            top.stack[widest].hi - top.stack[widest].lo) {
+          widest = i;
+        }
+      }
+      const Item item = top.stack[widest];
+      top.stack.erase(top.stack.begin() + static_cast<std::ptrdiff_t>(widest));
+      process(top, item);
+    }
+    const std::vector<Item> frontier = std::move(top.stack);
+    top.stack.clear();
+    // Acquire (and reset) the pooled task contexts up front: the pool is a
+    // deque, so later growth never invalidates `top`.
+    for (std::size_t t = 0; t < frontier.size(); ++t) context(t + 1);
+    ThreadPool::global().parallel_tasks(to_idx(frontier.size()), [&](idx_t t) {
+      Context& ctx = ws_.contexts[static_cast<std::size_t>(t) + 1];
+      const Item item = frontier[static_cast<std::size_t>(t)];
+      ctx.stack.push_back({ctx.new_node(), item.lo, item.hi});
+      drain(ctx);
+    });
+    splice(frontier, tree, minorities);
+  }
+
+  /// Assembles the concurrent build into `tree` under the canonical
+  /// numbering. The plain build gives the nodes below any node X
+  /// consecutive ids, from when X is popped until its subtree is done, and
+  /// each task built its subtree that way: its local node j >= 1 lands at
+  /// base + j - 1. Only the top (context 0) is walked to find the ids of
+  /// its own nodes and each task's base.
+  void splice(const std::vector<Item>& frontier, DecisionTree& tree,
+              Minorities& minorities) {
+    Context& top = ws_.contexts[0];
+    const std::size_t top_size = top.nodes.size();
+    std::vector<idx_t> canon(top_size, kInvalidIndex);
+    std::vector<idx_t> task_of(top_size, kInvalidIndex);
+    for (std::size_t t = 0; t < frontier.size(); ++t) {
+      task_of[static_cast<std::size_t>(frontier[t].node)] = to_idx(t);
+    }
+    std::vector<idx_t> base(frontier.size());
+    canon[static_cast<std::size_t>(tree.root_)] = 0;
+    idx_t next = 1;
+    std::vector<idx_t> stack{tree.root_};
+    while (!stack.empty()) {
+      const auto x = static_cast<std::size_t>(stack.back());
+      stack.pop_back();
+      if (const idx_t t = task_of[x]; t != kInvalidIndex) {
+        const auto task = static_cast<std::size_t>(t);
+        base[task] = next;
+        next += to_idx(ws_.contexts[task + 1].nodes.size()) - 1;
+        continue;
+      }
+      const TreeNode& nd = top.nodes[x];
+      if (nd.axis < 0) continue;
+      canon[static_cast<std::size_t>(nd.left)] = next++;
+      canon[static_cast<std::size_t>(nd.right)] = next++;
+      stack.push_back(nd.left);
+      stack.push_back(nd.right);
+    }
+
+    tree.nodes_.resize(static_cast<std::size_t>(next));
+    auto place = [&](Context& ctx, auto remap) {
+      for (std::size_t j = 0; j < ctx.nodes.size(); ++j) {
+        TreeNode nd = ctx.nodes[j];
+        if (nd.axis >= 0) {
+          nd.left = remap(nd.left);
+          nd.right = remap(nd.right);
+        }
+        tree.nodes_[static_cast<std::size_t>(remap(to_idx(j)))] = nd;
+      }
+      for (auto& [id, labels] : ctx.minorities) {
+        minorities.emplace_back(remap(id), std::move(labels));
+      }
+      tree.num_leaves_ += ctx.leaves;
+    };
+    // The top's frontier entries are placeholders (their content is each
+    // task's local root); the tasks overwrite them below.
+    place(top, [&](idx_t id) { return canon[static_cast<std::size_t>(id)]; });
+    for (std::size_t t = 0; t < frontier.size(); ++t) {
+      const idx_t root_id = canon[static_cast<std::size_t>(frontier[t].node)];
+      place(ws_.contexts[t + 1], [&](idx_t local) {
+        return local == 0 ? root_id : base[t] + local - 1;
+      });
+    }
+  }
+
+  /// Leaf id of every point. The build leaves each leaf's points as one
+  /// contiguous range of sorted_[0], ranges in left-to-right leaf order,
+  /// so a left-first walk hands them out in sequence.
+  void fill_point_leaf(const DecisionTree& tree,
+                       std::vector<idx_t>& point_leaf) const {
+    point_leaf.resize(points_.size());
+    std::size_t pos = 0;
+    std::vector<idx_t> stack{tree.root_};
+    while (!stack.empty()) {
+      const idx_t id = stack.back();
+      stack.pop_back();
+      const TreeNode& nd = tree.node(id);
+      if (nd.axis >= 0) {
+        stack.push_back(nd.right);
+        stack.push_back(nd.left);
+        continue;
+      }
+      for (idx_t i = 0; i < nd.count; ++i) {
+        point_leaf[static_cast<std::size_t>(sorted_[0][pos++])] = id;
+      }
+    }
+  }
+
   std::span<const Vec3> points_;
   std::span<const idx_t> labels_;
   idx_t num_labels_;
@@ -746,7 +786,6 @@ class TreeInducer {
   // (leaf-partitioned) by the build, and the shared point→side scratch.
   std::array<std::vector<idx_t>, 3>& sorted_;
   std::vector<char>& side_;
-  idx_t* point_leaf_ = nullptr;
 };
 
 InducedTree induce_tree(std::span<const Vec3> points,

@@ -123,11 +123,6 @@ struct TreeInduceOptions {
   /// the purity score with the normalized width of the coordinate gap the
   /// hyperplane passes through. 0 disables.
   double gap_alpha = 0.0;
-  /// Builds independent subtrees concurrently once the frontier is wide
-  /// enough (efficient parallel tree-induction formulations exist — paper
-  /// Section 4.1.1 / ScalParC). The resulting tree is geometrically
-  /// identical to the sequential one; only node numbering differs.
-  bool parallel = false;
   /// When false, InducedTree::point_leaf is left empty (and the per-point
   /// leaf writes are skipped). Descriptor builds never read it.
   bool want_point_leaf = true;
@@ -182,6 +177,15 @@ struct InducedTree {
 
 /// Builds a decision tree over `points` with partition labels `labels`
 /// (each in [0, num_labels)). See TreeInduceOptions for termination control.
+///
+/// Inputs of at least 4096 points build independent subtrees concurrently
+/// on the global ThreadPool (efficient parallel tree-induction formulations
+/// exist — paper Section 4.1.1 / ScalParC). Every tree has one canonical
+/// node numbering whichever build ran: the root is 0 and, walking the tree
+/// with a stack that pops the right child first, each popped interior
+/// node's left and right children take the next two ids. The tree and its
+/// serialized bytes are therefore a function of the inputs alone, identical
+/// at every pool width.
 InducedTree induce_tree(std::span<const Vec3> points,
                         std::span<const idx_t> labels, idx_t num_labels,
                         const TreeInduceOptions& options = {});

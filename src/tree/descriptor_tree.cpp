@@ -12,7 +12,6 @@ SubdomainDescriptors::SubdomainDescriptors(
   TreeInduceOptions induce;
   induce.dim = options.dim;
   induce.gap_alpha = options.gap_alpha;
-  induce.parallel = options.parallel;
   // The per-point leaf map is never consulted here; skip producing it.
   induce.want_point_leaf = false;
   // Descriptor trees terminate exactly at purity: max_pure = 0 (pure nodes

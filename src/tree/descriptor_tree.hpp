@@ -19,10 +19,6 @@ struct DescriptorOptions {
   int dim = 3;
   /// Gap-preferring split selection (Section 6 future work); 0 disables.
   double gap_alpha = 0.0;
-  /// Induce independent subtrees concurrently on the global ThreadPool
-  /// (TreeInduceOptions::parallel). The tree — and its serialized bytes —
-  /// are identical at every thread count.
-  bool parallel = false;
 };
 
 class SubdomainDescriptors {

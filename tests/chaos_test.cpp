@@ -164,7 +164,7 @@ TEST(Exchange, RetryRedeliversPristinePayloadWithinBudget) {
   FaultInjector injector(fc);
   Exchange ex(2);
   ex.set_fault_injector(&injector);
-  ex.set_retry_policy({.max_attempts = 12, .backoff_base_ms = 0.25});
+  ex.set_retry_policy({.max_attempts = 12});
   const std::vector<HaloNodeMsg> payload = halo_inbox_payload(100);
   wgt_t supersteps_with_faults = 0;
   for (int step = 0; step < 64; ++step) {
@@ -328,7 +328,7 @@ TEST_F(ChaosPipelineTest, SoakFiftyStepsBitIdenticalAtOneAndEightThreads) {
   fc.seed = chaos_seed();
   fc.cell_fault_probability = 0.08;
   // 0.08^8 ~ 2e-9 per cell chain: no seed can plausibly exhaust the budget.
-  RetryPolicy retry{.max_attempts = 8, .backoff_base_ms = 0.1};
+  RetryPolicy retry{.max_attempts = 8};
 
   PipelineHealth health_at_1;
   FaultInjector::Stats stats_at_1;
@@ -405,7 +405,7 @@ TEST_F(ChaosPipelineTest, AsyncOutOfOrderSoakKeepsFaultScheduleAndBitIdentity) {
     FaultConfig fc;
     fc.seed = seed;
     fc.cell_fault_probability = 0.08;
-    const RetryPolicy retry{.max_attempts = 8, .backoff_base_ms = 0.1};
+    const RetryPolicy retry{.max_attempts = 8};
 
     PipelineHealth health_at_1;
     FaultInjector::Stats stats_at_1;

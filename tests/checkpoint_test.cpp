@@ -366,7 +366,7 @@ TEST_F(CheckpointStoreTest, ReadBitFlipIsDetectedNotTrusted) {
 
 TEST(RetryPolicyTest, BackoffSaturatesInsteadOfOverflowing) {
   RetryPolicy retry;
-  retry.backoff_base_ms = 0.5;
+  EXPECT_EQ(RetryPolicy::kBackoffBaseMs, 0.5);
   EXPECT_EQ(retry.backoff_for(0), 0.5);
   EXPECT_EQ(retry.backoff_for(1), 1.0);
   EXPECT_EQ(retry.backoff_for(10), 0.5 * 1024.0);

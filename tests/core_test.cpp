@@ -253,29 +253,6 @@ TEST(Experiment, RepartitionPolicyMovesNodes) {
   EXPECT_EQ(r.snapshots, 6);
 }
 
-TEST(Experiment, DistributedProbeAggregatesMigration) {
-  ExperimentConfig config;
-  config.sim = tiny_sim();
-  config.k = 4;
-  config.policy = UpdatePolicy::kPeriodicRepartition;
-  config.repartition_period = 2;
-  config.distributed_probe = true;
-  const ExperimentResult r = run_contact_experiment(config);
-  EXPECT_EQ(r.distributed_probe_steps, r.snapshots);
-  EXPECT_GT(r.distributed_migration_steps, 0);
-  EXPECT_TRUE(r.distributed_health.clean())
-      << r.distributed_health.summary();
-  // Moves may legitimately be zero on a tiny mesh, but the accounting must
-  // be self-consistent: bytes are charged iff something moved.
-  EXPECT_EQ(r.distributed_moved_nodes + r.distributed_moved_elements > 0,
-            r.distributed_migration_bytes > 0);
-  // Off by default: the probe aggregates stay zero.
-  config.distributed_probe = false;
-  const ExperimentResult off = run_contact_experiment(config);
-  EXPECT_EQ(off.distributed_probe_steps, 0);
-  EXPECT_EQ(off.distributed_health, PipelineHealth{});
-}
-
 TEST(Experiment, RejectsBadConfig) {
   ExperimentConfig config;
   config.sim = tiny_sim();

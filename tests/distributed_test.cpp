@@ -260,8 +260,7 @@ TEST_F(DistributedSimTest, FaultRetryKeepsBitIdentityAcrossMigration) {
   FaultInjector injector(fc);
   faulty.exchange().set_fault_injector(&injector);
   // 0.1^10 per cell chain: no plausible schedule exhausts the budget.
-  faulty.exchange().set_retry_policy({.max_attempts = 10,
-                                      .backoff_base_ms = 0.1});
+  faulty.exchange().set_retry_policy({.max_attempts = 10});
 
   PipelineHealth total;
   for (idx_t s = 0; s < 12; ++s) {

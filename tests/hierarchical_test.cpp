@@ -142,7 +142,7 @@ TEST(HierarchicalPartition, QualityNearFlatAtSmallK) {
   EXPECT_LE(h.stats.final_cut, 2 * flat_cut);
   // Balance: group split tolerance compounds with the per-group epsilon.
   EXPECT_LE(h.stats.final_balance,
-            (1.0 + base.epsilon) * (1.0 + hierarchy.group_epsilon) + 0.05);
+            (1.0 + base.epsilon) * (1.0 + kGroupEpsilon) + 0.05);
   // Stats coherence.
   EXPECT_EQ(h.stats.groups, 2);
   EXPECT_GT(h.stats.proxy_vertices, 0);
@@ -253,7 +253,7 @@ TEST(Partitioner, RepartitionEscalatesOnGroupImbalance) {
   pc.hierarchy.groups = 2;
   const Partitioner partitioner(pc);
   // Degenerate old labels: everything in part 0 -> group 0 holds all the
-  // weight, far past cross_group_threshold, forcing the global path.
+  // weight, far past kCrossGroupThreshold, forcing the global path.
   std::vector<idx_t> old_part(static_cast<std::size_t>(g.num_vertices()), 0);
   RepartitionOptions ro;
   bool crossed = false;

@@ -119,31 +119,6 @@ TEST(LocalSearch, SelfContactExcludedWithoutBodyInfoOnlyByFaceMembership) {
   }
 }
 
-TEST(LocalSearch, CandidateVariantMatchesFullSearch) {
-  const TwoCubes scene(0.05);
-  LocalSearchOptions opts;
-  opts.tolerance = 0.1;
-  opts.body_of_node = scene.body;
-  const auto full = local_contact_search(scene.mesh, scene.surface, opts);
-  // Give every node every face as candidate: must reproduce the full result.
-  std::vector<std::vector<idx_t>> candidates(
-      scene.surface.contact_nodes.size());
-  std::vector<idx_t> all_faces(static_cast<std::size_t>(scene.surface.num_faces()));
-  for (idx_t f = 0; f < scene.surface.num_faces(); ++f) {
-    all_faces[static_cast<std::size_t>(f)] = f;
-  }
-  for (auto& c : candidates) c = all_faces;
-  const auto via_candidates = local_contact_search_candidates(
-      scene.mesh, scene.surface, candidates, opts);
-  ASSERT_EQ(via_candidates.size(), full.size());
-  for (std::size_t i = 0; i < full.size(); ++i) {
-    EXPECT_EQ(via_candidates[i].node, full[i].node);
-    // Several faces tie at the minimum distance (flat facing grids); the
-    // winning face may differ by scan order, the gap may not.
-    EXPECT_DOUBLE_EQ(via_candidates[i].distance, full[i].distance);
-  }
-}
-
 /// Three hex boxes: a lower slab, a box hovering `gap` above it, and a box
 /// sunk sideways into the slab — gap contacts, penetrations and plain
 /// distant faces in one scene. Body ids are deliberately not 0..2.

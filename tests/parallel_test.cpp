@@ -8,6 +8,7 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -293,35 +294,14 @@ TEST(TaskArena, ThrowingJobIsCountedNotPropagated) {
   EXPECT_EQ(arena.stats().jobs_failed, 1);
 }
 
-TEST(TaskArena, MaxParallelismCapsWidth) {
-  ThreadPool pool(8);
-  ArenaOptions opts;
-  opts.max_parallelism = 2;
-  TaskArena arena(pool.workers(), opts);
-  // The uncapped width already folds in hardware concurrency (this may be
-  // a 1-core machine); the cap can only lower it further.
-  TaskArena uncapped(pool.workers());
-  EXPECT_EQ(arena.width(), std::min(2u, uncapped.width()));
-  EXPECT_LE(arena.width(), 2u);
-  EXPECT_EQ(arena.stats().width, arena.width());
-  // The cap changes only the dispatch width, never the results.
-  std::vector<std::atomic<int>> hits(10000);
-  arena.parallel_for(10000, [&](idx_t i) {
-    hits[static_cast<std::size_t>(i)].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(TaskArena, DeficitRoundRobinHonorsWeights) {
-  // One worker, two arenas with weights 3:1, the worker parked on a latch
-  // while both queues fill. On release the scheduler's deficit round-robin
-  // must interleave 3 heavy items per light one, deterministically.
+TEST(TaskArena, RoundRobinAlternatesArenas) {
+  // One worker, two arenas, the worker parked on a latch while both queues
+  // fill. On release the scheduler must take one item from each arena in
+  // turn, deterministically, then finish the longer queue.
   ThreadPool pool(1);
   TaskArena parking(pool.workers());
-  ArenaOptions heavy_opts;
-  heavy_opts.weight = 3;
-  TaskArena heavy(pool.workers(), heavy_opts);
-  TaskArena light(pool.workers());
+  TaskArena first(pool.workers());
+  TaskArena second(pool.workers());
 
   std::mutex m;
   std::condition_variable cv;
@@ -331,53 +311,48 @@ TEST(TaskArena, DeficitRoundRobinHonorsWeights) {
     cv.wait(lock, [&] { return go; });
   });
 
-  std::vector<char> order;
+  std::string order;
   std::mutex order_m;
   const auto record = [&](char tag) {
     std::lock_guard<std::mutex> lock(order_m);
     order.push_back(tag);
   };
-  for (int i = 0; i < 6; ++i) {
-    heavy.submit([&] { record('H'); });
-  }
-  for (int i = 0; i < 2; ++i) {
-    light.submit([&] { record('L'); });
-  }
+  for (int i = 0; i < 4; ++i) first.submit([&] { record('A'); });
+  for (int i = 0; i < 2; ++i) second.submit([&] { record('B'); });
   {
     std::lock_guard<std::mutex> lock(m);
     go = true;
   }
   cv.notify_all();
-  heavy.drain();
-  light.drain();
-  ASSERT_EQ(order.size(), 8u);
-  const auto heavy_in_first = [&](std::size_t n) {
-    return std::count(order.begin(),
-                      order.begin() + static_cast<std::ptrdiff_t>(n), 'H');
-  };
-  EXPECT_EQ(heavy_in_first(4), 3);  // 3 heavy per round trip of the ring
-  EXPECT_EQ(heavy_in_first(8), 6);
-  EXPECT_EQ(heavy.stats().items_run, 6);
-  EXPECT_EQ(light.stats().items_run, 2);
+  first.drain();
+  second.drain();
+  EXPECT_EQ(order, "ABABAA");
+  EXPECT_EQ(first.stats().items_run, 4);
+  EXPECT_EQ(second.stats().items_run, 2);
 }
 
 TEST(TaskArena, ArenaScopeRoutesFacadeDispatch) {
   ThreadPool pool(4);
-  ArenaOptions opts;
-  opts.max_parallelism = 1;  // observable: bound dispatch runs inline
-  TaskArena arena(pool.workers(), opts);
+  TaskArena arena(pool.workers());
   ArenaScope scope(arena);
   ASSERT_EQ(ArenaScope::current(), &arena);
-  // With the width-1 arena bound, the facade must run the whole range
-  // inline on the calling thread, even though the pool has 4 workers and
-  // the range is far past the inline threshold.
-  const std::thread::id caller = std::this_thread::get_id();
-  const idx_t n = 10000;
-  std::vector<std::thread::id> ran_on(static_cast<std::size_t>(n));
-  pool.parallel_for(n, [&](idx_t i) {
-    ran_on[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+  // Every task waits until a second participant has started one, so the
+  // caller cannot finish the dispatch alone: a pool worker must run one of
+  // its participant slots, and with the arena bound those slots sit in the
+  // bound arena's queue, never the default arena's. (A one-core host
+  // dispatches at width 1, inline, with no slots to observe.)
+  const bool threaded = arena.width() > 1;
+  std::atomic<int> started{0};
+  pool.parallel_tasks(8, [&](idx_t) {
+    started.fetch_add(1, std::memory_order_acq_rel);
+    while (threaded && started.load(std::memory_order_acquire) < 2) {
+      std::this_thread::yield();
+    }
   });
-  for (const auto& id : ran_on) EXPECT_EQ(id, caller);
+  arena.drain();  // items_run counts an item once it has finished
+  EXPECT_EQ(started.load(), 8);
+  EXPECT_EQ(arena.stats().items_run > 0, threaded);
+  EXPECT_EQ(pool.default_arena().stats().items_run, 0);
 }
 
 TEST(WorkerPool, GangRunsWithDistinctParticipants) {

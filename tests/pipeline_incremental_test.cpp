@@ -69,7 +69,6 @@ void check_warm_induction(unsigned threads) {
   };
 
   TreeInduceOptions options;
-  options.parallel = threads > 1;
   TreeInduceWorkspace ws;
   for (int step = 0; step < 6; ++step) {
     // Steps 0-3 drift coherently; step 4 scrambles (fallback); step 5
@@ -171,7 +170,7 @@ TEST(StepPipeline, ExperimentMetricsMatchColdReference) {
   const ImpactSim sim(config.sim);
   const real_t cell =
       config.sim.plate_width / static_cast<real_t>(config.sim.plate_cells_xy);
-  const real_t margin = static_cast<real_t>(config.margin_cell_fraction) * cell;
+  const real_t margin = static_cast<real_t>(kMarginCellFraction) * cell;
 
   McmlDtConfig dt_config;
   dt_config.k = config.k;

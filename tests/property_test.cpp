@@ -122,7 +122,6 @@ TEST_P(TreeFuzzTest, StructuralInvariantsOnRandomLabeledPoints) {
   }
   TreeInduceOptions opts;
   opts.dim = dim;
-  opts.parallel = rng.uniform() < 0.5;
   const InducedTree t = induce_tree(pts, labels, num_labels, opts);
 
   // Leaf counts sum to n; every point maps to a leaf whose range covers it.

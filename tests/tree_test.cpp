@@ -5,8 +5,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string_view>
 
+#include "parallel/thread_pool.hpp"
 #include "tree/decision_tree.hpp"
 #include "tree/descriptor_tree.hpp"
 #include "tree/region_tree.hpp"
@@ -202,30 +205,137 @@ TEST(Induce, GapAlphaPrefersWideCorridors) {
   EXPECT_NEAR(root.cut, (1.75 + 8.0) / 2, 1e-9);
 }
 
-TEST(Induce, ParallelMatchesSerialGeometry) {
-  // The parallel builder must produce a geometrically identical tree: same
-  // leaf count, same classification of every point, same per-point leaf
-  // purity. Node numbering may differ.
-  Rng rng(71);
-  std::vector<Vec3> pts;
-  std::vector<idx_t> labels;
-  for (int i = 0; i < 20000; ++i) {
-    pts.push_back(
-        Vec3{rng.uniform(0, 12), rng.uniform(0, 12), rng.uniform(0, 4)});
-    labels.push_back((pts.back().x < 6 ? 0 : 1) + 2 * (pts.back().y < 6 ? 0 : 1) +
-                     4 * (pts.back().z < 2 ? 0 : 1));
+/// FNV-1a over a byte string: a compact fingerprint for a pinned output.
+std::uint64_t fingerprint(std::string_view bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
   }
-  TreeInduceOptions serial_opts;
-  TreeInduceOptions parallel_opts;
-  parallel_opts.parallel = true;
-  const InducedTree serial = induce_tree(pts, labels, 8, serial_opts);
-  const InducedTree parallel = induce_tree(pts, labels, 8, parallel_opts);
-  EXPECT_EQ(parallel.tree.num_nodes(), serial.tree.num_nodes());
-  EXPECT_EQ(parallel.tree.num_leaves(), serial.tree.num_leaves());
-  for (std::size_t i = 0; i < pts.size(); i += 37) {
-    EXPECT_EQ(parallel.tree.classify(pts[i]), serial.tree.classify(pts[i]));
-    const idx_t leaf = parallel.point_leaf[i];
-    EXPECT_EQ(parallel.tree.node(leaf).label, labels[i]);
+  return h;
+}
+
+/// Walks `tree` with a stack that pops the right child first and checks
+/// that each popped interior node's left and right children hold the next
+/// two ids, from root 0 to num_nodes() - 1: the canonical numbering.
+void expect_canonical_numbering(const DecisionTree& tree) {
+  ASSERT_EQ(tree.root(), 0);
+  idx_t next = 1;
+  std::vector<idx_t> stack{tree.root()};
+  while (!stack.empty()) {
+    const TreeNode& nd = tree.node(stack.back());
+    stack.pop_back();
+    if (nd.axis < 0) continue;
+    ASSERT_EQ(nd.left, next);
+    ASSERT_EQ(nd.right, next + 1);
+    next += 2;
+    stack.push_back(nd.left);
+    stack.push_back(nd.right);
+  }
+  EXPECT_EQ(next, tree.num_nodes());
+}
+
+/// `n` uniform points in a 12 x 12 x 4 box; labels are the octant
+/// (`octants`) or uniformly random in [0, 9).
+struct LabeledCloud {
+  std::vector<Vec3> points;
+  std::vector<idx_t> labels;
+  LabeledCloud(int n, std::uint64_t seed, bool octants) {
+    Rng rng(seed);
+    for (int i = 0; i < n; ++i) {
+      const Vec3 p{rng.uniform(0, 12), rng.uniform(0, 12), rng.uniform(0, 4)};
+      points.push_back(p);
+      labels.push_back(octants ? (p.x < 6 ? 0 : 1) + 2 * (p.y < 6 ? 0 : 1) +
+                                     4 * (p.z < 2 ? 0 : 1)
+                               : rng.uniform_int(9));
+    }
+  }
+};
+
+TEST(Induce, ParallelMatchesSerialGeometry) {
+  // 20k points take the concurrent build. Its bytes must be the same at
+  // every pool width and equal to the plain depth-first build's bytes for
+  // this input, pinned here by fingerprint.
+  constexpr std::uint64_t kPlainBuildBytes = 0x604a822a5d983b1eull;
+  const LabeledCloud cloud(20000, 71, /*octants=*/true);
+  std::string bytes[2];
+  for (int i = 0; i < 2; ++i) {
+    ThreadPool::set_global_threads(i == 0 ? 1 : 8);
+    const InducedTree t = induce_tree(cloud.points, cloud.labels, 8);
+    bytes[i] = tree_to_binary(t.tree);
+    for (std::size_t p = 0; p < cloud.points.size(); p += 37) {
+      EXPECT_EQ(t.tree.node(t.point_leaf[p]).label, cloud.labels[p]);
+    }
+  }
+  ThreadPool::set_global_threads(0);
+  EXPECT_EQ(bytes[0], bytes[1]);
+  EXPECT_EQ(fingerprint(bytes[0]), kPlainBuildBytes);
+}
+
+TEST(Induce, CanonicalBytesAtEveryPoolWidth) {
+  // Descriptor-style (pure leaves, no point map) and region-style (max_p /
+  // max_i) options; 3k points take the plain build and 20k the concurrent
+  // one. Cold and warm-started inductions at pool widths 1 and 8 must all
+  // serialize to the same bytes and map points to the same leaves.
+  for (const int n : {3000, 20000}) {
+    for (const bool region : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " region=" << region);
+      const LabeledCloud cloud(n, 900 + static_cast<std::uint64_t>(n),
+                               /*octants=*/false);
+      // The same points slightly moved: induced first, it leaves the
+      // workspace warm and its saved orders out of date.
+      LabeledCloud moved = cloud;
+      for (Vec3& p : moved.points) p.x += 0.01 * std::sin(7 * p.y);
+      TreeInduceOptions opts;
+      if (region) {
+        const RegionTreeOptions r = recommended_region_options(n, 9, 3);
+        opts.max_pure = r.max_pure;
+        opts.max_impure = r.max_impure;
+      } else {
+        opts.want_point_leaf = false;
+      }
+      std::string reference;
+      std::vector<idx_t> reference_leaf;
+      for (const unsigned width : {1u, 8u}) {
+        ThreadPool::set_global_threads(width);
+        for (const bool warm : {false, true}) {
+          TreeInduceWorkspace ws;
+          if (warm) {
+            induce_tree(moved.points, moved.labels, 9, opts, &ws);
+            ASSERT_TRUE(ws.warm(cloud.points.size()));
+          }
+          const InducedTree t =
+              induce_tree(cloud.points, cloud.labels, 9, opts, &ws);
+          expect_canonical_numbering(t.tree);
+          const std::string bytes = tree_to_binary(t.tree);
+          if (reference.empty()) {
+            reference = bytes;
+            reference_leaf = t.point_leaf;
+            continue;
+          }
+          EXPECT_EQ(bytes, reference) << "width " << width << " warm " << warm;
+          EXPECT_EQ(t.point_leaf, reference_leaf)
+              << "width " << width << " warm " << warm;
+        }
+      }
+      ThreadPool::set_global_threads(0);
+    }
+  }
+}
+
+TEST(Induce, RightFirstWalkNumbersNodesInOrder) {
+  // Every build numbers its nodes canonically: small inputs (plain build)
+  // and large ones (concurrent build), descriptor and region options.
+  for (const int n : {500, 5000, 30000}) {
+    const LabeledCloud cloud(n, 40 + static_cast<std::uint64_t>(n),
+                             /*octants=*/false);
+    const SubdomainDescriptors desc(cloud.points, cloud.labels, 9);
+    ASSERT_GT(desc.num_tree_nodes(), 1);
+    expect_canonical_numbering(desc.tree());
+    const RegionTree regions(cloud.points, cloud.labels, 9,
+                             recommended_region_options(n, 9, 3));
+    ASSERT_GT(regions.num_tree_nodes(), 1);
+    expect_canonical_numbering(regions.tree());
   }
 }
 
@@ -243,7 +353,6 @@ TEST(Induce, ParallelRegionTreeConsistent) {
   opts.dim = 2;
   opts.max_pure = 300;
   opts.max_impure = 40;
-  opts.parallel = true;
   const InducedTree t = induce_tree(pts, labels, 4, opts);
   std::vector<idx_t> counted(static_cast<std::size_t>(t.tree.num_nodes()), 0);
   for (idx_t leaf : t.point_leaf) {
