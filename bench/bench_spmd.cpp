@@ -1,18 +1,18 @@
-// Benchmark of the SPMD rank/exchange contact pipeline against the retained
-// centralized reference implementation.
+// Benchmark of the distributed MCML+DT contact step (DistributedSim)
+// against its retained centralized reference.
 //
-// For each thread count, every snapshot is processed twice by one
-// ContactPipeline instance:
-//   * reference — run_step_reference, the centralized pre-refactor step
-//     (serial; descriptor queries and local searches run on one thread and
-//     traffic is accounted analytically);
-//   * spmd — run_step, k rank programs executing the same four phases
-//     concurrently on the thread pool, moving real payloads through the
-//     exchange.
-// Every step cross-checks the two flavors — merged events, per-rank event
-// counts, per-processor traffic, and broadcast bytes must be bit-identical —
-// and the binary exits nonzero on any divergence, so a speedup can never
-// come from computing something different.
+// For each thread count, two identically configured DistributedSim
+// instances drive the same snapshot sequence, repartitioning and migrating
+// live state every --repart_period steps:
+//   * reference — run_step_reference, the centralized step (serial; traffic
+//     is accounted analytically);
+//   * spmd — run_step, k rank programs executing the step concurrently on
+//     the thread pool, moving real payloads through the exchange.
+// Every step cross-checks the two flavors — merged events (including each
+// closest point), per-rank event counts, traffic, descriptor, payload and
+// migration bytes, and the ownership hash must be bit-identical — and the
+// binary exits nonzero on any divergence, so a speedup can never come from
+// computing something different.
 //
 //   ./bench_spmd [--resolution 1.0] [--snapshots 20] [--k 25]
 //                [--threads 1,2,4,8] [--stride 1] [--out BENCH_spmd.json]
@@ -21,17 +21,12 @@
 //                [--checkpoint_dir bench_spmd_ckpt] [--kill_rank -1]
 //                [--kill_step -1]
 //
-// JSON output: {"env": {...}, "results": [{threads, reference_mean_ms,
-// spmd_mean_ms, speedup, health: {...per-channel counters...},
-// steps: [{..., phase_ms: {descriptor: [per rank], ...},
-// bytes: {halo, faces, descriptor}}]}]}, steady state = steps >= 1.
-//
-// Each thread count also drives the rank-owned DistributedSim (one SPMD
-// instance against one centralized-oracle instance) over the same snapshot
-// sequence, repartitioning + migrating live state every --repart_period
-// steps. Its timings, migration accounting (repart_moved_nodes/elements,
-// migration/label bytes), and cross-checked equivalence land in a
-// "distributed" object per result record.
+// JSON output: {"env": {...}, "wire": {...}, "results": [{threads, ...,
+// distributed: {reference_mean_ms, spmd_mean_ms, speedup, health: {...},
+// steps: [{..., bytes: {descriptor, halo, faces}, phase_ms: {descriptor:
+// [per rank], halo, ship, search}, wait: {descriptor, ship, search}}]}}],
+// "scaling": {...}, "recovery": {...}}, steady state = steps >= 1. The
+// per-rank arrays follow RankPhaseBreakdown's superstep mapping.
 //
 // --fault_rate > 0 arms the seeded FaultInjector on the exchange, which
 // exercises the checksummed retry path; events must STILL be bit-identical
@@ -51,10 +46,10 @@
 
 #include "bench_env.hpp"
 #include "core/distributed_sim.hpp"
-#include "core/pipeline.hpp"
 #include "parallel/thread_pool.hpp"
 #include "runtime/fault_injector.hpp"
 #include "sim/impact_sim.hpp"
+#include "tree/tree_io.hpp"
 #include "util/atomic_file.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
@@ -64,24 +59,6 @@ using namespace cpart;
 
 namespace {
 
-bool reports_identical(const PipelineStepReport& a,
-                       const PipelineStepReport& b) {
-  if (a.events.size() != b.events.size()) return false;
-  for (std::size_t i = 0; i < a.events.size(); ++i) {
-    const ContactEvent& x = a.events[i];
-    const ContactEvent& y = b.events[i];
-    if (x.node != y.node || x.face != y.face || x.distance != y.distance ||
-        x.signed_distance != y.signed_distance) {
-      return false;
-    }
-  }
-  return a.events_per_processor == b.events_per_processor &&
-         a.fe_exchange == b.fe_exchange &&
-         a.search_exchange == b.search_exchange &&
-         a.descriptor_tree_nodes == b.descriptor_tree_nodes &&
-         a.descriptor_broadcast_bytes == b.descriptor_broadcast_bytes;
-}
-
 bool distributed_reports_identical(const DistributedStepReport& a,
                                    const DistributedStepReport& b) {
   if (a.events.size() != b.events.size()) return false;
@@ -89,16 +66,25 @@ bool distributed_reports_identical(const DistributedStepReport& a,
     const ContactEvent& x = a.events[i];
     const ContactEvent& y = b.events[i];
     if (x.node != y.node || x.face != y.face || x.distance != y.distance ||
-        x.signed_distance != y.signed_distance) {
+        x.signed_distance != y.signed_distance ||
+        x.closest_point[0] != y.closest_point[0] ||
+        x.closest_point[1] != y.closest_point[1] ||
+        x.closest_point[2] != y.closest_point[2]) {
       return false;
     }
   }
-  return a.migrated == b.migrated &&
+  return a.migrated == b.migrated && a.contact_events == b.contact_events &&
+         a.penetrating_events == b.penetrating_events &&
          a.events_per_processor == b.events_per_processor &&
          a.fe_exchange == b.fe_exchange &&
          a.coupling_exchange == b.coupling_exchange &&
          a.search_exchange == b.search_exchange &&
          a.migration_exchange == b.migration_exchange &&
+         a.descriptor_tree_nodes == b.descriptor_tree_nodes &&
+         a.descriptor_broadcast_bytes == b.descriptor_broadcast_bytes &&
+         a.halo_payload_bytes == b.halo_payload_bytes &&
+         a.coupling_payload_bytes == b.coupling_payload_bytes &&
+         a.face_payload_bytes == b.face_payload_bytes &&
          a.repart_moved_nodes == b.repart_moved_nodes &&
          a.repart_moved_elements == b.repart_moved_elements &&
          a.migration_payload_bytes == b.migration_payload_bytes &&
@@ -211,22 +197,15 @@ int main(int argc, char** argv) {
     const real_t cell = sim_config.plate_width /
                         static_cast<real_t>(sim_config.plate_cells_xy);
 
-    PipelineConfig config;
-    config.decomposition.k = k;
-    config.search.search_margin = 0.5 * cell;
-    config.search.contact_tolerance = 0.25 * cell;
+    DistributedSimConfig dconfig;
+    dconfig.decomposition.k = k;
+    dconfig.search.search_margin = 0.5 * cell;
+    dconfig.search.contact_tolerance = 0.25 * cell;
+    dconfig.repartition_period = repart_period;
 
-    std::vector<int> body(
-        static_cast<std::size_t>(sim.initial_mesh().num_nodes()));
-    for (std::size_t i = 0; i < body.size(); ++i) {
-      body[i] = static_cast<int>(sim.node_body()[i]);
-    }
-
-    std::cout << "SPMD contact pipeline: " << sim.initial_mesh().num_nodes()
-              << " nodes, " << sim.num_snapshots() << " snapshots, k=" << k
-              << "\n\n";
-
-    const ImpactSim::Snapshot snap0 = sim.snapshot(0);
+    std::cout << "Distributed contact step: "
+              << sim.initial_mesh().num_nodes() << " nodes, "
+              << sim.num_snapshots() << " snapshots, k=" << k << "\n\n";
 
     // Wire-codec A/B microbenchmark on snapshot 0's descriptor tree: the
     // binary codec the broadcast ships against the text dump, so the codec
@@ -234,8 +213,9 @@ int main(int argc, char** argv) {
     // cost per tree, and the bytes of each.
     std::ostringstream wire_json;
     {
+      const ImpactSim::Snapshot snap0 = sim.snapshot(0);
       McmlDtPartitioner wire_part(snap0.mesh, snap0.surface,
-                                  config.decomposition);
+                                  dconfig.decomposition);
       const SubdomainDescriptors wire_desc =
           wire_part.build_descriptors(snap0.mesh, snap0.surface);
       const std::string text_wire = tree_to_string(wire_desc.tree());
@@ -280,199 +260,108 @@ int main(int argc, char** argv) {
                 << " B binary\n\n";
     }
 
-    Table table({"threads", "reference_ms/step", "spmd_ms/step", "speedup",
-                 "dist_ref_ms/step", "dist_spmd_ms/step", "dist_speedup"});
+    Table table({"threads", "reference_ms/step", "spmd_ms/step", "speedup"});
     std::ostringstream json;
     json << "{\"env\": " << cpart::bench::env_json() << ",\n \"wire\": "
          << wire_json.str() << ",\n \"results\": [\n";
     bool first_record = true;
     bool all_equal = true;
     // (threads, mean spmd ms) per row, for the scaling-slope summary.
-    std::vector<std::pair<unsigned, double>> spmd_rows;
     std::vector<std::pair<unsigned, double>> dist_rows;
 
     for (unsigned t : thread_counts) {
       ThreadPool::set_global_threads(t);
-      ContactPipeline pipeline(snap0.mesh, snap0.surface, config);
-      pipeline.exchange().set_retry_policy(retry);
+      // One SPMD instance against one centralized-oracle instance: both
+      // flavors mutate rank state, so they cannot share an instance.
+      DistributedSim dist(sim, dconfig);
+      DistributedSim oracle(sim, dconfig);
+      dist.exchange().set_retry_policy(retry);
       std::optional<FaultInjector> injector;
       if (fault_rate > 0) {
         FaultConfig fc;
         fc.seed = fault_seed;
         fc.cell_fault_probability = fault_rate;
         injector.emplace(fc);
-        pipeline.exchange().set_fault_injector(&*injector);
+        dist.exchange().set_fault_injector(&*injector);
       }
-      PipelineHealth run_health;
-      std::ostringstream steps_json;
-      double ref_sum = 0, spmd_sum = 0;  // steady state: steps >= 1
-      idx_t steady_steps = 0;
-      bool first_step = true;
+      PipelineHealth dist_health;
+      std::ostringstream dsteps_json;
+      double dref_sum = 0, dspmd_sum = 0;  // steady state: steps >= 1
+      idx_t dist_steady = 0;
+      idx_t migration_steps = 0;
+      wgt_t moved_nodes = 0, moved_elements = 0;
+      wgt_t migration_bytes = 0, label_bytes = 0;
+      bool row_equal = true;
 
       for (idx_t s = 0; s < sim.num_snapshots(); s += stride) {
-        const ImpactSim::Snapshot snap = sim.snapshot(s);
-
         Timer timer;
-        const PipelineStepReport ref =
-            pipeline.run_step_reference(snap.mesh, snap.surface, body);
+        const DistributedStepReport ref = oracle.run_step_reference(s);
         const double ref_ms = timer.milliseconds();
 
         timer.reset();
-        const PipelineStepReport spmd =
-            pipeline.run_step(snap.mesh, snap.surface, body);
+        const DistributedStepReport got = dist.run_step(s);
         const double spmd_ms = timer.milliseconds();
 
-        run_health += spmd.health;
-
-        if (!reports_identical(spmd, ref)) {
-          std::cerr << "EQUIVALENCE FAILURE at step " << s << ", threads " << t
-                    << "\n";
-          all_equal = false;
+        dist_health += got.health;
+        if (!distributed_reports_identical(got, ref)) {
+          std::cerr << "DISTRIBUTED EQUIVALENCE FAILURE at step " << s
+                    << ", threads " << t << "\n";
+          row_equal = false;
         }
-
         if (s > 0) {
-          ref_sum += ref_ms;
-          spmd_sum += spmd_ms;
-          ++steady_steps;
+          dref_sum += ref_ms;
+          dspmd_sum += spmd_ms;
+          ++dist_steady;
         }
-        if (!first_step) steps_json << ",\n";
-        first_step = false;
-        steps_json << "    {\"step\": " << s << ", \"reference_ms\": " << ref_ms
-                   << ", \"spmd_ms\": " << spmd_ms
-                   << ", \"events\": " << spmd.contact_events
-                   << ", \"bytes\": {\"descriptor\": "
-                   << spmd.descriptor_broadcast_bytes
-                   << ", \"halo\": " << spmd.halo_payload_bytes
-                   << ", \"faces\": " << spmd.face_payload_bytes
-                   << "},\n     \"phase_ms\": {\"descriptor\": ";
-        json_array(steps_json, spmd.phase.descriptor_ms);
-        steps_json << ", \"halo\": ";
-        json_array(steps_json, spmd.phase.halo_ms);
-        steps_json << ", \"ship\": ";
-        json_array(steps_json, spmd.phase.ship_ms);
-        steps_json << ", \"search\": ";
-        json_array(steps_json, spmd.phase.search_ms);
-        // Per-rank readiness-wait time preceding each consuming phase of
-        // the dependency-driven run (the halo phase reads nothing).
-        steps_json << "},\n     \"wait\": {\"descriptor\": ";
-        json_array(steps_json, spmd.phase.descriptor_wait_ms);
-        steps_json << ", \"ship\": ";
-        json_array(steps_json, spmd.phase.ship_wait_ms);
-        steps_json << ", \"search\": ";
-        json_array(steps_json, spmd.phase.search_wait_ms);
-        steps_json << "}}";
+        migration_steps += got.migrated ? 1 : 0;
+        moved_nodes += got.repart_moved_nodes;
+        moved_elements += got.repart_moved_elements;
+        migration_bytes += got.migration_payload_bytes;
+        label_bytes += got.label_broadcast_bytes;
+
+        if (s > 0) dsteps_json << ",\n";
+        const RankPhaseBreakdown& phase = got.phase;
+        dsteps_json << "    {\"step\": " << s
+                    << ", \"reference_ms\": " << ref_ms
+                    << ", \"spmd_ms\": " << spmd_ms
+                    << ", \"events\": " << got.contact_events
+                    << ", \"migrated\": " << (got.migrated ? "true" : "false")
+                    << ", \"repart_moved_nodes\": " << got.repart_moved_nodes
+                    << ", \"repart_moved_elements\": "
+                    << got.repart_moved_elements
+                    << ", \"migration_bytes\": " << got.migration_payload_bytes
+                    << ", \"label_bytes\": " << got.label_broadcast_bytes
+                    << ",\n     \"bytes\": {\"descriptor\": "
+                    << got.descriptor_broadcast_bytes
+                    << ", \"halo\": " << got.halo_payload_bytes
+                    << ", \"faces\": " << got.face_payload_bytes
+                    << "},\n     \"phase_ms\": {\"descriptor\": ";
+        json_array(dsteps_json, phase.descriptor_ms);
+        dsteps_json << ", \"halo\": ";
+        json_array(dsteps_json, phase.halo_ms);
+        dsteps_json << ", \"ship\": ";
+        json_array(dsteps_json, phase.ship_ms);
+        dsteps_json << ", \"search\": ";
+        json_array(dsteps_json, phase.search_ms);
+        // Per-rank readiness-wait time preceding each consuming phase.
+        dsteps_json << "},\n     \"wait\": {\"descriptor\": ";
+        json_array(dsteps_json, phase.descriptor_wait_ms);
+        dsteps_json << ", \"ship\": ";
+        json_array(dsteps_json, phase.ship_wait_ms);
+        dsteps_json << ", \"search\": ";
+        json_array(dsteps_json, phase.search_wait_ms);
+        dsteps_json << "}}";
       }
+      all_equal = all_equal && row_equal;
 
-      const double ns = static_cast<double>(std::max<idx_t>(steady_steps, 1));
-      const double ref_mean = ref_sum / ns;
-      const double spmd_mean = spmd_sum / ns;
-      const double speedup = ref_mean / std::max(spmd_mean, 1e-9);
-
-      // Rank-owned distributed flavor over the same sequence: one SPMD
-      // instance against one centralized-oracle instance (both flavors
-      // mutate rank state, so they cannot share an instance the way the
-      // snapshot-driven pipeline does).
-      std::ostringstream dist_json;
-      double dist_ref_mean = 0;
-      double dist_spmd_mean = 0;
-      double dist_speedup = 0;
-      {
-        DistributedSimConfig dconfig;
-        dconfig.decomposition = config.decomposition;
-        dconfig.search = config.search;
-        dconfig.repartition_period = repart_period;
-        DistributedSim dist(sim, dconfig);
-        DistributedSim oracle(sim, dconfig);
-        dist.exchange().set_retry_policy(retry);
-        std::optional<FaultInjector> dist_injector;
-        if (fault_rate > 0) {
-          FaultConfig fc;
-          fc.seed = fault_seed;
-          fc.cell_fault_probability = fault_rate;
-          dist_injector.emplace(fc);
-          dist.exchange().set_fault_injector(&*dist_injector);
-        }
-        PipelineHealth dist_health;
-        std::ostringstream dsteps_json;
-        double dref_sum = 0, dspmd_sum = 0;
-        idx_t dist_steady = 0;
-        idx_t migration_steps = 0;
-        wgt_t moved_nodes = 0, moved_elements = 0;
-        wgt_t migration_bytes = 0, label_bytes = 0;
-        bool dist_first_step = true;
-
-        for (idx_t s = 0; s < sim.num_snapshots(); s += stride) {
-          Timer timer;
-          const DistributedStepReport ref = oracle.run_step_reference(s);
-          const double ref_ms = timer.milliseconds();
-
-          timer.reset();
-          const DistributedStepReport got = dist.run_step(s);
-          const double spmd_ms = timer.milliseconds();
-
-          dist_health += got.health;
-          if (!distributed_reports_identical(got, ref)) {
-            std::cerr << "DISTRIBUTED EQUIVALENCE FAILURE at step " << s
-                      << ", threads " << t << "\n";
-            all_equal = false;
-          }
-          if (s > 0) {
-            dref_sum += ref_ms;
-            dspmd_sum += spmd_ms;
-            ++dist_steady;
-          }
-          migration_steps += got.migrated ? 1 : 0;
-          moved_nodes += got.repart_moved_nodes;
-          moved_elements += got.repart_moved_elements;
-          migration_bytes += got.migration_payload_bytes;
-          label_bytes += got.label_broadcast_bytes;
-
-          if (!dist_first_step) dsteps_json << ",\n";
-          dist_first_step = false;
-          dsteps_json << "    {\"step\": " << s
-                      << ", \"reference_ms\": " << ref_ms
-                      << ", \"spmd_ms\": " << spmd_ms
-                      << ", \"events\": " << got.contact_events
-                      << ", \"migrated\": " << (got.migrated ? "true" : "false")
-                      << ", \"repart_moved_nodes\": " << got.repart_moved_nodes
-                      << ", \"repart_moved_elements\": "
-                      << got.repart_moved_elements
-                      << ", \"migration_bytes\": " << got.migration_payload_bytes
-                      << ", \"label_bytes\": " << got.label_broadcast_bytes
-                      << "}";
-        }
-
-        const double dns =
-            static_cast<double>(std::max<idx_t>(dist_steady, 1));
-        dist_ref_mean = dref_sum / dns;
-        dist_spmd_mean = dspmd_sum / dns;
-        dist_speedup = dist_ref_mean / std::max(dist_spmd_mean, 1e-9);
-        dist_json << "{\"repart_period\": " << repart_period
-                  << ", \"steady_steps\": " << dist_steady
-                  << ",\n    \"reference_mean_ms\": " << dist_ref_mean
-                  << ", \"spmd_mean_ms\": " << dist_spmd_mean
-                  << ", \"speedup\": " << dist_speedup
-                  << ",\n    \"migration_steps\": " << migration_steps
-                  << ", \"repart_moved_nodes\": " << moved_nodes
-                  << ", \"repart_moved_elements\": " << moved_elements
-                  << ", \"migration_payload_bytes\": " << migration_bytes
-                  << ", \"label_broadcast_bytes\": " << label_bytes
-                  << ",\n    \"health\": ";
-        health_json(dist_json, dist_health);
-        dist_json << ",\n    \"steps\": [\n" << dsteps_json.str()
-                  << "\n    ]}";
-        if (fault_rate > 0 || !dist_health.clean()) {
-          std::cout << "threads " << t
-                    << " distributed health: " << dist_health.summary()
-                    << "\n";
-        }
-      }
+      const double dns = static_cast<double>(std::max<idx_t>(dist_steady, 1));
+      const double dist_ref_mean = dref_sum / dns;
+      const double dist_spmd_mean = dspmd_sum / dns;
+      const double dist_speedup =
+          dist_ref_mean / std::max(dist_spmd_mean, 1e-9);
 
       table.begin_row();
       table.add_cell(static_cast<long long>(t));
-      table.add_cell(ref_mean, 2);
-      table.add_cell(spmd_mean, 2);
-      table.add_cell(speedup, 2);
       table.add_cell(dist_ref_mean, 2);
       table.add_cell(dist_spmd_mean, 2);
       table.add_cell(dist_speedup, 2);
@@ -481,21 +370,26 @@ int main(int argc, char** argv) {
       first_record = false;
       json << "  {\"threads\": " << t
            << ", \"pool_threads\": " << ThreadPool::global().num_threads()
-           << ", \"nodes\": "
-           << sim.initial_mesh().num_nodes() << ", \"k\": " << k
-           << ", \"steady_steps\": " << steady_steps
-           << ",\n   \"reference_mean_ms\": " << ref_mean
-           << ", \"spmd_mean_ms\": " << spmd_mean << ", \"speedup\": " << speedup
-           << ", \"equivalent\": " << (all_equal ? "true" : "false")
-           << ",\n   \"health\": ";
-      health_json(json, run_health);
-      json << ",\n   \"distributed\": " << dist_json.str();
-      json << ",\n   \"steps\": [\n" << steps_json.str() << "\n   ]}";
-      if (fault_rate > 0 || !run_health.clean()) {
-        std::cout << "threads " << t << " health: " << run_health.summary()
-                  << "\n";
+           << ", \"nodes\": " << sim.initial_mesh().num_nodes()
+           << ", \"k\": " << k
+           << ", \"equivalent\": " << (row_equal ? "true" : "false")
+           << ",\n   \"distributed\": {\"repart_period\": " << repart_period
+           << ", \"steady_steps\": " << dist_steady
+           << ",\n    \"reference_mean_ms\": " << dist_ref_mean
+           << ", \"spmd_mean_ms\": " << dist_spmd_mean
+           << ", \"speedup\": " << dist_speedup
+           << ",\n    \"migration_steps\": " << migration_steps
+           << ", \"repart_moved_nodes\": " << moved_nodes
+           << ", \"repart_moved_elements\": " << moved_elements
+           << ", \"migration_payload_bytes\": " << migration_bytes
+           << ", \"label_broadcast_bytes\": " << label_bytes
+           << ",\n    \"health\": ";
+      health_json(json, dist_health);
+      json << ",\n    \"steps\": [\n" << dsteps_json.str() << "\n    ]}}";
+      if (fault_rate > 0 || !dist_health.clean()) {
+        std::cout << "threads " << t
+                  << " distributed health: " << dist_health.summary() << "\n";
       }
-      spmd_rows.emplace_back(t, spmd_mean);
       dist_rows.emplace_back(t, dist_spmd_mean);
     }
 
@@ -503,18 +397,14 @@ int main(int argc, char** argv) {
     // and largest thread rows (1.0 = perfect scaling, 0 = flat).
     std::ostringstream scaling_json;
     {
-      const auto& lo = spmd_rows.front();
-      const auto& hi = spmd_rows.back();
-      const double spmd_ratio = lo.second / std::max(hi.second, 1e-9);
-      const double dist_ratio =
-          dist_rows.front().second / std::max(dist_rows.back().second, 1e-9);
+      const auto& lo = dist_rows.front();
+      const auto& hi = dist_rows.back();
+      const double ratio = lo.second / std::max(hi.second, 1e-9);
       const double doublings =
           std::log2(std::max<double>(hi.first, 1) /
                     std::max<double>(lo.first, 1));
-      const double spmd_slope =
-          doublings > 0 ? std::log2(std::max(spmd_ratio, 1e-9)) / doublings : 0;
-      const double dist_slope =
-          doublings > 0 ? std::log2(std::max(dist_ratio, 1e-9)) / doublings : 0;
+      const double slope =
+          doublings > 0 ? std::log2(std::max(ratio, 1e-9)) / doublings : 0;
       // Efficiency normalizes the ratio by the cores the top row could use.
       // resolved_hardware_threads (not raw hardware_threads) keeps the
       // denominator nonzero when the platform reports 0 ("unknown") — it
@@ -523,22 +413,16 @@ int main(int argc, char** argv) {
           1.0, std::min<double>(
                    hi.first, cpart::bench::resolved_hardware_threads(
                                  static_cast<unsigned>(hi.first))));
-      const double spmd_efficiency = spmd_ratio / usable;
-      const double dist_efficiency = dist_ratio / usable;
       scaling_json << "{\"threads_lo\": " << lo.first
                    << ", \"threads_hi\": " << hi.first
                    << ", \"usable_threads\": " << usable
-                   << ", \"spmd_ratio\": " << spmd_ratio
-                   << ", \"spmd_slope\": " << spmd_slope
-                   << ", \"spmd_efficiency\": " << spmd_efficiency
-                   << ", \"distributed_ratio\": " << dist_ratio
-                   << ", \"distributed_slope\": " << dist_slope
-                   << ", \"distributed_efficiency\": " << dist_efficiency
+                   << ", \"distributed_ratio\": " << ratio
+                   << ", \"distributed_slope\": " << slope
+                   << ", \"distributed_efficiency\": " << ratio / usable
                    << "}";
       std::cout << "scaling " << lo.first << "t -> " << hi.first
-                << "t: spmd " << spmd_ratio << "x (slope " << spmd_slope
-                << "/doubling), distributed " << dist_ratio << "x (slope "
-                << dist_slope << "/doubling)\n";
+                << "t: distributed " << ratio << "x (slope " << slope
+                << "/doubling)\n";
     }
     // Rank-death recovery probe at the largest thread count: (1) zero-fault
     // checkpoint overhead, A/B over the same distributed run, and (2) MTTR
@@ -547,10 +431,6 @@ int main(int argc, char** argv) {
     std::ostringstream recovery_json;
     if (checkpoint_period > 0) {
       ThreadPool::set_global_threads(thread_counts.back());
-      DistributedSimConfig dconfig;
-      dconfig.decomposition = config.decomposition;
-      dconfig.search = config.search;
-      dconfig.repartition_period = repart_period;
 
       const auto run_all = [&](DistributedSim& dsim,
                                std::vector<DistributedStepReport>* out,

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "runtime/label_codec.hpp"
+#include "tree/tree_io.hpp"
 #include "util/timer.hpp"
 
 namespace cpart {
@@ -57,6 +60,42 @@ PartitionerConfig repartitioner_config(const DistributedSimConfig& config) {
   pc.options.epsilon = config.decomposition.epsilon;
   pc.hierarchy = config.decomposition.hierarchy;
   return pc;
+}
+
+/// Rank 0's descriptor update: induces this step's descriptors into `out`
+/// — warm-started from the tree `out` held last step — and broadcasts the
+/// binary wire to the other k-1 ranks. Runs on the driver thread: parallel
+/// induction dispatches pool work, which a rank program must never do.
+void induce_and_broadcast_descriptors(std::span<const Vec3> points,
+                                      std::span<const idx_t> labels, idx_t k,
+                                      const DescriptorOptions& options,
+                                      TreeInduceWorkspace& workspace,
+                                      std::optional<SubdomainDescriptors>& out,
+                                      Exchange& exchange) {
+  if (out.has_value()) workspace.recycle(out->release_tree());
+  out.emplace(points, labels, k, options, &workspace);
+  exchange.descriptors().broadcast(
+      0, DescriptorTreeMsg{tree_to_binary(out->tree())});
+}
+
+/// Rank r's side of the broadcast: decodes its own copy of the wire into
+/// `out` (every rank needs its own — query_box keeps per-instance scratch).
+/// Rank 0 keeps the copy it induced. Throws TreeParseError on a rejected
+/// wire.
+void receive_descriptors(Exchange& exchange, idx_t r, idx_t k,
+                         std::optional<SubdomainDescriptors>& out) {
+  if (r == 0) return;
+  const auto& in = exchange.descriptors().inbox(r);
+  require(in.size() == 1, "descriptor broadcast lost");
+  out.emplace(tree_from_binary(in.front().wire), k);
+}
+
+/// The reference body's byte model of the broadcast: the binary wire of
+/// `descriptors` once per receiving rank.
+wgt_t descriptor_broadcast_bytes(const SubdomainDescriptors& descriptors,
+                                 idx_t k) {
+  return static_cast<wgt_t>(tree_to_binary(descriptors.tree()).size()) *
+         std::max<wgt_t>(0, k - 1);
 }
 
 }  // namespace
@@ -297,6 +336,8 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
   const real_t nose = sim_->nose_z(s);
   report.step = s;
   report.migrated = migrate;
+  RankPhaseBreakdown& phase = report.phase;
+  phase.reset(np);
 
   // Neighbor topology of this step's halo (the send lists change across
   // migrations, so the inverse is rebuilt per step).
@@ -388,13 +429,19 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
     }
   };
   const std::array<AsyncPhase, 3> kinematics_phases = {
-      AsyncPhase{.body = phase_a, .writes = channel_bit(ChannelId::kHalo)},
+      AsyncPhase{.body = phase_a,
+                 .writes = channel_bit(ChannelId::kHalo),
+                 .ms_accum = phase.halo_ms},
       AsyncPhase{.body = phase_b,
                  .reads = channel_bit(ChannelId::kHalo),
                  .writes = channel_bit(ChannelId::kCouplingForward),
+                 .ms_accum = phase.halo_ms,
+                 .wait_ms_accum = phase.ship_wait_ms,
                  .providers = &halo_providers_},
       AsyncPhase{.body = gather_phase,
-                 .reads = channel_bit(ChannelId::kCouplingForward)},
+                 .reads = channel_bit(ChannelId::kCouplingForward),
+                 .ms_accum = phase.halo_ms,
+                 .wait_ms_accum = phase.descriptor_wait_ms},
   };
   // Injected hangs arm the executor's watchdog so a rank that never
   // publishes is declared dead instead of deadlocking the run.
@@ -428,8 +475,10 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
 
   // --- Driver section (was superstep C): rank 0's descriptor update runs
   // on the calling thread (see induce_and_broadcast_descriptors), plus on
-  // migration steps one delta-coded blob of the changed labels. -------------
+  // migration steps one delta-coded blob of the changed labels. Charged to
+  // descriptor_ms[0]. --------------------------------------------------------
   {
+    Timer timer;
     SubdomainState& st = states_[0];
     DescriptorOptions options = config_.decomposition.descriptor;
     options.dim = topo_.mesh().dim();
@@ -446,6 +495,7 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
             0, LabelBatchMsg{encode_label_updates(st.pending_labels)});
       }
     }
+    phase.descriptor_ms[0] += timer.milliseconds();
   }
   report.descriptor_tree_nodes = states_[0].descriptors->num_tree_nodes();
 
@@ -578,14 +628,20 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
   std::vector<AsyncPhase> search_phases;
   search_phases.push_back(AsyncPhase{.body = phase_d,
                                      .reads = broadcast_mask,
-                                     .writes = channel_bit(ChannelId::kFaces)});
+                                     .writes = channel_bit(ChannelId::kFaces),
+                                     .ms_accum = phase.ship_ms,
+                                     .wait_ms_accum = phase.descriptor_wait_ms});
   search_phases.push_back(
       AsyncPhase{.body = phase_e,
                  .reads = channel_bit(ChannelId::kFaces),
-                 .writes = migrate ? migrate_mask : ChannelMask{0}});
+                 .writes = migrate ? migrate_mask : ChannelMask{0},
+                 .ms_accum = phase.search_ms,
+                 .wait_ms_accum = phase.search_wait_ms});
   if (migrate) {
     search_phases.push_back(AsyncPhase{.body = phase_f,
-                                       .reads = migrate_mask});
+                                       .reads = migrate_mask,
+                                       .ms_accum = phase.search_ms,
+                                       .wait_ms_accum = phase.search_wait_ms});
   }
   // deliveries #3, #4 (+ #5) inside (unreachable with a hang armed — the
   // first run already unwound — but the options are step-scoped)

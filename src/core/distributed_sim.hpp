@@ -1,13 +1,13 @@
 // Rank-owned distributed contact simulation with live element migration.
 //
-// The SPMD pipelines of core/pipeline.hpp still consume centrally generated
-// snapshots: a driver builds the deformed mesh and surface, and the ranks
-// own views into them. DistributedSim removes the central snapshot from the
-// step path entirely. Each rank holds a SubdomainState — the authoritative
-// positions and contact-hit accumulators of exactly the nodes it owns, plus
-// a ghost layer (the element closure of its owned nodes) refreshed by halo
-// exchange — and derives everything else locally against the immutable
-// MeshTopology:
+// This is the MCML+DT time step the benches, the service and perfbench run:
+// with repartition_period = 0 the mesh partition stays fixed and only the
+// descriptor tree is re-induced and broadcast every snapshot, as in the
+// paper. No central snapshot is on the step path. Each rank holds a
+// SubdomainState — the authoritative positions and contact-hit accumulators
+// of exactly the nodes it owns, plus a ghost layer (the element closure of
+// its owned nodes) refreshed by halo exchange — and derives everything else
+// locally against the immutable MeshTopology:
 //   A. kinematics + halo — each rank advances its owned nodes with the
 //      closed-form ImpactSim kinematics and posts boundary positions to the
 //      ranks tracking them (the halo carries the *authoritative* values;
@@ -135,6 +135,10 @@ struct DistributedStepReport : StepEvents {
   idx_t replayed_steps = 0;
   double checkpoint_ms = 0;
   double recovery_ms = 0;
+  /// Per-rank phase timings of the SPMD path (see RankPhaseBreakdown for
+  /// how supersteps A-F map onto its arrays); empty after
+  /// run_step_reference and on degraded steps.
+  RankPhaseBreakdown phase;
   PipelineHealth health;
 };
 

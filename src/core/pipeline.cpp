@@ -5,9 +5,6 @@
 
 #include "contact/global_search.hpp"
 #include "contact/search_metrics.hpp"
-#include "parallel/thread_pool.hpp"
-#include "tree/tree_io.hpp"
-#include "util/timer.hpp"
 
 namespace cpart {
 
@@ -40,30 +37,13 @@ void finalize_events(StepEvents& out) {
   }
 }
 
-void induce_and_broadcast_descriptors(std::span<const Vec3> points,
-                                      std::span<const idx_t> labels, idx_t k,
-                                      const DescriptorOptions& options,
-                                      TreeInduceWorkspace& workspace,
-                                      std::optional<SubdomainDescriptors>& out,
-                                      Exchange& exchange) {
-  if (out.has_value()) workspace.recycle(out->release_tree());
-  out.emplace(points, labels, k, options, &workspace);
-  exchange.descriptors().broadcast(
-      0, DescriptorTreeMsg{tree_to_binary(out->tree())});
-}
-
-void receive_descriptors(Exchange& exchange, idx_t r, idx_t k,
-                         std::optional<SubdomainDescriptors>& out) {
-  if (r == 0) return;
-  const auto& in = exchange.descriptors().inbox(r);
-  require(in.size() == 1, "descriptor broadcast lost");
-  out.emplace(tree_from_binary(in.front().wire), k);
-}
-
-wgt_t descriptor_broadcast_bytes(const SubdomainDescriptors& descriptors,
-                                 idx_t k) {
-  return static_cast<wgt_t>(tree_to_binary(descriptors.tree()).size()) *
-         std::max<wgt_t>(0, k - 1);
+void RankPhaseBreakdown::reset(idx_t k) {
+  const auto n = static_cast<std::size_t>(k);
+  for (std::vector<double>* v :
+       {&descriptor_ms, &halo_ms, &ship_ms, &search_ms, &descriptor_wait_ms,
+        &ship_wait_ms, &search_wait_ms}) {
+    v->assign(n, 0.0);
+  }
 }
 
 namespace {
@@ -82,18 +62,8 @@ FaceShipMsg make_face_msg(const Mesh& mesh, const SurfaceFace& face, idx_t f) {
   return m;
 }
 
-void init_phase(RankPhaseBreakdown& phase, idx_t k) {
-  phase.descriptor_ms.assign(static_cast<std::size_t>(k), 0.0);
-  phase.halo_ms.assign(static_cast<std::size_t>(k), 0.0);
-  phase.ship_ms.assign(static_cast<std::size_t>(k), 0.0);
-  phase.search_ms.assign(static_cast<std::size_t>(k), 0.0);
-  phase.descriptor_wait_ms.assign(static_cast<std::size_t>(k), 0.0);
-  phase.ship_wait_ms.assign(static_cast<std::size_t>(k), 0.0);
-  phase.search_wait_ms.assign(static_cast<std::size_t>(k), 0.0);
-}
-
-/// The rank-phase bodies both snapshot-driven pipelines run, over one
-/// step's snapshot, ownership views and rank states.
+/// MlRcbPipeline's rank-phase bodies, over one step's snapshot, ownership
+/// views and rank states.
 struct SnapshotPhases {
   const Mesh& mesh;
   const Surface& surface;
@@ -218,176 +188,12 @@ void validate_snapshot_identity(const Mesh& mesh, const Surface& surface,
 
 }  // namespace
 
-ContactPipeline::ContactPipeline(const Mesh& mesh0, const Surface& surface0,
-                                 const PipelineConfig& config)
-    : config_(config),
-      partitioner_(mesh0, surface0, config.decomposition),
-      element_type0_(mesh0.element_type()),
-      num_nodes0_(mesh0.num_nodes()),
-      num_elements0_(mesh0.num_elements()),
-      exchange_(config.decomposition.k),
-      executor_(config.decomposition.k) {
-  config_.search.validate("ContactPipeline");
-  ranks_.resize(static_cast<std::size_t>(k()));
-  for (idx_t r = 0; r < k(); ++r) {
-    ranks_[static_cast<std::size_t>(r)].id = r;
-  }
-}
-
-PipelineStepReport ContactPipeline::run_step(const Mesh& mesh,
-                                             const Surface& surface,
-                                             std::span<const int> body_of_node) {
-  validate_snapshot_identity(mesh, surface, element_type0_, num_nodes0_,
-                             num_elements0_, "ContactPipeline");
-  PipelineStepReport report;
-  PipelineHealth health;
-  const bool ok = try_spmd_step(exchange_, health, [&] {
-    report = run_step_spmd(mesh, surface, body_of_node);
-  });
-  if (ok) {
-    report.health = exchange_.take_health();
-    return report;
-  }
-  report = run_step_reference(mesh, surface, body_of_node);
-  report.health = health;
-  return report;
-}
-
-PipelineStepReport ContactPipeline::run_step_spmd(
-    const Mesh& mesh, const Surface& surface,
-    std::span<const int> body_of_node) {
-  const idx_t num_parts = k();
-  PipelineStepReport report;
-  init_phase(report.phase, num_parts);
-
-  // Per-step ownership views. The nodal graph is cached across snapshots
-  // (rebuilt only when erosion changed the topology) and the halo send
-  // lists follow its version.
-  const CsrGraph& graph = graph_cache_.get(mesh);
-  const std::vector<idx_t>& part = partitioner_.node_partition();
-  contact_labels_.clear();
-  contact_labels_.reserve(surface.contact_nodes.size());
-  for (idx_t id : surface.contact_nodes) {
-    contact_labels_.push_back(part[static_cast<std::size_t>(id)]);
-  }
-  face_owners_into(surface, part, num_parts, face_owner_);
-  build_subdomain_views(surface.contact_nodes, contact_labels_, face_owner_,
-                        num_parts, views_);
-  if (halo_version_ != graph_cache_.version()) {
-    build_halo_sends(graph, part, num_parts, views_);
-    build_halo_providers(views_, halo_providers_);
-    halo_version_ = graph_cache_.version();
-  }
-
-  // --- Driver section: rank 0's descriptor update, charged to
-  // descriptor_ms[0]. The broadcast group is born closed (its rows are
-  // posted here, before the run), so the k per-destination wire
-  // validations spread across the async workers while the halo phase
-  // proceeds underneath them. ------------------------------------------------
-  {
-    Timer timer;
-    for (Rank& rank : ranks_) rank.begin_step();
-    std::vector<Vec3> points;
-    points.reserve(surface.contact_nodes.size());
-    for (idx_t id : surface.contact_nodes) points.push_back(mesh.node(id));
-    DescriptorOptions options = partitioner_.config().descriptor;
-    options.dim = mesh.dim();
-    induce_and_broadcast_descriptors(points, contact_labels_, num_parts,
-                                     options, induce_ws_,
-                                     ranks_[0].descriptors, exchange_);
-    report.phase.descriptor_ms[0] += timer.milliseconds();
-  }
-  report.descriptor_tree_nodes = ranks_[0].descriptors->num_tree_nodes();
-
-  // --- Phases 1-4 in one dependency-driven run: parse (reads the born-
-  // closed broadcast — delivery #1), halo post, ghost intake + element
-  // shipping (reads halo from just this rank's neighbors — delivery #2),
-  // local search (reads faces — delivery #3). A rank enters each phase the
-  // moment its own inbox cells commit; there is no global barrier. ----------
-  const SnapshotPhases step{mesh, surface, views_, ranks_, exchange_};
-  const real_t margin = config_.search.search_margin;
-  const LocalSearchOptions local = config_.search.local_options(body_of_node);
-  const std::array<AsyncPhase, 4> phases = {
-      AsyncPhase{.body =
-                     [&](idx_t r) {
-                       receive_descriptors(exchange_, r, num_parts,
-                                           step.rank(r).descriptors);
-                     },
-                 .reads = channel_bit(ChannelId::kDescriptors),
-                 .ms_accum = report.phase.descriptor_ms,
-                 .wait_ms_accum = report.phase.descriptor_wait_ms},
-      AsyncPhase{.body = [&](idx_t r) { step.post_halo(r); },
-                 .writes = channel_bit(ChannelId::kHalo),
-                 .ms_accum = report.phase.halo_ms},
-      AsyncPhase{.body =
-                     [&](idx_t r) {
-                       step.ship_faces(r, margin, *step.rank(r).descriptors);
-                     },
-                 .reads = channel_bit(ChannelId::kHalo),
-                 .writes = channel_bit(ChannelId::kFaces),
-                 .ms_accum = report.phase.ship_ms,
-                 .wait_ms_accum = report.phase.ship_wait_ms,
-                 .providers = &halo_providers_},
-      AsyncPhase{.body = [&](idx_t r) { step.search_local(r, local); },
-                 .reads = channel_bit(ChannelId::kFaces),
-                 .ms_accum = report.phase.search_ms,
-                 .wait_ms_accum = report.phase.search_wait_ms},
-  };
-  executor_.run(phases, exchange_);
-  report.descriptor_broadcast_bytes = exchange_.take_descriptor_bytes();
-  report.fe_exchange = exchange_.take_fe_traffic();
-  report.halo_payload_bytes = exchange_.take_halo_bytes();
-  report.search_exchange = exchange_.take_search_traffic();
-  report.face_payload_bytes = exchange_.take_face_bytes();
-
-  merge_rank_events(ranks_, report);
-  return report;
-}
-
-PipelineStepReport ContactPipeline::run_step_reference(
-    const Mesh& mesh, const Surface& surface,
-    std::span<const int> body_of_node) const {
-  validate_snapshot_identity(mesh, surface, element_type0_, num_nodes0_,
-                             num_elements0_, "ContactPipeline");
-  const idx_t num_parts = k();
-  const std::vector<idx_t>& part = partitioner_.node_partition();
-  PipelineStepReport report;
-
-  // --- Phase 1: descriptor update + broadcast, induced with the exact
-  // options the SPMD driver uses, so the modeled broadcast bytes match. -----
-  std::vector<Vec3> points;
-  std::vector<idx_t> labels;
-  points.reserve(surface.contact_nodes.size());
-  labels.reserve(surface.contact_nodes.size());
-  for (idx_t id : surface.contact_nodes) {
-    points.push_back(mesh.node(id));
-    labels.push_back(part[static_cast<std::size_t>(id)]);
-  }
-  DescriptorOptions options = partitioner_.config().descriptor;
-  options.dim = mesh.dim();
-  const SubdomainDescriptors descriptors(points, labels, num_parts, options);
-  report.descriptor_tree_nodes = descriptors.num_tree_nodes();
-  report.descriptor_broadcast_bytes =
-      descriptor_broadcast_bytes(descriptors, num_parts);
-
-  // --- Phase 2: FE halo exchange. ------------------------------------------
-  report.fe_exchange = fe_halo_traffic(nodal_graph(mesh), part, num_parts);
-
-  // --- Phases 3-4: global search & element shipping, then per-processor
-  // local search. -----------------------------------------------------------
-  report.search_exchange = reference_search(
-      mesh, surface, face_owners(surface, part, num_parts),
-      surface.contact_nodes, labels, num_parts, config_.search.search_margin,
-      config_.search.local_options(body_of_node), descriptors, report);
-  return report;
-}
-
 // ---------------------------------------------------------------------------
 // ML+RCB baseline pipeline
 // ---------------------------------------------------------------------------
 
 MlRcbPipeline::MlRcbPipeline(const Mesh& mesh0, const Surface& surface0,
-                             const MlRcbPipelineConfig& config)
+                             const MlRcbStepConfig& config)
     : config_(config),
       partitioner_(mesh0, surface0, config.decomposition),
       element_type0_(mesh0.element_type()),
@@ -423,7 +229,7 @@ MlRcbStepReport MlRcbPipeline::run_step(const Mesh& mesh,
                                         const Surface& surface,
                                         std::span<const int> body_of_node) {
   MlRcbStepReport report;
-  init_phase(report.phase, k());
+  report.phase.reset(k());
   // The stateful RCB advance runs exactly once per step, before the part
   // that can fail — the degraded path below must not re-run it.
   advance_partition(mesh, surface, report);

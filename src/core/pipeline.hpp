@@ -1,38 +1,29 @@
-// End-to-end parallel contact pipeline, executed SPMD on the rank/exchange
-// runtime.
+// The pieces every contact step driver shares, and the ML+RCB baseline run
+// end to end.
 //
-// One full time step the way a production MPI integration of MCML+DT would
-// run it (paper Sections 2 and 4), as k concurrent per-rank programs over
-// typed exchange channels (runtime/exchange.hpp):
-//   1. descriptor update — rank 0 induces this snapshot's descriptor tree
-//      from the moved contact points and broadcasts the serialized tree to
-//      the other k-1 ranks (bytes x (k-1) = the NTNodes setup cost); every
-//      receiver parses its own copy;
-//   2. FE halo exchange — each rank posts its boundary-node positions to
-//      the adjacent partitions;
-//   3. global search — each rank filters its own surface faces through its
-//      descriptor copy and ships each face (ids + coordinates) to every
-//      candidate rank;
-//   4. local search — each rank tests its own contact nodes against its
-//      owned + received faces.
-// The per-rank events are merged deterministically (rank order, then sorted
-// by (node, distance)) — bit-identical to the centralized implementation,
-// which is retained as run_step_reference() and serves as the equivalence
-// oracle for tests and benches. The union of the per-rank local searches
-// must also equal a serial search over the whole surface whenever the
-// search margin covers the contact tolerance — the integration tests assert
-// exactly that, which validates the conservativeness of the descriptor
-// filter end-to-end.
+// A step driver executes one time step as k concurrent per-rank programs
+// over typed exchange channels (runtime/exchange.hpp): descriptor or box
+// filter update, FE halo exchange, global search with element shipping, and
+// per-rank local search. The MCML+DT step with rank-owned state is
+// DistributedSim (core/distributed_sim.hpp); this header holds what it
+// shares with MlRcbPipeline — the search knobs, the event merge, the
+// degrade-on-failure wrapper, the halo provider inversion, and the per-rank
+// phase breakdown — plus MlRcbPipeline itself, the paper's baseline
+// (Section 5.2) driven over centrally generated snapshots.
+//
+// Every driver keeps a centralized run_step_reference() as its equivalence
+// oracle: the SPMD path must match it bit for bit (events, per-rank counts,
+// traffic), and the union of the per-rank local searches must equal a
+// serial search over the whole surface whenever the search margin covers
+// the contact tolerance.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "contact/local_search.hpp"
-#include "core/mcml_dt.hpp"
 #include "core/ml_rcb.hpp"
 #include "mesh/mesh_graphs.hpp"
 #include "mesh/subdomain.hpp"
@@ -42,7 +33,6 @@
 #include "runtime/health.hpp"
 #include "runtime/rank.hpp"
 #include "runtime/virtual_cluster.hpp"
-#include "tree/descriptor_tree.hpp"
 #include "tree/tree_io.hpp"
 
 namespace cpart {
@@ -79,8 +69,7 @@ bool try_spmd_step(Exchange& exchange, PipelineHealth& health, Spmd&& spmd) {
   return false;
 }
 
-/// Contact-search knobs shared by both pipelines (deduplicated — they used
-/// to be copy-pasted fields with the margin/tolerance check in two places).
+/// Contact-search knobs shared by every step driver.
 struct SearchConfig {
   /// Global-search inflation of surface-element boxes. Must be at least the
   /// local tolerance for the pipeline to be exact (checked by validate()).
@@ -99,11 +88,6 @@ struct SearchConfig {
   LocalSearchOptions local_options(std::span<const int> body_of_node) const;
 };
 
-struct PipelineConfig {
-  McmlDtConfig decomposition{};
-  SearchConfig search{};
-};
-
 /// The contact events of one step, shared by every step report.
 struct StepEvents {
   idx_t contact_events = 0;
@@ -114,10 +98,10 @@ struct StepEvents {
 };
 
 // ---------------------------------------------------------------------------
-// Phase helpers shared by the step drivers (ContactPipeline, MlRcbPipeline,
-// DistributedSim): each driver is a phase list over these plus its own
-// state. The SPMD and reference flavors call the same helpers, which is
-// what keeps them bit-identical.
+// Phase helpers shared by the step drivers (MlRcbPipeline, DistributedSim):
+// each driver is a phase list over these plus its own state. The SPMD and
+// reference flavors call the same helpers, which is what keeps them
+// bit-identical.
 // ---------------------------------------------------------------------------
 
 /// Sorts `out.events` by (node, distance) — the deterministic order every
@@ -157,139 +141,46 @@ void build_halo_providers(const std::vector<View>& views,
   }
 }
 
-/// Rank 0's descriptor update: induces this step's descriptors into `out`
-/// — warm-started from the tree `out` held last step — and broadcasts the
-/// binary wire to the other k-1 ranks. Runs on the driver thread: parallel
-/// induction dispatches pool work, which a rank program must never do.
-void induce_and_broadcast_descriptors(std::span<const Vec3> points,
-                                      std::span<const idx_t> labels, idx_t k,
-                                      const DescriptorOptions& options,
-                                      TreeInduceWorkspace& workspace,
-                                      std::optional<SubdomainDescriptors>& out,
-                                      Exchange& exchange);
-
-/// Rank r's side of the broadcast: decodes its own copy of the wire into
-/// `out` (every rank needs its own — query_box keeps per-instance scratch).
-/// Rank 0 keeps the copy it induced. Throws TreeParseError on a rejected
-/// wire.
-void receive_descriptors(Exchange& exchange, idx_t r, idx_t k,
-                         std::optional<SubdomainDescriptors>& out);
-
-/// The reference flavors' byte model of the broadcast: the binary wire of
-/// `descriptors` once per receiving rank.
-wgt_t descriptor_broadcast_bytes(const SubdomainDescriptors& descriptors,
-                                 idx_t k);
-
-/// Per-rank wall milliseconds of each SPMD phase of the last run_step
-/// (empty after run_step_reference, which has no per-rank execution).
+/// Per-rank wall milliseconds of each SPMD phase of the last run_step,
+/// filled from the executor's per-body and per-wait timers (empty after
+/// run_step_reference and on degraded steps, which have no per-rank
+/// execution). Each wait is the readiness wait before a phase that reads a
+/// channel: time the rank spent blocked until the inbox rows it reads were
+/// closed (0 for already-ready inputs).
+///
+/// MlRcbPipeline: halo = halo + forward-coupling post and box allgather;
+/// ship = coupling return + element shipping (ship_wait its halo/coupling
+/// wait); search = merge + local search. descriptor_ms stays 0.
+///
+/// DistributedSim (superstep letters as in core/distributed_sim.hpp):
+///   descriptor_ms[0]    the driver's descriptor induction + encode (and the
+///                       label encode on migration steps); 0 on other ranks;
+///   halo_ms             A kinematics + halo post, B surface extraction +
+///                       contact-point post, and rank 0's gather;
+///   ship_ms             D descriptor decode + face shipping;
+///   search_ms           E local search (+ migration sends), F commit;
+///   ship_wait_ms        B's wait on its halo neighbors;
+///   descriptor_wait_ms  the gather's wait on the contact points, plus D's
+///                       wait on the descriptor/label broadcast;
+///   search_wait_ms      E's wait on shipped faces, F's on migration.
 struct RankPhaseBreakdown {
-  std::vector<double> descriptor_ms;  // induce/serialize (rank 0), parse
-  std::vector<double> halo_ms;        // halo posting
-  std::vector<double> ship_ms;        // ghost intake + element shipping
-  std::vector<double> search_ms;      // merge + local search
-  // Readiness-wait wall ms preceding each phase that reads a channel under
-  // the dependency-driven executor: time the rank spent blocked until the
-  // inbox rows its phase reads were closed (0 for already-ready inputs).
-  // The halo phase reads no channel, so it never waits.
+  std::vector<double> descriptor_ms;
+  std::vector<double> halo_ms;
+  std::vector<double> ship_ms;
+  std::vector<double> search_ms;
   std::vector<double> descriptor_wait_ms;
   std::vector<double> ship_wait_ms;
   std::vector<double> search_wait_ms;
-};
 
-struct PipelineStepReport : StepEvents {
-  StepTraffic fe_exchange;       // phase 2
-  StepTraffic search_exchange;   // phase 3
-  wgt_t descriptor_tree_nodes = 0;
-  wgt_t descriptor_broadcast_bytes = 0;  // phase 1 cost
-  /// Measured payload bytes the exchange actually carried (SPMD path only;
-  /// the reference path models units, not bytes, and leaves these 0).
-  wgt_t halo_payload_bytes = 0;
-  wgt_t face_payload_bytes = 0;
-  /// Periodic-repartition migration accounting: what the last repartition
-  /// moved, charged to the step it happened in. The pipelines themselves
-  /// keep a fixed partition, so these stay 0 unless the driver runs the
-  /// repartitioning update policy (experiment driver, bench_spmd
-  /// --repart_period) — DistributedSim fills the equivalent fields of its
-  /// own report natively.
-  idx_t repart_moved_nodes = 0;
-  idx_t repart_moved_elements = 0;
-  wgt_t repart_moved_bytes = 0;
-  RankPhaseBreakdown phase;  // SPMD path only
-  /// Transport detection/recovery counters of this step. clean() on a
-  /// healthy step; degraded() when the step fell back to the reference
-  /// path. run_step_reference leaves it default (no transport ran).
-  PipelineHealth health;
-};
-
-class ContactPipeline {
- public:
-  /// Decomposes the snapshot-0 mesh; the partition is reused across steps
-  /// (the paper's fixed-partition update policy).
-  ContactPipeline(const Mesh& mesh0, const Surface& surface0,
-                  const PipelineConfig& config);
-
-  idx_t k() const { return config_.decomposition.k; }
-  const McmlDtPartitioner& partitioner() const { return partitioner_; }
-
-  /// Executes one full step SPMD: k rank programs run concurrently on the
-  /// global ThreadPool, exchanging real payloads. `body_of_node` (size
-  /// num_nodes) enables the standard same-body contact exclusion. Snapshots
-  /// must come from one simulation sequence (the nodal-graph cache keys on
-  /// monotone erosion — see NodalGraphCache).
-  ///
-  /// Robustness: delivery validation failures are retried inside the
-  /// exchange (see RetryPolicy); if the transport gives up (TransportError),
-  /// a descriptor wire is rejected (TreeParseError), or rank programs throw
-  /// (ParallelGroupError), the step completes through run_step_reference
-  /// instead of crashing, with health.degraded_steps == 1 on the report.
-  PipelineStepReport run_step(const Mesh& mesh, const Surface& surface,
-                              std::span<const int> body_of_node = {});
-
-  /// The pre-refactor centralized implementation, kept as the equivalence
-  /// oracle: run_step must match it bit for bit (events, per-rank counts,
-  /// traffic), which the spmd tests assert at 1 and 8 threads.
-  PipelineStepReport run_step_reference(
-      const Mesh& mesh, const Surface& surface,
-      std::span<const int> body_of_node = {}) const;
-
-  /// The Exchange this pipeline's supersteps run over — exposed so callers
-  /// (tests, benches, the experiment driver) can arm fault injection and
-  /// tune the retry policy.
-  Exchange& exchange() { return exchange_; }
-
- private:
-  /// The SPMD step body; throws on transport/parse/rank-program failure
-  /// (run_step catches and degrades).
-  PipelineStepReport run_step_spmd(const Mesh& mesh, const Surface& surface,
-                                   std::span<const int> body_of_node);
-
-  PipelineConfig config_;
-  McmlDtPartitioner partitioner_;
-  // Snapshot-sequence identity captured at construction; every step's
-  // snapshot is validated against it (see validate_snapshot_identity).
-  ElementType element_type0_;
-  idx_t num_nodes0_ = 0;
-  idx_t num_elements0_ = 0;
-  // SPMD state, reused across steps.
-  NodalGraphCache graph_cache_;
-  std::uint64_t halo_version_ = 0;  // views_ halo lists match this version
-  std::vector<SubdomainView> views_;
-  std::vector<Rank> ranks_;
-  Exchange exchange_;
-  AsyncExecutor executor_;
-  // build_halo_providers(views_), rebuilt with the halo lists (same
-  // halo_version_ key).
-  std::vector<std::vector<idx_t>> halo_providers_;
-  TreeInduceWorkspace induce_ws_;      // warm storage across step inductions
-  std::vector<idx_t> contact_labels_;  // per-step gather scratch
-  std::vector<idx_t> face_owner_;
+  /// Sizes every array to k ranks, all zero.
+  void reset(idx_t k);
 };
 
 // ---------------------------------------------------------------------------
-// The same end-to-end step for the ML+RCB baseline.
+// The end-to-end step of the ML+RCB baseline.
 // ---------------------------------------------------------------------------
 
-struct MlRcbPipelineConfig {
+struct MlRcbStepConfig {
   MlRcbConfig decomposition{};
   SearchConfig search{};
 };
@@ -299,13 +190,16 @@ struct MlRcbStepReport : StepEvents {
   StepTraffic coupling_exchange;  // mesh-to-mesh, both directions
   StepTraffic search_exchange;
   wgt_t upd_comm = 0;  // incremental-RCB redistribution this step
-  /// Measured payload bytes (SPMD path only, like PipelineStepReport).
+  /// Measured payload bytes the exchange actually carried (SPMD path only;
+  /// the reference path models units, not bytes, and leaves these 0).
   wgt_t halo_payload_bytes = 0;
   wgt_t face_payload_bytes = 0;
   wgt_t coupling_payload_bytes = 0;
   wgt_t box_allgather_bytes = 0;  // RCB subdomain-box allgather
   RankPhaseBreakdown phase;  // SPMD path only (descriptor_ms stays 0)
-  /// Transport health of this step (see PipelineStepReport::health).
+  /// Transport detection/recovery counters of this step. clean() on a
+  /// healthy step; degraded() when the step fell back to the reference
+  /// path. run_step_reference leaves it default (no transport ran).
   PipelineHealth health;
 };
 
@@ -317,15 +211,15 @@ struct MlRcbStepReport : StepEvents {
 class MlRcbPipeline {
  public:
   MlRcbPipeline(const Mesh& mesh0, const Surface& surface0,
-                const MlRcbPipelineConfig& config);
+                const MlRcbStepConfig& config);
 
   idx_t k() const { return config_.decomposition.k; }
   const MlRcbPartitioner& partitioner() const { return partitioner_; }
 
   /// Advances the incremental RCB and executes the step SPMD. Must be
   /// called in snapshot order (the RCB update is stateful). Degrades to the
-  /// centralized phases on transport/rank failure exactly like
-  /// ContactPipeline::run_step — the RCB advance runs once either way.
+  /// centralized phases on transport/rank failure (see try_spmd_step) —
+  /// the RCB advance runs once either way.
   MlRcbStepReport run_step(const Mesh& mesh, const Surface& surface,
                            std::span<const int> body_of_node = {});
 
@@ -336,7 +230,8 @@ class MlRcbPipeline {
   MlRcbStepReport run_step_reference(const Mesh& mesh, const Surface& surface,
                                      std::span<const int> body_of_node = {});
 
-  /// See ContactPipeline::exchange().
+  /// The Exchange this pipeline's supersteps run over — exposed so callers
+  /// (tests, benches) can arm fault injection and tune the retry policy.
   Exchange& exchange() { return exchange_; }
 
  private:
@@ -357,7 +252,7 @@ class MlRcbPipeline {
                             std::span<const int> body_of_node,
                             MlRcbStepReport& report) const;
 
-  MlRcbPipelineConfig config_;
+  MlRcbStepConfig config_;
   MlRcbPartitioner partitioner_;
   // Snapshot-sequence identity captured at construction (see
   // validate_snapshot_identity).

@@ -2,7 +2,9 @@
 // must be detected by the cell framing/checksum, retries must recover from
 // transient corruption with bit-identical results, exhausted budgets must
 // degrade to the centralized reference path instead of crashing, and the
-// health counters must match the injected schedule exactly.
+// health counters must match the injected schedule exactly. The soaks drive
+// DistributedSim (the MCML+DT step, fixed partition) and MlRcbPipeline; the
+// DistributedSim degraded path is covered by distributed_test.
 //
 // The soak seed can be swept from CI via the CPART_CHAOS_SEED environment
 // variable (default 1); the fault schedule is a pure function of the seed,
@@ -14,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "core/pipeline.hpp"
+#include "core/distributed_sim.hpp"
 #include "parallel/thread_pool.hpp"
 #include "runtime/async_executor.hpp"
 #include "runtime/exchange.hpp"
@@ -223,16 +225,17 @@ class ChaosPipelineTest : public ::testing::Test {
 
   void TearDown() override { ThreadPool::set_global_threads(0); }
 
-  PipelineConfig dt_config(idx_t k) const {
-    PipelineConfig c;
+  // The MCML+DT step with a fixed partition (no repartition steps).
+  DistributedSimConfig dist_config(idx_t k) const {
+    DistributedSimConfig c;
     c.decomposition.k = k;
     c.search.search_margin = 0.12;
     c.search.contact_tolerance = 0.08;
     return c;
   }
 
-  MlRcbPipelineConfig rcb_config(idx_t k) const {
-    MlRcbPipelineConfig c;
+  MlRcbStepConfig rcb_config(idx_t k) const {
+    MlRcbStepConfig c;
     c.decomposition.k = k;
     c.search.search_margin = 0.12;
     c.search.contact_tolerance = 0.08;
@@ -243,38 +246,6 @@ class ChaosPipelineTest : public ::testing::Test {
   ImpactSim::Snapshot snap0_;
   std::vector<int> body_;
 };
-
-TEST_F(ChaosPipelineTest, ExhaustedBudgetDegradesToReferenceNotCrash) {
-  ThreadPool::set_global_threads(4);
-  ContactPipeline pipeline(snap0_.mesh, snap0_.surface, dt_config(4));
-  FaultInjector injector(
-      FaultConfig{.seed = 5, .cell_fault_probability = 1.0});
-  pipeline.exchange().set_fault_injector(&injector);
-  pipeline.exchange().set_retry_policy({.max_attempts = 2});
-
-  const auto snap = sim_->snapshot(29);
-  const PipelineStepReport ref =
-      pipeline.run_step_reference(snap.mesh, snap.surface, body_);
-  const PipelineStepReport got =
-      pipeline.run_step(snap.mesh, snap.surface, body_);
-
-  EXPECT_TRUE(got.health.degraded());
-  EXPECT_EQ(got.health.degraded_steps, 1);
-  EXPECT_EQ(got.health.exhausted_deliveries, 1);
-  EXPECT_GT(got.health.corrupt_cells, 0);
-  // The degraded step still produces the full, correct answer.
-  expect_events_identical(got.events, ref.events, "degraded contact");
-  EXPECT_EQ(got.events_per_processor, ref.events_per_processor);
-  EXPECT_EQ(got.fe_exchange, ref.fe_exchange);
-  EXPECT_EQ(got.search_exchange, ref.search_exchange);
-
-  // Disarming the injector heals the next step completely.
-  pipeline.exchange().set_fault_injector(nullptr);
-  const PipelineStepReport healed =
-      pipeline.run_step(snap.mesh, snap.surface, body_);
-  EXPECT_TRUE(healed.health.clean()) << healed.health.summary();
-  expect_events_identical(healed.events, ref.events, "healed contact");
-}
 
 TEST_F(ChaosPipelineTest, MlRcbDegradedStepMatchesOracleAndKeepsRcbState) {
   ThreadPool::set_global_threads(4);
@@ -311,16 +282,15 @@ TEST_F(ChaosPipelineTest, SoakFiftyStepsBitIdenticalAtOneAndEightThreads) {
   constexpr idx_t kSteps = 50;
   const idx_t k = 6;
 
-  // Fault-free baseline events per step.
+  // Fault-free baseline reports per step.
   ThreadPool::set_global_threads(8);
-  std::vector<std::vector<ContactEvent>> baseline;
+  std::vector<DistributedStepReport> baseline;
   {
-    ContactPipeline pipeline(snap0_.mesh, snap0_.surface, dt_config(k));
+    DistributedSim dsim(*sim_, dist_config(k));
     for (idx_t s = 0; s < kSteps; ++s) {
-      const auto snap = sim_->snapshot(s);
-      PipelineStepReport r = pipeline.run_step(snap.mesh, snap.surface, body_);
+      DistributedStepReport r = dsim.run_step(s);
       ASSERT_TRUE(r.health.clean()) << "baseline s=" << s;
-      baseline.push_back(std::move(r.events));
+      baseline.push_back(std::move(r));
     }
   }
 
@@ -334,22 +304,22 @@ TEST_F(ChaosPipelineTest, SoakFiftyStepsBitIdenticalAtOneAndEightThreads) {
   FaultInjector::Stats stats_at_1;
   for (unsigned threads : {1u, 8u}) {
     ThreadPool::set_global_threads(threads);
-    ContactPipeline pipeline(snap0_.mesh, snap0_.surface, dt_config(k));
+    DistributedSim dsim(*sim_, dist_config(k));
     FaultInjector injector(fc);
-    pipeline.exchange().set_fault_injector(&injector);
-    pipeline.exchange().set_retry_policy(retry);
+    dsim.exchange().set_fault_injector(&injector);
+    dsim.exchange().set_retry_policy(retry);
 
     PipelineHealth total;
     for (idx_t s = 0; s < kSteps; ++s) {
-      const auto snap = sim_->snapshot(s);
-      const PipelineStepReport r =
-          pipeline.run_step(snap.mesh, snap.surface, body_);
+      const DistributedStepReport r = dsim.run_step(s);
       total += r.health;
-      // The headline invariant: within the retry budget, contact events are
-      // bit-identical to the fault-free run.
-      expect_events_identical(r.events, baseline[static_cast<std::size_t>(s)],
+      // The headline invariant: within the retry budget, contact events and
+      // rank-owned state are bit-identical to the fault-free run.
+      const DistributedStepReport& want = baseline[static_cast<std::size_t>(s)];
+      expect_events_identical(r.events, want.events,
                               "threads=" + std::to_string(threads) +
                                   " s=" + std::to_string(s));
+      EXPECT_EQ(r.ownership_hash, want.ownership_hash) << "s=" << s;
     }
 
     // Every injected fault was detected, nothing was detected that was not
@@ -360,7 +330,7 @@ TEST_F(ChaosPipelineTest, SoakFiftyStepsBitIdenticalAtOneAndEightThreads) {
     EXPECT_EQ(total.exhausted_deliveries, 0);
     EXPECT_EQ(total.degraded_steps, 0);
     EXPECT_EQ(total.wire_parse_failures, 0);
-    EXPECT_EQ(total.deliveries, wgt_t{3} * kSteps);
+    EXPECT_EQ(total.deliveries, wgt_t{4} * kSteps);
 
     if (threads == 1) {
       health_at_1 = total;
@@ -389,14 +359,13 @@ TEST_F(ChaosPipelineTest, AsyncOutOfOrderSoakKeepsFaultScheduleAndBitIdentity) {
   const idx_t k = 6;
 
   ThreadPool::set_global_threads(8);
-  std::vector<std::vector<ContactEvent>> baseline;
+  std::vector<DistributedStepReport> baseline;
   {
-    ContactPipeline pipeline(snap0_.mesh, snap0_.surface, dt_config(k));
+    DistributedSim dsim(*sim_, dist_config(k));
     for (idx_t s = 0; s < kSteps; ++s) {
-      const auto snap = sim_->snapshot(s);
-      PipelineStepReport r = pipeline.run_step(snap.mesh, snap.surface, body_);
+      DistributedStepReport r = dsim.run_step(s);
       ASSERT_TRUE(r.health.clean()) << "baseline s=" << s;
-      baseline.push_back(std::move(r.events));
+      baseline.push_back(std::move(r));
     }
   }
 
@@ -411,27 +380,28 @@ TEST_F(ChaosPipelineTest, AsyncOutOfOrderSoakKeepsFaultScheduleAndBitIdentity) {
     FaultInjector::Stats stats_at_1;
     for (unsigned threads : {1u, 8u}) {
       ThreadPool::set_global_threads(threads);
-      ContactPipeline pipeline(snap0_.mesh, snap0_.surface, dt_config(k));
+      DistributedSim dsim(*sim_, dist_config(k));
       FaultInjector injector(fc);
-      pipeline.exchange().set_fault_injector(&injector);
-      pipeline.exchange().set_retry_policy(retry);
+      dsim.exchange().set_fault_injector(&injector);
+      dsim.exchange().set_retry_policy(retry);
 
       PipelineHealth total;
       for (idx_t s = 0; s < kSteps; ++s) {
-        const auto snap = sim_->snapshot(s);
-        const PipelineStepReport r =
-            pipeline.run_step(snap.mesh, snap.surface, body_);
+        const DistributedStepReport r = dsim.run_step(s);
         total += r.health;
+        const DistributedStepReport& want =
+            baseline[static_cast<std::size_t>(s)];
         expect_events_identical(
-            r.events, baseline[static_cast<std::size_t>(s)],
+            r.events, want.events,
             "seed=" + std::to_string(seed) +
                 " threads=" + std::to_string(threads) +
                 " s=" + std::to_string(s));
+        EXPECT_EQ(r.ownership_hash, want.ownership_hash) << "s=" << s;
       }
       EXPECT_EQ(total.corrupt_cells, injector.stats().faults_injected)
           << "seed=" << seed;
       EXPECT_EQ(total.degraded_steps, 0) << "seed=" << seed;
-      EXPECT_EQ(total.deliveries, wgt_t{3} * kSteps) << "seed=" << seed;
+      EXPECT_EQ(total.deliveries, wgt_t{4} * kSteps) << "seed=" << seed;
       if (threads == 1) {
         health_at_1 = total;
         stats_at_1 = injector.stats();

@@ -4,6 +4,9 @@
 // bit-identical to the centralized reference body — events, traffic
 // matrices, payload bytes, ownership maps, and contact-hit accumulators — at
 // 1 worker thread and at 8, including under the fault-injected transport.
+// The step must also be exact against a serial search of the snapshot (no
+// contact is lost to the decomposition), and its halo traffic must equal a
+// brute-force count over the element closure.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,9 +15,12 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "contact/local_search.hpp"
 #include "core/distributed_sim.hpp"
 #include "parallel/thread_pool.hpp"
 #include "runtime/fault_injector.hpp"
@@ -139,6 +145,18 @@ class DistributedSimTest : public ::testing::Test {
     }
     // The cadence (period 2, six steps driven) must actually have migrated.
     EXPECT_TRUE(saw_migration) << "k=" << k;
+  }
+
+  // The serial oracle: one local search over snapshot s's whole surface,
+  // with the same tolerance and same-body exclusion as make_config.
+  std::vector<ContactEvent> serial_events(idx_t s) const {
+    const ImpactSim::Snapshot snap = sim_->snapshot(s);
+    std::vector<int> body;
+    for (Body b : sim_->node_body()) body.push_back(static_cast<int>(b));
+    LocalSearchOptions opts;
+    opts.tolerance = 0.08;
+    opts.body_of_node = body;
+    return local_contact_search(snap.mesh, snap.surface, opts);
   }
 
   std::unique_ptr<ImpactSim> sim_;
@@ -297,6 +315,8 @@ TEST_F(DistributedSimTest, ExhaustedBudgetDegradesToReferenceNotCrash) {
     EXPECT_EQ(got.health.degraded(), inject) << "s=" << s;
     if (inject) {
       EXPECT_EQ(got.health.degraded_steps, 1) << "s=" << s;
+      // The degraded step ran no per-rank execution.
+      EXPECT_TRUE(got.phase.search_ms.empty()) << "s=" << s;
       EXPECT_EQ(got.health.exhausted_deliveries, 1) << "s=" << s;
       EXPECT_GT(got.health.corrupt_cells, 0) << "s=" << s;
     }
@@ -315,6 +335,122 @@ TEST_F(DistributedSimTest, ExhaustedBudgetDegradesToReferenceNotCrash) {
   const DistributedStepReport healed = faulty.run_step(15);
   EXPECT_TRUE(healed.health.clean()) << healed.health.summary();
   expect_reports_identical(healed, ref, "healed s=15");
+}
+
+TEST_F(DistributedSimTest, RejectsMarginSmallerThanTolerance) {
+  DistributedSimConfig c = make_config(4, /*period=*/0);
+  c.search.search_margin = 0.01;
+  EXPECT_THROW(DistributedSim(*sim_, c), InputError);
+}
+
+TEST_F(DistributedSimTest, SearchMatchesSerial) {
+  // The crucial end-to-end property: for any k, the union of per-rank
+  // searches equals the serial search — the descriptor filter shipped every
+  // face everywhere it was needed.
+  ThreadPool::set_global_threads(4);
+  const std::vector<ContactEvent> serial = serial_events(29);
+  ASSERT_GT(serial.size(), 0u) << "scenario produced no contacts to verify";
+  for (idx_t k : {idx_t{2}, idx_t{5}, idx_t{9}}) {
+    DistributedSim dsim(*sim_, make_config(k, /*period=*/0));
+    const DistributedStepReport r = dsim.run_step(29);
+    ASSERT_EQ(r.events.size(), serial.size()) << "k=" << k;
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(r.events[i].node, serial[i].node) << "k=" << k;
+      EXPECT_DOUBLE_EQ(r.events[i].distance, serial[i].distance)
+          << "k=" << k;
+    }
+  }
+}
+
+TEST_F(DistributedSimTest, HaloTrafficMatchesElementClosure) {
+  // Brute force over the immutable topology: node v is posted once to every
+  // other rank that owns a node of an element incident on v.
+  ThreadPool::set_global_threads(4);
+  const idx_t k = 5;
+  DistributedSim dsim(*sim_, make_config(k, /*period=*/0));
+  const DistributedStepReport r = dsim.run_step(29);
+  const std::vector<idx_t> owner = dsim.ownership_map();
+  const Mesh& mesh = dsim.topology().mesh();
+  std::set<std::pair<idx_t, idx_t>> units;  // (node, receiving rank)
+  for (idx_t e = 0; e < mesh.num_elements(); ++e) {
+    for (idx_t v : mesh.element(e)) {
+      for (idx_t u : mesh.element(e)) {
+        const idx_t q = owner[static_cast<std::size_t>(u)];
+        if (q != owner[static_cast<std::size_t>(v)]) units.insert({v, q});
+      }
+    }
+  }
+  std::vector<wgt_t> sent(static_cast<std::size_t>(k), 0);
+  std::vector<wgt_t> received(static_cast<std::size_t>(k), 0);
+  for (const auto& [v, q] : units) {
+    ++sent[static_cast<std::size_t>(owner[static_cast<std::size_t>(v)])];
+    ++received[static_cast<std::size_t>(q)];
+  }
+  ASSERT_GT(units.size(), 0u);
+  ASSERT_EQ(r.fe_exchange.num_processors(), k);
+  EXPECT_EQ(r.fe_exchange.total_units(), static_cast<wgt_t>(units.size()));
+  for (idx_t q = 0; q < k; ++q) {
+    const ProcessorTraffic& p =
+        r.fe_exchange.processors[static_cast<std::size_t>(q)];
+    EXPECT_EQ(p.sent_units, sent[static_cast<std::size_t>(q)]) << "q=" << q;
+    EXPECT_EQ(p.received_units, received[static_cast<std::size_t>(q)])
+        << "q=" << q;
+  }
+  EXPECT_EQ(r.halo_payload_bytes,
+            static_cast<wgt_t>(units.size()) * wire_bytes(HaloNodeMsg{}));
+}
+
+TEST_F(DistributedSimTest, ReportBookkeeping) {
+  ThreadPool::set_global_threads(4);
+  const idx_t k = 6;
+  DistributedSim dsim(*sim_, make_config(k, /*period=*/0));
+  // Snapshot 0: the projectile hovers above the plate beyond tolerance, but
+  // the halo exchange still happens.
+  const DistributedStepReport quiet = dsim.run_step(0);
+  EXPECT_EQ(quiet.contact_events, 0);
+  EXPECT_GT(quiet.fe_exchange.total_units(), 0);
+
+  const DistributedStepReport r = dsim.run_step(29);
+  ASSERT_GT(r.contact_events, 0);
+  idx_t sum = 0;
+  for (idx_t c : r.events_per_processor) sum += c;
+  EXPECT_EQ(sum, r.contact_events);
+  EXPECT_LE(r.penetrating_events, r.contact_events);
+  // The broadcast ships one serialized tree to each of the k-1 other ranks.
+  EXPECT_GT(r.descriptor_broadcast_bytes, 0);
+  EXPECT_EQ(r.descriptor_broadcast_bytes % (k - 1), 0);
+  EXPECT_EQ(r.fe_exchange.num_processors(), k);
+  EXPECT_EQ(r.search_exchange.num_processors(), k);
+
+  // A single rank degenerates to the serial search.
+  DistributedSim single(*sim_, make_config(1, /*period=*/0));
+  const DistributedStepReport one = single.run_step(29);
+  const std::vector<ContactEvent> serial = serial_events(29);
+  ASSERT_EQ(one.events.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(one.events[i].node, serial[i].node);
+    EXPECT_DOUBLE_EQ(one.events[i].distance, serial[i].distance);
+  }
+}
+
+TEST_F(DistributedSimTest, PhaseTimingsCoverEveryRank) {
+  ThreadPool::set_global_threads(4);
+  const idx_t k = 6;
+  DistributedSim dsim(*sim_, make_config(k, /*period=*/0));
+  const DistributedStepReport r = dsim.run_step(29);
+  const RankPhaseBreakdown& p = r.phase;
+  for (const std::vector<double>* v :
+       {&p.descriptor_ms, &p.halo_ms, &p.ship_ms, &p.search_ms,
+        &p.descriptor_wait_ms, &p.ship_wait_ms, &p.search_wait_ms}) {
+    ASSERT_EQ(v->size(), static_cast<std::size_t>(k));
+    for (double ms : *v) EXPECT_GE(ms, 0.0);
+  }
+  // Rank 0's descriptor phase is the driver's induction + encode.
+  EXPECT_GT(p.descriptor_ms[0], 0.0);
+  // The reference path has no per-rank execution: its breakdown is empty.
+  const DistributedStepReport ref = dsim.run_step_reference(30);
+  EXPECT_TRUE(ref.phase.descriptor_ms.empty());
+  EXPECT_TRUE(ref.phase.search_ms.empty());
 }
 
 }  // namespace

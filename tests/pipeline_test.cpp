@@ -1,6 +1,7 @@
-// Tests for core/pipeline: the end-to-end parallel step, including the
-// exactness property — the distributed search finds exactly the events a
-// serial search finds (no contact is lost to the decomposition).
+// Tests for core/pipeline: the ML+RCB baseline step end to end, including
+// the exactness property — the distributed search finds exactly the events
+// a serial search finds (no contact is lost to the decomposition).
+// DistributedSim, the MCML+DT step, has the same checks in distributed_test.
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
@@ -26,8 +27,8 @@ class PipelineTest : public ::testing::Test {
     }
   }
 
-  PipelineConfig config(idx_t k) const {
-    PipelineConfig c;
+  MlRcbStepConfig config(idx_t k) const {
+    MlRcbStepConfig c;
     c.decomposition.k = k;
     c.search.search_margin = 0.12;
     c.search.contact_tolerance = 0.08;
@@ -40,58 +41,32 @@ class PipelineTest : public ::testing::Test {
 };
 
 TEST_F(PipelineTest, RejectsMarginSmallerThanTolerance) {
-  PipelineConfig c = config(4);
+  MlRcbStepConfig c = config(4);
   c.search.search_margin = 0.01;
-  EXPECT_THROW(ContactPipeline(snap0_.mesh, snap0_.surface, c), InputError);
-}
-
-TEST_F(PipelineTest, DistributedSearchMatchesSerial) {
-  // The crucial end-to-end property: for any k, the union of per-processor
-  // searches equals the serial search — the descriptor filter shipped every
-  // element everywhere it was needed.
-  const auto snap = sim_->snapshot(29);  // impact on the upper plate region
-  LocalSearchOptions serial_opts;
-  serial_opts.tolerance = 0.08;
-  serial_opts.body_of_node = body_;
-  const auto serial =
-      local_contact_search(snap.mesh, snap.surface, serial_opts);
-  ASSERT_GT(serial.size(), 0u) << "scenario produced no contacts to verify";
-
-  for (idx_t k : {idx_t{2}, idx_t{5}, idx_t{9}}) {
-    ContactPipeline pipeline(snap0_.mesh, snap0_.surface, config(k));
-    const PipelineStepReport report =
-        pipeline.run_step(snap.mesh, snap.surface, body_);
-    ASSERT_EQ(report.events.size(), serial.size()) << "k=" << k;
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(report.events[i].node, serial[i].node) << "k=" << k;
-      EXPECT_DOUBLE_EQ(report.events[i].distance, serial[i].distance)
-          << "k=" << k;
-    }
-  }
+  EXPECT_THROW(MlRcbPipeline(snap0_.mesh, snap0_.surface, c), InputError);
 }
 
 TEST_F(PipelineTest, ReportBookkeepingConsistent) {
   const auto snap = sim_->snapshot(29);
-  ContactPipeline pipeline(snap0_.mesh, snap0_.surface, config(6));
-  const PipelineStepReport r = pipeline.run_step(snap.mesh, snap.surface, body_);
+  MlRcbPipeline pipeline(snap0_.mesh, snap0_.surface, config(6));
+  const MlRcbStepReport r = pipeline.run_step(snap.mesh, snap.surface, body_);
+  ASSERT_GT(r.contact_events, 0);
   // Per-processor counts sum to the total.
   idx_t sum = 0;
   for (idx_t c : r.events_per_processor) sum += c;
   EXPECT_EQ(sum, r.contact_events);
   EXPECT_LE(r.penetrating_events, r.contact_events);
-  // Broadcast cost scales with (k - 1) serialized trees.
-  EXPECT_GT(r.descriptor_broadcast_bytes, 0);
-  EXPECT_EQ(r.descriptor_broadcast_bytes % 5, 0);  // divisible by k-1 = 5
   // Traffic snapshots carry k processors each.
   EXPECT_EQ(r.fe_exchange.num_processors(), 6);
+  EXPECT_EQ(r.coupling_exchange.num_processors(), 6);
   EXPECT_EQ(r.search_exchange.num_processors(), 6);
   EXPECT_GT(r.fe_exchange.total_units(), 0);
 }
 
 TEST_F(PipelineTest, QuietSnapshotHasNoEvents) {
   // Snapshot 0: the projectile hovers above the plate beyond tolerance.
-  ContactPipeline pipeline(snap0_.mesh, snap0_.surface, config(4));
-  const PipelineStepReport r =
+  MlRcbPipeline pipeline(snap0_.mesh, snap0_.surface, config(4));
+  const MlRcbStepReport r =
       pipeline.run_step(snap0_.mesh, snap0_.surface, body_);
   EXPECT_EQ(r.contact_events, 0);
   EXPECT_GT(r.fe_exchange.total_units(), 0);  // halo exchange still happens
@@ -109,11 +84,7 @@ TEST_F(PipelineTest, MlRcbPipelineMatchesSerialToo) {
       local_contact_search(snap.mesh, snap.surface, serial_opts);
   ASSERT_GT(serial.size(), 0u);
 
-  MlRcbPipelineConfig config;
-  config.decomposition.k = 5;
-  config.search.search_margin = 0.12;
-  config.search.contact_tolerance = 0.08;
-  MlRcbPipeline pipeline(snap0_.mesh, snap0_.surface, config);
+  MlRcbPipeline pipeline(snap0_.mesh, snap0_.surface, config(5));
   // Advance through the snapshots in order (the RCB update is stateful).
   MlRcbStepReport report;
   for (idx_t s : {idx_t{10}, idx_t{20}, idx_t{29}}) {
@@ -131,29 +102,10 @@ TEST_F(PipelineTest, MlRcbPipelineMatchesSerialToo) {
 
 TEST_F(PipelineTest, MlRcbCouplingIsEvenUnits) {
   const auto snap = sim_->snapshot(20);
-  MlRcbPipelineConfig config;
-  config.decomposition.k = 4;
-  config.search.search_margin = 0.12;
-  config.search.contact_tolerance = 0.08;
-  MlRcbPipeline pipeline(snap0_.mesh, snap0_.surface, config);
+  MlRcbPipeline pipeline(snap0_.mesh, snap0_.surface, config(4));
   const MlRcbStepReport r = pipeline.run_step(snap.mesh, snap.surface, body_);
   // One unit each way per mismatched point: total units are even.
   EXPECT_EQ(r.coupling_exchange.total_units() % 2, 0);
-}
-
-TEST_F(PipelineTest, SingleProcessorDegenerates) {
-  const auto snap = sim_->snapshot(29);
-  ContactPipeline pipeline(snap0_.mesh, snap0_.surface, config(1));
-  const PipelineStepReport r = pipeline.run_step(snap.mesh, snap.surface, body_);
-  EXPECT_EQ(r.fe_exchange.total_units(), 0);
-  EXPECT_EQ(r.search_exchange.total_units(), 0);
-  EXPECT_EQ(r.descriptor_broadcast_bytes, 0);  // nobody to broadcast to
-  LocalSearchOptions serial_opts;
-  serial_opts.tolerance = 0.08;
-  serial_opts.body_of_node = body_;
-  const auto serial =
-      local_contact_search(snap.mesh, snap.surface, serial_opts);
-  EXPECT_EQ(r.events.size(), serial.size());
 }
 
 }  // namespace
