@@ -4,6 +4,9 @@
 // communication metrics.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cmath>
+
 #include "contact/global_search.hpp"
 #include "core/mcml_dt.hpp"
 #include "geom/rcb.hpp"
@@ -118,23 +121,38 @@ void BM_TreeInduction(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeInduction)->Arg(5000)->Arg(20000)->Arg(100000);
 
-void BM_TreeInductionParallel(benchmark::State& state) {
-  Rng rng(4);
+void BM_DescriptorInductionWarm(benchmark::State& state) {
+  // The contact step's descriptor induction: ~12k contact points labelled
+  // by 25 spatially coherent subdomains, re-induced from a warm workspace
+  // with no point map. Iterations alternate between two copies of the
+  // points, one slightly moved, so each sees the small coherent motion of
+  // one step and the saved orders need repair.
+  Rng rng(7);
   const idx_t n = static_cast<idx_t>(state.range(0));
-  const auto pts = random_points(n, rng);
+  std::array<std::vector<Vec3>, 2> pts{random_points(n, rng), {}};
+  pts[1] = pts[0];
+  for (Vec3& p : pts[1]) {
+    p.x += 0.01 * std::sin(3 * p.y);
+    p.z += 0.01 * std::cos(3 * p.x);
+  }
   std::vector<idx_t> labels(static_cast<std::size_t>(n));
   for (idx_t i = 0; i < n; ++i) {
-    const Vec3& p = pts[static_cast<std::size_t>(i)];
+    const Vec3& p = pts[0][static_cast<std::size_t>(i)];
     labels[static_cast<std::size_t>(i)] =
-        (p.x < 5 ? 0 : 1) + 2 * (p.y < 5 ? 0 : 1) + 4 * (p.z < 5 ? 0 : 1) +
-        8 * (p.x + p.y < 10 ? 0 : 1);
+        static_cast<idx_t>(p.x / 2) + 5 * static_cast<idx_t>(p.y / 2);
   }
+  TreeInduceOptions opts;
+  opts.want_point_leaf = false;
+  TreeInduceWorkspace ws;
+  std::size_t step = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(induce_tree(pts, labels, 16));
+    InducedTree t = induce_tree(pts[step++ % 2], labels, 25, opts, &ws);
+    benchmark::DoNotOptimize(t.tree.num_nodes());
+    ws.recycle(std::move(t.tree));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_TreeInductionParallel)->Arg(20000)->Arg(100000);
+BENCHMARK(BM_DescriptorInductionWarm)->Arg(12000)->UseRealTime();
 
 void BM_DescriptorQuery(benchmark::State& state) {
   Rng rng(5);

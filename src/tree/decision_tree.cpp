@@ -2,9 +2,16 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <deque>
+#include <exception>
+#include <mutex>
 #include <numeric>
+#include <thread>
+#include <tuple>
 
 #include "parallel/thread_pool.hpp"
 
@@ -116,13 +123,26 @@ std::span<const idx_t> DecisionTree::minority_labels(idx_t id) const {
 
 namespace {
 
+/// Trailing padding of label-count buffers that concurrent participants
+/// write: it keeps two buffers off a shared cache line.
+constexpr std::size_t kCountPad = 64 / sizeof(wgt_t);
+
 /// Pending subtree: node id within its context plus the point range.
 struct InduceItem {
   idx_t node;
   idx_t lo, hi;
 };
 
-/// Per-worker build state, pooled in the workspace. Node ids are local to
+/// A candidate split of a point range.
+struct InduceSplit {
+  bool found = false;
+  int axis = -1;
+  idx_t position = 0;  // points sorted[axis][lo .. lo+position) go left
+  real_t cut = 0;
+  double score = -1;
+};
+
+/// Per-subtree build state, pooled in the workspace. Node ids are local to
 /// the context.
 struct InduceContext {
   std::vector<TreeNode> nodes;
@@ -142,19 +162,98 @@ struct InduceContext {
     nodes.clear();
     stack.clear();
     minorities.clear();
-    counts.assign(static_cast<std::size_t>(num_labels), 0);
-    left_counts.assign(static_cast<std::size_t>(num_labels), 0);
+    counts.assign(static_cast<std::size_t>(num_labels) + kCountPad, 0);
+    left_counts.assign(static_cast<std::size_t>(num_labels) + kCountPad, 0);
     leaves = 0;
   }
 };
 
-/// Per-axis scratch for the warm-start repair sort (one per axis so cold
-/// parallel sorts of the three axes don't share state).
-struct RepairBuffers {
-  std::vector<idx_t> scratch;
-  std::vector<idx_t> runs;
-  std::vector<idx_t> runs_next;
+/// Per-participant scratch of the gang build (lane 0 also serves the
+/// plain build's sorts).
+struct GangLane {
+  std::vector<wgt_t> left_counts;      // Eq.-1 scan: labels left of the cut
+  std::vector<idx_t> scratch;          // stable partition: right-side points
+  std::vector<idx_t> runs, runs_next;  // repair sort: run boundaries
 };
+
+/// A node of the gang build's level-synchronous top.
+struct LevelNode {
+  LevelNode(idx_t node, idx_t begin, idx_t end)
+      : id(node), lo(begin), hi(end) {}
+
+  idx_t id;  // node id in the top context (context 0)
+  idx_t lo, hi;
+  idx_t chunks = 1;      // Eq.-1 scan chunks per axis
+  std::size_t hist = 0;  // offset of its dim x chunks label histograms
+  std::size_t cand = 0;  // offset of its split candidates ...
+  std::size_t num_cands = 0;  // ... and their count (0: no split tried)
+  idx_t majority = 0;
+  bool pure = false;
+  InduceSplit split;      // the chosen split; !found: the node is a leaf
+  std::size_t child = 0;  // a split node's left child in the next level
+                          // (the right child follows it)
+};
+
+/// A claimable unit of one gang stage. `index` is a block, merge pair,
+/// level node or frontier subtree, depending on the stage.
+struct GangUnit {
+  idx_t index;
+  int axis;
+  idx_t chunk;
+};
+
+/// Barrier between the stages of one gang dispatch. The last participant
+/// to arrive runs `serial` alone before anyone is released, so it can plan
+/// the next stage from the complete results of this one. A waiter spins
+/// briefly, then yields the core (to a participant still working, when
+/// the host is oversubscribed) until kSpinTime has passed — a stage's
+/// imbalance is usually shorter than one futex sleep/wake round trip on a
+/// virtualized host — and then sleeps on the generation word: the host is
+/// shared, and a pure spin would hold cores other processes could use.
+class GangBarrier {
+ public:
+  template <typename Fn>
+  void arrive_and_wait(unsigned width, Fn&& serial) {
+    // The generation cannot move before this participant arrives.
+    const unsigned gen = generation_.load(std::memory_order_acquire);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == width) {
+      serial();
+      arrived_.store(0, std::memory_order_relaxed);
+      generation_.store(gen + 1, std::memory_order_release);
+      generation_.notify_all();
+      return;
+    }
+    const auto start = std::chrono::steady_clock::now();
+    for (unsigned spin = 1;
+         generation_.load(std::memory_order_acquire) == gen; ++spin) {
+      if (spin <= kPauseSpins) {
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#endif
+        continue;
+      }
+      std::this_thread::yield();
+      if (std::chrono::steady_clock::now() - start > kSpinTime) {
+        generation_.wait(gen, std::memory_order_acquire);
+      }
+    }
+  }
+
+ private:
+  static constexpr unsigned kPauseSpins = 64;
+  static constexpr std::chrono::microseconds kSpinTime{100};
+  std::atomic<unsigned> arrived_{0};
+  std::atomic<unsigned> generation_{0};
+};
+
+/// Participants a gang build asks for: the pool size capped at the
+/// machine's concurrency (more runnable participants than cores only adds
+/// context switches).
+unsigned gang_width(const ThreadPool& pool) {
+  unsigned hw = std::thread::hardware_concurrency();
+  if (hw == 0) hw = pool.num_threads();  // unknown: trust the pool size
+  return std::max(1u, std::min(pool.num_threads(), hw));
+}
 
 }  // namespace
 
@@ -166,12 +265,23 @@ struct TreeInduceWorkspace::Impl {
   bool valid = false;
   /// Working copies consumed (leaf-partitioned) by the build.
   std::array<std::vector<idx_t>, 3> work;
-  std::vector<char> side;
-  std::array<RepairBuffers, 3> repair;
-  /// Context pool: a deque so growing it for task contexts never
-  /// invalidates the reference to the main context (slot 0).
+  /// Per-axis merge buffers of the sorts.
+  std::array<std::vector<idx_t>, 3> sort_scratch;
+  /// Context pool: a deque so growing it for subtree contexts never
+  /// invalidates the reference to the top context (slot 0).
   std::deque<InduceContext> contexts;
   std::vector<TreeNode> node_pool;  // retired tree storage (recycle())
+  /// Gang build state: participant scratch, the current stage's units, the
+  /// level being expanded (its label histograms, per-node label totals and
+  /// split candidates), the next level, and the frontier subtrees.
+  std::vector<GangLane> lanes;
+  std::vector<GangUnit> units;
+  std::vector<LevelNode> level;
+  std::vector<LevelNode> next_level;
+  std::vector<wgt_t> hist;
+  std::vector<wgt_t> totals;
+  std::vector<InduceSplit> cands;
+  std::vector<InduceItem> frontier;
 };
 
 TreeInduceWorkspace::TreeInduceWorkspace() : impl_(std::make_unique<Impl>()) {}
@@ -201,12 +311,31 @@ void TreeInduceWorkspace::recycle(DecisionTree&& tree) {
 /// so sortedness is preserved without re-sorting (the paper's "the required
 /// sorting can be done once for the entire set").
 ///
-/// Inputs of kConcurrentMinPoints or more take the concurrent build: a
-/// sequential phase expands the tree until the work stack holds enough
-/// independent subranges, then each pending subtree is built concurrently
-/// into its own node buffer (the per-axis sorted arrays are shared —
-/// subranges are disjoint — while histograms and scratch are per-worker)
-/// and spliced into the final tree under the plain build's numbering.
+/// Inputs of kConcurrentMinPoints or more take the gang build: one
+/// ThreadPool::run_gang dispatch whose participants claim units from a
+/// shared cursor, stage by stage, with a GangBarrier between stages (split
+/// evaluation on the pool, after ScalParC — Joshi, Karypis & Kumar,
+/// IPPS'98):
+///   1. sort: each axis is sorted in kChunkPoints blocks, then the blocks
+///      are merged pairwise, one round per stage; the last round saves the
+///      orders and counts the root's labels;
+///   2. top levels, level-synchronously, two stages per level: the Eq.-1
+///      scan per (node, axis, chunk) — nodes of 2 * kChunkPoints points or
+///      more are chunked, each chunk starting from the exact integer label
+///      counts of the chunks before it — then a stable partition per
+///      (split node, axis), which also counts the children's labels per
+///      chunk. The serial step between them reduces a node's candidates in
+///      (axis, position) order with strict `>` — the plain scan's choice —
+///      and creates the children, until a level holds kFrontierTarget
+///      nodes;
+///   3. frontier: each pending subtree is built depth-first in its own
+///      context (histograms and scratch per context; the sorted arrays are
+///      shared, subranges being disjoint), largest first; run_gang's join
+///      ends the stage.
+/// splice() then assembles the top and the subtrees under the plain
+/// build's numbering. The units of every stage are a function of the
+/// inputs alone, so the tree is the same whatever width the gang is
+/// granted, 1 included (a call from inside pool work runs the gang inline).
 ///
 /// All build state lives in a TreeInduceWorkspace::Impl (a local one when
 /// the caller passed no workspace): sorted orders saved there seed the next
@@ -222,21 +351,26 @@ class TreeInducer {
         num_labels_(num_labels),
         options_(options),
         ws_(ws),
-        sorted_(ws.work),
-        side_(ws.side) {}
+        sorted_(ws.work) {}
 
   using Item = InduceItem;
+  using Split = InduceSplit;
   using Context = InduceContext;
   using Minorities = std::vector<std::pair<idx_t, std::vector<idx_t>>>;
 
-  /// Inputs at least this large sort their axes and build their subtrees
-  /// concurrently.
+  /// Inputs at least this large take the gang build.
   static constexpr idx_t kConcurrentMinPoints = 4096;
-  /// Frontier width of the concurrent build. A pinned constant, NOT derived
-  /// from the pool size, so the work split is the same at every width. 64
-  /// keeps >= 4 subtrees per worker at every pool size this library runs
-  /// (<= 16 workers).
-  static constexpr idx_t kFrontierTarget = 64;
+  /// Level size at which the gang build hands the pending nodes to
+  /// per-subtree units. A pinned constant, NOT derived from the pool size,
+  /// so the work split is the same at every width. Each level above it
+  /// costs two barriers; 16 beat 32 and 64 on a 4-vCPU host.
+  static constexpr idx_t kFrontierTarget = 16;
+  /// Points per sort block and per Eq.-1 scan chunk of the gang build;
+  /// pinned for the same reason.
+  static constexpr idx_t kChunkPoints = 2048;
+  // At least two sort blocks, so at least one merge round: the last round
+  // saves the orders and counts the root's labels.
+  static_assert(kConcurrentMinPoints > kChunkPoints);
 
   InducedTree run() {
     const idx_t n = to_idx(points_.size());
@@ -244,32 +378,35 @@ class TreeInducer {
     result.num_labels = num_labels_;
     if (n == 0) return result;
 
-    prepare_orders(n);
-    // side_ entries are fully (re)written by apply_split before being read,
-    // so the buffer only needs the right size, not a cleared state.
-    side_.resize(points_.size());
+    if (ws_.lanes.empty()) ws_.lanes.emplace_back();
 
     const bool concurrent = n >= kConcurrentMinPoints;
     DecisionTree& tree = result.tree;
-    Context& main_ctx = context(0);
+    Context& top = context(0);
     // Pooled node storage goes to whichever vector becomes the tree's.
-    std::vector<TreeNode>& storage = concurrent ? tree.nodes_ : main_ctx.nodes;
+    std::vector<TreeNode>& storage = concurrent ? tree.nodes_ : top.nodes;
     if (storage.capacity() < ws_.node_pool.capacity()) {
       storage = std::move(ws_.node_pool);
       storage.clear();
     }
     ws_.node_pool.clear();
-    tree.root_ = main_ctx.new_node();
-    main_ctx.stack.push_back({tree.root_, 0, n});
+    tree.root_ = top.new_node();
 
     Minorities minorities;
     if (concurrent) {
       build_concurrent(tree, minorities);
     } else {
-      drain(main_ctx);
-      tree.nodes_ = std::move(main_ctx.nodes);
-      tree.num_leaves_ = main_ctx.leaves;
-      minorities = std::move(main_ctx.minorities);
+      const bool warm = begin_orders();
+      for (int a = 0; a < options_.dim; ++a) {
+        sort_block(a, 0, n, warm, ws_.lanes[0]);
+        save_order(a);
+      }
+      ws_.valid = true;
+      top.stack.push_back({tree.root_, 0, n});
+      drain(top);
+      tree.nodes_ = std::move(top.nodes);
+      tree.num_leaves_ = top.leaves;
+      minorities = std::move(top.minorities);
     }
 
     // Compact the per-leaf minority labels into CSR form.
@@ -295,13 +432,7 @@ class TreeInducer {
   }
 
  private:
-  struct Split {
-    bool found = false;
-    int axis = -1;
-    idx_t position = 0;  // points sorted_[axis][lo .. lo+position) go left
-    real_t cut = 0;
-    double score = -1;
-  };
+  enum class Stage { kSort, kMerge, kScan, kPartition, kFrontier, kDone };
 
   real_t coord(idx_t point, int axis) const {
     return points_[static_cast<std::size_t>(point)][axis];
@@ -309,78 +440,102 @@ class TreeInducer {
   idx_t label(idx_t point) const {
     return labels_[static_cast<std::size_t>(point)];
   }
+  std::size_t num_labels() const {
+    return static_cast<std::size_t>(num_labels_);
+  }
 
-  /// Histogram of labels over [lo, hi); fills ctx.counts and returns the
-  /// majority label and whether the range is pure.
-  std::pair<idx_t, bool> tally(Context& ctx, idx_t lo, idx_t hi) const {
-    std::fill(ctx.counts.begin(), ctx.counts.end(), wgt_t{0});
-    for (idx_t i = lo; i < hi; ++i) {
-      ++ctx.counts[static_cast<std::size_t>(
-          label(sorted_[0][static_cast<std::size_t>(i)]))];
-    }
+  /// Majority label of the histogram `counts` and whether it has at most
+  /// one label present.
+  std::pair<idx_t, bool> majority_of(const wgt_t* counts) const {
     idx_t majority = 0;
     idx_t distinct = 0;
     for (idx_t l = 0; l < num_labels_; ++l) {
-      if (ctx.counts[static_cast<std::size_t>(l)] > 0) {
+      if (counts[l] > 0) {
         ++distinct;
-        if (ctx.counts[static_cast<std::size_t>(l)] >
-            ctx.counts[static_cast<std::size_t>(majority)]) {
-          majority = l;
-        }
+        if (counts[l] > counts[majority]) majority = l;
       }
     }
     return {majority, distinct <= 1};
   }
 
-  /// Best Eq.-1 split over all axes for the (impure) range [lo, hi).
+  /// Histogram of labels over positions [b, e) of `ord` into `counts`
+  /// (overwritten).
+  void count_labels(const std::vector<idx_t>& ord, idx_t b, idx_t e,
+                    wgt_t* counts) const {
+    std::fill(counts, counts + num_labels(), wgt_t{0});
+    for (idx_t i = b; i < e; ++i) {
+      ++counts[label(ord[static_cast<std::size_t>(i)])];
+    }
+  }
+
+  /// The Eq.-1 scan of the cuts after positions [b, min(e, hi - 1)) of
+  /// axis `axis`'s order, within the node range [lo, hi). `counts` holds
+  /// the node's label totals and `left` the counts of [lo, b) (updated as
+  /// the scan moves). Both sums of squares are kept as exact integers, so
+  /// a scan starting mid-range from its prefix counts scores every cut
+  /// exactly as the scan from lo does (and as double sums would, the
+  /// values staying below 2^53 for any node under ~67M points). Keeps the
+  /// first best cut (strict `>`) in `best`.
+  void scan_cuts(int axis, idx_t lo, idx_t hi, idx_t b, idx_t e,
+                 const wgt_t* counts, wgt_t* left, Split& best) const {
+    const auto& ord = sorted_[axis];
+    const idx_t end = std::min(e, hi - 1);
+    if (b >= end) return;
+    const auto m = static_cast<double>(hi - lo);
+    const real_t width = coord(ord[static_cast<std::size_t>(hi - 1)], axis) -
+                         coord(ord[static_cast<std::size_t>(lo)], axis);
+    wgt_t sumsq_left = 0;
+    wgt_t sumsq_right = 0;
+    for (std::size_t l = 0; l < num_labels(); ++l) {
+      const wgt_t cr = counts[l] - left[l];
+      sumsq_left += left[l] * left[l];
+      sumsq_right += cr * cr;
+    }
+    real_t c1 = coord(ord[static_cast<std::size_t>(b)], axis);
+    for (idx_t i = b; i < end; ++i) {
+      const idx_t lp = label(ord[static_cast<std::size_t>(i)]);
+      // Move the point from the right side to the left side; both sums
+      // update in O(1): (c+1)^2 - c^2 = 2c+1 and c^2 - (c-1)^2 = 2c-1.
+      const wgt_t cl = left[lp];
+      sumsq_left += 2 * cl + 1;
+      sumsq_right -= 2 * (counts[lp] - cl) - 1;
+      left[lp] = cl + 1;
+      const real_t c0 = c1;
+      c1 = coord(ord[static_cast<std::size_t>(i + 1)], axis);
+      if (c0 == c1) continue;  // hyperplane must separate distinct coords
+      double score = std::sqrt(static_cast<double>(sumsq_left)) +
+                     std::sqrt(static_cast<double>(sumsq_right));
+      if (options_.gap_alpha > 0) {
+        // Gap preference: wider empty corridors score higher. Scaled by m
+        // so it is commensurate with the count-scaled purity term.
+        score += options_.gap_alpha * m * static_cast<double>((c1 - c0) / width);
+      }
+      if (score > best.score) {
+        best.found = true;
+        best.axis = axis;
+        best.position = i + 1 - lo;
+        best.cut = 0.5 * (c0 + c1);
+        best.score = score;
+      }
+    }
+  }
+
+  /// True when axis `axis` has no two distinct coordinates in [lo, hi).
+  bool degenerate(int axis, idx_t lo, idx_t hi) const {
+    const auto& ord = sorted_[axis];
+    return coord(ord[static_cast<std::size_t>(lo)], axis) ==
+           coord(ord[static_cast<std::size_t>(hi - 1)], axis);
+  }
+
+  /// Best Eq.-1 split over all axes for the (impure) range [lo, hi), whose
+  /// label totals are in ctx.counts.
   Split best_gini_split(Context& ctx, idx_t lo, idx_t hi) const {
     Split best;
-    const idx_t m = hi - lo;
-    double sumsq_total = 0;
-    for (idx_t l = 0; l < num_labels_; ++l) {
-      const double c =
-          static_cast<double>(ctx.counts[static_cast<std::size_t>(l)]);
-      sumsq_total += c * c;
-    }
     for (int axis = 0; axis < options_.dim; ++axis) {
-      const auto& ord = sorted_[axis];
-      const real_t span_lo = coord(ord[static_cast<std::size_t>(lo)], axis);
-      const real_t span_hi = coord(ord[static_cast<std::size_t>(hi - 1)], axis);
-      if (span_lo == span_hi) continue;  // degenerate axis
-      const real_t width = span_hi - span_lo;
+      if (degenerate(axis, lo, hi)) continue;
       std::fill(ctx.left_counts.begin(), ctx.left_counts.end(), wgt_t{0});
-      double sumsq_left = 0;
-      double sumsq_right = sumsq_total;
-      for (idx_t i = 0; i + 1 < m; ++i) {
-        const idx_t p = ord[static_cast<std::size_t>(lo + i)];
-        const idx_t lp = label(p);
-        // Move p from the right side to the left side; both sums update in
-        // O(1): (c+1)^2 - c^2 = 2c+1 and c^2 - (c-1)^2 = 2c-1.
-        const double cl =
-            static_cast<double>(ctx.left_counts[static_cast<std::size_t>(lp)]);
-        const double cr =
-            static_cast<double>(ctx.counts[static_cast<std::size_t>(lp)]) - cl;
-        sumsq_left += 2 * cl + 1;
-        sumsq_right -= 2 * cr - 1;
-        ++ctx.left_counts[static_cast<std::size_t>(lp)];
-        const real_t c0 = coord(p, axis);
-        const real_t c1 = coord(ord[static_cast<std::size_t>(lo + i + 1)], axis);
-        if (c0 == c1) continue;  // hyperplane must separate distinct coords
-        double score = std::sqrt(sumsq_left) + std::sqrt(sumsq_right);
-        if (options_.gap_alpha > 0) {
-          // Gap preference: wider empty corridors score higher. Scaled by m
-          // so it is commensurate with the count-scaled purity term.
-          score += options_.gap_alpha * static_cast<double>(m) *
-                   static_cast<double>((c1 - c0) / width);
-        }
-        if (score > best.score) {
-          best.found = true;
-          best.axis = axis;
-          best.position = i + 1;
-          best.cut = 0.5 * (c0 + c1);
-          best.score = score;
-        }
-      }
+      scan_cuts(axis, lo, hi, lo, hi, ctx.counts.data(),
+                ctx.left_counts.data(), best);
     }
     return best;
   }
@@ -434,39 +589,49 @@ class TreeInducer {
     return best;
   }
 
-  /// Splits [lo, hi) at `split`, stable-partitioning every axis order so
-  /// each side stays sorted. Returns the boundary index. Touches only the
-  /// [lo, hi) slices of the shared arrays, so disjoint ranges can split
-  /// concurrently.
-  idx_t apply_split(Context& ctx, const Split& split, idx_t lo, idx_t hi) {
-    const auto& ord = sorted_[split.axis];
-    for (idx_t i = lo; i < lo + split.position; ++i) {
-      side_[static_cast<std::size_t>(ord[static_cast<std::size_t>(i)])] = 0;
-    }
-    for (idx_t i = lo + split.position; i < hi; ++i) {
-      side_[static_cast<std::size_t>(ord[static_cast<std::size_t>(i)])] = 1;
-    }
-    ctx.scratch.resize(static_cast<std::size_t>(hi - lo));
-    for (int a = 0; a < options_.dim; ++a) {
-      auto& arr = sorted_[a];
-      idx_t out_left = lo;
-      idx_t out_right = 0;
-      for (idx_t i = lo; i < hi; ++i) {
-        const idx_t p = arr[static_cast<std::size_t>(i)];
-        if (side_[static_cast<std::size_t>(p)] == 0) {
-          arr[static_cast<std::size_t>(out_left++)] = p;
-        } else {
-          ctx.scratch[static_cast<std::size_t>(out_right++)] = p;
-        }
+  /// Stable-partitions [lo, hi) of axis `axis`'s order for a split along
+  /// `split_axis` whose first right-side point is `first_right`, left
+  /// points first, so each side stays sorted. The split axis's order is a
+  /// strict total order, so a point is left exactly when it precedes
+  /// `first_right` in it. Touches only the [lo, hi) slice of one axis, so
+  /// disjoint ranges and distinct axes can partition concurrently.
+  void partition_axis(int axis, idx_t lo, idx_t hi, int split_axis,
+                      idx_t first_right, std::vector<idx_t>& scratch) {
+    auto& arr = sorted_[axis];
+    scratch.resize(std::max(scratch.size(), static_cast<std::size_t>(hi - lo)));
+    idx_t out_left = lo;
+    idx_t out_right = 0;
+    for (idx_t i = lo; i < hi; ++i) {
+      const idx_t p = arr[static_cast<std::size_t>(i)];
+      if (order_less(p, first_right, split_axis)) {
+        arr[static_cast<std::size_t>(out_left++)] = p;
+      } else {
+        scratch[static_cast<std::size_t>(out_right++)] = p;
       }
-      std::copy(ctx.scratch.begin(), ctx.scratch.begin() + out_right,
-                arr.begin() + out_left);
     }
-    return lo + split.position;
+    std::copy(scratch.begin(), scratch.begin() + out_right,
+              arr.begin() + out_left);
+  }
+
+  /// Splits [lo, hi) at `split`. The split axis's order needs no partition:
+  /// its first `position` entries are exactly the left side.
+  idx_t apply_split(Context& ctx, const Split& split, idx_t lo, idx_t hi) {
+    const idx_t boundary = lo + split.position;
+    const idx_t first_right = first_right_of(split, lo);
+    for (int a = 0; a < options_.dim; ++a) {
+      if (a != split.axis) {
+        partition_axis(a, lo, hi, split.axis, first_right, ctx.scratch);
+      }
+    }
+    return boundary;
+  }
+
+  idx_t first_right_of(const Split& split, idx_t lo) const {
+    return sorted_[split.axis][static_cast<std::size_t>(lo + split.position)];
   }
 
   void make_leaf(Context& ctx, idx_t id, idx_t lo, idx_t hi, idx_t majority,
-                 bool pure) {
+                 bool pure, const wgt_t* counts) {
     TreeNode& nd = ctx.nodes[static_cast<std::size_t>(id)];
     nd.axis = -1;
     nd.label = majority;
@@ -476,12 +641,28 @@ class TreeInducer {
     if (!pure) {
       std::vector<idx_t> minorities;
       for (idx_t l = 0; l < num_labels_; ++l) {
-        if (l != majority && ctx.counts[static_cast<std::size_t>(l)] > 0) {
-          minorities.push_back(l);
-        }
+        if (l != majority && counts[l] > 0) minorities.push_back(l);
       }
       ctx.minorities.emplace_back(id, std::move(minorities));
     }
+  }
+
+  /// Turns `id` into an interior node split at `split` and returns its
+  /// (left, right) children, created in `ctx`.
+  std::pair<idx_t, idx_t> make_interior(Context& ctx, idx_t id,
+                                        const Split& split, idx_t m,
+                                        idx_t majority, bool pure) {
+    const idx_t left = ctx.new_node();
+    const idx_t right = ctx.new_node();
+    TreeNode& nd = ctx.nodes[static_cast<std::size_t>(id)];
+    nd.axis = split.axis;
+    nd.cut = split.cut;
+    nd.left = left;
+    nd.right = right;
+    nd.label = majority;
+    nd.pure = pure;
+    nd.count = m;
+    return {left, right};
   }
 
   /// Exact point bounding box of [lo, hi): the sorted order per axis makes
@@ -513,103 +694,147 @@ class TreeInducer {
     return x < y;  // tie-break: makes the order a strict total order
   }
 
-  /// Fills sorted_[a] (a < dim) with indices 0..n-1 ordered by
-  /// (coordinate, index). The index tie-break makes the comparator a
-  /// strict total order, so the sorted array is *unique*: whether it is
-  /// produced by a full std::sort or by the warm repair pass, the result
-  /// is bit-identical — the warm start can never change the tree.
-  void prepare_orders(idx_t n) {
-    // Warm only when the saved orders cover this point count and at least
-    // as many axes. A stale seed would still sort correctly (the repair
-    // pass is a real sort), just slower; the checks are perf gates.
+  /// Readies sorted_[a] (a < dim) to be sorted and returns whether the
+  /// saved orders seed the sort: only when they are permutations of this
+  /// point count's indices, for at least as many axes (a seed from other
+  /// points of the same count still sorts correctly, the repair being a
+  /// real sort, just slower). Sorting by (coordinate, index) — a strict
+  /// total order — makes each sorted array *unique*: a full std::sort, the
+  /// warm repair and any blocking of either give bit-identical orders, so
+  /// the warm start can never change the tree. The saved orders count as
+  /// valid again only once every axis has been sorted and saved.
+  bool begin_orders() {
     const bool warm = ws_.valid && ws_.num_points == points_.size() &&
                       ws_.dim >= options_.dim;
-    auto build_axis = [&](int a) {
+    for (int a = 0; a < options_.dim; ++a) {
       auto& arr = sorted_[static_cast<std::size_t>(a)];
       auto& saved = ws_.orders[static_cast<std::size_t>(a)];
-      if (warm) {
-        // After coherent motion the previous order is nearly sorted:
-        // repair it instead of sorting from scratch.
-        std::swap(arr, saved);
-        repair_sort(arr, a);
-      } else {
-        arr.resize(points_.size());
-        std::iota(arr.begin(), arr.end(), idx_t{0});
-        std::sort(arr.begin(), arr.end(),
-                  [&](idx_t x, idx_t y) { return order_less(x, y, a); });
-      }
-      // Save the globally-sorted order now, before the build
-      // leaf-partitions the work copy in place.
-      saved = arr;
-    };
-    if (n >= kConcurrentMinPoints && options_.dim > 1) {
-      // Axes are independent (separate work/order/repair buffers).
-      ThreadPool::global().parallel_tasks(
-          static_cast<idx_t>(options_.dim),
-          [&](idx_t a) { build_axis(static_cast<int>(a)); });
-    } else {
-      for (int a = 0; a < options_.dim; ++a) build_axis(a);
+      // After coherent motion the previous order is nearly sorted: repair
+      // it instead of sorting from scratch.
+      if (warm) std::swap(arr, saved);
+      arr.resize(points_.size());
+      saved.resize(points_.size());
+      ws_.sort_scratch[static_cast<std::size_t>(a)].resize(points_.size());
     }
-    ws_.valid = true;
+    ws_.valid = false;
     ws_.num_points = points_.size();
     ws_.dim = options_.dim;
+    return warm;
   }
 
-  /// Adaptive re-sort of a nearly-sorted order array: finds the maximal
-  /// ascending runs and merges them pairwise (natural bottom-up merge
-  /// sort). O(n) when already sorted, O(n log r) for r runs; falls back to
-  /// std::sort when the array is too disordered for merging to pay off.
-  void repair_sort(std::vector<idx_t>& arr, int axis) {
-    const idx_t n = to_idx(arr.size());
+  /// Saves the globally-sorted order of axis `a` for the next call, before
+  /// the build leaf-partitions the work copy in place.
+  void save_order(int a) {
+    const auto& arr = sorted_[static_cast<std::size_t>(a)];
+    std::copy(arr.begin(), arr.end(),
+              ws_.orders[static_cast<std::size_t>(a)].begin());
+  }
+
+  /// Sorts positions [b, e) of sorted_[axis] by (coordinate, index). Cold,
+  /// the block is first filled with its own positions. Warm, it holds a
+  /// slice of the previous order and an adaptive natural merge sort
+  /// repairs it: it finds the maximal ascending runs and merges them
+  /// pairwise, O(len) when already sorted, O(len log r) for r runs, and
+  /// falls back to std::sort when the block is too disordered for merging
+  /// to pay off.
+  void sort_block(int axis, idx_t b, idx_t e, bool warm, GangLane& lane) {
+    auto& arr = sorted_[static_cast<std::size_t>(axis)];
+    const auto first = arr.begin() + b;
+    const auto last = arr.begin() + e;
     auto less = [&](idx_t x, idx_t y) { return order_less(x, y, axis); };
-    RepairBuffers& rb = ws_.repair[static_cast<std::size_t>(axis)];
-    rb.runs.clear();
-    rb.runs.push_back(0);
-    for (idx_t i = 1; i < n; ++i) {
-      if (less(arr[static_cast<std::size_t>(i)],
-               arr[static_cast<std::size_t>(i - 1)])) {
-        rb.runs.push_back(i);
-      }
-    }
-    rb.runs.push_back(n);
-    std::size_t num_runs = rb.runs.size() - 1;
-    if (num_runs <= 1) return;  // already sorted
-    if (num_runs > static_cast<std::size_t>(n / 8) + 1) {
-      std::sort(arr.begin(), arr.end(), less);
+    if (!warm) {
+      std::iota(first, last, b);
+      std::sort(first, last, less);
       return;
     }
-    rb.scratch.resize(arr.size());
+    auto& runs = lane.runs;
+    runs.clear();
+    runs.push_back(b);
+    for (idx_t i = b + 1; i < e; ++i) {
+      if (less(arr[static_cast<std::size_t>(i)],
+               arr[static_cast<std::size_t>(i - 1)])) {
+        runs.push_back(i);
+      }
+    }
+    runs.push_back(e);
+    std::size_t num_runs = runs.size() - 1;
+    if (num_runs <= 1) return;  // already sorted
+    if (num_runs > static_cast<std::size_t>((e - b) / 8) + 1) {
+      std::sort(first, last, less);
+      return;
+    }
+    auto& scratch = ws_.sort_scratch[static_cast<std::size_t>(axis)];
     std::vector<idx_t>* src = &arr;
-    std::vector<idx_t>* dst = &rb.scratch;
+    std::vector<idx_t>* dst = &scratch;
     while (num_runs > 1) {
-      rb.runs_next.clear();
-      rb.runs_next.push_back(rb.runs.front());
+      lane.runs_next.clear();
+      lane.runs_next.push_back(runs.front());
       std::size_t r = 0;
       while (r + 1 < num_runs) {
-        const auto a = static_cast<std::ptrdiff_t>(rb.runs[r]);
-        const auto b = static_cast<std::ptrdiff_t>(rb.runs[r + 1]);
-        const auto c = static_cast<std::ptrdiff_t>(rb.runs[r + 2]);
-        std::merge(src->begin() + a, src->begin() + b, src->begin() + b,
-                   src->begin() + c, dst->begin() + a, less);
-        rb.runs_next.push_back(rb.runs[r + 2]);
+        const auto x = static_cast<std::ptrdiff_t>(runs[r]);
+        const auto y = static_cast<std::ptrdiff_t>(runs[r + 1]);
+        const auto z = static_cast<std::ptrdiff_t>(runs[r + 2]);
+        std::merge(src->begin() + x, src->begin() + y, src->begin() + y,
+                   src->begin() + z, dst->begin() + x, less);
+        lane.runs_next.push_back(runs[r + 2]);
         r += 2;
       }
       if (r < num_runs) {  // odd run count: carry the last run over
-        const auto a = static_cast<std::ptrdiff_t>(rb.runs[r]);
-        const auto b = static_cast<std::ptrdiff_t>(rb.runs[r + 1]);
-        std::copy(src->begin() + a, src->begin() + b, dst->begin() + a);
-        rb.runs_next.push_back(rb.runs[r + 1]);
+        const auto x = static_cast<std::ptrdiff_t>(runs[r]);
+        const auto y = static_cast<std::ptrdiff_t>(runs[r + 1]);
+        std::copy(src->begin() + x, src->begin() + y, dst->begin() + x);
+        lane.runs_next.push_back(runs[r + 1]);
       }
-      std::swap(rb.runs, rb.runs_next);
+      std::swap(runs, lane.runs_next);
       std::swap(src, dst);
-      num_runs = rb.runs.size() - 1;
+      num_runs = runs.size() - 1;
     }
-    if (src != &arr) std::copy(src->begin(), src->end(), arr.begin());
+    if (src != &arr) std::copy(src->begin() + b, src->begin() + e, first);
+  }
+
+  /// Merge round `round` (from 1) of the gang sort: merges pair `pair` of
+  /// sorted runs of 2^(round-1) blocks, from sorted_[axis] into the axis
+  /// scratch on odd rounds and back on even ones. The unit that merges the
+  /// whole axis (the last round's) also saves the order and counts the
+  /// root's labels along it.
+  void merge_pair(int axis, int round, idx_t pair) {
+    const auto n = points_.size();
+    const auto run = static_cast<std::size_t>(kChunkPoints) << (round - 1);
+    const std::size_t x = static_cast<std::size_t>(pair) * 2 * run;
+    const std::size_t y = std::min(n, x + run);
+    const std::size_t z = std::min(n, x + 2 * run);
+    auto& arr = sorted_[static_cast<std::size_t>(axis)];
+    auto& scratch = ws_.sort_scratch[static_cast<std::size_t>(axis)];
+    const auto& src = round % 2 == 1 ? arr : scratch;
+    auto& dst = round % 2 == 1 ? scratch : arr;
+    const auto less = [&](idx_t p, idx_t q) { return order_less(p, q, axis); };
+    const auto first = src.begin() + static_cast<std::ptrdiff_t>(x);
+    const auto mid = src.begin() + static_cast<std::ptrdiff_t>(y);
+    const auto last = src.begin() + static_cast<std::ptrdiff_t>(z);
+    auto out = dst.begin() + static_cast<std::ptrdiff_t>(x);
+    if (mid == last) {
+      std::copy(first, mid, out);
+    } else {
+      // After coherent motion the runs barely overlap: copy the left run's
+      // head that precedes the right run and the right run's tail that
+      // follows the left run, and merge only what lies between.
+      const auto head = std::upper_bound(first, mid, *mid, less);
+      const auto tail = std::lower_bound(mid, last, *(mid - 1), less);
+      out = std::copy(first, head, out);
+      out = std::merge(head, mid, mid, tail, out, less);
+      std::copy(tail, last, out);
+    }
+    if (x == 0 && z == n) {
+      std::copy(dst.begin(), dst.end(),
+                ws_.orders[static_cast<std::size_t>(axis)].begin());
+      count_chunks(ws_.level.front(), axis, dst);
+    }
   }
 
   void process(Context& ctx, const Item& item) {
     const auto [id, lo, hi] = item;
-    const auto [majority, pure] = tally(ctx, lo, hi);
+    count_labels(sorted_[0], lo, hi, ctx.counts.data());
+    const auto [majority, pure] = majority_of(ctx.counts.data());
     const idx_t m = hi - lo;
     ctx.nodes[static_cast<std::size_t>(id)].bounds = range_bounds(lo, hi);
 
@@ -629,21 +854,12 @@ class TreeInducer {
     }
 
     if (!split.found) {
-      make_leaf(ctx, id, lo, hi, majority, pure);
+      make_leaf(ctx, id, lo, hi, majority, pure, ctx.counts.data());
       return;
     }
 
     const idx_t boundary = apply_split(ctx, split, lo, hi);
-    const idx_t left = ctx.new_node();
-    const idx_t right = ctx.new_node();
-    TreeNode& nd = ctx.nodes[static_cast<std::size_t>(id)];
-    nd.axis = split.axis;
-    nd.cut = split.cut;
-    nd.left = left;
-    nd.right = right;
-    nd.label = majority;
-    nd.pure = pure;
-    nd.count = m;
+    const auto [left, right] = make_interior(ctx, id, split, m, majority, pure);
     ctx.stack.push_back({left, lo, boundary});
     ctx.stack.push_back({right, boundary, hi});
   }
@@ -659,44 +875,339 @@ class TreeInducer {
     }
   }
 
-  /// The concurrent build: expands the root in context 0 until the work
-  /// stack holds kFrontierTarget subranges, builds each pending subtree in
-  /// its own context, then splices everything into `tree`.
+  // --- The gang build ------------------------------------------------------
+
+  /// Runs the three stages of the class comment in one gang dispatch, then
+  /// splices the top and the frontier subtrees into `tree`.
   void build_concurrent(DecisionTree& tree, Minorities& minorities) {
-    Context& top = ws_.contexts[0];
-    while (!top.stack.empty() && to_idx(top.stack.size()) < kFrontierTarget) {
-      // Pop the widest item so the frontier ranges stay balanced.
-      std::size_t widest = 0;
-      for (std::size_t i = 1; i < top.stack.size(); ++i) {
-        if (top.stack[i].hi - top.stack[i].lo >
-            top.stack[widest].hi - top.stack[widest].lo) {
-          widest = i;
-        }
-      }
-      const Item item = top.stack[widest];
-      top.stack.erase(top.stack.begin() + static_cast<std::ptrdiff_t>(widest));
-      process(top, item);
+    ThreadPool& pool = ThreadPool::global();
+    const unsigned want = gang_width(pool);
+    if (ws_.lanes.size() < want) ws_.lanes.resize(want);
+    for (unsigned p = 0; p < want; ++p) {
+      ws_.lanes[p].left_counts.resize(num_labels() + kCountPad);
     }
-    const std::vector<Item> frontier = std::move(top.stack);
-    top.stack.clear();
-    // Acquire (and reset) the pooled task contexts up front: the pool is a
-    // deque, so later growth never invalidates `top`.
-    for (std::size_t t = 0; t < frontier.size(); ++t) context(t + 1);
-    ThreadPool::global().parallel_tasks(to_idx(frontier.size()), [&](idx_t t) {
-      Context& ctx = ws_.contexts[static_cast<std::size_t>(t) + 1];
-      const Item item = frontier[static_cast<std::size_t>(t)];
-      ctx.stack.push_back({ctx.new_node(), item.lo, item.hi});
-      drain(ctx);
+    warm_ = begin_orders();
+    ws_.level.assign(1, LevelNode(tree.root_, 0, to_idx(points_.size())));
+    layout_level(ws_.level);
+    ws_.next_level.clear();
+    ws_.frontier.clear();
+    stage_ = Stage::kSort;
+    ws_.units.clear();
+    for (int a = 0; a < options_.dim; ++a) {
+      for (idx_t blk = 0; blk < num_blocks(); ++blk) {
+        ws_.units.push_back({blk, a, 0});
+      }
+    }
+
+    GangBarrier barrier;
+    pool.run_gang(want, [&](idx_t participant, unsigned width) {
+      GangLane& lane = ws_.lanes[static_cast<std::size_t>(participant)];
+      for (;;) {
+        for (;;) {
+          const std::size_t u = cursor_.fetch_add(1, std::memory_order_relaxed);
+          if (u >= ws_.units.size()) break;
+          try {
+            run_unit(ws_.units[u], lane);
+          } catch (...) {
+            record_failure(std::current_exception());
+          }
+        }
+        // The frontier is the last stage: run_gang's join ends it.
+        if (stage_ == Stage::kFrontier) return;
+        barrier.arrive_and_wait(width, [&] {
+          try {
+            if (!error_) advance();
+          } catch (...) {
+            record_failure(std::current_exception());
+          }
+          if (error_) stage_ = Stage::kDone;
+          cursor_.store(0, std::memory_order_relaxed);
+        });
+        if (stage_ == Stage::kDone) return;
+      }
     });
-    splice(frontier, tree, minorities);
+    if (error_) std::rethrow_exception(error_);
+    splice(ws_.frontier, tree, minorities);
   }
 
-  /// Assembles the concurrent build into `tree` under the canonical
-  /// numbering. The plain build gives the nodes below any node X
-  /// consecutive ids, from when X is popped until its subtree is done, and
-  /// each task built its subtree that way: its local node j >= 1 lands at
+  void record_failure(std::exception_ptr e) {
+    std::lock_guard<std::mutex> lock(error_mutex_);
+    if (!error_) error_ = std::move(e);
+  }
+
+  idx_t num_blocks() const {
+    return (to_idx(points_.size()) + kChunkPoints - 1) / kChunkPoints;
+  }
+
+  /// Position range [b, e) of chunk `c` of level node `nd`.
+  static std::pair<idx_t, idx_t> chunk_range(const LevelNode& nd, idx_t c) {
+    const auto m = static_cast<std::int64_t>(nd.hi - nd.lo);
+    return {nd.lo + static_cast<idx_t>(m * c / nd.chunks),
+            nd.lo + static_cast<idx_t>(m * (c + 1) / nd.chunks)};
+  }
+
+  wgt_t* node_hist(const LevelNode& nd, int axis, idx_t c) {
+    return ws_.hist.data() + nd.hist +
+           (static_cast<std::size_t>(axis) *
+                static_cast<std::size_t>(nd.chunks) +
+            static_cast<std::size_t>(c)) *
+               num_labels();
+  }
+
+  wgt_t* node_totals(std::size_t i) {
+    return ws_.totals.data() + i * num_labels();
+  }
+
+  /// Scan chunks and histogram slots of a level about to be scanned. A
+  /// node of two chunks or more needs per-(axis, chunk) label histograms,
+  /// since its scans start mid-range; any other node just its tally
+  /// (axis 0).
+  void layout_level(std::vector<LevelNode>& level) {
+    std::size_t hist = 0;
+    for (LevelNode& nd : level) {
+      nd.chunks = std::max<idx_t>(1, (nd.hi - nd.lo) / kChunkPoints);
+      nd.hist = hist;
+      hist += static_cast<std::size_t>(options_.dim) *
+              static_cast<std::size_t>(nd.chunks) * num_labels();
+    }
+    ws_.hist.resize(hist);
+  }
+
+  /// Fills `nd`'s histograms along `axis` (if it needs any) from `ord`.
+  void count_chunks(const LevelNode& nd, int axis,
+                    const std::vector<idx_t>& ord) {
+    if (nd.chunks == 1 && axis != 0) return;
+    for (idx_t c = 0; c < nd.chunks; ++c) {
+      const auto [b, e] = chunk_range(nd, c);
+      count_labels(ord, b, e, node_hist(nd, axis, c));
+    }
+  }
+
+  void run_unit(const GangUnit& u, GangLane& lane) {
+    const auto i = static_cast<std::size_t>(u.index);
+    switch (stage_) {
+      case Stage::kSort: {
+        const idx_t b = u.index * kChunkPoints;
+        sort_block(u.axis, b,
+                   std::min(to_idx(points_.size()), b + kChunkPoints), warm_,
+                   lane);
+        break;
+      }
+      case Stage::kMerge:
+        merge_pair(u.axis, merge_round_, u.index);
+        break;
+      case Stage::kScan: {
+        const LevelNode& nd = ws_.level[i];
+        if (u.axis < 0) {
+          ws_.cands[nd.cand] = median_split(nd.lo, nd.hi);
+          break;
+        }
+        if (degenerate(u.axis, nd.lo, nd.hi)) break;
+        // Labels left of the chunk: the histograms of the chunks before it.
+        wgt_t* left = lane.left_counts.data();
+        std::fill(left, left + num_labels(), wgt_t{0});
+        for (idx_t c = 0; c < u.chunk; ++c) {
+          const wgt_t* h = node_hist(nd, u.axis, c);
+          for (std::size_t l = 0; l < num_labels(); ++l) left[l] += h[l];
+        }
+        const auto [b, e] = chunk_range(nd, u.chunk);
+        // A local best, stored once: the candidates of one node's units
+        // share cache lines.
+        Split best;
+        scan_cuts(u.axis, nd.lo, nd.hi, b, e, node_totals(i), left, best);
+        ws_.cands[nd.cand +
+                  static_cast<std::size_t>(u.axis * nd.chunks + u.chunk)] = best;
+        break;
+      }
+      case Stage::kPartition: {
+        const LevelNode& nd = ws_.level[i];
+        if (u.axis != nd.split.axis) {
+          partition_axis(u.axis, nd.lo, nd.hi, nd.split.axis,
+                         first_right_of(nd.split, nd.lo), lane.scratch);
+        }
+        if (count_next_) {
+          const auto& ord = sorted_[static_cast<std::size_t>(u.axis)];
+          count_chunks(ws_.next_level[nd.child], u.axis, ord);
+          count_chunks(ws_.next_level[nd.child + 1], u.axis, ord);
+        }
+        break;
+      }
+      case Stage::kFrontier: {
+        Context& ctx = ws_.contexts[i + 1];
+        const Item& item = ws_.frontier[i];
+        ctx.stack.push_back({ctx.new_node(), item.lo, item.hi});
+        drain(ctx);
+        break;
+      }
+      case Stage::kDone:
+        break;
+    }
+  }
+
+  /// The serial step between two stages (run by the barrier's last
+  /// arriver): plans the next stage's units from the finished one.
+  void advance() {
+    ws_.units.clear();
+    switch (stage_) {
+      case Stage::kSort:
+      case Stage::kMerge: {
+        // Sorted runs left after merge_round_ rounds.
+        const idx_t runs =
+            (num_blocks() + (idx_t{1} << merge_round_) - 1) >> merge_round_;
+        if (runs > 1) {
+          stage_ = Stage::kMerge;
+          ++merge_round_;
+          for (int a = 0; a < options_.dim; ++a) {
+            for (idx_t pair = 0; pair < (runs + 1) / 2; ++pair) {
+              ws_.units.push_back({pair, a, 0});
+            }
+          }
+          return;
+        }
+        if (merge_round_ % 2 == 1) {  // the last round wrote the scratch
+          for (int a = 0; a < options_.dim; ++a) {
+            std::swap(sorted_[static_cast<std::size_t>(a)],
+                      ws_.sort_scratch[static_cast<std::size_t>(a)]);
+          }
+        }
+        ws_.valid = true;
+        plan_scan();
+        return;
+      }
+      case Stage::kScan:
+        plan_partition();
+        return;
+      case Stage::kPartition:
+        std::swap(ws_.level, ws_.next_level);
+        ws_.next_level.clear();
+        if (to_idx(ws_.level.size()) >= kFrontierTarget) {
+          plan_frontier();
+        } else {
+          plan_scan();
+        }
+        return;
+      case Stage::kFrontier:  // ends without a barrier
+      case Stage::kDone:
+        return;
+    }
+  }
+
+  /// Per node: label totals, majority, purity and bounds, then the split
+  /// search its options call for — the Eq.-1 scan per (axis, chunk), or
+  /// one median unit (axis -1) for an oversized pure node.
+  void plan_scan() {
+    stage_ = Stage::kScan;
+    Context& top = ws_.contexts[0];
+    ws_.totals.resize(ws_.level.size() * num_labels());
+    std::size_t cand = 0;
+    for (std::size_t i = 0; i < ws_.level.size(); ++i) {
+      LevelNode& nd = ws_.level[i];
+      wgt_t* totals = node_totals(i);
+      std::fill(totals, totals + num_labels(), wgt_t{0});
+      for (idx_t c = 0; c < nd.chunks; ++c) {
+        const wgt_t* h = node_hist(nd, 0, c);
+        for (std::size_t l = 0; l < num_labels(); ++l) totals[l] += h[l];
+      }
+      std::tie(nd.majority, nd.pure) = majority_of(totals);
+      top.nodes[static_cast<std::size_t>(nd.id)].bounds =
+          range_bounds(nd.lo, nd.hi);
+      const idx_t m = nd.hi - nd.lo;
+      nd.cand = cand;
+      nd.num_cands = 0;
+      if (nd.pure) {
+        if (options_.max_pure > 0 && m >= options_.max_pure) {
+          nd.num_cands = 1;
+          ws_.units.push_back({to_idx(i), -1, 0});
+        }
+      } else if (options_.max_impure == 0 || m >= options_.max_impure) {
+        nd.num_cands = static_cast<std::size_t>(options_.dim) *
+                       static_cast<std::size_t>(nd.chunks);
+        for (int a = 0; a < options_.dim; ++a) {
+          for (idx_t c = 0; c < nd.chunks; ++c) {
+            ws_.units.push_back({to_idx(i), a, c});
+          }
+        }
+      }
+      cand += nd.num_cands;
+    }
+    ws_.cands.assign(cand, Split{});
+  }
+
+  /// Reduces each node's candidates in (axis, position) order — the first
+  /// found wins ties, as in the plain scan — and turns the node into a
+  /// leaf or an interior node with two next-level children. Then plans the
+  /// partition of every split node along each axis but the split's; unless
+  /// the next level is the frontier, the same units count the children's
+  /// labels along their axis, ready for the next scan.
+  void plan_partition() {
+    stage_ = Stage::kPartition;
+    Context& top = ws_.contexts[0];
+    for (std::size_t i = 0; i < ws_.level.size(); ++i) {
+      LevelNode& nd = ws_.level[i];
+      Split best;
+      for (std::size_t c = nd.cand; c < nd.cand + nd.num_cands; ++c) {
+        const Split& s = ws_.cands[c];
+        if (s.found && (!best.found || s.score > best.score)) best = s;
+      }
+      nd.split = best;
+      if (!best.found) {
+        make_leaf(top, nd.id, nd.lo, nd.hi, nd.majority, nd.pure,
+                  node_totals(i));
+        continue;
+      }
+      const auto [left, right] = make_interior(top, nd.id, best, nd.hi - nd.lo,
+                                               nd.majority, nd.pure);
+      const idx_t boundary = nd.lo + best.position;
+      nd.child = ws_.next_level.size();
+      ws_.next_level.emplace_back(left, nd.lo, boundary);
+      ws_.next_level.emplace_back(right, boundary, nd.hi);
+    }
+    if (ws_.next_level.empty()) {
+      stage_ = Stage::kDone;
+      return;
+    }
+    count_next_ = to_idx(ws_.next_level.size()) < kFrontierTarget;
+    if (count_next_) layout_level(ws_.next_level);
+    for (std::size_t i = 0; i < ws_.level.size(); ++i) {
+      const LevelNode& nd = ws_.level[i];
+      if (!nd.split.found) continue;
+      const bool chunked = ws_.next_level[nd.child].chunks > 1 ||
+                           ws_.next_level[nd.child + 1].chunks > 1;
+      for (int a = 0; a < options_.dim; ++a) {
+        const bool counts = count_next_ && (a == 0 || chunked);
+        if (a != nd.split.axis || counts) {
+          ws_.units.push_back({to_idx(i), a, 0});
+        }
+      }
+    }
+  }
+
+  /// One unit per pending subtree, largest first so the long ones start
+  /// early; each gets its own context, reset here (serially: growing the
+  /// context deque is not safe under concurrent readers).
+  void plan_frontier() {
+    stage_ = Stage::kFrontier;
+    for (std::size_t t = 0; t < ws_.level.size(); ++t) {
+      const LevelNode& nd = ws_.level[t];
+      ws_.frontier.push_back({nd.id, nd.lo, nd.hi});
+      context(t + 1);
+      ws_.units.push_back({to_idx(t), 0, 0});
+    }
+    std::stable_sort(
+        ws_.units.begin(), ws_.units.end(),
+        [&](const GangUnit& x, const GangUnit& y) {
+          const Item& a = ws_.frontier[static_cast<std::size_t>(x.index)];
+          const Item& b = ws_.frontier[static_cast<std::size_t>(y.index)];
+          return a.hi - a.lo > b.hi - b.lo;
+        });
+  }
+
+  /// Assembles the gang build into `tree` under the canonical numbering.
+  /// The plain build gives the nodes below any node X consecutive ids, from
+  /// when X is popped until its subtree is done, and each frontier unit
+  /// built its subtree that way: its local node j >= 1 lands at
   /// base + j - 1. Only the top (context 0) is walked to find the ids of
-  /// its own nodes and each task's base.
+  /// its own nodes and each subtree's base.
   void splice(const std::vector<Item>& frontier, DecisionTree& tree,
               Minorities& minorities) {
     Context& top = ws_.contexts[0];
@@ -743,7 +1254,7 @@ class TreeInducer {
       tree.num_leaves_ += ctx.leaves;
     };
     // The top's frontier entries are placeholders (their content is each
-    // task's local root); the tasks overwrite them below.
+    // subtree's local root); the subtrees overwrite them below.
     place(top, [&](idx_t id) { return canon[static_cast<std::size_t>(id)]; });
     for (std::size_t t = 0; t < frontier.size(); ++t) {
       const idx_t root_id = canon[static_cast<std::size_t>(frontier[t].node)];
@@ -782,10 +1293,20 @@ class TreeInducer {
   TreeInduceOptions options_;
 
   TreeInduceWorkspace::Impl& ws_;
-  // References into the workspace: the per-axis orders consumed
-  // (leaf-partitioned) by the build, and the shared point→side scratch.
+  // The per-axis orders consumed (leaf-partitioned) by the build; a
+  // reference into the workspace.
   std::array<std::vector<idx_t>, 3>& sorted_;
-  std::vector<char>& side_;
+
+  // Gang build control. stage_, merge_round_ and the workspace's unit and
+  // level vectors are written only by the serial step between stages; the
+  // barrier orders those writes before every participant's next reads.
+  Stage stage_ = Stage::kDone;
+  int merge_round_ = 0;
+  bool warm_ = false;
+  bool count_next_ = false;  // partition units also count the next level
+  std::atomic<std::size_t> cursor_{0};
+  std::mutex error_mutex_;
+  std::exception_ptr error_;  // first failure; ends the gang at a barrier
 };
 
 InducedTree induce_tree(std::span<const Vec3> points,

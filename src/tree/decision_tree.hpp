@@ -132,10 +132,10 @@ struct TreeInduceOptions {
 /// globally-sorted per-axis orders — when the same point set is re-induced
 /// after coherent motion the orders are nearly sorted, and an adaptive
 /// natural-merge repair pass replaces the three full sorts — plus pooled
-/// build buffers (per-worker contexts, retired node storage). The warm
-/// start is an optimization only: induce_tree() with a workspace returns a
-/// result bit-identical to the cold call for the same inputs and options,
-/// whatever state the workspace is in. One workspace serves one logical
+/// build buffers (per-subtree contexts, per-participant scratch, retired
+/// node storage). The warm start is an optimization only: induce_tree()
+/// with a workspace returns a result bit-identical to the cold call for the
+/// same inputs and options, whatever state the workspace is in. One workspace serves one logical
 /// sequence of inductions and must not be shared across threads.
 class TreeInduceWorkspace {
  public:
@@ -178,14 +178,17 @@ struct InducedTree {
 /// Builds a decision tree over `points` with partition labels `labels`
 /// (each in [0, num_labels)). See TreeInduceOptions for termination control.
 ///
-/// Inputs of at least 4096 points build independent subtrees concurrently
-/// on the global ThreadPool (efficient parallel tree-induction formulations
-/// exist — paper Section 4.1.1 / ScalParC). Every tree has one canonical
-/// node numbering whichever build ran: the root is 0 and, walking the tree
-/// with a stack that pops the right child first, each popped interior
-/// node's left and right children take the next two ids. The tree and its
-/// serialized bytes are therefore a function of the inputs alone, identical
-/// at every pool width.
+/// Inputs of at least 4096 points are induced by one gang dispatch on the
+/// global ThreadPool (ThreadPool::run_gang): the per-axis sorts, a
+/// level-synchronous expansion of the top levels with the split scans and
+/// partitions as claimable units, then the pending subtrees (efficient
+/// parallel tree-induction formulations exist — paper Section 4.1.1 /
+/// ScalParC). Every tree has one canonical node numbering whichever build
+/// ran: the root is 0 and, walking the tree with a stack that pops the
+/// right child first, each popped interior node's left and right children
+/// take the next two ids. The tree and its serialized bytes are therefore a
+/// function of the inputs alone, identical at every pool width and every
+/// granted gang width (a call from inside pool work runs the gang inline).
 InducedTree induce_tree(std::span<const Vec3> points,
                         std::span<const idx_t> labels, idx_t num_labels,
                         const TreeInduceOptions& options = {});

@@ -174,6 +174,48 @@ TEST_F(DistributedSimTest, SpmdMatchesReferenceEightThreads) {
   check_bit_identity(9);  // more ranks than a typical pool — still safe
 }
 
+TEST_F(DistributedSimTest, GangInductionMatchesReferenceAtOneAndFour) {
+  // The fixture's contact surface is far below the 4096 points at which
+  // rank 0's descriptor induction takes the gang build. Flagging every
+  // boundary face of thin 32 x 32 plates as contact surface gives ~4.6k
+  // contact points on a mesh that still steps in milliseconds. Three steps
+  // (the last two back to back, as the workspace's warm start expects) must
+  // match the reference body at pool widths 1 and 4, and the two widths
+  // must match each other.
+  ImpactSimConfig sc;
+  sc.plate_cells_xy = 32;
+  sc.plate_cells_z = 1;
+  sc.proj_cells_diameter = 6;
+  sc.proj_cells_z = 6;
+  sc.num_snapshots = 40;
+  sc.contact_zone_factor = 0;
+  const ImpactSim sim(sc);
+  ASSERT_GE(sim.snapshot(0).surface.num_contact_nodes(), 4096);
+  const DistributedSimConfig config = make_config(9, /*period=*/0);
+  std::vector<DistributedStepReport> at_width_one;
+  for (const unsigned width : {1u, 4u}) {
+    ThreadPool::set_global_threads(width);
+    DistributedSim spmd(sim, config);
+    DistributedSim oracle(sim, config);
+    std::size_t i = 0;
+    for (idx_t s : {idx_t{0}, idx_t{28}, idx_t{29}}) {
+      const std::string what =
+          "width " + std::to_string(width) + " s=" + std::to_string(s);
+      const DistributedStepReport ref = oracle.run_step_reference(s);
+      const DistributedStepReport got = spmd.run_step(s);
+      expect_reports_identical(got, ref, what);
+      if (width == 1) {
+        at_width_one.push_back(got);
+      } else {
+        expect_reports_identical(got, at_width_one[i], what);
+      }
+      ++i;
+    }
+  }
+  // The scene must actually exercise the search: some step has contacts.
+  EXPECT_GT(at_width_one.back().contact_events, 0);
+}
+
 TEST_F(DistributedSimTest, MigrationStepsMoveStateAndChargeBytes) {
   ThreadPool::set_global_threads(8);
   DistributedSim dsim(*sim_, make_config(5, /*period=*/2));

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <string_view>
+#include <thread>
 
 #include "parallel/thread_pool.hpp"
 #include "tree/decision_tree.hpp"
@@ -272,54 +275,108 @@ TEST(Induce, ParallelMatchesSerialGeometry) {
   EXPECT_EQ(fingerprint(bytes[0]), kPlainBuildBytes);
 }
 
+/// Runs `fn` on this thread while pool workers are held busy inside a gang
+/// of their own (`busy` of them at most), so a gang that `fn` dispatches is
+/// granted fewer participants than it asks for.
+template <typename Fn>
+void with_busy_workers(unsigned busy, Fn&& fn) {
+  std::atomic<unsigned> granted{0};
+  std::atomic<unsigned> started{0};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    ThreadPool::global().run_gang(busy + 1, [&](idx_t p, unsigned width) {
+      if (p == 0) granted.store(width);
+      started.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  while (granted.load() == 0 || started.load() < granted.load()) {
+    std::this_thread::yield();
+  }
+  fn();
+  release.store(true);
+  holder.join();
+}
+
 TEST(Induce, CanonicalBytesAtEveryPoolWidth) {
-  // Descriptor-style (pure leaves, no point map) and region-style (max_p /
-  // max_i) options; 3k points take the plain build and 20k the concurrent
-  // one. Cold and warm-started inductions at pool widths 1 and 8 must all
-  // serialize to the same bytes and map points to the same leaves.
-  for (const int n : {3000, 20000}) {
-    for (const bool region : {false, true}) {
-      SCOPED_TRACE(::testing::Message() << "n=" << n << " region=" << region);
-      const LabeledCloud cloud(n, 900 + static_cast<std::uint64_t>(n),
-                               /*octants=*/false);
-      // The same points slightly moved: induced first, it leaves the
-      // workspace warm and its saved orders out of date.
-      LabeledCloud moved = cloud;
-      for (Vec3& p : moved.points) p.x += 0.01 * std::sin(7 * p.y);
-      TreeInduceOptions opts;
-      if (region) {
-        const RegionTreeOptions r = recommended_region_options(n, 9, 3);
-        opts.max_pure = r.max_pure;
-        opts.max_impure = r.max_impure;
-      } else {
-        opts.want_point_leaf = false;
-      }
-      std::string reference;
-      std::vector<idx_t> reference_leaf;
-      for (const unsigned width : {1u, 8u}) {
-        ThreadPool::set_global_threads(width);
-        for (const bool warm : {false, true}) {
-          TreeInduceWorkspace ws;
-          if (warm) {
-            induce_tree(moved.points, moved.labels, 9, opts, &ws);
-            ASSERT_TRUE(ws.warm(cloud.points.size()));
-          }
-          const InducedTree t =
-              induce_tree(cloud.points, cloud.labels, 9, opts, &ws);
-          expect_canonical_numbering(t.tree);
-          const std::string bytes = tree_to_binary(t.tree);
-          if (reference.empty()) {
-            reference = bytes;
-            reference_leaf = t.point_leaf;
-            continue;
-          }
-          EXPECT_EQ(bytes, reference) << "width " << width << " warm " << warm;
-          EXPECT_EQ(t.point_leaf, reference_leaf)
-              << "width " << width << " warm " << warm;
-        }
-      }
-      ThreadPool::set_global_threads(0);
+  // Descriptor-style (pure leaves, no point map), region-style (max_p /
+  // max_i) and gap-preferring options; 3k points take the plain build and
+  // 20k the gang build. Cold and warm-started inductions at every pool
+  // width — and, for the gang build, from inside a parallel_tasks body
+  // (the gang runs inline at width 1) and while other workers are busy
+  // (the gang is granted fewer participants than it asks for) — must all
+  // serialize to the same bytes — pinned by fingerprint — and map points
+  // to the same leaves.
+  struct Case {
+    int n;
+    std::string_view style;
+    std::uint64_t bytes;
+  };
+  for (const Case& c : {Case{3000, "descriptor", 0xcc421a9f63713f40ull},
+                        Case{3000, "region", 0xae254373fed7ab66ull},
+                        Case{3000, "gap", 0x0623f5a1a3014ba3ull},
+                        Case{20000, "descriptor", 0x22be311e687b73aaull},
+                        Case{20000, "region", 0x4656ae905ed9a36full},
+                        Case{20000, "gap", 0x056a930ac9574b0aull}}) {
+    const int n = c.n;
+    SCOPED_TRACE(::testing::Message() << "n=" << n << " " << c.style);
+    const LabeledCloud cloud(n, 900 + static_cast<std::uint64_t>(n),
+                             /*octants=*/false);
+    // The same points slightly moved: induced first, it leaves the
+    // workspace warm and its saved orders out of date.
+    LabeledCloud moved = cloud;
+    for (Vec3& p : moved.points) p.x += 0.01 * std::sin(7 * p.y);
+    TreeInduceOptions opts;
+    if (c.style == "region") {
+      const RegionTreeOptions r = recommended_region_options(n, 9, 3);
+      opts.max_pure = r.max_pure;
+      opts.max_impure = r.max_impure;
+    } else {
+      opts.want_point_leaf = false;
+      if (c.style == "gap") opts.gap_alpha = 0.5;
     }
+    std::string reference;
+    std::vector<idx_t> reference_leaf;
+    const auto expect_reference = [&](const InducedTree& t,
+                                      const std::string& what) {
+      expect_canonical_numbering(t.tree);
+      const std::string bytes = tree_to_binary(t.tree);
+      if (reference.empty()) {
+        reference = bytes;
+        reference_leaf = t.point_leaf;
+        EXPECT_EQ(fingerprint(reference), c.bytes);
+        return;
+      }
+      EXPECT_EQ(bytes, reference) << what;
+      EXPECT_EQ(t.point_leaf, reference_leaf) << what;
+    };
+    for (const unsigned width : {1u, 2u, 3u, 4u, 8u}) {
+      ThreadPool::set_global_threads(width);
+      for (const bool warm : {false, true}) {
+        TreeInduceWorkspace ws;
+        if (warm) {
+          induce_tree(moved.points, moved.labels, 9, opts, &ws);
+          ASSERT_TRUE(ws.warm(cloud.points.size()));
+        }
+        expect_reference(
+            induce_tree(cloud.points, cloud.labels, 9, opts, &ws),
+            "width " + std::to_string(width) + " warm " +
+                std::to_string(warm));
+      }
+    }
+    ThreadPool::set_global_threads(4);
+    std::vector<InducedTree> nested(2);
+    ThreadPool::global().parallel_tasks(2, [&](idx_t t) {
+      EXPECT_TRUE(ThreadPool::in_worker());
+      nested[static_cast<std::size_t>(t)] =
+          induce_tree(cloud.points, cloud.labels, 9, opts);
+    });
+    for (const InducedTree& t : nested) expect_reference(t, "nested");
+    with_busy_workers(3, [&] {
+      expect_reference(induce_tree(cloud.points, cloud.labels, 9, opts),
+                       "busy workers");
+    });
+    ThreadPool::set_global_threads(0);
   }
 }
 
