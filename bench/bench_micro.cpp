@@ -204,6 +204,24 @@ void BM_NodalGraph(benchmark::State& state) {
 }
 BENCHMARK(BM_NodalGraph);
 
+// The repartition graph of the impact scene perfbench steps (resolution
+// 2.0, 39k hexes, ~470k edge insertions): element edges through
+// GraphBuilder, then the two-phase weights for the snapshot-0 contact mask.
+void BM_TwoPhaseGraph(benchmark::State& state) {
+  ImpactSimConfig config;
+  config.scale_resolution(2.0);
+  config.num_snapshots = 2;
+  const ImpactSim sim(config);
+  const auto snap = sim.snapshot(0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(build_two_phase_graph(
+        sim.initial_mesh(), snap.surface.is_contact_node, 5));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          sim.initial_mesh().num_elements());
+}
+BENCHMARK(BM_TwoPhaseGraph)->Unit(benchmark::kMillisecond);
+
 void BM_CommVolume(benchmark::State& state) {
   const CsrGraph g = make_grid_graph_3d(40, 40, 40);
   PartitionOptions opts;

@@ -23,7 +23,8 @@
 //
 // JSON output: {"env": {...}, "wire": {...}, "results": [{threads, ...,
 // distributed: {reference_mean_ms, spmd_mean_ms, speedup, health: {...},
-// steps: [{..., bytes: {descriptor, halo, faces}, phase_ms: {descriptor:
+// steps: [{..., migrated, repartition_ms, ownership_hash (hex string),
+// bytes: {descriptor, halo, faces}, phase_ms: {descriptor:
 // [per rank], halo, ship, search}, wait: {descriptor, ship, search}}]}}],
 // "scaling": {...}, "recovery": {...}}, steady state = steps >= 1. The
 // per-rank arrays follow RankPhaseBreakdown's superstep mapping.
@@ -38,10 +39,13 @@
 // --kill_step and requires the restored+replayed run to stay bit-identical
 // to the fault-free baseline at every step.
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "bench_env.hpp"
@@ -90,6 +94,15 @@ bool distributed_reports_identical(const DistributedStepReport& a,
          a.migration_payload_bytes == b.migration_payload_bytes &&
          a.label_broadcast_bytes == b.label_broadcast_bytes &&
          a.ownership_hash == b.ownership_hash;
+}
+
+// A 64-bit hash as a fixed-width hex string: JSON numbers past 2^53 lose
+// bits in most readers.
+std::string hex_u64(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
 }
 
 void json_array(std::ostream& os, const std::vector<double>& v) {
@@ -326,6 +339,9 @@ int main(int argc, char** argv) {
                     << ", \"spmd_ms\": " << spmd_ms
                     << ", \"events\": " << got.contact_events
                     << ", \"migrated\": " << (got.migrated ? "true" : "false")
+                    << ", \"repartition_ms\": " << got.repartition_ms
+                    << ", \"ownership_hash\": \""
+                    << hex_u64(got.ownership_hash) << "\""
                     << ", \"repart_moved_nodes\": " << got.repart_moved_nodes
                     << ", \"repart_moved_elements\": "
                     << got.repart_moved_elements

@@ -131,16 +131,27 @@ DistributedSim::DistributedSim(const ImpactSim& sim,
 
 std::vector<idx_t> DistributedSim::compute_repartition(
     idx_t s, std::span<const idx_t> owner, std::span<const char> is_contact,
-    bool* cross_group) const {
+    DistributedStepReport& report) {
+  Timer timer;
   // The repartition graph is built over the immutable topology (eroded
   // elements included) — the same substrate the ownership machinery runs
-  // on, so the protocol never needs a compacted central mesh.
-  const CsrGraph g =
-      build_two_phase_graph(sim_->initial_mesh(), is_contact,
-                            config_.decomposition.contact_edge_weight);
+  // on, so the protocol never needs a compacted central mesh. Only the
+  // contact mask changes between migration steps, and it enters the graph
+  // only through its weights.
+  const wgt_t contact_edge_weight = config_.decomposition.contact_edge_weight;
+  if (two_phase_graph_.has_value()) {
+    reweight_two_phase_graph(*two_phase_graph_, is_contact,
+                             contact_edge_weight);
+  } else {
+    two_phase_graph_ = build_two_phase_graph(sim_->initial_mesh(),
+                                             is_contact, contact_edge_weight);
+  }
   RepartitionOptions ro = config_.repartition;
   ro.seed = config_.repartition.seed + static_cast<std::uint64_t>(s);
-  return partitioner_.repartition(g, owner, ro, cross_group);
+  std::vector<idx_t> part = partitioner_.repartition(
+      *two_phase_graph_, owner, ro, &report.repart_cross_group);
+  report.repartition_ms = timer.milliseconds();
+  return part;
 }
 
 DistributedStepReport DistributedSim::run_step(idx_t s) {
@@ -469,8 +480,8 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
         contact_mask_[static_cast<std::size_t>(v)] = 1;
       }
     }
-    new_part = compute_repartition(s, states_[0].node_owner, contact_mask_,
-                                   &report.repart_cross_group);
+    new_part =
+        compute_repartition(s, states_[0].node_owner, contact_mask_, report);
   }
 
   // --- Driver section (was superstep C): rank 0's descriptor update runs
@@ -674,7 +685,7 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
 void DistributedSim::run_reference_body(idx_t s, bool migrate,
                                         std::vector<idx_t>& owner,
                                         std::vector<wgt_t>& hits,
-                                        DistributedStepReport& report) const {
+                                        DistributedStepReport& report) {
   const idx_t np = k();
   const idx_t nn = topo_.num_nodes();
   const idx_t ne = topo_.num_elements();
@@ -772,8 +783,7 @@ void DistributedSim::run_reference_body(idx_t s, bool migrate,
   std::vector<idx_t> new_part;
   std::vector<idx_t> changed;
   if (migrate) {
-    new_part =
-        compute_repartition(s, owner, is_contact, &report.repart_cross_group);
+    new_part = compute_repartition(s, owner, is_contact, report);
     for (idx_t v = 0; v < nn; ++v) {
       if (new_part[static_cast<std::size_t>(v)] !=
           owner[static_cast<std::size_t>(v)]) {
@@ -971,6 +981,7 @@ bool DistributedSim::suspend(double* backoff_ms_accum) {
   // caller already saw.
   states_.clear();
   states_.shrink_to_fit();
+  two_phase_graph_.reset();
   step_history_.clear();
   replay_pos_ = 0;
   suspended_ = true;

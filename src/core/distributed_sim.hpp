@@ -56,6 +56,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -123,6 +124,10 @@ struct DistributedStepReport : StepEvents {
   /// repartition ran instead of the group-local ones. Always false with the
   /// hierarchy disabled.
   bool repart_cross_group = false;
+  /// Driver time in compute_repartition (re-weighting the cached
+  /// repartition graph plus the k-way repartition); 0 on steps that do not
+  /// migrate.
+  double repartition_ms = 0;
   /// FNV-1a over the end-of-step ownership map and the owner-authoritative
   /// contact-hit accumulators — the cheap cross-flavor state oracle.
   std::uint64_t ownership_hash = 0;
@@ -195,12 +200,13 @@ class DistributedSim {
 
   /// Suspends the session: commits a durable checkpoint at the current
   /// step (a zero-replay restore point) and releases the per-rank states —
-  /// the dominant resident cost, so a suspended sim keeps only topology
-  /// and configuration in memory. Requires checkpoint_dir; must be called
-  /// between steps. False (with everything still resident and runnable)
-  /// when the commit exhausts its retry budget — keep-last-good means a
-  /// failed suspend never loses state. Idempotent. `backoff_ms_accum`,
-  /// when given, accumulates the commit's retry backoff.
+  /// the dominant resident cost — and the cached repartition graph, so a
+  /// suspended sim keeps only topology and configuration in memory.
+  /// Requires checkpoint_dir; must be called between steps. False (with
+  /// everything still resident and runnable) when the commit exhausts its
+  /// retry budget — keep-last-good means a failed suspend never loses
+  /// state. Idempotent. `backoff_ms_accum`, when given, accumulates the
+  /// commit's retry backoff.
   bool suspend(double* backoff_ms_accum = nullptr);
 
   /// Resumes a suspended session: restores every rank from the suspend
@@ -267,17 +273,18 @@ class DistributedSim {
   /// degraded path of run_step.
   void run_reference_body(idx_t s, bool migrate, std::vector<idx_t>& owner,
                           std::vector<wgt_t>& hits,
-                          DistributedStepReport& report) const;
+                          DistributedStepReport& report);
 
   /// Computes this step's repartition from the current labels and the
   /// contact mask (identical call on both flavors: same graph, same seed).
   /// Hierarchical configurations repartition group-locally by default and
-  /// escalate cross-group only on threshold breach (*cross_group reports
-  /// which). Runs on the driver thread — kway refinement dispatches pool
-  /// work, so it must never run inside a rank program.
+  /// escalate cross-group only on threshold breach (report.repart_cross_group
+  /// says which); report.repartition_ms gets the call's wall time. Runs on
+  /// the driver thread — kway refinement dispatches pool work, so it must
+  /// never run inside a rank program.
   std::vector<idx_t> compute_repartition(idx_t s, std::span<const idx_t> owner,
                                          std::span<const char> is_contact,
-                                         bool* cross_group) const;
+                                         DistributedStepReport& report);
 
   /// Copies `owner`/`hits` into every rank state and rebuilds the views —
   /// how the reference body's results (and the degraded recovery) re-enter
@@ -304,6 +311,10 @@ class DistributedSim {
   // change on migration).
   std::vector<std::vector<idx_t>> halo_providers_;
   std::vector<char> contact_mask_;
+  // The two-phase graph over the immutable topology, built on the first
+  // repartition and re-weighted for each later contact mask (its structure
+  // never changes). Released by suspend().
+  std::optional<CsrGraph> two_phase_graph_;
   std::vector<idx_t> start_owner_;   // start-of-step recovery snapshot
   std::vector<wgt_t> start_hits_;
   // Rank-death tolerance (see run_step). step_history_ records the snapshot

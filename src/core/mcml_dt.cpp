@@ -15,28 +15,41 @@ CsrGraph build_two_phase_graph(const Mesh& mesh,
                                wgt_t contact_edge_weight) {
   require(is_contact_node.size() == static_cast<std::size_t>(mesh.num_nodes()),
           "build_two_phase_graph: contact mask size mismatch");
-  GraphBuilder builder(mesh.num_nodes());
-  const auto edges = element_edges(mesh.element_type());
-  for (idx_t e = 0; e < mesh.num_elements(); ++e) {
-    const auto elem = mesh.element(e);
-    for (const auto& [a, b] : edges) {
-      const idx_t u = elem[static_cast<std::size_t>(a)];
-      const idx_t v = elem[static_cast<std::size_t>(b)];
-      const bool both_contact = is_contact_node[static_cast<std::size_t>(u)] &&
-                                is_contact_node[static_cast<std::size_t>(v)];
-      builder.add_edge(u, v, both_contact ? contact_edge_weight : 1);
+  CsrGraph g = nodal_graph(mesh);
+  g.set_vertex_weights(
+      std::vector<wgt_t>(static_cast<std::size_t>(mesh.num_nodes()) * 2), 2);
+  reweight_two_phase_graph(g, is_contact_node, contact_edge_weight);
+  return g;
+}
+
+void reweight_two_phase_graph(CsrGraph& g,
+                              std::span<const char> is_contact_node,
+                              wgt_t contact_edge_weight) {
+  const idx_t n = g.num_vertices();
+  require(is_contact_node.size() == static_cast<std::size_t>(n),
+          "reweight_two_phase_graph: contact mask size mismatch");
+  require(g.ncon() == 2 && g.has_vertex_weights() && g.has_edge_weights(),
+          "reweight_two_phase_graph: not a two-phase graph");
+  require(contact_edge_weight > 0,
+          "reweight_two_phase_graph: contact_edge_weight must be positive");
+  // Two constraints: FE work (1 per node) and contact-search work (1 per
+  // contact node). Section 5 uses exactly these unit weights. An edge
+  // between two contact nodes weighs contact_edge_weight, any other 1.
+  const std::span<wgt_t> vwgt = g.mutable_vwgt();
+  const std::span<wgt_t> adjwgt = g.mutable_adjwgt();
+  const std::vector<idx_t>& xadj = g.xadj();
+  const std::vector<idx_t>& adjncy = g.adjncy();
+  for (idx_t v = 0; v < n; ++v) {
+    const auto sv = static_cast<std::size_t>(v);
+    const bool contact = is_contact_node[sv] != 0;
+    vwgt[sv * 2] = 1;
+    vwgt[sv * 2 + 1] = contact ? 1 : 0;
+    for (auto j = static_cast<std::size_t>(xadj[sv]);
+         j < static_cast<std::size_t>(xadj[sv + 1]); ++j) {
+      const auto u = static_cast<std::size_t>(adjncy[j]);
+      adjwgt[j] = contact && is_contact_node[u] != 0 ? contact_edge_weight : 1;
     }
   }
-  // Two constraints: FE work (1 per node) and contact-search work (1 per
-  // contact node). Section 5 uses exactly these unit weights.
-  std::vector<wgt_t> vwgt(static_cast<std::size_t>(mesh.num_nodes()) * 2);
-  for (idx_t v = 0; v < mesh.num_nodes(); ++v) {
-    vwgt[static_cast<std::size_t>(v) * 2] = 1;
-    vwgt[static_cast<std::size_t>(v) * 2 + 1] =
-        is_contact_node[static_cast<std::size_t>(v)] ? 1 : 0;
-  }
-  builder.set_vertex_weights(std::move(vwgt), 2);
-  return builder.build();
 }
 
 namespace {

@@ -61,9 +61,17 @@ struct McmlDtConfig {
 
 /// Builds the contact/impact nodal graph of Section 4.2: two vertex weight
 /// components (all-ones; contact indicator) and contact-weighted edges.
+/// Equals nodal_graph(mesh) re-weighted by reweight_two_phase_graph.
 CsrGraph build_two_phase_graph(const Mesh& mesh,
                                std::span<const char> is_contact_node,
                                wgt_t contact_edge_weight);
+
+/// Rewrites the weights of a two-phase graph in place for a new contact
+/// mask, in O(n + nnz): the structure depends only on the mesh, so the
+/// result equals build_two_phase_graph of the same mesh and mask.
+void reweight_two_phase_graph(CsrGraph& g,
+                              std::span<const char> is_contact_node,
+                              wgt_t contact_edge_weight);
 
 class McmlDtPartitioner {
  public:

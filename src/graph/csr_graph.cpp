@@ -55,12 +55,6 @@ void CsrGraph::set_vertex_weights(std::vector<wgt_t> vwgt, idx_t ncon) {
   ncon_ = ncon;
 }
 
-void CsrGraph::set_edge_weights(std::vector<wgt_t> adjwgt) {
-  require(adjwgt.size() == adjncy_.size(),
-          "set_edge_weights: size must be 2m");
-  adjwgt_ = std::move(adjwgt);
-}
-
 bool CsrGraph::is_symmetric() const {
   const idx_t n = num_vertices();
   // Sort each adjacency list's (neighbour, weight) pairs and check that the

@@ -79,10 +79,13 @@ class CsrGraph {
   const std::vector<wgt_t>& vwgt() const { return vwgt_; }
   const std::vector<wgt_t>& adjwgt() const { return adjwgt_; }
 
+  /// Writable views of the weight arrays (empty when unweighted), for
+  /// rewriting weights in place on a fixed structure.
+  std::span<wgt_t> mutable_vwgt() { return vwgt_; }
+  std::span<wgt_t> mutable_adjwgt() { return adjwgt_; }
+
   /// Replaces vertex weights (size must be n*new_ncon; may change ncon).
   void set_vertex_weights(std::vector<wgt_t> vwgt, idx_t ncon);
-  /// Replaces edge weights (size must be 2m).
-  void set_edge_weights(std::vector<wgt_t> adjwgt);
 
   /// Checks structural symmetry: (u,v) present iff (v,u) present with the
   /// same weight. O(m log d). Used by tests and input validation.

@@ -1,8 +1,8 @@
 #include "graph/graph_builder.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <tuple>
+#include <utility>
 
 namespace cpart {
 
@@ -31,53 +31,95 @@ void GraphBuilder::set_vertex_weights(std::vector<wgt_t> vwgt, idx_t ncon) {
 }
 
 CsrGraph GraphBuilder::build(DupPolicy duplicates) {
-  // Sort (u, v) pairs and merge duplicates keeping max weight.
+  const auto n = static_cast<std::size_t>(n_);
   const std::size_t m = src_.size();
-  std::vector<std::size_t> order(m);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return std::tie(src_[a], dst_[a]) < std::tie(src_[b], dst_[b]);
-  });
-  std::vector<idx_t> us, vs;
-  std::vector<wgt_t> ws;
-  us.reserve(m);
-  vs.reserve(m);
-  ws.reserve(m);
-  for (std::size_t oi = 0; oi < m; ++oi) {
-    const std::size_t e = order[oi];
-    if (!us.empty() && us.back() == src_[e] && vs.back() == dst_[e]) {
-      if (duplicates == DupPolicy::kSum) {
-        ws.back() += wgt_[e];
-      } else {
-        ws.back() = std::max(ws.back(), wgt_[e]);
+
+  // Bucket the (u, v, w) insertions by their lower endpoint u: a counting
+  // sort, scattered back to front so off[u] ends at the start of u's bucket.
+  std::vector<std::size_t> off(n + 1, 0);
+  for (idx_t u : src_) ++off[static_cast<std::size_t>(u)];
+  for (std::size_t u = 1; u <= n; ++u) off[u] += off[u - 1];
+  std::vector<idx_t> nbr(m);
+  std::vector<wgt_t> w(m);
+  for (std::size_t e = m; e-- > 0;) {
+    const std::size_t pos = --off[static_cast<std::size_t>(src_[e])];
+    nbr[pos] = dst_[e];
+    w[pos] = wgt_[e];
+  }
+  src_ = {};
+  dst_ = {};
+  wgt_ = {};
+
+  // Sort each bucket by v and merge duplicates, compacting the unique
+  // (v, w) entries to the front; off[u] is rewritten to the compacted start.
+  // Buckets are short (mesh degrees), so insertion sort handles them; hub
+  // rows go through std::sort on a scratch copy.
+  constexpr std::size_t kInsertionSortMax = 32;
+  std::vector<std::pair<idx_t, wgt_t>> scratch;
+  std::size_t out = 0;
+  for (std::size_t u = 0; u < n; ++u) {
+    const std::size_t begin = off[u], end = off[u + 1];
+    if (end - begin <= kInsertionSortMax) {
+      for (std::size_t i = begin + 1; i < end; ++i) {
+        const idx_t v = nbr[i];
+        const wgt_t wv = w[i];
+        std::size_t j = i;
+        for (; j > begin && nbr[j - 1] > v; --j) {
+          nbr[j] = nbr[j - 1];
+          w[j] = w[j - 1];
+        }
+        nbr[j] = v;
+        w[j] = wv;
       }
     } else {
-      us.push_back(src_[e]);
-      vs.push_back(dst_[e]);
-      ws.push_back(wgt_[e]);
+      scratch.clear();
+      for (std::size_t i = begin; i < end; ++i) {
+        scratch.emplace_back(nbr[i], w[i]);
+      }
+      std::sort(scratch.begin(), scratch.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      for (std::size_t i = begin; i < end; ++i) {
+        std::tie(nbr[i], w[i]) = scratch[i - begin];
+      }
+    }
+    off[u] = out;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (out > off[u] && nbr[out - 1] == nbr[i]) {
+        w[out - 1] = duplicates == DupPolicy::kSum
+                         ? w[out - 1] + w[i]
+                         : std::max(w[out - 1], w[i]);
+      } else {
+        nbr[out] = nbr[i];
+        w[out++] = w[i];
+      }
     }
   }
-  src_.clear();
-  dst_.clear();
-  wgt_.clear();
+  off[n] = out;
 
-  // Count degrees for both directions, then fill.
-  std::vector<idx_t> xadj(static_cast<std::size_t>(n_) + 1, 0);
-  for (std::size_t e = 0; e < us.size(); ++e) {
-    ++xadj[static_cast<std::size_t>(us[e]) + 1];
-    ++xadj[static_cast<std::size_t>(vs[e]) + 1];
+  // Mirror into CSR in (u, v) order: row x receives its lower neighbours
+  // (u < x, ascending u) before its upper ones (v > x, ascending v), so
+  // every row comes out ascending.
+  std::vector<idx_t> xadj(n + 1, 0);
+  for (std::size_t u = 0; u < n; ++u) {
+    xadj[u + 1] += to_idx(off[u + 1] - off[u]);
+    for (std::size_t i = off[u]; i < off[u + 1]; ++i) {
+      ++xadj[static_cast<std::size_t>(nbr[i]) + 1];
+    }
   }
-  for (std::size_t i = 1; i < xadj.size(); ++i) xadj[i] += xadj[i - 1];
+  for (std::size_t i = 1; i <= n; ++i) xadj[i] += xadj[i - 1];
   std::vector<idx_t> adjncy(static_cast<std::size_t>(xadj.back()));
   std::vector<wgt_t> adjwgt(adjncy.size());
   std::vector<idx_t> cursor(xadj.begin(), xadj.end() - 1);
-  for (std::size_t e = 0; e < us.size(); ++e) {
-    const idx_t u = us[e], v = vs[e];
-    const wgt_t w = ws[e];
-    adjncy[static_cast<std::size_t>(cursor[static_cast<std::size_t>(u)])] = v;
-    adjwgt[static_cast<std::size_t>(cursor[static_cast<std::size_t>(u)]++)] = w;
-    adjncy[static_cast<std::size_t>(cursor[static_cast<std::size_t>(v)])] = u;
-    adjwgt[static_cast<std::size_t>(cursor[static_cast<std::size_t>(v)]++)] = w;
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t i = off[u]; i < off[u + 1]; ++i) {
+      const auto v = static_cast<std::size_t>(nbr[i]);
+      const auto cu = static_cast<std::size_t>(cursor[u]++);
+      const auto cv = static_cast<std::size_t>(cursor[v]++);
+      adjncy[cu] = nbr[i];
+      adjwgt[cu] = w[i];
+      adjncy[cv] = static_cast<idx_t>(u);
+      adjwgt[cv] = w[i];
+    }
   }
   CsrGraph g(std::move(xadj), std::move(adjncy), std::move(vwgt_),
              std::move(adjwgt), ncon_);

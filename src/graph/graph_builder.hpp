@@ -1,8 +1,10 @@
 // Incremental construction of CsrGraph from unordered edge insertions.
 //
 // Meshes and tests build graphs edge-by-edge; GraphBuilder deduplicates,
-// symmetrizes, and emits CSR in one pass. Inserting the same edge twice
-// keeps the maximum weight (useful when both endpoints report the edge).
+// symmetrizes, and emits CSR in time linear in the insertions (a counting
+// sort by lower endpoint, then short per-vertex sorts). Inserting the same
+// edge twice keeps the maximum weight (useful when both endpoints report
+// the edge). Every CSR row comes out in ascending neighbour order.
 #pragma once
 
 #include <vector>
@@ -29,7 +31,9 @@ class GraphBuilder {
   /// Sets the full vertex-weight array (interleaved, size n*ncon).
   void set_vertex_weights(std::vector<wgt_t> vwgt, idx_t ncon);
 
-  /// Emits the CSR graph. The builder is left empty afterwards.
+  /// Emits the CSR graph: rows ascending, duplicates combined under
+  /// `duplicates`. Peak memory is about 28 bytes per inserted edge. The
+  /// builder is left empty afterwards.
   CsrGraph build(DupPolicy duplicates = DupPolicy::kMax);
 
  private:

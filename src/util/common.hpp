@@ -12,6 +12,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cpart {
@@ -29,9 +30,11 @@ class InputError : public std::runtime_error {
 };
 
 /// Throws InputError with `msg` when `cond` is false. Used to validate
-/// user-facing API inputs; internal invariants use assert().
-inline void require(bool cond, const std::string& msg) {
-  if (!cond) throw InputError(msg);
+/// user-facing API inputs; internal invariants use assert(). The message
+/// is copied into a std::string only on the throw, so a passing check
+/// allocates nothing (hot loops such as GraphBuilder::add_edge call it).
+inline void require(bool cond, std::string_view msg) {
+  if (!cond) [[unlikely]] throw InputError(std::string(msg));
 }
 
 /// Integer ceiling division for non-negative operands.

@@ -13,12 +13,15 @@
 #include <array>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "contact/local_search.hpp"
 #include "core/distributed_sim.hpp"
@@ -247,6 +250,100 @@ TEST_F(DistributedSimTest, MigrationStepsMoveStateAndChargeBytes) {
     ASSERT_GE(o, 0);
     ASSERT_LT(o, dsim.k());
   }
+}
+
+// Ten steps of a k = 9 run at period 2: the migration steps fall on
+// snapshots 3, 6, 21 and 24, which carry four different contact masks, so
+// every repartition after the first re-weights the cached repartition graph
+// for a new mask. The per-step ownership hash and moved-node count are
+// pinned to the values a fresh graph build on every migration step produced.
+struct StepFingerprint {
+  idx_t snapshot;
+  std::uint64_t ownership_hash;
+  idx_t repart_moved_nodes;
+};
+constexpr idx_t kReuseRanks = 9;
+constexpr std::array<StepFingerprint, 10> kRebuildFingerprints{{
+    {0, 0xe0ce0a0f58fc5541ULL, 0},
+    {1, 0x3c1c2d14dcd98385ULL, 0},
+    {3, 0x122df7bf9cbdce7dULL, 110},
+    {4, 0x313df1dece7fde15ULL, 0},
+    {6, 0x0861ae62c74fd385ULL, 0},
+    {10, 0xbb4f671352c0d10dULL, 0},
+    {21, 0xa39f6249cb66a340ULL, 8},
+    {22, 0x351e57a8ba1f9402ULL, 0},
+    {24, 0xf9701990549c9ffdULL, 11},
+    {30, 0x1d8afa223cc15445ULL, 0},
+}};
+
+TEST_F(DistributedSimTest, RepartitionGraphReuseMatchesRebuildAndReference) {
+  // Consecutive migration snapshots really do carry different masks.
+  const std::array<idx_t, 4> migration_snapshots{3, 6, 21, 24};
+  for (std::size_t i = 0; i + 1 < migration_snapshots.size(); ++i) {
+    EXPECT_NE(sim_->snapshot(migration_snapshots[i]).surface.is_contact_node,
+              sim_->snapshot(migration_snapshots[i + 1])
+                  .surface.is_contact_node)
+        << "s=" << migration_snapshots[i];
+  }
+  for (const unsigned width : {1u, 4u}) {
+    ThreadPool::set_global_threads(width);
+    const DistributedSimConfig config =
+        make_config(kReuseRanks, /*period=*/2);
+    DistributedSim spmd(*sim_, config);
+    DistributedSim oracle(*sim_, config);
+    idx_t migrations = 0;
+    for (const StepFingerprint& f : kRebuildFingerprints) {
+      const std::string what = "width " + std::to_string(width) +
+                               " s=" + std::to_string(f.snapshot);
+      const DistributedStepReport ref = oracle.run_step_reference(f.snapshot);
+      const DistributedStepReport got = spmd.run_step(f.snapshot);
+      expect_reports_identical(got, ref, what);
+      EXPECT_EQ(got.ownership_hash, f.ownership_hash) << what;
+      EXPECT_EQ(got.repart_moved_nodes, f.repart_moved_nodes) << what;
+      // Both flavors time the repartition, and only on migration steps.
+      for (const DistributedStepReport* r : {&got, &ref}) {
+        if (r->migrated) {
+          EXPECT_GT(r->repartition_ms, 0.0) << what;
+        } else {
+          EXPECT_EQ(r->repartition_ms, 0.0) << what;
+        }
+      }
+      migrations += got.migrated ? 1 : 0;
+    }
+    EXPECT_EQ(migrations, 4) << "width " << width;
+  }
+}
+
+TEST_F(DistributedSimTest, SuspendBetweenMigrationsKeepsRepartitionIdentical) {
+  // suspend() releases the cached repartition graph; the first migration
+  // after resume() rebuilds it. The run must stay bit-identical to a twin
+  // that never suspended.
+  ThreadPool::set_global_threads(4);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("cpart_repartition_reuse_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  DistributedSimConfig config = make_config(kReuseRanks, /*period=*/2);
+  DistributedSim twin(*sim_, config);
+  config.checkpoint_dir = dir.string();
+  DistributedSim dsim(*sim_, config);
+  for (const StepFingerprint& f : kRebuildFingerprints) {
+    const std::string what = "s=" + std::to_string(f.snapshot);
+    const DistributedStepReport want = twin.run_step(f.snapshot);
+    const DistributedStepReport got = dsim.run_step(f.snapshot);
+    expect_reports_identical(got, want, what);
+    EXPECT_EQ(got.ownership_hash, f.ownership_hash) << what;
+    EXPECT_EQ(dsim.ownership_map(), twin.ownership_map()) << what;
+    EXPECT_EQ(dsim.gather_contact_hits(), twin.gather_contact_hits()) << what;
+    // Suspend right after the first two migration steps, so the next
+    // migration runs on a freshly rebuilt graph.
+    if (got.migrated && f.snapshot <= 6) {
+      ASSERT_TRUE(dsim.suspend()) << what;
+      ASSERT_TRUE(dsim.suspended());
+      ASSERT_TRUE(dsim.resume()) << what;
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(DistributedSimTest, OwnedRecordsTileTheSnapshotSurface) {

@@ -3,6 +3,8 @@
 
 #include <set>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "util/flags.hpp"
 #include "util/rng.hpp"
@@ -212,6 +214,26 @@ TEST(Common, RequireThrowsWithMessage) {
   } catch (const InputError& e) {
     EXPECT_STREQ(e.what(), "boom");
   }
+}
+
+TEST(Common, RequireMessageFromLiteralBuiltStringAndView) {
+  EXPECT_NO_THROW(require(true, "never thrown"));
+  const auto message_of = [](auto&& msg) -> std::string {
+    try {
+      require(false, msg);
+    } catch (const InputError& e) {
+      return e.what();
+    }
+    return "<no throw>";
+  };
+  EXPECT_EQ(message_of("a literal message"), "a literal message");
+  const std::string built = "built for vertex " + std::to_string(42);
+  EXPECT_EQ(message_of(built), "built for vertex 42");
+  EXPECT_EQ(message_of("temporary " + std::to_string(7)), "temporary 7");
+  // A view that is not NUL-terminated keeps exactly its own characters.
+  const std::string_view head =
+      std::string_view("prefix-and-tail").substr(0, 6);
+  EXPECT_EQ(message_of(head), "prefix");
 }
 
 }  // namespace
