@@ -21,6 +21,13 @@
 //   {mesh, n, k, threads, phase_ms: {coarsen, initial, refine},
 //    total_ms, edgecut, balance}
 //
+// Every run also times the recursive-bisection path the MCML+DT set-up runs:
+// partition_graph at k = 25 on the two-phase graph (all-ones and contact
+// weights, contact-weighted edges) of the impact scene's first snapshot at
+// resolution 2 (48,604 vertices), at each thread count. Its "rb" JSON block
+// holds one {threads, total_ms, edgecut, balance} row per thread count and
+// whether the labels were identical across them.
+//
 // --hierarchical additionally streams a large impact scene (--elements
 // hex8 cells, default 1e6) to the chunked on-disk format, builds the nodal
 // graph through the reader's bounded window, and sweeps the two-level
@@ -30,8 +37,9 @@
 // bounded-memory claim, asserted by CI), process peak RSS, and whether the
 // labels were bit-identical across all thread counts.
 //
-// Exit status is 2 when the flat or the hierarchical labels differ between
-// thread counts (the JSON is still written), 1 on bad flags.
+// Exit status is 2 when the flat, the recursive-bisection or the
+// hierarchical labels differ between thread counts (the JSON is still
+// written), 1 on bad flags.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -43,6 +51,7 @@
 #endif
 
 #include "bench_env.hpp"
+#include "core/mcml_dt.hpp"
 #include "graph/graph_builder.hpp"
 #include "graph/graph_metrics.hpp"
 #include "mesh/chunked_mesh.hpp"
@@ -51,6 +60,7 @@
 #include "partition/coarsen.hpp"
 #include "partition/connectivity.hpp"
 #include "partition/hierarchical.hpp"
+#include "sim/impact_sim.hpp"
 #include "util/atomic_file.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
@@ -139,6 +149,68 @@ std::size_t peak_rss_bytes() {
 #else
   return 0;
 #endif
+}
+
+/// The recursive-bisection section: partition_graph at k = 25 on the
+/// impact scene's two-phase graph, fastest of `reps` per thread count
+/// (interleaved like the flat rows). Returns the "rb" JSON object;
+/// `labels_identical` reports whether every thread count gave the same labels.
+std::string run_recursive_bisection(const std::vector<unsigned>& thread_counts,
+                                    std::uint64_t seed, int reps, Table& table,
+                                    bool& labels_identical) {
+  constexpr idx_t kParts = 25;
+  ImpactSimConfig sc;
+  sc.scale_resolution(2.0);
+  const ImpactSim sim(sc);
+  const ImpactSim::Snapshot snap = sim.snapshot(0);
+  const CsrGraph g =
+      build_two_phase_graph(snap.mesh, snap.surface.is_contact_node,
+                            McmlDtConfig{}.contact_edge_weight);
+  std::cout << "\nRecursive bisection: impact two-phase graph (n="
+            << g.num_vertices() << ", ncon=" << g.ncon() << ", k=" << kParts
+            << ")\n\n";
+
+  PartitionOptions opts;
+  opts.k = kParts;
+  opts.seed = seed;
+  std::vector<double> best_ms(thread_counts.size(), 0);
+  std::vector<std::vector<idx_t>> parts(thread_counts.size());
+  for (int rep = 0; rep < reps; ++rep) {
+    for (std::size_t ti = 0; ti < thread_counts.size(); ++ti) {
+      ThreadPool::set_global_threads(thread_counts[ti]);
+      if (rep == 0) partition_graph(g, opts);  // warm-up
+      Timer timer;
+      std::vector<idx_t> part = partition_graph(g, opts);
+      const double ms = timer.milliseconds();
+      if (rep == 0 || ms < best_ms[ti]) {
+        best_ms[ti] = ms;
+        parts[ti] = std::move(part);
+      }
+    }
+  }
+  labels_identical = true;
+  std::ostringstream json;
+  json << "{\"graph\": \"impact_two_phase_r2_s0\", \"n\": "
+       << g.num_vertices() << ", \"ncon\": " << g.ncon() << ", \"k\": " << kParts
+       << ",\n  \"rows\": [\n";
+  for (std::size_t ti = 0; ti < thread_counts.size(); ++ti) {
+    if (parts[ti] != parts[0]) labels_identical = false;
+    const wgt_t cut = edge_cut(g, parts[ti]);
+    const double balance = max_load_imbalance(g, parts[ti], kParts);
+    table.begin_row();
+    table.add_cell(static_cast<long long>(thread_counts[ti]));
+    table.add_cell(best_ms[ti], 1);
+    table.add_cell(best_ms[0] / std::max(best_ms[ti], 1e-9), 2);
+    table.add_cell(static_cast<long long>(cut));
+    table.add_cell(balance, 3);
+    if (ti != 0) json << ",\n";
+    json << "   {\"threads\": " << thread_counts[ti]
+         << ", \"total_ms\": " << best_ms[ti] << ", \"edgecut\": " << cut
+         << ", \"balance\": " << balance << "}";
+  }
+  json << "\n  ],\n  \"labels_identical\": "
+       << (labels_identical ? "true" : "false") << "}";
+  return json.str();
 }
 
 /// The --hierarchical section: streamed large mesh -> bounded-window graph
@@ -343,6 +415,20 @@ int main(int argc, char** argv) {
     }
     json << "\n]";
     table.print(std::cout);
+
+    {
+      Table rtable({"threads", "total_ms", "speedup", "edgecut", "balance"});
+      bool rb_identical = true;
+      const std::string rb_json = run_recursive_bisection(
+          thread_counts, opts.seed, reps, rtable, rb_identical);
+      rtable.print(std::cout);
+      if (!rb_identical) {
+        std::cerr << "FAIL: recursive-bisection labels differ across thread "
+                     "counts\n";
+        labels_identical = false;
+      }
+      json << ",\n \"rb\": " << rb_json;
+    }
 
     if (flags.get_int("hierarchical") != 0) {
       Table htable({"threads", "group_ms", "local_ms", "total_ms", "speedup",

@@ -22,82 +22,6 @@ std::vector<idx_t> part_groups(idx_t k, idx_t groups) {
   return out;
 }
 
-InducedSubgraph induce_subgraph(const CsrGraph& g,
-                                std::span<const idx_t> labels, idx_t value) {
-  const idx_t n = g.num_vertices();
-  const idx_t ncon = g.ncon();
-  std::vector<idx_t> local(static_cast<std::size_t>(n), kInvalidIndex);
-  InducedSubgraph sub;
-  for (idx_t v = 0; v < n; ++v) {
-    if (labels[static_cast<std::size_t>(v)] == value) {
-      local[static_cast<std::size_t>(v)] = to_idx(sub.parent.size());
-      sub.parent.push_back(v);
-    }
-  }
-  const idx_t ns = to_idx(sub.parent.size());
-  std::vector<idx_t> xadj{0};
-  xadj.reserve(static_cast<std::size_t>(ns) + 1);
-  std::vector<idx_t> adjncy;
-  std::vector<wgt_t> adjwgt;
-  std::vector<wgt_t> vwgt(static_cast<std::size_t>(ns) *
-                          static_cast<std::size_t>(ncon));
-  for (idx_t sv = 0; sv < ns; ++sv) {
-    const idx_t v = sub.parent[static_cast<std::size_t>(sv)];
-    for (idx_t c = 0; c < ncon; ++c) {
-      vwgt[static_cast<std::size_t>(sv) * ncon + static_cast<std::size_t>(c)] =
-          g.vertex_weight(v, c);
-    }
-    const auto nbrs = g.neighbors(v);
-    for (idx_t j = 0; j < to_idx(nbrs.size()); ++j) {
-      const idx_t lu =
-          local[static_cast<std::size_t>(nbrs[static_cast<std::size_t>(j)])];
-      if (lu == kInvalidIndex) continue;
-      adjncy.push_back(lu);
-      adjwgt.push_back(g.edge_weight(v, j));
-    }
-    xadj.push_back(to_idx(adjncy.size()));
-  }
-  sub.graph = CsrGraph(std::move(xadj), std::move(adjncy), std::move(vwgt),
-                       std::move(adjwgt), ncon);
-  return sub;
-}
-
-namespace {
-
-/// Recursively splits the vertices of `g` into groups [g0, g1) by weighted
-/// bisection: the left fraction is the left half's share of the part count,
-/// so groups owning more parts receive proportionally more weight. Writes
-/// through `parent` into `group_out`.
-void split_groups(const CsrGraph& g, std::span<const idx_t> parent, idx_t g0,
-                  idx_t g1, idx_t k, idx_t groups, double epsilon,
-                  const PartitionOptions& options, Rng& rng,
-                  std::vector<idx_t>& group_out) {
-  if (g.num_vertices() == 0) return;
-  if (g1 - g0 == 1) {
-    for (idx_t v = 0; v < g.num_vertices(); ++v) {
-      group_out[static_cast<std::size_t>(
-          parent[static_cast<std::size_t>(v)])] = g0;
-    }
-    return;
-  }
-  const idx_t gm = (g0 + g1 + 1) / 2;  // left gets the larger group half
-  const idx_t left_parts = parts_begin(gm, k, groups) - parts_begin(g0, k, groups);
-  const idx_t total_parts =
-      parts_begin(g1, k, groups) - parts_begin(g0, k, groups);
-  const double fraction =
-      static_cast<double>(left_parts) / static_cast<double>(total_parts);
-  const std::vector<idx_t> side =
-      bisect_graph(g, fraction, epsilon, options, rng);
-  for (idx_t s = 0; s < 2; ++s) {
-    InducedSubgraph sub = induce_subgraph(g, side, s);
-    for (idx_t& p : sub.parent) p = parent[static_cast<std::size_t>(p)];
-    split_groups(sub.graph, sub.parent, s == 0 ? g0 : gm, s == 0 ? gm : g1, k,
-                 groups, epsilon, options, rng, group_out);
-  }
-}
-
-}  // namespace
-
 double hierarchy_group_imbalance(const CsrGraph& g,
                                  std::span<const idx_t> group_of, idx_t k,
                                  idx_t groups) {
@@ -175,16 +99,15 @@ HierarchicalResult hierarchical_partition(const CsrGraph& g,
   }
   result.stats.proxy_vertices = cur->num_vertices();
 
-  std::vector<idx_t> proxy_group(
-      static_cast<std::size_t>(cur->num_vertices()), 0);
-  {
-    std::vector<idx_t> parent(static_cast<std::size_t>(cur->num_vertices()));
-    for (idx_t v = 0; v < cur->num_vertices(); ++v) {
-      parent[static_cast<std::size_t>(v)] = v;
-    }
-    split_groups(*cur, parent, 0, groups, k, groups, kGroupEpsilon,
-                 base, rng, proxy_group);
+  // Split the proxy into the G groups, each leaf weighted by its share of
+  // the k parts, so groups owning more parts receive proportionally more
+  // weight.
+  std::vector<idx_t> leaf_begin(static_cast<std::size_t>(groups) + 1);
+  for (idx_t grp = 0; grp <= groups; ++grp) {
+    leaf_begin[static_cast<std::size_t>(grp)] = parts_begin(grp, k, groups);
   }
+  std::vector<idx_t> proxy_group =
+      recursive_bisection(*cur, leaf_begin, kGroupEpsilon, base);
 
   std::vector<idx_t> group_of(static_cast<std::size_t>(n));
   {

@@ -64,16 +64,6 @@ inline idx_t parts_begin(idx_t grp, idx_t k, idx_t groups) {
 /// Group of each part id under the contiguous assignment above (size k).
 std::vector<idx_t> part_groups(idx_t k, idx_t groups);
 
-/// Subgraph induced by the vertices with labels[v] == value. Cut edges are
-/// dropped; `parent` maps sub ids (ascending) back to ids in g. Shared by
-/// the two-level split, the group-local repartitioner, and tests.
-struct InducedSubgraph {
-  CsrGraph graph;
-  std::vector<idx_t> parent;
-};
-InducedSubgraph induce_subgraph(const CsrGraph& g,
-                                std::span<const idx_t> labels, idx_t value);
-
 /// Worst-constraint imbalance of a G-way group labeling against
 /// part-count-proportional targets: max over (group, c) of
 /// w_c(group) / (w_c(V) * parts_share(group)).

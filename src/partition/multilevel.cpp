@@ -3,6 +3,7 @@
 // proportional part counts, plus a final k-way polish pass.
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "parallel/thread_pool.hpp"
 #include "partition/coarsen.hpp"
@@ -10,6 +11,7 @@
 #include "partition/initial_partition.hpp"
 #include "partition/partition.hpp"
 #include "partition/refine_bisection.hpp"
+#include "util/seed_stream.hpp"
 
 namespace cpart {
 
@@ -45,6 +47,8 @@ std::vector<idx_t> multilevel_bisect(const CsrGraph& g, double left_fraction,
       fine_part[static_cast<std::size_t>(v)] =
           part[static_cast<std::size_t>(map[static_cast<std::size_t>(v)])];
     });
+    // The coarser level is projected; free it before refining the finer.
+    chain.pop_back();
     fm_refine_bisection(fine, fine_part, left_fraction, epsilon,
                         options.refine_passes, rng);
     part = std::move(fine_part);
@@ -52,22 +56,77 @@ std::vector<idx_t> multilevel_bisect(const CsrGraph& g, double left_fraction,
   return part;
 }
 
-/// Extracts the subgraph induced by the vertices with part01[v] == side.
-/// Returns the subgraph and the parent id of each sub-vertex. Cut edges are
-/// dropped (standard recursive-bisection behaviour).
-struct Subgraph {
-  CsrGraph graph;
-  std::vector<idx_t> parent;  // sub id -> parent id
+/// One pending problem of the recursive bisection: split the vertices of a
+/// graph over the leaves [first_leaf, first_leaf + leaves), leaves >= 2.
+/// The root problem bisects the caller's graph in place and owns nothing;
+/// every other problem owns its induced subgraph, whose `parent` holds
+/// vertex ids of the root graph.
+struct BisectionProblem {
+  InducedSubgraph sub;
+  bool root = false;
+  idx_t first_leaf = 0;
+  idx_t leaves = 0;
+
+  idx_t num_vertices(const CsrGraph& g) const {
+    return root ? g.num_vertices() : sub.graph.num_vertices();
+  }
 };
 
-Subgraph induce_side(const CsrGraph& g, std::span<const idx_t> part01,
-                     idx_t side) {
+/// Bisects problem `p` into `children[0]` and `children[1]`, then frees its
+/// subgraph. A side that holds one leaf is labelled in `out` directly instead
+/// of becoming a child. The bisection draws only from its own stream, seeded
+/// by (seed, first leaf, leaf count), so the result does not depend on which
+/// other problems run, in which order, or on which thread.
+void bisect_problem(const CsrGraph& g, BisectionProblem& p,
+                    std::span<const idx_t> leaf_begin, double epsilon,
+                    const PartitionOptions& options, std::span<idx_t> out,
+                    std::span<BisectionProblem, 2> children) {
+  const CsrGraph& graph = p.root ? g : p.sub.graph;
+  const idx_t first = p.first_leaf;
+  const idx_t mid = first + (p.leaves + 1) / 2;  // left gets ceil(leaves/2)
+  const idx_t last = first + p.leaves;
+  const auto at = [&](idx_t leaf) {
+    return leaf_begin[static_cast<std::size_t>(leaf)];
+  };
+  const double fraction = static_cast<double>(at(mid) - at(first)) /
+                          static_cast<double>(at(last) - at(first));
+  Rng rng(seed_mix(seed_mix(options.seed, static_cast<std::uint64_t>(first)),
+                   static_cast<std::uint64_t>(p.leaves)));
+  const std::vector<idx_t> part01 =
+      multilevel_bisect(graph, fraction, epsilon, options, rng);
+  const auto outer = [&](idx_t v) {
+    return p.root ? v : p.sub.parent[static_cast<std::size_t>(v)];
+  };
+  for (idx_t side = 0; side < 2; ++side) {
+    const idx_t lo = (side == 0) ? first : mid;
+    const idx_t hi = (side == 0) ? mid : last;
+    if (hi - lo == 1) {
+      for (idx_t v = 0; v < graph.num_vertices(); ++v) {
+        if (part01[static_cast<std::size_t>(v)] == side) {
+          out[static_cast<std::size_t>(outer(v))] = lo;
+        }
+      }
+      continue;
+    }
+    BisectionProblem& child = children[static_cast<std::size_t>(side)];
+    child.sub = induce_subgraph(graph, part01, side);
+    for (idx_t& q : child.sub.parent) q = outer(q);
+    child.first_leaf = lo;
+    child.leaves = hi - lo;
+  }
+  p.sub = InducedSubgraph{};
+}
+
+}  // namespace
+
+InducedSubgraph induce_subgraph(const CsrGraph& g,
+                                std::span<const idx_t> labels, idx_t value) {
   const idx_t n = g.num_vertices();
   const idx_t ncon = g.ncon();
   std::vector<idx_t> local(static_cast<std::size_t>(n), kInvalidIndex);
-  Subgraph sub;
+  InducedSubgraph sub;
   for (idx_t v = 0; v < n; ++v) {
-    if (part01[static_cast<std::size_t>(v)] == side) {
+    if (labels[static_cast<std::size_t>(v)] == value) {
       local[static_cast<std::size_t>(v)] = to_idx(sub.parent.size());
       sub.parent.push_back(v);
     }
@@ -85,7 +144,7 @@ Subgraph induce_side(const CsrGraph& g, std::span<const idx_t> part01,
       vwgt[static_cast<std::size_t>(sv) * ncon + static_cast<std::size_t>(c)] =
           g.vertex_weight(v, c);
     }
-    auto nbrs = g.neighbors(v);
+    const auto nbrs = g.neighbors(v);
     for (idx_t j = 0; j < to_idx(nbrs.size()); ++j) {
       const idx_t lu =
           local[static_cast<std::size_t>(nbrs[static_cast<std::size_t>(j)])];
@@ -100,47 +159,50 @@ Subgraph induce_side(const CsrGraph& g, std::span<const idx_t> part01,
   return sub;
 }
 
-/// Recursive bisection assigning parts [first_part, first_part + k) to the
-/// vertices of `g`, writing through `parent` into the global partition.
-void recursive_bisect(const CsrGraph& g, std::span<const idx_t> parent,
-                      idx_t k, idx_t first_part, double epsilon_per_level,
-                      const PartitionOptions& options, Rng& rng,
-                      std::vector<idx_t>& out) {
-  if (k == 1) {
-    for (idx_t v = 0; v < g.num_vertices(); ++v) {
-      out[static_cast<std::size_t>(parent[static_cast<std::size_t>(v)])] =
-          first_part;
-    }
-    return;
+std::vector<idx_t> recursive_bisection(const CsrGraph& g,
+                                       std::span<const idx_t> leaf_begin,
+                                       double epsilon,
+                                       const PartitionOptions& options) {
+  require(leaf_begin.size() >= 2,
+          "recursive_bisection: need at least one leaf");
+  for (std::size_t i = 1; i < leaf_begin.size(); ++i) {
+    require(leaf_begin[i] > leaf_begin[i - 1],
+            "recursive_bisection: every leaf needs a positive weight");
   }
-  const idx_t k_left = (k + 1) / 2;
-  const double fraction =
-      static_cast<double>(k_left) / static_cast<double>(k);
-  const std::vector<idx_t> part01 =
-      multilevel_bisect(g, fraction, epsilon_per_level, options, rng);
+  const idx_t leaves = to_idx(leaf_begin.size()) - 1;
+  std::vector<idx_t> out(static_cast<std::size_t>(g.num_vertices()), 0);
+  if (leaves == 1 || g.num_vertices() == 0) return out;
 
-  for (idx_t side = 0; side < 2; ++side) {
-    Subgraph sub = induce_side(g, part01, side);
-    // Map the sub-vertex parents through to the outermost ids.
-    for (idx_t& p : sub.parent) {
-      p = parent[static_cast<std::size_t>(p)];
+  // Level-synchronous: every problem of a level is independent of its
+  // siblings, so a level runs as one parallel_tasks dispatch. A level of one
+  // problem, or of fewer vertices in total than the parallel-coarsening
+  // threshold, runs inline in order instead; small sessions then never queue
+  // partitioning work behind other tenants' steps on the shared pool.
+  std::vector<BisectionProblem> level(1);
+  level[0].root = true;
+  level[0].leaves = leaves;
+  while (!level.empty()) {
+    std::vector<BisectionProblem> next(2 * level.size());
+    const auto solve = [&](idx_t i) {
+      const auto at = static_cast<std::size_t>(i);
+      bisect_problem(g, level[at], leaf_begin, epsilon, options, out,
+                     std::span<BisectionProblem, 2>(next.data() + 2 * at, 2));
+    };
+    idx_t total = 0;
+    for (const BisectionProblem& p : level) total += p.num_vertices(g);
+    if (level.size() == 1 || total < options.coarsen_parallel_threshold) {
+      for (idx_t i = 0; i < to_idx(level.size()); ++i) solve(i);
+    } else {
+      ThreadPool::global().parallel_tasks(to_idx(level.size()), solve);
     }
-    const idx_t sub_k = (side == 0) ? k_left : k - k_left;
-    const idx_t sub_first = (side == 0) ? first_part : first_part + k_left;
-    recursive_bisect(sub.graph, sub.parent, sub_k, sub_first,
-                     epsilon_per_level, options, rng, out);
+    level.clear();
+    for (BisectionProblem& child : next) {
+      if (child.leaves > 0 && child.sub.graph.num_vertices() > 0) {
+        level.push_back(std::move(child));
+      }
+    }
   }
-}
-
-}  // namespace
-
-std::vector<idx_t> bisect_graph(const CsrGraph& g, double left_fraction,
-                                double epsilon, const PartitionOptions& options,
-                                Rng& rng) {
-  require(g.num_vertices() > 0, "bisect_graph: empty graph");
-  require(left_fraction > 0.0 && left_fraction < 1.0,
-          "bisect_graph: left_fraction must be in (0, 1)");
-  return multilevel_bisect(g, left_fraction, epsilon, options, rng);
+  return out;
 }
 
 std::vector<idx_t> partition_graph(const CsrGraph& g,
@@ -148,10 +210,10 @@ std::vector<idx_t> partition_graph(const CsrGraph& g,
   const idx_t n = g.num_vertices();
   const idx_t k = options.k;
   require(k >= 1, "partition_graph: k must be >= 1");
-  std::vector<idx_t> part(static_cast<std::size_t>(n), 0);
-  if (k == 1 || n == 0) return part;
+  if (k == 1 || n == 0) {
+    return std::vector<idx_t>(static_cast<std::size_t>(n), 0);
+  }
 
-  Rng rng(options.seed);
   // Imbalance budget per bisection level: tight budgets (epsilon/levels)
   // force the bisector to contort boundaries around lumpy constraints, so we
   // give each level a looser budget (epsilon / sqrt(levels)) and let the
@@ -162,15 +224,18 @@ std::vector<idx_t> partition_graph(const CsrGraph& g,
       options.epsilon / std::sqrt(static_cast<double>(levels)), 0.02,
       options.epsilon);
 
-  std::vector<idx_t> parent(static_cast<std::size_t>(n));
-  for (idx_t v = 0; v < n; ++v) parent[static_cast<std::size_t>(v)] = v;
-  recursive_bisect(g, parent, k, 0, eps_level, options, rng, part);
+  // One leaf per part: every leaf weighs one part.
+  std::vector<idx_t> leaf_begin(static_cast<std::size_t>(k) + 1);
+  std::iota(leaf_begin.begin(), leaf_begin.end(), 0);
+  std::vector<idx_t> part =
+      recursive_bisection(g, leaf_begin, eps_level, options);
 
   if (options.kway_passes > 0) {
     KwayRefineOptions kro;
     kro.k = k;
     kro.epsilon = options.epsilon;
     kro.passes = options.kway_passes;
+    Rng rng(options.seed);
     // Alternate fragment cleanup with refinement: merging stray components
     // unbalances the partition, refinement re-balances and may strand new
     // fragments; two rounds reach a fixed point in practice.

@@ -46,11 +46,32 @@ struct PartitionOptions {
 std::vector<idx_t> partition_graph(const CsrGraph& g,
                                    const PartitionOptions& options);
 
-/// Multilevel bisection: labels each vertex 0 or 1 such that side 0 receives
-/// `left_fraction` of every weight component (within epsilon).
-std::vector<idx_t> bisect_graph(const CsrGraph& g, double left_fraction,
-                                double epsilon, const PartitionOptions& options,
-                                Rng& rng);
+/// Recursive bisection of g into the leaves 0 .. leaf_begin.size() - 2,
+/// where leaf i weighs leaf_begin[i + 1] - leaf_begin[i] parts (ascending,
+/// every weight positive). A problem over leaves [a, b) bisects its vertices
+/// multilevel-wise, giving the left side leaves [a, ceil((a + b) / 2)) and
+/// their share of the parts as its fraction of every weight component,
+/// within `epsilon`. Returns the leaf of every vertex.
+///
+/// The problems of one recursion level run concurrently on the ThreadPool.
+/// Each draws from its own Rng seeded by (options.seed, first leaf, leaf
+/// count), so the labels depend on (g, leaf_begin, epsilon, options) alone,
+/// never on the pool width or the schedule.
+std::vector<idx_t> recursive_bisection(const CsrGraph& g,
+                                       std::span<const idx_t> leaf_begin,
+                                       double epsilon,
+                                       const PartitionOptions& options);
+
+/// Subgraph induced by the vertices with labels[v] == value. Cut edges are
+/// dropped; `parent` maps sub ids (ascending) back to ids in g. Shared by
+/// recursive bisection, the two-level split, the group-local repartitioner,
+/// and tests.
+struct InducedSubgraph {
+  CsrGraph graph;
+  std::vector<idx_t> parent;
+};
+InducedSubgraph induce_subgraph(const CsrGraph& g,
+                                std::span<const idx_t> labels, idx_t value);
 
 struct KwayRefineOptions {
   idx_t k = 2;

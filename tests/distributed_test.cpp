@@ -264,16 +264,16 @@ struct StepFingerprint {
 };
 constexpr idx_t kReuseRanks = 9;
 constexpr std::array<StepFingerprint, 10> kRebuildFingerprints{{
-    {0, 0xe0ce0a0f58fc5541ULL, 0},
-    {1, 0x3c1c2d14dcd98385ULL, 0},
-    {3, 0x122df7bf9cbdce7dULL, 110},
-    {4, 0x313df1dece7fde15ULL, 0},
-    {6, 0x0861ae62c74fd385ULL, 0},
-    {10, 0xbb4f671352c0d10dULL, 0},
-    {21, 0xa39f6249cb66a340ULL, 8},
-    {22, 0x351e57a8ba1f9402ULL, 0},
-    {24, 0xf9701990549c9ffdULL, 11},
-    {30, 0x1d8afa223cc15445ULL, 0},
+    {0, 0x5e961b921666531fULL, 0},
+    {1, 0xb9e43e979a438163ULL, 0},
+    {3, 0xe7090905ec3945faULL, 65},
+    {4, 0xc3198fd603d5d226ULL, 0},
+    {6, 0x60ecff51a92a15e6ULL, 0},
+    {10, 0xf4b57954fcd4d486ULL, 0},
+    {21, 0xe1ff4d5d25a479fbULL, 12},
+    {22, 0x7adf17554c96b291ULL, 0},
+    {24, 0xfeaac8949987a9c6ULL, 15},
+    {30, 0x83275d7f6e98e9aeULL, 0},
 }};
 
 TEST_F(DistributedSimTest, RepartitionGraphReuseMatchesRebuildAndReference) {

@@ -66,6 +66,10 @@ TEST(PartitionDeterminism, CoarsenIdenticalAcrossThreadCounts) {
   }
 }
 
+// Pool widths the recursive-bisection tests sweep: serial, even and odd
+// widths, and an oversubscribed one.
+constexpr unsigned kWidths[] = {1u, 2u, 3u, 4u, 8u};
+
 TEST(PartitionDeterminism, RecursiveBisectionIdenticalAcrossThreadCounts) {
   GlobalPoolGuard guard;
   const CsrGraph g = large_test_graph();
@@ -73,13 +77,70 @@ TEST(PartitionDeterminism, RecursiveBisectionIdenticalAcrossThreadCounts) {
   opts.k = 8;
   opts.seed = 7;
   std::vector<std::vector<idx_t>> parts;
-  for (unsigned threads : {1u, 2u, 8u}) {
+  for (unsigned threads : kWidths) {
     ThreadPool::set_global_threads(threads);
     parts.push_back(partition_graph(g, opts));
   }
-  EXPECT_EQ(parts[0], parts[1]);
-  EXPECT_EQ(parts[0], parts[2]);
+  for (std::size_t i = 1; i < parts.size(); ++i) {
+    EXPECT_EQ(parts[0], parts[i]) << "width " << kWidths[i];
+  }
   EXPECT_TRUE(is_valid_partition(parts[0], opts.k));
+}
+
+TEST(PartitionDeterminism, UnevenLeavesIdenticalAcrossThreadCounts) {
+  // k = 25 splits 13 | 12, then 7 | 6 and 6 | 6, ...: sibling problems carry
+  // different leaf counts and sizes, so they finish out of order on a wide
+  // pool. The leaf-weighted driver (the hierarchy's group split) gets the
+  // same sweep with parts spread 3/1/4/2 over four leaves.
+  GlobalPoolGuard guard;
+  const CsrGraph g = large_two_constraint_graph();
+  PartitionOptions opts;
+  opts.k = 25;
+  opts.seed = 5;
+  const std::vector<idx_t> leaf_begin{0, 3, 4, 8, 10};
+  std::vector<std::vector<idx_t>> parts;
+  std::vector<std::vector<idx_t>> leaves;
+  for (unsigned threads : kWidths) {
+    ThreadPool::set_global_threads(threads);
+    parts.push_back(partition_graph(g, opts));
+    leaves.push_back(recursive_bisection(g, leaf_begin, 0.05, opts));
+  }
+  for (std::size_t i = 1; i < parts.size(); ++i) {
+    EXPECT_EQ(parts[0], parts[i]) << "width " << kWidths[i];
+    EXPECT_EQ(leaves[0], leaves[i]) << "width " << kWidths[i];
+  }
+  EXPECT_TRUE(is_valid_partition(parts[0], opts.k));
+  EXPECT_LE(load_imbalance(g, parts[0], opts.k, 0), 1.11);
+  EXPECT_LE(load_imbalance(g, parts[0], opts.k, 1), 1.11);
+  EXPECT_TRUE(is_valid_partition(leaves[0], 4));
+}
+
+TEST(PartitionDeterminism, InlineRecursiveBisectionSameLabels) {
+  // Inside a parallel_tasks body every dispatch runs inline, and a level of
+  // fewer than 4096 vertices runs inline by rule. Neither may change labels.
+  GlobalPoolGuard guard;
+  const CsrGraph big = large_two_constraint_graph();
+  const CsrGraph small = make_grid_graph_3d(14, 14, 14);
+  ASSERT_LT(small.num_vertices(), 4096);
+  PartitionOptions opts;
+  opts.k = 25;
+  opts.seed = 11;
+  ThreadPool::set_global_threads(1);
+  const std::vector<idx_t> want_big = partition_graph(big, opts);
+  const std::vector<idx_t> want_small = partition_graph(small, opts);
+  for (unsigned threads : kWidths) {
+    ThreadPool::set_global_threads(threads);
+    std::vector<std::vector<idx_t>> got(4);
+    ThreadPool::global().parallel_tasks(4, [&](idx_t i) {
+      got[static_cast<std::size_t>(i)] =
+          partition_graph(i % 2 == 0 ? big : small, opts);
+    });
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], i % 2 == 0 ? want_big : want_small)
+          << "width " << threads << " task " << i;
+    }
+    EXPECT_EQ(partition_graph(small, opts), want_small) << "width " << threads;
+  }
 }
 
 TEST(PartitionDeterminism, DirectKwayIdenticalAcrossThreadCounts) {

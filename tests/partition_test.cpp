@@ -6,6 +6,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "core/mcml_dt.hpp"
 #include "graph/graph_builder.hpp"
 #include "graph/graph_metrics.hpp"
 #include "partition/coarsen.hpp"
@@ -14,6 +15,7 @@
 #include "partition/kway_multilevel.hpp"
 #include "partition/partition.hpp"
 #include "partition/refine_bisection.hpp"
+#include "sim/impact_sim.hpp"
 
 namespace cpart {
 namespace {
@@ -274,6 +276,35 @@ TEST(Partition, MultiConstraintBalancesBothWeights) {
   const auto part = partition_graph(g, opts);
   EXPECT_LE(load_imbalance(g, part, 4, 0), 1.11);
   EXPECT_LE(load_imbalance(g, part, 4, 1), 1.11);
+}
+
+TEST(Partition, ImpactTwoPhaseGraphMeetsEpsilonOnBothConstraints) {
+  // The paper's MCML graph (all-ones and contact-indicator weights,
+  // contact-weighted edges) at k = 25: recursive bisection plus the k-way
+  // polish must hold every constraint to 1 + epsilon, at every seed.
+  ImpactSimConfig sc;
+  sc.plate_cells_xy = 24;
+  sc.plate_cells_z = 2;
+  sc.proj_cells_diameter = 6;
+  sc.proj_cells_z = 8;
+  sc.num_snapshots = 2;
+  const ImpactSim sim(sc);
+  const ImpactSim::Snapshot snap = sim.snapshot(0);
+  const CsrGraph g =
+      build_two_phase_graph(snap.mesh, snap.surface.is_contact_node,
+                            McmlDtConfig{}.contact_edge_weight);
+  PartitionOptions opts;
+  opts.k = 25;
+  opts.epsilon = 0.10;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    opts.seed = seed;
+    const std::vector<idx_t> part = partition_graph(g, opts);
+    ASSERT_TRUE(is_valid_partition(part, opts.k)) << "seed " << seed;
+    EXPECT_LE(load_imbalance(g, part, opts.k, 0), 1.0 + opts.epsilon)
+        << "seed " << seed;
+    EXPECT_LE(load_imbalance(g, part, opts.k, 1), 1.0 + opts.epsilon)
+        << "seed " << seed;
+  }
 }
 
 TEST(Partition, WeightedEdgesSteerTheCut) {
