@@ -220,10 +220,9 @@ int main(int argc, char** argv) {
               << sim.initial_mesh().num_nodes() << " nodes, "
               << sim.num_snapshots() << " snapshots, k=" << k << "\n\n";
 
-    // Wire-codec A/B microbenchmark on snapshot 0's descriptor tree: the
-    // binary codec the broadcast ships against the text dump, so the codec
-    // win is quantified in the JSON rather than asserted — encode and decode
-    // cost per tree, and the bytes of each.
+    // Wire-codec microbenchmark on snapshot 0's descriptor tree: encode and
+    // decode cost per tree of the binary codec the broadcast ships, and its
+    // bytes.
     std::ostringstream wire_json;
     {
       const ImpactSim::Snapshot snap0 = sim.snapshot(0);
@@ -231,7 +230,6 @@ int main(int argc, char** argv) {
                                   dconfig.decomposition);
       const SubdomainDescriptors wire_desc =
           wire_part.build_descriptors(snap0.mesh, snap0.surface);
-      const std::string text_wire = tree_to_string(wire_desc.tree());
       const std::string binary_wire = tree_to_binary(wire_desc.tree());
       constexpr int kCodecIters = 50;
       const auto per_tree_ns = [](Timer& timer) {
@@ -240,20 +238,9 @@ int main(int argc, char** argv) {
       std::size_t sink = 0;
       Timer timer;
       for (int i = 0; i < kCodecIters; ++i) {
-        sink += tree_to_string(wire_desc.tree()).size();
-      }
-      const double text_encode_ns = per_tree_ns(timer);
-      timer.reset();
-      for (int i = 0; i < kCodecIters; ++i) {
         sink += tree_to_binary(wire_desc.tree()).size();
       }
       const double binary_encode_ns = per_tree_ns(timer);
-      timer.reset();
-      for (int i = 0; i < kCodecIters; ++i) {
-        sink += static_cast<std::size_t>(
-            tree_from_string(text_wire).num_nodes());
-      }
-      const double text_decode_ns = per_tree_ns(timer);
       timer.reset();
       for (int i = 0; i < kCodecIters; ++i) {
         sink += static_cast<std::size_t>(
@@ -262,15 +249,11 @@ int main(int argc, char** argv) {
       const double binary_decode_ns = per_tree_ns(timer);
       require(sink > 0, "codec microbenchmark produced nothing");
       wire_json << "{\"tree_nodes\": " << wire_desc.num_tree_nodes()
-                << ", \"text_bytes\": " << text_wire.size()
                 << ", \"binary_bytes\": " << binary_wire.size()
-                << ",\n  \"text_encode_ns\": " << text_encode_ns
-                << ", \"binary_encode_ns\": " << binary_encode_ns
-                << ", \"text_decode_ns\": " << text_decode_ns
+                << ",\n  \"binary_encode_ns\": " << binary_encode_ns
                 << ", \"binary_decode_ns\": " << binary_decode_ns << "}";
       std::cout << "wire codec: " << wire_desc.num_tree_nodes() << " nodes, "
-                << text_wire.size() << " B text -> " << binary_wire.size()
-                << " B binary\n\n";
+                << binary_wire.size() << " B binary\n\n";
     }
 
     Table table({"threads", "reference_ms/step", "spmd_ms/step", "speedup"});

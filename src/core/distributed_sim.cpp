@@ -75,7 +75,7 @@ void induce_and_broadcast_descriptors(std::span<const Vec3> points,
   if (out.has_value()) workspace.recycle(out->release_tree());
   out.emplace(points, labels, k, options, &workspace);
   exchange.descriptors().broadcast(
-      0, DescriptorTreeMsg{tree_to_binary(out->tree())});
+      0, BytesMsg{tree_to_binary(out->tree())});
 }
 
 /// Rank r's side of the broadcast: decodes its own copy of the wire into
@@ -87,7 +87,7 @@ void receive_descriptors(Exchange& exchange, idx_t r, idx_t k,
   if (r == 0) return;
   const auto& in = exchange.descriptors().inbox(r);
   require(in.size() == 1, "descriptor broadcast lost");
-  out.emplace(tree_from_binary(in.front().wire), k);
+  out.emplace(tree_from_binary(in.front().bytes), k);
 }
 
 /// The reference body's byte model of the broadcast: the binary wire of
@@ -503,7 +503,7 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
       }
       if (!st.pending_labels.empty()) {
         exchange_.labels().broadcast(
-            0, LabelBatchMsg{encode_label_updates(st.pending_labels)});
+            0, BytesMsg{encode_label_updates(st.pending_labels)});
       }
     }
     phase.descriptor_ms[0] += timer.milliseconds();
@@ -526,7 +526,7 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
       const auto& lin = exchange_.labels().inbox(r);
       if (!lin.empty()) {
         require(lin.size() == 1, "DistributedSim: label broadcast lost");
-        st.pending_labels = decode_label_updates(lin.front().blob);
+        st.pending_labels = decode_label_updates(lin.front().bytes);
       }
     }
     for (const FaceRecord& rec : st.owned_records) {

@@ -162,10 +162,6 @@ class DistributedSim {
   /// part id, so group g owns the contiguous rank range
   /// [parts_begin(g, k, groups), parts_begin(g+1, k, groups)).
   idx_t groups() const { return partitioner_.groups(); }
-  /// Group id of each rank under that contiguous assignment.
-  std::vector<idx_t> rank_groups() const {
-    return partitioner_.group_of_parts();
-  }
 
   /// Executes snapshot step `s` SPMD (k rank programs on the global
   /// ThreadPool). Steps must be run in the order the instance is driven —

@@ -9,20 +9,6 @@
 
 namespace cpart {
 
-namespace {
-
-thread_local TaskArena* t_current_arena = nullptr;
-
-}  // namespace
-
-ArenaScope::ArenaScope(TaskArena& arena) : prev_(t_current_arena) {
-  t_current_arena = &arena;
-}
-
-ArenaScope::~ArenaScope() { t_current_arena = prev_; }
-
-TaskArena* ArenaScope::current() { return t_current_arena; }
-
 /// Shared state of one claim-based dispatch. Heap-allocated and shared
 /// with the queued participant slots, so a slot popped after the dispatch
 /// completed (a stale slot that remove_stale raced with) still touches

@@ -45,8 +45,6 @@ class TaskArena {
   TaskArena(const TaskArena&) = delete;
   TaskArena& operator=(const TaskArena&) = delete;
 
-  WorkerPool& pool() const { return pool_; }
-
   /// Worker count a single dispatch spreads across: pool size capped at
   /// the machine's concurrency. A pool wider than the hardware exists so
   /// thread-count sweeps keep W real workers on any host; fanning one
@@ -165,26 +163,6 @@ class TaskArena {
   WorkerPool& pool_;
   std::unique_ptr<WorkerPool::ArenaQueue> queue_;
   std::atomic<wgt_t> jobs_failed_{0};
-};
-
-/// Binds an arena to the current thread for the duration: ThreadPool's
-/// facade dispatch methods route through the bound arena instead of the
-/// default one, so library code deep inside a session's step (partitioner,
-/// graph builders, the async executor) lands on the session's queue —
-/// without threading an arena reference through every call signature.
-class ArenaScope {
- public:
-  explicit ArenaScope(TaskArena& arena);
-  ~ArenaScope();
-
-  ArenaScope(const ArenaScope&) = delete;
-  ArenaScope& operator=(const ArenaScope&) = delete;
-
-  /// Arena bound to the current thread, or nullptr.
-  static TaskArena* current();
-
- private:
-  TaskArena* prev_;
 };
 
 }  // namespace cpart

@@ -15,9 +15,10 @@
 // combination, bit-identical output at any width (docs/parallelism.md).
 //
 // Multi-session hosts (src/service/) create one TaskArena per session on
-// ThreadPool::workers() and bind it with ArenaScope; the facade's dispatch
-// methods route through the bound arena, so library code deep inside a
-// session lands on that session's queue and takes its turn with the others.
+// ThreadPool::workers() and submit each session's step jobs there. A step
+// job runs on a pool worker, where every facade dispatch runs inline
+// (in_worker()), so library code inside a session never reaches the
+// default arena's queue.
 #pragma once
 
 #include <functional>
@@ -48,11 +49,6 @@ class ThreadPool {
   /// per-session TaskArenas on.
   WorkerPool& workers() { return pool_; }
 
-  /// The arena facade dispatches use when no ArenaScope is bound.
-  TaskArena& default_arena() { return default_arena_; }
-
-  SchedulerStats scheduler_stats() const { return pool_.stats(); }
-
   /// Runs fn(chunk_index, begin, end) on every chunk of [0, n), blocked into
   /// one contiguous range per participant, and waits for completion. Runs
   /// inline when n is small or the width is 1. If a chunk throws, the
@@ -60,7 +56,7 @@ class ThreadPool {
   /// multiple failures are aggregated into one ParallelGroupError.
   void parallel_for_chunks(
       idx_t n, const std::function<void(unsigned, idx_t, idx_t)>& fn) {
-    arena_for_caller().parallel_for_chunks(n, fn);
+    default_arena_.parallel_for_chunks(n, fn);
   }
 
   /// Element-wise parallel for: body(i) for i in [0, n).
@@ -82,15 +78,14 @@ class ThreadPool {
   /// rank programs use require() and have every failure surface to the
   /// step driver at once.
   void parallel_tasks(idx_t n, const std::function<void(idx_t)>& task) {
-    arena_for_caller().parallel_tasks(n, task);
+    default_arena_.parallel_tasks(n, task);
   }
 
   /// Parallel sum-reduction: combines per-chunk partial results in chunk
   /// order, so the result is deterministic for a fixed thread count.
   template <typename T, typename Body>
   T parallel_reduce(idx_t n, T init, Body&& body) {
-    return arena_for_caller().parallel_reduce(n, init,
-                                              std::forward<Body>(body));
+    return default_arena_.parallel_reduce(n, init, std::forward<Body>(body));
   }
 
   /// In-place parallel exclusive prefix scan: data[i] becomes the sum of all
@@ -100,7 +95,7 @@ class ThreadPool {
   /// contraction relies on.
   template <typename T>
   T parallel_exclusive_scan(std::span<T> data) {
-    return arena_for_caller().parallel_exclusive_scan(data);
+    return default_arena_.parallel_exclusive_scan(data);
   }
 
   /// Gang dispatch: fn(participant, granted_width) on min(want, 1 + idle
@@ -109,7 +104,7 @@ class ThreadPool {
   /// handshakes) — see TaskArena::run_gang. Returns the granted width.
   unsigned run_gang(unsigned want,
                     const std::function<void(idx_t, unsigned)>& fn) {
-    return arena_for_caller().run_gang(want, fn);
+    return default_arena_.run_gang(want, fn);
   }
 
   /// True on a thread currently executing a chunk, task, job, or gang slot
@@ -131,15 +126,6 @@ class ThreadPool {
   static void set_global_threads(unsigned num_threads);
 
  private:
-  /// The arena this call should land on: the ArenaScope-bound arena when
-  /// it lives on this pool (a session's worker mid-step), otherwise the
-  /// default arena (single-sim code, tests, benches).
-  TaskArena& arena_for_caller() {
-    TaskArena* bound = ArenaScope::current();
-    if (bound != nullptr && &bound->pool() == &pool_) return *bound;
-    return default_arena_;
-  }
-
   // Declaration order is destruction order in reverse: the default arena
   // must unregister from the pool before the pool joins its workers.
   WorkerPool pool_;

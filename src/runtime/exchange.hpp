@@ -130,33 +130,39 @@ inline bool fault_truncate_payload(HaloNodeMsg&, std::uint64_t) {
   return false;  // fixed-layout message: truncation cuts the cell tail
 }
 
-/// Descriptor broadcast: the serialized descriptor tree (tree_io binary
-/// codec, exact double round-trip). The transport treats the payload as
-/// opaque bytes; the per-cell frame and the byte-level fault hooks below
-/// never parse it.
-struct DescriptorTreeMsg {
-  std::string wire;
+/// An encoded payload the transport treats as opaque bytes; the per-cell
+/// frame and the byte-level fault hooks below never parse it. Two channels
+/// carry it:
+///   * descriptors: the serialized descriptor tree (tree_io binary codec,
+///     exact double round-trip);
+///   * labels: the repartition label broadcast, the changed entries of the
+///     new labeling as one delta-varint blob (runtime/label_codec.hpp).
+///     Rank 0 broadcasts a single batch; every rank decodes it into its
+///     pending label list and splices the updates into its ownership
+///     replica at the commit superstep.
+struct BytesMsg {
+  std::string bytes;
 };
 
-inline wgt_t wire_bytes(const DescriptorTreeMsg& m) {
-  return static_cast<wgt_t>(m.wire.size());
+inline wgt_t wire_bytes(const BytesMsg& m) {
+  return static_cast<wgt_t>(m.bytes.size());
 }
 
-inline std::uint64_t wire_hash(const DescriptorTreeMsg& m) {
-  std::uint64_t h = fnv1a_value(kFnvOffsetBasis, m.wire.size());
-  return fnv1a_bytes(h, m.wire.data(), m.wire.size());
+inline std::uint64_t wire_hash(const BytesMsg& m) {
+  std::uint64_t h = fnv1a_value(kFnvOffsetBasis, m.bytes.size());
+  return fnv1a_bytes(h, m.bytes.data(), m.bytes.size());
 }
 
-inline void fault_bitflip(DescriptorTreeMsg& m, std::uint64_t r) {
-  if (m.wire.empty()) return;
-  const std::size_t i = static_cast<std::size_t>(r % m.wire.size());
-  m.wire[i] = static_cast<char>(m.wire[i] ^
-                                static_cast<char>(1 << ((r / 7) % 8)));
+inline void fault_bitflip(BytesMsg& m, std::uint64_t r) {
+  if (m.bytes.empty()) return;
+  const std::size_t i = static_cast<std::size_t>(r % m.bytes.size());
+  m.bytes[i] = static_cast<char>(m.bytes[i] ^
+                                 static_cast<char>(1 << ((r / 7) % 8)));
 }
 
-inline bool fault_truncate_payload(DescriptorTreeMsg& m, std::uint64_t r) {
-  if (m.wire.empty()) return false;
-  m.wire.resize(static_cast<std::size_t>(r % m.wire.size()));
+inline bool fault_truncate_payload(BytesMsg& m, std::uint64_t r) {
+  if (m.bytes.empty()) return false;
+  m.bytes.resize(static_cast<std::size_t>(r % m.bytes.size()));
   return true;
 }
 
@@ -253,38 +259,6 @@ inline void fault_bitflip(SubdomainBoxMsg& m, std::uint64_t r) {
 
 inline bool fault_truncate_payload(SubdomainBoxMsg&, std::uint64_t) {
   return false;
-}
-
-/// Repartition label broadcast: the changed entries of the new labeling as
-/// one delta-varint blob (see runtime/label_codec.hpp). Rank 0 broadcasts a
-/// single batch; every rank decodes it into its pending label list and
-/// splices the updates into its ownership replica at the commit superstep.
-/// Batching replaced the old 16-byte-per-node LabelUpdateMsg stream: one
-/// message per receiver, ~2-3 bytes per changed node on the wire.
-struct LabelBatchMsg {
-  std::string blob;
-};
-
-inline wgt_t wire_bytes(const LabelBatchMsg& m) {
-  return static_cast<wgt_t>(m.blob.size());
-}
-
-inline std::uint64_t wire_hash(const LabelBatchMsg& m) {
-  std::uint64_t h = fnv1a_value(kFnvOffsetBasis, m.blob.size());
-  return fnv1a_bytes(h, m.blob.data(), m.blob.size());
-}
-
-inline void fault_bitflip(LabelBatchMsg& m, std::uint64_t r) {
-  if (m.blob.empty()) return;
-  const std::size_t i = static_cast<std::size_t>(r % m.blob.size());
-  m.blob[i] = static_cast<char>(m.blob[i] ^
-                                static_cast<char>(1 << ((r / 7) % 8)));
-}
-
-inline bool fault_truncate_payload(LabelBatchMsg& m, std::uint64_t r) {
-  if (m.blob.empty()) return false;
-  m.blob.resize(static_cast<std::size_t>(r % m.blob.size()));
-  return true;
 }
 
 /// Node-state migration: the authoritative per-node state a rank ships to
@@ -633,13 +607,13 @@ class Exchange {
 
   idx_t num_ranks() const { return k_; }
 
-  TypedChannel<DescriptorTreeMsg>& descriptors() { return descriptors_; }
+  TypedChannel<BytesMsg>& descriptors() { return descriptors_; }
   TypedChannel<HaloNodeMsg>& halo() { return halo_; }
   TypedChannel<FaceShipMsg>& faces() { return faces_; }
   TypedChannel<ContactPointMsg>& coupling_forward() { return coupling_forward_; }
   TypedChannel<ContactPointMsg>& coupling_return() { return coupling_return_; }
   TypedChannel<SubdomainBoxMsg>& boxes() { return boxes_; }
-  TypedChannel<LabelBatchMsg>& labels() { return labels_; }
+  TypedChannel<BytesMsg>& labels() { return labels_; }
   TypedChannel<NodeMigrateMsg>& migrate_nodes() { return migrate_nodes_; }
   TypedChannel<ElementMigrateMsg>& migrate_elements() {
     return migrate_elements_;
@@ -730,13 +704,13 @@ class Exchange {
 
  private:
   idx_t k_;
-  TypedChannel<DescriptorTreeMsg> descriptors_;
+  TypedChannel<BytesMsg> descriptors_;
   TypedChannel<HaloNodeMsg> halo_;
   TypedChannel<FaceShipMsg> faces_;
   TypedChannel<ContactPointMsg> coupling_forward_;
   TypedChannel<ContactPointMsg> coupling_return_;
   TypedChannel<SubdomainBoxMsg> boxes_;
-  TypedChannel<LabelBatchMsg> labels_;
+  TypedChannel<BytesMsg> labels_;
   TypedChannel<NodeMigrateMsg> migrate_nodes_;
   TypedChannel<ElementMigrateMsg> migrate_elements_;
   VirtualCluster fe_cluster_;

@@ -99,7 +99,6 @@ class FaultInjector {
 
   const FaultConfig& config() const { return config_; }
   const Stats& stats() const { return stats_; }
-  void reset_stats() { stats_ = Stats{}; }
 
   /// Whole-rank fault decision for (step, rank, incarnation) — a pure
   /// function of the tuple and the seed, independent of thread count and of

@@ -117,14 +117,13 @@ struct PipelineHealth {
   /// True when the transport saw no corruption, no retries, no fallback.
   bool clean() const;
 
+  /// Folds another health record into this one — also how the service's
+  /// StatRegistry rolls per-session health up into service-level totals.
+  /// Every field participates, including the per-channel counters and the
+  /// timing fields (stall nanoseconds, backoff) that operator== deliberately
+  /// excludes: aggregation wants the full cost picture even though identity
+  /// comparisons do not.
   PipelineHealth& operator+=(const PipelineHealth& other);
-  /// Folds another health record into this one — the aggregation entry
-  /// point the service's StatRegistry uses to roll per-session health up
-  /// into service-level totals. Every field participates, including the
-  /// per-channel counters and the timing fields (stall nanoseconds,
-  /// backoff) that operator== deliberately excludes: aggregation wants the
-  /// full cost picture even though identity comparisons do not.
-  PipelineHealth& merge(const PipelineHealth& other) { return *this += other; }
   /// Compares everything except the readiness-stall counters, which are
   /// wall-clock measurements (thread- and scheduling-dependent) rather than
   /// part of the deterministic transport schedule.

@@ -59,8 +59,12 @@ std::vector<LabelUpdate> decode_label_updates(std::string_view blob) {
     if (!read_varint(blob, pos, delta)) fail("bad node delta", pos);
     if (!read_varint(blob, pos, owner)) fail("bad owner", pos);
     if (i > 0 && delta == 0) fail("duplicate node id", pos);
+    // Bound the delta before adding: node + delta can wrap in uint64 and
+    // land below node, which would accept a descending id.
+    if (delta > kMaxIdx - node || owner > kMaxIdx) {
+      fail("value out of range", pos);
+    }
     node += delta;
-    if (node > kMaxIdx || owner > kMaxIdx) fail("value out of range", pos);
     updates.emplace_back(static_cast<idx_t>(node), static_cast<idx_t>(owner));
   }
   if (pos != blob.size()) fail("trailing bytes", pos);

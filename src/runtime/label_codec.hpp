@@ -1,4 +1,5 @@
-// Wire codec for the repartition label broadcast (LabelBatchMsg::blob).
+// Wire codec for the repartition label broadcast (the labels channel's
+// BytesMsg).
 //
 // A repartition changes the owner of a (usually small, spatially clustered)
 // subset of nodes. The old transport shipped one 16-byte LabelUpdateMsg per

@@ -31,7 +31,7 @@ FaultInjector& SessionContext::arm_faults(FaultConfig base) {
 }
 
 void SessionContext::record_step(const PipelineHealth& step_health) {
-  health_.merge(step_health);
+  health_ += step_health;
   ++steps_recorded_;
 }
 

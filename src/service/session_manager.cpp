@@ -239,7 +239,7 @@ void SessionManager::destroy(const std::string& name) {
   }
   ++retired_sessions_;
   retired_steps_ += s->context.steps_recorded();
-  retired_health_.merge(s->context.health());
+  retired_health_ += s->context.health();
   const auto pending_it = std::find(pending_.begin(), pending_.end(), name);
   if (pending_it != pending_.end()) pending_.erase(pending_it);
   sessions_.erase(name);
@@ -302,7 +302,7 @@ ServiceStats SessionManager::service_stats() const {
   ServiceStats stats = registry_.aggregate(contexts);
   stats.sessions += retired_sessions_;
   stats.steps += retired_steps_;
-  stats.health.merge(retired_health_);
+  stats.health += retired_health_;
   return stats;
 }
 

@@ -39,7 +39,7 @@ ServiceStats StatRegistry::aggregate(
     if (ctx == nullptr) continue;
     ++s.sessions;
     s.steps += ctx->steps_recorded();
-    s.health.merge(ctx->health());
+    s.health += ctx->health();
   }
   std::vector<double> sorted;
   {

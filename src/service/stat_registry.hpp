@@ -3,7 +3,7 @@
 //
 // Each session accumulates its own PipelineHealth in its SessionContext;
 // the registry's job is the service view — one merged health record (via
-// PipelineHealth::merge), service-wide step counts, and latency
+// PipelineHealth::operator+=), service-wide step counts, and latency
 // percentiles over every recorded step. Latencies are also retained per
 // session so a caller can compute class-level percentiles (e.g. "p99 of
 // the small sessions while a large one is co-resident" — the isolation
@@ -24,7 +24,7 @@ namespace cpart {
 struct ServiceStats {
   idx_t sessions = 0;          // contexts folded into this snapshot
   wgt_t steps = 0;             // steps those contexts recorded
-  PipelineHealth health;       // merge() over every session's accumulator
+  PipelineHealth health;       // += over every session's accumulator
   idx_t latency_samples = 0;   // recorded step latencies
   double mean_ms = 0;
   double p50_ms = 0;

@@ -3,13 +3,12 @@
 // In the parallel algorithm the descriptor tree is built once and
 // "communicated to all the processors" (paper Section 4.1.1) — NTNodes
 // measures exactly this cost. This module provides the wire format: a
-// compact line-oriented text encoding with a round-trip guarantee, plus a
-// structural-equality helper used by the tests.
+// versioned little-endian binary encoding with an exact round-trip
+// guarantee, plus a structural-equality helper used by the tests.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -18,11 +17,12 @@
 
 namespace cpart {
 
-/// Structured scan-level parse failure: truncated stream, non-numeric
-/// token, trailing garbage, implausible counts. Carries the byte offset
-/// into the wire text where scanning failed so a corrupt broadcast can be
-/// localized. Structural failures after a clean scan (bad child indices,
-/// cycles) still raise plain InputError from assemble_tree.
+/// Structured scan-level parse failure: truncated stream, bad magic or
+/// version, overlong varint, trailing bytes, implausible counts. Carries
+/// the byte offset into the wire where scanning failed so a corrupt
+/// broadcast can be localized. Structural failures after a clean scan
+/// (bad child indices, cycles) still raise plain InputError from
+/// assemble_tree.
 class TreeParseError : public InputError {
  public:
   TreeParseError(const std::string& msg, std::size_t byte_offset)
@@ -34,16 +34,6 @@ class TreeParseError : public InputError {
  private:
   std::size_t byte_offset_;
 };
-
-void write_tree(std::ostream& os, const DecisionTree& tree);
-std::string tree_to_string(const DecisionTree& tree);
-
-/// Wire encodings of a descriptor tree. kText is the line-oriented decimal
-/// format above (debuggable, ~1.6x larger, ~14x slower to encode); kBinary
-/// is the versioned little-endian codec below (the only one the SPMD
-/// broadcast ships). Both round-trip exactly; decode_tree() tells them
-/// apart by magic.
-enum class TreeWireFormat { kText, kBinary };
 
 /// Version byte of the binary codec. Bump on ANY layout change (field
 /// widths, record order, varint placement); decoders reject every version
@@ -59,31 +49,27 @@ inline constexpr std::uint8_t kTreeBinaryVersion = 1;
 ///   node_count minority lists (varint count, then that many varint labels)
 /// No trailing bytes. Counts are bounded by the remaining input before any
 /// allocation; truncation, bad magic/version, overlong varints and trailing
-/// garbage raise TreeParseError with the byte offset, exactly like the text
-/// parser. Structural damage that survives a clean scan is still caught by
-/// assemble_tree (InputError).
+/// garbage raise TreeParseError with the byte offset. Structural damage
+/// that survives a clean scan is still caught by assemble_tree
+/// (InputError).
 std::string tree_to_binary(const DecisionTree& tree);
 DecisionTree tree_from_binary(std::string_view bytes);
 
-/// Encodes in the requested format.
-std::string encode_tree(const DecisionTree& tree, TreeWireFormat format);
-
-/// Decodes either wire format, dispatching on the magic bytes.
-DecisionTree decode_tree(const std::string& wire);
-
-/// Parses the format produced by write_tree. Never trusts the wire: every
-/// token conversion is checked, node/minority counts are bounded by the
-/// remaining input, and trailing garbage is rejected. Throws TreeParseError
-/// (with byte offset) on malformed text and InputError on structurally
-/// inconsistent trees (bad child indices, cycles); never asserts and never
-/// returns a partial tree.
-DecisionTree read_tree(std::istream& is);
-DecisionTree tree_from_string(const std::string& text);
+/// Forwards kept only for perfbench/src/impact.cpp, which calls them by
+/// these names; they go when the benchmark next changes and calls
+/// tree_to_binary / tree_from_binary directly.
+enum class TreeWireFormat { kBinary };
+inline std::string encode_tree(const DecisionTree& tree, TreeWireFormat) {
+  return tree_to_binary(tree);
+}
+inline DecisionTree decode_tree(const std::string& wire) {
+  return tree_from_binary(wire);
+}
 
 /// Deep structural equality (topology, cuts, labels, bounds).
 bool trees_equal(const DecisionTree& a, const DecisionTree& b);
 
-/// Assembles a tree from raw node records (also used by read_tree).
+/// Assembles a tree from raw node records (also used by tree_from_binary).
 /// Validates: root in range, children in range and acyclic, exactly the
 /// leaf nodes have axis < 0, minority CSR sizes consistent.
 DecisionTree assemble_tree(std::vector<TreeNode> nodes, idx_t root,

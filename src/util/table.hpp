@@ -22,9 +22,6 @@ class Table {
   void add_cell(long long value);
   void add_cell(double value, int precision = 2);
 
-  std::size_t num_rows() const { return rows_.size(); }
-  std::size_t num_cols() const { return header_.size(); }
-
   /// Cell accessor (row-major); throws InputError when out of range.
   const std::string& cell(std::size_t row, std::size_t col) const;
 

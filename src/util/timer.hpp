@@ -25,22 +25,6 @@ class Timer {
   Clock::time_point start_;
 };
 
-/// Accumulates time across repeated start/stop scopes (e.g. per-phase cost
-/// over many snapshots).
-class AccumTimer {
- public:
-  void start() { t_.reset(); }
-  void stop() { total_ += t_.seconds(); ++count_; }
-  double total_seconds() const { return total_; }
-  long count() const { return count_; }
-  double mean_seconds() const { return count_ ? total_ / count_ : 0.0; }
-
- private:
-  Timer t_;
-  double total_ = 0.0;
-  long count_ = 0;
-};
-
 /// Formats a duration like "1.23 s" / "45.6 ms" for human-readable logs.
 std::string format_duration(double seconds);
 

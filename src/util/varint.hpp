@@ -1,7 +1,7 @@
 // LEB128 varints for the binary wire formats (tree_io binary codec, label
 // batch blobs). Unsigned base-128, little-endian groups, at most 10 bytes
-// for a 64-bit value. Decoding never trusts the input: overlong encodings
-// beyond 10 bytes and truncated streams are reported through the caller's
+// for a 64-bit value. Decoding never trusts the input: encodings beyond 10
+// bytes or 64 bits and truncated streams are reported through the caller's
 // error sink rather than read past the end.
 #pragma once
 
@@ -31,19 +31,21 @@ inline std::size_t varint_size(std::uint64_t value) {
 }
 
 /// Reads one varint from bytes[pos...]. On success advances pos and returns
-/// true; on truncation or an encoding longer than 10 bytes returns false
-/// with pos at the offending offset.
+/// true; on truncation, an encoding longer than 10 bytes, or a value above
+/// 2^64 - 1 returns false with pos at the offending offset.
 inline bool read_varint(std::string_view bytes, std::size_t& pos,
                         std::uint64_t& value) {
   value = 0;
-  for (unsigned shift = 0; shift < 70; shift += 7) {
+  for (unsigned shift = 0;; shift += 7) {
     if (pos >= bytes.size()) return false;
     const std::uint8_t b = static_cast<std::uint8_t>(bytes[pos]);
+    // The 10th byte carries bit 63 alone: a higher bit or a continuation
+    // would not fit in 64 bits. append_varint never emits one.
+    if (shift == 63 && b > 1) return false;
     ++pos;
     value |= static_cast<std::uint64_t>(b & 0x7F) << shift;
     if ((b & 0x80) == 0) return true;
   }
-  return false;  // continuation bit still set after 10 bytes
 }
 
 }  // namespace cpart

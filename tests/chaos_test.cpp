@@ -146,7 +146,7 @@ TEST(Exchange, PayloadTruncationOnDescriptorWireIsDetected) {
   const std::vector<idx_t> labels = {0, 1, 1};
   const SubdomainDescriptors descriptors(points, labels, 2);
   ex.descriptors().send(0, 1,
-                        DescriptorTreeMsg{tree_to_binary(descriptors.tree())});
+                        BytesMsg{tree_to_binary(descriptors.tree())});
   EXPECT_THROW(deliver_posted(ex), TransportError);
   const PipelineHealth h = ex.take_health();
   // A variable-length message truncates its own payload: same message

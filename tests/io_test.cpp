@@ -91,8 +91,8 @@ TEST(TreeIo, RoundTripDescriptorTree) {
     labels.push_back((pts.back().x < 4 ? 0 : 1) + 2 * (pts.back().z < 4 ? 0 : 1));
   }
   const InducedTree t = induce_tree(pts, labels, 4);
-  const std::string wire = tree_to_string(t.tree);
-  const DecisionTree r = tree_from_string(wire);
+  const std::string wire = tree_to_binary(t.tree);
+  const DecisionTree r = tree_from_binary(wire);
   EXPECT_TRUE(trees_equal(t.tree, r));
   // The reconstructed tree answers queries identically.
   for (int i = 0; i < 50; ++i) {
@@ -107,7 +107,7 @@ TEST(TreeIo, RoundTripPreservesImpureLeaves) {
   TreeInduceOptions opts;
   opts.dim = 2;
   const InducedTree t = induce_tree(pts, labels, 2, opts);
-  const DecisionTree r = tree_from_string(tree_to_string(t.tree));
+  const DecisionTree r = tree_from_binary(tree_to_binary(t.tree));
   EXPECT_TRUE(trees_equal(t.tree, r));
   // Box query over the impure leaf reports both labels.
   std::vector<char> mask(2, 0);
@@ -121,7 +121,7 @@ TEST(TreeIo, RoundTripPreservesImpureLeaves) {
 
 TEST(TreeIo, EmptyTreeRoundTrip) {
   const InducedTree t = induce_tree({}, {}, 1);
-  const DecisionTree r = tree_from_string(tree_to_string(t.tree));
+  const DecisionTree r = tree_from_binary(tree_to_binary(t.tree));
   EXPECT_TRUE(r.empty());
   EXPECT_TRUE(trees_equal(t.tree, r));
 }
@@ -153,8 +153,7 @@ TEST(TreeIo, AssembleRejectsBrokenStructure) {
 }
 
 TEST(TreeIo, RejectsBadStream) {
-  std::stringstream bad("nottree 1\n");
-  EXPECT_THROW(read_tree(bad), InputError);
+  EXPECT_THROW(tree_from_binary("nottree 1\n"), InputError);
 }
 
 TEST(VtkIo, WritesWellFormedFile) {

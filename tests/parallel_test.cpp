@@ -331,30 +331,6 @@ TEST(TaskArena, RoundRobinAlternatesArenas) {
   EXPECT_EQ(second.stats().items_run, 2);
 }
 
-TEST(TaskArena, ArenaScopeRoutesFacadeDispatch) {
-  ThreadPool pool(4);
-  TaskArena arena(pool.workers());
-  ArenaScope scope(arena);
-  ASSERT_EQ(ArenaScope::current(), &arena);
-  // Every task waits until a second participant has started one, so the
-  // caller cannot finish the dispatch alone: a pool worker must run one of
-  // its participant slots, and with the arena bound those slots sit in the
-  // bound arena's queue, never the default arena's. (A one-core host
-  // dispatches at width 1, inline, with no slots to observe.)
-  const bool threaded = arena.width() > 1;
-  std::atomic<int> started{0};
-  pool.parallel_tasks(8, [&](idx_t) {
-    started.fetch_add(1, std::memory_order_acq_rel);
-    while (threaded && started.load(std::memory_order_acquire) < 2) {
-      std::this_thread::yield();
-    }
-  });
-  arena.drain();  // items_run counts an item once it has finished
-  EXPECT_EQ(started.load(), 8);
-  EXPECT_EQ(arena.stats().items_run > 0, threaded);
-  EXPECT_EQ(pool.default_arena().stats().items_run, 0);
-}
-
 TEST(WorkerPool, GangRunsWithDistinctParticipants) {
   ThreadPool pool(4);
   const unsigned granted = pool.run_gang(4, [&](idx_t w, unsigned width) {
@@ -396,28 +372,29 @@ TEST(WorkerPool, GangInsideWorkerRunsInline) {
 
 TEST(SchedulerStats, CountsWorkAndArenas) {
   ThreadPool pool(3);
-  const SchedulerStats before = pool.scheduler_stats();
+  const SchedulerStats before = pool.workers().stats();
   EXPECT_EQ(before.total_workers, 3);
   EXPECT_EQ(before.registered_arenas, 1);  // the facade's default arena
   {
     TaskArena arena(pool.workers());
-    EXPECT_EQ(pool.scheduler_stats().registered_arenas, 2);
+    EXPECT_EQ(pool.workers().stats().registered_arenas, 2);
     for (int i = 0; i < 20; ++i) {
       arena.submit([] {});
     }
     arena.drain();
-    EXPECT_GE(pool.scheduler_stats().items_executed, before.items_executed + 20);
+    EXPECT_GE(pool.workers().stats().items_executed,
+              before.items_executed + 20);
   }
-  EXPECT_EQ(pool.scheduler_stats().registered_arenas, 1);
+  EXPECT_EQ(pool.workers().stats().registered_arenas, 1);
   // Gang helpers are granted only from parked workers, so freshly woken
   // pools may grant none on the first try — retry until one lands.
   for (int attempt = 0; attempt < 1000; ++attempt) {
     pool.run_gang(3, [](idx_t, unsigned) {});
-    if (pool.scheduler_stats().gang_slots_executed > 0) break;
+    if (pool.workers().stats().gang_slots_executed > 0) break;
     std::this_thread::yield();
   }
-  EXPECT_GT(pool.scheduler_stats().gang_slots_executed, 0);
-  EXPECT_EQ(pool.scheduler_stats().queued_items, 0);
+  EXPECT_GT(pool.workers().stats().gang_slots_executed, 0);
+  EXPECT_EQ(pool.workers().stats().queued_items, 0);
 }
 
 }  // namespace

@@ -165,7 +165,7 @@ TEST_P(TreeFuzzTest, StructuralInvariantsOnRandomLabeledPoints) {
   }
 
   // Serialization round-trip preserves the tree exactly.
-  EXPECT_TRUE(trees_equal(t.tree, tree_from_string(tree_to_string(t.tree))));
+  EXPECT_TRUE(trees_equal(t.tree, tree_from_binary(tree_to_binary(t.tree))));
 }
 
 TEST_P(TreeFuzzTest, BoxQueriesNeverMissOnRandomTrees) {

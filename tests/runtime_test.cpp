@@ -24,6 +24,7 @@
 #include "runtime/virtual_cluster.hpp"
 #include "sim/impact_sim.hpp"
 #include "tree/tree_io.hpp"
+#include "util/varint.hpp"
 
 namespace cpart {
 namespace {
@@ -195,9 +196,9 @@ TEST(Health, MergeSumsEveryFieldIncludingTimings) {
   b.channel(ChannelId::kHalo).corrupt_cells = 3;
 
   PipelineHealth merged = a;
-  // merge() is the aggregation entry service rollups use; it must include
-  // the timing fields operator== deliberately excludes.
-  PipelineHealth& ret = merged.merge(b);
+  // operator+= is the aggregation entry service rollups use; it must
+  // include the timing fields operator== deliberately excludes.
+  PipelineHealth& ret = merged += b;
   EXPECT_EQ(&ret, &merged);  // chains
   EXPECT_EQ(merged.deliveries, 8);
   EXPECT_EQ(merged.retries, 2);
@@ -208,15 +209,15 @@ TEST(Health, MergeSumsEveryFieldIncludingTimings) {
   EXPECT_EQ(merged.readiness_stall_ns, 900);
   EXPECT_EQ(merged.channel(ChannelId::kHalo).corrupt_cells, 5);
 
-  // merge and operator+= are the same aggregation.
-  PipelineHealth plus = a;
-  plus += b;
+  // Aggregation is order-independent on the counted fields.
+  PipelineHealth plus = b;
+  plus += a;
   EXPECT_EQ(plus.deliveries, merged.deliveries);
   EXPECT_DOUBLE_EQ(plus.backoff_ms, merged.backoff_ms);
 
   // Merging a default record is the identity on the counted fields.
   PipelineHealth before = merged;
-  merged.merge(PipelineHealth{});
+  merged += PipelineHealth{};
   EXPECT_EQ(merged.deliveries, before.deliveries);
   EXPECT_DOUBLE_EQ(merged.backoff_ms, before.backoff_ms);
 }
@@ -312,6 +313,18 @@ TEST(LabelCodec, DecodeRejectsMalformedBlobs) {
   dup.push_back('\x00');  // delta 0 -> node 5 again
   dup.push_back('\x02');  // owner 2
   EXPECT_THROW(decode_label_updates(dup), TreeParseError);
+}
+
+TEST(LabelCodec, DecodeRejectsDeltaThatWrapsNodeId) {
+  // node 5, then delta 2^64 - 3: the uint64 sum wraps to node 2, which
+  // would be a descending id. The delta must be bounded before the add.
+  std::string wrap;
+  append_varint(wrap, 2);  // two updates
+  append_varint(wrap, 5);  // node 5
+  append_varint(wrap, 1);  // owner 1
+  append_varint(wrap, ~std::uint64_t{0} - 2);
+  append_varint(wrap, 1);  // owner 1
+  EXPECT_THROW(decode_label_updates(wrap), TreeParseError);
 }
 
 // ---------------------------------------------------------------------------

@@ -31,171 +31,23 @@ std::string real_wire() {
   DescriptorOptions options;
   options.dim = 3;
   const SubdomainDescriptors descriptors(points, labels, 4, options);
-  return tree_to_string(descriptors.tree());
+  return tree_to_binary(descriptors.tree());
 }
 
-class TreeIoFuzzTest : public ::testing::Test {
- protected:
-  void SetUp() override { wire_ = real_wire(); }
-  std::string wire_;
-};
-
-TEST_F(TreeIoFuzzTest, RoundTripSanity) {
-  const DecisionTree parsed = tree_from_string(wire_);
-  EXPECT_GT(parsed.num_nodes(), 1);
-  EXPECT_TRUE(trees_equal(parsed, tree_from_string(tree_to_string(parsed))));
-}
-
-TEST_F(TreeIoFuzzTest, EmptyAndJunkInputs) {
-  EXPECT_THROW(tree_from_string(""), TreeParseError);
-  EXPECT_THROW(tree_from_string("   \n\t  "), TreeParseError);
-  EXPECT_THROW(tree_from_string("not a tree at all"), TreeParseError);
-  EXPECT_THROW(tree_from_string("cparttree"), TreeParseError);     // no version
-  EXPECT_THROW(tree_from_string("cparttree 2\n0 -1\n"), TreeParseError);
-  EXPECT_THROW(tree_from_string("cparttree one\n"), TreeParseError);
-}
-
-TEST_F(TreeIoFuzzTest, TruncationAtEveryRegionFails) {
-  // Cutting the wire anywhere strictly inside the payload must fail with a
-  // structured error whose offset is within the truncated text.
-  for (double frac : {0.1, 0.3, 0.5, 0.7, 0.9, 0.99}) {
-    const std::size_t cut =
-        static_cast<std::size_t>(frac * static_cast<double>(wire_.size()));
-    const std::string t = wire_.substr(0, cut);
-    try {
-      tree_from_string(t);
-      // A lucky cut can land exactly on a record boundary only if it also
-      // drops whole nodes, which assemble_tree then rejects (count
-      // mismatch / bad children) — so reaching here means the cut text
-      // parsed fully, which must not happen for a strict prefix.
-      FAIL() << "truncation at " << cut << " parsed";
-    } catch (const TreeParseError& e) {
-      EXPECT_LE(e.byte_offset(), t.size()) << "cut=" << cut;
-      EXPECT_NE(std::string(e.what()).find("byte"), std::string::npos);
-    } catch (const InputError&) {
-      // Structurally invalid after a clean scan — equally acceptable.
-    }
-  }
-}
-
-TEST_F(TreeIoFuzzTest, TrailingGarbageRejectedTrailingSpaceAccepted) {
-  EXPECT_THROW(tree_from_string(wire_ + "42"), TreeParseError);
-  EXPECT_THROW(tree_from_string(wire_ + "extra tokens here"), TreeParseError);
-  EXPECT_NO_THROW(tree_from_string(wire_ + "  \n\t \n"));
-}
-
-TEST_F(TreeIoFuzzTest, NonNumericFlipsFail) {
-  // Replace digit characters with letters at scattered positions: the
-  // scanner must reject the token (never assert or mis-read).
-  Rng rng(11);
-  int flips = 0;
-  while (flips < 40) {
-    const std::size_t i = static_cast<std::size_t>(
-        rng.uniform_int(to_idx(wire_.size())));
-    if (wire_[i] < '0' || wire_[i] > '9') continue;
-    std::string t = wire_;
-    t[i] = static_cast<char>('g' + (flips % 16));
-    ++flips;
-    try {
-      tree_from_string(t);
-      // 'e'-adjacent digits can survive as exponent syntax; tolerate
-      // parse success only if the text still scans as numbers.
-    } catch (const TreeParseError&) {
-    } catch (const InputError&) {
-    }
-  }
-  // A flip inside the magic word is always fatal.
-  std::string t = wire_;
-  t[2] = 'X';
-  EXPECT_THROW(tree_from_string(t), TreeParseError);
-}
-
-TEST_F(TreeIoFuzzTest, WrongNodeCountsFail) {
-  // The header is "cparttree 1\n<count> <root>\n...".
-  const std::size_t header_end = wire_.find('\n');
-  ASSERT_NE(header_end, std::string::npos);
-  const std::size_t counts_end = wire_.find('\n', header_end + 1);
-  ASSERT_NE(counts_end, std::string::npos);
-  const std::string header = wire_.substr(0, header_end + 1);
-  const std::string body = wire_.substr(counts_end);
-  const std::string counts =
-      wire_.substr(header_end + 1, counts_end - header_end - 1);
-  const std::size_t space = counts.find(' ');
-  const long long true_count = std::stoll(counts.substr(0, space));
-  const std::string root = counts.substr(space);
-
-  // Claiming more nodes than are encoded: the scanner runs out of input.
-  EXPECT_THROW(tree_from_string(header + std::to_string(true_count + 3) +
-                                root + body),
-               TreeParseError);
-  // An absurd count must be rejected up front (bounded by the remaining
-  // bytes), not turned into a giant preallocation.
-  EXPECT_THROW(tree_from_string(header + "999999999" + root + body),
-               TreeParseError);
-  EXPECT_THROW(tree_from_string(header + "-2" + root + body), TreeParseError);
-  // Claiming fewer nodes: the surplus records become trailing garbage.
-  EXPECT_THROW(tree_from_string(header + std::to_string(true_count - 1) +
-                                root + body),
-               InputError);
-}
-
-TEST_F(TreeIoFuzzTest, SeededMutationSoakNeverCrashes) {
-  // 300 random single-edit mutations (overwrite, delete, insert) of the
-  // real wire: each must either parse to a tree or raise InputError /
-  // TreeParseError — nothing else, and no partial state to observe.
-  Rng rng(1234);
-  int parsed = 0, rejected = 0;
-  for (int iter = 0; iter < 300; ++iter) {
-    std::string t = wire_;
-    const int edit = static_cast<int>(rng.uniform_int(3));
-    const std::size_t i =
-        static_cast<std::size_t>(rng.uniform_int(to_idx(t.size())));
-    if (edit == 0) {
-      t[i] = static_cast<char>(rng.uniform_int(96) + 32);
-    } else if (edit == 1) {
-      t.erase(i, 1 + static_cast<std::size_t>(rng.uniform_int(8)));
-    } else {
-      t.insert(i, std::string(1 + static_cast<std::size_t>(rng.uniform_int(4)),
-                              static_cast<char>(rng.uniform_int(96) + 32)));
-    }
-    try {
-      const DecisionTree tree = tree_from_string(t);
-      EXPECT_GE(tree.num_nodes(), 0);
-      ++parsed;
-    } catch (const InputError&) {  // includes TreeParseError
-      ++rejected;
-    }
-  }
-  EXPECT_EQ(parsed + rejected, 300);
-  // Sanity: single-character mutations of a checksummed-size wire should
-  // overwhelmingly be caught.
-  EXPECT_GT(rejected, 150);
-}
-
-// ---------------------------------------------------------------------------
-// Binary codec: the same trust-boundary guarantees for the cptb wire.
-// ---------------------------------------------------------------------------
-
-/// The binary serialization of the same production descriptor tree.
 class TreeIoBinaryFuzzTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    text_ = real_wire();
-    wire_ = tree_to_binary(tree_from_string(text_));
-  }
-  std::string text_;
+  void SetUp() override { wire_ = real_wire(); }
   std::string wire_;
 };
 
 TEST_F(TreeIoBinaryFuzzTest, RoundTripSanity) {
   const DecisionTree parsed = tree_from_binary(wire_);
   EXPECT_GT(parsed.num_nodes(), 1);
-  EXPECT_TRUE(trees_equal(parsed, tree_from_string(text_)));
+  EXPECT_EQ(tree_to_binary(parsed), wire_);
   EXPECT_TRUE(trees_equal(parsed, tree_from_binary(tree_to_binary(parsed))));
-  // decode_tree dispatches on the magic and accepts both encodings.
-  EXPECT_TRUE(trees_equal(decode_tree(wire_), decode_tree(text_)));
+  // The encode_tree / decode_tree forwards are the same codec.
+  EXPECT_TRUE(trees_equal(decode_tree(wire_), parsed));
   EXPECT_EQ(encode_tree(parsed, TreeWireFormat::kBinary), wire_);
-  EXPECT_EQ(encode_tree(parsed, TreeWireFormat::kText), text_);
 }
 
 TEST_F(TreeIoBinaryFuzzTest, RandomizedRoundTripProperty) {
@@ -284,11 +136,6 @@ TEST_F(TreeIoBinaryFuzzTest, EmptyAndJunkInputs) {
   std::string v2 = wire_;
   v2[4] = 2;  // unknown version byte
   EXPECT_THROW(tree_from_binary(v2), TreeParseError);
-  // Text magic fed to the binary parser and vice versa: structured errors.
-  EXPECT_THROW(tree_from_binary(text_), TreeParseError);
-  EXPECT_THROW(tree_from_string(wire_), TreeParseError);
-  // decode_tree rejects junk that matches neither magic.
-  EXPECT_THROW(decode_tree("zzzz junk"), TreeParseError);
 }
 
 TEST_F(TreeIoBinaryFuzzTest, TruncationAtEveryRegionFails) {
@@ -346,10 +193,10 @@ TEST_F(TreeIoBinaryFuzzTest, WrongNodeCountsFail) {
 TEST_F(TreeIoBinaryFuzzTest, SeededMutationSoakNeverCrashes) {
   // 400 random single-edit mutations (overwrite, delete, insert) of the
   // real binary wire: each must either parse to a tree or raise
-  // InputError / TreeParseError — nothing else. Unlike the text soak, many
-  // overwrites land in f64 payload bytes (cuts, bounds) and legitimately
-  // still scan; transport-level detection of those is the checksum frame's
-  // job (chaos_test), not the parser's.
+  // InputError / TreeParseError — nothing else. Many overwrites land in
+  // f64 payload bytes (cuts, bounds) and legitimately still scan;
+  // transport-level detection of those is the checksum frame's job
+  // (chaos_test), not the parser's.
   Rng rng(4321);
   int parsed = 0, rejected = 0;
   for (int iter = 0; iter < 400; ++iter) {

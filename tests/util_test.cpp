@@ -1,6 +1,8 @@
-// Tests for util/: RNG determinism and distribution, tables, flags, timers.
+// Tests for util/: RNG determinism and distribution, tables, flags, timers,
+// varints.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <string>
@@ -11,6 +13,7 @@
 #include "util/seed_stream.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
+#include "util/varint.hpp"
 
 namespace cpart {
 namespace {
@@ -186,6 +189,31 @@ TEST(Flags, PositionalArgsReturned) {
   ASSERT_EQ(rest.size(), 2u);
   EXPECT_EQ(rest[0], "input.mesh");
   EXPECT_EQ(rest[1], "out.svg");
+}
+
+TEST(Varint, RejectsTenthByteAboveBit63) {
+  // Nine continuation bytes put the 10th byte at shift 63, where only its
+  // lowest bit fits: 0x7f would carry bits 64..69, which must not be
+  // dropped silently.
+  const std::string overflow = std::string(9, '\x80') + '\x7f';
+  std::size_t pos = 0;
+  std::uint64_t value = 0;
+  EXPECT_FALSE(read_varint(overflow, pos, value));
+  // 0x01 there is bit 63 alone, which is in range.
+  const std::string top = std::string(9, '\x80') + '\x01';
+  pos = 0;
+  ASSERT_TRUE(read_varint(top, pos, value));
+  EXPECT_EQ(value, std::uint64_t{1} << 63);
+  // A continuation on the 10th byte is an 11-byte encoding.
+  pos = 0;
+  EXPECT_FALSE(read_varint(std::string(10, '\x80') + '\x00', pos, value));
+  // The largest value append_varint emits still decodes.
+  std::string max;
+  append_varint(max, ~std::uint64_t{0});
+  ASSERT_EQ(max.size(), 10u);
+  pos = 0;
+  ASSERT_TRUE(read_varint(max, pos, value));
+  EXPECT_EQ(value, ~std::uint64_t{0});
 }
 
 TEST(Timer, MeasuresElapsed) {
