@@ -135,10 +135,10 @@ void health_json(std::ostream& os, const PipelineHealth& h) {
      << ", \"readiness_stalls\": " << h.readiness_stalls
      << ", \"readiness_stall_ns\": " << h.readiness_stall_ns
      << ", \"channels\": {";
-  for (int c = 0; c < kNumChannels; ++c) {
-    const ChannelHealth& ch = h.channels[static_cast<std::size_t>(c)];
-    if (c > 0) os << ", ";
-    os << "\"" << channel_name(static_cast<ChannelId>(c))
+  for (ChannelId id : kChannels) {
+    const ChannelHealth& ch = h.channel(id);
+    if (id != kChannels.front()) os << ", ";
+    os << "\"" << channel_name(id)
        << "\": {\"corrupt_cells\": " << ch.corrupt_cells
        << ", \"checksum_failures\": " << ch.checksum_failures
        << ", \"count_mismatches\": " << ch.count_mismatches

@@ -202,7 +202,10 @@ std::vector<ContactEvent> local_contact_search(
             e.signed_distance = t.signed_distance;
             e.closest_point = t.closest;
             if (opts.closest_only) {
-              if (!have_best || e.distance < best.distance) {
+              // Same tie rule as the records kernel: equidistant faces go
+              // to the lower face index, whatever the kd-tree order.
+              if (!have_best || e.distance < best.distance ||
+                  (e.distance == best.distance && e.face < best.face)) {
                 best = e;
                 have_best = true;
               }
@@ -226,17 +229,6 @@ std::vector<ContactEvent> local_contact_search(
   return all;
 }
 
-std::vector<ContactEvent> local_contact_search_subset(
-    const Mesh& mesh, const Surface& surface,
-    std::span<const idx_t> node_ids, std::span<const idx_t> face_ids,
-    const LocalSearchOptions& opts) {
-  SubsetSearchScratch scratch;
-  std::vector<ContactEvent> events;
-  local_contact_search_subset_into(mesh, surface, node_ids, face_ids, opts,
-                                   scratch, events);
-  return events;
-}
-
 void local_contact_search_subset_into(const Mesh& mesh, const Surface& surface,
                                       std::span<const idx_t> node_ids,
                                       std::span<const idx_t> face_ids,
@@ -251,10 +243,10 @@ void local_contact_search_subset_into(const Mesh& mesh, const Surface& surface,
   for (std::size_t i = 0; i < face_ids.size(); ++i) {
     const idx_t f = face_ids[i];
     require(f >= 0 && f < surface.num_faces(),
-            "local_contact_search_subset: face index out of range");
+            "local_contact_search_subset_into: face index out of range");
     const SurfaceFace& face = surface.faces[static_cast<std::size_t>(f)];
     require(face.nodes.size() >= 2 && face.nodes.size() <= 4,
-            "local_contact_search_subset: face must have 2 to 4 nodes");
+            "local_contact_search_subset_into: face must have 2 to 4 nodes");
     FaceRecord& rec = records[i];
     rec.key = f;
     rec.num_nodes = static_cast<std::int32_t>(face.nodes.size());

@@ -52,18 +52,10 @@ Vec3 face_normal(const Mesh& mesh, const SurfaceFace& face);
 
 /// Runs local search over all contact nodes vs all surface faces, using a
 /// kd-tree over face centroids to localize. Events are sorted by (node,
-/// distance).
+/// distance); with closest_only a tie in distance goes to the lower face
+/// index.
 std::vector<ContactEvent> local_contact_search(
     const Mesh& mesh, const Surface& surface, const LocalSearchOptions& opts);
-
-/// Local search of a node subset against a face subset — what one
-/// processor executes after global search delivered its elements:
-/// `node_ids` are global node ids (the processor's own contact nodes),
-/// `face_ids` index into surface.faces (local + received elements).
-std::vector<ContactEvent> local_contact_search_subset(
-    const Mesh& mesh, const Surface& surface,
-    std::span<const idx_t> node_ids, std::span<const idx_t> face_ids,
-    const LocalSearchOptions& opts);
 
 /// A self-contained surface-face record — what the rank-owned pipeline
 /// ships and searches instead of indices into a central Surface. `key` is a
@@ -90,10 +82,13 @@ struct SubsetSearchScratch {
   std::vector<std::array<Vec3, 3>> triangles;
 };
 
-/// local_contact_search_subset() writing into `out` (cleared first) with
-/// all scratch drawn from `scratch`. The events — order included — are
-/// identical to the allocating overload. Runs the records kernel below on
-/// records built from the subset (key = face index).
+/// Local search of a node subset against a face subset — what one
+/// processor executes after global search delivered its elements:
+/// `node_ids` are global node ids (the processor's own contact nodes),
+/// `face_ids` index into surface.faces (local + received elements). Writes
+/// into `out` (cleared first) with all scratch drawn from `scratch`. Runs
+/// the records kernel below on records built from the subset (key = face
+/// index).
 void local_contact_search_subset_into(const Mesh& mesh, const Surface& surface,
                                       std::span<const idx_t> node_ids,
                                       std::span<const idx_t> face_ids,

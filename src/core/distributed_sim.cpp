@@ -4,8 +4,10 @@
 #include <array>
 #include <optional>
 #include <span>
+#include <string>
 #include <utility>
 
+#include "parallel/worker_pool.hpp"
 #include "runtime/label_codec.hpp"
 #include "tree/tree_io.hpp"
 #include "util/timer.hpp"
@@ -98,7 +100,81 @@ wgt_t descriptor_broadcast_bytes(const SubdomainDescriptors& descriptors,
          std::max<wgt_t>(0, k - 1);
 }
 
+/// Sorts `out.events` by (node, distance) — the deterministic order both
+/// step flavors report — and recounts contact and penetrating events.
+void finalize_events(StepEvents& out) {
+  std::sort(out.events.begin(), out.events.end(),
+            [](const ContactEvent& a, const ContactEvent& b) {
+              if (a.node != b.node) return a.node < b.node;
+              return a.distance < b.distance;
+            });
+  out.contact_events = to_idx(out.events.size());
+  out.penetrating_events = 0;
+  for (const ContactEvent& e : out.events) {
+    if (e.signed_distance < 0) ++out.penetrating_events;
+  }
+}
+
+/// Deterministic merge of per-rank events: concatenated in rank order (with
+/// the per-rank counts), then finalize_events — the identical sequence and
+/// comparison the reference body sorts, hence bit-identical output.
+void merge_rank_events(const std::vector<SubdomainState>& ranks,
+                       StepEvents& out) {
+  out.events_per_processor.assign(ranks.size(), 0);
+  out.events.clear();
+  for (std::size_t q = 0; q < ranks.size(); ++q) {
+    out.events_per_processor[q] = to_idx(ranks[q].events.size());
+    out.events.insert(out.events.end(), ranks[q].events.begin(),
+                      ranks[q].events.end());
+  }
+  finalize_events(out);
+}
+
+/// providers[dst] = sorted unique ranks whose halo_sends post to dst — the
+/// inverse of the send lists, so a halo-consuming phase waits on just its
+/// neighbors' rows (AsyncPhase::providers) instead of all k.
+void build_halo_providers(const std::vector<SubdomainState>& ranks,
+                          std::vector<std::vector<idx_t>>& providers) {
+  providers.assign(ranks.size(), {});
+  for (std::size_t r = 0; r < ranks.size(); ++r) {
+    for (const HaloSend& hs : ranks[r].halo_sends) {
+      providers[static_cast<std::size_t>(hs.dst)].push_back(to_idx(r));
+    }
+  }
+  for (std::vector<idx_t>& list : providers) {
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+  }
+}
+
 }  // namespace
+
+void SearchConfig::validate(const char* who) const {
+  require(contact_tolerance > 0,
+          std::string(who) + ": contact_tolerance must be > 0");
+  require(search_margin >= contact_tolerance,
+          std::string(who) +
+              ": search_margin must cover contact_tolerance, or remote "
+              "contacts could be missed");
+}
+
+LocalSearchOptions SearchConfig::local_options(
+    std::span<const int> body_of_node) const {
+  LocalSearchOptions local;
+  local.tolerance = contact_tolerance;
+  local.body_of_node = body_of_node;
+  local.closest_only = closest_only;
+  return local;
+}
+
+void RankPhaseBreakdown::reset(idx_t k) {
+  const auto n = static_cast<std::size_t>(k);
+  for (std::vector<double>* v :
+       {&descriptor_ms, &halo_ms, &ship_ms, &search_ms, &descriptor_wait_ms,
+        &ship_wait_ms, &search_wait_ms}) {
+    v->assign(n, 0.0);
+  }
+}
 
 DistributedSim::DistributedSim(const ImpactSim& sim,
                                const DistributedSimConfig& config)
@@ -309,10 +385,7 @@ void DistributedSim::run_step_attempt(idx_t s, DistributedStepReport& report) {
   }
 
   PipelineHealth health;
-  const bool ok = try_spmd_step(exchange_, health, [&] {
-    run_step_spmd(s, migrate, report);
-  });
-  if (ok) {
+  if (try_spmd_step(s, migrate, report, health)) {
     report.health = exchange_.take_health();
   } else {
     report = DistributedStepReport{};
@@ -322,6 +395,31 @@ void DistributedSim::run_step_attempt(idx_t s, DistributedStepReport& report) {
     scatter_global_state(owner, hits);
     report.health = health;
   }
+}
+
+bool DistributedSim::try_spmd_step(idx_t s, bool migrate,
+                                   DistributedStepReport& report,
+                                   PipelineHealth& health) {
+  wgt_t parse_failures = 0;
+  wgt_t failed_ranks = 0;
+  try {
+    run_step_spmd(s, migrate, report);
+    return true;
+  } catch (const TransportError&) {
+    // Retry/exhaustion counters were recorded by the exchange itself.
+  } catch (const TreeParseError&) {
+    // One rank program rejected a descriptor wire off the transport.
+    parse_failures = 1;
+    failed_ranks = 1;
+  } catch (const ParallelGroupError& e) {
+    failed_ranks = to_idx(e.failures().size());
+  }
+  health = exchange_.take_health();
+  health.wire_parse_failures += parse_failures;
+  health.failed_ranks += failed_ranks;
+  ++health.degraded_steps;
+  exchange_.abort_step();
+  return false;
 }
 
 DistributedStepReport DistributedSim::run_step_reference(idx_t s) {

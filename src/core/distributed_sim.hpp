@@ -61,8 +61,8 @@
 #include <string>
 #include <vector>
 
+#include "contact/local_search.hpp"
 #include "core/mcml_dt.hpp"
-#include "core/pipeline.hpp"
 #include "mesh/mesh_topology.hpp"
 #include "partition/partitioner.hpp"
 #include "runtime/async_executor.hpp"
@@ -72,6 +72,64 @@
 #include "sim/impact_sim.hpp"
 
 namespace cpart {
+
+/// Contact-search knobs of the step.
+struct SearchConfig {
+  /// Global-search inflation of surface-element boxes. Must be at least the
+  /// local tolerance for the step to be exact (checked by validate()).
+  real_t search_margin = 0.1;
+  /// Local-search proximity tolerance.
+  real_t contact_tolerance = 0.1;
+  /// Report every face within tolerance (false) or only the closest per
+  /// node (true).
+  bool closest_only = true;
+
+  /// Throws InputError unless contact_tolerance > 0 and search_margin >=
+  /// contact_tolerance (`who` prefixes the message).
+  void validate(const char* who) const;
+
+  /// The LocalSearchOptions these knobs describe.
+  LocalSearchOptions local_options(std::span<const int> body_of_node) const;
+};
+
+/// The contact events of one step.
+struct StepEvents {
+  idx_t contact_events = 0;
+  idx_t penetrating_events = 0;
+  std::vector<ContactEvent> events;  // merged, sorted by (node, distance)
+  /// Contact events found by each processor (sums to contact_events).
+  std::vector<idx_t> events_per_processor;
+};
+
+/// Per-rank wall milliseconds of each SPMD phase of the last run_step,
+/// filled from the executor's per-body and per-wait timers (empty after
+/// run_step_reference and on degraded steps, which have no per-rank
+/// execution). Each wait is the readiness wait before a phase that reads a
+/// channel: time the rank spent blocked until the inbox rows it reads were
+/// closed (0 for already-ready inputs). Superstep letters as in this file's
+/// header comment:
+///   descriptor_ms[0]    the driver's descriptor induction + encode (and the
+///                       label encode on migration steps); 0 on other ranks;
+///   halo_ms             A kinematics + halo post, B surface extraction +
+///                       contact-point post, and rank 0's gather;
+///   ship_ms             D descriptor decode + face shipping;
+///   search_ms           E local search (+ migration sends), F commit;
+///   ship_wait_ms        B's wait on its halo neighbors;
+///   descriptor_wait_ms  the gather's wait on the contact points, plus D's
+///                       wait on the descriptor/label broadcast;
+///   search_wait_ms      E's wait on shipped faces, F's on migration.
+struct RankPhaseBreakdown {
+  std::vector<double> descriptor_ms;
+  std::vector<double> halo_ms;
+  std::vector<double> ship_ms;
+  std::vector<double> search_ms;
+  std::vector<double> descriptor_wait_ms;
+  std::vector<double> ship_wait_ms;
+  std::vector<double> search_wait_ms;
+
+  /// Sizes every array to k ranks, all zero.
+  void reset(idx_t k);
+};
 
 struct DistributedSimConfig {
   McmlDtConfig decomposition{};
@@ -236,6 +294,17 @@ class DistributedSim {
     return config_.repartition_period > 0 && steps_run_ > 0 &&
            steps_run_ % config_.repartition_period == 0;
   }
+
+  /// Runs run_step_spmd, degrading on exactly the failure classes the
+  /// robustness layer owns: transport retry exhaustion (TransportError),
+  /// rejected descriptor wires (TreeParseError), and failing rank programs
+  /// (ParallelGroupError). Anything else (config errors, logic bugs, rank
+  /// deaths) propagates — degrading would mask it. On failure, `health`
+  /// receives the step's counters (plus what the transport could not
+  /// record itself) with degraded_steps == 1, the exchange is reset for the
+  /// fallback, and the result is false.
+  bool try_spmd_step(idx_t s, bool migrate, DistributedStepReport& report,
+                     PipelineHealth& health);
 
   /// One attempt at snapshot step `s`: the SPMD path with the degraded
   /// reference fallback — exactly the pre-recovery run_step body, minus the

@@ -289,8 +289,7 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
     const Group& grp = groups[static_cast<std::size_t>(g)];
     const std::uint64_t superstep = base + static_cast<std::uint64_t>(g);
     bool ok = true;
-    for (int c = 0; c < kNumChannels; ++c) {
-      const ChannelId id = static_cast<ChannelId>(c);
+    for (ChannelId id : kChannels) {
       if (!(grp.mask & channel_bit(id))) continue;
       for (idx_t from = 0; from < k_; ++from) {
         idx_t failures = 0;
@@ -306,11 +305,10 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
       }
     }
     if (!ok) return false;
-    for (int c = 0; c < kNumChannels; ++c) {
-      const ChannelId id = static_cast<ChannelId>(c);
+    for (ChannelId id : kChannels) {
       if (!(grp.mask & channel_bit(id))) continue;
       exchange.async_commit_dst(id, r,
-                                s.bytes[static_cast<std::size_t>(c)]);
+                                s.bytes[static_cast<std::size_t>(id)]);
     }
     return true;
   };
@@ -420,8 +418,7 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
               const wgt_t ns = static_cast<wgt_t>(wait_ms * 1e6);
               ++s.health.readiness_stalls;
               s.health.readiness_stall_ns += ns;
-              for (int c = 0; c < kNumChannels; ++c) {
-                const ChannelId id = static_cast<ChannelId>(c);
+              for (ChannelId id : kChannels) {
                 if (!(groups[static_cast<std::size_t>(g)].mask &
                       channel_bit(id))) {
                   continue;

@@ -12,8 +12,6 @@ Exchange::Exchange(idx_t k)
   halo_.resize(k);
   faces_.resize(k);
   coupling_forward_.resize(k);
-  coupling_return_.resize(k);
-  boxes_.resize(k);
   labels_.resize(k);
   migrate_nodes_.resize(k);
   migrate_elements_.resize(k);
@@ -41,12 +39,6 @@ bool Exchange::async_validate_cell(ChannelId id, std::uint64_t superstep,
     case ChannelId::kCouplingForward:
       return coupling_forward_.attempt_deliver_cell(injector_, id, superstep,
                                                     attempt, from, to, health);
-    case ChannelId::kCouplingReturn:
-      return coupling_return_.attempt_deliver_cell(injector_, id, superstep,
-                                                   attempt, from, to, health);
-    case ChannelId::kBoxes:
-      return boxes_.attempt_deliver_cell(injector_, id, superstep, attempt,
-                                         from, to, health);
     case ChannelId::kLabels:
       return labels_.attempt_deliver_cell(injector_, id, superstep, attempt,
                                           from, to, health);
@@ -72,23 +64,15 @@ void Exchange::async_commit_dst(ChannelId id, idx_t to, wgt_t& bytes) {
     case ChannelId::kFaces:
       bytes += faces_.commit_dst(to, &search_cluster_);
       return;
-    // Forward and return share one cluster finished once per step, so a
-    // rank pair exchanging coupling data in both directions counts on the
-    // combined matrix exactly as m2m_traffic counts it. Node and element
-    // migrations share another: the redistribution matrix counts every
-    // record a rank pair exchanged.
     case ChannelId::kCouplingForward:
       bytes += coupling_forward_.commit_dst(to, &coupling_cluster_);
-      return;
-    case ChannelId::kCouplingReturn:
-      bytes += coupling_return_.commit_dst(to, &coupling_cluster_);
-      return;
-    case ChannelId::kBoxes:
-      bytes += boxes_.commit_dst(to, nullptr);
       return;
     case ChannelId::kLabels:
       bytes += labels_.commit_dst(to, nullptr);
       return;
+    // Node and element migrations share one cluster finished once per
+    // step: the redistribution matrix counts every record a rank pair
+    // exchanged.
     case ChannelId::kMigrateNodes:
       bytes += migrate_nodes_.commit_dst(to, &migration_cluster_);
       return;
@@ -115,9 +99,7 @@ void Exchange::async_fold_group(const AsyncGroupAccounting& acc) {
     halo_bytes_ += per_channel[static_cast<std::size_t>(ChannelId::kHalo)];
     face_bytes_ += per_channel[static_cast<std::size_t>(ChannelId::kFaces)];
     coupling_bytes_ +=
-        per_channel[static_cast<std::size_t>(ChannelId::kCouplingForward)] +
-        per_channel[static_cast<std::size_t>(ChannelId::kCouplingReturn)];
-    box_bytes_ += per_channel[static_cast<std::size_t>(ChannelId::kBoxes)];
+        per_channel[static_cast<std::size_t>(ChannelId::kCouplingForward)];
     label_bytes_ += per_channel[static_cast<std::size_t>(ChannelId::kLabels)];
     migration_bytes_ +=
         per_channel[static_cast<std::size_t>(ChannelId::kMigrateNodes)] +
@@ -130,8 +112,6 @@ void Exchange::abort_step() {
   halo_.abort();
   faces_.abort();
   coupling_forward_.abort();
-  coupling_return_.abort();
-  boxes_.abort();
   labels_.abort();
   migrate_nodes_.abort();
   migrate_elements_.abort();
@@ -143,7 +123,6 @@ void Exchange::abort_step() {
   halo_bytes_ = 0;
   face_bytes_ = 0;
   coupling_bytes_ = 0;
-  box_bytes_ = 0;
   label_bytes_ = 0;
   migration_bytes_ = 0;
 }

@@ -4,9 +4,10 @@
 // The pre-refactor pipelines computed every phase globally and *accounted*
 // traffic through VirtualCluster as a parallel bookkeeping path. Here the
 // ranks actually move typed payloads (halo node coordinates, serialized
-// descriptor trees, shipped surface faces, contact-point round-trips)
-// through channels, and VirtualCluster sits underneath as the transport:
-// the per-processor traffic matrices fall out of carrying the messages.
+// descriptor trees, shipped surface faces, gathered contact points, label
+// broadcasts, migrated node and element state) through channels, and
+// VirtualCluster sits underneath as the transport: the per-processor
+// traffic matrices fall out of carrying the messages.
 //
 // Execution model: a rank phase writes only its own outbox row of each
 // channel (rank-private cells — no locks). One delivery is one async group
@@ -21,8 +22,9 @@
 // cells — whether injected by a seeded FaultInjector or caused by genuine
 // memory corruption — are re-staged from the retained outbox and
 // re-validated with bounded retries and exponential backoff; only when the
-// budget is exhausted does the run throw TransportError, which the
-// pipelines catch to degrade the step to the centralized reference path.
+// budget is exhausted does the run throw TransportError, which
+// DistributedSim catches to degrade the step to the centralized reference
+// path.
 // All detection and recovery activity is counted in PipelineHealth.
 #pragma once
 
@@ -204,8 +206,8 @@ inline bool fault_truncate_payload(FaceShipMsg&, std::uint64_t) {
   return false;
 }
 
-/// ML+RCB coupling: one contact point shipped between the FE and the RCB
-/// decompositions (forward before the search, results back after).
+/// Contact-point gather: one owned contact node's position, posted to the
+/// rank that induces the step's descriptors.
 struct ContactPointMsg {
   idx_t node = kInvalidIndex;
   Vec3 position{};
@@ -229,35 +231,6 @@ inline void fault_bitflip(ContactPointMsg& m, std::uint64_t r) {
 }
 
 inline bool fault_truncate_payload(ContactPointMsg&, std::uint64_t) {
-  return false;
-}
-
-/// ML+RCB subdomain-box allgather: one rank's RCB bounding box.
-struct SubdomainBoxMsg {
-  idx_t rank = kInvalidIndex;
-  BBox box{};
-};
-
-inline wgt_t wire_bytes(const SubdomainBoxMsg&) {
-  return static_cast<wgt_t>(sizeof(idx_t) + 6 * sizeof(real_t));
-}
-
-inline std::uint64_t wire_hash(const SubdomainBoxMsg& m) {
-  std::uint64_t h = fnv1a_value(kFnvOffsetBasis, m.rank);
-  h = fnv1a_vec3(h, m.box.lo);
-  return fnv1a_vec3(h, m.box.hi);
-}
-
-inline void fault_bitflip(SubdomainBoxMsg& m, std::uint64_t r) {
-  if (r % 7 == 0) {
-    flip_bit_in(m.rank, r / 7);
-  } else {
-    Vec3& v = (r % 2 == 0) ? m.box.lo : m.box.hi;
-    flip_bit_in(v[static_cast<int>(r % 3)], r / 7);
-  }
-}
-
-inline bool fault_truncate_payload(SubdomainBoxMsg&, std::uint64_t) {
   return false;
 }
 
@@ -336,7 +309,7 @@ inline bool fault_truncate_payload(ElementMigrateMsg&, std::uint64_t) {
 // ---------------------------------------------------------------------------
 
 /// Thrown by AsyncExecutor::run when a delivery still has corrupt cells
-/// after the full retry budget. The pipelines catch it and complete the
+/// after the full retry budget. DistributedSim catches it and completes the
 /// step through the centralized reference path.
 class TransportError : public std::runtime_error {
  public:
@@ -385,13 +358,6 @@ struct RetryPolicy {
 // TypedChannel
 // ---------------------------------------------------------------------------
 
-/// One contiguous run of a rank's inbox that arrived from a single source.
-struct SourceRange {
-  idx_t from = kInvalidIndex;
-  idx_t begin = 0;  // [begin, end) into inbox(rank)
-  idx_t end = 0;
-};
-
 /// A k-rank point-to-point channel for messages of type T.
 ///
 /// send() may be called concurrently by different source ranks: the outbox
@@ -414,7 +380,6 @@ class TypedChannel {
     cells_.assign(static_cast<std::size_t>(k) * static_cast<std::size_t>(k),
                   Cell{});
     inboxes_.assign(static_cast<std::size_t>(k), {});
-    sources_.assign(static_cast<std::size_t>(k), {});
   }
 
   idx_t num_ranks() const { return k_; }
@@ -500,28 +465,21 @@ class TypedChannel {
   /// the column's cells, and returns the payload bytes moved. The caller
   /// guarantees every non-empty cell of the column is staged_ok. Concurrent
   /// calls for different `to` are safe: they touch disjoint cells, inboxes,
-  /// source lists, and transport matrix entries (VirtualCluster::send
-  /// writes only matrix[from * k + to]).
-  wgt_t commit_dst(idx_t to, VirtualCluster* transport,
-                   wgt_t units_per_item = 1) {
+  /// and transport matrix entries (VirtualCluster::send writes only
+  /// matrix[from * k + to]).
+  wgt_t commit_dst(idx_t to, VirtualCluster* transport) {
     wgt_t bytes = 0;
     auto& inbox = inboxes_[static_cast<std::size_t>(to)];
-    auto& sources = sources_[static_cast<std::size_t>(to)];
     inbox.clear();
-    sources.clear();
     for (idx_t from = 0; from < k_; ++from) {
       Cell& cell = cells_[static_cast<std::size_t>(from) *
                               static_cast<std::size_t>(k_) +
                           static_cast<std::size_t>(to)];
       if (cell.count > 0) {
-        const idx_t begin = to_idx(inbox.size());
         inbox.insert(inbox.end(),
                      std::make_move_iterator(cell.staged.begin()),
                      std::make_move_iterator(cell.staged.end()));
-        sources.push_back({from, begin, to_idx(inbox.size())});
-        if (transport != nullptr) {
-          transport->send(from, to, cell.count * units_per_item);
-        }
+        if (transport != nullptr) transport->send(from, to, cell.count);
         bytes += cell.bytes;
       }
       cell.reset();
@@ -534,17 +492,11 @@ class TypedChannel {
   void abort() {
     for (Cell& cell : cells_) cell.reset();
     for (auto& inbox : inboxes_) inbox.clear();
-    for (auto& sources : sources_) sources.clear();
   }
 
   /// Messages delivered to `rank` last superstep, ascending source order.
   const std::vector<T>& inbox(idx_t rank) const {
     return inboxes_[static_cast<std::size_t>(rank)];
-  }
-
-  /// Per-source runs of inbox(rank) — lets a receiver answer each source.
-  std::span<const SourceRange> inbox_sources(idx_t rank) const {
-    return sources_[static_cast<std::size_t>(rank)];
   }
 
  private:
@@ -581,25 +533,22 @@ class TypedChannel {
   idx_t k_ = 0;
   std::vector<Cell> cells_;  // k*k, row = source rank
   std::vector<std::vector<T>> inboxes_;
-  std::vector<std::vector<SourceRange>> sources_;
 };
 
 // ---------------------------------------------------------------------------
 // Exchange
 // ---------------------------------------------------------------------------
 
-/// The channel bundle one pipeline step runs over, with the VirtualCluster
-/// transports underneath. Three traffic groups mirror the report fields of
-/// the centralized pipelines:
-///   * halo            -> fe cluster        (units == fe_halo_traffic)
-///   * faces           -> search cluster    (units == NRemote shipping)
-///   * coupling fwd+ret -> one shared coupling cluster, finished once, so a
-///     rank pair active in both directions counts like the centralized
-///     m2m_traffic matrix (messages included);
+/// The channel bundle one step runs over, with the VirtualCluster
+/// transports underneath. Four traffic groups mirror the report fields of
+/// the centralized reference step:
+///   * halo             -> fe cluster       (units == fe_halo_traffic)
+///   * faces            -> search cluster   (units == NRemote shipping)
+///   * coupling_forward -> coupling cluster (the contact-point gather);
 ///   * migrate_nodes + migrate_elements -> one shared migration cluster
 ///     (units == migrated records, the repartition redistribution volume);
-/// descriptor, box, and label broadcasts move bytes but are charged to no
-/// cluster — the centralized paths report them as byte counts, not
+/// descriptor and label broadcasts move bytes but are charged to no
+/// cluster — the reference step reports them as byte counts, not
 /// StepTraffic.
 class Exchange {
  public:
@@ -611,8 +560,6 @@ class Exchange {
   TypedChannel<HaloNodeMsg>& halo() { return halo_; }
   TypedChannel<FaceShipMsg>& faces() { return faces_; }
   TypedChannel<ContactPointMsg>& coupling_forward() { return coupling_forward_; }
-  TypedChannel<ContactPointMsg>& coupling_return() { return coupling_return_; }
-  TypedChannel<SubdomainBoxMsg>& boxes() { return boxes_; }
   TypedChannel<BytesMsg>& labels() { return labels_; }
   TypedChannel<NodeMigrateMsg>& migrate_nodes() { return migrate_nodes_; }
   TypedChannel<ElementMigrateMsg>& migrate_elements() {
@@ -698,7 +645,6 @@ class Exchange {
   wgt_t take_halo_bytes() { return std::exchange(halo_bytes_, 0); }
   wgt_t take_face_bytes() { return std::exchange(face_bytes_, 0); }
   wgt_t take_coupling_bytes() { return std::exchange(coupling_bytes_, 0); }
-  wgt_t take_box_bytes() { return std::exchange(box_bytes_, 0); }
   wgt_t take_label_bytes() { return std::exchange(label_bytes_, 0); }
   wgt_t take_migration_bytes() { return std::exchange(migration_bytes_, 0); }
 
@@ -708,8 +654,6 @@ class Exchange {
   TypedChannel<HaloNodeMsg> halo_;
   TypedChannel<FaceShipMsg> faces_;
   TypedChannel<ContactPointMsg> coupling_forward_;
-  TypedChannel<ContactPointMsg> coupling_return_;
-  TypedChannel<SubdomainBoxMsg> boxes_;
   TypedChannel<BytesMsg> labels_;
   TypedChannel<NodeMigrateMsg> migrate_nodes_;
   TypedChannel<ElementMigrateMsg> migrate_elements_;
@@ -725,7 +669,6 @@ class Exchange {
   wgt_t halo_bytes_ = 0;
   wgt_t face_bytes_ = 0;
   wgt_t coupling_bytes_ = 0;
-  wgt_t box_bytes_ = 0;
   wgt_t label_bytes_ = 0;
   wgt_t migration_bytes_ = 0;
 };

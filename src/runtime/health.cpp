@@ -14,10 +14,6 @@ const char* channel_name(ChannelId id) {
       return "faces";
     case ChannelId::kCouplingForward:
       return "coupling_forward";
-    case ChannelId::kCouplingReturn:
-      return "coupling_return";
-    case ChannelId::kBoxes:
-      return "boxes";
     case ChannelId::kLabels:
       return "labels";
     case ChannelId::kMigrateNodes:
@@ -72,10 +68,7 @@ PipelineHealth& PipelineHealth::operator+=(const PipelineHealth& other) {
   backoff_ms += other.backoff_ms;
   readiness_stalls += other.readiness_stalls;
   readiness_stall_ns += other.readiness_stall_ns;
-  for (int c = 0; c < kNumChannels; ++c) {
-    channels[static_cast<std::size_t>(c)] +=
-        other.channels[static_cast<std::size_t>(c)];
-  }
+  for (ChannelId id : kChannels) channel(id) += other.channel(id);
   return *this;
 }
 
@@ -97,11 +90,8 @@ bool PipelineHealth::operator==(const PipelineHealth& other) const {
         backoff_ms == other.backoff_ms)) {
     return false;
   }
-  for (int c = 0; c < kNumChannels; ++c) {
-    if (!(channels[static_cast<std::size_t>(c)] ==
-          other.channels[static_cast<std::size_t>(c)])) {
-      return false;
-    }
+  for (ChannelId id : kChannels) {
+    if (!(channel(id) == other.channel(id))) return false;
   }
   return true;
 }

@@ -19,21 +19,32 @@
 namespace cpart {
 
 /// The typed channels of one Exchange, in delivery order. New channels are
-/// appended so existing ids (and with them any seeded fault schedule, which
-/// keys on the channel id) stay stable across releases.
+/// appended so existing ids stay stable across releases: a seeded fault
+/// schedule keys on the channel id (FaultInjector::decision_seed), so
+/// renumbering a channel would move every fault it injects. Ids 4 and 5
+/// (the ML+RCB driver's coupling-return and subdomain-box channels) are
+/// retired for the same reason and are never reused.
 enum class ChannelId : int {
   kDescriptors = 0,
-  kHalo,
-  kFaces,
-  kCouplingForward,
-  kCouplingReturn,
-  kBoxes,
-  kLabels,           // repartition label broadcast
-  kMigrateNodes,     // node-state migration to new owners
-  kMigrateElements,  // element-record migration to new owners
+  kHalo = 1,
+  kFaces = 2,
+  kCouplingForward = 3,  // contact-point gather to rank 0
+  kLabels = 6,           // repartition label broadcast
+  kMigrateNodes = 7,     // node-state migration to new owners
+  kMigrateElements = 8,  // element-record migration to new owners
 };
 
+/// Size of the id range (retired ids included): arrays indexed by channel
+/// id have this many entries, and the retired ones stay zero.
 inline constexpr int kNumChannels = 9;
+
+/// The live channels in id order — what every per-channel loop walks.
+inline constexpr std::array<ChannelId, 7> kChannels = {
+    ChannelId::kDescriptors,      ChannelId::kHalo,
+    ChannelId::kFaces,            ChannelId::kCouplingForward,
+    ChannelId::kLabels,           ChannelId::kMigrateNodes,
+    ChannelId::kMigrateElements,
+};
 
 /// Stable lowercase name ("descriptors", "halo", ...) for reports and JSON.
 const char* channel_name(ChannelId id);
@@ -50,8 +61,11 @@ inline constexpr ChannelMask channel_bit(ChannelId id) {
   return ChannelMask{1} << static_cast<int>(id);
 }
 
-inline constexpr ChannelMask kAllChannels =
-    (ChannelMask{1} << kNumChannels) - 1;
+inline constexpr ChannelMask kAllChannels = [] {
+  ChannelMask mask = 0;
+  for (ChannelId id : kChannels) mask |= channel_bit(id);
+  return mask;
+}();
 
 /// Detection counters of one typed channel.
 struct ChannelHealth {

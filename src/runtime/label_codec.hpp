@@ -15,7 +15,7 @@
 //
 // decode_label_updates is the untrusted half: it bounds the declared count
 // against the remaining bytes, rejects unsorted/duplicate node ids and
-// trailing garbage, and throws TreeParseError (the pipelines' "payload
+// trailing garbage, and throws TreeParseError (the step's "payload
 // failed validation after transport accepted the frame" error, which the
 // SPMD step catches to degrade to the reference path).
 #pragma once

@@ -1,13 +1,11 @@
 // Rank-owned distributed simulation state.
 //
-// The SPMD contact pipelines of core/pipeline.hpp still read a centrally
-// generated snapshot each step; their ranks own *views* of global products.
-// SubdomainState goes the rest of the way: each rank holds the authoritative
-// state of exactly the nodes its partition label assigns to it (positions,
-// accumulated contact hits), plus a ghost layer — the element closure of its
-// owned nodes — kept current by halo exchange. Everything a rank derives
-// (surface records, contact-node lists, search events) comes from this
-// local state; nothing reads a central snapshot.
+// Each rank holds the authoritative state of exactly the nodes its
+// partition label assigns to it (positions, accumulated contact hits), plus
+// a ghost layer — the element closure of its owned nodes — kept current by
+// halo exchange. Everything a rank derives (surface records, contact-node
+// lists, search events) comes from this local state; nothing reads a
+// central snapshot.
 //
 // Ownership of derived entities follows the nodes: an element belongs to the
 // majority owner of its nodes (ties to the lowest rank), and so does a
@@ -24,10 +22,15 @@
 
 #include "contact/local_search.hpp"
 #include "mesh/mesh_topology.hpp"
-#include "mesh/subdomain.hpp"
 #include "tree/descriptor_tree.hpp"
 
 namespace cpart {
+
+/// One FE halo post: `node`'s data goes to partition `dst` this step.
+struct HaloSend {
+  idx_t node = kInvalidIndex;
+  idx_t dst = kInvalidIndex;
+};
 
 /// Owner rank of an entity given the owners of its nodes: the most frequent
 /// owner, ties broken toward the lowest rank. Deterministic in the node

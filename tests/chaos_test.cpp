@@ -3,8 +3,8 @@
 // transient corruption with bit-identical results, exhausted budgets must
 // degrade to the centralized reference path instead of crashing, and the
 // health counters must match the injected schedule exactly. The soaks drive
-// DistributedSim (the MCML+DT step, fixed partition) and MlRcbPipeline; the
-// DistributedSim degraded path is covered by distributed_test.
+// DistributedSim (the MCML+DT step, fixed partition); its degraded path is
+// covered by distributed_test.
 //
 // The soak seed can be swept from CI via the CPART_CHAOS_SEED environment
 // variable (default 1); the fault schedule is a pure function of the seed,
@@ -22,6 +22,7 @@
 #include "runtime/exchange.hpp"
 #include "runtime/fault_injector.hpp"
 #include "sim/impact_sim.hpp"
+#include "tree/tree_io.hpp"
 
 namespace cpart {
 namespace {
@@ -76,6 +77,22 @@ void deliver_posted(Exchange& ex) {
 // ---------------------------------------------------------------------------
 // Injection + detection unit tests
 // ---------------------------------------------------------------------------
+
+TEST(FaultInjector, ChannelIdsStayFixed) {
+  // decision_seed hashes the channel id, so renumbering a channel would move
+  // every seeded fault schedule. Ids 4 and 5 are retired: no live channel
+  // uses them and no delivery mask selects them.
+  EXPECT_EQ(static_cast<int>(ChannelId::kCouplingForward), 3);
+  EXPECT_EQ(static_cast<int>(ChannelId::kLabels), 6);
+  EXPECT_EQ(static_cast<int>(ChannelId::kMigrateNodes), 7);
+  EXPECT_EQ(static_cast<int>(ChannelId::kMigrateElements), 8);
+  EXPECT_EQ(kAllChannels & ((ChannelMask{1} << 4) | (ChannelMask{1} << 5)),
+            ChannelMask{0});
+  for (ChannelId id : kChannels) {
+    EXPECT_NE(std::string(channel_name(id)), "unknown");
+    EXPECT_LT(static_cast<int>(id), kNumChannels);
+  }
+}
 
 TEST(FaultInjector, ScheduleIsDeterministic) {
   const FaultConfig fc{.seed = 42, .cell_fault_probability = 0.5};
@@ -203,7 +220,7 @@ TEST(Exchange, SelfSendsAreNeverFaulted) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline degradation
+// DistributedSim under faults
 // ---------------------------------------------------------------------------
 
 class ChaosPipelineTest : public ::testing::Test {
@@ -216,11 +233,6 @@ class ChaosPipelineTest : public ::testing::Test {
     sc.proj_cells_z = 6;
     sc.num_snapshots = 60;
     sim_ = std::make_unique<ImpactSim>(sc);
-    snap0_ = sim_->snapshot(0);
-    body_.resize(static_cast<std::size_t>(snap0_.mesh.num_nodes()));
-    for (std::size_t i = 0; i < body_.size(); ++i) {
-      body_[i] = static_cast<int>(sim_->node_body()[i]);
-    }
   }
 
   void TearDown() override { ThreadPool::set_global_threads(0); }
@@ -234,45 +246,8 @@ class ChaosPipelineTest : public ::testing::Test {
     return c;
   }
 
-  MlRcbStepConfig rcb_config(idx_t k) const {
-    MlRcbStepConfig c;
-    c.decomposition.k = k;
-    c.search.search_margin = 0.12;
-    c.search.contact_tolerance = 0.08;
-    return c;
-  }
-
   std::unique_ptr<ImpactSim> sim_;
-  ImpactSim::Snapshot snap0_;
-  std::vector<int> body_;
 };
-
-TEST_F(ChaosPipelineTest, MlRcbDegradedStepMatchesOracleAndKeepsRcbState) {
-  ThreadPool::set_global_threads(4);
-  MlRcbPipeline faulty(snap0_.mesh, snap0_.surface, rcb_config(4));
-  MlRcbPipeline oracle(snap0_.mesh, snap0_.surface, rcb_config(4));
-  FaultInjector injector(
-      FaultConfig{.seed = 6, .cell_fault_probability = 1.0});
-
-  // Steps 10 and 20 degrade; step 29 runs fault-free. The stateful RCB
-  // advance must happen exactly once per step either way, so the faulty
-  // instance stays in lockstep with the oracle across the whole sequence.
-  for (idx_t s : {idx_t{10}, idx_t{20}, idx_t{29}}) {
-    const bool inject = s != 29;
-    faulty.exchange().set_fault_injector(inject ? &injector : nullptr);
-    faulty.exchange().set_retry_policy({.max_attempts = 2});
-    const auto snap = sim_->snapshot(s);
-    const MlRcbStepReport ref =
-        oracle.run_step_reference(snap.mesh, snap.surface, body_);
-    const MlRcbStepReport got =
-        faulty.run_step(snap.mesh, snap.surface, body_);
-    EXPECT_EQ(got.health.degraded(), inject) << "s=" << s;
-    expect_events_identical(got.events, ref.events,
-                            "mlrcb s=" + std::to_string(s));
-    EXPECT_EQ(got.events_per_processor, ref.events_per_processor);
-    EXPECT_EQ(got.upd_comm, ref.upd_comm) << "s=" << s;
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Headline soak: bit-identity under a randomized-but-seeded schedule
@@ -411,35 +386,6 @@ TEST_F(ChaosPipelineTest, AsyncOutOfOrderSoakKeepsFaultScheduleAndBitIdentity) {
       }
     }
   }
-}
-
-TEST_F(ChaosPipelineTest, MlRcbSoakUnderFaultsMatchesFaultFreeTwin) {
-  constexpr idx_t kSteps = 15;
-  ThreadPool::set_global_threads(8);
-  MlRcbPipeline faulty(snap0_.mesh, snap0_.surface, rcb_config(4));
-  MlRcbPipeline clean(snap0_.mesh, snap0_.surface, rcb_config(4));
-  FaultConfig fc;
-  fc.seed = chaos_seed() + 17;
-  fc.cell_fault_probability = 0.08;
-  FaultInjector injector(fc);
-  faulty.exchange().set_fault_injector(&injector);
-  faulty.exchange().set_retry_policy({.max_attempts = 8});
-
-  PipelineHealth total;
-  for (idx_t s = 0; s < kSteps; ++s) {
-    const auto snap = sim_->snapshot(s);
-    const MlRcbStepReport want = clean.run_step(snap.mesh, snap.surface, body_);
-    const MlRcbStepReport got = faulty.run_step(snap.mesh, snap.surface, body_);
-    total += got.health;
-    expect_events_identical(got.events, want.events,
-                            "mlrcb soak s=" + std::to_string(s));
-    EXPECT_EQ(got.upd_comm, want.upd_comm) << "s=" << s;
-    EXPECT_EQ(got.coupling_exchange, want.coupling_exchange) << "s=" << s;
-  }
-  EXPECT_EQ(total.corrupt_cells, injector.stats().faults_injected);
-  EXPECT_GT(injector.stats().faults_injected, 0);
-  EXPECT_EQ(total.degraded_steps, 0);
-  EXPECT_EQ(total.exhausted_deliveries, 0);
 }
 
 }  // namespace

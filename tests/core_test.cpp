@@ -3,6 +3,10 @@
 // extension, and the experiment driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "contact/global_search.hpp"
+#include "contact/local_search.hpp"
 #include "core/apriori.hpp"
 #include "core/experiment.hpp"
 #include "core/mcml_dt.hpp"
@@ -172,6 +176,103 @@ TEST(MlRcb, UpdateReportsBoundedMovement) {
   // One small time step: few points change RCB subdomain.
   EXPECT_LT(moved, to_idx(p.contact_ids().size()) / 2);
   EXPECT_EQ(p.contact_ids().size(), snap1.surface.contact_nodes.size());
+}
+
+TEST(MlRcb, BoxFilterSearchMatchesSerial) {
+  // ML+RCB's global search ships each face to every RCB subdomain whose
+  // bounding box meets the face's margin-inflated box; each processor then
+  // searches its own contact nodes against the faces it holds. The boxes
+  // are conservative, so the union of the per-processor searches must be
+  // exactly the serial search once the margin covers the tolerance.
+  ImpactSimConfig sc = tiny_sim();
+  sc.plate_cells_xy = 16;
+  sc.num_snapshots = 60;
+  const ImpactSim sim(sc);
+  const auto snap0 = sim.snapshot(0);
+  std::vector<int> body(sim.node_body().size());
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    body[i] = static_cast<int>(sim.node_body()[i]);
+  }
+  constexpr real_t kMargin = 0.12;
+  LocalSearchOptions local;
+  local.tolerance = 0.08;
+  local.body_of_node = body;
+
+  for (idx_t k : {idx_t{4}, idx_t{5}, idx_t{7}}) {
+    MlRcbConfig config;
+    config.k = k;
+    MlRcbPartitioner p(snap0.mesh, snap0.surface, config);
+    // The RCB update is stateful: advance through the snapshots in order.
+    for (idx_t s : {idx_t{10}, idx_t{20}, idx_t{29}}) {
+      const auto snap = sim.snapshot(s);
+      const Mesh& mesh = snap.mesh;
+      const Surface& surface = snap.surface;
+      p.update_contact_partition(mesh, surface);
+      const std::vector<idx_t>& ids = p.contact_ids();
+      const std::vector<idx_t>& labels = p.contact_labels();
+      std::vector<idx_t> node_labels(
+          static_cast<std::size_t>(mesh.num_nodes()), 0);
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        node_labels[static_cast<std::size_t>(ids[i])] = labels[i];
+      }
+      const std::vector<idx_t> owner = face_owners(surface, node_labels, k);
+      const BBoxFilter filter = p.make_bbox_filter(mesh);
+
+      // faces_on[q]: processor q's own faces plus every face shipped to it.
+      std::vector<std::vector<idx_t>> faces_on(static_cast<std::size_t>(k));
+      wgt_t shipped = 0;
+      std::vector<idx_t> parts;
+      for (idx_t f = 0; f < surface.num_faces(); ++f) {
+        const idx_t home = owner[static_cast<std::size_t>(f)];
+        faces_on[static_cast<std::size_t>(home)].push_back(f);
+        parts.clear();
+        filter.query_box(
+            face_bbox(mesh, surface.faces[static_cast<std::size_t>(f)],
+                      kMargin),
+            parts);
+        for (idx_t q : parts) {
+          if (q == home) continue;
+          faces_on[static_cast<std::size_t>(q)].push_back(f);
+          ++shipped;
+        }
+      }
+      std::vector<std::vector<idx_t>> nodes_on(static_cast<std::size_t>(k));
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        nodes_on[static_cast<std::size_t>(labels[i])].push_back(ids[i]);
+      }
+      std::vector<ContactEvent> merged;
+      std::vector<ContactEvent> events;
+      SubsetSearchScratch scratch;
+      for (std::size_t q = 0; q < nodes_on.size(); ++q) {
+        if (nodes_on[q].empty() || faces_on[q].empty()) continue;
+        local_contact_search_subset_into(mesh, surface, nodes_on[q],
+                                         faces_on[q], local, scratch, events);
+        merged.insert(merged.end(), events.begin(), events.end());
+      }
+      std::sort(merged.begin(), merged.end(),
+                [](const ContactEvent& a, const ContactEvent& b) {
+                  if (a.node != b.node) return a.node < b.node;
+                  return a.distance < b.distance;
+                });
+
+      const std::vector<ContactEvent> serial =
+          local_contact_search(mesh, surface, local);
+      if (s == 29) {
+        EXPECT_GT(serial.size(), 0u) << "k=" << k;
+      }
+      ASSERT_EQ(merged.size(), serial.size()) << "k=" << k << " s=" << s;
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(merged[i].node, serial[i].node) << "k=" << k << " s=" << s;
+        EXPECT_EQ(merged[i].face, serial[i].face) << "k=" << k << " s=" << s;
+        EXPECT_EQ(merged[i].distance, serial[i].distance)
+            << "k=" << k << " s=" << s;
+      }
+      EXPECT_EQ(shipped,
+                global_search_bbox(mesh, surface, owner, filter, kMargin)
+                    .remote_sends)
+          << "k=" << k << " s=" << s;
+    }
+  }
 }
 
 TEST(Apriori, PredictionFindsCrossBodyPairsOnly) {

@@ -24,9 +24,12 @@
 #include <unistd.h>
 
 #include "contact/local_search.hpp"
+#include "contact/search_metrics.hpp"
 #include "core/distributed_sim.hpp"
+#include "core/ml_rcb.hpp"
 #include "parallel/thread_pool.hpp"
 #include "runtime/fault_injector.hpp"
+#include "runtime/virtual_cluster.hpp"
 #include "sim/impact_sim.hpp"
 
 namespace cpart {
@@ -482,6 +485,18 @@ TEST_F(DistributedSimTest, RejectsMarginSmallerThanTolerance) {
   EXPECT_THROW(DistributedSim(*sim_, c), InputError);
 }
 
+TEST_F(DistributedSimTest, RejectsNonPositiveTolerance) {
+  // A config error must surface at construction, not as failing rank
+  // programs inside the first step.
+  DistributedSimConfig c = make_config(4, /*period=*/0);
+  c.search.search_margin = 0.1;
+  c.search.contact_tolerance = 0;
+  EXPECT_THROW(DistributedSim(*sim_, c), InputError);
+  c.search.search_margin = -0.05;
+  c.search.contact_tolerance = -0.1;
+  EXPECT_THROW(DistributedSim(*sim_, c), InputError);
+}
+
 TEST_F(DistributedSimTest, SearchMatchesSerial) {
   // The crucial end-to-end property: for any k, the union of per-rank
   // searches equals the serial search — the descriptor filter shipped every
@@ -589,6 +604,152 @@ TEST_F(DistributedSimTest, PhaseTimingsCoverEveryRank) {
   // The reference path has no per-rank execution: its breakdown is empty.
   const DistributedStepReport ref = dsim.run_step_reference(30);
   EXPECT_TRUE(ref.phase.descriptor_ms.empty());
+  EXPECT_TRUE(ref.phase.search_ms.empty());
+}
+
+// ---------------------------------------------------------------------------
+// PipelineTest: step-level contracts of the contact pipeline — its search
+// configuration, its report bookkeeping, and the ML+RCB coupling count.
+// SpmdTest: what the SPMD execution moves and times per rank.
+// ---------------------------------------------------------------------------
+
+class PipelineTest : public DistributedSimTest {};
+class SpmdTest : public DistributedSimTest {};
+
+TEST_F(PipelineTest, RejectsMarginSmallerThanTolerance) {
+  // SearchConfig::validate on its own: a margin equal to the tolerance is
+  // still conservative; a smaller one could miss remote contacts.
+  SearchConfig c;
+  c.contact_tolerance = 0.08;
+  c.search_margin = 0.08;
+  EXPECT_NO_THROW(c.validate("PipelineTest"));
+  c.search_margin = 0.01;
+  try {
+    c.validate("PipelineTest");
+    ADD_FAILURE() << "margin 0.01 < tolerance 0.08 was accepted";
+  } catch (const InputError& e) {
+    EXPECT_NE(std::string(e.what()).find("PipelineTest"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(PipelineTest, ReportBookkeepingConsistent) {
+  ThreadPool::set_global_threads(4);
+  const idx_t k = 6;
+  DistributedSim dsim(*sim_, make_config(k, /*period=*/0));
+  const DistributedStepReport r = dsim.run_step(29);
+  ASSERT_GT(r.contact_events, 0);
+  // Per-processor counts sum to the total.
+  idx_t sum = 0;
+  for (idx_t c : r.events_per_processor) sum += c;
+  EXPECT_EQ(sum, r.contact_events);
+  EXPECT_EQ(r.events.size(), static_cast<std::size_t>(r.contact_events));
+  EXPECT_LE(r.penetrating_events, r.contact_events);
+  // Traffic snapshots carry k processors each.
+  EXPECT_EQ(r.fe_exchange.num_processors(), k);
+  EXPECT_EQ(r.coupling_exchange.num_processors(), k);
+  EXPECT_EQ(r.search_exchange.num_processors(), k);
+  EXPECT_GT(r.fe_exchange.total_units(), 0);
+  // The coupling exchange is a gather: rank 0 receives every unit, and each
+  // unit is one contact point on the wire.
+  EXPECT_GT(r.coupling_exchange.total_units(), 0);
+  EXPECT_EQ(r.coupling_exchange.processors[0].received_units,
+            r.coupling_exchange.total_units());
+  EXPECT_EQ(r.coupling_payload_bytes, r.coupling_exchange.total_units() *
+                                          wire_bytes(ContactPointMsg{}));
+  EXPECT_EQ(r.halo_payload_bytes,
+            r.fe_exchange.total_units() * wire_bytes(HaloNodeMsg{}));
+}
+
+TEST_F(PipelineTest, QuietSnapshotHasNoEvents) {
+  // Snapshot 0: the projectile hovers above the plate beyond tolerance.
+  ThreadPool::set_global_threads(4);
+  const idx_t k = 4;
+  DistributedSim dsim(*sim_, make_config(k, /*period=*/0));
+  const DistributedStepReport r = dsim.run_step(0);
+  EXPECT_EQ(r.contact_events, 0);
+  EXPECT_EQ(r.penetrating_events, 0);
+  EXPECT_TRUE(r.events.empty());
+  EXPECT_EQ(r.events_per_processor,
+            std::vector<idx_t>(static_cast<std::size_t>(k), 0));
+  EXPECT_GT(r.fe_exchange.total_units(), 0);  // halo exchange still happens
+  EXPECT_TRUE(r.health.clean()) << r.health.summary();
+}
+
+TEST_F(PipelineTest, MlRcbCouplingIsEvenUnits) {
+  // ML+RCB couples its FE and RCB contact decompositions by mesh-to-mesh
+  // transfer: one unit each way per mismatched point, so the total is even.
+  const idx_t k = 4;
+  const ImpactSim::Snapshot snap0 = sim_->snapshot(0);
+  MlRcbConfig config;
+  config.k = k;
+  MlRcbPartitioner p(snap0.mesh, snap0.surface, config);
+  for (idx_t s : {idx_t{10}, idx_t{20}}) {
+    const ImpactSim::Snapshot snap = sim_->snapshot(s);
+    p.update_contact_partition(snap.mesh, snap.surface);
+  }
+  std::vector<idx_t> fe_labels;
+  for (idx_t id : p.contact_ids()) {
+    fe_labels.push_back(p.node_partition()[static_cast<std::size_t>(id)]);
+  }
+  const M2MResult m2m = m2m_comm(fe_labels, p.contact_labels(), k);
+  const StepTraffic coupling =
+      m2m_traffic(fe_labels, p.contact_labels(), m2m.relabel, k);
+  EXPECT_GT(coupling.total_units(), 0);
+  EXPECT_EQ(coupling.total_units() % 2, 0);
+  EXPECT_EQ(coupling.num_processors(), k);
+}
+
+TEST_F(SpmdTest, SingleRankMovesNoBytes) {
+  // A lone rank at 8 worker threads: the transport still runs every
+  // delivery, but no cell carries a byte; the events equal the reference
+  // body's bit for bit and the serial search's nodes and distances.
+  ThreadPool::set_global_threads(8);
+  DistributedSim dsim(*sim_, make_config(1, /*period=*/0));
+  DistributedSim oracle(*sim_, make_config(1, /*period=*/0));
+  const DistributedStepReport r = dsim.run_step(29);
+  expect_events_identical(r.events, oracle.run_step_reference(29).events,
+                          "k=1");
+  EXPECT_EQ(r.halo_payload_bytes, 0);
+  EXPECT_EQ(r.face_payload_bytes, 0);
+  EXPECT_EQ(r.coupling_payload_bytes, 0);
+  EXPECT_EQ(r.descriptor_broadcast_bytes, 0);
+  EXPECT_EQ(r.fe_exchange.total_units(), 0);
+  EXPECT_EQ(r.coupling_exchange.total_units(), 0);
+  EXPECT_EQ(r.search_exchange.total_units(), 0);
+  EXPECT_TRUE(r.health.clean()) << r.health.summary();
+  EXPECT_EQ(r.health.deliveries, 4);
+  const std::vector<ContactEvent> serial = serial_events(29);
+  ASSERT_EQ(r.events.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(r.events[i].node, serial[i].node) << "event " << i;
+    EXPECT_DOUBLE_EQ(r.events[i].distance, serial[i].distance)
+        << "event " << i;
+  }
+}
+
+TEST_F(SpmdTest, PhaseTimingsCoverEveryRank) {
+  // One worker thread, and migration steps in the sequence: every step's
+  // breakdown still has one non-negative entry per rank and phase.
+  ThreadPool::set_global_threads(1);
+  const idx_t k = 5;
+  DistributedSim dsim(*sim_, make_config(k, /*period=*/2));
+  bool saw_migration = false;
+  for (idx_t s : {idx_t{0}, idx_t{5}, idx_t{10}, idx_t{15}}) {
+    const DistributedStepReport r = dsim.run_step(s);
+    saw_migration = saw_migration || r.migrated;
+    const RankPhaseBreakdown& p = r.phase;
+    for (const std::vector<double>* v :
+         {&p.descriptor_ms, &p.halo_ms, &p.ship_ms, &p.search_ms,
+          &p.descriptor_wait_ms, &p.ship_wait_ms, &p.search_wait_ms}) {
+      ASSERT_EQ(v->size(), static_cast<std::size_t>(k)) << "s=" << s;
+      for (double ms : *v) EXPECT_GE(ms, 0.0) << "s=" << s;
+    }
+  }
+  EXPECT_TRUE(saw_migration);
+  // The reference path has no per-rank execution: its breakdown is empty.
+  const DistributedStepReport ref = dsim.run_step_reference(20);
+  EXPECT_TRUE(ref.phase.halo_ms.empty());
   EXPECT_TRUE(ref.phase.search_ms.empty());
 }
 
