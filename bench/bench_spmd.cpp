@@ -142,9 +142,7 @@ void health_json(std::ostream& os, const PipelineHealth& h) {
        << "\": {\"corrupt_cells\": " << ch.corrupt_cells
        << ", \"checksum_failures\": " << ch.checksum_failures
        << ", \"count_mismatches\": " << ch.count_mismatches
-       << ", \"redelivered_bytes\": " << ch.redelivered_bytes
-       << ", \"readiness_stalls\": " << ch.readiness_stalls
-       << ", \"readiness_stall_ns\": " << ch.readiness_stall_ns << "}";
+       << ", \"redelivered_bytes\": " << ch.redelivered_bytes << "}";
   }
   os << "}}";
 }

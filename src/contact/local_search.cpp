@@ -229,36 +229,6 @@ std::vector<ContactEvent> local_contact_search(
   return all;
 }
 
-void local_contact_search_subset_into(const Mesh& mesh, const Surface& surface,
-                                      std::span<const idx_t> node_ids,
-                                      std::span<const idx_t> face_ids,
-                                      const LocalSearchOptions& opts,
-                                      SubsetSearchScratch& scratch,
-                                      std::vector<ContactEvent>& out) {
-  // The subset is searched as face records keyed by face index: the record
-  // triangulation and normal mirror face_triangles/face_normal, so the
-  // arithmetic is the same as on the SurfaceFace.
-  std::vector<FaceRecord>& records = scratch.records;
-  records.resize(face_ids.size());
-  for (std::size_t i = 0; i < face_ids.size(); ++i) {
-    const idx_t f = face_ids[i];
-    require(f >= 0 && f < surface.num_faces(),
-            "local_contact_search_subset_into: face index out of range");
-    const SurfaceFace& face = surface.faces[static_cast<std::size_t>(f)];
-    require(face.nodes.size() >= 2 && face.nodes.size() <= 4,
-            "local_contact_search_subset_into: face must have 2 to 4 nodes");
-    FaceRecord& rec = records[i];
-    rec.key = f;
-    rec.num_nodes = static_cast<std::int32_t>(face.nodes.size());
-    for (std::size_t j = 0; j < face.nodes.size(); ++j) {
-      rec.nodes[j] = face.nodes[j];
-      rec.coords[j] = mesh.node(face.nodes[j]);
-    }
-  }
-  local_contact_search_records_into(node_ids, mesh.nodes(), mesh.dim(),
-                                    records, opts, scratch, out);
-}
-
 namespace {
 
 /// Triangulation of a face record, mirroring face_triangles: (0,1,2) plus

@@ -70,36 +70,22 @@ struct FaceRecord {
   std::array<Vec3, 4> coords{};
 };
 
-/// Reusable buffers for local_contact_search_subset_into and
-/// local_contact_search_records_into. Each SPMD rank
+/// Reusable buffers for local_contact_search_records_into. Each SPMD rank
 /// owns one instance: the buffers grow to the rank's largest step and make
 /// the steady-state per-step search allocation-light. Never share one
 /// scratch between concurrently searching ranks.
 struct SubsetSearchScratch {
-  std::vector<FaceRecord> records;  // subset_into only
   std::vector<Vec3> centroids;
   std::vector<idx_t> candidates;
   std::vector<std::array<Vec3, 3>> triangles;
 };
 
-/// Local search of a node subset against a face subset — what one
-/// processor executes after global search delivered its elements:
-/// `node_ids` are global node ids (the processor's own contact nodes),
-/// `face_ids` index into surface.faces (local + received elements). Writes
-/// into `out` (cleared first) with all scratch drawn from `scratch`. Runs
-/// the records kernel below on records built from the subset (key = face
-/// index).
-void local_contact_search_subset_into(const Mesh& mesh, const Surface& surface,
-                                      std::span<const idx_t> node_ids,
-                                      std::span<const idx_t> face_ids,
-                                      const LocalSearchOptions& opts,
-                                      SubsetSearchScratch& scratch,
-                                      std::vector<ContactEvent>& out);
-
-/// Local search of `node_ids` against face records, with node positions
-/// drawn from `positions` (dense, indexed by global node id). Same
-/// arithmetic, exclusions, and (node, distance) ordering as
-/// local_contact_search_subset_into; events carry record.key in
+/// Local search of `node_ids` against face records — what one rank
+/// executes after global search delivered its faces — with node positions
+/// drawn from `positions` (dense, indexed by global node id). The record
+/// triangulation and normal mirror face_triangles/face_normal, so the
+/// arithmetic, exclusions, and (node, distance) ordering are those of
+/// local_contact_search on the same faces; events carry record.key in
 /// ContactEvent::face, and with closest_only a tie in distance goes to the
 /// lower key. `opts.body_of_node` uses global node ids too; with
 /// it, each node queries per-body kd-trees of the *other* bodies' faces

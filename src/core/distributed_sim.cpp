@@ -341,7 +341,6 @@ DistributedStepReport DistributedSim::run_step(idx_t s) {
 
 void DistributedSim::run_step_attempt(idx_t s, DistributedStepReport& report) {
   const bool migrate = is_migration_step();
-  const idx_t nn = topo_.num_nodes();
 
   // This execution's injected rank faults, decided up front as a pure
   // function of (seed, logical step, rank, incarnation). The incarnation is
@@ -377,12 +376,7 @@ void DistributedSim::run_step_attempt(idx_t s, DistributedStepReport& report) {
   // reference body reruns the whole step from here (positions need no
   // recovery — they are recomputed closed-form and re-haloed every step).
   start_owner_ = states_[0].node_owner;
-  start_hits_.resize(static_cast<std::size_t>(nn));
-  for (idx_t v = 0; v < nn; ++v) {
-    const auto sv = static_cast<std::size_t>(v);
-    start_hits_[sv] =
-        states_[static_cast<std::size_t>(start_owner_[sv])].contact_hits[sv];
-  }
+  start_hits_ = gather_contact_hits();
 
   PipelineHealth health;
   if (try_spmd_step(s, migrate, report, health)) {
@@ -424,13 +418,8 @@ bool DistributedSim::try_spmd_step(idx_t s, bool migrate,
 
 DistributedStepReport DistributedSim::run_step_reference(idx_t s) {
   const bool migrate = is_migration_step();
-  const idx_t nn = topo_.num_nodes();
   std::vector<idx_t> owner = states_[0].node_owner;
-  std::vector<wgt_t> hits(static_cast<std::size_t>(nn));
-  for (idx_t v = 0; v < nn; ++v) {
-    const auto sv = static_cast<std::size_t>(v);
-    hits[sv] = states_[static_cast<std::size_t>(owner[sv])].contact_hits[sv];
-  }
+  std::vector<wgt_t> hits = gather_contact_hits();
   DistributedStepReport report;
   run_reference_body(s, migrate, owner, hits, report);
   scatter_global_state(owner, hits);
@@ -560,10 +549,12 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
     fault_options.hung = hang_mask_;
   }
   async_.run(kinematics_phases, exchange_, fault_options);  // deliveries #1-2
-  report.fe_exchange = exchange_.take_fe_traffic();
-  report.halo_payload_bytes = exchange_.take_halo_bytes();
-  report.coupling_exchange = exchange_.take_coupling_traffic();
-  report.coupling_payload_bytes = exchange_.take_coupling_bytes();
+  report.fe_exchange = exchange_.take_traffic(ChannelId::kHalo);
+  report.halo_payload_bytes = exchange_.take_bytes(ChannelId::kHalo);
+  report.coupling_exchange =
+      exchange_.take_traffic(ChannelId::kCouplingForward);
+  report.coupling_payload_bytes =
+      exchange_.take_bytes(ChannelId::kCouplingForward);
 
   // On migration steps the driver computes the new labels here, between the
   // contact gather and the descriptor superstep: kway refinement dispatches
@@ -755,14 +746,19 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
   // deliveries #3, #4 (+ #5) inside (unreachable with a hang armed — the
   // first run already unwound — but the options are step-scoped)
   async_.run(search_phases, exchange_, fault_options);
-  report.descriptor_broadcast_bytes = exchange_.take_descriptor_bytes();
-  report.label_broadcast_bytes = exchange_.take_label_bytes();
-  report.search_exchange = exchange_.take_search_traffic();
-  report.face_payload_bytes = exchange_.take_face_bytes();
+  report.descriptor_broadcast_bytes =
+      exchange_.take_bytes(ChannelId::kDescriptors);
+  report.label_broadcast_bytes = exchange_.take_bytes(ChannelId::kLabels);
+  report.search_exchange = exchange_.take_traffic(ChannelId::kFaces);
+  report.face_payload_bytes = exchange_.take_bytes(ChannelId::kFaces);
 
   if (migrate) {
-    report.migration_exchange = exchange_.take_migration_traffic();
-    report.migration_payload_bytes = exchange_.take_migration_bytes();
+    // One take returns the shared migration cluster of both migrate ids.
+    report.migration_exchange =
+        exchange_.take_traffic(ChannelId::kMigrateNodes);
+    report.migration_payload_bytes =
+        exchange_.take_bytes(ChannelId::kMigrateNodes) +
+        exchange_.take_bytes(ChannelId::kMigrateElements);
     for (const SubdomainState& st : states_) {
       report.repart_moved_nodes += st.moved_nodes_out;
       report.repart_moved_elements += st.moved_elements_out;
@@ -771,13 +767,8 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
 
   merge_rank_events(states_, report);
 
-  const std::vector<idx_t>& owner = states_[0].node_owner;
-  std::vector<wgt_t> hits(static_cast<std::size_t>(nn));
-  for (idx_t v = 0; v < nn; ++v) {
-    const auto sv = static_cast<std::size_t>(v);
-    hits[sv] = states_[static_cast<std::size_t>(owner[sv])].contact_hits[sv];
-  }
-  report.ownership_hash = ownership_hash(owner, hits);
+  report.ownership_hash =
+      ownership_hash(states_[0].node_owner, gather_contact_hits());
 }
 
 void DistributedSim::run_reference_body(idx_t s, bool migrate,
@@ -1008,6 +999,12 @@ std::uint64_t DistributedSim::config_hash() const {
   return h;
 }
 
+bool DistributedSim::checkpoint_usable(
+    const std::optional<CheckpointData>& ck) const {
+  return ck.has_value() && ck->config_hash == config_hash() && ck->k == k() &&
+         to_idx(ck->node_owner.size()) == topo_.num_nodes();
+}
+
 CheckpointData DistributedSim::make_checkpoint_data() const {
   const idx_t nn = topo_.num_nodes();
   CheckpointData ck;
@@ -1017,27 +1014,21 @@ CheckpointData DistributedSim::make_checkpoint_data() const {
   ck.k = k();
   ck.node_owner = states_[0].node_owner;
   ck.positions.resize(static_cast<std::size_t>(nn));
-  ck.contact_hits.resize(static_cast<std::size_t>(nn));
   for (idx_t v = 0; v < nn; ++v) {
     const auto sv = static_cast<std::size_t>(v);
-    const SubdomainState& st =
-        states_[static_cast<std::size_t>(ck.node_owner[sv])];
-    ck.positions[sv] = st.positions[sv];
-    ck.contact_hits[sv] = st.contact_hits[sv];
+    ck.positions[sv] =
+        states_[static_cast<std::size_t>(ck.node_owner[sv])].positions[sv];
   }
+  ck.contact_hits = gather_contact_hits();
   return ck;
 }
 
 bool DistributedSim::restore_from_checkpoint() {
   if (store_ == nullptr) return false;
   const std::optional<CheckpointData> ck = store_->load();
-  if (!ck.has_value()) return false;
-  if (ck->config_hash != config_hash() || ck->k != k() ||
-      to_idx(ck->node_owner.size()) != topo_.num_nodes()) {
-    // A decodable checkpoint from some other run shares the directory —
-    // unusable for this instance; treat as no checkpoint at all.
-    return false;
-  }
+  // A decodable checkpoint from some other run shares the directory —
+  // unusable for this instance; treat as no checkpoint at all.
+  if (!checkpoint_usable(ck)) return false;
   const AsyncPhase restore{.body = [&](idx_t r) {
     SubdomainState& st = states_[static_cast<std::size_t>(r)];
     st.node_owner = ck->node_owner;
@@ -1089,8 +1080,7 @@ bool DistributedSim::suspend(double* backoff_ms_accum) {
 bool DistributedSim::resume() {
   if (!suspended_) return true;
   const std::optional<CheckpointData> ck = store_->load();
-  if (!ck.has_value() || ck->config_hash != config_hash() || ck->k != k() ||
-      to_idx(ck->node_owner.size()) != topo_.num_nodes()) {
+  if (!checkpoint_usable(ck)) {
     return false;  // unusable blob: stay suspended, state intact on disk
   }
   // Rebuild the rank states from scratch (suspend released them), then

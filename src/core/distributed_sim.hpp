@@ -320,6 +320,10 @@ class DistributedSim {
   /// written under to be restorable into this instance.
   std::uint64_t config_hash() const;
 
+  /// True when `ck` loaded and was written by a run of this instance's
+  /// configuration, rank count and mesh size.
+  bool checkpoint_usable(const std::optional<CheckpointData>& ck) const;
+
   /// The durable state as of now: ownership labels, owner-authoritative
   /// positions and hit accumulators, the step counter, and the exchange
   /// superstep cursor (so replayed deliveries key the exact transport

@@ -45,6 +45,10 @@ class ThreadPool {
 
   unsigned num_threads() const { return pool_.num_threads(); }
 
+  /// Worker count one dispatch spreads across: the pool size capped at the
+  /// machine's concurrency (TaskArena::width of the default arena).
+  unsigned width() const { return default_arena_.width(); }
+
   /// The underlying worker pool — what multi-session hosts build their
   /// per-session TaskArenas on.
   WorkerPool& workers() { return pool_; }

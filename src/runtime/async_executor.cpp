@@ -18,11 +18,9 @@ namespace cpart {
 
 namespace {
 
-/// Worker count for a rank dispatch. Bounded by the pool (every worker must
-/// hold a real thread for the whole dispatch), by k (static stride then
-/// gives each of the first W workers at least one rank), and by the
-/// machine's concurrency (workers beyond the physical threads only add
-/// context switches).
+/// Worker count for a rank dispatch: the pool's dispatch width, clamped to
+/// k so the static stride gives each of the first W workers at least one
+/// rank.
 unsigned rank_dispatch_workers(const ThreadPool& pool, idx_t k) {
   // Inside parallel work (a session step job, a parallel_tasks body) the
   // dispatch runs inline on the calling thread only, so a striped loop at
@@ -30,12 +28,8 @@ unsigned rank_dispatch_workers(const ThreadPool& pool, idx_t k) {
   // that block on sibling workers (the futex readiness waits below).
   // Width 1 is always valid: results are width-independent by invariant.
   if (ThreadPool::in_worker()) return 1;
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = pool.num_threads();  // unknown: trust the pool size
-  const unsigned cap = std::min(std::max(1u, pool.num_threads()),
-                                std::max(1u, hw));
   return static_cast<unsigned>(
-      std::min<idx_t>(static_cast<idx_t>(cap), k));
+      std::min<idx_t>(static_cast<idx_t>(pool.width()), k));
 }
 
 /// Mirrors ThreadPool's dispatch outcome for per-rank failures: one failing
@@ -415,18 +409,8 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
               if (!phase.wait_ms_accum.empty()) {
                 phase.wait_ms_accum[static_cast<std::size_t>(r)] += wait_ms;
               }
-              const wgt_t ns = static_cast<wgt_t>(wait_ms * 1e6);
               ++s.health.readiness_stalls;
-              s.health.readiness_stall_ns += ns;
-              for (ChannelId id : kChannels) {
-                if (!(groups[static_cast<std::size_t>(g)].mask &
-                      channel_bit(id))) {
-                  continue;
-                }
-                ChannelHealth& ch = s.health.channel(id);
-                ++ch.readiness_stalls;
-                ch.readiness_stall_ns += ns;
-              }
+              s.health.readiness_stall_ns += static_cast<wgt_t>(wait_ms * 1e6);
             }
             if (out == WaitOutcome::kFailed) return;
             if (out == WaitOutcome::kExhausted) {

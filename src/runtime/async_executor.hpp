@@ -37,7 +37,7 @@
 // of all prior phases, so detection counters, retry accounting, and budget
 // exhaustion are identical at any thread count. Health accounting folds
 // per group (see Exchange::async_fold_group); readiness waits are counted
-// as per-channel stalls in PipelineHealth.
+// in PipelineHealth's readiness-stall totals.
 //
 // Failure semantics are BSP: every rank completes the earliest failing
 // phase before the run unwinds (later-phase work is discarded), a single

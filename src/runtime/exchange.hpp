@@ -358,6 +358,21 @@ struct RetryPolicy {
 // TypedChannel
 // ---------------------------------------------------------------------------
 
+/// The type-free face of a TypedChannel: the three delivery operations
+/// (documented there) that the Exchange's channel table drives.
+class ChannelCells {
+ public:
+  virtual bool attempt_deliver_cell(FaultInjector* injector, ChannelId id,
+                                    std::uint64_t superstep, idx_t attempt,
+                                    idx_t from, idx_t to,
+                                    PipelineHealth& health) = 0;
+  virtual wgt_t commit_dst(idx_t to, VirtualCluster* transport) = 0;
+  virtual void abort() = 0;
+
+ protected:
+  ~ChannelCells() = default;  // never deleted through the interface
+};
+
 /// A k-rank point-to-point channel for messages of type T.
 ///
 /// send() may be called concurrently by different source ranks: the outbox
@@ -370,10 +385,8 @@ struct RetryPolicy {
 /// cells can be re-staged; commit_dst() then assembles one inbox from the
 /// validated cells in ascending source order and charges the transport.
 template <typename T>
-class TypedChannel {
+class TypedChannel final : public ChannelCells {
  public:
-  TypedChannel() = default;
-
   void resize(idx_t k) {
     require(k >= 1, "TypedChannel: k must be >= 1");
     k_ = k;
@@ -381,8 +394,6 @@ class TypedChannel {
                   Cell{});
     inboxes_.assign(static_cast<std::size_t>(k), {});
   }
-
-  idx_t num_ranks() const { return k_; }
 
   /// Posts `item` from rank `from` to rank `to`. Self-sends are local data
   /// and are dropped, matching VirtualCluster::send.
@@ -416,7 +427,7 @@ class TypedChannel {
   /// scratch the caller owns. Safe to call concurrently for distinct cells.
   bool attempt_deliver_cell(FaultInjector* injector, ChannelId id,
                             std::uint64_t superstep, idx_t attempt, idx_t from,
-                            idx_t to, PipelineHealth& health) {
+                            idx_t to, PipelineHealth& health) override {
     Cell& cell = cells_[static_cast<std::size_t>(from) *
                             static_cast<std::size_t>(k_) +
                         static_cast<std::size_t>(to)];
@@ -467,7 +478,7 @@ class TypedChannel {
   /// calls for different `to` are safe: they touch disjoint cells, inboxes,
   /// and transport matrix entries (VirtualCluster::send writes only
   /// matrix[from * k + to]).
-  wgt_t commit_dst(idx_t to, VirtualCluster* transport) {
+  wgt_t commit_dst(idx_t to, VirtualCluster* transport) override {
     wgt_t bytes = 0;
     auto& inbox = inboxes_[static_cast<std::size_t>(to)];
     inbox.clear();
@@ -489,7 +500,7 @@ class TypedChannel {
 
   /// Drops all pending outboxes, staged data, and inboxes (degraded-mode
   /// cleanup after an exhausted delivery).
-  void abort() {
+  void abort() override {
     for (Cell& cell : cells_) cell.reset();
     for (auto& inbox : inboxes_) inbox.clear();
   }
@@ -540,8 +551,10 @@ class TypedChannel {
 // ---------------------------------------------------------------------------
 
 /// The channel bundle one step runs over, with the VirtualCluster
-/// transports underneath. Four traffic groups mirror the report fields of
-/// the centralized reference step:
+/// transports underneath. Every per-channel concern is one table indexed by
+/// ChannelId: the channel's cells, the cluster its commits charge, and its
+/// payload-byte accumulator. The constructor fills the table; four traffic
+/// groups mirror the report fields of the centralized reference step:
 ///   * halo             -> fe cluster       (units == fe_halo_traffic)
 ///   * faces            -> search cluster   (units == NRemote shipping)
 ///   * coupling_forward -> coupling cluster (the contact-point gather);
@@ -549,10 +562,13 @@ class TypedChannel {
 ///     (units == migrated records, the repartition redistribution volume);
 /// descriptor and label broadcasts move bytes but are charged to no
 /// cluster — the reference step reports them as byte counts, not
-/// StepTraffic.
+/// StepTraffic. Retired ids have no entry.
 class Exchange {
  public:
   explicit Exchange(idx_t k);
+  // The table points into this object's own members.
+  Exchange(const Exchange&) = delete;
+  Exchange& operator=(const Exchange&) = delete;
 
   idx_t num_ranks() const { return k_; }
 
@@ -605,14 +621,19 @@ class Exchange {
   /// Thread-safe for distinct cells.
   bool async_validate_cell(ChannelId id, std::uint64_t superstep,
                            idx_t attempt, idx_t from, idx_t to,
-                           PipelineHealth& health);
+                           PipelineHealth& health) {
+    return channel(id).attempt_deliver_cell(injector_, id, superstep, attempt,
+                                            from, to, health);
+  }
 
   /// Commits every staged cell addressed to `to` on channel `id` (ascending
   /// source order), charging the channel's phase cluster, and adds the
   /// payload bytes to `bytes` (caller-private scratch; async_fold_group
   /// moves them into the per-channel accumulators for counted groups only).
   /// Thread-safe for distinct `to`.
-  void async_commit_dst(ChannelId id, idx_t to, wgt_t& bytes);
+  void async_commit_dst(ChannelId id, idx_t to, wgt_t& bytes) {
+    bytes += channel(id).commit_dst(to, cluster_of_[slot(id)]);
+  }
 
   /// Accounting of one completed (or exhausted) async group, folded into
   /// the exchange: one delivery; `passes` validation passes (min(1 + max
@@ -632,23 +653,27 @@ class Exchange {
 
   /// Health counters since the last take (reads reset them).
   PipelineHealth take_health() { return std::exchange(health_, {}); }
-  const PipelineHealth& health() const { return health_; }
 
-  /// Per-group traffic since the last take (finishing resets the cluster).
-  StepTraffic take_fe_traffic() { return fe_cluster_.finish(); }
-  StepTraffic take_search_traffic() { return search_cluster_.finish(); }
-  StepTraffic take_coupling_traffic() { return coupling_cluster_.finish(); }
-  StepTraffic take_migration_traffic() { return migration_cluster_.finish(); }
+  /// Traffic of the cluster channel `id` charges, since the last take
+  /// (finishing resets the cluster). The two migrate ids share a cluster,
+  /// so one take returns both. Requires a charged channel.
+  StepTraffic take_traffic(ChannelId id);
 
-  /// Payload bytes accumulated since the last take (reads reset to 0).
-  wgt_t take_descriptor_bytes() { return std::exchange(descriptor_bytes_, 0); }
-  wgt_t take_halo_bytes() { return std::exchange(halo_bytes_, 0); }
-  wgt_t take_face_bytes() { return std::exchange(face_bytes_, 0); }
-  wgt_t take_coupling_bytes() { return std::exchange(coupling_bytes_, 0); }
-  wgt_t take_label_bytes() { return std::exchange(label_bytes_, 0); }
-  wgt_t take_migration_bytes() { return std::exchange(migration_bytes_, 0); }
+  /// Payload bytes channel `id` delivered since the last take (reads reset
+  /// to 0).
+  wgt_t take_bytes(ChannelId id) { return std::exchange(bytes_[slot(id)], 0); }
 
  private:
+  static std::size_t slot(ChannelId id) {
+    return static_cast<std::size_t>(static_cast<int>(id));
+  }
+  ChannelCells& channel(ChannelId id) {
+    const std::size_t i = slot(id);
+    require(i < channels_.size() && channels_[i] != nullptr,
+            "Exchange: unknown or retired channel id");
+    return *channels_[i];
+  }
+
   idx_t k_;
   TypedChannel<BytesMsg> descriptors_;
   TypedChannel<HaloNodeMsg> halo_;
@@ -657,20 +682,15 @@ class Exchange {
   TypedChannel<BytesMsg> labels_;
   TypedChannel<NodeMigrateMsg> migrate_nodes_;
   TypedChannel<ElementMigrateMsg> migrate_elements_;
-  VirtualCluster fe_cluster_;
-  VirtualCluster search_cluster_;
-  VirtualCluster coupling_cluster_;
-  VirtualCluster migration_cluster_;
+  std::vector<VirtualCluster> clusters_;  // one per traffic group
+  // The channel table, indexed by ChannelId; retired ids stay null / zero.
+  std::array<ChannelCells*, kNumChannels> channels_{};
+  std::array<VirtualCluster*, kNumChannels> cluster_of_{};  // null: uncharged
+  std::array<wgt_t, kNumChannels> bytes_{};
   FaultInjector* injector_ = nullptr;
   RetryPolicy retry_{};
   PipelineHealth health_{};
   std::uint64_t superstep_ = 0;  // deliveries since construction
-  wgt_t descriptor_bytes_ = 0;
-  wgt_t halo_bytes_ = 0;
-  wgt_t face_bytes_ = 0;
-  wgt_t coupling_bytes_ = 0;
-  wgt_t label_bytes_ = 0;
-  wgt_t migration_bytes_ = 0;
 };
 
 }  // namespace cpart

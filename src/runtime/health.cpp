@@ -5,23 +5,12 @@
 namespace cpart {
 
 const char* channel_name(ChannelId id) {
-  switch (id) {
-    case ChannelId::kDescriptors:
-      return "descriptors";
-    case ChannelId::kHalo:
-      return "halo";
-    case ChannelId::kFaces:
-      return "faces";
-    case ChannelId::kCouplingForward:
-      return "coupling_forward";
-    case ChannelId::kLabels:
-      return "labels";
-    case ChannelId::kMigrateNodes:
-      return "migrate_nodes";
-    case ChannelId::kMigrateElements:
-      return "migrate_elements";
-  }
-  return "unknown";
+  // Indexed by ChannelId; retired ids have no name.
+  static constexpr std::array<const char*, kNumChannels> kNames = {
+      "descriptors", "halo", "faces", "coupling_forward", nullptr, nullptr,
+      "labels", "migrate_nodes", "migrate_elements"};
+  const auto i = static_cast<std::size_t>(static_cast<int>(id));
+  return i < kNames.size() && kNames[i] != nullptr ? kNames[i] : "unknown";
 }
 
 ChannelHealth& ChannelHealth::operator+=(const ChannelHealth& other) {
@@ -29,16 +18,7 @@ ChannelHealth& ChannelHealth::operator+=(const ChannelHealth& other) {
   checksum_failures += other.checksum_failures;
   count_mismatches += other.count_mismatches;
   redelivered_bytes += other.redelivered_bytes;
-  readiness_stalls += other.readiness_stalls;
-  readiness_stall_ns += other.readiness_stall_ns;
   return *this;
-}
-
-bool ChannelHealth::operator==(const ChannelHealth& other) const {
-  return corrupt_cells == other.corrupt_cells &&
-         checksum_failures == other.checksum_failures &&
-         count_mismatches == other.count_mismatches &&
-         redelivered_bytes == other.redelivered_bytes;
 }
 
 bool PipelineHealth::clean() const {

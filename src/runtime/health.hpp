@@ -73,19 +73,9 @@ struct ChannelHealth {
   wgt_t checksum_failures = 0;  // payload hash mismatch (count matched)
   wgt_t count_mismatches = 0;   // message-count framing mismatch
   wgt_t redelivered_bytes = 0;  // payload bytes staged again after a failure
-  // Readiness stalls (async executor): times a rank blocked waiting for
-  // this channel's inbox cells to become ready, and the total nanoseconds
-  // spent blocked. A wait on a multi-channel group charges every channel
-  // in the group's mask. Timing-dependent by nature, so operator==
-  // deliberately ignores these two fields — bit-identity assertions compare
-  // what the transport *did*, not how long ranks waited for it.
-  wgt_t readiness_stalls = 0;    // waits that found inputs not yet ready
-  wgt_t readiness_stall_ns = 0;  // total blocked wall time, nanoseconds
 
   ChannelHealth& operator+=(const ChannelHealth& other);
-  /// Compares the detection counters only (stall counters are wall-clock
-  /// measurements and differ run to run even on identical schedules).
-  bool operator==(const ChannelHealth& other) const;
+  bool operator==(const ChannelHealth& other) const = default;
 };
 
 /// Transport + recovery counters of one pipeline step (or, summed, of a
@@ -113,8 +103,11 @@ struct PipelineHealth {
   wgt_t checkpoints_written = 0;        // durable checkpoint commits
   wgt_t checkpoint_write_failures = 0;  // commits that exhausted their budget
   double backoff_ms = 0;           // total backoff the retry loop applied
-  // Readiness stalls summed over channels (async executor; see
-  // ChannelHealth). Excluded from operator== like the per-channel fields.
+  // Readiness stalls (async executor): waits in which a rank found its
+  // inputs not yet ready, and the total nanoseconds it spent blocked.
+  // Timing-dependent by nature, so operator== ignores both — bit-identity
+  // assertions compare what the transport *did*, not how long ranks waited
+  // for it.
   wgt_t readiness_stalls = 0;
   wgt_t readiness_stall_ns = 0;
   std::array<ChannelHealth, kNumChannels> channels{};

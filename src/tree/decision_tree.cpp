@@ -246,15 +246,6 @@ class GangBarrier {
   std::atomic<unsigned> generation_{0};
 };
 
-/// Participants a gang build asks for: the pool size capped at the
-/// machine's concurrency (more runnable participants than cores only adds
-/// context switches).
-unsigned gang_width(const ThreadPool& pool) {
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = pool.num_threads();  // unknown: trust the pool size
-  return std::max(1u, std::min(pool.num_threads(), hw));
-}
-
 }  // namespace
 
 struct TreeInduceWorkspace::Impl {
@@ -881,7 +872,7 @@ class TreeInducer {
   /// splices the top and the frontier subtrees into `tree`.
   void build_concurrent(DecisionTree& tree, Minorities& minorities) {
     ThreadPool& pool = ThreadPool::global();
-    const unsigned want = gang_width(pool);
+    const unsigned want = pool.width();
     if (ws_.lanes.size() < want) ws_.lanes.resize(want);
     for (unsigned p = 0; p < want; ++p) {
       ws_.lanes[p].left_counts.resize(num_labels() + kCountPad);

@@ -242,11 +242,25 @@ TEST(MlRcb, BoxFilterSearchMatchesSerial) {
       }
       std::vector<ContactEvent> merged;
       std::vector<ContactEvent> events;
+      std::vector<FaceRecord> records;
       SubsetSearchScratch scratch;
       for (std::size_t q = 0; q < nodes_on.size(); ++q) {
         if (nodes_on[q].empty() || faces_on[q].empty()) continue;
-        local_contact_search_subset_into(mesh, surface, nodes_on[q],
-                                         faces_on[q], local, scratch, events);
+        // Each held face as a record keyed by its face index.
+        records.clear();
+        for (idx_t f : faces_on[q]) {
+          const SurfaceFace& face = surface.faces[static_cast<std::size_t>(f)];
+          FaceRecord& rec = records.emplace_back();
+          rec.key = f;
+          rec.num_nodes = static_cast<std::int32_t>(face.nodes.size());
+          for (std::size_t j = 0; j < face.nodes.size(); ++j) {
+            rec.nodes[j] = face.nodes[j];
+            rec.coords[j] = mesh.node(face.nodes[j]);
+          }
+        }
+        local_contact_search_records_into(nodes_on[q], mesh.nodes(),
+                                          mesh.dim(), records, local, scratch,
+                                          events);
         merged.insert(merged.end(), events.begin(), events.end());
       }
       std::sort(merged.begin(), merged.end(),

@@ -186,9 +186,9 @@ std::vector<ContactEvent> brute_force_search(const Mesh& mesh,
   return events;
 }
 
-/// Runs both rank kernels (subset over the Surface, records keyed by
-/// face + kKeyOffset) and checks them against the all-pairs reference,
-/// once keeping every face in range and once keeping the closest.
+/// Runs the records kernel (records keyed by face + kKeyOffset) and checks
+/// it against the all-pairs reference, once keeping every face in range and
+/// once keeping the closest.
 void expect_kernels_match_brute_force(const Mesh& mesh, const Surface& surface,
                                       std::span<const idx_t> node_ids,
                                       std::span<const idx_t> face_ids,
@@ -212,60 +212,52 @@ void expect_kernels_match_brute_force(const Mesh& mesh, const Surface& surface,
     }
     records.push_back(rec);
   }
-  const auto run = [&](bool records_kernel, bool closest_only) {
+  const auto run = [&](bool closest_only) {
     LocalSearchOptions o = opts;
     o.closest_only = closest_only;
     SubsetSearchScratch scratch;
     std::vector<ContactEvent> got;
-    if (records_kernel) {
-      local_contact_search_records_into(node_ids, mesh.nodes(), mesh.dim(),
-                                        records, o, scratch, got);
-      for (ContactEvent& e : got) e.face -= kKeyOffset;
-    } else {
-      local_contact_search_subset_into(mesh, surface, node_ids, face_ids, o,
-                                       scratch, got);
-    }
+    local_contact_search_records_into(node_ids, mesh.nodes(), mesh.dim(),
+                                      records, o, scratch, got);
+    for (ContactEvent& e : got) e.face -= kKeyOffset;
     return got;
   };
 
-  for (const bool records_kernel : {false, true}) {
-    const std::string kernel =
-        what + (records_kernel ? " records kernel" : " subset kernel");
-    // Every face in range: the same (node, face) set, the same gaps.
-    std::vector<ContactEvent> all = run(records_kernel, false);
-    std::sort(all.begin(), all.end(),
-              [](const ContactEvent& a, const ContactEvent& b) {
-                return std::pair(a.node, a.face) < std::pair(b.node, b.face);
-              });
-    ASSERT_EQ(all.size(), want.size()) << kernel;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(all[i].node, want[i].node) << kernel << " event " << i;
-      ASSERT_EQ(all[i].face, want[i].face) << kernel << " event " << i;
-      EXPECT_DOUBLE_EQ(all[i].distance, want[i].distance) << kernel;
-      EXPECT_DOUBLE_EQ(all[i].signed_distance, want[i].signed_distance)
-          << kernel;
-    }
-    // Closest only: one event per node in range, at the smallest gap, on
-    // the lowest face among those at that gap in the run above (same
-    // arithmetic, so ties are exact).
-    const std::vector<ContactEvent> closest = run(records_kernel, true);
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < all.size();) {
-      std::size_t j = i;
-      const ContactEvent* best = &all[i];
-      while (j < all.size() && all[j].node == all[i].node) {
-        if (all[j].distance < best->distance) best = &all[j];
-        ++j;
-      }
-      ASSERT_LT(k, closest.size()) << kernel;
-      EXPECT_EQ(closest[k].node, best->node) << kernel;
-      EXPECT_EQ(closest[k].face, best->face) << kernel;
-      EXPECT_EQ(closest[k].distance, best->distance) << kernel;
-      ++k;
-      i = j;
-    }
-    EXPECT_EQ(k, closest.size()) << kernel;
+  const std::string kernel = what + " records kernel";
+  // Every face in range: the same (node, face) set, the same gaps.
+  std::vector<ContactEvent> all = run(false);
+  std::sort(all.begin(), all.end(),
+            [](const ContactEvent& a, const ContactEvent& b) {
+              return std::pair(a.node, a.face) < std::pair(b.node, b.face);
+            });
+  ASSERT_EQ(all.size(), want.size()) << kernel;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(all[i].node, want[i].node) << kernel << " event " << i;
+    ASSERT_EQ(all[i].face, want[i].face) << kernel << " event " << i;
+    EXPECT_DOUBLE_EQ(all[i].distance, want[i].distance) << kernel;
+    EXPECT_DOUBLE_EQ(all[i].signed_distance, want[i].signed_distance)
+        << kernel;
   }
+  // Closest only: one event per node in range, at the smallest gap, on the
+  // lowest face among those at that gap in the run above (same arithmetic,
+  // so ties are exact).
+  const std::vector<ContactEvent> closest = run(true);
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < all.size();) {
+    std::size_t j = i;
+    const ContactEvent* best = &all[i];
+    while (j < all.size() && all[j].node == all[i].node) {
+      if (all[j].distance < best->distance) best = &all[j];
+      ++j;
+    }
+    ASSERT_LT(k, closest.size()) << kernel;
+    EXPECT_EQ(closest[k].node, best->node) << kernel;
+    EXPECT_EQ(closest[k].face, best->face) << kernel;
+    EXPECT_EQ(closest[k].distance, best->distance) << kernel;
+    ++k;
+    i = j;
+  }
+  EXPECT_EQ(k, closest.size()) << kernel;
 }
 
 /// Every face index of `surface`, in a seeded shuffled order (the kernels
