@@ -1029,12 +1029,15 @@ bool DistributedSim::restore_from_checkpoint() {
   // A decodable checkpoint from some other run shares the directory —
   // unusable for this instance; treat as no checkpoint at all.
   if (!checkpoint_usable(ck)) return false;
+  // Rebuild every rank state (suspend released them; after a rank death
+  // they hold a dead attempt's data) and scatter the checkpointed
+  // per-node state over it.
+  states_.resize(static_cast<std::size_t>(k()));
   const AsyncPhase restore{.body = [&](idx_t r) {
     SubdomainState& st = states_[static_cast<std::size_t>(r)];
-    st.node_owner = ck->node_owner;
+    st.init(topo_, r, ck->node_owner, k());
     st.positions = ck->positions;
     st.contact_hits = ck->contact_hits;
-    st.rebuild_views(topo_, k());
   }};
   async_.run({&restore, 1}, exchange_);
   // Roll the cursors back: the step counter drives the migration cadence
@@ -1079,25 +1082,10 @@ bool DistributedSim::suspend(double* backoff_ms_accum) {
 
 bool DistributedSim::resume() {
   if (!suspended_) return true;
-  const std::optional<CheckpointData> ck = store_->load();
-  if (!checkpoint_usable(ck)) {
-    return false;  // unusable blob: stay suspended, state intact on disk
-  }
-  // Rebuild the rank states from scratch (suspend released them), then
-  // overwrite the authoritative per-node state with the checkpoint — the
-  // same scatter the rank-death recovery performs, minus replay (the
-  // suspend commit was taken at the current step).
-  states_.resize(static_cast<std::size_t>(k()));
-  const AsyncPhase rebuild{.body = [&](idx_t r) {
-    SubdomainState& st = states_[static_cast<std::size_t>(r)];
-    st.init(topo_, r, ck->node_owner, k());
-    st.positions = ck->positions;
-    st.contact_hits = ck->contact_hits;
-  }};
-  async_.run({&rebuild, 1}, exchange_);
-  steps_run_ = ck->step;
-  exchange_.set_next_superstep(ck->superstep);
-  replay_pos_ = 0;
+  // The rank-death recovery path, minus replay: the suspend commit was
+  // taken at the current step. An unusable blob leaves the sim suspended,
+  // its state intact on disk.
+  if (!restore_from_checkpoint()) return false;
   suspended_ = false;
   return true;
 }

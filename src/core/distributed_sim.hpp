@@ -330,11 +330,13 @@ class DistributedSim {
   /// fault schedule).
   CheckpointData make_checkpoint_data() const;
 
-  /// Restores every rank from the last durable checkpoint: scatters the
-  /// checkpointed state, rolls back steps_run_ and the exchange superstep
-  /// cursor, and rewinds the replay cursor to the start of step_history_.
-  /// False when no usable checkpoint exists (checkpointing disabled, or
-  /// the store has no loadable manifest).
+  /// Restores every rank from the last durable checkpoint: rebuilds the
+  /// rank states, scatters the checkpointed state, rolls back steps_run_
+  /// and the exchange superstep cursor, and rewinds the replay cursor to
+  /// the start of step_history_. Rank-death recovery and resume() both
+  /// adopt a checkpoint through here. False when no usable checkpoint
+  /// exists (checkpointing disabled, or the store has no loadable
+  /// manifest).
   bool restore_from_checkpoint();
 
   /// The centralized step body over explicit global state (owner + hits are

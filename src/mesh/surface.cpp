@@ -25,10 +25,16 @@ struct FaceKeyHash {
   }
 };
 
-FaceKey make_key(std::span<const idx_t> nodes) {
+/// Key of the face whose nodes are elem[local[0]], elem[local[1]], ...
+FaceKey make_key(std::span<const idx_t> elem, const std::vector<int>& local) {
   FaceKey k;
-  for (std::size_t i = 0; i < nodes.size(); ++i) k.ids[i] = nodes[i];
-  std::sort(k.ids.begin(), k.ids.begin() + static_cast<std::ptrdiff_t>(nodes.size()));
+  require(local.size() <= k.ids.size(),
+          "extract_surface: face has more than 4 nodes");
+  for (std::size_t i = 0; i < local.size(); ++i) {
+    k.ids[i] = elem[static_cast<std::size_t>(local[i])];
+  }
+  std::sort(k.ids.begin(),
+            k.ids.begin() + static_cast<std::ptrdiff_t>(local.size()));
   return k;
 }
 
@@ -39,14 +45,9 @@ Surface extract_surface(const Mesh& mesh) {
   // First pass: count occurrences of each face key.
   std::unordered_map<FaceKey, int, FaceKeyHash> count;
   count.reserve(static_cast<std::size_t>(mesh.num_elements()) * faces.size());
-  std::vector<idx_t> buf;
   for (idx_t e = 0; e < mesh.num_elements(); ++e) {
     const auto elem = mesh.element(e);
-    for (const auto& face : faces) {
-      buf.clear();
-      for (int local : face) buf.push_back(elem[static_cast<std::size_t>(local)]);
-      ++count[make_key(buf)];
-    }
+    for (const auto& face : faces) ++count[make_key(elem, face)];
   }
   // Second pass: collect faces seen exactly once.
   Surface surface;
@@ -54,16 +55,13 @@ Surface extract_surface(const Mesh& mesh) {
   for (idx_t e = 0; e < mesh.num_elements(); ++e) {
     const auto elem = mesh.element(e);
     for (std::size_t f = 0; f < faces.size(); ++f) {
-      buf.clear();
-      for (int local : faces[f]) {
-        buf.push_back(elem[static_cast<std::size_t>(local)]);
-      }
-      if (count.at(make_key(buf)) != 1) continue;
+      if (count.at(make_key(elem, faces[f])) != 1) continue;
       SurfaceFace sf;
       sf.element = e;
       sf.local_face = static_cast<int>(f);
-      sf.nodes = buf;
-      for (idx_t id : buf) {
+      for (int local : faces[f]) {
+        const idx_t id = elem[static_cast<std::size_t>(local)];
+        sf.nodes.push_back(id);
         surface.is_contact_node[static_cast<std::size_t>(id)] = 1;
       }
       surface.faces.push_back(std::move(sf));
@@ -114,24 +112,13 @@ void extract_surface_into(const Mesh& mesh, SurfaceWorkspace& ws,
   std::fill(ws.counts_.begin(), ws.counts_.end(), 0);
   ws.slots_.resize(instances);
 
-  auto face_key = [](std::span<const idx_t> elem,
-                     const std::vector<int>& local) {
-    FaceKey k;
-    for (std::size_t i = 0; i < local.size(); ++i) {
-      k.ids[i] = elem[static_cast<std::size_t>(local[i])];
-    }
-    std::sort(k.ids.begin(),
-              k.ids.begin() + static_cast<std::ptrdiff_t>(local.size()));
-    return k;
-  };
-
   // First pass: count occurrences of each face key, memoizing each
   // instance's table slot.
   std::size_t inst = 0;
   for (idx_t e = 0; e < mesh.num_elements(); ++e) {
     const auto elem = mesh.element(e);
     for (const auto& face : faces) {
-      const FaceKey key = face_key(elem, face);
+      const FaceKey key = make_key(elem, face);
       std::size_t slot = FaceKeyHash{}(key)&mask;
       while (ws.counts_[slot] != 0 && ws.keys_[slot] != key.ids) {
         slot = (slot + 1) & mask;

@@ -32,7 +32,7 @@ ParallelGroupError::ParallelGroupError(std::vector<Failure> failures)
 namespace detail {
 
 void raise_collected(
-    std::vector<std::pair<unsigned, std::exception_ptr>>&& errors) {
+    std::vector<std::pair<idx_t, std::exception_ptr>>&& errors) {
   if (errors.size() == 1) {
     std::rethrow_exception(errors.front().second);
   }
@@ -40,9 +40,9 @@ void raise_collected(
             [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<ParallelGroupError::Failure> failures;
   failures.reserve(errors.size());
-  for (auto& [chunk, err] : errors) {
+  for (auto& [index, err] : errors) {
     ParallelGroupError::Failure f;
-    f.index = static_cast<idx_t>(chunk);
+    f.index = index;
     try {
       std::rethrow_exception(err);
     } catch (const std::exception& e) {
@@ -98,7 +98,7 @@ SchedulerStats WorkerPool::stats() const {
   s.active_workers = active_count_;
   s.idle_workers = idle_count_;
   idx_t queued = 0;
-  for (const ArenaQueue* q : ring_) queued += to_idx(q->items.size());
+  for (const ArenaQueue* q : ring_) queued += to_idx(q->jobs.size());
   s.queued_items = queued;
   s.queued_gang_slots = to_idx(gang_slots_.size());
   s.registered_arenas = registered_;
@@ -118,33 +118,15 @@ void WorkerPool::unregister_arena(ArenaQueue* q) {
   wait_arena_idle(q);
   std::lock_guard<std::mutex> lock(mutex_);
   // wait_arena_idle left the queue empty, so it is already unlinked.
-  require(!q->linked && q->items.empty() && q->inflight == 0,
+  require(!q->linked && q->jobs.empty() && q->inflight == 0,
           "WorkerPool: arena still has work at unregister");
   --registered_;
-}
-
-void WorkerPool::enqueue_slots(ArenaQueue* q, const void* tag, idx_t count,
-                               const std::function<void()>& slot) {
-  if (count <= 0) return;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (idx_t i = 0; i < count; ++i) q->items.push_back(Item{tag, slot});
-    if (!q->linked) {
-      ring_.push_back(q);
-      q->linked = true;
-    }
-  }
-  if (count == 1) {
-    cv_work_.notify_one();
-  } else {
-    cv_work_.notify_all();
-  }
 }
 
 void WorkerPool::enqueue_job(ArenaQueue* q, std::function<void()> job) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    q->items.push_back(Item{nullptr, std::move(job)});
+    q->jobs.push_back(std::move(job));
     if (!q->linked) {
       ring_.push_back(q);
       q->linked = true;
@@ -153,37 +135,16 @@ void WorkerPool::enqueue_job(ArenaQueue* q, std::function<void()> job) {
   cv_work_.notify_one();
 }
 
-void WorkerPool::remove_stale(ArenaQueue* q, const void* tag) {
-  bool now_idle = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto& items = q->items;
-    items.erase(std::remove_if(items.begin(), items.end(),
-                               [tag](const Item& it) { return it.tag == tag; }),
-                items.end());
-    if (items.empty() && q->linked) {
-      const auto it = std::find(ring_.begin(), ring_.end(), q);
-      const std::size_t idx = static_cast<std::size_t>(it - ring_.begin());
-      ring_.erase(it);
-      if (idx < cursor_) --cursor_;
-      if (cursor_ >= ring_.size()) cursor_ = 0;
-      q->linked = false;
-    }
-    now_idle = items.empty() && q->inflight == 0;
-  }
-  if (now_idle) cv_done_.notify_all();
-}
-
 void WorkerPool::wait_arena_idle(ArenaQueue* q) {
   require(!in_worker(),
           "WorkerPool: cannot wait for an arena from inside a worker");
   std::unique_lock<std::mutex> lock(mutex_);
-  cv_done_.wait(lock, [&] { return q->items.empty() && q->inflight == 0; });
+  cv_done_.wait(lock, [&] { return q->jobs.empty() && q->inflight == 0; });
 }
 
 idx_t WorkerPool::queue_depth(ArenaQueue* q) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return to_idx(q->items.size());
+  return to_idx(q->jobs.size());
 }
 
 wgt_t WorkerPool::items_run(ArenaQueue* q) const {
@@ -191,18 +152,19 @@ wgt_t WorkerPool::items_run(ArenaQueue* q) const {
   return q->items_run;
 }
 
-bool WorkerPool::pop_next(ArenaQueue** q_out, Item* item_out) {
+bool WorkerPool::pop_next(ArenaQueue** q_out,
+                          std::function<void()>* job_out) {
   if (ring_.empty()) return false;
   if (cursor_ >= ring_.size()) cursor_ = 0;
   ArenaQueue* q = ring_[cursor_];
-  // Round robin: the queue at the cursor yields one item, then the cursor
+  // Round robin: the queue at the cursor yields one job, then the cursor
   // moves on. Ring membership is maintained as linked <=> has queued
-  // items, so the queue at the cursor always yields an item.
-  *item_out = std::move(q->items.front());
-  q->items.pop_front();
+  // jobs, so the queue at the cursor always yields a job.
+  *job_out = std::move(q->jobs.front());
+  q->jobs.pop_front();
   ++q->inflight;
   *q_out = q;
-  if (q->items.empty()) {
+  if (q->jobs.empty()) {
     ring_.erase(ring_.begin() + static_cast<std::ptrdiff_t>(cursor_));
     q->linked = false;
   } else {
@@ -217,7 +179,7 @@ void WorkerPool::worker_loop() {
   for (;;) {
     // Gang slots first, strictly: each queued slot was granted against an
     // idle worker, and a gang's participants may block on one another, so
-    // delaying a slot behind arena items could stall a whole gang.
+    // delaying a slot behind arena jobs could stall a whole gang.
     if (!gang_slots_.empty()) {
       GangSlot slot = std::move(gang_slots_.front());
       gang_slots_.pop_front();
@@ -234,21 +196,21 @@ void WorkerPool::worker_loop() {
       continue;
     }
     ArenaQueue* q = nullptr;
-    Item item;
-    if (pop_next(&q, &item)) {
+    std::function<void()> job;
+    if (pop_next(&q, &job)) {
       ++active_count_;
       lock.unlock();
       {
         detail::ScopedWorkerFlag flag;
-        item.run();
+        job();
       }
-      item.run = nullptr;  // release captures before reporting completion
+      job = nullptr;  // release captures before reporting completion
       lock.lock();
       --active_count_;
       ++items_executed_;
       ++q->items_run;
       --q->inflight;
-      if (q->items.empty() && q->inflight == 0) cv_done_.notify_all();
+      if (q->jobs.empty() && q->inflight == 0) cv_done_.notify_all();
       continue;
     }
     if (stop_) return;
@@ -303,7 +265,8 @@ void WorkerPool::run_gang_participant(GangState& gang, unsigned participant) {
     (*gang.fn)(static_cast<idx_t>(participant), gang.width);
   } catch (...) {
     std::lock_guard<std::mutex> lock(gang.m);
-    gang.errors.emplace_back(participant, std::current_exception());
+    gang.errors.emplace_back(static_cast<idx_t>(participant),
+                             std::current_exception());
   }
   if (participant != 0) {
     std::lock_guard<std::mutex> lock(gang.m);

@@ -1,20 +1,20 @@
 // Process-wide worker pool with round-robin scheduling over arena queues.
 //
-// The multi-tenant refactor splits the old single-owner ThreadPool into two
-// pieces: this WorkerPool — the process's threads plus a round-robin
-// scheduler over per-arena run queues — and TaskArena (task_arena.hpp), the
-// per-session handle work is submitted through. One pool serves every
-// session; the scheduler decides whose queued item the next free worker
-// takes, so a session fanning out a million-element dispatch cannot starve
-// a hundred small sessions: each arena with queued items is served one
-// item per turn, round after round.
+// The pool is the process's threads plus a scheduler; it has two clients.
+// TaskArena (task_arena.hpp) is a job queue registered with the pool, and
+// ThreadPool (thread_pool.hpp) runs fork-join dispatches and gangs on it.
+// One pool serves every session; the scheduler decides whose queued job
+// the next free worker takes, so a session with a deep backlog cannot
+// starve a hundred small sessions: each arena with queued jobs is served
+// one job per turn, round after round.
 //
 // Two kinds of work reach the workers:
-//   * arena items — participant slots of fork-join dispatches and queued
-//     session jobs. Items never block on other items, so any number can be
-//     queued regardless of pool size (the claiming caller always makes
-//     progress by itself; see task_arena.cpp).
-//   * gang slots — participants of a gang dispatch (TaskArena::run_gang),
+//   * arena jobs — queued session steps and the helper jobs of fork-join
+//     dispatches (ThreadPool owns an arena for the latter). Jobs never
+//     block on other jobs, so any number can be queued regardless of pool
+//     size (a dispatch's caller claims chunks itself and always makes
+//     progress; see thread_pool.cpp).
+//   * gang slots — participants of a gang dispatch (ThreadPool::run_gang),
 //     whose bodies MAY block on each other (the async executor's futex
 //     handshakes). Gangs are granted only currently-idle workers and take
 //     strict priority, so every granted participant is backed by a live
@@ -61,15 +61,16 @@ class ParallelGroupError : public std::runtime_error {
 
 namespace detail {
 
-/// Turns a collected (chunk, exception) list into the dispatch's outcome:
+/// Turns a collected (index, exception) list into the dispatch's outcome:
 /// the single original exception rethrown unchanged, or one aggregated
-/// ParallelGroupError sorted by chunk index. The list must be non-empty.
+/// ParallelGroupError sorted by index (chunk, gang participant or rank).
+/// The list must be non-empty.
 [[noreturn]] void raise_collected(
-    std::vector<std::pair<unsigned, std::exception_ptr>>&& errors);
+    std::vector<std::pair<idx_t, std::exception_ptr>>&& errors);
 
 /// RAII: marks the current thread as executing parallel work for the
 /// duration (WorkerPool::in_worker() returns true), restoring the previous
-/// state on destruction. Workers set it around every item; dispatch callers
+/// state on destruction. Workers set it around every job; dispatch callers
 /// set it while claiming chunks of their own dispatch, so nested dispatches
 /// from chunk bodies run inline wherever the chunk happens to execute.
 class ScopedWorkerFlag {
@@ -91,16 +92,17 @@ class ScopedWorkerFlag {
 /// worker — is visible next to the transport health.
 struct SchedulerStats {
   idx_t total_workers = 0;
-  idx_t active_workers = 0;     // executing an item or gang slot right now
+  idx_t active_workers = 0;     // executing a job or gang slot right now
   idx_t idle_workers = 0;       // parked, waiting for work
-  idx_t queued_items = 0;       // arena items waiting across all queues
+  idx_t queued_items = 0;       // arena jobs waiting across all queues
   idx_t queued_gang_slots = 0;  // granted gang participants not yet running
   idx_t registered_arenas = 0;
-  wgt_t items_executed = 0;      // lifetime arena items run by pool workers
+  wgt_t items_executed = 0;      // lifetime arena jobs run by pool workers
   wgt_t gang_slots_executed = 0; // lifetime gang participants run by workers
 };
 
 class TaskArena;
+class ThreadPool;
 
 class WorkerPool {
  public:
@@ -130,25 +132,18 @@ class WorkerPool {
 
  private:
   friend class TaskArena;
-
-  /// One queued unit of arena work. `tag` identifies the dispatch that
-  /// enqueued a participant slot, so a finished dispatch can sweep its
-  /// stale slots out of the queue; plain jobs use tag == nullptr.
-  struct Item {
-    const void* tag = nullptr;
-    std::function<void()> run;
-  };
+  friend class ThreadPool;
 
   /// Scheduler-side state of one registered arena. Owned by the TaskArena
   /// (via unique_ptr); every field is guarded by the pool mutex.
   struct ArenaQueue {
-    std::deque<Item> items;
-    bool linked = false; // member of ring_ (has queued items)
-    idx_t inflight = 0;  // popped items still executing
-    wgt_t items_run = 0; // lifetime items executed from this queue
+    std::deque<std::function<void()>> jobs;
+    bool linked = false; // member of ring_ (has queued jobs)
+    idx_t inflight = 0;  // popped jobs still executing
+    wgt_t items_run = 0; // lifetime jobs executed from this queue
   };
 
-  /// Shared state of one gang dispatch (see TaskArena::run_gang). The
+  /// Shared state of one gang dispatch (see ThreadPool::run_gang). The
   /// caller is participant 0; granted slots 1..width-1 are queued for
   /// idle workers. remaining counts unfinished *helper* participants.
   struct GangState {
@@ -157,7 +152,7 @@ class WorkerPool {
     std::mutex m;
     std::condition_variable cv;
     unsigned remaining = 0;
-    std::vector<std::pair<unsigned, std::exception_ptr>> errors;  // under m
+    std::vector<std::pair<idx_t, std::exception_ptr>> errors;  // under m
   };
 
   struct GangSlot {
@@ -170,31 +165,23 @@ class WorkerPool {
   /// it from the scheduler. The queue's storage stays with the arena.
   void unregister_arena(ArenaQueue* q);
 
-  /// Appends `count` copies of `make()`'s item to the arena's queue under
-  /// one lock and wakes workers. Used for dispatch participant slots.
-  void enqueue_slots(ArenaQueue* q, const void* tag, idx_t count,
-                     const std::function<void()>& slot);
   void enqueue_job(ArenaQueue* q, std::function<void()> job);
-  /// Removes the not-yet-popped items of dispatch `tag` (a finished
-  /// dispatch's stale participant slots claim nothing and would only
-  /// pollute queue-depth accounting and drain()).
-  void remove_stale(ArenaQueue* q, const void* tag);
-  /// Blocks until the arena's queue is empty and no popped item is still
+  /// Blocks until the arena's queue is empty and no popped job is still
   /// executing. Must not be called from a worker.
   void wait_arena_idle(ArenaQueue* q);
   idx_t queue_depth(ArenaQueue* q) const;
   wgt_t items_run(ArenaQueue* q) const;
 
   /// Gang dispatch mechanics (width decision + slot grant + caller
-  /// participation); the arena-facing contract is TaskArena::run_gang.
+  /// participation); the caller-facing contract is ThreadPool::run_gang.
   unsigned run_gang(unsigned want,
                     const std::function<void(idx_t, unsigned)>& fn);
 
   static void run_gang_participant(GangState& gang, unsigned participant);
 
-  /// Round-robin pick across the ring of arenas with queued items. Returns
+  /// Round-robin pick across the ring of arenas with queued jobs. Returns
   /// false when every queue is empty. Caller holds mutex_.
-  bool pop_next(ArenaQueue** q_out, Item* item_out);
+  bool pop_next(ArenaQueue** q_out, std::function<void()>* job_out);
 
   void worker_loop();
 
@@ -202,7 +189,7 @@ class WorkerPool {
   mutable std::mutex mutex_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;  // an arena queue went idle
-  std::vector<ArenaQueue*> ring_;  // arenas with queued items
+  std::vector<ArenaQueue*> ring_;  // arenas with queued jobs
   std::size_t cursor_ = 0;         // round-robin position in ring_
   std::deque<GangSlot> gang_slots_;
   idx_t idle_count_ = 0;

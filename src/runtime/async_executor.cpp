@@ -32,33 +32,6 @@ unsigned rank_dispatch_workers(const ThreadPool& pool, idx_t k) {
       std::min<idx_t>(static_cast<idx_t>(pool.width()), k));
 }
 
-/// Mirrors ThreadPool's dispatch outcome for per-rank failures: one failing
-/// rank rethrows its original exception, several aggregate into a
-/// ParallelGroupError keyed by rank id.
-[[noreturn]] void raise_rank_errors(
-    std::vector<std::pair<idx_t, std::exception_ptr>>&& errors) {
-  if (errors.size() == 1) {
-    std::rethrow_exception(errors.front().second);
-  }
-  std::sort(errors.begin(), errors.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<ParallelGroupError::Failure> failures;
-  failures.reserve(errors.size());
-  for (auto& [rank, err] : errors) {
-    ParallelGroupError::Failure f;
-    f.index = rank;
-    try {
-      std::rethrow_exception(err);
-    } catch (const std::exception& e) {
-      f.message = e.what();
-    } catch (...) {
-      f.message = "unknown exception";
-    }
-    failures.push_back(std::move(f));
-  }
-  throw ParallelGroupError(std::move(failures));
-}
-
 TransportError exhausted_error(std::uint64_t superstep, idx_t attempts,
                                idx_t corrupt_cells) {
   std::ostringstream os;
@@ -535,7 +508,9 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
     std::sort(dead.begin(), dead.end());
     throw RankDeathError(std::move(dead));
   }
-  if (!errors.empty()) raise_rank_errors(std::move(errors));
+  // As for a dispatch: one failing rank rethrows its own exception, several
+  // aggregate into a ParallelGroupError keyed by rank id.
+  if (!errors.empty()) detail::raise_collected(std::move(errors));
 }
 
 }  // namespace cpart

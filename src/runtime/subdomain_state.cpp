@@ -61,7 +61,6 @@ void SubdomainState::begin_step() {
   owned_records.clear();
   local_records.clear();
   events.clear();
-  search_out.clear();
   query_parts.clear();
   pending_labels.clear();
   moved_nodes_out = 0;

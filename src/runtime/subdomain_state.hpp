@@ -76,7 +76,6 @@ struct SubdomainState {
   std::vector<FaceRecord> local_records;   // owned + received, ascending key
   std::optional<SubdomainDescriptors> descriptors;
   std::vector<ContactEvent> events;
-  std::vector<ContactEvent> search_out;    // scratch for the search call
   std::vector<idx_t> query_parts;
   SubsetSearchScratch search_scratch;
   /// Label updates received this step, applied at the migration commit.

@@ -154,7 +154,7 @@ void SessionManager::pump(const std::shared_ptr<Session>& s) {
     }
     s->job_active = more;
   }
-  // Requeue as a fresh arena item (instead of looping here) so the
+  // Requeue as a fresh arena job (instead of looping here) so the
   // round-robin scheduler re-decides between every step — this is the
   // fairness mechanism, not an optimization.
   if (more) {
@@ -268,13 +268,6 @@ const SessionContext& SessionManager::context(const std::string& name) const {
 DistributedSim* SessionManager::sim(const std::string& name) {
   auto s = find(name);
   return s->state == SessionState::kResident ? s->dist.get() : nullptr;
-}
-
-ArenaStats SessionManager::arena_stats(const std::string& name) const {
-  auto s = find(name);
-  require(s->arena != nullptr,
-          "SessionManager::arena_stats: session " + name + " has no arena");
-  return s->arena->stats();
 }
 
 idx_t SessionManager::resident_sessions() const {

@@ -10,7 +10,7 @@
 //
 // Execution model: step() queues work on the session's arena and returns;
 // pool workers execute the steps. Each session runs one step per queued
-// arena item and requeues itself for the next, so the pool's round-robin
+// arena job and requeues itself for the next, so the pool's round-robin
 // scheduler re-decides between every step — a session with a thousand
 // queued steps cannot monopolize the service, and a large
 // session's long step occupies exactly one worker (its inner dispatches
@@ -100,7 +100,7 @@ class SessionManager {
   bool create(const SessionConfig& config);
 
   /// Queues `count` simulation steps. Snapshot indices continue from the
-  /// session's cursor; steps execute on pool workers, one arena item per
+  /// session's cursor; steps execute on pool workers, one arena job per
   /// step. Resident sessions only.
   void step(const std::string& name, idx_t count = 1);
 
@@ -133,8 +133,6 @@ class SessionManager {
   /// The resident sim (nullptr while pending/suspended) — for oracle
   /// comparisons by tests and benches.
   DistributedSim* sim(const std::string& name);
-
-  ArenaStats arena_stats(const std::string& name) const;
 
   idx_t resident_sessions() const;
   idx_t pending_sessions() const;

@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -270,6 +271,87 @@ TEST(ThreadPool, NonStdExceptionAggregatesAsUnknown) {
   }
 }
 
+TEST(ThreadPool, DispatchCompletesWhileArenaJobsHoldEveryWorker) {
+  // Every worker is parked in an arena job, so no helper job of the
+  // dispatches below runs before they return: each caller claims all of
+  // its own chunks. On release the workers run those helpers after their
+  // dispatches returned; they claim nothing, and the pool still drains and
+  // shuts down.
+  ThreadPool pool(2);
+  TaskArena arena(pool.workers());
+  std::mutex m;
+  std::condition_variable cv;
+  unsigned parked = 0;
+  bool go = false;
+  for (unsigned w = 0; w < pool.num_threads(); ++w) {
+    arena.submit([&] {
+      std::unique_lock<std::mutex> lock(m);
+      ++parked;
+      cv.notify_all();
+      cv.wait(lock, [&] { return go; });
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(m);
+    cv.wait(lock, [&] { return parked == pool.num_threads(); });
+  }
+
+  const idx_t n = 100000;
+  EXPECT_EQ(pool.parallel_reduce<wgt_t>(n, 0, [](idx_t i) { return wgt_t{i}; }),
+            wgt_t{n} * (n - 1) / 2);
+  std::vector<wgt_t> ones(static_cast<std::size_t>(n), 1);
+  EXPECT_EQ(pool.parallel_exclusive_scan(std::span<wgt_t>(ones)), wgt_t{n});
+  EXPECT_EQ(ones.back(), wgt_t{n - 1});
+  try {
+    pool.parallel_tasks(4, [](idx_t i) {
+      if (i % 2 == 1) throw InputError("rank " + std::to_string(i));
+    });
+    FAIL() << "expected ParallelGroupError";
+  } catch (const ParallelGroupError& e) {
+    ASSERT_EQ(e.failures().size(), 2u);
+    EXPECT_EQ(e.failures()[0].index, 1);
+    EXPECT_EQ(e.failures()[0].message, "rank 1");
+    EXPECT_EQ(e.failures()[1].index, 3);
+    EXPECT_EQ(e.failures()[1].message, "rank 3");
+  }
+
+  {
+    std::lock_guard<std::mutex> lock(m);
+    go = true;
+  }
+  cv.notify_all();
+  arena.drain();
+  EXPECT_EQ(arena.stats().queue_depth, 0);
+  EXPECT_EQ(arena.stats().jobs_failed, 0);
+}
+
+TEST(ThreadPool, InWorkerIsSetOnlyInsideThreadedDispatches) {
+  ThreadPool pool(4);
+  ASSERT_FALSE(ThreadPool::in_worker());
+  // Small and single-task dispatches run inline on the caller, which is
+  // not inside parallel work.
+  std::atomic<int> flagged{0};
+  pool.parallel_tasks(1, [&](idx_t) {
+    if (ThreadPool::in_worker()) flagged.fetch_add(1);
+  });
+  pool.parallel_for(100, [&](idx_t) {
+    if (ThreadPool::in_worker()) flagged.fetch_add(1);
+  });
+  EXPECT_EQ(flagged.load(), 0);
+  if (pool.width() > 1) {
+    // Threaded dispatches set it in every chunk, the caller's included.
+    std::atomic<int> unflagged{0};
+    pool.parallel_tasks(4, [&](idx_t) {
+      if (!ThreadPool::in_worker()) unflagged.fetch_add(1);
+    });
+    pool.parallel_for(100000, [&](idx_t) {
+      if (!ThreadPool::in_worker()) unflagged.fetch_add(1);
+    });
+    EXPECT_EQ(unflagged.load(), 0);
+  }
+  EXPECT_FALSE(ThreadPool::in_worker());
+}
+
 TEST(TaskArena, SubmitAndDrainRunsEveryJob) {
   ThreadPool pool(3);
   TaskArena arena(pool.workers());
@@ -374,7 +456,7 @@ TEST(SchedulerStats, CountsWorkAndArenas) {
   ThreadPool pool(3);
   const SchedulerStats before = pool.workers().stats();
   EXPECT_EQ(before.total_workers, 3);
-  EXPECT_EQ(before.registered_arenas, 1);  // the facade's default arena
+  EXPECT_EQ(before.registered_arenas, 1);  // the pool's helper arena
   {
     TaskArena arena(pool.workers());
     EXPECT_EQ(pool.workers().stats().registered_arenas, 2);
