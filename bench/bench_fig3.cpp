@@ -19,7 +19,7 @@ namespace {
 /// coloured by body.
 void render_cross_section(const ImpactSim& sim, idx_t step,
                           const std::string& path) {
-  const Mesh mesh = sim.snapshot_mesh(step);
+  const Mesh mesh = sim.snapshot(step).mesh;
   // Snapshot element index -> initial element body: remove_elements keeps
   // order, so recompute the kept-element mapping from the erosion rule by
   // matching counts. Simpler and robust: use the first node's body.

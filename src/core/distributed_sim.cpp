@@ -16,33 +16,6 @@ namespace cpart {
 
 namespace {
 
-/// Scans the live boundary faces of element `e` at nose height `nose` and
-/// calls fn(lf, ids, nf) for every face that passes the contact-zone
-/// designation. This is THE kept-face predicate of the distributed step —
-/// both flavors call it per element, so erosion, boundary, centroid, and
-/// zone arithmetic are identical by construction (the centroid follows
-/// ImpactSim::snapshot exactly: sum in face-node order, then (1/n) *).
-template <typename Fn>
-void scan_element_faces(const ImpactSim& sim, const MeshTopology& topo,
-                        idx_t e, real_t nose, std::span<const Vec3> positions,
-                        Fn&& fn) {
-  if (sim.element_eroded(e, nose)) return;
-  const int fpe = topo.faces_per_element();
-  std::array<idx_t, 4> ids;
-  for (int lf = 0; lf < fpe; ++lf) {
-    const idx_t nb = topo.face_neighbor(e, lf);
-    if (nb != kInvalidIndex && !sim.element_eroded(nb, nose)) continue;
-    const int nf = topo.face_nodes(e, lf, ids);
-    Vec3 c{};
-    for (int i = 0; i < nf; ++i) {
-      c = c + positions[static_cast<std::size_t>(ids[i])];
-    }
-    c = (1.0 / static_cast<real_t>(nf)) * c;
-    if (!sim.face_in_contact_zone(ids[0], c)) continue;
-    fn(lf, ids, nf);
-  }
-}
-
 FaceRecord record_from_msg(const FaceShipMsg& m) {
   FaceRecord rec;
   rec.key = m.face;
@@ -181,7 +154,6 @@ DistributedSim::DistributedSim(const ImpactSim& sim,
     : sim_(&sim),
       config_(config),
       partitioner_(repartitioner_config(config)),
-      topo_(sim.initial_mesh()),
       exchange_(config.decomposition.k),
       async_(config.decomposition.k) {
   config_.search.validate("DistributedSim");
@@ -199,7 +171,7 @@ DistributedSim::DistributedSim(const ImpactSim& sim,
                                 config_.decomposition);
   states_.resize(static_cast<std::size_t>(k()));
   for (idx_t r = 0; r < k(); ++r) {
-    states_[static_cast<std::size_t>(r)].init(topo_, r,
+    states_[static_cast<std::size_t>(r)].init(topology(), r,
                                               partitioner.node_partition(),
                                               k());
   }
@@ -430,7 +402,7 @@ DistributedStepReport DistributedSim::run_step_reference(idx_t s) {
 void DistributedSim::run_step_spmd(idx_t s, bool migrate,
                                    DistributedStepReport& report) {
   const idx_t np = k();
-  const idx_t nn = topo_.num_nodes();
+  const idx_t nn = topology().num_nodes();
   const real_t nose = sim_->nose_z(s);
   report.step = s;
   report.migrated = migrate;
@@ -471,8 +443,8 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
       st.positions[static_cast<std::size_t>(m.node)] = m.position;
     }
     for (idx_t e : st.tracked_elements) {
-      scan_element_faces(
-          *sim_, topo_, e, nose, st.positions,
+      sim_->for_each_contact_face(
+          e, nose, st.positions,
           [&](int lf, const std::array<idx_t, 4>& ids, int nf) {
             for (int i = 0; i < nf; ++i) {
               const auto v = static_cast<std::size_t>(ids[i]);
@@ -485,7 +457,7 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
                 {ids.data(), static_cast<std::size_t>(nf)}, st.node_owner);
             if (home != r) return;
             FaceRecord rec;
-            rec.key = topo_.face_key(e, lf);
+            rec.key = topology().face_key(e, lf);
             rec.num_nodes = nf;
             for (int i = 0; i < nf; ++i) {
               rec.nodes[i] = ids[i];
@@ -581,7 +553,7 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
     Timer timer;
     SubdomainState& st = states_[0];
     DescriptorOptions options = config_.decomposition.descriptor;
-    options.dim = topo_.mesh().dim();
+    options.dim = topology().mesh().dim();
     induce_and_broadcast_descriptors(points, labels, np, options, induce_ws_,
                                      st.descriptors, exchange_);
     if (migrate) {
@@ -607,7 +579,7 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
   // migration steps F consumes the migration channels (delivery #5) and
   // commits the handover. ---------------------------------------------------
   const LocalSearchOptions local = config_.search.local_options(body_of_node_);
-  const int dim = topo_.mesh().dim();
+  const int dim = topology().mesh().dim();
   const auto phase_d = [&](idx_t r) {
     SubdomainState& st = states_[static_cast<std::size_t>(r)];
     receive_descriptors(exchange_, r, np, st.descriptors);
@@ -628,7 +600,8 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
         if (q == r) continue;
         FaceShipMsg m;
         m.face = rec.key;
-        m.element = rec.key / static_cast<idx_t>(topo_.faces_per_element());
+        m.element =
+            rec.key / static_cast<idx_t>(topology().faces_per_element());
         m.num_nodes = rec.num_nodes;
         m.nodes = rec.nodes;
         m.coords = rec.coords;
@@ -673,7 +646,7 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
       st.owner_scratch[static_cast<std::size_t>(v)] = o;
     }
     for (idx_t e : st.owned_elements) {
-      const auto elem = topo_.mesh().element(e);
+      const auto elem = topology().mesh().element(e);
       const idx_t new_home = majority_owner(elem, st.owner_scratch);
       if (new_home == r) continue;
       ElementMigrateMsg m;
@@ -706,9 +679,9 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
       st.contact_hits[sv] = m.contact_hits;
     }
     for (const ElementMigrateMsg& m : exchange_.migrate_elements().inbox(r)) {
-      require(m.element >= 0 && m.element < topo_.num_elements(),
+      require(m.element >= 0 && m.element < topology().num_elements(),
               "DistributedSim: migrated element id out of range");
-      const auto elem = topo_.mesh().element(m.element);
+      const auto elem = topology().mesh().element(m.element);
       require(static_cast<std::size_t>(m.num_nodes) == elem.size(),
               "DistributedSim: migrated element arity mismatch");
       for (std::size_t i = 0; i < elem.size(); ++i) {
@@ -718,7 +691,7 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
       require(majority_owner(elem, st.node_owner) == r,
               "DistributedSim: element re-homed to the wrong rank");
     }
-    st.rebuild_views(topo_, np);
+    st.rebuild_views(topology(), np);
   };
 
   const ChannelMask broadcast_mask = channel_bit(ChannelId::kDescriptors) |
@@ -776,8 +749,8 @@ void DistributedSim::run_reference_body(idx_t s, bool migrate,
                                         std::vector<wgt_t>& hits,
                                         DistributedStepReport& report) {
   const idx_t np = k();
-  const idx_t nn = topo_.num_nodes();
-  const idx_t ne = topo_.num_elements();
+  const idx_t nn = topology().num_nodes();
+  const idx_t ne = topology().num_elements();
   const real_t nose = sim_->nose_z(s);
   report.step = s;
   report.migrated = migrate;
@@ -796,7 +769,7 @@ void DistributedSim::run_reference_body(idx_t s, bool migrate,
     std::vector<idx_t> trackers;
     const wgt_t msg_bytes = wire_bytes(HaloNodeMsg{});
     for (idx_t v = 0; v < nn; ++v) {
-      collect_tracker_ranks(topo_, owner, v, seen, trackers);
+      collect_tracker_ranks(topology(), owner, v, seen, trackers);
       for (idx_t q : trackers) {
         fe.send(owner[static_cast<std::size_t>(v)], q, 1);
         report.halo_payload_bytes += msg_bytes;
@@ -814,8 +787,8 @@ void DistributedSim::run_reference_body(idx_t s, bool migrate,
   std::vector<HomedRecord> records;
   std::vector<char> is_contact(static_cast<std::size_t>(nn), 0);
   for (idx_t e = 0; e < ne; ++e) {
-    scan_element_faces(
-        *sim_, topo_, e, nose, positions,
+    sim_->for_each_contact_face(
+        e, nose, positions,
         [&](int lf, const std::array<idx_t, 4>& ids, int nf) {
           for (int i = 0; i < nf; ++i) {
             is_contact[static_cast<std::size_t>(ids[i])] = 1;
@@ -823,7 +796,7 @@ void DistributedSim::run_reference_body(idx_t s, bool migrate,
           HomedRecord hr;
           hr.home = majority_owner(
               {ids.data(), static_cast<std::size_t>(nf)}, owner);
-          hr.rec.key = topo_.face_key(e, lf);
+          hr.rec.key = topology().face_key(e, lf);
           hr.rec.num_nodes = nf;
           for (int i = 0; i < nf; ++i) {
             hr.rec.nodes[i] = ids[i];
@@ -860,7 +833,7 @@ void DistributedSim::run_reference_body(idx_t s, bool migrate,
     labels.push_back(owner[static_cast<std::size_t>(v)]);
   }
   DescriptorOptions options = config_.decomposition.descriptor;
-  options.dim = topo_.mesh().dim();
+  options.dim = topology().mesh().dim();
   const SubdomainDescriptors descriptors(points, labels, np, options);
   report.descriptor_tree_nodes = descriptors.num_tree_nodes();
   report.descriptor_broadcast_bytes =
@@ -923,7 +896,7 @@ void DistributedSim::run_reference_body(idx_t s, bool migrate,
         .push_back(v);
   }
   const LocalSearchOptions local = config_.search.local_options(body_of_node_);
-  const int dim = topo_.mesh().dim();
+  const int dim = topology().mesh().dim();
   report.events_per_processor.assign(static_cast<std::size_t>(np), 0);
   SubsetSearchScratch scratch;
   std::vector<ContactEvent> rank_events;
@@ -956,7 +929,7 @@ void DistributedSim::run_reference_body(idx_t s, bool migrate,
     }
     report.repart_moved_nodes = to_idx(changed.size());
     for (idx_t e = 0; e < ne; ++e) {
-      const auto elem = topo_.mesh().element(e);
+      const auto elem = topology().mesh().element(e);
       const idx_t old_home = majority_owner(elem, owner);
       const idx_t new_home = majority_owner(elem, new_part);
       if (old_home == new_home) continue;
@@ -984,7 +957,7 @@ void DistributedSim::scatter_global_state(std::span<const idx_t> owner,
     SubdomainState& st = states_[static_cast<std::size_t>(r)];
     st.node_owner.assign(owner.begin(), owner.end());
     st.contact_hits.assign(hits.begin(), hits.end());
-    st.rebuild_views(topo_, k());
+    st.rebuild_views(topology(), k());
   }};
   async_.run({&scatter, 1}, exchange_);
 }
@@ -994,19 +967,19 @@ std::uint64_t DistributedSim::config_hash() const {
   h = fnv1a_value(h, k());
   h = fnv1a_value(h, config_.repartition_period);
   h = fnv1a_value(h, config_.repartition.seed);
-  h = fnv1a_value(h, topo_.num_nodes());
-  h = fnv1a_value(h, topo_.num_elements());
+  h = fnv1a_value(h, topology().num_nodes());
+  h = fnv1a_value(h, topology().num_elements());
   return h;
 }
 
 bool DistributedSim::checkpoint_usable(
     const std::optional<CheckpointData>& ck) const {
   return ck.has_value() && ck->config_hash == config_hash() && ck->k == k() &&
-         to_idx(ck->node_owner.size()) == topo_.num_nodes();
+         to_idx(ck->node_owner.size()) == topology().num_nodes();
 }
 
 CheckpointData DistributedSim::make_checkpoint_data() const {
-  const idx_t nn = topo_.num_nodes();
+  const idx_t nn = topology().num_nodes();
   CheckpointData ck;
   ck.config_hash = config_hash();
   ck.step = steps_run_;
@@ -1035,7 +1008,7 @@ bool DistributedSim::restore_from_checkpoint() {
   states_.resize(static_cast<std::size_t>(k()));
   const AsyncPhase restore{.body = [&](idx_t r) {
     SubdomainState& st = states_[static_cast<std::size_t>(r)];
-    st.init(topo_, r, ck->node_owner, k());
+    st.init(topology(), r, ck->node_owner, k());
     st.positions = ck->positions;
     st.contact_hits = ck->contact_hits;
   }};

@@ -7,15 +7,15 @@
 // SubdomainState — the authoritative positions and contact-hit accumulators
 // of exactly the nodes it owns, plus a ghost layer (the element closure of
 // its owned nodes) refreshed by halo exchange — and derives everything else
-// locally against the immutable MeshTopology:
+// locally against the sim's immutable MeshTopology:
 //   A. kinematics + halo — each rank advances its owned nodes with the
 //      closed-form ImpactSim kinematics and posts boundary positions to the
 //      ranks tracking them (the halo carries the *authoritative* values;
 //      receivers never recompute ghosts);
-//   B. local surface extraction — each rank scans its tracked elements,
-//      keeps live boundary faces in the contact zone, marks its owned
-//      contact nodes, and emits a FaceRecord for every face it is the
-//      majority owner of; owned contact points stream to rank 0;
+//   B. local surface extraction — each rank scans its tracked elements
+//      with ImpactSim::for_each_contact_face (the rule snapshots use too),
+//      marks its owned contact nodes, and emits a FaceRecord for every face
+//      it is the majority owner of; owned contact points stream to rank 0;
 //   C. descriptor induction — the driver (on behalf of rank 0) induces this
 //      step's subdomain descriptors from the gathered contact points —
 //      parallel subtree induction on the whole pool, warm-started from last
@@ -213,7 +213,8 @@ class DistributedSim {
 
   idx_t k() const { return config_.decomposition.k; }
   const DistributedSimConfig& config() const { return config_; }
-  const MeshTopology& topology() const { return topo_; }
+  /// The sim's topology: the immutable substrate the rank states index.
+  const MeshTopology& topology() const { return sim_->topology(); }
   const std::vector<SubdomainState>& states() const { return states_; }
 
   /// Number of rank groups (1 when the hierarchy is disabled). Rank r is a
@@ -369,7 +370,6 @@ class DistributedSim {
   const ImpactSim* sim_;
   DistributedSimConfig config_;
   Partitioner partitioner_;  // the unified repartition entry (owns hierarchy)
-  MeshTopology topo_;
   std::vector<int> body_of_node_;  // same-body search exclusion
   std::vector<SubdomainState> states_;
   Exchange exchange_;

@@ -1,17 +1,18 @@
-// Immutable topology index of a mesh — the fixed substrate of the
-// rank-owned distributed state.
+// Immutable topology index of a mesh — the fixed substrate of every
+// contact-surface derivation and of the rank-owned distributed state.
 //
-// The centralized pipelines re-derive the boundary surface from a fresh,
-// element-compacted snapshot mesh every step. The distributed path cannot:
-// rank-local surface extraction needs adjacency that is stable across
-// erosion and ownership migration. MeshTopology indexes the *initial* mesh
-// once — face-to-face neighbors (an interior face knows the element on its
-// other side) and node-to-element incidence — and never changes afterwards;
+// Surface extraction needs adjacency that is stable across erosion and
+// ownership migration. MeshTopology indexes the *initial* mesh once —
+// face-to-face neighbors (an interior face knows the element on its other
+// side) and node-to-element incidence — and never changes afterwards;
 // erosion is a per-step predicate over elements, ownership a label array
-// over nodes. Face identity is the stable key
-// element * faces_per_element + local_face, identical on every rank that
-// derives the face, which is what lets shipped face records match up
-// without a central face numbering.
+// over nodes. A face of a live element is on the boundary when its neighbor
+// is missing or eroded, so ImpactSim (which owns the topology of its
+// initial mesh) derives each snapshot's surface, and each rank its local
+// share, by scanning face_neighbor instead of hashing faces again. Face
+// identity is the stable key element * faces_per_element + local_face,
+// identical on every rank that derives the face, which is what lets shipped
+// face records match up without a central face numbering.
 #pragma once
 
 #include <array>

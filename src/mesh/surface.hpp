@@ -5,10 +5,14 @@
 // searched for contact, and the nodes they touch are the *contact nodes*
 // (paper Section 2 terminology). Erosion exposes interior faces, so the
 // surface must be re-extracted per snapshot.
+//
+// extract_surface works on any mesh by counting face occurrences. The
+// impact scenes do not call it per snapshot: ImpactSim scans the face
+// neighbours of its MeshTopology instead (see sim/impact_sim.hpp), and
+// extract_surface is the independent reference the tests compare that scan
+// against.
 #pragma once
 
-#include <array>
-#include <cstdint>
 #include <vector>
 
 #include "mesh/mesh.hpp"
@@ -35,42 +39,6 @@ struct Surface {
 /// Extracts all boundary faces of the mesh (faces referenced by exactly one
 /// element).
 Surface extract_surface(const Mesh& mesh);
-
-/// Reusable scratch for extract_surface_into: a flat open-addressing
-/// face-occurrence table (power-of-two capacity, linear probing) plus a
-/// per-face-instance slot memo so the second pass is an array scan instead
-/// of a re-hash. Buffers grow to the largest mesh seen and never shrink, so
-/// steady-state re-extraction allocates nothing.
-class SurfaceWorkspace {
- public:
-  SurfaceWorkspace() = default;
-
- private:
-  friend void extract_surface_into(const Mesh& mesh, SurfaceWorkspace& ws,
-                                   Surface& out);
-  std::vector<std::array<idx_t, 4>> keys_;
-  std::vector<std::int32_t> counts_;
-  std::vector<std::uint32_t> slots_;  // face instance → table slot
-};
-
-/// extract_surface() writing into `out` (whose storage is reused) with all
-/// scratch drawn from `ws`. The result — face order, node order, contact
-/// arrays — is identical to extract_surface(mesh).
-void extract_surface_into(const Mesh& mesh, SurfaceWorkspace& ws,
-                          Surface& out);
-
-/// Restricts a surface to the faces with keep[f] != 0, rebuilding the
-/// contact-node arrays. Models the application designating which boundary
-/// faces are contact surfaces (paper Section 2: "we assume that these
-/// elements have been identified as such by the application").
-Surface filter_surface(const Surface& surface, std::span<const char> keep,
-                       idx_t num_nodes);
-
-/// filter_surface() writing into `out`, whose storage (including per-face
-/// node vectors) is reused. `out` must not alias `surface`. The result is
-/// identical to filter_surface(surface, keep, num_nodes).
-void filter_surface_into(const Surface& surface, std::span<const char> keep,
-                         idx_t num_nodes, Surface& out);
 
 /// Bounding box of one surface face, inflated by `margin` (contact
 /// tolerance).

@@ -8,7 +8,7 @@
 // surface allocation, and per-query scratch churn. StepPipeline owns the
 // cross-snapshot state that makes the steady state cheap:
 //   * snapshots are generated into a persistent Mesh/Surface workspace with
-//     the displacement/erosion/contact-zone loops parallelized
+//     the displacement and erosion loops parallelized
 //     (ImpactSim::snapshot_into);
 //   * descriptor induction is warm-started from the previous snapshot's
 //     per-axis sorted orders (TreeInduceWorkspace) — after coherent motion

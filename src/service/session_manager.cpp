@@ -51,23 +51,22 @@ bool SessionManager::admission_fits(std::size_t estimate) const {
 }
 
 void SessionManager::make_resident(Session& s) {
-  if (!s.sim) s.sim = std::make_unique<ImpactSim>(s.config.sim);
-  if (!s.arena) s.arena = std::make_unique<TaskArena>(pool_);
-  if (!s.dist) {
-    DistributedSimConfig dc = s.config.dist;
-    if (!s.context.checkpoint_dir().empty())
-      dc.checkpoint_dir = s.context.checkpoint_dir();
-    s.dist = std::make_unique<DistributedSim>(*s.sim, dc);
-    if (s.config.inject_faults) {
-      // Re-arming is idempotent: the schedule is a pure function of the
-      // session's fault seed, so a resume rebuilds the identical injector.
-      s.dist->exchange().set_fault_injector(
-          &s.context.arm_faults(s.config.faults));
-    }
-  } else if (s.dist->suspended()) {
-    require(s.dist->resume(), "SessionManager: resume failed for session " +
-                                  s.config.name);
+  // Only admit_pending calls this, for a queued session: it has a sim but
+  // no DistributedSim yet.
+  DistributedSimConfig dc = s.config.dist;
+  if (!s.context.checkpoint_dir().empty())
+    dc.checkpoint_dir = s.context.checkpoint_dir();
+  s.dist = std::make_unique<DistributedSim>(*s.sim, dc);
+  if (s.config.inject_faults) {
+    // The schedule is a pure function of the session's fault seed.
+    s.dist->exchange().set_fault_injector(
+        &s.context.arm_faults(s.config.faults));
   }
+  mark_resident(s);
+}
+
+void SessionManager::mark_resident(Session& s) {
+  s.arena = std::make_unique<TaskArena>(pool_);
   s.accounted_bytes = s.dist->resident_bytes();
   resident_bytes_ += s.accounted_bytes;
   s.state = SessionState::kResident;
@@ -222,10 +221,7 @@ bool SessionManager::resume(const std::string& name) {
       mesh.num_nodes(), mesh.num_elements(), s->config.dist.decomposition.k);
   if (!admission_fits(estimate)) return false;
   if (!s->dist->resume()) return false;
-  s->arena = std::make_unique<TaskArena>(pool_);
-  s->accounted_bytes = s->dist->resident_bytes();
-  resident_bytes_ += s->accounted_bytes;
-  s->state = SessionState::kResident;
+  mark_resident(*s);
   return true;
 }
 

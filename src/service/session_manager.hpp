@@ -177,7 +177,11 @@ class SessionManager {
   void admit_pending();
   /// True when a session of `estimate` bytes fits right now.
   bool admission_fits(std::size_t estimate) const;
+  /// Builds a queued session's DistributedSim, then mark_resident().
   void make_resident(Session& s);
+  /// Opens the session's arena, charges its actual footprint to the budget
+  /// and marks it resident (admission and resume()).
+  void mark_resident(Session& s);
 
   /// One queued step: runs it, records latency/health/report, requeues
   /// itself while more steps are requested.

@@ -33,7 +33,32 @@ void ImpactSimConfig::scale_resolution(double factor) {
   proj_cells_z = scale(proj_cells_z);
 }
 
-ImpactSim::ImpactSim(const ImpactSimConfig& config) : config_(config) {
+ImpactSim::ImpactSim(const ImpactSimConfig& config)
+    : config_(config), initial_(build_scene()), topo_(initial_) {
+  erosion_height_.resize(static_cast<std::size_t>(initial_.num_elements()));
+  for (idx_t e = 0; e < initial_.num_elements(); ++e) {
+    const auto se = static_cast<std::size_t>(e);
+    const Vec3 c = initial_.element_center(e);  // undeformed centroid
+    // A plate element erodes once the nose has passed its centre while the
+    // centre lies inside the (slightly inflated) projectile cross-section.
+    // Under oblique incidence the axis sits at x = obliquity * descent when
+    // the nose crosses the element's height — the eroded channel is a
+    // tilted cylinder swept by the nose. The projectile deforms but never
+    // erodes.
+    const real_t axis_x = config_.obliquity * (nose_start_ - c.z);
+    const bool in_channel =
+        element_body_[se] != Body::kProjectile &&
+        std::hypot(c.x - axis_x, c.y) <= 1.05 * config_.proj_radius;
+    erosion_height_[se] =
+        in_channel ? c.z : -std::numeric_limits<real_t>::infinity();
+  }
+
+  // Travel: the nose ends below the lower plate by 60% of its own length,
+  // i.e. the projectile fully perforates both plates over the run.
+  nose_end_ = plate2_bottom_ - 0.6 * config_.proj_length;
+}
+
+Mesh ImpactSim::build_scene() {
   const real_t w = config_.plate_width;
   const real_t t = config_.plate_thickness;
   const real_t gap = config_.plate_gap;
@@ -78,28 +103,7 @@ ImpactSim::ImpactSim(const ImpactSimConfig& config) : config_(config) {
                     static_cast<std::size_t>(proj.num_nodes()),
                     Body::kProjectile);
 
-  initial_ = std::move(mesh);
-  erosion_height_.resize(static_cast<std::size_t>(initial_.num_elements()));
-  for (idx_t e = 0; e < initial_.num_elements(); ++e) {
-    const auto se = static_cast<std::size_t>(e);
-    const Vec3 c = initial_.element_center(e);  // undeformed centroid
-    // A plate element erodes once the nose has passed its centre while the
-    // centre lies inside the (slightly inflated) projectile cross-section.
-    // Under oblique incidence the axis sits at x = obliquity * descent when
-    // the nose crosses the element's height — the eroded channel is a
-    // tilted cylinder swept by the nose. The projectile deforms but never
-    // erodes.
-    const real_t axis_x = config_.obliquity * (nose_start_ - c.z);
-    const bool in_channel =
-        element_body_[se] != Body::kProjectile &&
-        std::hypot(c.x - axis_x, c.y) <= 1.05 * config_.proj_radius;
-    erosion_height_[se] =
-        in_channel ? c.z : -std::numeric_limits<real_t>::infinity();
-  }
-
-  // Travel: the nose ends below the lower plate by 60% of its own length,
-  // i.e. the projectile fully perforates both plates over the run.
-  nose_end_ = plate2_bottom_ - 0.6 * config_.proj_length;
+  return mesh;
 }
 
 real_t ImpactSim::nose_z(idx_t s) const {
@@ -183,21 +187,6 @@ bool ImpactSim::face_in_contact_zone(idx_t first_node,
   return std::hypot(centroid.x - axis_x, centroid.y) <= zone;
 }
 
-Mesh ImpactSim::snapshot_mesh(idx_t s, idx_t* eroded) const {
-  const real_t nose = nose_z(s);
-  Mesh mesh = initial_;
-  for (idx_t v = 0; v < mesh.num_nodes(); ++v) {
-    mesh.set_node(v, displaced(v, nose));
-  }
-  std::vector<char> keep(static_cast<std::size_t>(mesh.num_elements()), 1);
-  for (idx_t e = 0; e < mesh.num_elements(); ++e) {
-    if (element_eroded(e, nose)) keep[static_cast<std::size_t>(e)] = 0;
-  }
-  const idx_t removed = mesh.remove_elements(keep);
-  if (eroded != nullptr) *eroded = removed;
-  return mesh;
-}
-
 void ImpactSim::snapshot_into(idx_t s, SnapshotWorkspace& ws,
                               Snapshot& out) const {
   const real_t nose = nose_z(s);
@@ -216,9 +205,10 @@ void ImpactSim::snapshot_into(idx_t s, SnapshotWorkspace& ws,
       });
 
   // Erosion mask in parallel; the compaction itself stays serial.
-  ws.keep_elements.resize(static_cast<std::size_t>(out.mesh.num_elements()));
+  const idx_t ne = initial_.num_elements();
+  ws.keep_elements.resize(static_cast<std::size_t>(ne));
   ThreadPool::global().parallel_for_chunks(
-      out.mesh.num_elements(), [&](unsigned, idx_t begin, idx_t end) {
+      ne, [&](unsigned, idx_t begin, idx_t end) {
         for (idx_t e = begin; e < end; ++e) {
           ws.keep_elements[static_cast<std::size_t>(e)] =
               element_eroded(e, nose) ? 0 : 1;
@@ -226,65 +216,41 @@ void ImpactSim::snapshot_into(idx_t s, SnapshotWorkspace& ws,
       });
   out.eroded_elements = out.mesh.remove_elements(ws.keep_elements);
 
-  if (config_.contact_zone_factor <= 0) {
-    extract_surface_into(out.mesh, ws.surface_ws, out.surface);
-    return;
-  }
-  extract_surface_into(out.mesh, ws.surface_ws, ws.raw_surface);
-  // Contact-zone designation (see snapshot()): projectile surface plus
-  // plate boundary faces near the impact axis. Pure per-face predicate.
-  const real_t zone = config_.contact_zone_factor * config_.proj_radius;
-  ws.keep_faces.resize(ws.raw_surface.faces.size());
-  ThreadPool::global().parallel_for_chunks(
-      ws.raw_surface.num_faces(), [&](unsigned, idx_t begin, idx_t end) {
-        for (idx_t f = begin; f < end; ++f) {
-          const SurfaceFace& face =
-              ws.raw_surface.faces[static_cast<std::size_t>(f)];
-          if (node_body_[static_cast<std::size_t>(face.nodes.front())] ==
-              Body::kProjectile) {
-            ws.keep_faces[static_cast<std::size_t>(f)] = 1;
-            continue;
+  // Contact surface. Face objects (and their node-vector capacity) are
+  // reused up to the previous face count.
+  Surface& surface = out.surface;
+  surface.is_contact_node.assign(
+      static_cast<std::size_t>(out.mesh.num_nodes()), 0);
+  std::size_t nf = 0;
+  idx_t live = 0;  // snapshot-mesh id of element e
+  for (idx_t e = 0; e < ne; ++e) {
+    for_each_contact_face(
+        e, nose, out.mesh.nodes(),
+        [&](int lf, const std::array<idx_t, 4>& ids, int n) {
+          if (nf == surface.faces.size()) surface.faces.emplace_back();
+          SurfaceFace& sf = surface.faces[nf++];
+          sf.element = live;
+          sf.local_face = lf;
+          sf.nodes.assign(ids.begin(), ids.begin() + n);
+          for (int i = 0; i < n; ++i) {
+            surface.is_contact_node[static_cast<std::size_t>(ids[i])] = 1;
           }
-          Vec3 c{};
-          for (idx_t id : face.nodes) c = c + out.mesh.node(id);
-          c = (1.0 / static_cast<real_t>(face.nodes.size())) * c;
-          const real_t axis_x = config_.obliquity * (nose_start_ - c.z);
-          ws.keep_faces[static_cast<std::size_t>(f)] =
-              std::hypot(c.x - axis_x, c.y) <= zone;
-        }
-      });
-  filter_surface_into(ws.raw_surface, ws.keep_faces, out.mesh.num_nodes(),
-                      out.surface);
+        });
+    live += ws.keep_elements[static_cast<std::size_t>(e)];
+  }
+  surface.faces.resize(nf);
+  surface.contact_nodes.clear();
+  for (idx_t v = 0; v < out.mesh.num_nodes(); ++v) {
+    if (surface.is_contact_node[static_cast<std::size_t>(v)]) {
+      surface.contact_nodes.push_back(v);
+    }
+  }
 }
 
 ImpactSim::Snapshot ImpactSim::snapshot(idx_t s) const {
+  SnapshotWorkspace ws;
   Snapshot snap;
-  snap.step = s;
-  snap.nose_z = nose_z(s);
-  snap.mesh = snapshot_mesh(s, &snap.eroded_elements);
-  snap.surface = extract_surface(snap.mesh);
-  if (config_.contact_zone_factor > 0) {
-    // Keep the projectile's whole surface plus plate boundary faces near
-    // the impact axis — the application-designated contact-surface set.
-    const real_t zone = config_.contact_zone_factor * config_.proj_radius;
-    std::vector<char> keep(snap.surface.faces.size(), 0);
-    for (std::size_t f = 0; f < snap.surface.faces.size(); ++f) {
-      const SurfaceFace& face = snap.surface.faces[f];
-      if (node_body_[static_cast<std::size_t>(face.nodes.front())] ==
-          Body::kProjectile) {
-        keep[f] = 1;
-        continue;
-      }
-      Vec3 c{};
-      for (idx_t id : face.nodes) c = c + snap.mesh.node(id);
-      c = (1.0 / static_cast<real_t>(face.nodes.size())) * c;
-      // Zone centred on the (possibly oblique) axis at the face's height.
-      const real_t axis_x = config_.obliquity * (nose_start_ - c.z);
-      keep[f] = std::hypot(c.x - axis_x, c.y) <= zone;
-    }
-    snap.surface =
-        filter_surface(snap.surface, keep, snap.mesh.num_nodes());
-  }
+  snapshot_into(s, ws, snap);
   return snap;
 }
 

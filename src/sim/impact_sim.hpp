@@ -11,11 +11,20 @@
 // and in parallel; node ids are stable across the whole sequence (only
 // elements disappear), which is what lets a fixed nodal partition be reused
 // across snapshots exactly as the paper's update strategy does.
+//
+// ImpactSim owns the one contact-surface rule: a face of a live element is
+// kept when its MeshTopology neighbour is missing or eroded and the face
+// lies in the contact zone. for_each_contact_face applies it per element;
+// snapshot_into and the rank programs of DistributedSim both call it, so
+// the central snapshot and the distributed step keep the same faces.
 #pragma once
 
+#include <array>
+#include <span>
 #include <vector>
 
 #include "mesh/mesh.hpp"
+#include "mesh/mesh_topology.hpp"
 #include "mesh/surface.hpp"
 
 namespace cpart {
@@ -61,6 +70,9 @@ enum class Body : int { kProjectile = 0, kUpperPlate = 1, kLowerPlate = 2 };
 class ImpactSim {
  public:
   explicit ImpactSim(const ImpactSimConfig& config = {});
+  // The topology points into initial_, so the sim stays where it was built.
+  ImpactSim(const ImpactSim&) = delete;
+  ImpactSim& operator=(const ImpactSim&) = delete;
 
   idx_t num_snapshots() const { return config_.num_snapshots; }
   const ImpactSimConfig& config() const { return config_; }
@@ -68,6 +80,9 @@ class ImpactSim {
   /// The undeformed, un-eroded mesh at step 0 (node ids of every snapshot
   /// refer to this node array).
   const Mesh& initial_mesh() const { return initial_; }
+
+  /// Face neighbours and node incidence of the initial mesh.
+  const MeshTopology& topology() const { return topo_; }
 
   /// Body of each initial-mesh element / node.
   const std::vector<Body>& element_body() const { return element_body_; }
@@ -84,28 +99,50 @@ class ImpactSim {
     idx_t eroded_elements = 0;
   };
 
-  /// Generates snapshot s in [0, num_snapshots).
+  /// Generates snapshot s in [0, num_snapshots): snapshot_into() on a
+  /// fresh workspace.
   Snapshot snapshot(idx_t s) const;
-
-  /// Generates only the deformed/eroded mesh of snapshot s (cheaper when
-  /// the surface is not needed).
-  Mesh snapshot_mesh(idx_t s, idx_t* eroded = nullptr) const;
 
   /// Reusable cross-snapshot scratch for snapshot_into. Buffers grow to
   /// the mesh size on first use and are reused afterwards.
   struct SnapshotWorkspace {
-    SurfaceWorkspace surface_ws;
-    Surface raw_surface;  // pre-contact-zone boundary surface
     std::vector<char> keep_elements;
-    std::vector<char> keep_faces;
   };
 
   /// snapshot() writing into `out` (mesh/surface storage reused) with all
-  /// scratch drawn from `ws`. The displacement, erosion, and contact-zone
-  /// loops run in parallel over ThreadPool chunks; each is a pure function
-  /// of its element, so the result is identical to snapshot(s) at any
-  /// thread count.
+  /// scratch drawn from `ws`. The displacement and erosion loops run in
+  /// parallel over ThreadPool chunks and each is a pure function of its
+  /// entity, so the result is the same at any thread count. The surface is
+  /// every for_each_contact_face() face in ascending initial-element
+  /// order, its element renumbered by the count of live elements before it
+  /// — the numbering Mesh::remove_elements gives the snapshot mesh.
   void snapshot_into(idx_t s, SnapshotWorkspace& ws, Snapshot& out) const;
+
+  /// The kept-face rule. Calls fn(lf, ids, nf) for every face lf of
+  /// initial-mesh element `e` that is kept at nose height `nose`: `e` is
+  /// not eroded, the face's neighbour is missing or eroded, and the face
+  /// is in the contact zone. ids[0..nf) are the face's node ids in
+  /// element_faces() order; `positions` holds the deformed position of at
+  /// least those nodes (the zone test uses the face centroid: the sum in
+  /// face-node order, then times 1/nf).
+  template <typename Fn>
+  void for_each_contact_face(idx_t e, real_t nose,
+                             std::span<const Vec3> positions, Fn&& fn) const {
+    if (element_eroded(e, nose)) return;
+    std::array<idx_t, 4> ids;
+    for (int lf = 0; lf < topo_.faces_per_element(); ++lf) {
+      const idx_t nb = topo_.face_neighbor(e, lf);
+      if (nb != kInvalidIndex && !element_eroded(nb, nose)) continue;
+      const int nf = topo_.face_nodes(e, lf, ids);
+      Vec3 c{};
+      for (int i = 0; i < nf; ++i) {
+        c = c + positions[static_cast<std::size_t>(ids[i])];
+      }
+      c = (1.0 / static_cast<real_t>(nf)) * c;
+      if (!face_in_contact_zone(ids[0], c)) continue;
+      fn(lf, ids, nf);
+    }
+  }
 
   // Closed-form per-entity kinematics, public so a rank-owned distributed
   // state can advance exactly the nodes/elements it owns (each is a pure
@@ -116,24 +153,31 @@ class ImpactSim {
   Vec3 displaced(idx_t node, real_t nose) const;
   /// Whether initial-mesh element `element` has eroded at `nose`.
   bool element_eroded(idx_t element, real_t nose) const;
-  /// The contact-zone designation predicate on one boundary face, given its
-  /// first node (body lookup) and its *deformed* centroid — exactly the
-  /// keep-test snapshot()/snapshot_into() apply per face.
-  bool face_in_contact_zone(idx_t first_node, const Vec3& centroid) const;
 
  private:
+  /// Builds the two plates and the projectile, filling the body arrays and
+  /// the plate and nose heights; returns the initial mesh.
+  Mesh build_scene();
+  /// The contact-zone designation on one boundary face, given its first
+  /// node (body lookup) and its *deformed* centroid: the projectile's
+  /// surface plus plate faces near the (possibly oblique) impact axis.
+  bool face_in_contact_zone(idx_t first_node, const Vec3& centroid) const;
+
+  // build_scene() fills the members up to initial_, which the initializer
+  // list constructs before topo_; keep this declaration order.
   ImpactSimConfig config_;
-  Mesh initial_;
   std::vector<Body> element_body_;
   std::vector<Body> node_body_;
-  // Nose height at or below which each element is eroded: its undeformed
-  // centroid z inside the erosion channel, -inf (never, for any finite
-  // nose) outside it and for projectile elements.
-  std::vector<real_t> erosion_height_;
   real_t nose_start_ = 0;
   real_t nose_end_ = 0;
   real_t plate1_top_ = 0, plate1_bottom_ = 0;
   real_t plate2_top_ = 0, plate2_bottom_ = 0;
+  Mesh initial_;
+  MeshTopology topo_;
+  // Nose height at or below which each element is eroded: its undeformed
+  // centroid z inside the erosion channel, -inf (never, for any finite
+  // nose) outside it and for projectile elements.
+  std::vector<real_t> erosion_height_;
 };
 
 }  // namespace cpart

@@ -282,8 +282,6 @@ TreeInduceWorkspace::TreeInduceWorkspace(TreeInduceWorkspace&&) noexcept =
 TreeInduceWorkspace& TreeInduceWorkspace::operator=(
     TreeInduceWorkspace&&) noexcept = default;
 
-void TreeInduceWorkspace::invalidate() { impl_->valid = false; }
-
 bool TreeInduceWorkspace::warm(std::size_t num_points) const {
   return impl_->valid && impl_->num_points == num_points;
 }

@@ -144,12 +144,6 @@ class TreeInduceWorkspace {
   TreeInduceWorkspace(TreeInduceWorkspace&&) noexcept;
   TreeInduceWorkspace& operator=(TreeInduceWorkspace&&) noexcept;
 
-  /// Drops the saved orders so the next induction sorts from scratch
-  /// (pooled buffer capacity is kept). Call when the point set changes
-  /// identity, e.g. erosion added contact nodes; a stale seed is never
-  /// incorrect, only slower, so this is a performance hint.
-  void invalidate();
-
   /// True when the saved orders will seed the next induction over
   /// `num_points` points.
   bool warm(std::size_t num_points) const;

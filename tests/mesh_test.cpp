@@ -2,7 +2,9 @@
 // derived from meshes, erosion, and I/O round-trips.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+#include <span>
 #include <sstream>
 
 #include "graph/graph_metrics.hpp"
@@ -10,6 +12,7 @@
 #include "mesh/mesh.hpp"
 #include "mesh/mesh_graphs.hpp"
 #include "mesh/mesh_io.hpp"
+#include "mesh/mesh_topology.hpp"
 #include "mesh/surface.hpp"
 
 namespace cpart {
@@ -143,14 +146,74 @@ TEST(Surface, ErosionExposesInteriorFaces) {
   EXPECT_EQ(s.num_faces(), before + 6);
 }
 
-TEST(Surface, FilterSurfaceRebuildsNodeSets) {
-  const Mesh m = make_hex_box(2, 2, 1, Vec3{0, 0, 0}, Vec3{2, 2, 1});
-  const Surface s = extract_surface(m);
-  std::vector<char> keep(s.faces.size(), 0);
-  keep[0] = 1;
-  const Surface f = filter_surface(s, keep, m.num_nodes());
-  EXPECT_EQ(f.num_faces(), 1);
-  EXPECT_EQ(f.num_contact_nodes(), 4);  // one quad face
+/// Faces of the elements with keep[e] != 0 whose topology neighbour is
+/// missing or has keep == 0, numbered as Mesh::remove_elements numbers the
+/// surviving elements.
+std::vector<SurfaceFace> topology_boundary(const MeshTopology& topo,
+                                           std::span<const char> keep) {
+  std::vector<SurfaceFace> faces;
+  idx_t live = 0;
+  for (idx_t e = 0; e < topo.num_elements(); ++e) {
+    if (!keep[static_cast<std::size_t>(e)]) continue;
+    for (int lf = 0; lf < topo.faces_per_element(); ++lf) {
+      const idx_t nb = topo.face_neighbor(e, lf);
+      if (nb != kInvalidIndex && keep[static_cast<std::size_t>(nb)]) continue;
+      std::array<idx_t, 4> ids;
+      const int n = topo.face_nodes(e, lf, ids);
+      faces.push_back({live, lf, {ids.begin(), ids.begin() + n}});
+    }
+    ++live;
+  }
+  return faces;
+}
+
+void expect_same_faces(const std::vector<SurfaceFace>& got,
+                       const std::vector<SurfaceFace>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t f = 0; f < want.size(); ++f) {
+    EXPECT_EQ(got[f].element, want[f].element) << "face " << f;
+    EXPECT_EQ(got[f].local_face, want[f].local_face) << "face " << f;
+    EXPECT_EQ(got[f].nodes, want[f].nodes) << "face " << f;
+  }
+}
+
+TEST(MeshTopology, BoundaryFacesMatchExtractSurface) {
+  const std::vector<Mesh> meshes = {
+      make_tri_rect(4, 3, Vec3{0, 0, 0}, Vec3{4, 3, 0}),
+      make_quad_rect(4, 3, Vec3{0, 0, 0}, Vec3{4, 3, 0}),
+      make_tet_box(2, 2, 2, Vec3{0, 0, 0}, Vec3{1, 1, 1}),
+      make_hex_box(3, 3, 3, Vec3{0, 0, 0}, Vec3{1, 1, 1})};
+  for (const Mesh& mesh : meshes) {
+    SCOPED_TRACE(element_type_name(mesh.element_type()));
+    const MeshTopology topo(mesh);
+    const auto ne = static_cast<std::size_t>(mesh.num_elements());
+
+    // Intact mesh: exactly the faces without a neighbour.
+    const std::vector<char> all(ne, 1);
+    const std::vector<SurfaceFace> intact = topology_boundary(topo, all);
+    for (const SurfaceFace& f : intact) {
+      EXPECT_EQ(topo.face_neighbor(f.element, f.local_face), kInvalidIndex);
+    }
+    expect_same_faces(intact, extract_surface(mesh).faces);
+
+    // Erode every third element (the first included): the faces next to a
+    // removed element join the boundary.
+    std::vector<char> keep(ne, 1);
+    for (std::size_t e = 0; e < ne; e += 3) keep[e] = 0;
+    idx_t exposed = 0;
+    for (idx_t e = 0; e < mesh.num_elements(); ++e) {
+      for (int lf = 0; lf < topo.faces_per_element(); ++lf) {
+        const idx_t nb = topo.face_neighbor(e, lf);
+        exposed += keep[static_cast<std::size_t>(e)] && nb != kInvalidIndex &&
+                   !keep[static_cast<std::size_t>(nb)];
+      }
+    }
+    EXPECT_GT(exposed, 0);
+    Mesh eroded = mesh;
+    eroded.remove_elements(keep);
+    expect_same_faces(topology_boundary(topo, keep),
+                      extract_surface(eroded).faces);
+  }
 }
 
 TEST(Surface, FaceBBoxWithMargin) {

@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
+#include "mesh/surface.hpp"
 #include "sim/impact_sim.hpp"
 
 namespace cpart {
@@ -64,8 +66,7 @@ TEST(ImpactSim, ErosionMonotonicallyIncreases) {
   const ImpactSim sim(tiny_config());
   idx_t prev = 0;
   for (idx_t s = 0; s < sim.num_snapshots(); ++s) {
-    idx_t eroded = 0;
-    sim.snapshot_mesh(s, &eroded);
+    const idx_t eroded = sim.snapshot(s).eroded_elements;
     EXPECT_GE(eroded, prev);
     prev = eroded;
   }
@@ -77,11 +78,11 @@ TEST(ImpactSim, ProjectileElementsNeverErode) {
   const ImpactSim sim(c);
   idx_t proj_elems = 0;
   for (Body b : sim.element_body()) proj_elems += b == Body::kProjectile;
-  idx_t eroded = 0;
-  const Mesh final = sim.snapshot_mesh(sim.num_snapshots() - 1, &eroded);
+  const auto final = sim.snapshot(sim.num_snapshots() - 1);
   // All remaining elements = initial - eroded; projectile never shrinks.
-  EXPECT_EQ(final.num_elements(), sim.initial_mesh().num_elements() - eroded);
-  EXPECT_GE(final.num_elements(), proj_elems);
+  EXPECT_EQ(final.mesh.num_elements(),
+            sim.initial_mesh().num_elements() - final.eroded_elements);
+  EXPECT_GE(final.mesh.num_elements(), proj_elems);
 }
 
 /// The erosion rule in closed form, on the undeformed element centroid: a
@@ -124,6 +125,77 @@ TEST(ImpactSim, ElementErodedMatchesClosedFormRule) {
   }
 }
 
+/// The contact-zone rule in closed form, on a boundary face of a snapshot
+/// mesh: a non-positive zone factor keeps every face; otherwise projectile
+/// faces are kept, and a plate face is kept when its deformed centroid (sum
+/// in face-node order, then times 1/n) lies within contact_zone_factor *
+/// proj_radius of the (possibly tilted) axis at the centroid's height.
+bool in_zone_closed_form(const ImpactSim& sim, const Mesh& mesh,
+                         const SurfaceFace& face) {
+  const ImpactSimConfig& c = sim.config();
+  if (c.contact_zone_factor <= 0) return true;
+  if (sim.node_body()[static_cast<std::size_t>(face.nodes.front())] ==
+      Body::kProjectile) {
+    return true;
+  }
+  Vec3 centroid{};
+  for (idx_t id : face.nodes) centroid = centroid + mesh.node(id);
+  centroid = (1.0 / static_cast<real_t>(face.nodes.size())) * centroid;
+  const real_t axis_x = c.obliquity * (sim.nose_z(0) - centroid.z);
+  return std::hypot(centroid.x - axis_x, centroid.y) <=
+         c.contact_zone_factor * c.proj_radius;
+}
+
+TEST(ImpactSim, SnapshotSurfaceMatchesClosedFormZoneRule) {
+  ImpactSimConfig plain = tiny_config();
+  plain.plate_cells_xy = 24;
+  plain.num_snapshots = 40;
+  ImpactSimConfig oblique = plain;
+  oblique.obliquity = 0.3;
+  ImpactSimConfig everything = plain;
+  everything.contact_zone_factor = 0;
+  for (const ImpactSimConfig& c : {plain, oblique, everything}) {
+    const ImpactSim sim(c);
+    idx_t dropped = 0;
+    for (idx_t s = 0; s < sim.num_snapshots(); ++s) {
+      SCOPED_TRACE(testing::Message() << "obliquity " << c.obliquity
+                                      << " zone " << c.contact_zone_factor
+                                      << " step " << s);
+      const ImpactSim::Snapshot snap = sim.snapshot(s);
+      const Surface boundary = extract_surface(snap.mesh);
+      std::vector<SurfaceFace> want;
+      std::vector<char> is_contact(
+          static_cast<std::size_t>(snap.mesh.num_nodes()), 0);
+      for (const SurfaceFace& f : boundary.faces) {
+        if (!in_zone_closed_form(sim, snap.mesh, f)) {
+          ++dropped;
+          continue;
+        }
+        want.push_back(f);
+        for (idx_t id : f.nodes) is_contact[static_cast<std::size_t>(id)] = 1;
+      }
+      std::vector<idx_t> contact_nodes;
+      for (idx_t v = 0; v < snap.mesh.num_nodes(); ++v) {
+        if (is_contact[static_cast<std::size_t>(v)]) contact_nodes.push_back(v);
+      }
+      ASSERT_EQ(snap.surface.faces.size(), want.size());
+      for (std::size_t f = 0; f < want.size(); ++f) {
+        ASSERT_EQ(snap.surface.faces[f].element, want[f].element) << f;
+        ASSERT_EQ(snap.surface.faces[f].local_face, want[f].local_face) << f;
+        ASSERT_EQ(snap.surface.faces[f].nodes, want[f].nodes) << f;
+      }
+      EXPECT_EQ(snap.surface.contact_nodes, contact_nodes);
+      EXPECT_EQ(snap.surface.is_contact_node, is_contact);
+    }
+    // The zone drops plate corners unless it is switched off.
+    if (c.contact_zone_factor > 0) {
+      EXPECT_GT(dropped, 0);
+    } else {
+      EXPECT_EQ(dropped, 0);
+    }
+  }
+}
+
 TEST(ImpactSim, ContactSurfaceEvolvesAndStaysInZone) {
   ImpactSimConfig c = tiny_config();
   c.contact_zone_factor = 2.0;
@@ -148,7 +220,7 @@ TEST(ImpactSim, ZoneFactorControlsContactCount) {
 
 TEST(ImpactSim, PlateNodesDeformNearImpactOnly) {
   const ImpactSim sim(tiny_config());
-  const Mesh mid = sim.snapshot_mesh(sim.num_snapshots() / 2);
+  const Mesh mid = sim.snapshot(sim.num_snapshots() / 2).mesh;
   const Mesh& init = sim.initial_mesh();
   real_t max_near = 0, max_far = 0;
   for (idx_t v = 0; v < init.num_nodes(); ++v) {
@@ -186,14 +258,13 @@ TEST(ImpactSim, ObliqueImpactDriftsCrater) {
   const ImpactSim sim_o(oblique);
   // Both fully perforate; the oblique channel erodes at least as many
   // elements (it sweeps a longer path through each plate).
-  idx_t eroded_s = 0, eroded_o = 0;
-  sim_s.snapshot_mesh(sim_s.num_snapshots() - 1, &eroded_s);
-  sim_o.snapshot_mesh(sim_o.num_snapshots() - 1, &eroded_o);
-  EXPECT_GT(eroded_s, 0);
-  EXPECT_GE(eroded_o, eroded_s);
+  const auto snap_s = sim_s.snapshot(sim_s.num_snapshots() - 1);
+  const auto snap_o = sim_o.snapshot(sim_o.num_snapshots() - 1);
+  EXPECT_GT(snap_s.eroded_elements, 0);
+  EXPECT_GE(snap_o.eroded_elements, snap_s.eroded_elements);
   // The projectile ends displaced in +x for the oblique run.
-  const Mesh end_s = sim_s.snapshot_mesh(sim_s.num_snapshots() - 1);
-  const Mesh end_o = sim_o.snapshot_mesh(sim_o.num_snapshots() - 1);
+  const Mesh& end_s = snap_s.mesh;
+  const Mesh& end_o = snap_o.mesh;
   real_t mean_sx = 0, mean_ox = 0;
   idx_t count = 0;
   for (idx_t v = 0; v < end_s.num_nodes(); ++v) {
