@@ -85,7 +85,6 @@ int main(int argc, char** argv) {
     // 5. Update policies (Section 4.3): repartition every step / hybrid.
     for (idx_t period : {idx_t{1}, idx_t{5}}) {
       ExperimentConfig c = base;
-      c.policy = UpdatePolicy::kPeriodicRepartition;
       c.repartition_period = period;
       add_row(table, "repartition_every=" + std::to_string(period),
               run_contact_experiment(c));

@@ -79,7 +79,9 @@ StepFingerprint fingerprint(const DistributedStepReport& r) {
           r.migrated};
 }
 
-std::string session_name(idx_t i) { return "s" + std::to_string(i); }
+std::string session_name(idx_t i) {
+  return std::string("s").append(std::to_string(i));
+}
 
 void health_json(std::ostream& os, const PipelineHealth& h) {
   os << "{\"deliveries\": " << h.deliveries << ", \"retries\": " << h.retries

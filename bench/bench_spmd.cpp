@@ -21,13 +21,18 @@
 //                [--checkpoint_dir bench_spmd_ckpt] [--kill_rank -1]
 //                [--kill_step -1]
 //
-// JSON output: {"env": {...}, "wire": {...}, "results": [{threads, ...,
-// distributed: {reference_mean_ms, spmd_mean_ms, speedup, health: {...},
-// steps: [{..., migrated, repartition_ms, ownership_hash (hex string),
-// bytes: {descriptor, halo, faces}, phase_ms: {descriptor:
-// [per rank], halo, ship, search}, wait: {descriptor, ship, search}}]}}],
-// "scaling": {...}, "recovery": {...}}, steady state = steps >= 1. The
-// per-rank arrays follow RankPhaseBreakdown's superstep mapping.
+// JSON output: {"env": {...}, "wire": {...}, "induction": {...},
+// "results": [{threads, ..., distributed: {reference_mean_ms, spmd_mean_ms,
+// speedup, health: {...}, steps: [{..., migrated, repartition_ms,
+// ownership_hash (hex string), bytes: {descriptor, halo, faces}, phase_ms:
+// {descriptor: [per rank], halo, ship, search}, wait: {descriptor, ship,
+// search}}]}}], "scaling": {...}, "recovery": {...}}, steady state = steps
+// >= 1. The per-rank arrays follow RankPhaseBreakdown's superstep mapping.
+//
+// The "induction" block times descriptor induction of one snapshot's contact
+// points cold and warm (after the previous snapshot in one
+// TreeInduceWorkspace), and the binary exits nonzero unless the two trees
+// match node for node.
 //
 // --fault_rate > 0 arms the seeded FaultInjector on the exchange, which
 // exercises the checksummed retry path; events must STILL be bit-identical
@@ -53,6 +58,7 @@
 #include "parallel/thread_pool.hpp"
 #include "runtime/fault_injector.hpp"
 #include "sim/impact_sim.hpp"
+#include "tree/decision_tree.hpp"
 #include "tree/tree_io.hpp"
 #include "util/atomic_file.hpp"
 #include "util/flags.hpp"
@@ -94,6 +100,22 @@ bool distributed_reports_identical(const DistributedStepReport& a,
          a.migration_payload_bytes == b.migration_payload_bytes &&
          a.label_broadcast_bytes == b.label_broadcast_bytes &&
          a.ownership_hash == b.ownership_hash;
+}
+
+/// Structural equality of two descriptor trees: same node array, split
+/// geometry, labels and counts.
+bool trees_identical(const DecisionTree& a, const DecisionTree& b) {
+  if (a.num_nodes() != b.num_nodes() || a.root() != b.root()) return false;
+  for (idx_t i = 0; i < a.num_nodes(); ++i) {
+    const TreeNode& x = a.node(i);
+    const TreeNode& y = b.node(i);
+    if (x.axis != y.axis || x.cut != y.cut || x.left != y.left ||
+        x.right != y.right || x.label != y.label || x.pure != y.pure ||
+        x.count != y.count) {
+      return false;
+    }
+  }
+  return true;
 }
 
 // A 64-bit hash as a fixed-width hex string: JSON numbers past 2^53 lose
@@ -221,13 +243,13 @@ int main(int argc, char** argv) {
     // Wire-codec microbenchmark on snapshot 0's descriptor tree: encode and
     // decode cost per tree of the binary codec the broadcast ships, and its
     // bytes.
+    const ImpactSim::Snapshot snap0 = sim.snapshot(0);
+    const McmlDtPartitioner part0(snap0.mesh, snap0.surface,
+                                  dconfig.decomposition);
     std::ostringstream wire_json;
     {
-      const ImpactSim::Snapshot snap0 = sim.snapshot(0);
-      McmlDtPartitioner wire_part(snap0.mesh, snap0.surface,
-                                  dconfig.decomposition);
       const SubdomainDescriptors wire_desc =
-          wire_part.build_descriptors(snap0.mesh, snap0.surface);
+          part0.build_descriptors(snap0.mesh, snap0.surface);
       const std::string binary_wire = tree_to_binary(wire_desc.tree());
       constexpr int kCodecIters = 50;
       const auto per_tree_ns = [](Timer& timer) {
@@ -254,10 +276,80 @@ int main(int argc, char** argv) {
                 << binary_wire.size() << " B binary\n\n";
     }
 
+    // Descriptor induction, cold vs warm, under the snapshot-0 partition:
+    // snapshot s's contact points induced from scratch, and again in a
+    // TreeInduceWorkspace that induced snapshot s-1 first (the warm start
+    // the step's driver keeps across steps). The saved orders seed only an
+    // induction over as many points as the last one, so s is the first
+    // snapshot whose contact-point count equals its predecessor's (the last
+    // one if none does; warm_start then reads false). Warm must reproduce
+    // the cold tree node for node.
+    std::ostringstream induction_json;
+    bool induction_equal = true;
+    {
+      const std::vector<idx_t>& part = part0.node_partition();
+      const auto gather = [&](const ImpactSim::Snapshot& snap,
+                              std::vector<Vec3>& points,
+                              std::vector<idx_t>& labels) {
+        points.clear();
+        labels.clear();
+        for (idx_t id : snap.surface.contact_nodes) {
+          points.push_back(snap.mesh.node(id));
+          labels.push_back(part[static_cast<std::size_t>(id)]);
+        }
+      };
+      std::vector<Vec3> points_prev, points;
+      std::vector<idx_t> labels_prev, labels;
+      gather(snap0, points_prev, labels_prev);
+      idx_t s = 1;
+      for (;; ++s) {
+        gather(sim.snapshot(s), points, labels);
+        if (points.size() == points_prev.size() ||
+            s + 1 == sim.num_snapshots()) {
+          break;
+        }
+        points_prev.swap(points);
+        labels_prev.swap(labels);
+      }
+      DescriptorOptions dopts = dconfig.decomposition.descriptor;
+      dopts.dim = snap0.mesh.dim();
+      constexpr int kInductionIters = 10;
+      double cold_ms = 0, warm_ms = 0;
+      bool warm_start = false;
+      for (int i = 0; i < kInductionIters; ++i) {
+        Timer timer;
+        const SubdomainDescriptors cold(points, labels, k, dopts);
+        cold_ms += timer.milliseconds();
+        TreeInduceWorkspace ws;
+        SubdomainDescriptors previous(points_prev, labels_prev, k, dopts, &ws);
+        ws.recycle(previous.release_tree());
+        warm_start = ws.warm(points.size());
+        timer.reset();
+        const SubdomainDescriptors warm(points, labels, k, dopts, &ws);
+        warm_ms += timer.milliseconds();
+        induction_equal =
+            induction_equal && trees_identical(cold.tree(), warm.tree());
+      }
+      cold_ms /= kInductionIters;
+      warm_ms /= kInductionIters;
+      induction_json << "{\"snapshot\": " << s << ", \"pool_threads\": "
+                     << ThreadPool::global().num_threads()
+                     << ", \"contact_points\": " << points.size()
+                     << ", \"warm_start\": " << (warm_start ? "true" : "false")
+                     << ",\n  \"cold_ms\": " << cold_ms
+                     << ", \"warm_ms\": " << warm_ms
+                     << ", \"trees_identical\": "
+                     << (induction_equal ? "true" : "false") << "}";
+      std::cout << "induction (snapshot " << s << ", " << points.size()
+                << " points): cold " << cold_ms << " ms, warm " << warm_ms
+                << " ms\n\n";
+    }
+
     Table table({"threads", "reference_ms/step", "spmd_ms/step", "speedup"});
     std::ostringstream json;
     json << "{\"env\": " << cpart::bench::env_json() << ",\n \"wire\": "
-         << wire_json.str() << ",\n \"results\": [\n";
+         << wire_json.str() << ",\n \"induction\": " << induction_json.str()
+         << ",\n \"results\": [\n";
     bool first_record = true;
     bool all_equal = true;
     // (threads, mean spmd ms) per row, for the scaling-slope summary.
@@ -570,6 +662,10 @@ int main(int argc, char** argv) {
     require(atomic_write_file(out_path, json.str()),
             "cannot write --out (atomic commit failed)");
     std::cout << "\nWrote " << out_path << ".\n";
+    if (!induction_equal) {
+      std::cerr << "warm and cold descriptor trees differ — failing.\n";
+      return 1;
+    }
     if (!all_equal) {
       std::cerr << "SPMD and reference reports differ — failing.\n";
       return 1;

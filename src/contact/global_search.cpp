@@ -34,15 +34,7 @@ void BBoxFilter::query_box(const BBox& query, std::vector<idx_t>& parts) const {
 std::vector<idx_t> face_owners(const Surface& surface,
                                std::span<const idx_t> node_labels,
                                idx_t num_parts) {
-  std::vector<idx_t> owners;
-  face_owners_into(surface, node_labels, num_parts, owners);
-  return owners;
-}
-
-void face_owners_into(const Surface& surface,
-                      std::span<const idx_t> node_labels, idx_t num_parts,
-                      std::vector<idx_t>& owners) {
-  owners.assign(surface.faces.size(), kInvalidIndex);
+  std::vector<idx_t> owners(surface.faces.size(), kInvalidIndex);
   std::vector<idx_t> votes(static_cast<std::size_t>(num_parts), 0);
   std::vector<idx_t> touched;
   for (std::size_t f = 0; f < surface.faces.size(); ++f) {
@@ -61,6 +53,7 @@ void face_owners_into(const Surface& surface,
     owners[f] = best;
     for (idx_t l : touched) votes[static_cast<std::size_t>(l)] = 0;
   }
+  return owners;
 }
 
 GlobalSearchStats global_search(

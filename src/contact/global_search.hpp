@@ -47,11 +47,6 @@ std::vector<idx_t> face_owners(const Surface& surface,
                                std::span<const idx_t> node_labels,
                                idx_t num_parts);
 
-/// face_owners() writing into `owners` (storage reused across calls).
-void face_owners_into(const Surface& surface,
-                      std::span<const idx_t> node_labels, idx_t num_parts,
-                      std::vector<idx_t>& owners);
-
 struct GlobalSearchStats {
   /// NRemote: total (element, remote partition) sends.
   wgt_t remote_sends = 0;

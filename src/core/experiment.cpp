@@ -3,9 +3,9 @@
 #include <ostream>
 
 #include "contact/search_metrics.hpp"
+#include "core/distributed_sim.hpp"
 #include "graph/graph_metrics.hpp"
 #include "mesh/mesh_graphs.hpp"
-#include "runtime/step_pipeline.hpp"
 
 namespace cpart {
 
@@ -47,14 +47,9 @@ ExperimentResult run_contact_experiment(const ExperimentConfig& config,
       config.sim.plate_width / static_cast<real_t>(config.sim.plate_cells_xy);
   const real_t margin = static_cast<real_t>(kMarginCellFraction) * cell;
 
-  // --- Build both partitioners on snapshot 0. ------------------------------
-  // The pipeline owns the cross-snapshot state (snapshot workspace, warm
-  // descriptor-induction orders, search scratch); every product is
-  // bit-identical to cold recomputation.
-  StepPipeline pipeline(sim);
-  const ImpactSim::Snapshot& snap0 = pipeline.advance(0);
-
-  McmlDtConfig dt_config;
+  // --- MCML+DT: the production step driver. --------------------------------
+  DistributedSimConfig dist_config;
+  McmlDtConfig& dt_config = dist_config.decomposition;
   dt_config.k = config.k;
   dt_config.epsilon = config.epsilon;
   dt_config.contact_edge_weight = config.contact_edge_weight;
@@ -63,26 +58,33 @@ ExperimentResult run_contact_experiment(const ExperimentConfig& config,
                                             : InitialPartitioner::kMultilevelGraph;
   dt_config.partitioner.seed = config.seed;
   dt_config.descriptor.gap_alpha = config.gap_alpha;
-  McmlDtPartitioner mcml(snap0.mesh, snap0.surface, dt_config);
+  dist_config.search.search_margin = margin;
+  dist_config.search.contact_tolerance = margin;
+  dist_config.repartition.epsilon = config.epsilon;
+  dist_config.repartition.seed = config.seed;
+  dist_config.repartition_period = config.repartition_period;
+  DistributedSim dist(sim, dist_config);
+
+  // --- ML+RCB on snapshot 0. -----------------------------------------------
+  ImpactSim::SnapshotWorkspace snapshot_ws;
+  ImpactSim::Snapshot snap;
+  sim.snapshot_into(0, snapshot_ws, snap);
 
   MlRcbConfig rcb_config;
   rcb_config.k = config.k;
   rcb_config.epsilon = config.epsilon;
   rcb_config.partitioner.seed = config.seed + 1;
-  MlRcbPartitioner mlrcb(snap0.mesh, snap0.surface, rcb_config);
+  MlRcbPartitioner mlrcb(snap.mesh, snap.surface, rcb_config);
 
   ExperimentResult result;
   result.k = config.k;
-
-  std::vector<idx_t> prev_dt_partition = mcml.node_partition();
 
   // The nodal graph only changes when erosion removes elements, so cache it
   // across snapshots instead of rebuilding every step.
   NodalGraphCache graph_cache;
 
   for (idx_t s = 0; s < sim.num_snapshots(); s += config.snapshot_stride) {
-    const ImpactSim::Snapshot& snap =
-        (s == 0) ? pipeline.current() : pipeline.advance(s);
+    if (s > 0) sim.snapshot_into(s, snapshot_ws, snap);
     const CsrGraph& graph = graph_cache.get(snap.mesh);
 
     SnapshotMetrics m;
@@ -91,37 +93,18 @@ ExperimentResult run_contact_experiment(const ExperimentConfig& config,
     m.surface_faces = snap.surface.num_faces();
 
     // --- MCML+DT --------------------------------------------------------
-    if (s > 0 && config.policy == UpdatePolicy::kPeriodicRepartition &&
-        config.repartition_period > 0 &&
-        (s / config.snapshot_stride) % config.repartition_period == 0) {
-      // Repartition the evolved two-phase graph anchored to the current
-      // partition, then reapply the tree-friendly adjustment.
-      const CsrGraph two_phase = build_two_phase_graph(
-          snap.mesh, snap.surface.is_contact_node, config.contact_edge_weight);
-      RepartitionOptions ro;
-      ro.k = config.k;
-      ro.epsilon = config.epsilon;
-      ro.seed = config.seed + static_cast<std::uint64_t>(s);
-      std::vector<idx_t> new_part =
-          repartition_graph(two_phase, mcml.node_partition(), ro);
-      wgt_t moved = 0;
-      for (std::size_t v = 0; v < new_part.size(); ++v) {
-        if (new_part[v] != prev_dt_partition[v]) ++moved;
-      }
-      m.dt_repart_moved = moved;
-      mcml.set_node_partition(std::move(new_part));
-      prev_dt_partition = mcml.node_partition();
-    }
-
-    m.dt_fe_comm = total_comm_volume(graph, mcml.node_partition());
-    const SubdomainDescriptors& descriptors = pipeline.build_descriptors(mcml);
-    m.dt_tree_nodes = descriptors.num_tree_nodes();
-    m.dt_remote = pipeline.search(mcml, margin).remote_sends;
+    // FEComm and the balances are those of the map the step runs under; a
+    // repartition inside the step applies from the next processed snapshot.
     {
-      const std::vector<idx_t> contact_labels =
-          gather_contact_labels(snap.surface, mcml.node_partition());
-      m.dt_imbalance_fe = load_imbalance(graph, mcml.node_partition(), config.k);
-      m.dt_imbalance_contact = subset_imbalance(contact_labels, config.k);
+      const std::vector<idx_t> owner = dist.ownership_map();
+      m.dt_fe_comm = total_comm_volume(graph, owner);
+      m.dt_imbalance_fe = load_imbalance(graph, owner, config.k);
+      m.dt_imbalance_contact = subset_imbalance(
+          gather_contact_labels(snap.surface, owner), config.k);
+      const DistributedStepReport report = dist.run_step(s);
+      m.dt_tree_nodes = report.descriptor_tree_nodes;
+      m.dt_remote = report.search_exchange.total_units();
+      m.dt_repart_moved = report.repart_moved_nodes;
     }
 
     // --- ML+RCB ----------------------------------------------------------
@@ -185,8 +168,8 @@ ExperimentResult run_contact_experiment(const ExperimentConfig& config,
   // Coupling-inclusive per-step communication (Section 5.2's comparison):
   // ML+RCB ships surface-node data to the contact decomposition and back
   // (2x M2MComm) plus the incremental-RCB redistribution; MCML+DT has no
-  // coupling cost (one decomposition), only repartition movement if that
-  // policy is active.
+  // coupling cost (one decomposition), only repartition movement when
+  // repartition_period > 0.
   result.mcml_dt.total_step_comm =
       result.mcml_dt.fe_comm + result.mcml_dt.repart_moved;
   result.ml_rcb.total_step_comm = result.ml_rcb.fe_comm +

@@ -2,11 +2,17 @@
 //
 // Runs both algorithms over the full snapshot sequence of the impact
 // simulation and accounts the paper's metrics per snapshot:
-//   FEComm   — total communication volume of the mesh partition
+//   FEComm   — total communication volume of the mesh partition over the
+//              snapshot's nodal graph (eroded elements removed)
 //   NTNodes  — descriptor-tree size (MCML+DT)
 //   NRemote  — surface elements shipped for global search
 //   M2MComm  — FE <-> contact decomposition transfer (ML+RCB)
 //   UpdComm  — incremental-RCB redistribution (ML+RCB)
+// The MCML+DT columns come from DistributedSim, the step driver the
+// benches, the service and perfbench run: NTNodes is the step report's
+// descriptor_tree_nodes, NRemote its face-shipping units, and FEComm and
+// the balances are measured on the ownership map the step runs under. The
+// ML+RCB columns are counted units of the two-decomposition scheme.
 // Averages over the sequence reproduce Table 1; the per-snapshot series
 // drive the time-series figures and the ablations.
 #pragma once
@@ -20,25 +26,18 @@
 
 namespace cpart {
 
-enum class UpdatePolicy {
-  /// Keep the mesh partition fixed; rebuild only the descriptors each
-  /// snapshot (the strategy used in the paper's evaluation).
-  kFixedPartition,
-  /// Repartition (multi-constraint repartitioning + tree-friendly
-  /// adjustment) every `repartition_period` snapshots; descriptors rebuilt
-  /// every snapshot. Period 1 = paper's "first approach"; larger periods =
-  /// the hybrid approach (Section 4.3).
-  kPeriodicRepartition,
-};
-
 struct ExperimentConfig {
   ImpactSimConfig sim{};
   idx_t k = 25;
   double epsilon = 0.10;
   wgt_t contact_edge_weight = 5;
   std::uint64_t seed = 1;
-  UpdatePolicy policy = UpdatePolicy::kFixedPartition;
-  idx_t repartition_period = 10;  // used by kPeriodicRepartition
+  /// Repartition (multi-constraint repartitioning, then migration) every
+  /// `repartition_period` processed snapshots; 0 keeps the partition fixed
+  /// and rebuilds only the descriptors (the paper's evaluation). Period 1 is
+  /// the paper's "first approach", larger periods the hybrid (Section 4.3).
+  /// A repartition takes effect from the next processed snapshot.
+  idx_t repartition_period = 0;
   /// Ablation switches.
   bool tree_friendly = true;
   double gap_alpha = 0.0;
@@ -81,7 +80,7 @@ struct AlgorithmAverages {
   double remote = 0;
   double m2m = 0;   // ML+RCB only
   double upd = 0;   // ML+RCB only
-  double repart_moved = 0;  // repartition policies only
+  double repart_moved = 0;  // repartition_period > 0 only
   double imbalance_fe = 0;
   double imbalance_contact = 0;
   /// Mean per-step communication including decomposition-coupling costs:

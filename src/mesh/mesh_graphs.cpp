@@ -1,10 +1,8 @@
 #include "mesh/mesh_graphs.hpp"
 
-#include <algorithm>
-#include <unordered_map>
-
 #include "graph/graph_builder.hpp"
 #include "mesh/chunked_mesh.hpp"
+#include "mesh/mesh_topology.hpp"
 
 namespace cpart {
 
@@ -88,65 +86,17 @@ const CsrGraph& NodalGraphCache::get(const Mesh& mesh) {
   return graph_;
 }
 
-namespace {
-
-struct FaceKey {
-  std::array<idx_t, 4> ids{-1, -1, -1, -1};
-  bool operator==(const FaceKey&) const = default;
-};
-
-struct FaceKeyHash {
-  std::size_t operator()(const FaceKey& k) const {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (idx_t id : k.ids) {
-      h ^= static_cast<std::uint64_t>(id) + 0x9e3779b97f4a7c15ULL;
-      h *= 0x100000001b3ULL;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
-}  // namespace
-
-CsrGraph dual_graph(idx_t num_elements, ElementType type,
-                    const ElementChunkSource& chunks) {
-  GraphBuilder builder(num_elements);
-  const auto faces = element_faces(type);
-  const auto npe = static_cast<std::size_t>(nodes_per_element(type));
-  std::unordered_map<FaceKey, idx_t, FaceKeyHash> first_owner;
-  first_owner.reserve(static_cast<std::size_t>(num_elements) * faces.size());
-  idx_t e = 0;
-  for (std::span<const idx_t> chunk = chunks(); !chunk.empty();
-       chunk = chunks()) {
-    require(chunk.size() % npe == 0,
-            "dual_graph: chunk length not a multiple of nodes_per_element");
-    for (std::size_t off = 0; off < chunk.size(); off += npe, ++e) {
-      for (const auto& face : faces) {
-        FaceKey key;
-        for (std::size_t i = 0; i < face.size(); ++i) {
-          key.ids[i] = chunk[off + static_cast<std::size_t>(face[i])];
-        }
-        std::sort(key.ids.begin(),
-                  key.ids.begin() + static_cast<std::ptrdiff_t>(face.size()));
-        auto [it, inserted] = first_owner.try_emplace(key, e);
-        if (!inserted && it->second != e) {
-          builder.add_edge(it->second, e);
-        }
-      }
-    }
-  }
-  require(e == num_elements, "dual_graph: element count mismatch");
-  return builder.build();
-}
-
 CsrGraph dual_graph(const Mesh& mesh) {
-  return dual_graph(mesh.num_elements(), mesh.element_type(),
-                    whole_array_source(mesh.element_nodes()));
-}
-
-CsrGraph dual_graph(ChunkedMeshReader& reader) {
-  return dual_graph(reader.num_elements(), reader.element_type(),
-                    reader_source(reader));
+  const MeshTopology topo(mesh);
+  GraphBuilder builder(mesh.num_elements());
+  for (idx_t e = 0; e < mesh.num_elements(); ++e) {
+    for (int lf = 0; lf < topo.faces_per_element(); ++lf) {
+      // One edge per interior face, added from its lower-numbered side.
+      const idx_t nb = topo.face_neighbor(e, lf);
+      if (nb != kInvalidIndex && nb > e) builder.add_edge(e, nb);
+    }
+  }
+  return builder.build();
 }
 
 }  // namespace cpart

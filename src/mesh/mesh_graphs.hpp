@@ -17,7 +17,7 @@ class ChunkedMeshReader;
 
 /// Pull source of element connectivity: each call returns the next chunk of
 /// concatenated node ids (a multiple of nodes_per_element long), an empty
-/// span once exhausted. Both graph builders consume connectivity strictly
+/// span once exhausted. nodal_graph consumes connectivity strictly
 /// sequentially through this interface, so construction needs only one
 /// chunk resident at a time — an in-core Mesh is just the one-chunk case.
 using ElementChunkSource = std::function<std::span<const idx_t>()>;
@@ -27,22 +27,17 @@ using ElementChunkSource = std::function<std::span<const idx_t>()>;
 CsrGraph nodal_graph(idx_t num_nodes, ElementType type,
                      const ElementChunkSource& chunks);
 
-/// Builds the dual graph (elements adjacent when sharing an edge in 2D, a
-/// face in 3D) from streamed connectivity.
-CsrGraph dual_graph(idx_t num_elements, ElementType type,
-                    const ElementChunkSource& chunks);
-
 /// Builds the (unweighted) nodal graph of the mesh.
 CsrGraph nodal_graph(const Mesh& mesh);
 
-/// Builds the dual graph of the mesh.
+/// Builds the dual graph of the mesh: one edge per interior face (a face
+/// in 3D, an edge in 2D) of MeshTopology's face-neighbour index.
 CsrGraph dual_graph(const Mesh& mesh);
 
-/// Streaming builds over a chunked on-disk mesh: connectivity flows block
+/// Streaming build over a chunked on-disk mesh: connectivity flows block
 /// by block through the reader's bounded window; the mesh is never whole
 /// in core (the graph, of course, is).
 CsrGraph nodal_graph(ChunkedMeshReader& reader);
-CsrGraph dual_graph(ChunkedMeshReader& reader);
 
 /// Caches the nodal graph across the snapshots of one simulation sequence.
 ///

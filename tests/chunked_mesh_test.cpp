@@ -119,17 +119,12 @@ TEST_F(ChunkedMesh, StreamedGraphsMatchInCore) {
   const std::string p = path("graphs.cpmk");
   write_chunked_mesh(p, m, 17, 9);
   const CsrGraph nodal_ref = nodal_graph(m);
-  const CsrGraph dual_ref = dual_graph(m);
   ChunkedMeshReader r1(p);
   const CsrGraph nodal_s = nodal_graph(r1);
-  ChunkedMeshReader r2(p);
-  const CsrGraph dual_s = dual_graph(r2);
   EXPECT_EQ(nodal_s.num_vertices(), nodal_ref.num_vertices());
   EXPECT_EQ(nodal_s.num_edges(), nodal_ref.num_edges());
   EXPECT_EQ(nodal_s.xadj(), nodal_ref.xadj());
   EXPECT_EQ(nodal_s.adjncy(), nodal_ref.adjncy());
-  EXPECT_EQ(dual_s.xadj(), dual_ref.xadj());
-  EXPECT_EQ(dual_s.adjncy(), dual_ref.adjncy());
 }
 
 TEST_F(ChunkedMesh, RejectsBadMagicAndVersion) {
@@ -228,9 +223,8 @@ TEST_F(ChunkedMesh, LargeImpactStreamsAndPartitions) {
   EXPECT_EQ(reader.num_nodes(), info.num_nodes);
   EXPECT_EQ(reader.num_elements(), info.num_elements);
   const Mesh m = reader.load_mesh();
-  // Two separated bodies: the dual graph must have no plate<->impactor
-  // edge, and every element must reference valid nodes (load_mesh already
-  // validated ranges; check geometry separation here).
+  // Two separated bodies: every element must reference valid nodes
+  // (load_mesh already validated ranges; check geometry separation here).
   const BBox plate = m.element_bbox(0);
   const BBox impactor = m.element_bbox(info.num_elements - 1);
   EXPECT_GT(impactor.lo.z, plate.hi.z);

@@ -2,11 +2,14 @@
 // derived from meshes, erosion, and I/O round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <map>
 #include <set>
 #include <span>
 #include <sstream>
 
+#include "graph/graph_builder.hpp"
 #include "graph/graph_metrics.hpp"
 #include "mesh/generators.hpp"
 #include "mesh/mesh.hpp"
@@ -253,6 +256,50 @@ TEST(MeshGraphs, DualGraphGrid) {
   EXPECT_EQ(g.num_vertices(), 64);
   // 6-connectivity over a 4x4x4 cell grid: 3 * 4 * 4 * 3 = 144 edges.
   EXPECT_EQ(g.num_edges(), 144);
+}
+
+/// The dual graph as a face hash builds it: sorted face-node tuples, an
+/// edge from each repeat occurrence to the tuple's first element.
+CsrGraph hashed_dual_graph(const Mesh& mesh) {
+  GraphBuilder builder(mesh.num_elements());
+  std::map<std::vector<idx_t>, idx_t> first_owner;
+  for (idx_t e = 0; e < mesh.num_elements(); ++e) {
+    const auto elem = mesh.element(e);
+    for (const auto& face : element_faces(mesh.element_type())) {
+      std::vector<idx_t> key;
+      for (int i : face) key.push_back(elem[static_cast<std::size_t>(i)]);
+      std::sort(key.begin(), key.end());
+      const auto [it, inserted] = first_owner.try_emplace(key, e);
+      if (!inserted) builder.add_edge(it->second, e);
+    }
+  }
+  return builder.build();
+}
+
+TEST(MeshGraphs, DualGraphMatchesFaceHashBuild) {
+  const std::vector<Mesh> meshes{
+      make_tri_rect(5, 4, Vec3{0, 0, 0}, Vec3{5, 4, 0}),
+      make_quad_rect(5, 4, Vec3{0, 0, 0}, Vec3{5, 4, 0}),
+      make_tet_box(3, 3, 2, Vec3{0, 0, 0}, Vec3{3, 3, 2}),
+      make_hex_box(4, 3, 3, Vec3{0, 0, 0}, Vec3{4, 3, 3})};
+  for (Mesh m : meshes) {
+    for (int eroded = 0; eroded < 2; ++eroded) {
+      SCOPED_TRACE(testing::Message()
+                   << element_type_name(m.element_type()) << " eroded "
+                   << eroded);
+      if (eroded == 1) {
+        std::vector<char> keep(static_cast<std::size_t>(m.num_elements()));
+        for (std::size_t e = 0; e < keep.size(); ++e) keep[e] = e % 3 != 1;
+        m.remove_elements(keep);
+      }
+      const CsrGraph got = dual_graph(m);
+      const CsrGraph want = hashed_dual_graph(m);
+      EXPECT_GT(got.num_edges(), 0);
+      EXPECT_EQ(got.xadj(), want.xadj());
+      EXPECT_EQ(got.adjncy(), want.adjncy());
+      EXPECT_EQ(got.adjwgt(), want.adjwgt());
+    }
+  }
 }
 
 TEST(MeshGraphs, IsolatedNodesAfterErosion) {

@@ -1,21 +1,26 @@
-// Warm-vs-cold equivalence of the incremental per-timestep pipeline.
+// Warm-vs-cold equivalence of the per-step incremental state.
 //
-// The StepPipeline's warm starts (saved per-axis sorted orders, recycled
-// buffers, workspace-reusing snapshot generation, touched-list search
-// scratch) are pure optimizations: every product must be bit-identical to
-// cold recomputation at every step and at every thread count. These tests
-// pin that contract over full snapshot sequences at 1 and 8 threads.
+// Warm-started descriptor induction (saved per-axis sorted orders, recycled
+// node storage) and workspace-reusing snapshot generation are pure
+// optimizations: every product must be bit-identical to cold recomputation
+// at every step and at every thread count, in isolation and through
+// DistributedSim's step. The experiment's MCML+DT columns, which come from
+// that step, must equal a cold central recomputation of the same metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 #include <vector>
 
 #include "contact/global_search.hpp"
+#include "core/distributed_sim.hpp"
 #include "core/experiment.hpp"
 #include "core/mcml_dt.hpp"
+#include "graph/graph_metrics.hpp"
+#include "mesh/mesh_graphs.hpp"
 #include "parallel/thread_pool.hpp"
-#include "runtime/step_pipeline.hpp"
+#include "runtime/subdomain_state.hpp"
 #include "sim/impact_sim.hpp"
 #include "tree/decision_tree.hpp"
 
@@ -92,59 +97,70 @@ void check_warm_induction(unsigned threads) {
 TEST(WarmInduction, BitIdenticalSerial) { check_warm_induction(1); }
 TEST(WarmInduction, BitIdenticalEightThreads) { check_warm_induction(8); }
 
-/// The full pipeline over a snapshot sequence: snapshot generation,
-/// descriptor induction and global search must match the from-scratch path
-/// product-for-product.
+/// The per-step pipeline over a snapshot sequence: snapshot_into over one
+/// reused workspace, then DistributedSim's step with its warm-started
+/// descriptor induction and search scratch, must match the from-scratch
+/// path product-for-product — the fresh snapshot(), a cold descriptor build
+/// and a cold tree search under the same fixed partition.
 void check_pipeline_matches_cold(unsigned threads) {
   ThreadPool::set_global_threads(threads);
-  const ImpactSimConfig sim_config = small_sim_config();
-  const ImpactSim sim(sim_config);
+  const ImpactSim sim(small_sim_config());
   const real_t margin = 0.05;
 
-  McmlDtConfig dt_config;
-  dt_config.k = 12;
-  const ImpactSim::Snapshot snap0 = sim.snapshot(0);
-  const McmlDtPartitioner mcml(snap0.mesh, snap0.surface, dt_config);
+  DistributedSimConfig dist_config;
+  dist_config.decomposition.k = 12;
+  dist_config.search.search_margin = margin;
+  dist_config.search.contact_tolerance = margin;
+  DistributedSim dist(sim, dist_config);
 
-  StepPipeline pipeline(sim);
+  const ImpactSim::Snapshot snap0 = sim.snapshot(0);
+  const McmlDtPartitioner mcml(snap0.mesh, snap0.surface,
+                               dist_config.decomposition);
+  const std::vector<idx_t>& part = mcml.node_partition();
+  ASSERT_EQ(dist.ownership_map(), part);
+
+  ImpactSim::SnapshotWorkspace ws;
+  ImpactSim::Snapshot warm;
   for (idx_t s = 0; s < sim.num_snapshots(); ++s) {
-    const ImpactSim::Snapshot cold_snap = sim.snapshot(s);
-    const ImpactSim::Snapshot& warm_snap = pipeline.advance(s);
+    SCOPED_TRACE(testing::Message() << "snapshot " << s);
+    const ImpactSim::Snapshot cold = sim.snapshot(s);
+    sim.snapshot_into(s, ws, warm);
 
     // Snapshot: deformed nodes, elements, surface and contact sets.
-    ASSERT_EQ(warm_snap.eroded_elements, cold_snap.eroded_elements);
-    ASSERT_EQ(warm_snap.mesh.num_elements(), cold_snap.mesh.num_elements());
-    ASSERT_EQ(warm_snap.mesh.num_nodes(), cold_snap.mesh.num_nodes());
-    for (idx_t v = 0; v < cold_snap.mesh.num_nodes(); ++v) {
-      ASSERT_EQ(warm_snap.mesh.node(v), cold_snap.mesh.node(v)) << "node " << v;
+    ASSERT_EQ(warm.step, cold.step);
+    ASSERT_EQ(warm.nose_z, cold.nose_z);
+    ASSERT_EQ(warm.eroded_elements, cold.eroded_elements);
+    ASSERT_EQ(warm.mesh.num_nodes(), cold.mesh.num_nodes());
+    ASSERT_EQ(warm.mesh.num_elements(), cold.mesh.num_elements());
+    for (idx_t v = 0; v < cold.mesh.num_nodes(); ++v) {
+      ASSERT_EQ(warm.mesh.node(v), cold.mesh.node(v)) << "node " << v;
     }
-    ASSERT_EQ(warm_snap.surface.num_faces(), cold_snap.surface.num_faces());
-    ASSERT_EQ(warm_snap.surface.contact_nodes, cold_snap.surface.contact_nodes);
-    for (std::size_t f = 0; f < cold_snap.surface.faces.size(); ++f) {
-      ASSERT_EQ(warm_snap.surface.faces[f].element,
-                cold_snap.surface.faces[f].element);
-      ASSERT_EQ(warm_snap.surface.faces[f].nodes,
-                cold_snap.surface.faces[f].nodes);
+    ASSERT_TRUE(std::ranges::equal(warm.mesh.element_nodes(),
+                                   cold.mesh.element_nodes()));
+    ASSERT_EQ(warm.surface.num_faces(), cold.surface.num_faces());
+    ASSERT_EQ(warm.surface.contact_nodes, cold.surface.contact_nodes);
+    ASSERT_EQ(warm.surface.is_contact_node, cold.surface.is_contact_node);
+    for (std::size_t f = 0; f < cold.surface.faces.size(); ++f) {
+      ASSERT_EQ(warm.surface.faces[f].element, cold.surface.faces[f].element);
+      ASSERT_EQ(warm.surface.faces[f].nodes, cold.surface.faces[f].nodes);
     }
 
-    // Descriptors: warm-started induction vs the cold build.
+    // Descriptors: every rank's warm-induced copy vs the cold build.
+    const DistributedStepReport report = dist.run_step(s);
     const SubdomainDescriptors cold_desc =
-        mcml.build_descriptors(cold_snap.mesh, cold_snap.surface);
-    const SubdomainDescriptors& warm_desc = pipeline.build_descriptors(mcml);
-    expect_trees_identical(warm_desc.tree(), cold_desc.tree());
+        mcml.build_descriptors(cold.mesh, cold.surface);
+    ASSERT_EQ(report.descriptor_tree_nodes, cold_desc.num_tree_nodes());
+    for (const SubdomainState& state : dist.states()) {
+      ASSERT_TRUE(state.descriptors.has_value()) << "rank " << state.rank;
+      expect_trees_identical(state.descriptors->tree(), cold_desc.tree());
+    }
 
-    // Global search: owners and remote-send stats.
+    // Global search: remote sends under the fixed partition.
     const std::vector<idx_t> cold_owners =
-        face_owners(cold_snap.surface, mcml.node_partition(), dt_config.k);
+        face_owners(cold.surface, part, dist_config.decomposition.k);
     const GlobalSearchStats cold_stats = global_search_tree(
-        cold_snap.mesh, cold_snap.surface, cold_owners, cold_desc, margin);
-    const GlobalSearchStats warm_stats = pipeline.search(mcml, margin);
-    ASSERT_EQ(std::vector<idx_t>(pipeline.owners().begin(),
-                                 pipeline.owners().end()),
-              cold_owners);
-    ASSERT_EQ(warm_stats.remote_sends, cold_stats.remote_sends);
-    ASSERT_EQ(warm_stats.elements_sent, cold_stats.elements_sent);
-    ASSERT_EQ(warm_stats.candidates, cold_stats.candidates);
+        cold.mesh, cold.surface, cold_owners, cold_desc, margin);
+    ASSERT_EQ(report.search_exchange.total_units(), cold_stats.remote_sends);
   }
   ThreadPool::set_global_threads(0);
 }
@@ -156,43 +172,67 @@ TEST(StepPipeline, MatchesColdRecomputationEightThreads) {
   check_pipeline_matches_cold(8);
 }
 
-/// run_contact_experiment (which routes the MCML+DT per-snapshot phases
-/// through StepPipeline) must report the same SnapshotMetrics a cold
-/// recomputation of those phases produces.
-TEST(StepPipeline, ExperimentMetricsMatchColdReference) {
-  ExperimentConfig config;
-  config.sim = small_sim_config();
-  config.k = 10;
-  const ExperimentResult result = run_contact_experiment(config);
-  ASSERT_EQ(result.series.size(),
-            static_cast<std::size_t>(config.sim.num_snapshots));
+/// max count * k / total over the labels of the contact nodes.
+double contact_imbalance(const Surface& surface,
+                         std::span<const idx_t> node_labels, idx_t k) {
+  std::vector<idx_t> counts(static_cast<std::size_t>(k), 0);
+  for (idx_t id : surface.contact_nodes) {
+    ++counts[static_cast<std::size_t>(node_labels[static_cast<std::size_t>(id)])];
+  }
+  const idx_t maxc = *std::max_element(counts.begin(), counts.end());
+  return static_cast<double>(maxc) * static_cast<double>(k) /
+         static_cast<double>(surface.contact_nodes.size());
+}
 
-  const ImpactSim sim(config.sim);
-  const real_t cell =
-      config.sim.plate_width / static_cast<real_t>(config.sim.plate_cells_xy);
-  const real_t margin = static_cast<real_t>(kMarginCellFraction) * cell;
+/// run_contact_experiment takes its MCML+DT columns from DistributedSim's
+/// step; with the partition fixed they must equal a cold central
+/// recomputation: the snapshot-0 MCML+DT partition, a fresh snapshot, a
+/// cold descriptor build, face owners plus tree search, and the snapshot's
+/// nodal graph.
+TEST(Experiment, MetricsMatchColdReference) {
+  for (idx_t k : {idx_t{4}, idx_t{10}}) {
+    ExperimentConfig config;
+    config.sim = small_sim_config();
+    config.k = k;
+    const ExperimentResult result = run_contact_experiment(config);
+    ASSERT_EQ(result.series.size(),
+              static_cast<std::size_t>(config.sim.num_snapshots));
 
-  McmlDtConfig dt_config;
-  dt_config.k = config.k;
-  dt_config.epsilon = config.epsilon;
-  dt_config.contact_edge_weight = config.contact_edge_weight;
-  dt_config.tree_friendly = config.tree_friendly;
-  dt_config.partitioner.seed = config.seed;
-  const ImpactSim::Snapshot snap0 = sim.snapshot(0);
-  const McmlDtPartitioner mcml(snap0.mesh, snap0.surface, dt_config);
+    const ImpactSim sim(config.sim);
+    const real_t cell = config.sim.plate_width /
+                        static_cast<real_t>(config.sim.plate_cells_xy);
+    const real_t margin = static_cast<real_t>(kMarginCellFraction) * cell;
 
-  for (const SnapshotMetrics& m : result.series) {
-    const ImpactSim::Snapshot snap = sim.snapshot(m.step);
-    EXPECT_EQ(m.contact_nodes, snap.surface.num_contact_nodes());
-    EXPECT_EQ(m.surface_faces, snap.surface.num_faces());
-    const SubdomainDescriptors desc =
-        mcml.build_descriptors(snap.mesh, snap.surface);
-    EXPECT_EQ(m.dt_tree_nodes, desc.num_tree_nodes());
-    const std::vector<idx_t> owners =
-        face_owners(snap.surface, mcml.node_partition(), config.k);
-    EXPECT_EQ(m.dt_remote,
-              global_search_tree(snap.mesh, snap.surface, owners, desc, margin)
-                  .remote_sends);
+    McmlDtConfig dt_config;
+    dt_config.k = config.k;
+    dt_config.epsilon = config.epsilon;
+    dt_config.contact_edge_weight = config.contact_edge_weight;
+    dt_config.tree_friendly = config.tree_friendly;
+    dt_config.partitioner.seed = config.seed;
+    const ImpactSim::Snapshot snap0 = sim.snapshot(0);
+    const McmlDtPartitioner mcml(snap0.mesh, snap0.surface, dt_config);
+    const std::vector<idx_t>& part = mcml.node_partition();
+
+    for (const SnapshotMetrics& m : result.series) {
+      SCOPED_TRACE(testing::Message() << "k " << k << " snapshot " << m.step);
+      const ImpactSim::Snapshot snap = sim.snapshot(m.step);
+      EXPECT_EQ(m.contact_nodes, snap.surface.num_contact_nodes());
+      EXPECT_EQ(m.surface_faces, snap.surface.num_faces());
+      const SubdomainDescriptors desc =
+          mcml.build_descriptors(snap.mesh, snap.surface);
+      EXPECT_EQ(m.dt_tree_nodes, desc.num_tree_nodes());
+      const std::vector<idx_t> owners =
+          face_owners(snap.surface, part, config.k);
+      EXPECT_EQ(m.dt_remote, global_search_tree(snap.mesh, snap.surface,
+                                                owners, desc, margin)
+                                 .remote_sends);
+      const CsrGraph graph = nodal_graph(snap.mesh);
+      EXPECT_EQ(m.dt_fe_comm, total_comm_volume(graph, part));
+      EXPECT_EQ(m.dt_imbalance_fe, load_imbalance(graph, part, config.k));
+      EXPECT_EQ(m.dt_imbalance_contact,
+                contact_imbalance(snap.surface, part, config.k));
+      EXPECT_EQ(m.dt_repart_moved, 0);
+    }
   }
 }
 

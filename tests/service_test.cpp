@@ -220,7 +220,8 @@ TEST_F(ServiceTest, ConcurrentSessionsBitIdenticalToSoloAtAnyWidth) {
   std::vector<SessionConfig> configs;
   std::vector<std::vector<Fingerprint>> solo;
   for (idx_t i = 0; i < kSessions; ++i) {
-    SessionConfig sc = tiny_session("s" + std::to_string(i));
+    SessionConfig sc =
+        tiny_session(std::string("s").append(std::to_string(i)));
     sc.inject_faults = true;
     sc.faults.cell_fault_probability = 0.2;
     configs.push_back(sc);
