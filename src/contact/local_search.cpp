@@ -394,7 +394,7 @@ class CandidateFaces {
 }  // namespace
 
 void local_contact_search_records_into(std::span<const idx_t> node_ids,
-                                       std::span<const Vec3> positions,
+                                       std::span<const Vec3> node_positions,
                                        int dim,
                                        std::span<const FaceRecord> faces,
                                        const LocalSearchOptions& opts,
@@ -406,8 +406,11 @@ void local_contact_search_records_into(std::span<const idx_t> node_ids,
   const CandidateFaces candidates(faces, opts.body_of_node, dim,
                                   opts.tolerance, scratch);
 
-  for (idx_t node : node_ids) {
-    const Vec3 p = positions[static_cast<std::size_t>(node)];
+  require(node_positions.size() == node_ids.size(),
+          "local_contact_search_records: one position per node id");
+  for (std::size_t i = 0; i < node_ids.size(); ++i) {
+    const idx_t node = node_ids[i];
+    const Vec3 p = node_positions[i];
     scratch.candidates.clear();
     candidates.query(node, p, scratch.candidates);
     ContactEvent best;

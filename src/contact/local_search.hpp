@@ -81,17 +81,17 @@ struct SubsetSearchScratch {
 };
 
 /// Local search of `node_ids` against face records — what one rank
-/// executes after global search delivered its faces — with node positions
-/// drawn from `positions` (dense, indexed by global node id). The record
+/// executes after global search delivered its faces — with
+/// node_positions[i] the position of node_ids[i]. The record
 /// triangulation and normal mirror face_triangles/face_normal, so the
 /// arithmetic, exclusions, and (node, distance) ordering are those of
 /// local_contact_search on the same faces; events carry record.key in
 /// ContactEvent::face, and with closest_only a tie in distance goes to the
-/// lower key. `opts.body_of_node` uses global node ids too; with
+/// lower key. `opts.body_of_node` is indexed by global node id; with
 /// it, each node queries per-body kd-trees of the *other* bodies' faces
 /// only, so same-body faces are never generated as candidates.
 void local_contact_search_records_into(std::span<const idx_t> node_ids,
-                                       std::span<const Vec3> positions,
+                                       std::span<const Vec3> node_positions,
                                        int dim,
                                        std::span<const FaceRecord> faces,
                                        const LocalSearchOptions& opts,

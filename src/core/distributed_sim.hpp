@@ -31,7 +31,8 @@
 //      migration channels;
 //   F. migration commit — receivers splice the migrated state, validate
 //      element records against the immutable topology, and every rank
-//      rebuilds its ownership views from the new labels.
+//      re-numbers its local set and views from the new labels, carrying
+//      its owned state across.
 //
 // Supersteps A+B (plus rank 0's gather of the contact points) and D+E+F
 // each run as one dependency-driven AsyncExecutor::run: each phase declares
@@ -274,13 +275,19 @@ class DistributedSim {
 
   bool suspended() const { return suspended_; }
 
-  /// Bytes held by the per-rank states right now (0 while suspended) —
-  /// what a service's resident-bytes budget meters.
+  /// Heap bytes held by the per-rank states right now, by capacity (0
+  /// while suspended): every buffer a SubdomainState keeps — replicated
+  /// owner map, local numbering and views, per-node state, per-step
+  /// products, search scratch and descriptor copy. What a service's
+  /// resident-bytes budget meters.
   std::size_t resident_bytes() const;
 
   /// Admission-control estimate of resident_bytes() for a not-yet-built
-  /// sim: the k-replicated dense arrays dominate, so the model is
-  /// k * (num_nodes * (owner + position + hits + masks) + num_elements).
+  /// sim: the k replicas of node_owner plus a model of the local sets
+  /// (owned nodes plus a ghost layer that grows as the subdomains' surface)
+  /// and of the per-step products. An upper bound on resident_bytes() for
+  /// the impact scenes at any k, within a small factor of it (see
+  /// DistributedSim.ResidentEstimateBoundsMeasuredBytes).
   static std::size_t estimate_resident_bytes(idx_t num_nodes,
                                              idx_t num_elements, idx_t k);
 
@@ -358,10 +365,11 @@ class DistributedSim {
                                          std::span<const char> is_contact,
                                          DistributedStepReport& report);
 
-  /// Copies `owner`/`hits` into every rank state and rebuilds the views —
-  /// how the reference body's results (and the degraded recovery) re-enter
-  /// the rank-owned representation.
-  void scatter_global_state(std::span<const idx_t> owner,
+  /// Copies `owner`/`hits` into every rank state, rebuilds the views and
+  /// sets every local position to snapshot `s`'s — how the reference
+  /// body's results (and the degraded recovery) re-enter the rank-owned
+  /// representation.
+  void scatter_global_state(idx_t s, std::span<const idx_t> owner,
                             std::span<const wgt_t> hits);
 
   std::uint64_t ownership_hash(std::span<const idx_t> owner,
@@ -377,9 +385,9 @@ class DistributedSim {
   idx_t steps_run_ = 0;
   // Driver scratch.
   TreeInduceWorkspace induce_ws_;  // warm storage across per-step inductions
-  // halo_providers_[dst]: ranks that post halo nodes to dst this step — the
-  // inverse of the rank states' halo send lists, rebuilt per step (views
-  // change on migration).
+  // halo_providers_[dst]: ranks that post halo nodes to dst — the inverse
+  // of the rank states' halo send lists, rebuilt wherever the views are
+  // (construction, migration commit, scatter, restore).
   std::vector<std::vector<idx_t>> halo_providers_;
   std::vector<char> contact_mask_;
   // The two-phase graph over the immutable topology, built on the first

@@ -86,14 +86,4 @@ MeshTopology::MeshTopology(const Mesh& mesh) : mesh_(&mesh) {
   }
 }
 
-int MeshTopology::face_nodes(idx_t e, int lf, std::array<idx_t, 4>& out) const {
-  const auto faces = element_faces(mesh_->element_type());
-  const auto& local = faces[static_cast<std::size_t>(lf)];
-  const auto elem = mesh_->element(e);
-  for (std::size_t i = 0; i < local.size(); ++i) {
-    out[i] = elem[static_cast<std::size_t>(local[i])];
-  }
-  return static_cast<int>(local.size());
-}
-
 }  // namespace cpart

@@ -42,10 +42,6 @@ class MeshTopology {
                           static_cast<std::size_t>(lf)];
   }
 
-  /// Global node ids of face (e, lf) in the element_faces() local order —
-  /// the same order extract_surface emits. Returns the node count.
-  int face_nodes(idx_t e, int lf, std::array<idx_t, 4>& out) const;
-
   /// Stable global id of face (e, lf).
   idx_t face_key(idx_t e, int lf) const {
     return e * static_cast<idx_t>(fpe_) + static_cast<idx_t>(lf);

@@ -26,9 +26,10 @@
 
 namespace cpart {
 
-/// One FE halo post: `node`'s data goes to partition `dst` this step.
+/// One FE halo post: the owned node at local id `local` goes to partition
+/// `dst` this step.
 struct HaloSend {
-  idx_t node = kInvalidIndex;
+  idx_t local = kInvalidIndex;
   idx_t dst = kInvalidIndex;
 };
 
@@ -47,45 +48,67 @@ void collect_tracker_ranks(const MeshTopology& topo,
                            std::span<const idx_t> owner, idx_t v,
                            std::vector<char>& seen, std::vector<idx_t>& out);
 
-/// One rank's share of the distributed simulation. Dense arrays are sized
-/// by the full initial mesh (node id == global id, no local renumbering —
-/// the paper's meshes fit per-node arrays comfortably and global ids keep
-/// every cross-rank message self-describing); a rank only ever *writes*
-/// the entries it owns, plus ghost entries from delivered halo messages.
+/// One rank's share of the distributed simulation, sized by that share.
+/// Nodes are numbered locally: the owned nodes in ascending global id, then
+/// the ghosts (the element closure's other nodes) sorted by (owner, id) —
+/// exactly the order a halo inbox arrives in, since each owner posts its
+/// nodes in ascending id and an inbox concatenates sources in ascending
+/// rank. Per-node state is indexed by local id; messages, events, records
+/// and checkpoints keep global ids. The one array over the whole mesh is
+/// the replicated node_owner map, which the label broadcast updates in
+/// place. A rank only ever writes its owned entries, plus ghost entries
+/// from delivered halo messages.
 struct SubdomainState {
   idx_t rank = kInvalidIndex;
 
-  // --- Replicated metadata (identical on every rank between supersteps) ---
-  /// Current owner of every node. Updated only at the migration commit.
+  // --- Replicated metadata (identical on every rank between steps) ---
+  /// Current owner of every node. Updated only on migration steps.
   std::vector<idx_t> node_owner;
 
-  // --- Ownership views (rebuilt by rebuild_views after migration) ---
-  std::vector<idx_t> owned_nodes;      // ascending node id
-  std::vector<idx_t> owned_elements;   // ascending; majority-owned by rank
+  // --- Local numbering and ownership views (rebuilt by rebuild_views) ---
+  /// Global id of each local node: [0, num_owned) owned, ascending; then
+  /// the ghosts by (owner, id).
+  std::vector<idx_t> local_nodes;
+  idx_t num_owned = 0;
   std::vector<idx_t> tracked_elements; // ascending; >=1 node owned by rank
+  /// Local ids of each tracked element's nodes, in Mesh::element order:
+  /// row i (element_size entries) belongs to tracked_elements[i].
+  std::vector<idx_t> tracked_local;
+  int element_size = 0;  // nodes per element
+  std::vector<idx_t> owned_elements;   // ascending; majority-owned by rank
   std::vector<HaloSend> halo_sends;    // owned node -> ghost-holding rank
 
-  // --- Authoritative per-node state (valid on owned; positions also on
-  //     the ghost closure after the halo superstep) ---
-  std::vector<Vec3> positions;
-  std::vector<wgt_t> contact_hits;
+  // --- Authoritative per-node state, by local id (positions valid on the
+  //     whole local set after the halo superstep; hits on the owned block) ---
+  std::vector<Vec3> positions;         // local_nodes.size()
+  std::vector<wgt_t> contact_hits;     // num_owned
 
   // --- Per-step products (cleared by begin_step) ---
-  std::vector<idx_t> contact_nodes;        // owned, ascending
+  std::vector<idx_t> contact_nodes;        // owned, ascending global id
+  std::vector<idx_t> contact_local;        // their local ids
+  std::vector<Vec3> contact_points;        // their positions
   std::vector<FaceRecord> owned_records;   // home faces, ascending key
   std::vector<FaceRecord> local_records;   // owned + received, ascending key
   std::optional<SubdomainDescriptors> descriptors;
   std::vector<ContactEvent> events;
   std::vector<idx_t> query_parts;
   SubsetSearchScratch search_scratch;
-  /// Label updates received this step, applied at the migration commit.
+  /// Label updates received this step, applied on migration steps.
   std::vector<std::pair<idx_t, idx_t>> pending_labels;  // (node, new owner)
-  std::vector<idx_t> owner_scratch;        // next node_owner, built pre-commit
   idx_t moved_nodes_out = 0;
   idx_t moved_elements_out = 0;
 
-  /// Sizes every array for `topo`, copies the initial ownership, zeroes the
-  /// per-node state, and builds the ownership views.
+  /// The owned global ids, ascending.
+  std::span<const idx_t> owned_nodes() const {
+    return {local_nodes.data(), static_cast<std::size_t>(num_owned)};
+  }
+  /// Local id of owned node `v` (binary search; throws when not owned).
+  idx_t owned_local(idx_t v) const;
+  /// Local ids of the nodes of tracked_elements[i].
+  std::span<const idx_t> element_local(std::size_t i) const;
+
+  /// Copies the initial ownership, builds the local numbering and views,
+  /// and sizes the per-node state to it, zeroed.
   void init(const MeshTopology& topo, idx_t r, std::span<const idx_t> owner,
             idx_t k);
 
@@ -94,14 +117,18 @@ struct SubdomainState {
   /// next induction.
   void begin_step();
 
-  /// Recomputes owned_nodes / tracked_elements / owned_elements /
-  /// halo_sends from node_owner. Called at init and after every migration
-  /// commit; between those, the views are stable because the topology is.
+  /// Recomputes the local numbering and every view from node_owner, and
+  /// resizes positions / contact_hits / node_mask to it, zeroed (callers
+  /// refill the state they carry). Called at init and after every
+  /// ownership change; between those, the views are stable because the
+  /// topology is.
   void rebuild_views(const MeshTopology& topo, idx_t k);
 
+  /// Heap bytes held by every buffer above, by capacity.
+  std::size_t heap_bytes() const;
+
   // Scratch (kept across steps so the steady state allocates nothing).
-  std::vector<char> node_mask;   // num_nodes, all-zero between uses
-  std::vector<char> elem_mask;   // num_elements, all-zero between uses
+  std::vector<char> node_mask;   // local_nodes.size(), all-zero between uses
   std::vector<char> rank_seen;   // k, all-zero between uses
   std::vector<idx_t> touched;
 };

@@ -225,8 +225,9 @@ void ImpactSim::snapshot_into(idx_t s, SnapshotWorkspace& ws,
   idx_t live = 0;  // snapshot-mesh id of element e
   for (idx_t e = 0; e < ne; ++e) {
     for_each_contact_face(
-        e, nose, out.mesh.nodes(),
-        [&](int lf, const std::array<idx_t, 4>& ids, int n) {
+        e, nose, initial_.element(e), out.mesh.nodes(),
+        [&](int lf, const std::array<idx_t, 4>& ids,
+            const std::array<idx_t, 4>&, int n) {
           if (nf == surface.faces.size()) surface.faces.emplace_back();
           SurfaceFace& sf = surface.faces[nf++];
           sf.element = live;

@@ -118,29 +118,41 @@ class ImpactSim {
   /// — the numbering Mesh::remove_elements gives the snapshot mesh.
   void snapshot_into(idx_t s, SnapshotWorkspace& ws, Snapshot& out) const;
 
-  /// The kept-face rule. Calls fn(lf, ids, nf) for every face lf of
+  /// The kept-face rule. Calls fn(lf, ids, at, nf) for every face lf of
   /// initial-mesh element `e` that is kept at nose height `nose`: `e` is
   /// not eroded, the face's neighbour is missing or eroded, and the face
-  /// is in the contact zone. ids[0..nf) are the face's node ids in
-  /// element_faces() order; `positions` holds the deformed position of at
-  /// least those nodes (the zone test uses the face centroid: the sum in
-  /// face-node order, then times 1/nf).
+  /// is in the contact zone. ids[0..nf) are the face's global node ids in
+  /// element_faces() order and at[0..nf) their indices into `positions`:
+  /// `slots[i]` is the index of element e's i-th node (Mesh::element
+  /// order) — the element's own node ids when `positions` is indexed by
+  /// global id, a rank's local ids when it holds a rank's local set.
+  /// `positions` holds the deformed position of at least those nodes (the
+  /// zone test uses the face centroid: the sum in face-node order, then
+  /// times 1/nf).
   template <typename Fn>
   void for_each_contact_face(idx_t e, real_t nose,
+                             std::span<const idx_t> slots,
                              std::span<const Vec3> positions, Fn&& fn) const {
     if (element_eroded(e, nose)) return;
+    const auto faces = element_faces(initial_.element_type());
+    const auto elem = initial_.element(e);
     std::array<idx_t, 4> ids;
+    std::array<idx_t, 4> at;
     for (int lf = 0; lf < topo_.faces_per_element(); ++lf) {
       const idx_t nb = topo_.face_neighbor(e, lf);
       if (nb != kInvalidIndex && !element_eroded(nb, nose)) continue;
-      const int nf = topo_.face_nodes(e, lf, ids);
+      const auto& corners = faces[static_cast<std::size_t>(lf)];
+      const int nf = static_cast<int>(corners.size());
       Vec3 c{};
       for (int i = 0; i < nf; ++i) {
-        c = c + positions[static_cast<std::size_t>(ids[i])];
+        const auto corner = static_cast<std::size_t>(corners[i]);
+        ids[i] = elem[corner];
+        at[i] = slots[corner];
+        c = c + positions[static_cast<std::size_t>(at[i])];
       }
       c = (1.0 / static_cast<real_t>(nf)) * c;
       if (!face_in_contact_zone(ids[0], c)) continue;
-      fn(lf, ids, nf);
+      fn(lf, ids, at, nf);
     }
   }
 

@@ -87,6 +87,13 @@ class DecisionTree {
   /// Labels present in the (impure) leaf `id` beyond the majority label.
   std::span<const idx_t> minority_labels(idx_t id) const;
 
+  /// Heap bytes held by the tree, by capacity.
+  std::size_t heap_bytes() const {
+    return nodes_.capacity() * sizeof(TreeNode) +
+           (minority_offsets_.capacity() + minority_labels_.capacity()) *
+               sizeof(idx_t);
+  }
+
  private:
   friend class TreeInducer;
   friend class TreeInduceWorkspace;

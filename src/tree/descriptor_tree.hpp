@@ -54,6 +54,14 @@ class SubdomainDescriptors {
 
   const DecisionTree& tree() const { return tree_; }
 
+  /// Heap bytes held by the tree and the query scratch, by capacity.
+  std::size_t heap_bytes() const {
+    return tree_.heap_bytes() +
+           (regions_per_part_.capacity() + touched_.capacity()) *
+               sizeof(idx_t) +
+           mask_.capacity();
+  }
+
   /// Moves the descriptor tree out — e.g. into
   /// TreeInduceWorkspace::recycle() before rebuilding descriptors for the
   /// next snapshot. Leaves the descriptors empty.

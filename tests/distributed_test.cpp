@@ -753,5 +753,138 @@ TEST_F(SpmdTest, PhaseTimingsCoverEveryRank) {
   EXPECT_TRUE(ref.phase.search_ms.empty());
 }
 
+
+/// Every rank's local set is its owned nodes (ascending id) followed by the
+/// other nodes of its tracked elements (the element closure of the owned
+/// nodes) sorted by (owner, id); the local connectivity maps back to the
+/// mesh; and nothing but the replicated owner map is sized by the mesh.
+void expect_rank_states_local(const DistributedSim& dsim,
+                              const std::string& what) {
+  const MeshTopology& topo = dsim.topology();
+  const auto nn = static_cast<std::size_t>(topo.num_nodes());
+  const std::vector<idx_t> owner = dsim.ownership_map();
+  for (const SubdomainState& st : dsim.states()) {
+    const std::string at = what + " rank " + std::to_string(st.rank);
+    std::vector<idx_t> local;
+    std::set<idx_t> tracked;
+    for (idx_t v = 0; v < topo.num_nodes(); ++v) {
+      if (owner[static_cast<std::size_t>(v)] != st.rank) continue;
+      local.push_back(v);
+      for (idx_t e : topo.elements_of(v)) tracked.insert(e);
+    }
+    const std::size_t owned = local.size();
+    std::set<std::pair<idx_t, idx_t>> ghosts;
+    for (idx_t e : tracked) {
+      for (idx_t u : topo.mesh().element(e)) {
+        const idx_t o = owner[static_cast<std::size_t>(u)];
+        if (o != st.rank) ghosts.emplace(o, u);
+      }
+    }
+    for (const auto& [o, u] : ghosts) local.push_back(u);
+
+    ASSERT_EQ(static_cast<std::size_t>(st.num_owned), owned) << at;
+    ASSERT_EQ(st.local_nodes, local) << at;
+    ASSERT_EQ(st.tracked_elements,
+              std::vector<idx_t>(tracked.begin(), tracked.end()))
+        << at;
+    for (std::size_t i = 0; i < st.tracked_elements.size(); ++i) {
+      const auto elem = topo.mesh().element(st.tracked_elements[i]);
+      const auto slots = st.element_local(i);
+      ASSERT_EQ(slots.size(), elem.size()) << at;
+      for (std::size_t j = 0; j < elem.size(); ++j) {
+        ASSERT_EQ(st.local_nodes[static_cast<std::size_t>(slots[j])], elem[j])
+            << at;
+      }
+    }
+    EXPECT_EQ(st.positions.size(), local.size()) << at;
+    EXPECT_EQ(st.node_mask.size(), local.size()) << at;
+    EXPECT_EQ(st.contact_hits.size(), owned) << at;
+    // The one per-node array over the whole mesh.
+    EXPECT_EQ(st.node_owner.size(), nn) << at;
+    EXPECT_LT(local.size(), nn) << at;
+    EXPECT_LT(st.halo_sends.size(), nn) << at;
+    EXPECT_EQ(st.tracked_local.size(),
+              st.tracked_elements.size() *
+                  static_cast<std::size_t>(st.element_size))
+        << at;
+  }
+}
+
+TEST(DistributedSim, RankStateIsLocal) {
+  ThreadPool::set_global_threads(4);
+  ImpactSimConfig sc;
+  sc.plate_cells_xy = 12;
+  sc.plate_cells_z = 2;
+  sc.proj_cells_diameter = 6;
+  sc.proj_cells_z = 6;
+  sc.num_snapshots = 40;
+  const ImpactSim sim(sc);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("cpart_rank_state_local_" + std::to_string(::getpid()));
+  for (idx_t k : {idx_t{4}, idx_t{25}}) {
+    std::filesystem::remove_all(dir);
+    DistributedSimConfig config;
+    config.decomposition.k = k;
+    config.search.search_margin = 0.12;
+    config.search.contact_tolerance = 0.08;
+    config.repartition_period = 2;
+    config.repartition.epsilon = 0.02;
+    config.checkpoint_dir = dir.string();
+    DistributedSim dsim(sim, config);
+    const std::string what = "k=" + std::to_string(k);
+    expect_rank_states_local(dsim, what + " init");
+    idx_t moved = 0;
+    for (idx_t s = 0; s < 8; ++s) {
+      const DistributedStepReport r = dsim.run_step(4 * s);
+      moved += r.repart_moved_nodes;
+      expect_rank_states_local(dsim, what + " step " + std::to_string(s));
+    }
+    // The migrations re-numbered real ownership changes.
+    EXPECT_GT(moved, 0) << what;
+    ASSERT_TRUE(dsim.suspend()) << what;
+    ASSERT_TRUE(dsim.resume()) << what;
+    expect_rank_states_local(dsim, what + " resumed");
+    dsim.run_step(36);
+    expect_rank_states_local(dsim, what + " after resume");
+  }
+  std::filesystem::remove_all(dir);
+  ThreadPool::set_global_threads(0);
+}
+
+TEST(DistributedSim, ResidentEstimateBoundsMeasuredBytes) {
+  // The admission estimate is an upper bound on what the rank states hold
+  // in the steady state (descriptor copies and per-step products grown to
+  // the largest contact surface), within a factor of 2, on two impact
+  // resolutions at the paper's rank counts.
+  ThreadPool::set_global_threads(4);
+  for (double resolution : {0.25, 1.0}) {
+    ImpactSimConfig sc;
+    sc.scale_resolution(resolution);
+    const ImpactSim sim(sc);
+    const real_t cell = sc.plate_width / static_cast<real_t>(sc.plate_cells_xy);
+    for (idx_t k : {idx_t{4}, idx_t{25}, idx_t{100}}) {
+      DistributedSimConfig config;
+      config.decomposition.k = k;
+      config.search.search_margin = 0.5 * cell;
+      config.search.contact_tolerance = 0.25 * cell;
+      DistributedSim dsim(sim, config);
+      std::size_t measured = dsim.resident_bytes();
+      for (idx_t s : {0, 25, 50, 75, 99}) {
+        dsim.run_step(s);
+        measured = std::max(measured, dsim.resident_bytes());
+      }
+      const std::size_t estimate = DistributedSim::estimate_resident_bytes(
+          sim.initial_mesh().num_nodes(), sim.initial_mesh().num_elements(),
+          k);
+      const std::string what = "resolution " + std::to_string(resolution) +
+                               " k=" + std::to_string(k);
+      EXPECT_GE(estimate, measured) << what;
+      EXPECT_LE(estimate, 2 * measured) << what;
+    }
+  }
+  ThreadPool::set_global_threads(0);
+}
+
 }  // namespace
 }  // namespace cpart

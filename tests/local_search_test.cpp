@@ -217,7 +217,9 @@ void expect_kernels_match_brute_force(const Mesh& mesh, const Surface& surface,
     o.closest_only = closest_only;
     SubsetSearchScratch scratch;
     std::vector<ContactEvent> got;
-    local_contact_search_records_into(node_ids, mesh.nodes(), mesh.dim(),
+    std::vector<Vec3> node_positions;
+    for (idx_t v : node_ids) node_positions.push_back(mesh.node(v));
+    local_contact_search_records_into(node_ids, node_positions, mesh.dim(),
                                       records, o, scratch, got);
     for (ContactEvent& e : got) e.face -= kKeyOffset;
     return got;
@@ -352,8 +354,8 @@ TEST(LocalSearchKernels, ClosestTieGoesToLowerKey) {
        {std::vector<FaceRecord>{a, b}, std::vector<FaceRecord>{b, a}}) {
     SubsetSearchScratch scratch;
     std::vector<ContactEvent> events;
-    local_contact_search_records_into(nodes, positions, 3, records, opts,
-                                      scratch, events);
+    local_contact_search_records_into(nodes, {&positions[6], 1}, 3, records,
+                                      opts, scratch, events);
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].face, 3);
     EXPECT_DOUBLE_EQ(events[0].distance, 0.05);

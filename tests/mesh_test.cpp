@@ -161,9 +161,13 @@ std::vector<SurfaceFace> topology_boundary(const MeshTopology& topo,
     for (int lf = 0; lf < topo.faces_per_element(); ++lf) {
       const idx_t nb = topo.face_neighbor(e, lf);
       if (nb != kInvalidIndex && keep[static_cast<std::size_t>(nb)]) continue;
-      std::array<idx_t, 4> ids;
-      const int n = topo.face_nodes(e, lf, ids);
-      faces.push_back({live, lf, {ids.begin(), ids.begin() + n}});
+      const auto elem = topo.mesh().element(e);
+      std::vector<idx_t> ids;
+      for (int corner : element_faces(
+               topo.mesh().element_type())[static_cast<std::size_t>(lf)]) {
+        ids.push_back(elem[static_cast<std::size_t>(corner)]);
+      }
+      faces.push_back({live, lf, ids});
     }
     ++live;
   }
