@@ -25,9 +25,10 @@
 // "results": [{threads, ..., distributed: {reference_mean_ms, spmd_mean_ms,
 // speedup, health: {...}, steps: [{..., migrated, repartition_ms,
 // ownership_hash (hex string), bytes: {descriptor, halo, faces}, phase_ms:
-// {descriptor: [per rank], halo, ship, search}, wait: {descriptor, ship,
-// search}}]}}], "scaling": {...}, "recovery": {...}}, steady state = steps
-// >= 1. The per-rank arrays follow RankPhaseBreakdown's superstep mapping.
+// {descriptor: [per rank], halo, ship, search, deliver}, wait: {descriptor,
+// ship, search}}]}}], "scaling": {...}, "recovery": {...}}, steady state =
+// steps >= 1. The per-rank arrays follow RankPhaseBreakdown's superstep
+// mapping.
 //
 // The "induction" block times descriptor induction of one snapshot's contact
 // points cold and warm (after the previous snapshot in one
@@ -432,6 +433,8 @@ int main(int argc, char** argv) {
         json_array(dsteps_json, phase.ship_ms);
         dsteps_json << ", \"search\": ";
         json_array(dsteps_json, phase.search_ms);
+        dsteps_json << ", \"deliver\": ";
+        json_array(dsteps_json, phase.deliver_ms);
         // Per-rank readiness-wait time preceding each consuming phase.
         dsteps_json << "},\n     \"wait\": {\"descriptor\": ";
         json_array(dsteps_json, phase.descriptor_wait_ms);

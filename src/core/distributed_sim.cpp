@@ -172,8 +172,8 @@ LocalSearchOptions SearchConfig::local_options(
 void RankPhaseBreakdown::reset(idx_t k) {
   const auto n = static_cast<std::size_t>(k);
   for (std::vector<double>* v :
-       {&descriptor_ms, &halo_ms, &ship_ms, &search_ms, &descriptor_wait_ms,
-        &ship_wait_ms, &search_wait_ms}) {
+       {&descriptor_ms, &halo_ms, &ship_ms, &search_ms, &deliver_ms,
+        &descriptor_wait_ms, &ship_wait_ms, &search_wait_ms}) {
     v->assign(n, 0.0);
   }
 }
@@ -544,11 +544,13 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
                  .writes = channel_bit(ChannelId::kCouplingForward),
                  .ms_accum = phase.halo_ms,
                  .wait_ms_accum = phase.ship_wait_ms,
+                 .deliver_ms_accum = phase.deliver_ms,
                  .providers = &halo_providers_},
       AsyncPhase{.body = gather_phase,
                  .reads = channel_bit(ChannelId::kCouplingForward),
                  .ms_accum = phase.halo_ms,
-                 .wait_ms_accum = phase.descriptor_wait_ms},
+                 .wait_ms_accum = phase.descriptor_wait_ms,
+                 .deliver_ms_accum = phase.deliver_ms},
   };
   // Injected hangs arm the executor's watchdog so a rank that never
   // publishes is declared dead instead of deadlocking the run.
@@ -757,18 +759,21 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
                                      .reads = broadcast_mask,
                                      .writes = channel_bit(ChannelId::kFaces),
                                      .ms_accum = phase.ship_ms,
-                                     .wait_ms_accum = phase.descriptor_wait_ms});
+                                     .wait_ms_accum = phase.descriptor_wait_ms,
+                                     .deliver_ms_accum = phase.deliver_ms});
   search_phases.push_back(
       AsyncPhase{.body = phase_e,
                  .reads = channel_bit(ChannelId::kFaces),
                  .writes = migrate ? migrate_mask : ChannelMask{0},
                  .ms_accum = phase.search_ms,
-                 .wait_ms_accum = phase.search_wait_ms});
+                 .wait_ms_accum = phase.search_wait_ms,
+                 .deliver_ms_accum = phase.deliver_ms});
   if (migrate) {
     search_phases.push_back(AsyncPhase{.body = phase_f,
                                        .reads = migrate_mask,
                                        .ms_accum = phase.search_ms,
-                                       .wait_ms_accum = phase.search_wait_ms});
+                                       .wait_ms_accum = phase.search_wait_ms,
+                                       .deliver_ms_accum = phase.deliver_ms});
   }
   // deliveries #3, #4 (+ #5) inside (unreachable with a hang armed — the
   // first run already unwound — but the options are step-scoped)

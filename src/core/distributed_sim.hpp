@@ -115,6 +115,9 @@ struct StepEvents {
 ///                       contact-point post, and rank 0's gather;
 ///   ship_ms             D descriptor decode + face shipping;
 ///   search_ms           E local search (+ migration sends), F commit;
+///   deliver_ms          validation and commit of the rank's inbox columns
+///                       ahead of B, the gather, D, E and F (outside the
+///                       bodies above);
 ///   ship_wait_ms        B's wait on its halo neighbors;
 ///   descriptor_wait_ms  the gather's wait on the contact points, plus D's
 ///                       wait on the descriptor/label broadcast;
@@ -124,6 +127,7 @@ struct RankPhaseBreakdown {
   std::vector<double> halo_ms;
   std::vector<double> ship_ms;
   std::vector<double> search_ms;
+  std::vector<double> deliver_ms;
   std::vector<double> descriptor_wait_ms;
   std::vector<double> ship_wait_ms;
   std::vector<double> search_wait_ms;

@@ -19,13 +19,12 @@ namespace cpart {
 namespace {
 
 /// Worker count for a rank dispatch: the pool's dispatch width, clamped to
-/// k so the static stride gives each of the first W workers at least one
-/// rank.
+/// k so every participant can claim at least one rank.
 unsigned rank_dispatch_workers(const ThreadPool& pool, idx_t k) {
   // Inside parallel work (a session step job, a parallel_tasks body) the
-  // dispatch runs inline on the calling thread only, so a striped loop at
-  // W > 1 would execute its workers sequentially — fatal for gang bodies
-  // that block on sibling workers (the futex readiness waits below).
+  // dispatch runs inline on the calling thread only, so a gang at W > 1
+  // would execute its participants sequentially — fatal for bodies that
+  // block on sibling participants (the futex readiness waits below).
   // Width 1 is always valid: results are width-independent by invariant.
   if (ThreadPool::in_worker()) return 1;
   return static_cast<unsigned>(
@@ -70,9 +69,10 @@ struct Group {
   const std::vector<std::vector<idx_t>>* providers = nullptr;
 };
 
-/// Per-(group, destination) accounting, written only by the destination's
-/// owning worker; folded into the Exchange on the calling thread after the
-/// pool joins (counted groups only).
+/// Per-(group, destination) accounting, written only by the participant
+/// that claimed the destination in the consuming phase; folded into the
+/// Exchange on the calling thread after the pool joins (counted groups
+/// only).
 struct DstScratch {
   PipelineHealth health{};
   std::array<wgt_t, kNumChannels> bytes{};
@@ -127,6 +127,9 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
     require(phase.wait_ms_accum.empty() ||
                 phase.wait_ms_accum.size() == static_cast<std::size_t>(k_),
             "AsyncExecutor: wait accumulator size mismatch");
+    require(phase.deliver_ms_accum.empty() ||
+                phase.deliver_ms_accum.size() == static_cast<std::size_t>(k_),
+            "AsyncExecutor: delivery accumulator size mismatch");
     require(phase.providers == nullptr ||
                 phase.providers->size() == static_cast<std::size_t>(k_),
             "AsyncExecutor: provider list size mismatch");
@@ -167,14 +170,18 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
   // Termination-detection state. row_closed[g*k + src] publishes that src's
   // outbox row of group g is complete; rows_closed[g] counts them toward k
   // (the sent-row total); phase_done[p] counts ranks through phase p;
-  // epoch is the monotone word waiters park on. An abort (rank failure,
-  // budget exhaustion) publishes through min_failed / exhausted plus an
-  // epoch bump, so no waiter can sleep through it.
+  // rank_done[r] counts the phases rank r has completed (its program
+  // order); epoch is the monotone word waiters park on. An abort (rank
+  // failure, budget exhaustion) publishes through min_failed / exhausted
+  // plus an epoch bump, so no waiter can sleep through it. next_rank[p] is
+  // phase p's claim cursor.
   std::atomic<std::uint64_t> epoch{0};
   std::vector<std::atomic<std::uint8_t>> row_closed(
       static_cast<std::size_t>(G) * static_cast<std::size_t>(k_));
   std::vector<std::atomic<idx_t>> rows_closed(static_cast<std::size_t>(G));
   std::vector<std::atomic<idx_t>> phase_done(static_cast<std::size_t>(P));
+  std::vector<std::atomic<idx_t>> rank_done(static_cast<std::size_t>(k_));
+  std::vector<std::atomic<idx_t>> next_rank(static_cast<std::size_t>(P));
   std::atomic<idx_t> min_failed{kNoPhase};
   std::atomic<idx_t> exhausted{kNoGroup};
 
@@ -280,22 +287,34 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
     return true;
   };
 
-  // Gang dispatch, not parallel_tasks: the worker bodies block on each
+  // Gang dispatch, not parallel_tasks: the participants block on each
   // other (futex readiness waits), so every participant must hold a real
   // thread for the whole superstep. run_gang grants exactly that — only
-  // currently idle workers join, and the granted width W is handed to the
-  // body so the rank striping matches the width actually running.
+  // currently idle workers join. Ranks are claimed, not striped: each
+  // participant takes the next unclaimed rank of its current phase (rank 0
+  // first, so its heavy phases start first) and moves to phase p+1 once
+  // phase p's cursor runs out, so whoever is idle takes the remaining
+  // ranks. Claims are handed out in phase order, and a claimed (r, p) only
+  // waits on phase p-1 or earlier work that is already claimed, so the
+  // run cannot deadlock.
   ThreadPool& pool = ThreadPool::global();
-  pool.run_gang(rank_dispatch_workers(pool, k_), [&](idx_t w, unsigned W) {
-    // Readiness wait for destination r of group g (consumed by phase p).
-    // Polls, in order: ready (rows closed — all k, or just r's providers;
-    // under the injector gate, all ranks through every prior phase),
-    // budget exhaustion, then rank failure — so a wait that could both
-    // proceed and abort deterministically proceeds.
+  pool.run_gang(rank_dispatch_workers(pool, k_), [&](idx_t, unsigned) {
+    // Readiness wait for rank r at phase p, which consumes group g (or
+    // none, g < 0). Polls, in order: ready (rank r through phase p-1 — its
+    // program order, since phase p-1 of rank r may run on another
+    // participant — then the group's rows closed: all k, or just r's
+    // providers; under the injector gate, all ranks through every prior
+    // phase), budget exhaustion, then rank failure — so a wait that could
+    // both proceed and abort deterministically proceeds.
     const auto wait_ready = [&](idx_t g, idx_t p, idx_t r,
                                 double& wait_ms) -> WaitOutcome {
-      const Group& grp = groups[static_cast<std::size_t>(g)];
       const auto ready = [&]() -> bool {
+        if (rank_done[static_cast<std::size_t>(r)].load(
+                std::memory_order_acquire) < p) {
+          return false;
+        }
+        if (g < 0) return true;
+        const Group& grp = groups[static_cast<std::size_t>(g)];
         if (gated) {
           if (p == 0) return true;
           return phase_done[static_cast<std::size_t>(p - 1)].load(
@@ -355,7 +374,10 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
     for (idx_t p = 0; p < P; ++p) {
       const AsyncPhase& phase = phases[static_cast<std::size_t>(p)];
       const idx_t g = group_of_phase[static_cast<std::size_t>(p)];
-      for (idx_t r = w; r < k_; r += static_cast<idx_t>(W)) {
+      for (;;) {
+        const idx_t r = next_rank[static_cast<std::size_t>(p)].fetch_add(
+            1, std::memory_order_relaxed);
+        if (r >= k_) break;
         // A hung rank vanished: no waits, no validation, no body, no row
         // closes, no phase completions. Only the watchdog accounts for it.
         if (hung_of(r)) continue;
@@ -363,7 +385,8 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
         // After an exhaustion, the only remaining work is draining the
         // exhausting group's validation (below) so the detection counters
         // cover every cell of it; everything else unwinds. Under the
-        // gate no worker can still be at an earlier phase at this point.
+        // gate every earlier phase has completed on every rank by now, so
+        // no claim of an earlier phase is left.
         if (ex != kNoGroup && g != ex) return;
         // A rank failure at phase p_fail completes phase p_fail for every
         // rank (BSP semantics), then later phases unwind.
@@ -371,38 +394,50 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
             min_failed.load(std::memory_order_acquire) < p) {
           return;
         }
-        bool column_ok = true;
-        if (g >= 0) {
-          DstScratch& s =
-              scratch[static_cast<std::size_t>(g * k_ + r)];
-          if (ex == kNoGroup) {
-            double wait_ms = 0;
-            const WaitOutcome out = wait_ready(g, p, r, wait_ms);
-            if (wait_ms > 0) {
-              if (!phase.wait_ms_accum.empty()) {
-                phase.wait_ms_accum[static_cast<std::size_t>(r)] += wait_ms;
-              }
+        if (ex == kNoGroup) {
+          double wait_ms = 0;
+          const WaitOutcome out = wait_ready(g, p, r, wait_ms);
+          // An aborted wait returns before touching rank r's accumulators:
+          // rank r's earlier phase may still be running on another worker
+          // and may share them. Only kReady and the drain of the exhausting
+          // group (whose phase p-1 completed on every rank under the gate)
+          // account the stall.
+          if (out == WaitOutcome::kFailed) return;
+          if (out == WaitOutcome::kExhausted) {
+            ex = exhausted.load(std::memory_order_acquire);
+            if (g != ex) return;
+          }
+          if (wait_ms > 0) {
+            if (!phase.wait_ms_accum.empty()) {
+              phase.wait_ms_accum[static_cast<std::size_t>(r)] += wait_ms;
+            }
+            if (g >= 0) {
+              DstScratch& s = scratch[static_cast<std::size_t>(g * k_ + r)];
               ++s.health.readiness_stalls;
               s.health.readiness_stall_ns += static_cast<wgt_t>(wait_ms * 1e6);
             }
-            if (out == WaitOutcome::kFailed) return;
-            if (out == WaitOutcome::kExhausted) {
-              ex = exhausted.load(std::memory_order_acquire);
-              if (g != ex) return;
-            }
           }
-          column_ok = validate_and_commit(g, r, s);
-          if (!column_ok) {
+        }
+        if (g >= 0) {
+          Timer deliver;
+          if (!validate_and_commit(
+                  g, r, scratch[static_cast<std::size_t>(g * k_ + r)])) {
             fetch_min(exhausted, g);
             publish();
+          }
+          if (!phase.deliver_ms_accum.empty()) {
+            phase.deliver_ms_accum[static_cast<std::size_t>(r)] +=
+                deliver.milliseconds();
           }
           ex = exhausted.load(std::memory_order_acquire);
         }
         if (ex != kNoGroup) continue;  // drain mode: validation only
         Timer timer;
+        bool body_ok = true;
         try {
           phase.body(r);
         } catch (...) {
+          body_ok = false;
           rank_errors[static_cast<std::size_t>(r)] = std::current_exception();
           rank_error_phase[static_cast<std::size_t>(r)] = p;
           // Recorded before phase_done below: once phase_done[p] reaches
@@ -411,6 +446,14 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
         }
         if (!phase.ms_accum.empty()) {
           phase.ms_accum[static_cast<std::size_t>(r)] += timer.milliseconds();
+        }
+        // Published after the accumulators, which later phases may share.
+        // Only a body that returned advances rank r's program order: a
+        // claim of (r, p+1) after a failure then ends in kFailed instead of
+        // running rank r past its failing phase.
+        if (body_ok) {
+          rank_done[static_cast<std::size_t>(r)].store(
+              p + 1, std::memory_order_release);
         }
         for (idx_t h : closes[static_cast<std::size_t>(p)]) {
           row_closed[static_cast<std::size_t>(h * k_ + r)].store(

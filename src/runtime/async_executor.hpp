@@ -25,9 +25,18 @@
 //     its k per-destination validations spread across the workers while
 //     independent phases proceed.
 //   * A phase that reads nothing is a plain superstep: body(rank) once per
-//     rank, striped over the workers. A run of only such phases (state
+//     rank, claimed by the workers. A run of only such phases (state
 //     scatter, checkpoint restore) touches no channel and consumes no
 //     Exchange superstep.
+//   * Scheduling is claim-based with per-rank program order. Each phase has
+//     an atomic claim cursor; a worker takes ranks 0, 1, ... of its current
+//     phase in turn and moves on when the cursor runs out, so idle workers
+//     pick up the remaining ranks and rank 0's heavy phases start first.
+//     A claimed (rank r, phase p) runs only after rank r completed phase
+//     p-1 (a per-rank done word, part of the readiness wait): rank r's
+//     phases may run on different workers but never overlap or reorder,
+//     even when r is not among its own providers. A rank whose body threw
+//     never runs a later phase.
 //
 // Determinism: commit assembles each inbox in ascending source order at
 // consumption time, so results never depend on arrival order. Group j of a
@@ -95,6 +104,10 @@ struct AsyncPhase {
   /// Optional per-rank wall-ms accumulator for the readiness wait that
   /// precedes the body (size k). Zero when the inputs were already ready.
   std::span<double> wait_ms_accum = {};
+  /// Optional per-rank wall-ms accumulator for the validation and commit of
+  /// the rank's inbox column of `reads` (size k); untouched when the phase
+  /// reads nothing.
+  std::span<double> deliver_ms_accum = {};
   /// Optional exact provider topology for `reads`: providers[dst] lists
   /// every source rank that may post to dst on any channel of the mask.
   /// Lets dst proceed once just those rows are closed (neighbor-granular
@@ -127,12 +140,12 @@ class AsyncExecutor {
   idx_t num_ranks() const { return k_; }
 
   /// Runs the phase sequence to quiescence in one pool dispatch.
-  /// W = min(pool size, hardware concurrency, k) workers each own ranks
-  /// w, w+W, ...; a worker advances phase-major (all owned ranks through
-  /// phase p before phase p+1), blocking per owned rank only on that
-  /// rank's input rows. Consumes one Exchange superstep per group (a
-  /// phase with non-zero reads), in phase order; phases without reads
-  /// leave the exchange untouched.
+  /// W = min(pool size, hardware concurrency, k) workers claim ranks phase
+  /// by phase: each takes the next unclaimed rank of its current phase and
+  /// advances to phase p+1 once phase p's ranks are all claimed. A claimed
+  /// rank waits only for its own phase p-1 and its input rows. Consumes
+  /// one Exchange superstep per group (a phase with non-zero reads), in
+  /// phase order; phases without reads leave the exchange untouched.
   void run(std::span<const AsyncPhase> phases, Exchange& exchange,
            const AsyncRunOptions& options = {}) const;
 

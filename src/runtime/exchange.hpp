@@ -17,8 +17,8 @@
 // charging the phase clusters.
 //
 // The transport does not trust the wire. Every cell is framed (message
-// count) and checksummed (FNV-1a over the logical wire fields) at send
-// time and validated per cell before anything reaches an inbox. Corrupt
+// count) and checksummed (FNV-1a, one round per logical wire field) at
+// send time and validated per cell before anything reaches an inbox. Corrupt
 // cells — whether injected by a seeded FaultInjector or caused by genuine
 // memory corruption — are re-staged from the retained outbox and
 // re-validated with bounded retries and exponential backoff; only when the
@@ -47,9 +47,10 @@ namespace cpart {
 // ---------------------------------------------------------------------------
 // Message types. wire_bytes() is the size an MPI encoding of the message
 // would put on the wire; it feeds the measured payload-byte reports.
-// wire_hash() covers the same logical fields and feeds the per-cell
-// delivery checksum. The fault_* overloads are the FaultInjector's
-// customization points (found by ADL) for message-level corruption.
+// wire_hash() covers the same logical fields, one fnv1a_field round per
+// field, and feeds the per-cell delivery checksum. The fault_* overloads
+// are the FaultInjector's customization points (found by ADL) for
+// message-level corruption.
 // ---------------------------------------------------------------------------
 
 inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
@@ -89,10 +90,27 @@ inline std::uint64_t fnv1a_bytes(std::uint64_t h, const void* data,
   return h;
 }
 
+/// One FNV-1a round over a field of at most eight bytes, zero-extended
+/// into one word as fnv1a_bytes mixes each full word. Message checksums
+/// use it per logical field: a round is a bijection of its field (xor, then
+/// multiply by an odd prime mod 2^64), so any corruption of one field
+/// changes the hash, in one round where byte-wise mixing takes four to
+/// eight. Not byte-compatible with fnv1a_value: the persisted hashes
+/// (config hash, checkpoint checksum, ownership hash) keep fnv1a_value and
+/// fnv1a_bytes.
+template <typename S>
+std::uint64_t fnv1a_field(std::uint64_t h, const S& field) {
+  static_assert(std::is_trivially_copyable_v<S> &&
+                sizeof(S) <= sizeof(std::uint64_t));
+  std::uint64_t word = 0;
+  std::memcpy(&word, &field, sizeof(S));
+  return (h ^ word) * kFnvPrime;
+}
+
 inline std::uint64_t fnv1a_vec3(std::uint64_t h, const Vec3& v) {
-  h = fnv1a_value(h, v.x);
-  h = fnv1a_value(h, v.y);
-  return fnv1a_value(h, v.z);
+  h = fnv1a_field(h, v.x);
+  h = fnv1a_field(h, v.y);
+  return fnv1a_field(h, v.z);
 }
 
 /// Flips one bit of a trivially copyable field, chosen by `r`.
@@ -115,7 +133,7 @@ inline wgt_t wire_bytes(const HaloNodeMsg&) {
 }
 
 inline std::uint64_t wire_hash(const HaloNodeMsg& m) {
-  std::uint64_t h = fnv1a_value(kFnvOffsetBasis, m.node);
+  std::uint64_t h = fnv1a_field(kFnvOffsetBasis, m.node);
   return fnv1a_vec3(h, m.position);
 }
 
@@ -151,7 +169,7 @@ inline wgt_t wire_bytes(const BytesMsg& m) {
 }
 
 inline std::uint64_t wire_hash(const BytesMsg& m) {
-  std::uint64_t h = fnv1a_value(kFnvOffsetBasis, m.bytes.size());
+  std::uint64_t h = fnv1a_field(kFnvOffsetBasis, m.bytes.size());
   return fnv1a_bytes(h, m.bytes.data(), m.bytes.size());
 }
 
@@ -185,10 +203,10 @@ inline wgt_t wire_bytes(const FaceShipMsg& m) {
 }
 
 inline std::uint64_t wire_hash(const FaceShipMsg& m) {
-  std::uint64_t h = fnv1a_value(kFnvOffsetBasis, m.face);
-  h = fnv1a_value(h, m.element);
-  h = fnv1a_value(h, m.num_nodes);
-  for (idx_t id : m.nodes) h = fnv1a_value(h, id);
+  std::uint64_t h = fnv1a_field(kFnvOffsetBasis, m.face);
+  h = fnv1a_field(h, m.element);
+  h = fnv1a_field(h, m.num_nodes);
+  for (idx_t id : m.nodes) h = fnv1a_field(h, id);
   for (const Vec3& c : m.coords) h = fnv1a_vec3(h, c);
   return h;
 }
@@ -218,7 +236,7 @@ inline wgt_t wire_bytes(const ContactPointMsg&) {
 }
 
 inline std::uint64_t wire_hash(const ContactPointMsg& m) {
-  std::uint64_t h = fnv1a_value(kFnvOffsetBasis, m.node);
+  std::uint64_t h = fnv1a_field(kFnvOffsetBasis, m.node);
   return fnv1a_vec3(h, m.position);
 }
 
@@ -250,9 +268,9 @@ inline wgt_t wire_bytes(const NodeMigrateMsg&) {
 }
 
 inline std::uint64_t wire_hash(const NodeMigrateMsg& m) {
-  std::uint64_t h = fnv1a_value(kFnvOffsetBasis, m.node);
+  std::uint64_t h = fnv1a_field(kFnvOffsetBasis, m.node);
   h = fnv1a_vec3(h, m.position);
-  return fnv1a_value(h, m.contact_hits);
+  return fnv1a_field(h, m.contact_hits);
 }
 
 inline void fault_bitflip(NodeMigrateMsg& m, std::uint64_t r) {
@@ -286,9 +304,9 @@ inline wgt_t wire_bytes(const ElementMigrateMsg& m) {
 }
 
 inline std::uint64_t wire_hash(const ElementMigrateMsg& m) {
-  std::uint64_t h = fnv1a_value(kFnvOffsetBasis, m.element);
-  h = fnv1a_value(h, m.num_nodes);
-  for (idx_t id : m.nodes) h = fnv1a_value(h, id);
+  std::uint64_t h = fnv1a_field(kFnvOffsetBasis, m.element);
+  h = fnv1a_field(h, m.num_nodes);
+  for (idx_t id : m.nodes) h = fnv1a_field(h, id);
   return h;
 }
 

@@ -208,6 +208,154 @@ TEST(Exchange, RetryRedeliversPristinePayloadWithinBudget) {
   EXPECT_EQ(h.degraded_steps, 0);
 }
 
+/// Flips every bit of one logical field of `msg` (reached through `field`)
+/// and expects each flip to change wire_hash.
+template <typename M, typename Field>
+void expect_every_field_bit_hashed(const M& msg, Field field,
+                                   const std::string& what) {
+  const std::uint64_t h0 = wire_hash(msg);
+  M probe = msg;
+  const std::size_t bits = sizeof(field(probe)) * 8;
+  for (std::size_t b = 0; b < bits; ++b) {
+    M m = msg;
+    flip_bit_in(field(m), b);
+    EXPECT_NE(wire_hash(m), h0) << what << " bit " << b;
+  }
+}
+
+HaloNodeMsg sample_halo() { return {12, Vec3{0.25, -1.5, 3.0}}; }
+ContactPointMsg sample_point() { return {40, Vec3{-2.0, 0.5, 7.75}}; }
+NodeMigrateMsg sample_node() { return {8, Vec3{1.0, 2.0, -0.5}, 17}; }
+
+FaceShipMsg sample_face() {
+  FaceShipMsg m;
+  m.face = 301;
+  m.element = 50;
+  m.num_nodes = 4;
+  for (int i = 0; i < 4; ++i) {
+    const auto ri = static_cast<real_t>(i);
+    m.nodes[static_cast<std::size_t>(i)] = 100 + i;
+    m.coords[static_cast<std::size_t>(i)] = Vec3{ri, 0.5 * ri, -ri};
+  }
+  return m;
+}
+
+ElementMigrateMsg sample_element() {
+  ElementMigrateMsg m;
+  m.element = 77;
+  m.num_nodes = 8;
+  for (int i = 0; i < 8; ++i) m.nodes[static_cast<std::size_t>(i)] = 3 * i;
+  return m;
+}
+
+TEST(Exchange, WireHashCoversEveryBitOfEveryField) {
+  // One FNV-1a round per logical field: each round is a bijection of its
+  // field, so every single-field corruption must change the message hash.
+  expect_every_field_bit_hashed(
+      sample_halo(), [](HaloNodeMsg& m) -> auto& { return m.node; },
+      "halo node");
+  expect_every_field_bit_hashed(
+      sample_point(), [](ContactPointMsg& m) -> auto& { return m.node; },
+      "point node");
+  expect_every_field_bit_hashed(
+      sample_node(), [](NodeMigrateMsg& m) -> auto& { return m.node; },
+      "migrate node");
+  expect_every_field_bit_hashed(
+      sample_node(),
+      [](NodeMigrateMsg& m) -> auto& { return m.contact_hits; },
+      "migrate hits");
+  for (int a = 0; a < 3; ++a) {
+    const std::string axis = " axis " + std::to_string(a);
+    expect_every_field_bit_hashed(
+        sample_halo(),
+        [a](HaloNodeMsg& m) -> auto& { return m.position[a]; },
+        "halo position" + axis);
+    expect_every_field_bit_hashed(
+        sample_point(),
+        [a](ContactPointMsg& m) -> auto& { return m.position[a]; },
+        "point position" + axis);
+    expect_every_field_bit_hashed(
+        sample_node(),
+        [a](NodeMigrateMsg& m) -> auto& { return m.position[a]; },
+        "migrate position" + axis);
+  }
+
+  expect_every_field_bit_hashed(
+      sample_face(), [](FaceShipMsg& m) -> auto& { return m.face; }, "face");
+  expect_every_field_bit_hashed(
+      sample_face(), [](FaceShipMsg& m) -> auto& { return m.element; },
+      "face element");
+  expect_every_field_bit_hashed(
+      sample_face(), [](FaceShipMsg& m) -> auto& { return m.num_nodes; },
+      "face num_nodes");
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::string slot = " " + std::to_string(i);
+    expect_every_field_bit_hashed(
+        sample_face(), [i](FaceShipMsg& m) -> auto& { return m.nodes[i]; },
+        "face node" + slot);
+    for (int a = 0; a < 3; ++a) {
+      expect_every_field_bit_hashed(
+          sample_face(),
+          [i, a](FaceShipMsg& m) -> auto& { return m.coords[i][a]; },
+          "face coord" + slot + " axis " + std::to_string(a));
+    }
+  }
+
+  expect_every_field_bit_hashed(
+      sample_element(),
+      [](ElementMigrateMsg& m) -> auto& { return m.element; }, "element");
+  expect_every_field_bit_hashed(
+      sample_element(),
+      [](ElementMigrateMsg& m) -> auto& { return m.num_nodes; },
+      "element num_nodes");
+  for (std::size_t i = 0; i < 8; ++i) {
+    expect_every_field_bit_hashed(
+        sample_element(),
+        [i](ElementMigrateMsg& m) -> auto& { return m.nodes[i]; },
+        "element node " + std::to_string(i));
+  }
+}
+
+/// Posts two distinct messages in one cell of `channel`, lets the injector
+/// swap them, and expects the cell fold to fail validation.
+template <typename T>
+void expect_swap_detected(TypedChannel<T>& (Exchange::*channel)(), T a, T b,
+                          const char* what) {
+  ASSERT_NE(wire_hash(a), wire_hash(b)) << what;
+  FaultInjector injector(only_kind(FaultKind::kReorder));
+  Exchange ex(2);
+  ex.set_fault_injector(&injector);
+  ex.set_retry_policy({.max_attempts = 1});
+  (ex.*channel)().send(0, 1, a);
+  (ex.*channel)().send(0, 1, b);
+  EXPECT_THROW(deliver_posted(ex), TransportError) << what;
+  const PipelineHealth h = ex.take_health();
+  EXPECT_EQ(injector.stats().faults_injected, 1) << what;
+  EXPECT_EQ(h.checksum_failures, 1) << what;
+  EXPECT_EQ(h.count_mismatches, 0) << what;
+}
+
+TEST(Exchange, SwappingTwoDistinctMessagesChangesTheCellFold) {
+  HaloNodeMsg halo = sample_halo();
+  halo.position.y += 1.0;
+  ContactPointMsg point = sample_point();
+  point.node += 1;
+  NodeMigrateMsg node = sample_node();
+  node.contact_hits += 1;
+  FaceShipMsg face = sample_face();
+  face.coords[3].z += 1.0;
+  ElementMigrateMsg element = sample_element();
+  element.nodes[7] += 1;
+  expect_swap_detected(&Exchange::halo, sample_halo(), halo, "halo");
+  expect_swap_detected(&Exchange::coupling_forward, sample_point(), point,
+                       "coupling_forward");
+  expect_swap_detected(&Exchange::migrate_nodes, sample_node(), node,
+                       "migrate_nodes");
+  expect_swap_detected(&Exchange::faces, sample_face(), face, "faces");
+  expect_swap_detected(&Exchange::migrate_elements, sample_element(), element,
+                       "migrate_elements");
+}
+
 TEST(Exchange, SelfSendsAreNeverFaulted) {
   FaultInjector injector(only_kind(FaultKind::kBitFlip));
   Exchange ex(2);

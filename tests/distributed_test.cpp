@@ -595,12 +595,15 @@ TEST_F(DistributedSimTest, PhaseTimingsCoverEveryRank) {
   const RankPhaseBreakdown& p = r.phase;
   for (const std::vector<double>* v :
        {&p.descriptor_ms, &p.halo_ms, &p.ship_ms, &p.search_ms,
-        &p.descriptor_wait_ms, &p.ship_wait_ms, &p.search_wait_ms}) {
+        &p.deliver_ms, &p.descriptor_wait_ms, &p.ship_wait_ms,
+        &p.search_wait_ms}) {
     ASSERT_EQ(v->size(), static_cast<std::size_t>(k));
     for (double ms : *v) EXPECT_GE(ms, 0.0);
   }
   // Rank 0's descriptor phase is the driver's induction + encode.
   EXPECT_GT(p.descriptor_ms[0], 0.0);
+  // Every rank validates at least the descriptor broadcast.
+  for (double ms : p.deliver_ms) EXPECT_GT(ms, 0.0);
   // The reference path has no per-rank execution: its breakdown is empty.
   const DistributedStepReport ref = dsim.run_step_reference(30);
   EXPECT_TRUE(ref.phase.descriptor_ms.empty());
@@ -741,7 +744,8 @@ TEST_F(SpmdTest, PhaseTimingsCoverEveryRank) {
     const RankPhaseBreakdown& p = r.phase;
     for (const std::vector<double>* v :
          {&p.descriptor_ms, &p.halo_ms, &p.ship_ms, &p.search_ms,
-          &p.descriptor_wait_ms, &p.ship_wait_ms, &p.search_wait_ms}) {
+          &p.deliver_ms, &p.descriptor_wait_ms, &p.ship_wait_ms,
+          &p.search_wait_ms}) {
       ASSERT_EQ(v->size(), static_cast<std::size_t>(k)) << "s=" << s;
       for (double ms : *v) EXPECT_GE(ms, 0.0) << "s=" << s;
     }

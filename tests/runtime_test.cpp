@@ -1,9 +1,11 @@
 // Tests for runtime/: the virtual cluster, the cross-validation between
 // executed traffic and the analytic metrics (FEComm, NRemote, M2MComm), and
-// the AsyncExecutor's plain-superstep and failure semantics.
+// the AsyncExecutor's plain-superstep, program-order and failure semantics.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -403,6 +405,82 @@ TEST_P(AsyncExecutorTest, SeveralFailingRanksAggregateInRankOrder) {
       const idx_t rank = 1 + 4 * static_cast<idx_t>(i);
       EXPECT_EQ(e.failures()[i].index, rank);
       EXPECT_EQ(e.failures()[i].message, "rank " + std::to_string(rank));
+    }
+  }
+}
+
+TEST_P(AsyncExecutorTest, RankPhasesRunInProgramOrder) {
+  // Ranks are claimed phase by phase, so rank r's phase 1 may be claimed by
+  // another worker while r's phase 0 still runs. Its readiness must then
+  // wait for r's own phase 0 even though r is not among its providers:
+  // rank 0's slow phase 0 sets its marker only after ~5 ms, while its one
+  // provider (rank k-1) posts at once.
+  std::vector<std::vector<idx_t>> providers(static_cast<std::size_t>(kRanks));
+  for (idx_t r = 0; r < kRanks; ++r) {
+    providers[static_cast<std::size_t>(r)] = {(r + kRanks - 1) % kRanks};
+  }
+  for (int rep = 0; rep < 50; ++rep) {
+    Exchange ex(kRanks);
+    std::vector<char> marker(static_cast<std::size_t>(kRanks), 0);
+    const std::array<AsyncPhase, 2> phases = {
+        AsyncPhase{.body =
+                       [&](idx_t r) {
+                         if (r == 0) {
+                           const auto until = std::chrono::steady_clock::now() +
+                                              std::chrono::milliseconds(5);
+                           while (std::chrono::steady_clock::now() < until) {
+                           }
+                         }
+                         marker[static_cast<std::size_t>(r)] = 1;
+                         ex.halo().send(r, (r + 1) % kRanks,
+                                        HaloNodeMsg{r, Vec3{}});
+                       },
+                   .writes = channel_bit(ChannelId::kHalo)},
+        AsyncPhase{.body =
+                       [&](idx_t r) {
+                         require(marker[static_cast<std::size_t>(r)] == 1,
+                                 "phase 1 ran before its rank's phase 0");
+                         const auto& in = ex.halo().inbox(r);
+                         require(in.size() == 1 &&
+                                     in.front().node ==
+                                         (r + kRanks - 1) % kRanks,
+                                 "halo inbox does not hold the provider's "
+                                 "message");
+                       },
+                   .reads = channel_bit(ChannelId::kHalo),
+                   .providers = &providers},
+    };
+    ASSERT_NO_THROW(AsyncExecutor(kRanks).run(phases, ex)) << "rep " << rep;
+  }
+}
+
+TEST_P(AsyncExecutorTest, FailedRankNeverRunsItsNextPhase) {
+  // Rank 0's phase 1 is claimed while its slow phase 0 still runs. When
+  // phase 0 throws, that claim must unwind rather than run rank 0's phase 1,
+  // whose own exception would otherwise replace the one run() reports.
+  for (int rep = 0; rep < 20; ++rep) {
+    Exchange ex(kRanks);
+    const std::array<AsyncPhase, 2> phases = {
+        AsyncPhase{.body =
+                       [](idx_t r) {
+                         if (r != 0) return;
+                         const auto until = std::chrono::steady_clock::now() +
+                                            std::chrono::milliseconds(5);
+                         while (std::chrono::steady_clock::now() < until) {
+                         }
+                         throw std::out_of_range("rank 0, phase 0");
+                       }},
+        AsyncPhase{.body =
+                       [](idx_t r) {
+                         throw std::runtime_error("rank " + std::to_string(r) +
+                                                  ", phase 1");
+                       }},
+    };
+    try {
+      AsyncExecutor(kRanks).run(phases, ex);
+      FAIL() << "rep " << rep << ": expected std::out_of_range";
+    } catch (const std::out_of_range& e) {
+      EXPECT_STREQ(e.what(), "rank 0, phase 0") << "rep " << rep;
     }
   }
 }
