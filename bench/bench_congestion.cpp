@@ -67,8 +67,9 @@ int main(int argc, char** argv) {
       add_row(table, "MCML+DT fe_halo", total);
       const StepTraffic search = global_search_traffic(
           snap.mesh, snap.surface, owners, margin, k,
-          [&desc](const BBox& box, std::vector<idx_t>& parts) {
-            desc.query_box(box, parts);
+          [&desc, mask = std::vector<char>(), touched = std::vector<idx_t>()](
+              const BBox& box, std::vector<idx_t>& parts) mutable {
+            desc.query_box(box, parts, mask, touched);
           });
       add_row(table, "MCML+DT search", search);
       total += search;

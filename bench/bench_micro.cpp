@@ -163,12 +163,14 @@ void BM_DescriptorQuery(benchmark::State& state) {
   }
   const SubdomainDescriptors desc(pts, labels, 25);
   std::vector<idx_t> out;
+  std::vector<char> mask;
+  std::vector<idx_t> touched;
   for (auto _ : state) {
     BBox q;
     q.expand(Vec3{rng.uniform(0, 10), rng.uniform(0, 10), rng.uniform(0, 10)});
     q.inflate(0.2);
     out.clear();
-    desc.query_box(q, out);
+    desc.query_box(q, out, mask, touched);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations());

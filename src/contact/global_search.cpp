@@ -116,27 +116,13 @@ GlobalSearchStats global_search_tree(const Mesh& mesh, const Surface& surface,
                                      std::span<const idx_t> owner,
                                      const SubdomainDescriptors& descriptors,
                                      real_t margin) {
-  // SubdomainDescriptors::query_box uses a shared scratch mask, so each
-  // worker thread keeps its own persistent mask instead. The mask stays
-  // all-zero between queries and only the entries recorded in the touched
-  // list are reset, so a query costs O(|result|) rather than O(k).
-  const DecisionTree& tree = descriptors.tree();
-  const idx_t k = descriptors.num_parts();
+  // Each worker thread keeps its own persistent query scratch.
   return global_search(
       mesh, surface, owner, margin,
-      [&tree, k](const BBox& box, std::vector<idx_t>& parts) {
+      [&descriptors](const BBox& box, std::vector<idx_t>& parts) {
         thread_local std::vector<char> mask;
         thread_local std::vector<idx_t> touched;
-        if (mask.size() < static_cast<std::size_t>(k)) {
-          mask.assign(static_cast<std::size_t>(k), 0);
-        }
-        tree.collect_box_labels(box, mask, touched);
-        std::sort(touched.begin(), touched.end());
-        for (idx_t p : touched) {
-          parts.push_back(p);
-          mask[static_cast<std::size_t>(p)] = 0;
-        }
-        touched.clear();
+        descriptors.query_box(box, parts, mask, touched);
       });
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -38,32 +40,76 @@ PartitionerConfig repartitioner_config(const DistributedSimConfig& config) {
   return pc;
 }
 
-/// Rank 0's descriptor update: induces this step's descriptors into `out`
-/// — warm-started from the tree `out` held last step — and broadcasts the
-/// binary wire to the other k-1 ranks. Runs on the driver thread: parallel
-/// induction dispatches pool work, which a rank program must never do.
-void induce_and_broadcast_descriptors(std::span<const Vec3> points,
-                                      std::span<const idx_t> labels, idx_t k,
-                                      const DescriptorOptions& options,
-                                      TreeInduceWorkspace& workspace,
-                                      std::optional<SubdomainDescriptors>& out,
-                                      Exchange& exchange) {
-  if (out.has_value()) workspace.recycle(out->release_tree());
-  out.emplace(points, labels, k, options, &workspace);
-  exchange.descriptors().broadcast(
-      0, BytesMsg{tree_to_binary(out->tree())});
+/// Rank 0's descriptor update: induces this step's descriptors into
+/// `induced` — warm-started from last step's tree, whose storage is
+/// recycled once no rank shares it any more — and broadcasts the binary
+/// wire to the other k-1 ranks as one shared buffer. Runs on the driver
+/// thread: parallel induction dispatches pool work, which a rank program
+/// must never do.
+void induce_and_broadcast_descriptors(
+    std::span<const Vec3> points, std::span<const idx_t> labels, idx_t k,
+    const DescriptorOptions& options, TreeInduceWorkspace& workspace,
+    std::shared_ptr<SubdomainDescriptors>& induced, Exchange& exchange) {
+  if (induced != nullptr && induced.use_count() == 1) {
+    workspace.recycle(induced->release_tree());
+  }
+  induced = std::make_shared<SubdomainDescriptors>(points, labels, k, options,
+                                                   &workspace);
+  exchange.descriptors().broadcast(0,
+                                   BytesMsg(tree_to_binary(induced->tree())));
 }
 
-/// Rank r's side of the broadcast: decodes its own copy of the wire into
-/// `out` (every rank needs its own — query_box keeps per-instance scratch).
-/// Rank 0 keeps the copy it induced. Throws TreeParseError on a rejected
-/// wire.
-void receive_descriptors(Exchange& exchange, idx_t r, idx_t k,
-                         std::optional<SubdomainDescriptors>& out) {
-  if (r == 0) return;
+/// Phase D's decode of the descriptor broadcast, shared by the ranks: the
+/// first rank to hold a validated wire buffer decodes it, and every rank
+/// whose inbox holds the same buffer shares that immutable tree. A retried
+/// cell is re-staged from the outbox, which holds the broadcast buffer, so
+/// a step decodes once, faults or not. tree_from_binary stays the trust
+/// boundary: a rejected wire throws TreeParseError in the rank that decoded
+/// it, and the other ranks holding that buffer get null — the run already
+/// fails with that one error.
+class SharedDescriptorDecode {
+ public:
+  std::shared_ptr<const SubdomainDescriptors> get(const BytesMsg& wire,
+                                                  idx_t k) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const Entry& e : decoded_) {
+      if (e.wire == wire.bytes) return e.descriptors;
+    }
+    Entry& e = decoded_.emplace_back(Entry{wire.bytes, nullptr});
+    try {
+      e.descriptors = std::make_shared<const SubdomainDescriptors>(
+          tree_from_binary(wire.view()), k);
+    } catch (const TreeParseError&) {
+      throw;
+    } catch (const InputError& err) {
+      // Structural damage a clean scan still uncovers (a malformed tree, a
+      // leaf label out of range) rejects the wire just the same.
+      throw TreeParseError(err.what(), wire.view().size());
+    }
+    return e.descriptors;
+  }
+
+ private:
+  struct Entry {
+    std::shared_ptr<const std::string> wire;
+    std::shared_ptr<const SubdomainDescriptors> descriptors;
+  };
+  std::mutex mu_;
+  std::vector<Entry> decoded_;  // guarded by mu_
+};
+
+/// Rank r's side of the broadcast: the shared tree decoded from its
+/// validated wire into `out` (rank 0 keeps the tree it induced). Throws
+/// TreeParseError on a rejected wire; false when another rank rejected
+/// this rank's buffer.
+bool receive_descriptors(Exchange& exchange, idx_t r, idx_t k,
+                         SharedDescriptorDecode& decodes,
+                         std::shared_ptr<const SubdomainDescriptors>& out) {
+  if (r == 0) return true;
   const auto& in = exchange.descriptors().inbox(r);
   require(in.size() == 1, "descriptor broadcast lost");
-  out.emplace(tree_from_binary(in.front().bytes), k);
+  out = decodes.get(in.front(), k);
+  return out != nullptr;
 }
 
 /// The reference body's byte model of the broadcast: the binary wire of
@@ -205,6 +251,7 @@ DistributedSim::DistributedSim(const ImpactSim& sim,
   }};
   async_.run({&init, 1}, exchange_);
   build_halo_providers(states_, halo_providers_);
+  refresh_start_snapshot();
 }
 
 std::vector<idx_t> DistributedSim::compute_repartition(
@@ -374,12 +421,9 @@ void DistributedSim::run_step_attempt(idx_t s, DistributedStepReport& report) {
     }
   }
 
-  // Start-of-step recovery snapshot: if the transport gives up mid-step the
-  // reference body reruns the whole step from here (positions need no
-  // recovery — they are recomputed closed-form and re-haloed every step).
-  start_owner_ = states_[0].node_owner;
-  start_hits_ = gather_contact_hits();
-
+  // If the transport gives up mid-step the reference body reruns the whole
+  // step from the start-of-step snapshot (positions need no recovery — they
+  // are recomputed closed-form and re-haloed every step).
   PipelineHealth health;
   if (try_spmd_step(s, migrate, report, health)) {
     report.health = exchange_.take_health();
@@ -593,8 +637,10 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
     SubdomainState& st = states_[0];
     DescriptorOptions options = config_.decomposition.descriptor;
     options.dim = topology().mesh().dim();
+    st.descriptors.reset();
     induce_and_broadcast_descriptors(points, labels, np, options, induce_ws_,
-                                     st.descriptors, exchange_);
+                                     induced_descriptors_, exchange_);
+    st.descriptors = induced_descriptors_;
     if (migrate) {
       for (idx_t v = 0; v < nn; ++v) {
         const auto sv = static_cast<std::size_t>(v);
@@ -619,14 +665,17 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
   // commits the handover. ---------------------------------------------------
   const LocalSearchOptions local = config_.search.local_options(body_of_node_);
   const int dim = topology().mesh().dim();
+  SharedDescriptorDecode decodes;
   const auto phase_d = [&](idx_t r) {
     SubdomainState& st = states_[static_cast<std::size_t>(r)];
-    receive_descriptors(exchange_, r, np, st.descriptors);
+    if (!receive_descriptors(exchange_, r, np, decodes, st.descriptors)) {
+      return;
+    }
     if (r != 0) {
       const auto& lin = exchange_.labels().inbox(r);
       if (!lin.empty()) {
         require(lin.size() == 1, "DistributedSim: label broadcast lost");
-        st.pending_labels = decode_label_updates(lin.front().bytes);
+        st.pending_labels = decode_label_updates(lin.front().view());
       }
     }
     for (const FaceRecord& rec : st.owned_records) {
@@ -634,7 +683,7 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
       for (int i = 0; i < rec.num_nodes; ++i) box.expand(rec.coords[i]);
       box.inflate(config_.search.search_margin);
       st.query_parts.clear();
-      st.descriptors->query_box(box, st.query_parts);
+      st.descriptors->query_box(box, st.query_parts, st.rank_seen, st.touched);
       for (idx_t q : st.query_parts) {
         if (q == r) continue;
         FaceShipMsg m;
@@ -670,6 +719,13 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
     for (const ContactEvent& ev : st.events) {
       while (st.contact_nodes[c] != ev.node) ++c;
       ++st.contact_hits[static_cast<std::size_t>(st.contact_local[c])];
+    }
+    // The end-of-step hits in node order (migration carries them
+    // unchanged): the owned sets are disjoint, so the ranks write in
+    // parallel.
+    for (std::size_t i = 0; i < st.owned_nodes().size(); ++i) {
+      end_hits_[static_cast<std::size_t>(st.local_nodes[i])] =
+          st.contact_hits[i];
     }
     if (!migrate) return;
     // Node migration: this rank ships the authoritative state of every
@@ -775,6 +831,7 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
                                        .wait_ms_accum = phase.search_wait_ms,
                                        .deliver_ms_accum = phase.deliver_ms});
   }
+  end_hits_.resize(static_cast<std::size_t>(nn));
   // deliveries #3, #4 (+ #5) inside (unreachable with a hang armed — the
   // first run already unwound — but the options are step-scoped)
   async_.run(search_phases, exchange_, fault_options);
@@ -800,8 +857,10 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
 
   merge_rank_events(states_, report);
 
-  report.ownership_hash =
-      ownership_hash(states_[0].node_owner, gather_contact_hits());
+  // The step succeeded: its end state is the next step's start snapshot.
+  if (migrate) start_owner_ = states_[0].node_owner;
+  start_hits_.swap(end_hits_);
+  report.ownership_hash = ownership_hash(start_owner_, start_hits_);
 }
 
 void DistributedSim::run_reference_body(idx_t s, bool migrate,
@@ -931,13 +990,15 @@ void DistributedSim::run_reference_body(idx_t s, bool migrate,
   {
     VirtualCluster search(np);
     std::vector<idx_t> parts;
+    std::vector<char> mask;
+    std::vector<idx_t> touched;
     for (const HomedRecord& hr : records) {
       faces_on[static_cast<std::size_t>(hr.home)].push_back(hr.rec);
       BBox box;
       for (int i = 0; i < hr.rec.num_nodes; ++i) box.expand(hr.rec.coords[i]);
       box.inflate(config_.search.search_margin);
       parts.clear();
-      descriptors.query_box(box, parts);
+      descriptors.query_box(box, parts, mask, touched);
       FaceShipMsg probe;
       probe.num_nodes = hr.rec.num_nodes;
       for (idx_t q : parts) {
@@ -1034,6 +1095,12 @@ void DistributedSim::scatter_global_state(idx_t s,
   }};
   async_.run({&scatter, 1}, exchange_);
   build_halo_providers(states_, halo_providers_);
+  refresh_start_snapshot();
+}
+
+void DistributedSim::refresh_start_snapshot() {
+  start_owner_ = states_[0].node_owner;
+  start_hits_ = gather_contact_hits();
 }
 
 std::uint64_t DistributedSim::config_hash() const {
@@ -1095,6 +1162,7 @@ bool DistributedSim::restore_from_checkpoint() {
   }};
   async_.run({&restore, 1}, exchange_);
   build_halo_providers(states_, halo_providers_);
+  refresh_start_snapshot();
   // Roll the cursors back: the step counter drives the migration cadence
   // and the rank-fault schedule; the exchange superstep cursor keys the
   // transport fault schedule, so the replayed deliveries re-draw exactly
@@ -1128,6 +1196,10 @@ bool DistributedSim::suspend(double* backoff_ms_accum) {
   // caller already saw.
   states_.clear();
   states_.shrink_to_fit();
+  induced_descriptors_.reset();
+  start_owner_ = {};
+  start_hits_ = {};
+  end_hits_ = {};
   two_phase_graph_.reset();
   step_history_.clear();
   replay_pos_ = 0;
@@ -1147,7 +1219,16 @@ bool DistributedSim::resume() {
 
 std::size_t DistributedSim::resident_bytes() const {
   std::size_t total = 0;
-  for (const SubdomainState& st : states_) total += st.heap_bytes();
+  std::vector<const SubdomainDescriptors*> trees;  // each shared tree once
+  for (const SubdomainState& st : states_) {
+    total += st.heap_bytes();
+    const SubdomainDescriptors* tree = st.descriptors.get();
+    if (tree != nullptr &&
+        std::find(trees.begin(), trees.end(), tree) == trees.end()) {
+      trees.push_back(tree);
+      total += tree->heap_bytes();
+    }
+  }
   return total;
 }
 
@@ -1164,7 +1245,9 @@ std::size_t DistributedSim::estimate_resident_bytes(idx_t num_nodes,
   // and its owned-element entry; x1.5 for push_back growth slack. The
   // per-step products (face records, contact lists, search scratch) scale
   // with the contact surface, modelled per node, plus a fixed share per
-  // rank; each rank's descriptor copy holds ~2 k n^0.25 tree nodes.
+  // rank. The descriptors are two trees of ~2 k n^0.25 nodes each: the one
+  // rank 0 induced and the one the other ranks share, decoded from the
+  // broadcast.
   const double n = num_nodes;
   const double kk = static_cast<double>(k);
   const double ghosts =
@@ -1176,7 +1259,7 @@ std::size_t DistributedSim::estimate_resident_bytes(idx_t num_nodes,
              (static_cast<double>(num_elements) + 0.5 * ghosts) * 10 *
                  sizeof(idx_t));
   const double per_step = 180.0 * n + 25e3 * kk;
-  const double trees = kk * sizeof(TreeNode) * 2 * kk * std::pow(n, 0.25);
+  const double trees = 2 * sizeof(TreeNode) * 2 * kk * std::pow(n, 0.25);
   return static_cast<std::size_t>(replicated + local_set + per_step + trees);
 }
 

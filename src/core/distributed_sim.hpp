@@ -19,13 +19,17 @@
 //   C. descriptor induction — the driver (on behalf of rank 0) induces this
 //      step's subdomain descriptors from the gathered contact points —
 //      parallel subtree induction on the whole pool, warm-started from last
-//      step's recycled tree storage — and broadcasts the encoded tree
-//      (plus, on migration steps, one delta-coded blob of the changed
-//      labels of the new repartition);
-//   D. global search — every rank parses its descriptor copy and ships each
-//      owned face record to the candidate ranks the tree names;
+//      step's recycled tree storage — and broadcasts the encoded tree as
+//      one shared immutable buffer (plus, on migration steps, one
+//      delta-coded blob of the changed labels of the new repartition);
+//   D. global search — the ranks share one tree decoded from the broadcast
+//      wire (the first rank to hold a validated buffer decodes it; rank 0
+//      keeps the tree it induced) and each ships its owned face records to
+//      the candidate ranks the tree names;
 //   E. local search — owned contact nodes vs owned + received records;
-//      events charge the per-node hit accumulators. On migration steps each
+//      events charge the per-node hit accumulators, which each rank also
+//      writes into the node-ordered hits that become the next step's
+//      start-of-step snapshot. On migration steps each
 //      rank then computes its outgoing set from the new labels and ships
 //      node state (position + hits) and element records over the exchange's
 //      migration channels;
@@ -113,7 +117,8 @@ struct StepEvents {
 ///                       label encode on migration steps); 0 on other ranks;
 ///   halo_ms             A kinematics + halo post, B surface extraction +
 ///                       contact-point post, and rank 0's gather;
-///   ship_ms             D descriptor decode + face shipping;
+///   ship_ms             D descriptor receipt (the one shared decode, or
+///                       the wait for it) + face shipping;
 ///   search_ms           E local search (+ migration sends), F commit;
 ///   deliver_ms          validation and commit of the rank's inbox columns
 ///                       ahead of B, the gather, D, E and F (outside the
@@ -282,15 +287,16 @@ class DistributedSim {
   /// Heap bytes held by the per-rank states right now, by capacity (0
   /// while suspended): every buffer a SubdomainState keeps — replicated
   /// owner map, local numbering and views, per-node state, per-step
-  /// products, search scratch and descriptor copy. What a service's
-  /// resident-bytes budget meters.
+  /// products and search scratch — plus each distinct descriptor tree the
+  /// states share, once. What a service's resident-bytes budget meters.
   std::size_t resident_bytes() const;
 
   /// Admission-control estimate of resident_bytes() for a not-yet-built
   /// sim: the k replicas of node_owner plus a model of the local sets
-  /// (owned nodes plus a ghost layer that grows as the subdomains' surface)
-  /// and of the per-step products. An upper bound on resident_bytes() for
-  /// the impact scenes at any k, within a small factor of it (see
+  /// (owned nodes plus a ghost layer that grows as the subdomains' surface),
+  /// of the per-step products and of the two descriptor trees. An upper
+  /// bound on resident_bytes() for the impact scenes at any k, within a
+  /// small factor of it (see
   /// DistributedSim.ResidentEstimateBoundsMeasuredBytes).
   static std::size_t estimate_resident_bytes(idx_t num_nodes,
                                              idx_t num_elements, idx_t k);
@@ -300,6 +306,12 @@ class DistributedSim {
 
   /// The owner-authoritative per-node contact-hit accumulators.
   std::vector<wgt_t> gather_contact_hits() const;
+
+  /// The start-of-step snapshot the next step degrades from, kept equal to
+  /// ownership_map() and gather_contact_hits() between steps (empty while
+  /// suspended).
+  std::span<const idx_t> start_owner() const { return start_owner_; }
+  std::span<const wgt_t> start_hits() const { return start_hits_; }
 
  private:
   bool is_migration_step() const {
@@ -379,6 +391,11 @@ class DistributedSim {
   std::uint64_t ownership_hash(std::span<const idx_t> owner,
                                std::span<const wgt_t> hits) const;
 
+  /// Retakes the start-of-step snapshot from the rank states: after every
+  /// change to them outside a successful SPMD step (construction, scatter,
+  /// restore).
+  void refresh_start_snapshot();
+
   const ImpactSim* sim_;
   DistributedSimConfig config_;
   Partitioner partitioner_;  // the unified repartition entry (owns hierarchy)
@@ -398,8 +415,16 @@ class DistributedSim {
   // repartition and re-weighted for each later contact mask (its structure
   // never changes). Released by suspend().
   std::optional<CsrGraph> two_phase_graph_;
-  std::vector<idx_t> start_owner_;   // start-of-step recovery snapshot
+  // The tree rank 0 induced this step (its state shares it), kept so the
+  // next induction can recycle its storage.
+  std::shared_ptr<SubdomainDescriptors> induced_descriptors_;
+  // Start-of-step recovery snapshot: ownership and node-ordered hits, kept
+  // current between steps. A successful SPMD step leaves its end state here
+  // (phase E writes the hits into end_hits_, swapped in afterwards); every
+  // other change to the rank states retakes it (refresh_start_snapshot).
+  std::vector<idx_t> start_owner_;
   std::vector<wgt_t> start_hits_;
+  std::vector<wgt_t> end_hits_;
   // Rank-death tolerance (see run_step). step_history_ records the snapshot
   // ids of every step since the last durable checkpoint; replay_pos_ is its
   // completed prefix, rewound to 0 by a restore. step_attempts_ counts

@@ -31,9 +31,13 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -160,31 +164,87 @@ inline bool fault_truncate_payload(HaloNodeMsg&, std::uint64_t) {
 ///     Rank 0 broadcasts a single batch; every rank decodes it into its
 ///     pending label list and splices the updates into its ownership
 ///     replica at the commit superstep.
+/// The bytes are one shared immutable buffer: a broadcast posts the same
+/// buffer to all k - 1 destinations without copying it, and the fault hooks
+/// copy on write, so a corrupted cell gets its own buffer and never changes
+/// the bytes another destination reads.
 struct BytesMsg {
-  std::string bytes;
+  BytesMsg() = default;
+  explicit BytesMsg(std::string payload)
+      : bytes(std::make_shared<const std::string>(std::move(payload))) {}
+
+  /// The payload (empty when `bytes` is null).
+  std::string_view view() const {
+    return bytes != nullptr ? std::string_view(*bytes) : std::string_view();
+  }
+
+  std::shared_ptr<const std::string> bytes;
 };
 
 inline wgt_t wire_bytes(const BytesMsg& m) {
-  return static_cast<wgt_t>(m.bytes.size());
+  return static_cast<wgt_t>(m.view().size());
 }
 
 inline std::uint64_t wire_hash(const BytesMsg& m) {
-  std::uint64_t h = fnv1a_field(kFnvOffsetBasis, m.bytes.size());
-  return fnv1a_bytes(h, m.bytes.data(), m.bytes.size());
+  const std::string_view b = m.view();
+  const std::uint64_t h = fnv1a_field(kFnvOffsetBasis, b.size());
+  return fnv1a_bytes(h, b.data(), b.size());
 }
 
 inline void fault_bitflip(BytesMsg& m, std::uint64_t r) {
-  if (m.bytes.empty()) return;
-  const std::size_t i = static_cast<std::size_t>(r % m.bytes.size());
-  m.bytes[i] = static_cast<char>(m.bytes[i] ^
-                                 static_cast<char>(1 << ((r / 7) % 8)));
+  if (m.view().empty()) return;
+  std::string copy(m.view());
+  const std::size_t i = static_cast<std::size_t>(r % copy.size());
+  copy[i] = static_cast<char>(copy[i] ^ static_cast<char>(1 << ((r / 7) % 8)));
+  m = BytesMsg(std::move(copy));
 }
 
 inline bool fault_truncate_payload(BytesMsg& m, std::uint64_t r) {
-  if (m.bytes.empty()) return false;
-  m.bytes.resize(static_cast<std::size_t>(r % m.bytes.size()));
+  const std::string_view b = m.view();
+  if (b.empty()) return false;
+  m = BytesMsg(
+      std::string(b.substr(0, static_cast<std::size_t>(r % b.size()))));
   return true;
 }
+
+/// Hashes of the shared BytesMsg buffers one delivery has validated, so a
+/// validation pass (one attempt) hashes each buffer once instead of once
+/// per cell: the k - 1 cells of a broadcast carry the same buffer. An entry
+/// holds its buffer, so no address is reused while it is a key; a new
+/// superstep starts a new delivery and drops the old entries. Safe to call
+/// concurrently (destinations validate their columns in parallel).
+class SharedPayloadHashes {
+ public:
+  std::uint64_t hash(const BytesMsg& m, std::uint64_t superstep,
+                     idx_t attempt) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (superstep != superstep_) {
+      entries_.clear();
+      superstep_ = superstep;
+    }
+    for (const Entry& e : entries_) {
+      if (e.attempt == attempt && e.buffer == m.bytes) return e.hash;
+    }
+    const std::uint64_t h = wire_hash(m);
+    entries_.push_back({m.bytes, attempt, h});
+    return h;
+  }
+
+  void clear() {
+    std::lock_guard<std::mutex> lock(mu_);
+    entries_.clear();
+  }
+
+ private:
+  struct Entry {
+    std::shared_ptr<const std::string> buffer;
+    idx_t attempt = 0;
+    std::uint64_t hash = 0;
+  };
+  std::mutex mu_;
+  std::uint64_t superstep_ = 0;  // guarded by mu_
+  std::vector<Entry> entries_;   // guarded by mu_
+};
 
 /// Element shipping: one surface face with its node ids and coordinates.
 struct FaceShipMsg {
@@ -424,10 +484,10 @@ class TypedChannel final : public ChannelCells {
   }
 
   /// Posts `item` from `from` to every other rank. The frame checksum of
-  /// the (identical) copies is computed once, not per destination — for a
-  /// bulk payload like the descriptor tree the k-1 redundant hashes were a
-  /// measurable per-step cost. Delivery validation still hashes each cell's
-  /// wire copy independently.
+  /// the (identical) copies is computed once, not per destination. A
+  /// BytesMsg copy shares its buffer, so a bulk payload like the descriptor
+  /// tree is neither copied per destination nor, at delivery, hashed per
+  /// cell (see SharedPayloadHashes).
   void broadcast(idx_t from, const T& item) {
     require(from >= 0 && from < k_, "TypedChannel::broadcast: rank out of range");
     const std::uint64_t item_hash = wire_hash(item);
@@ -454,23 +514,28 @@ class TypedChannel final : public ChannelCells {
       cell.staged_ok = true;
       return true;
     }
-    std::vector<T> wire;
+    // The wire is the outbox itself on the fast path: nothing between us
+    // and the inbox can corrupt it except genuine in-process memory
+    // corruption, which the checksum below still detects (and which no
+    // retry could fix). Under an injector it is a copy in the retained
+    // staging buffer, which the injector may corrupt while the outbox stays
+    // pristine until the cell validates.
+    const std::vector<T>* wire = &cell.items;
     if (injector != nullptr) {
-      wire = cell.items;  // outbox retained until the cell validates
-      injector->maybe_corrupt(id, superstep, attempt, from, to, wire);
-    } else {
-      // Fast path: nothing between us and the inbox can corrupt the
-      // data except genuine in-process memory corruption, which the
-      // checksum below still detects (and which no retry could fix).
-      wire = std::move(cell.items);
-      cell.items.clear();
+      cell.staged.assign(cell.items.begin(), cell.items.end());
+      injector->maybe_corrupt(id, superstep, attempt, from, to, cell.staged);
+      wire = &cell.staged;
     }
     std::uint64_t h = kFnvOffsetBasis;
-    for (const T& item : wire) h = (h ^ wire_hash(item)) * kFnvPrime;
-    const bool count_ok = to_idx(wire.size()) == cell.count;
+    for (const T& item : *wire) {
+      h = (h ^ validation_hash(item, superstep, attempt)) * kFnvPrime;
+    }
+    const bool count_ok = to_idx(wire->size()) == cell.count;
     const bool hash_ok = h == cell.hash;
     if (count_ok && hash_ok) {
-      cell.staged = std::move(wire);
+      // A swap, not a move: the outbox takes the staging buffer's capacity,
+      // so the next step's sends do not regrow it from zero.
+      if (injector == nullptr) cell.staged.swap(cell.items);
       cell.staged_ok = true;
       return true;
     }
@@ -521,6 +586,7 @@ class TypedChannel final : public ChannelCells {
   void abort() override {
     for (Cell& cell : cells_) cell.reset();
     for (auto& inbox : inboxes_) inbox.clear();
+    shared_hashes_.clear();
   }
 
   /// Messages delivered to `rank` last superstep, ascending source order.
@@ -529,6 +595,17 @@ class TypedChannel final : public ChannelCells {
   }
 
  private:
+  /// One message's term of the delivery-side cell fold: wire_hash, through
+  /// the per-pass memo for shared BytesMsg buffers.
+  std::uint64_t validation_hash(const T& item, std::uint64_t superstep,
+                                idx_t attempt) {
+    if constexpr (std::is_same_v<T, BytesMsg>) {
+      return shared_hashes_.hash(item, superstep, attempt);
+    } else {
+      return wire_hash(item);
+    }
+  }
+
   /// Shared body of send()/broadcast(): folds a precomputed item hash into
   /// the cell's send-side frame and appends the item to the outbox.
   void post(idx_t from, idx_t to, T item, std::uint64_t item_hash) {
@@ -541,9 +618,10 @@ class TypedChannel final : public ChannelCells {
     cell.items.push_back(std::move(item));
   }
 
+  // Both buffers keep their capacity across steps (reset() clears them).
   struct Cell {
     std::vector<T> items;   // outbox, retained until validated
-    std::vector<T> staged;  // validated wire copy awaiting commit
+    std::vector<T> staged;  // validated wire awaiting commit
     wgt_t bytes = 0;
     std::uint64_t hash = kFnvOffsetBasis;  // send-side frame checksum
     idx_t count = 0;                       // send-side frame message count
@@ -562,6 +640,7 @@ class TypedChannel final : public ChannelCells {
   idx_t k_ = 0;
   std::vector<Cell> cells_;  // k*k, row = source rank
   std::vector<std::vector<T>> inboxes_;
+  SharedPayloadHashes shared_hashes_;  // used by BytesMsg channels only
 };
 
 // ---------------------------------------------------------------------------

@@ -154,17 +154,14 @@ std::size_t SubdomainState::heap_bytes() const {
   const auto bytes = [](const auto& v) {
     return v.capacity() * sizeof(v[0]);
   };
-  std::size_t total =
-      bytes(node_owner) + bytes(local_nodes) + bytes(tracked_elements) +
-      bytes(tracked_local) + bytes(owned_elements) + bytes(halo_sends) +
-      bytes(positions) + bytes(contact_hits) + bytes(contact_nodes) +
-      bytes(contact_local) + bytes(contact_points) + bytes(owned_records) +
-      bytes(local_records) + bytes(events) + bytes(query_parts) +
-      bytes(search_scratch.centroids) + bytes(search_scratch.candidates) +
-      bytes(search_scratch.triangles) + bytes(pending_labels) +
-      bytes(node_mask) + bytes(rank_seen) + bytes(touched);
-  if (descriptors.has_value()) total += descriptors->heap_bytes();
-  return total;
+  return bytes(node_owner) + bytes(local_nodes) + bytes(tracked_elements) +
+         bytes(tracked_local) + bytes(owned_elements) + bytes(halo_sends) +
+         bytes(positions) + bytes(contact_hits) + bytes(contact_nodes) +
+         bytes(contact_local) + bytes(contact_points) + bytes(owned_records) +
+         bytes(local_records) + bytes(events) + bytes(query_parts) +
+         bytes(search_scratch.centroids) + bytes(search_scratch.candidates) +
+         bytes(search_scratch.triangles) + bytes(pending_labels) +
+         bytes(node_mask) + bytes(rank_seen) + bytes(touched);
 }
 
 }  // namespace cpart

@@ -15,7 +15,7 @@
 // protocol).
 #pragma once
 
-#include <optional>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -89,7 +89,10 @@ struct SubdomainState {
   std::vector<Vec3> contact_points;        // their positions
   std::vector<FaceRecord> owned_records;   // home faces, ascending key
   std::vector<FaceRecord> local_records;   // owned + received, ascending key
-  std::optional<SubdomainDescriptors> descriptors;
+  /// This step's descriptors, shared and immutable: rank 0 holds the tree
+  /// it induced, the other ranks the one tree decoded from their validated
+  /// broadcast wire. Queried with the scratch below (rank_seen, touched).
+  std::shared_ptr<const SubdomainDescriptors> descriptors;
   std::vector<ContactEvent> events;
   std::vector<idx_t> query_parts;
   SubsetSearchScratch search_scratch;
@@ -112,9 +115,8 @@ struct SubdomainState {
   void init(const MeshTopology& topo, idx_t r, std::span<const idx_t> owner,
             idx_t k);
 
-  /// Clears the per-step products. The descriptor copy is kept: the next
-  /// broadcast replaces it, and rank 0 recycles its tree storage into the
-  /// next induction.
+  /// Clears the per-step products. The descriptors are kept: the next
+  /// step's induction or broadcast replaces them.
   void begin_step();
 
   /// Recomputes the local numbering and every view from node_owner, and
@@ -124,7 +126,9 @@ struct SubdomainState {
   /// topology is.
   void rebuild_views(const MeshTopology& topo, idx_t k);
 
-  /// Heap bytes held by every buffer above, by capacity.
+  /// Heap bytes held by every buffer of this state, by capacity, except the
+  /// shared descriptors (DistributedSim::resident_bytes counts each
+  /// distinct tree once).
   std::size_t heap_bytes() const;
 
   // Scratch (kept across steps so the steady state allocates nothing).

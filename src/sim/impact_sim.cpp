@@ -53,6 +53,23 @@ ImpactSim::ImpactSim(const ImpactSimConfig& config)
         in_channel ? c.z : -std::numeric_limits<real_t>::infinity();
   }
 
+  // Open faces: a face whose neighbour never erodes (erosion height -inf)
+  // stays interior for every finite nose.
+  const int fpe = topo_.faces_per_element();
+  require(fpe <= 8, "ImpactSim: open-face mask holds at most 8 faces");
+  open_faces_.assign(static_cast<std::size_t>(initial_.num_elements()), 0);
+  for (idx_t e = 0; e < initial_.num_elements(); ++e) {
+    unsigned open = 0;
+    for (int lf = 0; lf < fpe; ++lf) {
+      const idx_t nb = topo_.face_neighbor(e, lf);
+      if (nb == kInvalidIndex ||
+          std::isfinite(erosion_height_[static_cast<std::size_t>(nb)])) {
+        open |= 1u << lf;
+      }
+    }
+    open_faces_[static_cast<std::size_t>(e)] = static_cast<unsigned char>(open);
+  }
+
   // Travel: the nose ends below the lower plate by 60% of its own length,
   // i.e. the projectile fully perforates both plates over the run.
   nose_end_ = plate2_bottom_ - 0.6 * config_.proj_length;

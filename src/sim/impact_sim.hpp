@@ -14,12 +14,16 @@
 //
 // ImpactSim owns the one contact-surface rule: a face of a live element is
 // kept when its MeshTopology neighbour is missing or eroded and the face
-// lies in the contact zone. for_each_contact_face applies it per element;
+// lies in the contact zone. A static open-face mask, built once, names the
+// faces whose neighbour is missing or can ever erode — the only ones the
+// rule can keep. for_each_contact_face applies the rule per element over
+// the mask;
 // snapshot_into and the rank programs of DistributedSim both call it, so
 // the central snapshot and the distributed step keep the same faces.
 #pragma once
 
 #include <array>
+#include <bit>
 #include <span>
 #include <vector>
 
@@ -128,17 +132,21 @@ class ImpactSim {
   /// global id, a rank's local ids when it holds a rank's local set.
   /// `positions` holds the deformed position of at least those nodes (the
   /// zone test uses the face centroid: the sum in face-node order, then
-  /// times 1/nf).
+  /// times 1/nf). Only the faces in e's open-face mask are tested, in
+  /// ascending lf; the others have a neighbour that never erodes, so the
+  /// rule can never keep them.
   template <typename Fn>
   void for_each_contact_face(idx_t e, real_t nose,
                              std::span<const idx_t> slots,
                              std::span<const Vec3> positions, Fn&& fn) const {
-    if (element_eroded(e, nose)) return;
+    const unsigned open = open_faces_[static_cast<std::size_t>(e)];
+    if (open == 0 || element_eroded(e, nose)) return;
     const auto faces = element_faces(initial_.element_type());
     const auto elem = initial_.element(e);
     std::array<idx_t, 4> ids;
     std::array<idx_t, 4> at;
-    for (int lf = 0; lf < topo_.faces_per_element(); ++lf) {
+    for (unsigned bits = open; bits != 0; bits &= bits - 1) {
+      const int lf = std::countr_zero(bits);
       const idx_t nb = topo_.face_neighbor(e, lf);
       if (nb != kInvalidIndex && !element_eroded(nb, nose)) continue;
       const auto& corners = faces[static_cast<std::size_t>(lf)];
@@ -190,6 +198,11 @@ class ImpactSim {
   // centroid z inside the erosion channel, -inf (never, for any finite
   // nose) outside it and for projectile elements.
   std::vector<real_t> erosion_height_;
+  // Open-face mask of each element: bit lf is set when face lf's neighbour
+  // is missing or can erode (finite erosion height). Built once from the
+  // topology and the erosion heights; for_each_contact_face tests only
+  // these faces.
+  std::vector<unsigned char> open_faces_;
 };
 
 }  // namespace cpart

@@ -29,7 +29,6 @@ SubdomainDescriptors::SubdomainDescriptors(
       ++regions_per_part_[static_cast<std::size_t>(nd.label)];
     }
   }
-  mask_.assign(static_cast<std::size_t>(num_parts), 0);
 }
 
 SubdomainDescriptors::SubdomainDescriptors(DecisionTree tree, idx_t num_parts)
@@ -45,7 +44,6 @@ SubdomainDescriptors::SubdomainDescriptors(DecisionTree tree, idx_t num_parts)
       ++regions_per_part_[static_cast<std::size_t>(nd.label)];
     }
   }
-  mask_.assign(static_cast<std::size_t>(num_parts), 0);
 }
 
 idx_t SubdomainDescriptors::num_regions(idx_t p) const {
@@ -54,16 +52,21 @@ idx_t SubdomainDescriptors::num_regions(idx_t p) const {
 }
 
 void SubdomainDescriptors::query_box(const BBox& box,
-                                     std::vector<idx_t>& parts) const {
-  // mask_ is all-zero on entry; collect records each label it sets in
-  // touched_, and only those entries are cleared afterwards.
-  tree_.collect_box_labels(box, mask_, touched_);
-  std::sort(touched_.begin(), touched_.end());
-  for (idx_t p : touched_) {
-    parts.push_back(p);
-    mask_[static_cast<std::size_t>(p)] = 0;
+                                     std::vector<idx_t>& parts,
+                                     std::vector<char>& mask,
+                                     std::vector<idx_t>& touched) const {
+  if (mask.size() < static_cast<std::size_t>(num_parts_)) {
+    mask.resize(static_cast<std::size_t>(num_parts_), 0);
   }
-  touched_.clear();
+  // collect_box_labels records each label it sets in `touched`, and only
+  // those entries are cleared afterwards.
+  tree_.collect_box_labels(box, mask, touched);
+  std::sort(touched.begin(), touched.end());
+  for (idx_t p : touched) {
+    parts.push_back(p);
+    mask[static_cast<std::size_t>(p)] = 0;
+  }
+  touched.clear();
 }
 
 std::vector<BBox> SubdomainDescriptors::region_boxes(idx_t p) const {

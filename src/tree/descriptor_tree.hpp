@@ -50,16 +50,20 @@ class SubdomainDescriptors {
 
   /// Appends to `parts` every partition whose descriptor region intersects
   /// `box` (deduplicated, ascending). This is the global-search filter.
-  void query_box(const BBox& box, std::vector<idx_t>& parts) const;
+  /// `mask` and `touched` are caller-owned scratch: `mask` all-zero (it is
+  /// grown to num_parts() on first use) and `touched` empty, on entry and
+  /// on exit, so a query costs O(|result|), not O(num_parts). The
+  /// descriptors themselves are never written, so threads with their own
+  /// scratch may query one instance at once.
+  void query_box(const BBox& box, std::vector<idx_t>& parts,
+                 std::vector<char>& mask, std::vector<idx_t>& touched) const;
 
   const DecisionTree& tree() const { return tree_; }
 
-  /// Heap bytes held by the tree and the query scratch, by capacity.
+  /// Heap bytes held by the tree and the per-part region counts, by
+  /// capacity.
   std::size_t heap_bytes() const {
-    return tree_.heap_bytes() +
-           (regions_per_part_.capacity() + touched_.capacity()) *
-               sizeof(idx_t) +
-           mask_.capacity();
+    return tree_.heap_bytes() + regions_per_part_.capacity() * sizeof(idx_t);
   }
 
   /// Moves the descriptor tree out — e.g. into
@@ -76,10 +80,6 @@ class SubdomainDescriptors {
   idx_t num_parts_ = 0;
   std::vector<idx_t> regions_per_part_;
   BBox domain_;
-  // query_box scratch: mask_ is all-zero between calls and reset via the
-  // touched-list, so a query costs O(|result|), not O(num_parts).
-  mutable std::vector<char> mask_;
-  mutable std::vector<idx_t> touched_;
 };
 
 }  // namespace cpart

@@ -173,6 +173,47 @@ TEST(Exchange, PayloadTruncationOnDescriptorWireIsDetected) {
   EXPECT_EQ(h.channel(ChannelId::kDescriptors).checksum_failures, 1);
 }
 
+TEST(Exchange, CorruptedBroadcastCellLeavesOtherDestinationsIntact) {
+  // A broadcast posts one shared buffer to every destination, and the
+  // payload fault hooks copy on write: a corrupted cell gets its own
+  // buffer, never changes the bytes the other destinations read, and its
+  // retry re-stages the broadcast buffer itself.
+  FaultConfig fc;
+  fc.seed = chaos_seed();
+  fc.cell_fault_probability = 0.3;
+  fc.kind_weights = {};
+  fc.kind_weights[static_cast<std::size_t>(FaultKind::kTruncate)] = 1.0;
+  fc.kind_weights[static_cast<std::size_t>(FaultKind::kBitFlip)] = 1.0;
+  FaultInjector injector(fc);
+  constexpr idx_t k = 8;
+  Exchange ex(k);
+  ex.set_fault_injector(&injector);
+  ex.set_retry_policy({.max_attempts = 12});  // 0.3^12 * 7 * 16 ~ 6e-5
+  const std::vector<Vec3> points = {{0, 0, 0}, {1, 0, 0}, {1, 1, 0},
+                                    {0, 1, 1}, {2, 2, 2}, {3, 1, 0}};
+  const std::vector<idx_t> labels = {0, 1, 1, 2, 3, 2};
+  const std::string original =
+      tree_to_binary(SubdomainDescriptors(points, labels, 4).tree());
+  for (int step = 0; step < 16; ++step) {
+    const BytesMsg msg(original);
+    ex.descriptors().broadcast(0, msg);
+    deliver_posted(ex);
+    EXPECT_EQ(msg.view(), original) << "step " << step;
+    for (idx_t r = 1; r < k; ++r) {
+      const auto& in = ex.descriptors().inbox(r);
+      ASSERT_EQ(in.size(), 1u) << "step " << step << " rank " << r;
+      EXPECT_EQ(in.front().view(), original)
+          << "step " << step << " rank " << r;
+      EXPECT_EQ(in.front().bytes, msg.bytes)
+          << "step " << step << " rank " << r << " got a copy";
+    }
+  }
+  const PipelineHealth h = ex.take_health();
+  EXPECT_GT(injector.stats().faults_injected, 0);
+  EXPECT_EQ(h.corrupt_cells, injector.stats().faults_injected);
+  EXPECT_EQ(h.channel(ChannelId::kDescriptors).corrupt_cells, h.corrupt_cells);
+}
+
 TEST(Exchange, RetryRedeliversPristinePayloadWithinBudget) {
   FaultConfig fc;
   fc.seed = chaos_seed();

@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <string>
 #include <utility>
@@ -856,9 +857,88 @@ TEST(DistributedSim, RankStateIsLocal) {
   ThreadPool::set_global_threads(0);
 }
 
+TEST(DistributedSim, StartSnapshotTracksRankState) {
+  // The start-of-step snapshot the next step degrades from is not gathered
+  // at step start: a successful step leaves its end state there, and every
+  // other path that changes the rank states retakes it. After each kind of
+  // step and state change it must equal a fresh gather.
+  ThreadPool::set_global_threads(4);
+  ImpactSimConfig sc;
+  sc.plate_cells_xy = 12;
+  sc.plate_cells_z = 2;
+  sc.proj_cells_diameter = 6;
+  sc.proj_cells_z = 6;
+  sc.num_snapshots = 40;
+  const ImpactSim sim(sc);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("cpart_start_snapshot_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  DistributedSimConfig config;
+  config.decomposition.k = 8;
+  config.search.search_margin = 0.12;
+  config.search.contact_tolerance = 0.08;
+  config.repartition_period = 3;
+  config.checkpoint_period = 2;
+  config.checkpoint_dir = dir.string();
+  DistributedSim dsim(sim, config);
+  const auto expect_current = [&dsim](const std::string& what) {
+    EXPECT_TRUE(std::ranges::equal(dsim.start_owner(), dsim.ownership_map()))
+        << what;
+    EXPECT_TRUE(std::ranges::equal(dsim.start_hits(),
+                                   dsim.gather_contact_hits()))
+        << what;
+  };
+  expect_current("construction");
+  idx_t s = 0;
+  const auto step = [&](const std::string& what) {
+    const DistributedStepReport r = dsim.run_step(s);
+    s += 3;
+    expect_current(what + " at snapshot " + std::to_string(r.step));
+    return r;
+  };
+  bool migrated = false;
+  for (int i = 0; i < 6; ++i) migrated = step("SPMD step").migrated || migrated;
+  EXPECT_TRUE(migrated);
+
+  // A forced-degraded migration step: every cell corrupted, one attempt.
+  FaultConfig corrupt_all;
+  corrupt_all.cell_fault_probability = 1.0;
+  FaultInjector corrupter(corrupt_all);
+  dsim.exchange().set_fault_injector(&corrupter);
+  dsim.exchange().set_retry_policy({.max_attempts = 1});
+  const DistributedStepReport degraded = step("degraded step");
+  EXPECT_EQ(degraded.health.degraded_steps, 1);
+  EXPECT_TRUE(degraded.migrated);
+  dsim.exchange().set_retry_policy({});
+
+  // A restore: a rank killed at the next step restores the last checkpoint
+  // and replays.
+  FaultConfig kill;
+  kill.kill_rank = 1;
+  kill.kill_step = 7;  // steps run so far
+  FaultInjector killer(kill);
+  dsim.exchange().set_fault_injector(&killer);
+  EXPECT_TRUE(step("restore and replay").recovered);
+  dsim.exchange().set_fault_injector(nullptr);
+
+  dsim.run_step_reference(s);
+  s += 3;
+  expect_current("reference step");
+  ASSERT_TRUE(dsim.suspend());
+  ASSERT_TRUE(dsim.resume());
+  expect_current("resume");
+  step("step after resume");
+
+  const std::vector<wgt_t> hits = dsim.gather_contact_hits();
+  EXPECT_GT(std::accumulate(hits.begin(), hits.end(), wgt_t{0}), 0);
+  std::filesystem::remove_all(dir);
+  ThreadPool::set_global_threads(0);
+}
+
 TEST(DistributedSim, ResidentEstimateBoundsMeasuredBytes) {
   // The admission estimate is an upper bound on what the rank states hold
-  // in the steady state (descriptor copies and per-step products grown to
+  // in the steady state (descriptor trees and per-step products grown to
   // the largest contact surface), within a factor of 2, on two impact
   // resolutions at the paper's rank counts.
   ThreadPool::set_global_threads(4);

@@ -80,10 +80,12 @@ TEST(Integration, DescriptorSearchConservative) {
     labels.push_back(p.node_partition()[static_cast<std::size_t>(id)]);
   }
   std::vector<idx_t> candidates;
+  std::vector<char> mask;
+  std::vector<idx_t> touched;
   for (std::size_t f = 0; f < snap.surface.faces.size(); f += 7) {
     const BBox box = face_bbox(snap.mesh, snap.surface.faces[f], 0.05);
     candidates.clear();
-    desc.query_box(box, candidates);
+    desc.query_box(box, candidates, mask, touched);
     const std::set<idx_t> found(candidates.begin(), candidates.end());
     for (std::size_t i = 0; i < pts.size(); ++i) {
       if (box.contains(pts[i])) {

@@ -151,7 +151,7 @@ void check_pipeline_matches_cold(unsigned threads) {
         mcml.build_descriptors(cold.mesh, cold.surface);
     ASSERT_EQ(report.descriptor_tree_nodes, cold_desc.num_tree_nodes());
     for (const SubdomainState& state : dist.states()) {
-      ASSERT_TRUE(state.descriptors.has_value()) << "rank " << state.rank;
+      ASSERT_NE(state.descriptors, nullptr) << "rank " << state.rank;
       expect_trees_identical(state.descriptors->tree(), cold_desc.tree());
     }
 

@@ -151,8 +151,9 @@ TEST_F(EndToEndTraffic, GlobalSearchTrafficMatchesNRemote) {
       global_search_tree(snap_.mesh, snap_.surface, owners, desc, 0.1);
   const StepTraffic executed = global_search_traffic(
       snap_.mesh, snap_.surface, owners, 0.1, kParts,
-      [&desc](const BBox& box, std::vector<idx_t>& parts) {
-        desc.query_box(box, parts);
+      [&desc, mask = std::vector<char>(), touched = std::vector<idx_t>()](
+          const BBox& box, std::vector<idx_t>& parts) mutable {
+        desc.query_box(box, parts, mask, touched);
       });
   EXPECT_EQ(executed.total_units(), analytic.remote_sends);
   EXPECT_GE(executed.imbalance(), 1.0);

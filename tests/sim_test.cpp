@@ -2,6 +2,7 @@
 // ids, monotone erosion, moving contact surface, configuration scaling.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -193,6 +194,62 @@ TEST(ImpactSim, SnapshotSurfaceMatchesClosedFormZoneRule) {
     } else {
       EXPECT_EQ(dropped, 0);
     }
+  }
+}
+
+TEST(ImpactSim, OpenFaceMaskKeepsEveryFace) {
+  // for_each_contact_face tests only the faces in each element's open-face
+  // mask. A scan over every face of every element, with the rule in closed
+  // form, must keep exactly the same faces in the same order.
+  ImpactSimConfig plain = tiny_config();
+  plain.plate_cells_xy = 24;
+  plain.num_snapshots = 40;
+  ImpactSimConfig oblique = plain;
+  oblique.obliquity = 0.3;
+  ImpactSimConfig everything = plain;
+  everything.contact_zone_factor = 0;
+  for (const ImpactSimConfig& c : {plain, oblique, everything}) {
+    const ImpactSim sim(c);
+    const Mesh& initial = sim.initial_mesh();
+    const MeshTopology& topo = sim.topology();
+    const auto faces = element_faces(initial.element_type());
+    std::size_t kept = 0;
+    for (idx_t s = 0; s < sim.num_snapshots(); ++s) {
+      SCOPED_TRACE(testing::Message() << "obliquity " << c.obliquity
+                                      << " zone " << c.contact_zone_factor
+                                      << " step " << s);
+      const real_t nose = sim.nose_z(s);
+      const ImpactSim::Snapshot snap = sim.snapshot(s);
+      std::vector<SurfaceFace> got;
+      std::vector<SurfaceFace> want;
+      for (idx_t e = 0; e < initial.num_elements(); ++e) {
+        const auto elem = initial.element(e);
+        sim.for_each_contact_face(
+            e, nose, elem, snap.mesh.nodes(),
+            [&](int lf, const std::array<idx_t, 4>& ids,
+                const std::array<idx_t, 4>&, int nf) {
+              got.push_back({e, lf, {ids.begin(), ids.begin() + nf}});
+            });
+        if (sim.element_eroded(e, nose)) continue;
+        for (int lf = 0; lf < topo.faces_per_element(); ++lf) {
+          const idx_t nb = topo.face_neighbor(e, lf);
+          if (nb != kInvalidIndex && !sim.element_eroded(nb, nose)) continue;
+          SurfaceFace face{e, lf, {}};
+          for (int corner : faces[static_cast<std::size_t>(lf)]) {
+            face.nodes.push_back(elem[static_cast<std::size_t>(corner)]);
+          }
+          if (in_zone_closed_form(sim, snap.mesh, face)) want.push_back(face);
+        }
+      }
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t f = 0; f < want.size(); ++f) {
+        ASSERT_EQ(got[f].element, want[f].element) << f;
+        ASSERT_EQ(got[f].local_face, want[f].local_face) << f;
+        ASSERT_EQ(got[f].nodes, want[f].nodes) << f;
+      }
+      kept += got.size();
+    }
+    EXPECT_GT(kept, 0u);
   }
 }
 

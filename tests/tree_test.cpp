@@ -523,10 +523,12 @@ TEST(Descriptors, QueryBoxFindsOnlyNearbyPartitions) {
   const SubdomainDescriptors desc(tc.points, tc.labels, 2, opts);
   EXPECT_EQ(desc.num_tree_nodes(), 3);
   std::vector<idx_t> parts;
+  std::vector<char> mask;
+  std::vector<idx_t> touched;
   BBox near_left;
   near_left.expand(Vec3{0.3, 0.5, 0});
   near_left.inflate(0.2);
-  desc.query_box(near_left, parts);
+  desc.query_box(near_left, parts, mask, touched);
   ASSERT_EQ(parts.size(), 1u);
   EXPECT_EQ(parts[0], 0);
 
@@ -534,7 +536,7 @@ TEST(Descriptors, QueryBoxFindsOnlyNearbyPartitions) {
   BBox spanning;
   spanning.expand(Vec3{0, 0.5, 0});
   spanning.expand(Vec3{6, 0.5, 0});
-  desc.query_box(spanning, parts);
+  desc.query_box(spanning, parts, mask, touched);
   EXPECT_EQ(parts.size(), 2u);
 }
 
@@ -544,10 +546,12 @@ TEST(Descriptors, EmptySpaceBetweenClustersYieldsNoCandidates) {
   opts.dim = 2;
   const SubdomainDescriptors desc(tc.points, tc.labels, 2, opts);
   std::vector<idx_t> parts;
+  std::vector<char> mask;
+  std::vector<idx_t> touched;
   BBox middle;
   middle.expand(Vec3{2.5, 0.5, 0});
   middle.inflate(0.5);  // far from both clusters
-  desc.query_box(middle, parts);
+  desc.query_box(middle, parts, mask, touched);
   EXPECT_TRUE(parts.empty());
 }
 
@@ -583,12 +587,14 @@ TEST(Descriptors, NeverMissesActualNeighbors) {
   }
   const SubdomainDescriptors desc(pts, labels, 5);
   std::vector<idx_t> parts;
+  std::vector<char> mask;
+  std::vector<idx_t> touched;
   for (int trial = 0; trial < 50; ++trial) {
     BBox q;
     q.expand(Vec3{rng.uniform(0, 10), rng.uniform(0, 10), rng.uniform(0, 10)});
     q.inflate(rng.uniform(0.1, 2.0));
     parts.clear();
-    desc.query_box(q, parts);
+    desc.query_box(q, parts, mask, touched);
     const std::set<idx_t> found(parts.begin(), parts.end());
     for (std::size_t i = 0; i < pts.size(); ++i) {
       if (q.contains(pts[i])) {
