@@ -23,12 +23,14 @@
 //
 // JSON output: {"env": {...}, "wire": {...}, "induction": {...},
 // "results": [{threads, ..., distributed: {reference_mean_ms, spmd_mean_ms,
-// speedup, health: {...}, steps: [{..., migrated, repartition_ms,
+// speedup, plain_step_ms_median, migration_step_ms_median, health: {...},
+// steps: [{..., migrated, repartition_ms, migration_ranks_rebuilt,
 // ownership_hash (hex string), bytes: {descriptor, halo, faces}, phase_ms:
-// {descriptor: [per rank], halo, ship, search, deliver}, wait: {descriptor,
-// ship, search}}]}}], "scaling": {...}, "recovery": {...}}, steady state =
-// steps >= 1. The per-rank arrays follow RankPhaseBreakdown's superstep
-// mapping.
+// {descriptor: [per rank], halo, ship, search, migrate, deliver}, wait:
+// {descriptor, ship, search}}]}}], "scaling": {...}, "recovery": {...}},
+// steady state = steps >= 1; the two medians are of the SPMD steady steps
+// without and with migration (0 when there are none). The per-rank arrays
+// follow RankPhaseBreakdown's superstep mapping.
 //
 // The "induction" block times descriptor induction of one snapshot's contact
 // points cold and warm (after the previous snapshot in one
@@ -44,6 +46,7 @@
 // A/B over the same snapshots) and an MTTR probe that kills --kill_rank at
 // --kill_step and requires the restored+replayed run to stay bit-identical
 // to the fault-free baseline at every step.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -126,6 +129,15 @@ std::string hex_u64(std::uint64_t v) {
   std::snprintf(buf, sizeof(buf), "0x%016llx",
                 static_cast<unsigned long long>(v));
   return buf;
+}
+
+/// The median of `v` (0 when empty); reorders `v`.
+double median(std::vector<double>& v) {
+  if (v.empty()) return 0;
+  const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+  std::nth_element(v.begin(), mid, v.end());
+  if (v.size() % 2 == 1) return *mid;
+  return 0.5 * (*mid + *std::max_element(v.begin(), mid));
 }
 
 void json_array(std::ostream& os, const std::vector<double>& v) {
@@ -374,6 +386,7 @@ int main(int argc, char** argv) {
       PipelineHealth dist_health;
       std::ostringstream dsteps_json;
       double dref_sum = 0, dspmd_sum = 0;  // steady state: steps >= 1
+      std::vector<double> plain_ms, migration_ms;  // SPMD, steady state
       idx_t dist_steady = 0;
       idx_t migration_steps = 0;
       wgt_t moved_nodes = 0, moved_elements = 0;
@@ -399,6 +412,7 @@ int main(int argc, char** argv) {
           dref_sum += ref_ms;
           dspmd_sum += spmd_ms;
           ++dist_steady;
+          (got.migrated ? migration_ms : plain_ms).push_back(spmd_ms);
         }
         migration_steps += got.migrated ? 1 : 0;
         moved_nodes += got.repart_moved_nodes;
@@ -414,6 +428,8 @@ int main(int argc, char** argv) {
                     << ", \"events\": " << got.contact_events
                     << ", \"migrated\": " << (got.migrated ? "true" : "false")
                     << ", \"repartition_ms\": " << got.repartition_ms
+                    << ", \"migration_ranks_rebuilt\": "
+                    << got.migration_ranks_rebuilt
                     << ", \"ownership_hash\": \""
                     << hex_u64(got.ownership_hash) << "\""
                     << ", \"repart_moved_nodes\": " << got.repart_moved_nodes
@@ -433,6 +449,8 @@ int main(int argc, char** argv) {
         json_array(dsteps_json, phase.ship_ms);
         dsteps_json << ", \"search\": ";
         json_array(dsteps_json, phase.search_ms);
+        dsteps_json << ", \"migrate\": ";
+        json_array(dsteps_json, phase.migrate_ms);
         dsteps_json << ", \"deliver\": ";
         json_array(dsteps_json, phase.deliver_ms);
         // Per-rank readiness-wait time preceding each consuming phase.
@@ -470,6 +488,8 @@ int main(int argc, char** argv) {
            << ",\n    \"reference_mean_ms\": " << dist_ref_mean
            << ", \"spmd_mean_ms\": " << dist_spmd_mean
            << ", \"speedup\": " << dist_speedup
+           << ",\n    \"plain_step_ms_median\": " << median(plain_ms)
+           << ", \"migration_step_ms_median\": " << median(migration_ms)
            << ",\n    \"migration_steps\": " << migration_steps
            << ", \"repart_moved_nodes\": " << moved_nodes
            << ", \"repart_moved_elements\": " << moved_elements

@@ -152,11 +152,19 @@ void merge_rank_events(const std::vector<SubdomainState>& ranks,
 
 /// providers[dst] = sorted unique ranks whose halo_sends post to dst — the
 /// inverse of the send lists, so a halo-consuming phase waits on just its
-/// neighbors' rows (AsyncPhase::providers) instead of all k.
-void build_halo_providers(const std::vector<SubdomainState>& ranks,
-                          std::vector<std::vector<idx_t>>& providers) {
-  providers.assign(ranks.size(), {});
+/// neighbors' rows (AsyncPhase::providers) instead of all k. Only the ranks
+/// with `changed[r]` set are re-read; the others' entries are kept.
+void update_halo_providers(const std::vector<SubdomainState>& ranks,
+                           std::span<const char> changed,
+                           std::vector<std::vector<idx_t>>& providers) {
+  providers.resize(ranks.size());
+  for (std::vector<idx_t>& list : providers) {
+    std::erase_if(list, [&](idx_t q) {
+      return changed[static_cast<std::size_t>(q)] != 0;
+    });
+  }
   for (std::size_t r = 0; r < ranks.size(); ++r) {
+    if (!changed[r]) continue;
     for (const HaloSend& hs : ranks[r].halo_sends) {
       providers[static_cast<std::size_t>(hs.dst)].push_back(to_idx(r));
     }
@@ -165,6 +173,12 @@ void build_halo_providers(const std::vector<SubdomainState>& ranks,
     std::sort(list.begin(), list.end());
     list.erase(std::unique(list.begin(), list.end()), list.end());
   }
+}
+
+void build_halo_providers(const std::vector<SubdomainState>& ranks,
+                          std::vector<std::vector<idx_t>>& providers) {
+  providers.clear();
+  update_halo_providers(ranks, std::vector<char>(ranks.size(), 1), providers);
 }
 
 /// Sorts `pts` by id, given that it is a concatenation of ascending runs
@@ -218,8 +232,8 @@ LocalSearchOptions SearchConfig::local_options(
 void RankPhaseBreakdown::reset(idx_t k) {
   const auto n = static_cast<std::size_t>(k);
   for (std::vector<double>* v :
-       {&descriptor_ms, &halo_ms, &ship_ms, &search_ms, &deliver_ms,
-        &descriptor_wait_ms, &ship_wait_ms, &search_wait_ms}) {
+       {&descriptor_ms, &halo_ms, &ship_ms, &search_ms, &migrate_ms,
+        &deliver_ms, &descriptor_wait_ms, &ship_wait_ms, &search_wait_ms}) {
     v->assign(n, 0.0);
   }
 }
@@ -728,24 +742,43 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
           st.contact_hits[i];
     }
     if (!migrate) return;
+    // Which label changes touch this rank is decided under the old labels.
+    // With none, the views outlive the commit and nothing moves in or out.
+    const bool touched = st.note_relabels();
     // Node migration: this rank ships the authoritative state of every
     // owned node the new labels take away — including this step's hits.
-    for (const auto& [v, o] : st.pending_labels) {
-      if (st.node_owner[static_cast<std::size_t>(v)] != r || o == r) continue;
-      const auto i = static_cast<std::size_t>(st.owned_local(v));
+    for (const Relabel& c : st.relabels) {
+      if (c.old_owner != r) continue;
+      const auto i = static_cast<std::size_t>(c.old_local);
       exchange_.migrate_nodes().send(
-          r, o, NodeMigrateMsg{v, st.positions[i], st.contact_hits[i]});
+          r, c.new_owner,
+          NodeMigrateMsg{c.node, st.positions[i], st.contact_hits[i]});
       ++st.moved_nodes_out;
     }
     // The label commit: every rank applies the same updates to its own
     // replica (no rank reads another's map during the run). The views stay
-    // those of the old labels until phase F re-numbers.
+    // those of the old labels until phase F updates them.
     for (const auto& [v, o] : st.pending_labels) {
       st.node_owner[static_cast<std::size_t>(v)] = o;
     }
+    if (!touched) return;
     // Element migration: owned elements whose majority owner changes under
-    // the new labels are re-homed with their connectivity record.
-    for (idx_t e : st.owned_elements) {
+    // the new labels are re-homed with their connectivity record. Only an
+    // element with a relabelled node can change home; they are visited in
+    // ascending id, the order of owned_elements.
+    std::vector<idx_t> rehome;
+    for (const Relabel& c : st.relabels) {
+      if (c.old_local == kInvalidIndex) continue;
+      for (idx_t e : topology().elements_of(c.node)) {
+        if (std::binary_search(st.owned_elements.begin(),
+                               st.owned_elements.end(), e)) {
+          rehome.push_back(e);
+        }
+      }
+    }
+    std::sort(rehome.begin(), rehome.end());
+    rehome.erase(std::unique(rehome.begin(), rehome.end()), rehome.end());
+    for (idx_t e : rehome) {
       const auto elem = topology().mesh().element(e);
       const idx_t new_home = majority_owner(elem, st.node_owner);
       if (new_home == r) continue;
@@ -757,31 +790,20 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
       ++st.moved_elements_out;
     }
   };
-  // --- Phase F (migration steps only): migration commit — splice the
-  // migrated state, validate element records, re-number the local set and
-  // carry the owned state into it. ------------------------------------------
+  // --- Phase F (migration steps only): migration commit — validate the
+  // element records, update the local numbering and views to the new
+  // labels, and splice in the arrived node state. ---------------------------
   const auto phase_f = [&](idx_t r) {
     SubdomainState& st = states_[static_cast<std::size_t>(r)];
-    // The owned state under the new labels, by global id: the staying
-    // nodes from the old local set, plus the arrivals.
-    std::vector<NodeMigrateMsg> carried;
-    for (std::size_t i = 0; i < st.owned_nodes().size(); ++i) {
-      const idx_t v = st.local_nodes[i];
-      if (st.node_owner[static_cast<std::size_t>(v)] != r) continue;
-      carried.push_back({v, st.positions[i], st.contact_hits[i]});
+    const auto& node_in = exchange_.migrate_nodes().inbox(r);
+    const auto& elem_in = exchange_.migrate_elements().inbox(r);
+    if (st.relabels.empty()) {
+      // Nothing arrives at a rank no label change touches.
+      require(node_in.empty() && elem_in.empty(),
+              "DistributedSim: state migrated to an untouched rank");
+      return;
     }
-    for (const NodeMigrateMsg& m : exchange_.migrate_nodes().inbox(r)) {
-      require(m.node >= 0 && m.node < nn,
-              "DistributedSim: migrated node id out of range");
-      require(st.node_owner[static_cast<std::size_t>(m.node)] == r,
-              "DistributedSim: node migrated to a rank that does not own it");
-      carried.push_back(m);
-    }
-    std::sort(carried.begin(), carried.end(),
-              [](const NodeMigrateMsg& a, const NodeMigrateMsg& b) {
-                return a.node < b.node;
-              });
-    for (const ElementMigrateMsg& m : exchange_.migrate_elements().inbox(r)) {
+    for (const ElementMigrateMsg& m : elem_in) {
       require(m.element >= 0 && m.element < topology().num_elements(),
               "DistributedSim: migrated element id out of range");
       const auto elem = topology().mesh().element(m.element);
@@ -794,16 +816,27 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
       require(majority_owner(elem, st.node_owner) == r,
               "DistributedSim: element re-homed to the wrong rank");
     }
-    st.rebuild_views(topology(), np);
-    require(carried.size() == st.owned_nodes().size(),
-            "DistributedSim: migrated node state does not cover the owned set");
-    for (std::size_t i = 0; i < carried.size(); ++i) {
-      require(carried[i].node == st.local_nodes[i],
-              "DistributedSim: migrated node state does not cover the owned "
-              "set");
-      st.positions[i] = carried[i].position;
-      st.contact_hits[i] = carried[i].contact_hits;
+    st.apply_relabels(topology());
+    // The arrivals' state: exactly one message per node the new labels
+    // give this rank, in any order.
+    std::vector<NodeMigrateMsg> arrived(node_in.begin(), node_in.end());
+    std::sort(arrived.begin(), arrived.end(),
+              [](const NodeMigrateMsg& a, const NodeMigrateMsg& b) {
+                return a.node < b.node;
+              });
+    std::size_t a = 0;
+    for (const Relabel& c : st.relabels) {
+      if (c.new_owner != r) continue;
+      require(a < arrived.size() && arrived[a].node == c.node,
+              "DistributedSim: migrated node state does not cover the "
+              "arrivals");
+      const auto i = static_cast<std::size_t>(st.owned_local(c.node));
+      st.positions[i] = arrived[a].position;
+      st.contact_hits[i] = arrived[a].contact_hits;
+      ++a;
     }
+    require(a == arrived.size(),
+            "DistributedSim: node migrated to a rank that does not own it");
   };
 
   const ChannelMask broadcast_mask = channel_bit(ChannelId::kDescriptors) |
@@ -827,7 +860,7 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
   if (migrate) {
     search_phases.push_back(AsyncPhase{.body = phase_f,
                                        .reads = migrate_mask,
-                                       .ms_accum = phase.search_ms,
+                                       .ms_accum = phase.migrate_ms,
                                        .wait_ms_accum = phase.search_wait_ms,
                                        .deliver_ms_accum = phase.deliver_ms});
   }
@@ -835,7 +868,15 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
   // deliveries #3, #4 (+ #5) inside (unreachable with a hang armed — the
   // first run already unwound — but the options are step-scoped)
   async_.run(search_phases, exchange_, fault_options);
-  if (migrate) build_halo_providers(states_, halo_providers_);
+  if (migrate) {
+    std::vector<char> rebuilt(static_cast<std::size_t>(np), 0);
+    for (idx_t r = 0; r < np; ++r) {
+      rebuilt[static_cast<std::size_t>(r)] =
+          states_[static_cast<std::size_t>(r)].relabels.empty() ? 0 : 1;
+      report.migration_ranks_rebuilt += rebuilt[static_cast<std::size_t>(r)];
+    }
+    update_halo_providers(states_, rebuilt, halo_providers_);
+  }
   report.descriptor_broadcast_bytes =
       exchange_.take_bytes(ChannelId::kDescriptors);
   report.label_broadcast_bytes = exchange_.take_bytes(ChannelId::kLabels);
@@ -1126,7 +1167,7 @@ CheckpointData DistributedSim::make_checkpoint_data() const {
   ck.step = steps_run_;
   ck.superstep = exchange_.next_superstep();
   ck.k = k();
-  ck.node_owner = states_[0].node_owner;
+  ck.node_owner.assign(start_owner_.begin(), start_owner_.end());
   ck.positions.resize(static_cast<std::size_t>(nn));
   // Each owner's block holds its nodes in ascending id: one cursor per rank.
   std::vector<std::size_t> next(static_cast<std::size_t>(k()), 0);
@@ -1134,7 +1175,7 @@ CheckpointData DistributedSim::make_checkpoint_data() const {
     const auto q = static_cast<std::size_t>(ck.node_owner[v]);
     ck.positions[v] = states_[q].positions[next[q]++];
   }
-  ck.contact_hits = gather_contact_hits();
+  ck.contact_hits.assign(start_hits_.begin(), start_hits_.end());
   return ck;
 }
 

@@ -34,9 +34,11 @@
 //      node state (position + hits) and element records over the exchange's
 //      migration channels;
 //   F. migration commit — receivers splice the migrated state, validate
-//      element records against the immutable topology, and every rank
-//      re-numbers its local set and views from the new labels, carrying
-//      its owned state across.
+//      element records against the immutable topology, and every rank a
+//      label change touches updates its local numbering and views to the
+//      new labels, carrying its owned state across. A rank no change
+//      touches (no changed node in its local set, none arriving) keeps its
+//      views as they are: they read node_owner on the local set alone.
 //
 // Supersteps A+B (plus rank 0's gather of the contact points) and D+E+F
 // each run as one dependency-driven AsyncExecutor::run: each phase declares
@@ -119,7 +121,8 @@ struct StepEvents {
 ///                       contact-point post, and rank 0's gather;
 ///   ship_ms             D descriptor receipt (the one shared decode, or
 ///                       the wait for it) + face shipping;
-///   search_ms           E local search (+ migration sends), F commit;
+///   search_ms           E local search (+ migration sends);
+///   migrate_ms          F migration commit;
 ///   deliver_ms          validation and commit of the rank's inbox columns
 ///                       ahead of B, the gather, D, E and F (outside the
 ///                       bodies above);
@@ -132,6 +135,7 @@ struct RankPhaseBreakdown {
   std::vector<double> halo_ms;
   std::vector<double> ship_ms;
   std::vector<double> search_ms;
+  std::vector<double> migrate_ms;
   std::vector<double> deliver_ms;
   std::vector<double> descriptor_wait_ms;
   std::vector<double> ship_wait_ms;
@@ -187,6 +191,10 @@ struct DistributedStepReport : StepEvents {
   wgt_t migration_payload_bytes = 0;
   idx_t repart_moved_nodes = 0;
   idx_t repart_moved_elements = 0;
+  /// Ranks whose local numbering and views the migration commit updated:
+  /// those a label change touches (0 when no label changed). SPMD only —
+  /// the reference body and degraded steps report 0.
+  idx_t migration_ranks_rebuilt = 0;
   /// True when a hierarchical repartition escalated past the group level:
   /// some rank group breached kCrossGroupThreshold and one global
   /// repartition ran instead of the group-local ones. Always false with the
@@ -348,10 +356,10 @@ class DistributedSim {
   /// configuration, rank count and mesh size.
   bool checkpoint_usable(const std::optional<CheckpointData>& ck) const;
 
-  /// The durable state as of now: ownership labels, owner-authoritative
-  /// positions and hit accumulators, the step counter, and the exchange
-  /// superstep cursor (so replayed deliveries key the exact transport
-  /// fault schedule).
+  /// The durable state as of now: ownership labels and hit accumulators
+  /// (the start-of-step snapshot), owner-authoritative positions, the step
+  /// counter, and the exchange superstep cursor (so replayed deliveries
+  /// key the exact transport fault schedule).
   CheckpointData make_checkpoint_data() const;
 
   /// Restores every rank from the last durable checkpoint: rebuilds the
@@ -407,8 +415,9 @@ class DistributedSim {
   // Driver scratch.
   TreeInduceWorkspace induce_ws_;  // warm storage across per-step inductions
   // halo_providers_[dst]: ranks that post halo nodes to dst — the inverse
-  // of the rank states' halo send lists, rebuilt wherever the views are
-  // (construction, migration commit, scatter, restore).
+  // of the rank states' halo send lists, kept current wherever the views
+  // change: rebuilt at construction, scatter and restore, and updated for
+  // the ranks a migration commit touched.
   std::vector<std::vector<idx_t>> halo_providers_;
   std::vector<char> contact_mask_;
   // The two-phase graph over the immutable topology, built on the first

@@ -48,6 +48,16 @@ void collect_tracker_ranks(const MeshTopology& topo,
                            std::span<const idx_t> owner, idx_t v,
                            std::vector<char>& seen, std::vector<idx_t>& out);
 
+/// One label change of a migration step that touches a rank's views: the
+/// node leaves the rank's owned set, joins it, or is one of its ghosts and
+/// changes owner.
+struct Relabel {
+  idx_t node = kInvalidIndex;
+  idx_t old_local = kInvalidIndex;  // local id under the old labels, if any
+  idx_t old_owner = kInvalidIndex;
+  idx_t new_owner = kInvalidIndex;
+};
+
 /// One rank's share of the distributed simulation, sized by that share.
 /// Nodes are numbered locally: the owned nodes in ascending global id, then
 /// the ghosts (the element closure's other nodes) sorted by (owner, id) —
@@ -65,7 +75,8 @@ struct SubdomainState {
   /// Current owner of every node. Updated only on migration steps.
   std::vector<idx_t> node_owner;
 
-  // --- Local numbering and ownership views (rebuilt by rebuild_views) ---
+  // --- Local numbering and ownership views (rebuild_views; a migration
+  //     commit updates them in place with apply_relabels) ---
   /// Global id of each local node: [0, num_owned) owned, ascending; then
   /// the ghosts by (owner, id).
   std::vector<idx_t> local_nodes;
@@ -98,6 +109,10 @@ struct SubdomainState {
   SubsetSearchScratch search_scratch;
   /// Label updates received this step, applied on migration steps.
   std::vector<std::pair<idx_t, idx_t>> pending_labels;  // (node, new owner)
+  /// The pending labels that touch this rank's views, in ascending node id
+  /// (note_relabels). Empty when the views outlive the label commit as they
+  /// are.
+  std::vector<Relabel> relabels;
   idx_t moved_nodes_out = 0;
   idx_t moved_elements_out = 0;
 
@@ -121,10 +136,28 @@ struct SubdomainState {
 
   /// Recomputes the local numbering and every view from node_owner, and
   /// resizes positions / contact_hits / node_mask to it, zeroed (callers
-  /// refill the state they carry). Called at init and after every
-  /// ownership change; between those, the views are stable because the
-  /// topology is.
+  /// refill the state they carry). The cold path: init, and every
+  /// wholesale replacement of node_owner (scatter, restore). Between
+  /// those, the views are stable because the topology is, and a migration
+  /// commit updates them in place (note_relabels, apply_relabels).
   void rebuild_views(const MeshTopology& topo, idx_t k);
+
+  /// Before the label commit: fills `relabels` with the pending labels
+  /// (v, o) that touch this rank — v in the local set, or o == rank — and
+  /// returns whether there are any. The views are a function of node_owner
+  /// on the local set alone, so when there are none they stay exact under
+  /// the new labels. Ghost membership is a binary search under the old
+  /// (owner, id) order.
+  bool note_relabels();
+
+  /// After the label commit (node_owner holds the new labels): brings the
+  /// local numbering and every view from the old labels to the new ones —
+  /// exactly what rebuild_views computes — in passes linear in the local
+  /// set plus the relabelled nodes' element neighbourhoods, and carries
+  /// positions and the staying owned nodes' contact_hits to the new
+  /// numbering. The slots of nodes new to the local set are zeroed; the
+  /// caller fills the arrivals' state from their migration messages.
+  void apply_relabels(const MeshTopology& topo);
 
   /// Heap bytes held by every buffer of this state, by capacity, except the
   /// shared descriptors (DistributedSim::resident_bytes counts each

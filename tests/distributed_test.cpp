@@ -857,6 +857,103 @@ TEST(DistributedSim, RankStateIsLocal) {
   ThreadPool::set_global_threads(0);
 }
 
+/// Every rank's numbering and views — as a migration commit left them —
+/// equal a fresh SubdomainState::init from the same ownership map.
+void expect_views_match_full_rebuild(const DistributedSim& dsim,
+                                     const std::string& what) {
+  const std::vector<idx_t> owner = dsim.ownership_map();
+  for (const SubdomainState& st : dsim.states()) {
+    const std::string at = what + " rank " + std::to_string(st.rank);
+    SubdomainState fresh;
+    fresh.init(dsim.topology(), st.rank, owner, dsim.k());
+    ASSERT_EQ(st.local_nodes, fresh.local_nodes) << at;
+    ASSERT_EQ(st.num_owned, fresh.num_owned) << at;
+    ASSERT_EQ(st.tracked_elements, fresh.tracked_elements) << at;
+    ASSERT_EQ(st.tracked_local, fresh.tracked_local) << at;
+    ASSERT_EQ(st.owned_elements, fresh.owned_elements) << at;
+    ASSERT_EQ(st.halo_sends.size(), fresh.halo_sends.size()) << at;
+    for (std::size_t i = 0; i < st.halo_sends.size(); ++i) {
+      ASSERT_EQ(st.halo_sends[i].local, fresh.halo_sends[i].local) << at;
+      ASSERT_EQ(st.halo_sends[i].dst, fresh.halo_sends[i].dst) << at;
+    }
+    ASSERT_EQ(st.positions.size(), fresh.positions.size()) << at;
+    ASSERT_EQ(st.contact_hits.size(), fresh.contact_hits.size()) << at;
+    ASSERT_EQ(st.node_mask, fresh.node_mask) << at;
+  }
+}
+
+TEST(DistributedSim, MigrationViewsMatchFullRebuild) {
+  // k = 25 on the small impact scene, repartitioning every step: each
+  // migration commit updates the views of the ranks its label changes
+  // touch, and leaves the others as they are (all of them, on a step that
+  // changes no label). After every step each rank's views must equal a
+  // full rebuild from the new labels, and the step must equal the
+  // reference body — plain and under a seeded 2% fault schedule.
+  ThreadPool::set_global_threads(4);
+  ImpactSimConfig sc;
+  sc.plate_cells_xy = 12;
+  sc.plate_cells_z = 2;
+  sc.proj_cells_diameter = 6;
+  sc.proj_cells_z = 6;
+  sc.num_snapshots = 40;
+  const ImpactSim sim(sc);
+  DistributedSimConfig config;
+  config.decomposition.k = 25;
+  config.search.search_margin = 0.12;
+  config.search.contact_tolerance = 0.08;
+  config.repartition_period = 1;
+  config.repartition.epsilon = 0.02;
+  for (const double fault_rate : {0.0, 0.02}) {
+    DistributedSim dsim(sim, config);
+    DistributedSim oracle(sim, config);
+    FaultConfig fc;
+    fc.seed = chaos_seed();
+    fc.cell_fault_probability = fault_rate;
+    FaultInjector injector(fc);
+    if (fault_rate > 0) {
+      dsim.exchange().set_fault_injector(&injector);
+      dsim.exchange().set_retry_policy({.max_attempts = 10});
+    }
+    idx_t moved = 0;
+    idx_t partial = 0;  // steps that moved nodes but skipped some ranks
+    idx_t still = 0;    // migration steps that changed no label
+    for (idx_t i = 0; i < 24; ++i) {
+      // Strided snapshots: the contact mask, and with it the repartition,
+      // changes more between steps.
+      const idx_t s = (7 * i) % 40;
+      const std::string what = "fault rate " + std::to_string(fault_rate) +
+                               " s=" + std::to_string(s);
+      const DistributedStepReport want = oracle.run_step_reference(s);
+      const DistributedStepReport got = dsim.run_step(s);
+      expect_reports_identical(got, want, what);
+      expect_views_match_full_rebuild(dsim, what);
+      EXPECT_EQ(got.migrated, i > 0) << what;
+      EXPECT_EQ(got.health.degraded_steps, 0) << what;
+      EXPECT_LE(got.migration_ranks_rebuilt, dsim.k()) << what;
+      if (got.migrated && got.repart_moved_nodes == 0) {
+        // No label changed: the protocol ran, but no rank's views did.
+        EXPECT_EQ(got.label_broadcast_bytes, 0) << what;
+        EXPECT_EQ(got.migration_ranks_rebuilt, 0) << what;
+        ++still;
+      } else {
+        EXPECT_EQ(got.migration_ranks_rebuilt > 0, got.migrated) << what;
+      }
+      moved += got.repart_moved_nodes;
+      if (got.repart_moved_nodes > 0 &&
+          got.migration_ranks_rebuilt < dsim.k()) {
+        ++partial;
+      }
+    }
+    EXPECT_GT(moved, 0) << "fault rate " << fault_rate;
+    EXPECT_GT(partial, 0) << "fault rate " << fault_rate;
+    EXPECT_GT(still, 0) << "fault rate " << fault_rate;
+    if (fault_rate > 0) {
+      EXPECT_GT(injector.stats().faults_injected, 0) << "schedule was empty";
+    }
+  }
+  ThreadPool::set_global_threads(0);
+}
+
 TEST(DistributedSim, StartSnapshotTracksRankState) {
   // The start-of-step snapshot the next step degrades from is not gathered
   // at step start: a successful step leaves its end state there, and every
