@@ -19,6 +19,10 @@ namespace cpart {
 
 namespace {
 
+/// Watchdog deadline handed to the async runs whenever a hang is injected
+/// this step; see AsyncRunOptions::watchdog_deadline_ms.
+constexpr double kWatchdogDeadlineMs = 250.0;
+
 FaceRecord record_from_msg(const FaceShipMsg& m) {
   FaceRecord rec;
   rec.key = m.face;
@@ -150,37 +154,6 @@ void merge_rank_events(const std::vector<SubdomainState>& ranks,
   finalize_events(out);
 }
 
-/// providers[dst] = sorted unique ranks whose halo_sends post to dst — the
-/// inverse of the send lists, so a halo-consuming phase waits on just its
-/// neighbors' rows (AsyncPhase::providers) instead of all k. Only the ranks
-/// with `changed[r]` set are re-read; the others' entries are kept.
-void update_halo_providers(const std::vector<SubdomainState>& ranks,
-                           std::span<const char> changed,
-                           std::vector<std::vector<idx_t>>& providers) {
-  providers.resize(ranks.size());
-  for (std::vector<idx_t>& list : providers) {
-    std::erase_if(list, [&](idx_t q) {
-      return changed[static_cast<std::size_t>(q)] != 0;
-    });
-  }
-  for (std::size_t r = 0; r < ranks.size(); ++r) {
-    if (!changed[r]) continue;
-    for (const HaloSend& hs : ranks[r].halo_sends) {
-      providers[static_cast<std::size_t>(hs.dst)].push_back(to_idx(r));
-    }
-  }
-  for (std::vector<idx_t>& list : providers) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-  }
-}
-
-void build_halo_providers(const std::vector<SubdomainState>& ranks,
-                          std::vector<std::vector<idx_t>>& providers) {
-  providers.clear();
-  update_halo_providers(ranks, std::vector<char>(ranks.size(), 1), providers);
-}
-
 /// Sorts `pts` by id, given that it is a concatenation of ascending runs
 /// (one per source rank): bottom-up pairwise merges of the maximal
 /// ascending runs, O(n log runs) instead of a full sort. Ids are unique, so
@@ -254,18 +227,15 @@ DistributedSim::DistributedSim(const ImpactSim& sim,
 
   // Initial decomposition: the paper's MCML+DT partition of the snapshot-0
   // mesh becomes the initial ownership map. The partitioner is not kept —
-  // afterwards the labels live in (and only in) the rank states.
+  // afterwards the labels live in (and only in) the rank states. Positions
+  // stay zero until the first step computes them (the baseline checkpoint
+  // stores them as they are).
   const ImpactSim::Snapshot snap0 = sim.snapshot(0);
   McmlDtPartitioner partitioner(snap0.mesh, snap0.surface,
                                 config_.decomposition);
-  states_.resize(static_cast<std::size_t>(k()));
-  const AsyncPhase init{.body = [&](idx_t r) {
-    states_[static_cast<std::size_t>(r)].init(
-        topology(), r, partitioner.node_partition(), k());
-  }};
-  async_.run({&init, 1}, exchange_);
-  build_halo_providers(states_, halo_providers_);
-  refresh_start_snapshot();
+  load_states(partitioner.node_partition(),
+              std::vector<wgt_t>(partitioner.node_partition().size(), 0),
+              [](idx_t) { return Vec3{}; });
 }
 
 std::vector<idx_t> DistributedSim::compute_repartition(
@@ -301,22 +271,11 @@ DistributedStepReport DistributedSim::run_step(idx_t s) {
   idx_t replayed = 0;
   bool recovered = false;
 
-  // Lazy store init plus a baseline checkpoint before the first step, so a
-  // restore is always possible — a death before the first period boundary
-  // replays from the initial decomposition.
+  // A baseline checkpoint before the first step, so a restore is always
+  // possible — a death before the first period boundary replays from the
+  // initial decomposition.
   if (config_.checkpoint_period > 0 && store_ == nullptr) {
-    require(!config_.checkpoint_dir.empty(),
-            "DistributedSim: checkpoint_period > 0 requires checkpoint_dir");
-    store_ = std::make_unique<CheckpointStore>(config_.checkpoint_dir,
-                                               *checkpoint_shim_);
-    Timer baseline_timer;
-    if (store_->write(make_checkpoint_data(), config_.checkpoint_retry,
-                      &recovery_health.backoff_ms)) {
-      ++recovery_health.checkpoints_written;
-    } else {
-      ++recovery_health.checkpoint_write_failures;
-    }
-    checkpoint_ms += baseline_timer.milliseconds();
+    commit_checkpoint(recovery_health, checkpoint_ms);
   }
 
   step_history_.push_back(s);
@@ -362,12 +321,8 @@ DistributedStepReport DistributedSim::run_step(idx_t s) {
         // unreadable): complete this step degraded from the start-of-step
         // snapshot and continue unprotected — the same fallback the
         // transport-exhaustion path uses.
-        report = DistributedStepReport{};
-        std::vector<idx_t> owner = start_owner_;
-        std::vector<wgt_t> hits = start_hits_;
-        run_reference_body(step_history_[replay_pos_], is_migration_step(),
-                           owner, hits, report);
-        scatter_global_state(step_history_[replay_pos_], owner, hits);
+        run_reference_step(step_history_[replay_pos_], start_owner_,
+                           start_hits_, report);
         ++recovery_health.degraded_steps;
         ++steps_run_;
         ++replay_pos_;
@@ -381,17 +336,10 @@ DistributedStepReport DistributedSim::run_step(idx_t s) {
   // accumulating so a later death still replays from the last durable
   // state.
   if (store_ != nullptr && config_.checkpoint_period > 0 &&
-      steps_run_ % config_.checkpoint_period == 0) {
-    Timer commit_timer;
-    if (store_->write(make_checkpoint_data(), config_.checkpoint_retry,
-                      &recovery_health.backoff_ms)) {
-      ++recovery_health.checkpoints_written;
-      step_history_.clear();
-      replay_pos_ = 0;
-    } else {
-      ++recovery_health.checkpoint_write_failures;
-    }
-    checkpoint_ms += commit_timer.milliseconds();
+      steps_run_ % config_.checkpoint_period == 0 &&
+      commit_checkpoint(recovery_health, checkpoint_ms)) {
+    step_history_.clear();
+    replay_pos_ = 0;
   }
 
   report.recovered = recovered;
@@ -442,11 +390,7 @@ void DistributedSim::run_step_attempt(idx_t s, DistributedStepReport& report) {
   if (try_spmd_step(s, migrate, report, health)) {
     report.health = exchange_.take_health();
   } else {
-    report = DistributedStepReport{};
-    std::vector<idx_t> owner = start_owner_;
-    std::vector<wgt_t> hits = start_hits_;
-    run_reference_body(s, migrate, owner, hits, report);
-    scatter_global_state(s, owner, hits);
+    run_reference_step(s, start_owner_, start_hits_, report);
     report.health = health;
   }
 }
@@ -477,14 +421,20 @@ bool DistributedSim::try_spmd_step(idx_t s, bool migrate,
 }
 
 DistributedStepReport DistributedSim::run_step_reference(idx_t s) {
-  const bool migrate = is_migration_step();
-  std::vector<idx_t> owner = states_[0].node_owner;
-  std::vector<wgt_t> hits = gather_contact_hits();
   DistributedStepReport report;
-  run_reference_body(s, migrate, owner, hits, report);
-  scatter_global_state(s, owner, hits);
+  run_reference_step(s, states_[0].node_owner, gather_contact_hits(), report);
   ++steps_run_;
   return report;
+}
+
+void DistributedSim::run_reference_step(idx_t s, std::vector<idx_t> owner,
+                                        std::vector<wgt_t> hits,
+                                        DistributedStepReport& report) {
+  report = DistributedStepReport{};
+  run_reference_body(s, is_migration_step(), owner, hits, report);
+  const real_t nose = sim_->nose_z(s);
+  load_states(std::move(owner), std::move(hits),
+              [&](idx_t v) { return sim_->displaced(v, nose); });
 }
 
 void DistributedSim::run_step_spmd(idx_t s, bool migrate,
@@ -614,7 +564,7 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
   // publishes is declared dead instead of deadlocking the run.
   AsyncRunOptions fault_options;
   if (any_hang_) {
-    fault_options.watchdog_deadline_ms = config_.watchdog_deadline_ms;
+    fault_options.watchdog_deadline_ms = kWatchdogDeadlineMs;
     fault_options.hung = hang_mask_;
   }
   async_.run(kinematics_phases, exchange_, fault_options);  // deliveries #1-2
@@ -837,6 +787,9 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
     }
     require(a == arrived.size(),
             "DistributedSim: node migrated to a rank that does not own it");
+    // The new ghost owners are this rank's new halo providers; no phase of
+    // this run reads them.
+    st.ghost_owners(halo_providers_[static_cast<std::size_t>(r)]);
   };
 
   const ChannelMask broadcast_mask = channel_bit(ChannelId::kDescriptors) |
@@ -868,15 +821,6 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
   // deliveries #3, #4 (+ #5) inside (unreachable with a hang armed — the
   // first run already unwound — but the options are step-scoped)
   async_.run(search_phases, exchange_, fault_options);
-  if (migrate) {
-    std::vector<char> rebuilt(static_cast<std::size_t>(np), 0);
-    for (idx_t r = 0; r < np; ++r) {
-      rebuilt[static_cast<std::size_t>(r)] =
-          states_[static_cast<std::size_t>(r)].relabels.empty() ? 0 : 1;
-      report.migration_ranks_rebuilt += rebuilt[static_cast<std::size_t>(r)];
-    }
-    update_halo_providers(states_, rebuilt, halo_providers_);
-  }
   report.descriptor_broadcast_bytes =
       exchange_.take_bytes(ChannelId::kDescriptors);
   report.label_broadcast_bytes = exchange_.take_bytes(ChannelId::kLabels);
@@ -893,6 +837,7 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
     for (const SubdomainState& st : states_) {
       report.repart_moved_nodes += st.moved_nodes_out;
       report.repart_moved_elements += st.moved_elements_out;
+      report.migration_ranks_rebuilt += st.relabels.empty() ? 0 : 1;
     }
   }
 
@@ -1117,31 +1062,27 @@ void DistributedSim::run_reference_body(idx_t s, bool migrate,
   report.ownership_hash = ownership_hash(owner, hits);
 }
 
-void DistributedSim::scatter_global_state(idx_t s,
-                                          std::span<const idx_t> owner,
-                                          std::span<const wgt_t> hits) {
+void DistributedSim::load_states(
+    std::vector<idx_t> owner, std::vector<wgt_t> hits,
+    const std::function<Vec3(idx_t)>& position_of) {
   // One phase without channels: a plain superstep that consumes no
   // exchange superstep, so the fault-schedule cursor stays where it is.
-  const real_t nose = sim_->nose_z(s);
-  const AsyncPhase scatter{.body = [&](idx_t r) {
+  states_.resize(static_cast<std::size_t>(k()));
+  halo_providers_.resize(static_cast<std::size_t>(k()));
+  const AsyncPhase load{.body = [&](idx_t r) {
     SubdomainState& st = states_[static_cast<std::size_t>(r)];
-    st.node_owner.assign(owner.begin(), owner.end());
-    st.rebuild_views(topology(), k());
+    st.init(topology(), r, owner, k());
     for (std::size_t i = 0; i < st.local_nodes.size(); ++i) {
-      st.positions[i] = sim_->displaced(st.local_nodes[i], nose);
+      st.positions[i] = position_of(st.local_nodes[i]);
     }
     for (std::size_t i = 0; i < st.owned_nodes().size(); ++i) {
       st.contact_hits[i] = hits[static_cast<std::size_t>(st.local_nodes[i])];
     }
+    st.ghost_owners(halo_providers_[static_cast<std::size_t>(r)]);
   }};
-  async_.run({&scatter, 1}, exchange_);
-  build_halo_providers(states_, halo_providers_);
-  refresh_start_snapshot();
-}
-
-void DistributedSim::refresh_start_snapshot() {
-  start_owner_ = states_[0].node_owner;
-  start_hits_ = gather_contact_hits();
+  async_.run({&load, 1}, exchange_);
+  start_owner_ = std::move(owner);
+  start_hits_ = std::move(hits);
 }
 
 std::uint64_t DistributedSim::config_hash() const {
@@ -1179,31 +1120,34 @@ CheckpointData DistributedSim::make_checkpoint_data() const {
   return ck;
 }
 
+bool DistributedSim::commit_checkpoint(PipelineHealth& health,
+                                       double& checkpoint_ms) {
+  require(!config_.checkpoint_dir.empty(),
+          "DistributedSim: checkpointing requires checkpoint_dir");
+  Timer timer;
+  if (store_ == nullptr) {
+    store_ = std::make_unique<CheckpointStore>(config_.checkpoint_dir,
+                                               *checkpoint_shim_);
+  }
+  const bool committed = store_->write(
+      make_checkpoint_data(), config_.checkpoint_retry, &health.backoff_ms);
+  ++(committed ? health.checkpoints_written : health.checkpoint_write_failures);
+  checkpoint_ms += timer.milliseconds();
+  return committed;
+}
+
 bool DistributedSim::restore_from_checkpoint() {
   if (store_ == nullptr) return false;
-  const std::optional<CheckpointData> ck = store_->load();
+  std::optional<CheckpointData> ck = store_->load();
   // A decodable checkpoint from some other run shares the directory —
   // unusable for this instance; treat as no checkpoint at all.
   if (!checkpoint_usable(ck)) return false;
-  // Rebuild every rank state (suspend released them; after a rank death
-  // they hold a dead attempt's data) and scatter the checkpointed
-  // per-node state over it.
-  states_.resize(static_cast<std::size_t>(k()));
-  const AsyncPhase restore{.body = [&](idx_t r) {
-    SubdomainState& st = states_[static_cast<std::size_t>(r)];
-    st.init(topology(), r, ck->node_owner, k());
-    for (std::size_t i = 0; i < st.local_nodes.size(); ++i) {
-      st.positions[i] = ck->positions[static_cast<std::size_t>(
-          st.local_nodes[i])];
-    }
-    for (std::size_t i = 0; i < st.owned_nodes().size(); ++i) {
-      st.contact_hits[i] =
-          ck->contact_hits[static_cast<std::size_t>(st.local_nodes[i])];
-    }
-  }};
-  async_.run({&restore, 1}, exchange_);
-  build_halo_providers(states_, halo_providers_);
-  refresh_start_snapshot();
+  // Reload every rank state (suspend released them; after a rank death
+  // they hold a dead attempt's data) from the checkpointed state.
+  load_states(std::move(ck->node_owner), std::move(ck->contact_hits),
+              [&](idx_t v) {
+                return ck->positions[static_cast<std::size_t>(v)];
+              });
   // Roll the cursors back: the step counter drives the migration cadence
   // and the rank-fault schedule; the exchange superstep cursor keys the
   // transport fault schedule, so the replayed deliveries re-draw exactly
@@ -1216,16 +1160,11 @@ bool DistributedSim::restore_from_checkpoint() {
 
 bool DistributedSim::suspend(double* backoff_ms_accum) {
   if (suspended_) return true;
-  require(!config_.checkpoint_dir.empty(),
-          "DistributedSim::suspend: requires checkpoint_dir");
-  if (store_ == nullptr) {
-    store_ = std::make_unique<CheckpointStore>(config_.checkpoint_dir,
-                                               *checkpoint_shim_);
-  }
-  double scratch = 0;
-  if (!store_->write(
-          make_checkpoint_data(), config_.checkpoint_retry,
-          backoff_ms_accum != nullptr ? backoff_ms_accum : &scratch)) {
+  PipelineHealth health;
+  double checkpoint_ms = 0;
+  const bool committed = commit_checkpoint(health, checkpoint_ms);
+  if (backoff_ms_accum != nullptr) *backoff_ms_accum += health.backoff_ms;
+  if (!committed) {
     // Keep-last-good: the previous checkpoint (if any) survives and the
     // rank states stay resident, so the sim remains runnable as if the
     // suspend was never asked for.

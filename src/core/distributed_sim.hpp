@@ -62,6 +62,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -169,9 +170,6 @@ struct DistributedSimConfig {
   /// checkpoint_write_failure and continues unprotected until the next
   /// period boundary.
   RetryPolicy checkpoint_retry{};
-  /// Watchdog deadline handed to the async runs whenever a hang is injected
-  /// this step; see AsyncRunOptions::watchdog_deadline_ms.
-  double watchdog_deadline_ms = 250.0;
 };
 
 struct DistributedStepReport : StepEvents {
@@ -258,7 +256,7 @@ class DistributedSim {
 
   /// The centralized oracle: gathers the rank states, computes the same
   /// step (including repartition + migration accounting) in one body, and
-  /// scatters the result back into the rank states. Bit-identical to
+  /// loads the result back into the rank states. Bit-identical to
   /// run_step at any thread count.
   DistributedStepReport run_step_reference(idx_t s);
 
@@ -283,8 +281,8 @@ class DistributedSim {
   bool suspend(double* backoff_ms_accum = nullptr);
 
   /// Resumes a suspended session: restores every rank from the suspend
-  /// checkpoint through exactly the rank-death recovery path (rebuild rank
-  /// states, scatter checkpointed ownership/positions/hits, roll the step
+  /// checkpoint through exactly the rank-death recovery path (load the rank
+  /// states from the checkpointed ownership/positions/hits, roll the step
   /// and superstep cursors) — so a resumed run is bit-identical to one
   /// that never suspended. False (still suspended) when the checkpoint
   /// cannot be loaded or fails validation. Idempotent.
@@ -362,8 +360,8 @@ class DistributedSim {
   /// key the exact transport fault schedule).
   CheckpointData make_checkpoint_data() const;
 
-  /// Restores every rank from the last durable checkpoint: rebuilds the
-  /// rank states, scatters the checkpointed state, rolls back steps_run_
+  /// Restores every rank from the last durable checkpoint: loads the rank
+  /// states from the checkpointed state, rolls back steps_run_
   /// and the exchange superstep cursor, and rewinds the replay cursor to
   /// the start of step_history_. Rank-death recovery and resume() both
   /// adopt a checkpoint through here. False when no usable checkpoint
@@ -371,9 +369,15 @@ class DistributedSim {
   /// manifest).
   bool restore_from_checkpoint();
 
+  /// Commits make_checkpoint_data() to the store, creating the store on
+  /// first use (requires checkpoint_dir): the baseline, period and suspend
+  /// commits. Counts the commit or its failure and its retry backoff in
+  /// `health`, and its wall time in `checkpoint_ms`. False when the retry
+  /// budget ran out (the previous checkpoint survives).
+  bool commit_checkpoint(PipelineHealth& health, double& checkpoint_ms);
+
   /// The centralized step body over explicit global state (owner + hits are
-  /// read and updated in place). Shared by run_step_reference and the
-  /// degraded path of run_step.
+  /// read and updated in place). Run through run_reference_step.
   void run_reference_body(idx_t s, bool migrate, std::vector<idx_t>& owner,
                           std::vector<wgt_t>& hits,
                           DistributedStepReport& report);
@@ -389,20 +393,25 @@ class DistributedSim {
                                          std::span<const char> is_contact,
                                          DistributedStepReport& report);
 
-  /// Copies `owner`/`hits` into every rank state, rebuilds the views and
-  /// sets every local position to snapshot `s`'s — how the reference
-  /// body's results (and the degraded recovery) re-enter the rank-owned
-  /// representation.
-  void scatter_global_state(idx_t s, std::span<const idx_t> owner,
-                            std::span<const wgt_t> hits);
+  /// Snapshot step `s` through the reference body from `owner`/`hits` into
+  /// a fresh `report`, then loads its end state with every local position
+  /// at snapshot `s`'s: run_step_reference, and the degraded fallback of
+  /// run_step (from the start-of-step snapshot).
+  void run_reference_step(idx_t s, std::vector<idx_t> owner,
+                          std::vector<wgt_t> hits,
+                          DistributedStepReport& report);
+
+  /// The one way rank states are built from global state: construction,
+  /// the reference and degraded steps, and restore_from_checkpoint. Every
+  /// rank runs SubdomainState::init on `owner` in one channel-free executor
+  /// phase (it consumes no exchange superstep), takes its positions from
+  /// `position_of` and its owned hits from `hits`, and writes its halo
+  /// providers; `owner` and `hits` then become the start-of-step snapshot.
+  void load_states(std::vector<idx_t> owner, std::vector<wgt_t> hits,
+                   const std::function<Vec3(idx_t)>& position_of);
 
   std::uint64_t ownership_hash(std::span<const idx_t> owner,
                                std::span<const wgt_t> hits) const;
-
-  /// Retakes the start-of-step snapshot from the rank states: after every
-  /// change to them outside a successful SPMD step (construction, scatter,
-  /// restore).
-  void refresh_start_snapshot();
 
   const ImpactSim* sim_;
   DistributedSimConfig config_;
@@ -414,10 +423,10 @@ class DistributedSim {
   idx_t steps_run_ = 0;
   // Driver scratch.
   TreeInduceWorkspace induce_ws_;  // warm storage across per-step inductions
-  // halo_providers_[dst]: ranks that post halo nodes to dst — the inverse
-  // of the rank states' halo send lists, kept current wherever the views
-  // change: rebuilt at construction, scatter and restore, and updated for
-  // the ranks a migration commit touched.
+  // halo_providers_[r]: the ranks that post halo nodes to r, which are the
+  // distinct owners of r's ghosts, ascending. Rank r writes its own entry
+  // wherever its views change: in load_states, and in phase F after
+  // apply_relabels. No phase of that run reads it.
   std::vector<std::vector<idx_t>> halo_providers_;
   std::vector<char> contact_mask_;
   // The two-phase graph over the immutable topology, built on the first
@@ -429,8 +438,8 @@ class DistributedSim {
   std::shared_ptr<SubdomainDescriptors> induced_descriptors_;
   // Start-of-step recovery snapshot: ownership and node-ordered hits, kept
   // current between steps. A successful SPMD step leaves its end state here
-  // (phase E writes the hits into end_hits_, swapped in afterwards); every
-  // other change to the rank states retakes it (refresh_start_snapshot).
+  // (phase E writes the hits into end_hits_, swapped in afterwards);
+  // load_states sets it from its own inputs.
   std::vector<idx_t> start_owner_;
   std::vector<wgt_t> start_hits_;
   std::vector<wgt_t> end_hits_;
@@ -440,7 +449,7 @@ class DistributedSim {
   // executions per logical step — the incarnation the injector keys rank
   // faults on, so a replayed step never re-fires its kill.
   FileShim* checkpoint_shim_ = &FileShim::real();
-  std::unique_ptr<CheckpointStore> store_;  // created lazily by run_step
+  std::unique_ptr<CheckpointStore> store_;  // created by commit_checkpoint
   std::vector<idx_t> step_history_;
   std::size_t replay_pos_ = 0;
   std::vector<idx_t> step_attempts_;

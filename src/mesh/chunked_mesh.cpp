@@ -1,7 +1,6 @@
 #include "mesh/chunked_mesh.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -17,22 +16,6 @@ constexpr char kMagic[4] = {'c', 'p', 'm', 'k'};
 constexpr std::uint8_t kVersion = 1;
 constexpr std::size_t kF64Bytes = 8;
 constexpr std::size_t kNodeBytes = 3 * kF64Bytes;
-
-void append_f64(std::string& out, double v) {
-  const auto bits = std::bit_cast<std::uint64_t>(v);
-  for (unsigned i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((bits >> (8 * i)) & 0xFF));
-  }
-}
-
-double read_f64(const char* p) {
-  std::uint64_t bits = 0;
-  for (unsigned i = 0; i < 8; ++i) {
-    bits |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i]))
-            << (8 * i);
-  }
-  return std::bit_cast<double>(bits);
-}
 
 std::uint64_t etype_code(ElementType type) {
   switch (type) {

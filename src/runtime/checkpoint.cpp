@@ -16,19 +16,6 @@ constexpr std::uint8_t kVersion = 1;
 constexpr char kManifestMagic[4] = {'c', 'p', 'm', 'f'};
 constexpr std::uint8_t kManifestVersion = 1;
 
-void append_f64(std::string& out, double v) {
-  char buf[sizeof(double)];
-  std::memcpy(buf, &v, sizeof(double));
-  out.append(buf, sizeof(double));
-}
-
-bool read_f64(std::string_view bytes, std::size_t& pos, double& v) {
-  if (pos > bytes.size() || bytes.size() - pos < sizeof(double)) return false;
-  std::memcpy(&v, bytes.data() + pos, sizeof(double));
-  pos += sizeof(double);
-  return true;
-}
-
 void append_u64(std::string& out, std::uint64_t v) {
   char buf[sizeof(std::uint64_t)];
   std::memcpy(buf, &v, sizeof(std::uint64_t));
@@ -149,10 +136,12 @@ CheckpointData decode_checkpoint(std::string_view bytes) {
             "checkpoint: rank section disagrees with the ownership map");
     for (idx_t v = 0; v < num_nodes; ++v) {
       if (data.node_owner[static_cast<std::size_t>(v)] != r) continue;
-      Vec3& p = data.positions[static_cast<std::size_t>(v)];
-      require(read_f64(payload, pos, p.x) && read_f64(payload, pos, p.y) &&
-                  read_f64(payload, pos, p.z),
+      require(payload.size() - pos >= 3 * sizeof(double),
               "checkpoint: truncated position");
+      const char* at = payload.data() + pos;
+      data.positions[static_cast<std::size_t>(v)] =
+          Vec3{read_f64(at), read_f64(at + 8), read_f64(at + 16)};
+      pos += 3 * sizeof(double);
       const std::uint64_t hits =
           read_varint_or_throw(payload, pos, "hit count");
       require(hits <= static_cast<std::uint64_t>(

@@ -418,6 +418,15 @@ void SubdomainState::apply_relabels(const MeshTopology& topo) {
   node_mask.assign(local_nodes.size(), 0);
 }
 
+void SubdomainState::ghost_owners(std::vector<idx_t>& out) const {
+  out.clear();
+  for (std::size_t i = static_cast<std::size_t>(num_owned);
+       i < local_nodes.size(); ++i) {
+    const idx_t q = node_owner[static_cast<std::size_t>(local_nodes[i])];
+    if (out.empty() || out.back() != q) out.push_back(q);
+  }
+}
+
 std::size_t SubdomainState::heap_bytes() const {
   const auto bytes = [](const auto& v) {
     return v.capacity() * sizeof(v[0]);

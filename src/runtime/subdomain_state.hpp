@@ -136,10 +136,11 @@ struct SubdomainState {
 
   /// Recomputes the local numbering and every view from node_owner, and
   /// resizes positions / contact_hits / node_mask to it, zeroed (callers
-  /// refill the state they carry). The cold path: init, and every
-  /// wholesale replacement of node_owner (scatter, restore). Between
-  /// those, the views are stable because the topology is, and a migration
-  /// commit updates them in place (note_relabels, apply_relabels).
+  /// refill the state they carry). The cold path, run by init: every
+  /// wholesale load of node_owner (construction, a degraded or reference
+  /// step, restore). Between those, the views are stable because the
+  /// topology is, and a migration commit updates them in place
+  /// (note_relabels, apply_relabels).
   void rebuild_views(const MeshTopology& topo, idx_t k);
 
   /// Before the label commit: fills `relabels` with the pending labels
@@ -158,6 +159,11 @@ struct SubdomainState {
   /// numbering. The slots of nodes new to the local set are zeroed; the
   /// caller fills the arrivals' state from their migration messages.
   void apply_relabels(const MeshTopology& topo);
+
+  /// Writes into `out` the distinct owners of the ghost block, ascending:
+  /// exactly the ranks whose halo_sends post to this rank (q posts v here
+  /// when q owns v and v is one of this rank's ghosts).
+  void ghost_owners(std::vector<idx_t>& out) const;
 
   /// Heap bytes held by every buffer of this state, by capacity, except the
   /// shared descriptors (DistributedSim::resident_bytes counts each

@@ -1,7 +1,6 @@
 #include "tree/tree_io.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <string_view>
 
@@ -18,13 +17,6 @@ constexpr std::size_t kNodeRecordBytes = 1 + 1 + 8 + 4 * 4 + 6 * 8;
 void append_u32(std::string& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void append_f64(std::string& out, double v) {
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((bits >> (8 * i)) & 0xFF));
   }
 }
 
@@ -55,14 +47,9 @@ class BinaryScanner {
 
   double f64(const char* what) {
     need(8, what);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<std::uint8_t>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
+    const double v = read_f64(bytes_.data() + pos_);
     pos_ += 8;
-    return std::bit_cast<double>(v);
+    return v;
   }
 
   std::uint64_t varint(const char* what) {

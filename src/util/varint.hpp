@@ -1,10 +1,13 @@
-// LEB128 varints for the binary wire formats (tree_io binary codec, label
-// batch blobs). Unsigned base-128, little-endian groups, at most 10 bytes
-// for a 64-bit value. Decoding never trusts the input: encodings beyond 10
-// bytes or 64 bits and truncated streams are reported through the caller's
-// error sink rather than read past the end.
+// The byte codecs the binary formats share (tree_io binary codec, label
+// batch blobs, checkpoints, chunked-mesh files). LEB128 varints: unsigned
+// base-128, little-endian groups, at most 10 bytes for a 64-bit value.
+// Decoding never trusts the input: encodings beyond 10 bytes or 64 bits
+// and truncated streams are reported through the caller's error sink
+// rather than read past the end. Doubles: their IEEE-754 bits as 8
+// little-endian bytes, whatever the host byte order.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -46,6 +49,27 @@ inline bool read_varint(std::string_view bytes, std::size_t& pos,
     value |= static_cast<std::uint64_t>(b & 0x7F) << shift;
     if ((b & 0x80) == 0) return true;
   }
+}
+
+/// Appends the 8 little-endian bytes of `value`'s bits.
+inline void append_f64(std::string& out, double value) {
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  char bytes[8];
+  for (unsigned i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<char>((bits >> (8 * i)) & 0xFF);
+  }
+  out.append(bytes, 8);
+}
+
+/// Decodes the 8 bytes at `p` written by append_f64. The caller checks
+/// that they are there.
+inline double read_f64(const char* p) {
+  std::uint64_t bits = 0;
+  for (unsigned i = 0; i < 8; ++i) {
+    bits |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i]))
+            << (8 * i);
+  }
+  return std::bit_cast<double>(bits);
 }
 
 }  // namespace cpart

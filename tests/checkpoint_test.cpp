@@ -476,11 +476,9 @@ TEST_F(RecoveryTest, HangIsWatchdoggedAndRecoversBitIdentical) {
     fc.kill_rank = 1;
     fc.kill_step = 4;
     fc.kill_hang = true;  // silent hang: only the watchdog can detect it
-    DistributedSimConfig cfg =
-        make_config(5, /*checkpoint_period=*/3, "hang" + std::to_string(threads));
-    cfg.watchdog_deadline_ms = 50;
     const PipelineHealth h = expect_recovers_bit_identical(
-        cfg, fc, /*steps=*/8, "hang threads=" + std::to_string(threads));
+        make_config(5, /*checkpoint_period=*/3, "hang" + std::to_string(threads)),
+        fc, /*steps=*/8, "hang threads=" + std::to_string(threads));
     EXPECT_EQ(h.rank_deaths, 1);
     EXPECT_EQ(h.recoveries, 1);
     EXPECT_EQ(h.replay_steps, 1);  // checkpoint at 3, hang at 4

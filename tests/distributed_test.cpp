@@ -882,6 +882,32 @@ void expect_views_match_full_rebuild(const DistributedSim& dsim,
   }
 }
 
+/// Every rank's halo providers are its ghosts' owners: the distinct owners
+/// of its ghost block, ascending, are exactly the ranks whose halo_sends
+/// name it.
+void expect_providers_are_ghost_owners(const DistributedSim& dsim,
+                                       const std::string& what) {
+  std::vector<std::set<idx_t>> senders(static_cast<std::size_t>(dsim.k()));
+  for (const SubdomainState& st : dsim.states()) {
+    for (const HaloSend& hs : st.halo_sends) {
+      senders[static_cast<std::size_t>(hs.dst)].insert(st.rank);
+    }
+  }
+  for (const SubdomainState& st : dsim.states()) {
+    std::vector<idx_t> owners;
+    for (std::size_t i = static_cast<std::size_t>(st.num_owned);
+         i < st.local_nodes.size(); ++i) {
+      owners.push_back(st.node_owner[static_cast<std::size_t>(
+          st.local_nodes[i])]);
+    }
+    EXPECT_TRUE(std::ranges::is_sorted(owners)) << what << " rank " << st.rank;
+    owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
+    const std::set<idx_t>& want = senders[static_cast<std::size_t>(st.rank)];
+    EXPECT_TRUE(std::ranges::equal(owners, want))
+        << what << " rank " << st.rank;
+  }
+}
+
 TEST(DistributedSim, MigrationViewsMatchFullRebuild) {
   // k = 25 on the small impact scene, repartitioning every step: each
   // migration commit updates the views of the ranks its label changes
@@ -927,6 +953,7 @@ TEST(DistributedSim, MigrationViewsMatchFullRebuild) {
       const DistributedStepReport got = dsim.run_step(s);
       expect_reports_identical(got, want, what);
       expect_views_match_full_rebuild(dsim, what);
+      expect_providers_are_ghost_owners(dsim, what);
       EXPECT_EQ(got.migrated, i > 0) << what;
       EXPECT_EQ(got.health.degraded_steps, 0) << what;
       EXPECT_LE(got.migration_ranks_rebuilt, dsim.k()) << what;
@@ -957,8 +984,9 @@ TEST(DistributedSim, MigrationViewsMatchFullRebuild) {
 TEST(DistributedSim, StartSnapshotTracksRankState) {
   // The start-of-step snapshot the next step degrades from is not gathered
   // at step start: a successful step leaves its end state there, and every
-  // other path that changes the rank states retakes it. After each kind of
-  // step and state change it must equal a fresh gather.
+  // load of the rank states sets it from what it loaded. After each kind of
+  // step and state change it must equal a fresh gather, and every rank's
+  // halo providers must be its ghosts' owners.
   ThreadPool::set_global_threads(4);
   ImpactSimConfig sc;
   sc.plate_cells_xy = 12;
@@ -985,6 +1013,7 @@ TEST(DistributedSim, StartSnapshotTracksRankState) {
     EXPECT_TRUE(std::ranges::equal(dsim.start_hits(),
                                    dsim.gather_contact_hits()))
         << what;
+    expect_providers_are_ghost_owners(dsim, what);
   };
   expect_current("construction");
   idx_t s = 0;
