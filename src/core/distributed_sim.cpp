@@ -23,15 +23,6 @@ namespace {
 /// this step; see AsyncRunOptions::watchdog_deadline_ms.
 constexpr double kWatchdogDeadlineMs = 250.0;
 
-FaceRecord record_from_msg(const FaceShipMsg& m) {
-  FaceRecord rec;
-  rec.key = m.face;
-  rec.num_nodes = m.num_nodes;
-  rec.nodes = m.nodes;
-  rec.coords = m.coords;
-  return rec;
-}
-
 /// Repartitioning runs through the same facade the initial decomposition
 /// uses, with the same hierarchy — k is the rank count and the groups are
 /// contiguous rank ranges.
@@ -63,58 +54,110 @@ void induce_and_broadcast_descriptors(
                                    BytesMsg(tree_to_binary(induced->tree())));
 }
 
-/// Phase D's decode of the descriptor broadcast, shared by the ranks: the
-/// first rank to hold a validated wire buffer decodes it, and every rank
-/// whose inbox holds the same buffer shares that immutable tree. A retried
-/// cell is re-staged from the outbox, which holds the broadcast buffer, so
-/// a step decodes once, faults or not. tree_from_binary stays the trust
-/// boundary: a rejected wire throws TreeParseError in the rank that decoded
-/// it, and the other ranks holding that buffer get null — the run already
-/// fails with that one error.
-class SharedDescriptorDecode {
+/// The per-node `field` of the owned nodes in node order: each owner's
+/// block holds its nodes in ascending id, so one cursor per rank.
+template <typename T>
+std::vector<T> gather_owned(std::span<const idx_t> owner,
+                            const std::vector<SubdomainState>& states,
+                            std::vector<T> SubdomainState::*field) {
+  std::vector<T> out(owner.size());
+  std::vector<std::size_t> next(states.size(), 0);
+  for (std::size_t v = 0; v < owner.size(); ++v) {
+    const auto q = static_cast<std::size_t>(owner[v]);
+    out[v] = (states[q].*field)[next[q]++];
+  }
+  return out;
+}
+
+/// The labels `next` changes from `owner`, in ascending node id: what a
+/// migration step's label broadcast carries.
+std::vector<LabelUpdate> label_changes(std::span<const idx_t> next,
+                                       std::span<const idx_t> owner) {
+  std::vector<LabelUpdate> updates;
+  for (std::size_t v = 0; v < owner.size(); ++v) {
+    if (next[v] != owner[v]) updates.emplace_back(to_idx(v), next[v]);
+  }
+  return updates;
+}
+
+/// A decoded label broadcast: the updates, and the next label epoch's
+/// ownership map (the current one with the updates applied).
+struct LabelEpoch {
+  std::vector<LabelUpdate> updates;
+  std::shared_ptr<const std::vector<idx_t>> owner;
+};
+
+/// Phase D's decode of both broadcasts, shared by the ranks: the first rank
+/// to hold a validated wire buffer decodes it, and every rank whose inbox
+/// holds the same buffer shares that immutable result — the descriptor
+/// tree, or the label updates with the next ownership map. A retried cell
+/// is re-staged from the outbox, which holds the broadcast buffer, so a
+/// step decodes each broadcast once, faults or not. The decoders stay the
+/// trust boundary: a rejected wire throws TreeParseError in the rank that
+/// decoded it, and the other ranks holding that buffer get null — the run
+/// already fails with that one error.
+class SharedBroadcastDecode {
  public:
-  std::shared_ptr<const SubdomainDescriptors> get(const BytesMsg& wire,
-                                                  idx_t k) {
+  /// `owner` is the current ownership map, which label updates apply to.
+  SharedBroadcastDecode(idx_t k,
+                        std::shared_ptr<const std::vector<idx_t>> owner)
+      : k_(k), owner_(std::move(owner)) {}
+
+  std::shared_ptr<const SubdomainDescriptors> descriptors(
+      const BytesMsg& wire) {
+    return decode(wire, &Entry::descriptors, [&] {
+      return std::make_shared<const SubdomainDescriptors>(
+          tree_from_binary(wire.view()), k_);
+    });
+  }
+
+  std::shared_ptr<const LabelEpoch> labels(const BytesMsg& wire) {
+    return decode(wire, &Entry::labels, [&] {
+      auto epoch = std::make_shared<LabelEpoch>();
+      epoch->updates = decode_label_updates(wire.view());
+      auto next = std::make_shared<std::vector<idx_t>>(*owner_);
+      for (const auto& [v, o] : epoch->updates) {
+        require(v < to_idx(next->size()) && o < k_, "label out of range");
+        (*next)[static_cast<std::size_t>(v)] = o;
+      }
+      epoch->owner = std::move(next);
+      return epoch;
+    });
+  }
+
+ private:
+  struct Entry {  // a decoded buffer and what it decoded to
+    std::shared_ptr<const std::string> wire;
+    std::shared_ptr<const SubdomainDescriptors> descriptors;
+    std::shared_ptr<const LabelEpoch> labels;
+  };
+
+  template <typename T, typename Decoder>
+  std::shared_ptr<const T> decode(const BytesMsg& wire,
+                                  std::shared_ptr<const T> Entry::*slot,
+                                  Decoder decoder) {
     std::lock_guard<std::mutex> lock(mu_);
     for (const Entry& e : decoded_) {
-      if (e.wire == wire.bytes) return e.descriptors;
+      if (e.wire == wire.bytes) return e.*slot;
     }
-    Entry& e = decoded_.emplace_back(Entry{wire.bytes, nullptr});
+    Entry& e = decoded_.emplace_back(Entry{wire.bytes, nullptr, nullptr});
     try {
-      e.descriptors = std::make_shared<const SubdomainDescriptors>(
-          tree_from_binary(wire.view()), k);
+      e.*slot = decoder();
     } catch (const TreeParseError&) {
       throw;
     } catch (const InputError& err) {
       // Structural damage a clean scan still uncovers (a malformed tree, a
-      // leaf label out of range) rejects the wire just the same.
+      // label out of range) rejects the wire just the same.
       throw TreeParseError(err.what(), wire.view().size());
     }
-    return e.descriptors;
+    return e.*slot;
   }
 
- private:
-  struct Entry {
-    std::shared_ptr<const std::string> wire;
-    std::shared_ptr<const SubdomainDescriptors> descriptors;
-  };
+  const idx_t k_;
+  const std::shared_ptr<const std::vector<idx_t>> owner_;
   std::mutex mu_;
   std::vector<Entry> decoded_;  // guarded by mu_
 };
-
-/// Rank r's side of the broadcast: the shared tree decoded from its
-/// validated wire into `out` (rank 0 keeps the tree it induced). Throws
-/// TreeParseError on a rejected wire; false when another rank rejected
-/// this rank's buffer.
-bool receive_descriptors(Exchange& exchange, idx_t r, idx_t k,
-                         SharedDescriptorDecode& decodes,
-                         std::shared_ptr<const SubdomainDescriptors>& out) {
-  if (r == 0) return true;
-  const auto& in = exchange.descriptors().inbox(r);
-  require(in.size() == 1, "descriptor broadcast lost");
-  out = decodes.get(in.front(), k);
-  return out != nullptr;
-}
 
 /// The reference body's byte model of the broadcast: the binary wire of
 /// `descriptors` once per receiving rank.
@@ -227,7 +270,7 @@ DistributedSim::DistributedSim(const ImpactSim& sim,
 
   // Initial decomposition: the paper's MCML+DT partition of the snapshot-0
   // mesh becomes the initial ownership map. The partitioner is not kept —
-  // afterwards the labels live in (and only in) the rank states. Positions
+  // afterwards the labels live in (and only in) the shared map. Positions
   // stay zero until the first step computes them (the baseline checkpoint
   // stores them as they are).
   const ImpactSim::Snapshot snap0 = sim.snapshot(0);
@@ -321,8 +364,7 @@ DistributedStepReport DistributedSim::run_step(idx_t s) {
         // unreadable): complete this step degraded from the start-of-step
         // snapshot and continue unprotected — the same fallback the
         // transport-exhaustion path uses.
-        run_reference_step(step_history_[replay_pos_], start_owner_,
-                           start_hits_, report);
+        run_reference_step(step_history_[replay_pos_], report);
         ++recovery_health.degraded_steps;
         ++steps_run_;
         ++replay_pos_;
@@ -390,7 +432,7 @@ void DistributedSim::run_step_attempt(idx_t s, DistributedStepReport& report) {
   if (try_spmd_step(s, migrate, report, health)) {
     report.health = exchange_.take_health();
   } else {
-    run_reference_step(s, start_owner_, start_hits_, report);
+    run_reference_step(s, report);
     report.health = health;
   }
 }
@@ -421,20 +463,11 @@ bool DistributedSim::try_spmd_step(idx_t s, bool migrate,
 }
 
 DistributedStepReport DistributedSim::run_step_reference(idx_t s) {
+  require(!suspended_, "DistributedSim::run_step_reference: sim is suspended");
   DistributedStepReport report;
-  run_reference_step(s, states_[0].node_owner, gather_contact_hits(), report);
+  run_reference_step(s, report);
   ++steps_run_;
   return report;
-}
-
-void DistributedSim::run_reference_step(idx_t s, std::vector<idx_t> owner,
-                                        std::vector<wgt_t> hits,
-                                        DistributedStepReport& report) {
-  report = DistributedStepReport{};
-  run_reference_body(s, is_migration_step(), owner, hits, report);
-  const real_t nose = sim_->nose_z(s);
-  load_states(std::move(owner), std::move(hits),
-              [&](idx_t v) { return sim_->displaced(v, nose); });
 }
 
 void DistributedSim::run_step_spmd(idx_t s, bool migrate,
@@ -497,7 +530,7 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
               }
             }
             const idx_t home = majority_owner(
-                {ids.data(), static_cast<std::size_t>(nf)}, st.node_owner);
+                {ids.data(), static_cast<std::size_t>(nf)}, *st.node_owner);
             if (home != r) return;
             FaceRecord rec;
             rec.key = topology().face_key(e, lf);
@@ -540,7 +573,7 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
     labels.reserve(pts.size());
     for (const auto& [id, p] : pts) {
       points.push_back(p);
-      labels.push_back(st.node_owner[static_cast<std::size_t>(id)]);
+      labels.push_back(st.owner_of(id));
     }
   };
   const std::array<AsyncPhase, 3> kinematics_phases = {
@@ -588,14 +621,14 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
         contact_mask_[static_cast<std::size_t>(v)] = 1;
       }
     }
-    new_part =
-        compute_repartition(s, states_[0].node_owner, contact_mask_, report);
+    new_part = compute_repartition(s, *owner_, contact_mask_, report);
   }
 
   // --- Driver section (was superstep C): rank 0's descriptor update runs
   // on the calling thread (see induce_and_broadcast_descriptors), plus on
   // migration steps one delta-coded blob of the changed labels. Charged to
   // descriptor_ms[0]. --------------------------------------------------------
+  BytesMsg label_wire;  // stays null when no label changes
   {
     Timer timer;
     SubdomainState& st = states_[0];
@@ -605,16 +638,11 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
     induce_and_broadcast_descriptors(points, labels, np, options, induce_ws_,
                                      induced_descriptors_, exchange_);
     st.descriptors = induced_descriptors_;
-    if (migrate) {
-      for (idx_t v = 0; v < nn; ++v) {
-        const auto sv = static_cast<std::size_t>(v);
-        if (new_part[sv] == st.node_owner[sv]) continue;
-        st.pending_labels.emplace_back(v, new_part[sv]);
-      }
-      if (!st.pending_labels.empty()) {
-        exchange_.labels().broadcast(
-            0, BytesMsg{encode_label_updates(st.pending_labels)});
-      }
+    const std::vector<LabelUpdate> updates =
+        migrate ? label_changes(new_part, *owner_) : std::vector<LabelUpdate>{};
+    if (!updates.empty()) {
+      label_wire = BytesMsg(encode_label_updates(updates));
+      exchange_.labels().broadcast(0, label_wire);
     }
     phase.descriptor_ms[0] += timer.milliseconds();
   }
@@ -629,18 +657,27 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
   // commits the handover. ---------------------------------------------------
   const LocalSearchOptions local = config_.search.local_options(body_of_node_);
   const int dim = topology().mesh().dim();
-  SharedDescriptorDecode decodes;
+  SharedBroadcastDecode decodes(np, owner_);
+  // epochs[r]: rank r's decode of the label broadcast, null when no label
+  // changes. Rank 0 has no inbox: it looks up the buffer it broadcast.
+  std::vector<std::shared_ptr<const LabelEpoch>> epochs(
+      static_cast<std::size_t>(np));
   const auto phase_d = [&](idx_t r) {
     SubdomainState& st = states_[static_cast<std::size_t>(r)];
-    if (!receive_descriptors(exchange_, r, np, decodes, st.descriptors)) {
-      return;
-    }
+    // A null decode: another rank rejected this rank's buffer, and the run
+    // already fails with that error. Rank 0 keeps the tree it induced.
     if (r != 0) {
-      const auto& lin = exchange_.labels().inbox(r);
-      if (!lin.empty()) {
-        require(lin.size() == 1, "DistributedSim: label broadcast lost");
-        st.pending_labels = decode_label_updates(lin.front().view());
-      }
+      const auto& in = exchange_.descriptors().inbox(r);
+      require(in.size() == 1, "descriptor broadcast lost");
+      st.descriptors = decodes.descriptors(in.front());
+      if (st.descriptors == nullptr) return;
+    }
+    const auto& lin = exchange_.labels().inbox(r);
+    require(lin.size() <= 1, "DistributedSim: label broadcast lost");
+    if (r == 0 ? label_wire.bytes != nullptr : !lin.empty()) {
+      auto& epoch = epochs[static_cast<std::size_t>(r)];
+      epoch = decodes.labels(r == 0 ? label_wire : lin.front());
+      if (epoch == nullptr) return;
     }
     for (const FaceRecord& rec : st.owned_records) {
       BBox box;
@@ -665,7 +702,7 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
     SubdomainState& st = states_[static_cast<std::size_t>(r)];
     st.local_records.assign(st.owned_records.begin(), st.owned_records.end());
     for (const FaceShipMsg& m : exchange_.faces().inbox(r)) {
-      st.local_records.push_back(record_from_msg(m));
+      st.local_records.push_back({m.face, m.num_nodes, m.nodes, m.coords});
     }
     // Face keys are globally unique (one home rank derives each face), so
     // sorting by key reproduces the oracle's global ascending-key order.
@@ -691,10 +728,11 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
       end_hits_[static_cast<std::size_t>(st.local_nodes[i])] =
           st.contact_hits[i];
     }
-    if (!migrate) return;
+    const LabelEpoch* epoch = epochs[static_cast<std::size_t>(r)].get();
+    if (epoch == nullptr) return;  // not a migration step, or no change
     // Which label changes touch this rank is decided under the old labels.
     // With none, the views outlive the commit and nothing moves in or out.
-    const bool touched = st.note_relabels();
+    const bool touched = st.note_relabels(epoch->updates);
     // Node migration: this rank ships the authoritative state of every
     // owned node the new labels take away — including this step's hits.
     for (const Relabel& c : st.relabels) {
@@ -705,12 +743,10 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
           NodeMigrateMsg{c.node, st.positions[i], st.contact_hits[i]});
       ++st.moved_nodes_out;
     }
-    // The label commit: every rank applies the same updates to its own
-    // replica (no rank reads another's map during the run). The views stay
-    // those of the old labels until phase F updates them.
-    for (const auto& [v, o] : st.pending_labels) {
-      st.node_owner[static_cast<std::size_t>(v)] = o;
-    }
+    // The label commit: the rank switches to the next epoch's map, shared by
+    // every rank and written by none. The views stay those of the old
+    // labels until phase F updates them.
+    st.node_owner = epoch->owner;
     if (!touched) return;
     // Element migration: owned elements whose majority owner changes under
     // the new labels are re-homed with their connectivity record. Only an
@@ -730,7 +766,7 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
     rehome.erase(std::unique(rehome.begin(), rehome.end()), rehome.end());
     for (idx_t e : rehome) {
       const auto elem = topology().mesh().element(e);
-      const idx_t new_home = majority_owner(elem, st.node_owner);
+      const idx_t new_home = majority_owner(elem, *st.node_owner);
       if (new_home == r) continue;
       ElementMigrateMsg m;
       m.element = e;
@@ -763,7 +799,7 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
         require(m.nodes[i] == elem[i],
                 "DistributedSim: migrated element connectivity mismatch");
       }
-      require(majority_owner(elem, st.node_owner) == r,
+      require(majority_owner(elem, *st.node_owner) == r,
               "DistributedSim: element re-homed to the wrong rank");
     }
     st.apply_relabels(topology());
@@ -843,20 +879,24 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
 
   merge_rank_events(states_, report);
 
-  // The step succeeded: its end state is the next step's start snapshot.
-  if (migrate) start_owner_ = states_[0].node_owner;
+  // The step succeeded: its end state is the next step's start snapshot,
+  // and the driver adopts the next epoch's map with the ranks.
+  if (epochs[0] != nullptr) owner_ = epochs[0]->owner;
   start_hits_.swap(end_hits_);
-  report.ownership_hash = ownership_hash(start_owner_, start_hits_);
+  report.ownership_hash = ownership_hash(*owner_, start_hits_);
 }
 
-void DistributedSim::run_reference_body(idx_t s, bool migrate,
-                                        std::vector<idx_t>& owner,
-                                        std::vector<wgt_t>& hits,
+void DistributedSim::run_reference_step(idx_t s,
                                         DistributedStepReport& report) {
   const idx_t np = k();
   const idx_t nn = topology().num_nodes();
   const idx_t ne = topology().num_elements();
   const real_t nose = sim_->nose_z(s);
+  const bool migrate = is_migration_step();
+  // The centralized body holds the whole state, read and updated in place.
+  std::vector<idx_t> owner = *owner_;
+  std::vector<wgt_t> hits = start_hits_;
+  report = DistributedStepReport{};
   report.step = s;
   report.migrated = migrate;
 
@@ -949,23 +989,13 @@ void DistributedSim::run_reference_body(idx_t s, bool migrate,
   // same labels and contact mask) but APPLIED only after the search — the
   // rank protocol commits ownership at superstep F.
   std::vector<idx_t> new_part;
-  std::vector<idx_t> changed;
+  std::vector<LabelUpdate> changed;
   if (migrate) {
     new_part = compute_repartition(s, owner, is_contact, report);
-    for (idx_t v = 0; v < nn; ++v) {
-      if (new_part[static_cast<std::size_t>(v)] !=
-          owner[static_cast<std::size_t>(v)]) {
-        changed.push_back(v);
-      }
-    }
+    changed = label_changes(new_part, owner);
     if (!changed.empty()) {
-      std::vector<LabelUpdate> updates;
-      updates.reserve(changed.size());
-      for (idx_t v : changed) {
-        updates.emplace_back(v, new_part[static_cast<std::size_t>(v)]);
-      }
       report.label_broadcast_bytes =
-          static_cast<wgt_t>(encode_label_updates(updates).size()) *
+          static_cast<wgt_t>(encode_label_updates(changed).size()) *
           std::max<wgt_t>(0, np - 1);
     }
   }
@@ -1035,9 +1065,8 @@ void DistributedSim::run_reference_body(idx_t s, bool migrate,
   if (migrate) {
     VirtualCluster migration(np);
     const wgt_t node_bytes = wire_bytes(NodeMigrateMsg{});
-    for (idx_t v : changed) {
-      migration.send(owner[static_cast<std::size_t>(v)],
-                     new_part[static_cast<std::size_t>(v)], 1);
+    for (const auto& [v, o] : changed) {
+      migration.send(owner[static_cast<std::size_t>(v)], o, 1);
       report.migration_payload_bytes += node_bytes;
     }
     report.repart_moved_nodes = to_idx(changed.size());
@@ -1053,13 +1082,12 @@ void DistributedSim::run_reference_body(idx_t s, bool migrate,
       ++report.repart_moved_elements;
     }
     report.migration_exchange = migration.finish();
-    for (idx_t v : changed) {
-      owner[static_cast<std::size_t>(v)] =
-          new_part[static_cast<std::size_t>(v)];
-    }
+    owner = std::move(new_part);
   }
 
   report.ownership_hash = ownership_hash(owner, hits);
+  load_states(std::move(owner), std::move(hits),
+              [&](idx_t v) { return sim_->displaced(v, nose); });
 }
 
 void DistributedSim::load_states(
@@ -1067,11 +1095,12 @@ void DistributedSim::load_states(
     const std::function<Vec3(idx_t)>& position_of) {
   // One phase without channels: a plain superstep that consumes no
   // exchange superstep, so the fault-schedule cursor stays where it is.
+  owner_ = std::make_shared<const std::vector<idx_t>>(std::move(owner));
   states_.resize(static_cast<std::size_t>(k()));
   halo_providers_.resize(static_cast<std::size_t>(k()));
   const AsyncPhase load{.body = [&](idx_t r) {
     SubdomainState& st = states_[static_cast<std::size_t>(r)];
-    st.init(topology(), r, owner, k());
+    st.init(topology(), r, owner_, k());
     for (std::size_t i = 0; i < st.local_nodes.size(); ++i) {
       st.positions[i] = position_of(st.local_nodes[i]);
     }
@@ -1081,7 +1110,6 @@ void DistributedSim::load_states(
     st.ghost_owners(halo_providers_[static_cast<std::size_t>(r)]);
   }};
   async_.run({&load, 1}, exchange_);
-  start_owner_ = std::move(owner);
   start_hits_ = std::move(hits);
 }
 
@@ -1095,28 +1123,15 @@ std::uint64_t DistributedSim::config_hash() const {
   return h;
 }
 
-bool DistributedSim::checkpoint_usable(
-    const std::optional<CheckpointData>& ck) const {
-  return ck.has_value() && ck->config_hash == config_hash() && ck->k == k() &&
-         to_idx(ck->node_owner.size()) == topology().num_nodes();
-}
-
 CheckpointData DistributedSim::make_checkpoint_data() const {
-  const idx_t nn = topology().num_nodes();
   CheckpointData ck;
   ck.config_hash = config_hash();
   ck.step = steps_run_;
   ck.superstep = exchange_.next_superstep();
   ck.k = k();
-  ck.node_owner.assign(start_owner_.begin(), start_owner_.end());
-  ck.positions.resize(static_cast<std::size_t>(nn));
-  // Each owner's block holds its nodes in ascending id: one cursor per rank.
-  std::vector<std::size_t> next(static_cast<std::size_t>(k()), 0);
-  for (std::size_t v = 0; v < ck.node_owner.size(); ++v) {
-    const auto q = static_cast<std::size_t>(ck.node_owner[v]);
-    ck.positions[v] = states_[q].positions[next[q]++];
-  }
-  ck.contact_hits.assign(start_hits_.begin(), start_hits_.end());
+  ck.node_owner = *owner_;
+  ck.positions = gather_owned(*owner_, states_, &SubdomainState::positions);
+  ck.contact_hits = start_hits_;
   return ck;
 }
 
@@ -1139,9 +1154,13 @@ bool DistributedSim::commit_checkpoint(PipelineHealth& health,
 bool DistributedSim::restore_from_checkpoint() {
   if (store_ == nullptr) return false;
   std::optional<CheckpointData> ck = store_->load();
-  // A decodable checkpoint from some other run shares the directory —
-  // unusable for this instance; treat as no checkpoint at all.
-  if (!checkpoint_usable(ck)) return false;
+  // A decodable checkpoint from some other run (another configuration,
+  // rank count or mesh size) shares the directory — unusable for this
+  // instance; treat as no checkpoint at all.
+  if (!ck.has_value() || ck->config_hash != config_hash() || ck->k != k() ||
+      to_idx(ck->node_owner.size()) != topology().num_nodes()) {
+    return false;
+  }
   // Reload every rank state (suspend released them; after a rank death
   // they hold a dead attempt's data) from the checkpointed state.
   load_states(std::move(ck->node_owner), std::move(ck->contact_hits),
@@ -1177,7 +1196,7 @@ bool DistributedSim::suspend(double* backoff_ms_accum) {
   states_.clear();
   states_.shrink_to_fit();
   induced_descriptors_.reset();
-  start_owner_ = {};
+  owner_ = std::make_shared<const std::vector<idx_t>>();
   start_hits_ = {};
   end_hits_ = {};
   two_phase_graph_.reset();
@@ -1198,7 +1217,8 @@ bool DistributedSim::resume() {
 }
 
 std::size_t DistributedSim::resident_bytes() const {
-  std::size_t total = 0;
+  // Between steps every rank views owner_: the shared map counts once.
+  std::size_t total = owner_->capacity() * sizeof(idx_t);
   std::vector<const SubdomainDescriptors*> trees;  // each shared tree once
   for (const SubdomainState& st : states_) {
     total += st.heap_bytes();
@@ -1215,7 +1235,7 @@ std::size_t DistributedSim::resident_bytes() const {
 std::size_t DistributedSim::estimate_resident_bytes(idx_t num_nodes,
                                                     idx_t num_elements,
                                                     idx_t k) {
-  // Replicated: node_owner on every rank. Local sets: every node is owned
+  // Shared: the one ownership map. Local sets: every node is owned
   // once and every element tracked at least once; the ghost layer (one
   // halo post per ghost) grows with the subdomains' total boundary,
   // fitted as 1.6 k^0.9 n^0.6 ghosts on the impact scenes (k = 4..100, 8k
@@ -1232,7 +1252,7 @@ std::size_t DistributedSim::estimate_resident_bytes(idx_t num_nodes,
   const double kk = static_cast<double>(k);
   const double ghosts =
       std::min((kk - 1) * n, 1.6 * std::pow(kk, 0.9) * std::pow(n, 0.6));
-  const double replicated = kk * n * sizeof(idx_t);
+  const double owner_map = n * sizeof(idx_t);
   const double local_set =
       1.5 * ((n + ghosts) * (sizeof(idx_t) + sizeof(Vec3) + 1) +
              ghosts * sizeof(HaloSend) + n * sizeof(wgt_t) +
@@ -1240,7 +1260,7 @@ std::size_t DistributedSim::estimate_resident_bytes(idx_t num_nodes,
                  sizeof(idx_t));
   const double per_step = 180.0 * n + 25e3 * kk;
   const double trees = 2 * sizeof(TreeNode) * 2 * kk * std::pow(n, 0.25);
-  return static_cast<std::size_t>(replicated + local_set + per_step + trees);
+  return static_cast<std::size_t>(owner_map + local_set + per_step + trees);
 }
 
 std::uint64_t DistributedSim::ownership_hash(
@@ -1251,22 +1271,13 @@ std::uint64_t DistributedSim::ownership_hash(
 }
 
 std::vector<idx_t> DistributedSim::ownership_map() const {
-  for (const SubdomainState& st : states_) {
-    require(st.node_owner == states_[0].node_owner,
-            "DistributedSim: ownership replicas diverged");
-  }
-  return states_[0].node_owner;
+  require(!suspended_, "DistributedSim::ownership_map: sim is suspended");
+  return *owner_;
 }
 
 std::vector<wgt_t> DistributedSim::gather_contact_hits() const {
-  const std::vector<idx_t>& owner = states_[0].node_owner;
-  std::vector<wgt_t> hits(owner.size());
-  std::vector<std::size_t> next(static_cast<std::size_t>(k()), 0);
-  for (std::size_t v = 0; v < owner.size(); ++v) {
-    const auto q = static_cast<std::size_t>(owner[v]);
-    hits[v] = states_[q].contact_hits[next[q]++];
-  }
-  return hits;
+  require(!suspended_, "DistributedSim::gather_contact_hits: sim is suspended");
+  return gather_owned(*owner_, states_, &SubdomainState::contact_hits);
 }
 
 }  // namespace cpart

@@ -38,7 +38,12 @@
 //      label change touches updates its local numbering and views to the
 //      new labels, carrying its owned state across. A rank no change
 //      touches (no changed node in its local set, none arriving) keeps its
-//      views as they are: they read node_owner on the local set alone.
+//      views as they are: they read the owners of the local set alone.
+//
+// The ownership labels are one immutable map per label epoch, shared by
+// the driver and every rank. A migration step decodes the label broadcast
+// once into the next epoch's map, which each rank switches to in E and the
+// driver adopts after the step; a degraded step starts from the old map.
 //
 // Supersteps A+B (plus rank 0's gather of the contact points) and D+E+F
 // each run as one dependency-driven AsyncExecutor::run: each phase declares
@@ -257,7 +262,7 @@ class DistributedSim {
   /// The centralized oracle: gathers the rank states, computes the same
   /// step (including repartition + migration accounting) in one body, and
   /// loads the result back into the rank states. Bit-identical to
-  /// run_step at any thread count.
+  /// run_step at any thread count. Throws while suspended.
   DistributedStepReport run_step_reference(idx_t s);
 
   /// The exchange the SPMD supersteps run over — for fault injection and
@@ -291,14 +296,14 @@ class DistributedSim {
   bool suspended() const { return suspended_; }
 
   /// Heap bytes held by the per-rank states right now, by capacity (0
-  /// while suspended): every buffer a SubdomainState keeps — replicated
-  /// owner map, local numbering and views, per-node state, per-step
-  /// products and search scratch — plus each distinct descriptor tree the
-  /// states share, once. What a service's resident-bytes budget meters.
+  /// while suspended): every buffer a SubdomainState keeps — local
+  /// numbering and views, per-node state, per-step products and search
+  /// scratch — plus each distinct owner map and descriptor tree the states
+  /// share, once. What a service's resident-bytes budget meters.
   std::size_t resident_bytes() const;
 
   /// Admission-control estimate of resident_bytes() for a not-yet-built
-  /// sim: the k replicas of node_owner plus a model of the local sets
+  /// sim: the one shared owner map plus a model of the local sets
   /// (owned nodes plus a ghost layer that grows as the subdomains' surface),
   /// of the per-step products and of the two descriptor trees. An upper
   /// bound on resident_bytes() for the impact scenes at any k, within a
@@ -307,16 +312,17 @@ class DistributedSim {
   static std::size_t estimate_resident_bytes(idx_t num_nodes,
                                              idx_t num_elements, idx_t k);
 
-  /// The replicated ownership map, validated identical across all ranks.
+  /// A copy of the ownership map the ranks share. Throws while suspended.
   std::vector<idx_t> ownership_map() const;
 
-  /// The owner-authoritative per-node contact-hit accumulators.
+  /// The owner-authoritative per-node contact-hit accumulators. Throws
+  /// while suspended.
   std::vector<wgt_t> gather_contact_hits() const;
 
-  /// The start-of-step snapshot the next step degrades from, kept equal to
-  /// ownership_map() and gather_contact_hits() between steps (empty while
-  /// suspended).
-  std::span<const idx_t> start_owner() const { return start_owner_; }
+  /// The start-of-step snapshot the next step degrades from (empty while
+  /// suspended): the ownership map every rank views, and node-ordered hits
+  /// kept equal to gather_contact_hits() between steps.
+  std::span<const idx_t> start_owner() const { return *owner_; }
   std::span<const wgt_t> start_hits() const { return start_hits_; }
 
  private:
@@ -350,10 +356,6 @@ class DistributedSim {
   /// written under to be restorable into this instance.
   std::uint64_t config_hash() const;
 
-  /// True when `ck` loaded and was written by a run of this instance's
-  /// configuration, rank count and mesh size.
-  bool checkpoint_usable(const std::optional<CheckpointData>& ck) const;
-
   /// The durable state as of now: ownership labels and hit accumulators
   /// (the start-of-step snapshot), owner-authoritative positions, the step
   /// counter, and the exchange superstep cursor (so replayed deliveries
@@ -376,12 +378,6 @@ class DistributedSim {
   /// budget ran out (the previous checkpoint survives).
   bool commit_checkpoint(PipelineHealth& health, double& checkpoint_ms);
 
-  /// The centralized step body over explicit global state (owner + hits are
-  /// read and updated in place). Run through run_reference_step.
-  void run_reference_body(idx_t s, bool migrate, std::vector<idx_t>& owner,
-                          std::vector<wgt_t>& hits,
-                          DistributedStepReport& report);
-
   /// Computes this step's repartition from the current labels and the
   /// contact mask (identical call on both flavors: same graph, same seed).
   /// Hierarchical configurations repartition group-locally by default and
@@ -393,20 +389,19 @@ class DistributedSim {
                                          std::span<const char> is_contact,
                                          DistributedStepReport& report);
 
-  /// Snapshot step `s` through the reference body from `owner`/`hits` into
-  /// a fresh `report`, then loads its end state with every local position
-  /// at snapshot `s`'s: run_step_reference, and the degraded fallback of
-  /// run_step (from the start-of-step snapshot).
-  void run_reference_step(idx_t s, std::vector<idx_t> owner,
-                          std::vector<wgt_t> hits,
-                          DistributedStepReport& report);
+  /// Snapshot step `s` through the centralized reference body, from the
+  /// start-of-step snapshot into a fresh `report`, then loads its end state
+  /// with every local position at snapshot `s`'s: run_step_reference, and
+  /// the degraded fallback of run_step.
+  void run_reference_step(idx_t s, DistributedStepReport& report);
 
   /// The one way rank states are built from global state: construction,
-  /// the reference and degraded steps, and restore_from_checkpoint. Every
-  /// rank runs SubdomainState::init on `owner` in one channel-free executor
-  /// phase (it consumes no exchange superstep), takes its positions from
+  /// the reference and degraded steps, and restore_from_checkpoint.
+  /// `owner` becomes the shared map of a new label epoch. Every rank runs
+  /// SubdomainState::init on it in one channel-free executor phase (it
+  /// consumes no exchange superstep), takes its positions from
   /// `position_of` and its owned hits from `hits`, and writes its halo
-  /// providers; `owner` and `hits` then become the start-of-step snapshot.
+  /// providers; `hits` then become the start-of-step hits.
   void load_states(std::vector<idx_t> owner, std::vector<wgt_t> hits,
                    const std::function<Vec3(idx_t)>& position_of);
 
@@ -436,11 +431,12 @@ class DistributedSim {
   // The tree rank 0 induced this step (its state shares it), kept so the
   // next induction can recycle its storage.
   std::shared_ptr<SubdomainDescriptors> induced_descriptors_;
-  // Start-of-step recovery snapshot: ownership and node-ordered hits, kept
-  // current between steps. A successful SPMD step leaves its end state here
-  // (phase E writes the hits into end_hits_, swapped in afterwards);
-  // load_states sets it from its own inputs.
-  std::vector<idx_t> start_owner_;
+  // Start-of-step recovery snapshot. owner_: the label epoch's map, which
+  // every rank's node_owner views between steps (empty while suspended);
+  // load_states makes a new one, a successful step adopts the one the
+  // ranks switched to. start_hits_: the node-ordered hits, which phase E
+  // writes into end_hits_ (swapped in after a successful step).
+  std::shared_ptr<const std::vector<idx_t>> owner_;
   std::vector<wgt_t> start_hits_;
   std::vector<wgt_t> end_hits_;
   // Rank-death tolerance (see run_step). step_history_ records the snapshot

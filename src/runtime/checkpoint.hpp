@@ -1,7 +1,7 @@
 // Durable checkpoint/restore for the rank-owned distributed simulation.
 //
 // A checkpoint captures everything DistributedSim needs to deterministically
-// replay from a step boundary: the replicated ownership map, the
+// replay from a step boundary: the shared ownership map, the
 // owner-authoritative per-node state (positions, contact-hit accumulators),
 // the step index, the exchange's superstep cursor (the fault-schedule key —
 // restoring it makes a replayed step draw the exact transport faults of the

@@ -161,9 +161,9 @@ inline bool fault_truncate_payload(HaloNodeMsg&, std::uint64_t) {
 ///     exact double round-trip);
 ///   * labels: the repartition label broadcast, the changed entries of the
 ///     new labeling as one delta-varint blob (runtime/label_codec.hpp).
-///     Rank 0 broadcasts a single batch; every rank decodes it into its
-///     pending label list and splices the updates into its ownership
-///     replica at the commit superstep.
+///     Rank 0 broadcasts a single batch; the ranks share one decode of it
+///     (the updates and the next epoch's ownership map), whose map each
+///     rank switches to at the commit superstep.
 /// The bytes are one shared immutable buffer: a broadcast posts the same
 /// buffer to all k - 1 destinations without copying it, and the fault hooks
 /// copy on write, so a corrupted cell gets its own buffer and never changes

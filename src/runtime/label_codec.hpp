@@ -30,7 +30,7 @@
 namespace cpart {
 
 /// One ownership change: node `first` now belongs to partition `second`.
-/// Matches SubdomainState::pending_labels.
+/// What SubdomainState::note_relabels reads.
 using LabelUpdate = std::pair<idx_t, idx_t>;
 
 /// Encodes `updates` into a blob. Requires node ids strictly ascending and

@@ -54,9 +54,10 @@ std::span<const idx_t> SubdomainState::element_local(std::size_t i) const {
 }
 
 void SubdomainState::init(const MeshTopology& topo, idx_t r,
-                          std::span<const idx_t> owner, idx_t k) {
+                          std::shared_ptr<const std::vector<idx_t>> owner,
+                          idx_t k) {
   rank = r;
-  node_owner.assign(owner.begin(), owner.end());
+  node_owner = std::move(owner);
   rank_seen.assign(static_cast<std::size_t>(k), 0);
   touched.clear();
   begin_step();
@@ -71,7 +72,6 @@ void SubdomainState::begin_step() {
   local_records.clear();
   events.clear();
   query_parts.clear();
-  pending_labels.clear();
   relabels.clear();
   moved_nodes_out = 0;
   moved_elements_out = 0;
@@ -80,9 +80,6 @@ void SubdomainState::begin_step() {
 void SubdomainState::rebuild_views(const MeshTopology& topo, idx_t k) {
   const Mesh& mesh = topo.mesh();
   const idx_t nn = topo.num_nodes();
-  const auto owner_of = [&](idx_t v) {
-    return node_owner[static_cast<std::size_t>(v)];
-  };
 
   local_nodes.clear();
   for (idx_t v = 0; v < nn; ++v) {
@@ -131,7 +128,7 @@ void SubdomainState::rebuild_views(const MeshTopology& topo, idx_t k) {
 
   owned_elements.clear();
   for (idx_t e : tracked_elements) {
-    if (majority_owner(mesh.element(e), node_owner) == rank) {
+    if (majority_owner(mesh.element(e), *node_owner) == rank) {
       owned_elements.push_back(e);
     }
   }
@@ -139,7 +136,7 @@ void SubdomainState::rebuild_views(const MeshTopology& topo, idx_t k) {
   halo_sends.clear();
   rank_seen.assign(static_cast<std::size_t>(k), 0);
   for (idx_t i = 0; i < num_owned; ++i) {
-    collect_tracker_ranks(topo, node_owner,
+    collect_tracker_ranks(topo, *node_owner,
                           local_nodes[static_cast<std::size_t>(i)], rank_seen,
                           touched);
     for (idx_t q : touched) halo_sends.push_back({i, q});
@@ -151,18 +148,14 @@ void SubdomainState::rebuild_views(const MeshTopology& topo, idx_t k) {
   node_mask.assign(local_nodes.size(), 0);
 }
 
-bool SubdomainState::note_relabels() {
+bool SubdomainState::note_relabels(std::span<const LabelUpdate> updates) {
   relabels.clear();
   const auto ghosts_begin = local_nodes.begin() + num_owned;
   const auto ghost_order = [&](idx_t a, idx_t b) {
-    return std::pair(node_owner[static_cast<std::size_t>(a)], a) <
-           std::pair(node_owner[static_cast<std::size_t>(b)], b);
+    return std::pair(owner_of(a), a) < std::pair(owner_of(b), b);
   };
-  for (const auto& [v, o] : pending_labels) {
-    require(v >= 0 && static_cast<std::size_t>(v) < node_owner.size() &&
-                o >= 0 && static_cast<std::size_t>(o) < rank_seen.size(),
-            "SubdomainState: label update out of range");
-    const idx_t old = node_owner[static_cast<std::size_t>(v)];
+  for (const auto& [v, o] : updates) {
+    const idx_t old = owner_of(v);
     if (o == old) continue;  // not a change: touches nothing
     idx_t at = kInvalidIndex;
     if (old == rank) {
@@ -182,9 +175,6 @@ bool SubdomainState::note_relabels() {
 void SubdomainState::apply_relabels(const MeshTopology& topo) {
   const Mesh& mesh = topo.mesh();
   const auto npe = static_cast<std::size_t>(element_size);
-  const auto owner_of = [&](idx_t v) {
-    return node_owner[static_cast<std::size_t>(v)];
-  };
   const std::size_t old_size = local_nodes.size();
   const auto old_owned = static_cast<std::size_t>(num_owned);
   std::vector<char> changed(old_size, 0);  // by old local id
@@ -380,7 +370,7 @@ void SubdomainState::apply_relabels(const MeshTopology& topo) {
   for (std::size_t t : redo) {
     const idx_t e = elements[t];
     keep_owned_below(e + 1);
-    if (majority_owner(mesh.element(e), node_owner) == rank) {
+    if (majority_owner(mesh.element(e), *node_owner) == rank) {
       new_owned_elements.push_back(e);
     }
     for (std::size_t q = 0; q < npe; ++q) {
@@ -396,7 +386,7 @@ void SubdomainState::apply_relabels(const MeshTopology& topo) {
     const idx_t x = from[n];
     if (dirty[n] || x == kInvalidIndex ||
         static_cast<std::size_t>(x) >= old_owned) {
-      collect_tracker_ranks(topo, node_owner, nodes[n], rank_seen, touched);
+      collect_tracker_ranks(topo, *node_owner, nodes[n], rank_seen, touched);
       for (idx_t q : touched) new_halo_sends.push_back({to_idx(n), q});
       continue;
     }
@@ -422,7 +412,7 @@ void SubdomainState::ghost_owners(std::vector<idx_t>& out) const {
   out.clear();
   for (std::size_t i = static_cast<std::size_t>(num_owned);
        i < local_nodes.size(); ++i) {
-    const idx_t q = node_owner[static_cast<std::size_t>(local_nodes[i])];
+    const idx_t q = owner_of(local_nodes[i]);
     if (out.empty() || out.back() != q) out.push_back(q);
   }
 }
@@ -431,14 +421,13 @@ std::size_t SubdomainState::heap_bytes() const {
   const auto bytes = [](const auto& v) {
     return v.capacity() * sizeof(v[0]);
   };
-  return bytes(node_owner) + bytes(local_nodes) + bytes(tracked_elements) +
+  return bytes(local_nodes) + bytes(tracked_elements) +
          bytes(tracked_local) + bytes(owned_elements) + bytes(halo_sends) +
          bytes(positions) + bytes(contact_hits) + bytes(contact_nodes) +
          bytes(contact_local) + bytes(contact_points) + bytes(owned_records) +
          bytes(local_records) + bytes(events) + bytes(query_parts) +
          bytes(search_scratch.centroids) + bytes(search_scratch.candidates) +
-         bytes(search_scratch.triangles) + bytes(pending_labels) +
-         bytes(relabels) +
+         bytes(search_scratch.triangles) + bytes(relabels) +
          bytes(node_mask) + bytes(rank_seen) + bytes(touched);
 }
 

@@ -22,6 +22,7 @@
 
 #include "contact/local_search.hpp"
 #include "mesh/mesh_topology.hpp"
+#include "runtime/label_codec.hpp"
 #include "tree/descriptor_tree.hpp"
 
 namespace cpart {
@@ -64,16 +65,16 @@ struct Relabel {
 /// exactly the order a halo inbox arrives in, since each owner posts its
 /// nodes in ascending id and an inbox concatenates sources in ascending
 /// rank. Per-node state is indexed by local id; messages, events, records
-/// and checkpoints keep global ids. The one array over the whole mesh is
-/// the replicated node_owner map, which the label broadcast updates in
-/// place. A rank only ever writes its owned entries, plus ghost entries
-/// from delivered halo messages.
+/// and checkpoints keep global ids. Nothing a rank holds is sized by the
+/// mesh: node owners are one immutable map per label epoch, which all
+/// ranks share. A rank only ever writes its owned entries, plus ghost
+/// entries from delivered halo messages.
 struct SubdomainState {
   idx_t rank = kInvalidIndex;
 
-  // --- Replicated metadata (identical on every rank between steps) ---
-  /// Current owner of every node. Updated only on migration steps.
-  std::vector<idx_t> node_owner;
+  /// Current owner of every node: the shared map of this label epoch,
+  /// never written. Switched to the next epoch's map on migration steps.
+  std::shared_ptr<const std::vector<idx_t>> node_owner;
 
   // --- Local numbering and ownership views (rebuild_views; a migration
   //     commit updates them in place with apply_relabels) ---
@@ -107,15 +108,17 @@ struct SubdomainState {
   std::vector<ContactEvent> events;
   std::vector<idx_t> query_parts;
   SubsetSearchScratch search_scratch;
-  /// Label updates received this step, applied on migration steps.
-  std::vector<std::pair<idx_t, idx_t>> pending_labels;  // (node, new owner)
-  /// The pending labels that touch this rank's views, in ascending node id
-  /// (note_relabels). Empty when the views outlive the label commit as they
-  /// are.
+  /// This step's label changes that touch this rank's views, in ascending
+  /// node id (note_relabels). Empty when the views outlive the label
+  /// commit as they are.
   std::vector<Relabel> relabels;
   idx_t moved_nodes_out = 0;
   idx_t moved_elements_out = 0;
 
+  /// Owner of node `v` under the current map.
+  idx_t owner_of(idx_t v) const {
+    return (*node_owner)[static_cast<std::size_t>(v)];
+  }
   /// The owned global ids, ascending.
   std::span<const idx_t> owned_nodes() const {
     return {local_nodes.data(), static_cast<std::size_t>(num_owned)};
@@ -125,10 +128,10 @@ struct SubdomainState {
   /// Local ids of the nodes of tracked_elements[i].
   std::span<const idx_t> element_local(std::size_t i) const;
 
-  /// Copies the initial ownership, builds the local numbering and views,
-  /// and sizes the per-node state to it, zeroed.
-  void init(const MeshTopology& topo, idx_t r, std::span<const idx_t> owner,
-            idx_t k);
+  /// Adopts the shared ownership map, builds the local numbering and
+  /// views, and sizes the per-node state to it, zeroed.
+  void init(const MeshTopology& topo, idx_t r,
+            std::shared_ptr<const std::vector<idx_t>> owner, idx_t k);
 
   /// Clears the per-step products. The descriptors are kept: the next
   /// step's induction or broadcast replaces them.
@@ -137,21 +140,21 @@ struct SubdomainState {
   /// Recomputes the local numbering and every view from node_owner, and
   /// resizes positions / contact_hits / node_mask to it, zeroed (callers
   /// refill the state they carry). The cold path, run by init: every
-  /// wholesale load of node_owner (construction, a degraded or reference
+  /// wholesale load of the map (construction, a degraded or reference
   /// step, restore). Between those, the views are stable because the
   /// topology is, and a migration commit updates them in place
   /// (note_relabels, apply_relabels).
   void rebuild_views(const MeshTopology& topo, idx_t k);
 
-  /// Before the label commit: fills `relabels` with the pending labels
-  /// (v, o) that touch this rank — v in the local set, or o == rank — and
-  /// returns whether there are any. The views are a function of node_owner
-  /// on the local set alone, so when there are none they stay exact under
-  /// the new labels. Ghost membership is a binary search under the old
-  /// (owner, id) order.
-  bool note_relabels();
+  /// Before the label commit (node_owner still the old map): fills
+  /// `relabels` with the range-checked label updates (v, o) that touch
+  /// this rank — v in the local set, or o == rank — and returns whether
+  /// there are any. The views are a function of the owners on the local
+  /// set alone, so when there are none they stay exact under the new
+  /// labels. Ghost membership is a binary search under the old order.
+  bool note_relabels(std::span<const LabelUpdate> updates);
 
-  /// After the label commit (node_owner holds the new labels): brings the
+  /// After the label commit (node_owner is the new map): brings the
   /// local numbering and every view from the old labels to the new ones —
   /// exactly what rebuild_views computes — in passes linear in the local
   /// set plus the relabelled nodes' element neighbourhoods, and carries
@@ -166,8 +169,8 @@ struct SubdomainState {
   void ghost_owners(std::vector<idx_t>& out) const;
 
   /// Heap bytes held by every buffer of this state, by capacity, except the
-  /// shared descriptors (DistributedSim::resident_bytes counts each
-  /// distinct tree once).
+  /// shared owner map and descriptors (DistributedSim::resident_bytes
+  /// counts each distinct one once).
   std::size_t heap_bytes() const;
 
   // Scratch (kept across steps so the steady state allocates nothing).

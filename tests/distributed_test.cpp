@@ -762,7 +762,8 @@ TEST_F(SpmdTest, PhaseTimingsCoverEveryRank) {
 /// Every rank's local set is its owned nodes (ascending id) followed by the
 /// other nodes of its tracked elements (the element closure of the owned
 /// nodes) sorted by (owner, id); the local connectivity maps back to the
-/// mesh; and nothing but the replicated owner map is sized by the mesh.
+/// mesh; and nothing but the one owner map, shared by every rank and the
+/// driver, is sized by the mesh.
 void expect_rank_states_local(const DistributedSim& dsim,
                               const std::string& what) {
   const MeshTopology& topo = dsim.topology();
@@ -804,8 +805,9 @@ void expect_rank_states_local(const DistributedSim& dsim,
     EXPECT_EQ(st.positions.size(), local.size()) << at;
     EXPECT_EQ(st.node_mask.size(), local.size()) << at;
     EXPECT_EQ(st.contact_hits.size(), owned) << at;
-    // The one per-node array over the whole mesh.
-    EXPECT_EQ(st.node_owner.size(), nn) << at;
+    // The one per-node array over the whole mesh, shared.
+    EXPECT_EQ(st.node_owner->data(), dsim.start_owner().data()) << at;
+    EXPECT_EQ(st.node_owner->size(), nn) << at;
     EXPECT_LT(local.size(), nn) << at;
     EXPECT_LT(st.halo_sends.size(), nn) << at;
     EXPECT_EQ(st.tracked_local.size(),
@@ -861,7 +863,8 @@ TEST(DistributedSim, RankStateIsLocal) {
 /// equal a fresh SubdomainState::init from the same ownership map.
 void expect_views_match_full_rebuild(const DistributedSim& dsim,
                                      const std::string& what) {
-  const std::vector<idx_t> owner = dsim.ownership_map();
+  const auto owner =
+      std::make_shared<const std::vector<idx_t>>(dsim.ownership_map());
   for (const SubdomainState& st : dsim.states()) {
     const std::string at = what + " rank " + std::to_string(st.rank);
     SubdomainState fresh;
@@ -897,8 +900,7 @@ void expect_providers_are_ghost_owners(const DistributedSim& dsim,
     std::vector<idx_t> owners;
     for (std::size_t i = static_cast<std::size_t>(st.num_owned);
          i < st.local_nodes.size(); ++i) {
-      owners.push_back(st.node_owner[static_cast<std::size_t>(
-          st.local_nodes[i])]);
+      owners.push_back(st.owner_of(st.local_nodes[i]));
     }
     EXPECT_TRUE(std::ranges::is_sorted(owners)) << what << " rank " << st.rank;
     owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
@@ -985,8 +987,9 @@ TEST(DistributedSim, StartSnapshotTracksRankState) {
   // The start-of-step snapshot the next step degrades from is not gathered
   // at step start: a successful step leaves its end state there, and every
   // load of the rank states sets it from what it loaded. After each kind of
-  // step and state change it must equal a fresh gather, and every rank's
-  // halo providers must be its ghosts' owners.
+  // step and state change it must equal a fresh gather, every rank must
+  // view the very map start_owner() views, and every rank's halo providers
+  // must be its ghosts' owners.
   ThreadPool::set_global_threads(4);
   ImpactSimConfig sc;
   sc.plate_cells_xy = 12;
@@ -1010,6 +1013,10 @@ TEST(DistributedSim, StartSnapshotTracksRankState) {
   const auto expect_current = [&dsim](const std::string& what) {
     EXPECT_TRUE(std::ranges::equal(dsim.start_owner(), dsim.ownership_map()))
         << what;
+    for (const SubdomainState& st : dsim.states()) {
+      EXPECT_EQ(st.node_owner->data(), dsim.start_owner().data())
+          << what << " rank " << st.rank;
+    }
     EXPECT_TRUE(std::ranges::equal(dsim.start_hits(),
                                    dsim.gather_contact_hits()))
         << what;
@@ -1058,6 +1065,111 @@ TEST(DistributedSim, StartSnapshotTracksRankState) {
 
   const std::vector<wgt_t> hits = dsim.gather_contact_hits();
   EXPECT_GT(std::accumulate(hits.begin(), hits.end(), wgt_t{0}), 0);
+  std::filesystem::remove_all(dir);
+  ThreadPool::set_global_threads(0);
+}
+
+TEST(DistributedSim, MigrationSharesOneDecodedMap) {
+  // A migration step decodes the label broadcast once, into the updates
+  // and the next ownership map, and every rank and the driver share that
+  // result: after each step the k ranks and the driver hold one map object
+  // and nothing else holds it. A step that changes labels starts a new
+  // map, a step that changes none keeps the old one, and the map equals
+  // the reference body's labels — plain and under a seeded 2% fault
+  // schedule.
+  ThreadPool::set_global_threads(4);
+  ImpactSimConfig sc;
+  sc.plate_cells_xy = 12;
+  sc.plate_cells_z = 2;
+  sc.proj_cells_diameter = 6;
+  sc.proj_cells_z = 6;
+  sc.num_snapshots = 40;
+  const ImpactSim sim(sc);
+  DistributedSimConfig config;
+  config.decomposition.k = 8;
+  config.search.search_margin = 0.12;
+  config.search.contact_tolerance = 0.08;
+  config.repartition_period = 1;
+  config.repartition.epsilon = 0.02;
+  for (const double fault_rate : {0.0, 0.02}) {
+    DistributedSim dsim(sim, config);
+    DistributedSim oracle(sim, config);
+    FaultConfig fc;
+    fc.seed = chaos_seed();
+    fc.cell_fault_probability = fault_rate;
+    FaultInjector injector(fc);
+    if (fault_rate > 0) {
+      dsim.exchange().set_fault_injector(&injector);
+      dsim.exchange().set_retry_policy({.max_attempts = 10});
+    }
+    idx_t relabelled = 0;
+    for (idx_t i = 0; i < 12; ++i) {
+      const idx_t s = (7 * i) % 40;
+      const std::string what = "fault rate " + std::to_string(fault_rate) +
+                               " s=" + std::to_string(s);
+      const std::vector<idx_t>* before = dsim.states()[0].node_owner.get();
+      oracle.run_step_reference(s);
+      const DistributedStepReport got = dsim.run_step(s);
+      ASSERT_EQ(got.health.degraded_steps, 0) << what;
+      const auto& map = dsim.states()[0].node_owner;
+      for (const SubdomainState& st : dsim.states()) {
+        EXPECT_EQ(st.node_owner, map) << what << " rank " << st.rank;
+      }
+      EXPECT_EQ(map->data(), dsim.start_owner().data()) << what;
+      EXPECT_EQ(map.use_count(), dsim.k() + 1) << what;
+      EXPECT_EQ(map.get() != before, got.repart_moved_nodes > 0) << what;
+      EXPECT_EQ(*map, oracle.ownership_map()) << what;
+      relabelled += got.repart_moved_nodes > 0 ? 1 : 0;
+    }
+    EXPECT_GT(relabelled, 0) << "fault rate " << fault_rate;
+  }
+  ThreadPool::set_global_threads(0);
+}
+
+TEST(DistributedSim, SuspendedAccessorsThrow) {
+  // suspend() releases the rank states: every accessor that reads them
+  // throws until resume() restores them, and then returns what it returned
+  // before the suspend. A reference step after the resume equals the one
+  // of a twin that never suspended.
+  ThreadPool::set_global_threads(4);
+  ImpactSimConfig sc;
+  sc.plate_cells_xy = 12;
+  sc.plate_cells_z = 2;
+  sc.proj_cells_diameter = 6;
+  sc.proj_cells_z = 6;
+  sc.num_snapshots = 40;
+  const ImpactSim sim(sc);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("cpart_suspended_accessors_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  DistributedSimConfig config;
+  config.decomposition.k = 8;
+  config.search.search_margin = 0.12;
+  config.search.contact_tolerance = 0.08;
+  config.repartition_period = 2;
+  DistributedSim twin(sim, config);
+  config.checkpoint_dir = dir.string();
+  DistributedSim dsim(sim, config);
+  for (idx_t s = 0; s < 12; s += 3) {
+    dsim.run_step(s);
+    twin.run_step(s);
+  }
+  const std::vector<idx_t> owner = dsim.ownership_map();
+  const std::vector<wgt_t> hits = dsim.gather_contact_hits();
+  ASSERT_TRUE(dsim.suspend());
+  EXPECT_THROW(dsim.ownership_map(), InputError);
+  EXPECT_THROW(dsim.gather_contact_hits(), InputError);
+  EXPECT_THROW(dsim.run_step_reference(12), InputError);
+  EXPECT_THROW(dsim.run_step(12), InputError);
+  EXPECT_TRUE(dsim.start_owner().empty());
+  ASSERT_TRUE(dsim.resume());
+  EXPECT_EQ(dsim.ownership_map(), owner);
+  EXPECT_EQ(dsim.gather_contact_hits(), hits);
+  const DistributedStepReport want = twin.run_step_reference(12);
+  const DistributedStepReport got = dsim.run_step_reference(12);
+  EXPECT_EQ(got.ownership_hash, want.ownership_hash);
+  EXPECT_EQ(dsim.ownership_map(), twin.ownership_map());
   std::filesystem::remove_all(dir);
   ThreadPool::set_global_threads(0);
 }
