@@ -24,8 +24,9 @@
 // JSON output: {"env": {...}, "wire": {...}, "induction": {...},
 // "results": [{threads, ..., distributed: {reference_mean_ms, spmd_mean_ms,
 // speedup, plain_step_ms_median, migration_step_ms_median, health: {...},
-// steps: [{..., migrated, repartition_ms, migration_ranks_rebuilt,
-// ownership_hash (hex string), bytes: {descriptor, halo, faces}, phase_ms:
+// steps: [{..., events, descriptor_tree_nodes (NTNodes), migrated,
+// repartition_ms, migration_ranks_rebuilt, ownership_hash (hex string),
+// bytes: {descriptor, halo, faces}, phase_ms:
 // {descriptor: [per rank], halo, ship, search, migrate, deliver}, wait:
 // {descriptor, ship, search}}]}}], "scaling": {...}, "recovery": {...}},
 // steady state = steps >= 1; the two medians are of the SPMD steady steps
@@ -426,6 +427,8 @@ int main(int argc, char** argv) {
                     << ", \"reference_ms\": " << ref_ms
                     << ", \"spmd_ms\": " << spmd_ms
                     << ", \"events\": " << got.contact_events
+                    << ", \"descriptor_tree_nodes\": "
+                    << got.descriptor_tree_nodes
                     << ", \"migrated\": " << (got.migrated ? "true" : "false")
                     << ", \"repartition_ms\": " << got.repartition_ms
                     << ", \"migration_ranks_rebuilt\": "

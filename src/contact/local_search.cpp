@@ -5,11 +5,17 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <utility>
 
+#include "geom/kdtree.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace cpart {
+
+bool event_order(const ContactEvent& a, const ContactEvent& b) {
+  if (a.node != b.node) return a.node < b.node;
+  if (a.distance != b.distance) return a.distance < b.distance;
+  return a.face < b.face;
+}
 
 Vec3 closest_point_on_triangle(Vec3 p, Vec3 a, Vec3 b, Vec3 c) {
   // Ericson, "Real-Time Collision Detection", 5.1.5.
@@ -221,11 +227,7 @@ std::vector<ContactEvent> local_contact_search(
   for (auto& chunk : per_chunk) {
     all.insert(all.end(), chunk.begin(), chunk.end());
   }
-  std::sort(all.begin(), all.end(), [](const ContactEvent& a,
-                                       const ContactEvent& b) {
-    if (a.node != b.node) return a.node < b.node;
-    return a.distance < b.distance;
-  });
+  std::sort(all.begin(), all.end(), event_order);
   return all;
 }
 
@@ -295,129 +297,152 @@ bool record_contains_node(const FaceRecord& rec, idx_t node) {
   return false;
 }
 
-/// Candidate faces of the rank kernels. Faces are grouped by the body of
-/// their first node, and each group gets its own kd-tree over face
-/// centroids, queried with tolerance + that group's largest face radius.
-/// This is conservative: every point of a face lies within its radius of
-/// its centroid, so a face whose closest point is within `tolerance` of p
-/// has its centroid within tolerance + radius of p. A node queries only
-/// the groups of other bodies, so its own body's faces (nearly all of its
-/// neighbours) are never generated. Without body info all faces form one
-/// group. Built per call; nothing outlives the search.
-class CandidateFaces {
- public:
-  CandidateFaces(std::span<const FaceRecord> faces,
-                 std::span<const int> body_of_node, int dim,
-                 real_t tolerance, SubsetSearchScratch& scratch)
-      : body_of_node_(body_of_node), by_body_(!body_of_node.empty()) {
-    const auto body = [&](idx_t f) {
-      return body_of_node[static_cast<std::size_t>(
-          faces[static_cast<std::size_t>(f)].nodes[0])];
-    };
-    order_.resize(faces.size());
-    std::iota(order_.begin(), order_.end(), idx_t{0});
-    if (by_body_) {
-      // By (body, index): faces keep their relative order within a body.
-      std::sort(order_.begin(), order_.end(), [&](idx_t a, idx_t b) {
-        return std::pair(body(a), a) < std::pair(body(b), b);
-      });
-    }
-
-    scratch.centroids.resize(faces.size());
-    std::size_t begin = 0;
-    while (begin < order_.size()) {
-      std::size_t end = begin + 1;
-      while (end < order_.size() &&
-             (!by_body_ || body(order_[end]) == body(order_[begin]))) {
-        ++end;
-      }
-      real_t max_radius = 0;
-      for (std::size_t k = begin; k < end; ++k) {
-        const FaceRecord& rec = faces[static_cast<std::size_t>(order_[k])];
-        require(rec.num_nodes >= 2 && rec.num_nodes <= 4,
-                "local_contact_search_records: bad face record");
-        Vec3 c{};
-        for (std::int32_t j = 0; j < rec.num_nodes; ++j) {
-          c = c + rec.coords[static_cast<std::size_t>(j)];
-        }
-        c = (1.0 / static_cast<real_t>(rec.num_nodes)) * c;
-        scratch.centroids[k] = c;
-        for (std::int32_t j = 0; j < rec.num_nodes; ++j) {
-          max_radius = std::max(
-              max_radius, norm(rec.coords[static_cast<std::size_t>(j)] - c));
-        }
-      }
-      Group& g = groups_.emplace_back();
-      g.body = by_body_ ? body(order_[begin]) : 0;
-      g.reach = tolerance + max_radius;
-      g.begin = begin;
-      g.tree = KdTree(std::span<const Vec3>(scratch.centroids)
-                          .subspan(begin, end - begin),
-                      dim);
-      begin = end;
-    }
+/// Groups the faces by the body of their first node into scratch.order:
+/// a stable LSD radix sort on body - lowest body, one counting pass per
+/// byte of that range (one pass for up to 256 bodies, none for one), so
+/// faces keep their relative order within a body. Without body info every
+/// face is in one group.
+void group_faces_by_body(std::span<const FaceRecord> faces,
+                         std::span<const int> body_of_node,
+                         SubsetSearchScratch& s) {
+  const std::size_t n = faces.size();
+  s.order.resize(n);
+  std::iota(s.order.begin(), s.order.end(), idx_t{0});
+  s.groups.clear();
+  if (n == 0) return;
+  if (body_of_node.empty()) {
+    s.groups.push_back({0, 0, 0, n});
+    return;
   }
-
-  /// Appends the candidate indices into `faces` for contact node `node`
-  /// at position `p`.
-  void query(idx_t node, Vec3 p, std::vector<idx_t>& out) const {
-    for (const Group& g : groups_) {
-      if (by_body_ &&
-          g.body == body_of_node_[static_cast<std::size_t>(node)]) {
-        continue;
-      }
-      BBox box;
-      box.expand(p);
-      box.inflate(g.reach);
-      const std::size_t first = out.size();
-      g.tree.query_box(box, out);
-      for (std::size_t k = first; k < out.size(); ++k) {
-        out[k] = order_[g.begin + static_cast<std::size_t>(out[k])];
-      }
-    }
-  }
-
- private:
-  struct Group {
-    int body = 0;
-    real_t reach = 0;
-    std::size_t begin = 0;  // tree point i is face order_[begin + i]
-    KdTree tree;
+  const auto body = [&](idx_t f) {
+    return body_of_node[static_cast<std::size_t>(
+        faces[static_cast<std::size_t>(f)].nodes[0])];
   };
+  int lo = std::numeric_limits<int>::max();
+  int hi = std::numeric_limits<int>::min();
+  for (idx_t f : s.order) {
+    lo = std::min(lo, body(f));
+    hi = std::max(hi, body(f));
+  }
+  const auto key = [&](idx_t f) {  // body - lo, without signed overflow
+    return static_cast<std::uint32_t>(body(f)) -
+           static_cast<std::uint32_t>(lo);
+  };
+  const std::uint32_t range =
+      static_cast<std::uint32_t>(hi) - static_cast<std::uint32_t>(lo);
+  for (unsigned shift = 0; shift < 32 && (range >> shift) != 0; shift += 8) {
+    // A pass reads the identity (first pass) or a copy of the previous
+    // pass's order, so only a grouping of 256+ bodies needs the copy.
+    if (shift > 0) s.order_tmp.assign(s.order.begin(), s.order.end());
+    const auto input = [&](std::size_t i) {
+      return shift == 0 ? static_cast<idx_t>(i) : s.order_tmp[i];
+    };
+    const auto digit = [&](idx_t f) { return (key(f) >> shift) & 0xffu; };
+    std::array<idx_t, 257> start{};  // start[d + 1]: faces with digit d
+    for (std::size_t i = 0; i < n; ++i) ++start[digit(input(i)) + 1];
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    for (std::size_t i = 0; i < n; ++i) {
+      const idx_t f = input(i);
+      s.order[static_cast<std::size_t>(start[digit(f)]++)] = f;
+    }
+  }
+  for (std::size_t begin = 0; begin < n;) {
+    const int b = body(s.order[begin]);
+    std::size_t end = begin + 1;
+    while (end < n && body(s.order[end]) == b) ++end;
+    s.groups.push_back({b, 0, begin, end});
+    begin = end;
+  }
+}
 
-  std::span<const int> body_of_node_;
-  bool by_body_ = false;
-  std::vector<idx_t> order_;  // face indices, grouped by body
-  std::vector<Group> groups_;
-};
+/// Builds the candidate index of the rank kernel: the body groups, and per
+/// group a CellGrid over its face centroids with cell edge = reach =
+/// tolerance + the group's largest face radius. This is conservative:
+/// every point of a face lies within its radius of its centroid, so a face
+/// whose closest point is within `tolerance` of p has its centroid within
+/// reach of p. A node queries only the groups of other bodies, so its own
+/// body's faces (nearly all of its neighbours) are never generated.
+void build_candidate_index(std::span<const FaceRecord> faces,
+                           std::span<const int> body_of_node,
+                           real_t tolerance, SubsetSearchScratch& s) {
+  for (const FaceRecord& rec : faces) {
+    require(rec.num_nodes >= 2 && rec.num_nodes <= 4,
+            "local_contact_search_records: bad face record");
+  }
+  group_faces_by_body(faces, body_of_node, s);
+  s.centroids.resize(faces.size());
+  if (s.grids.size() < s.groups.size()) s.grids.resize(s.groups.size());
+  for (std::size_t g = 0; g < s.groups.size(); ++g) {
+    SubsetSearchScratch::Group& group = s.groups[g];
+    real_t max_radius = 0;
+    for (std::size_t k = group.begin; k < group.end; ++k) {
+      const FaceRecord& rec = faces[static_cast<std::size_t>(s.order[k])];
+      Vec3 c{};
+      for (std::int32_t j = 0; j < rec.num_nodes; ++j) {
+        c = c + rec.coords[static_cast<std::size_t>(j)];
+      }
+      c = (1.0 / static_cast<real_t>(rec.num_nodes)) * c;
+      s.centroids[k] = c;
+      for (std::int32_t j = 0; j < rec.num_nodes; ++j) {
+        max_radius = std::max(
+            max_radius, norm(rec.coords[static_cast<std::size_t>(j)] - c));
+      }
+    }
+    group.reach = tolerance + max_radius;
+    s.grids[g].build(std::span<const Vec3>(s.centroids)
+                         .subspan(group.begin, group.end - group.begin),
+                     group.reach);
+  }
+}
+
+/// Appends the candidate indices into the faces for contact node `node` at
+/// position `p`: the faces of every other body's group whose centroid lies
+/// in p ± that group's reach.
+void query_candidates(const SubsetSearchScratch& s,
+                      std::span<const int> body_of_node, idx_t node, Vec3 p,
+                      std::vector<idx_t>& out) {
+  for (std::size_t g = 0; g < s.groups.size(); ++g) {
+    const SubsetSearchScratch::Group& group = s.groups[g];
+    if (!body_of_node.empty() &&
+        group.body == body_of_node[static_cast<std::size_t>(node)]) {
+      continue;
+    }
+    BBox box;
+    box.expand(p);
+    box.inflate(group.reach);
+    const std::size_t first = out.size();
+    s.grids[g].query_box(box, out);
+    for (std::size_t k = first; k < out.size(); ++k) {
+      out[k] = s.order[group.begin + static_cast<std::size_t>(out[k])];
+    }
+  }
+}
 
 }  // namespace
 
 void local_contact_search_records_into(std::span<const idx_t> node_ids,
                                        std::span<const Vec3> node_positions,
-                                       int dim,
                                        std::span<const FaceRecord> faces,
                                        const LocalSearchOptions& opts,
                                        SubsetSearchScratch& scratch,
                                        std::vector<ContactEvent>& out) {
   require(opts.tolerance > 0,
           "local_contact_search_records: tolerance must be > 0");
-  out.clear();
-  const CandidateFaces candidates(faces, opts.body_of_node, dim,
-                                  opts.tolerance, scratch);
-
   require(node_positions.size() == node_ids.size(),
           "local_contact_search_records: one position per node id");
+  out.clear();
+  build_candidate_index(faces, opts.body_of_node, opts.tolerance, scratch);
   for (std::size_t i = 0; i < node_ids.size(); ++i) {
     const idx_t node = node_ids[i];
     const Vec3 p = node_positions[i];
     scratch.candidates.clear();
-    candidates.query(node, p, scratch.candidates);
+    query_candidates(scratch, opts.body_of_node, node, p,
+                     scratch.candidates);
     ContactEvent best;
     bool have_best = false;
     for (idx_t local : scratch.candidates) {
       const FaceRecord& rec = faces[static_cast<std::size_t>(local)];
-      // Same-body faces were never generated (CandidateFaces).
+      // Same-body faces were never generated (query_candidates).
       if (record_contains_node(rec, node)) continue;
       const FaceTest t = closest_on_record(rec, p, &scratch.triangles);
       if (t.distance > opts.tolerance) continue;
@@ -441,11 +466,18 @@ void local_contact_search_records_into(std::span<const idx_t> node_ids,
     }
     if (opts.closest_only && have_best) out.push_back(best);
   }
-  std::sort(out.begin(), out.end(),
-            [](const ContactEvent& a, const ContactEvent& b) {
-              if (a.node != b.node) return a.node < b.node;
-              return a.distance < b.distance;
-            });
+  std::sort(out.begin(), out.end(), event_order);
+}
+
+std::size_t SubsetSearchScratch::heap_bytes() const {
+  const auto bytes = [](const auto& v) {
+    return v.capacity() * sizeof(v[0]);
+  };
+  std::size_t total = bytes(order) + bytes(order_tmp) + bytes(centroids) +
+                      bytes(groups) + bytes(grids) + bytes(candidates) +
+                      bytes(triangles);
+  for (const CellGrid& grid : grids) total += grid.heap_bytes();
+  return total;
 }
 
 }  // namespace cpart

@@ -19,7 +19,7 @@
 #include <span>
 #include <vector>
 
-#include "geom/kdtree.hpp"
+#include "geom/cell_grid.hpp"
 #include "mesh/surface.hpp"
 
 namespace cpart {
@@ -51,9 +51,9 @@ Vec3 closest_point_on_triangle(Vec3 p, Vec3 a, Vec3 b, Vec3 c);
 Vec3 face_normal(const Mesh& mesh, const SurfaceFace& face);
 
 /// Runs local search over all contact nodes vs all surface faces, using a
-/// kd-tree over face centroids to localize. Events are sorted by (node,
-/// distance); with closest_only a tie in distance goes to the lower face
-/// index.
+/// kd-tree over face centroids to localize: the serial oracle the rank
+/// kernel is checked against. Events come in event_order; with
+/// closest_only a tie in distance goes to the lower face index.
 std::vector<ContactEvent> local_contact_search(
     const Mesh& mesh, const Surface& surface, const LocalSearchOptions& opts);
 
@@ -71,28 +71,50 @@ struct FaceRecord {
 };
 
 /// Reusable buffers for local_contact_search_records_into. Each SPMD rank
-/// owns one instance: the buffers grow to the rank's largest step and make
-/// the steady-state per-step search allocation-light. Never share one
-/// scratch between concurrently searching ranks.
+/// owns one instance: the buffers grow to the rank's largest step, and a
+/// steady-state search allocates nothing. Never share one scratch between
+/// concurrently searching ranks.
 struct SubsetSearchScratch {
-  std::vector<Vec3> centroids;
+  /// One body's faces (all faces without body info): positions [begin,
+  /// end) of `order`, searched with reach tolerance + the group's largest
+  /// face radius in grids[g] for group g.
+  struct Group {
+    int body = 0;
+    real_t reach = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  };
+  std::vector<idx_t> order;      // face indices, grouped by body
+  std::vector<idx_t> order_tmp;  // grouping scratch (256+ bodies only)
+  std::vector<Vec3> centroids;   // centroids[i]: of face order[i]
+  std::vector<Group> groups;
+  std::vector<CellGrid> grids;   // grids[g] indexes groups[g]; never shrinks
   std::vector<idx_t> candidates;
   std::vector<std::array<Vec3, 3>> triangles;
+
+  std::size_t heap_bytes() const;
 };
+
+/// The deterministic event order every search reports: by node, then
+/// distance, then face. It is total for one search (a node meets each face
+/// once), so the order of the candidates never shows.
+bool event_order(const ContactEvent& a, const ContactEvent& b);
 
 /// Local search of `node_ids` against face records — what one rank
 /// executes after global search delivered its faces — with
 /// node_positions[i] the position of node_ids[i]. The record
 /// triangulation and normal mirror face_triangles/face_normal, so the
-/// arithmetic, exclusions, and (node, distance) ordering are those of
-/// local_contact_search on the same faces; events carry record.key in
-/// ContactEvent::face, and with closest_only a tie in distance goes to the
-/// lower key. `opts.body_of_node` is indexed by global node id; with
-/// it, each node queries per-body kd-trees of the *other* bodies' faces
-/// only, so same-body faces are never generated as candidates.
+/// arithmetic and exclusions are those of local_contact_search on the same
+/// faces; events carry record.key in ContactEvent::face, come in
+/// event_order, and with closest_only a tie in distance goes to the lower
+/// key. The result does not depend on the order of `faces`.
+/// `opts.body_of_node` is indexed by global node id; with it, the faces are
+/// grouped by the body of their first node and each node queries the
+/// CellGrid of every *other* body only, so same-body faces are never
+/// generated as candidates. The groups and grids are rebuilt every call in
+/// O(faces), in `scratch`.
 void local_contact_search_records_into(std::span<const idx_t> node_ids,
                                        std::span<const Vec3> node_positions,
-                                       int dim,
                                        std::span<const FaceRecord> faces,
                                        const LocalSearchOptions& opts,
                                        SubsetSearchScratch& scratch,

@@ -167,14 +167,11 @@ wgt_t descriptor_broadcast_bytes(const SubdomainDescriptors& descriptors,
          std::max<wgt_t>(0, k - 1);
 }
 
-/// Sorts `out.events` by (node, distance) — the deterministic order both
-/// step flavors report — and recounts contact and penetrating events.
+/// Sorts `out.events` into event_order — the deterministic order both
+/// step flavors report, whatever order the ranks' events come in — and
+/// recounts contact and penetrating events.
 void finalize_events(StepEvents& out) {
-  std::sort(out.events.begin(), out.events.end(),
-            [](const ContactEvent& a, const ContactEvent& b) {
-              if (a.node != b.node) return a.node < b.node;
-              return a.distance < b.distance;
-            });
+  std::sort(out.events.begin(), out.events.end(), event_order);
   out.contact_events = to_idx(out.events.size());
   out.penetrating_events = 0;
   for (const ContactEvent& e : out.events) {
@@ -197,31 +194,36 @@ void merge_rank_events(const std::vector<SubdomainState>& ranks,
   finalize_events(out);
 }
 
-/// Sorts `pts` by id, given that it is a concatenation of ascending runs
-/// (one per source rank): bottom-up pairwise merges of the maximal
-/// ascending runs, O(n log runs) instead of a full sort. Ids are unique, so
-/// the result equals the sort's.
-void merge_ascending_runs(std::vector<std::pair<idx_t, Vec3>>& pts) {
-  const auto by_id = [](const auto& a, const auto& b) {
-    return a.first < b.first;
-  };
-  std::vector<std::size_t> bounds{0};
-  for (std::size_t i = 1; i < pts.size(); ++i) {
-    if (pts[i].first < pts[i - 1].first) bounds.push_back(i);
+/// Rank 0's contact-point gather: its own contact points and its inbox
+/// placed by node id into `points`, ascending, with each point's owner in
+/// `labels`. slot[v] - 1 is the position of node v's point (own points,
+/// then the inbox), and one ascending scan over the node ids emits them:
+/// O(nodes + points) whatever the runs' interleaving. Ids are unique (each
+/// node has one owner), so the order is the sort's. Allocation-free once
+/// the buffers have grown.
+void place_contact_points(const SubdomainState& st,
+                          std::span<const ContactPointMsg> in,
+                          std::vector<idx_t>& slot, std::vector<Vec3>& points,
+                          std::vector<idx_t>& labels) {
+  const std::size_t own = st.contact_nodes.size();
+  const std::size_t nn = st.node_owner->size();
+  slot.assign(nn, 0);
+  for (std::size_t i = 0; i < own; ++i) {
+    slot[static_cast<std::size_t>(st.contact_nodes[i])] = to_idx(i + 1);
   }
-  bounds.push_back(pts.size());
-  while (bounds.size() > 2) {
-    std::size_t kept = 1;
-    for (std::size_t i = 0; i + 1 < bounds.size(); i += 2) {
-      const std::size_t end = std::min(i + 2, bounds.size() - 1);
-      std::inplace_merge(pts.begin() + static_cast<std::ptrdiff_t>(bounds[i]),
-                         pts.begin() +
-                             static_cast<std::ptrdiff_t>(bounds[i + 1]),
-                         pts.begin() + static_cast<std::ptrdiff_t>(bounds[end]),
-                         by_id);
-      bounds[kept++] = bounds[end];
-    }
-    bounds.resize(kept);
+  for (std::size_t j = 0; j < in.size(); ++j) {
+    const idx_t v = in[j].node;
+    require(v >= 0 && static_cast<std::size_t>(v) < nn,
+            "DistributedSim: gathered contact point out of range");
+    slot[static_cast<std::size_t>(v)] = to_idx(own + j + 1);
+  }
+  points.clear();
+  labels.clear();
+  for (std::size_t v = 0; v < nn; ++v) {
+    if (slot[v] == 0) continue;
+    const auto i = static_cast<std::size_t>(slot[v] - 1);
+    points.push_back(i < own ? st.contact_points[i] : in[i - own].position);
+    labels.push_back(st.owner_of(to_idx(v)));
   }
 }
 
@@ -553,28 +555,12 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
           r, 0, ContactPointMsg{st.local_nodes[i], st.positions[i]});
     }
   };
-  std::vector<Vec3> points;
-  std::vector<idx_t> labels;
   const auto gather_phase = [&](idx_t r) {
     if (r != 0) return;
-    const SubdomainState& st = states_[0];
-    const auto& in = exchange_.coupling_forward().inbox(0);
-    std::vector<std::pair<idx_t, Vec3>> pts;
-    pts.reserve(st.contact_nodes.size() + in.size());
-    for (std::size_t i = 0; i < st.contact_nodes.size(); ++i) {
-      pts.emplace_back(st.contact_nodes[i], st.contact_points[i]);
-    }
-    for (const ContactPointMsg& m : in) pts.emplace_back(m.node, m.position);
-    // Every source posts its points in ascending id, and each node has
-    // exactly one owner: merging the runs yields the global ascending
-    // contact-id order of the oracle.
-    merge_ascending_runs(pts);
-    points.reserve(pts.size());
-    labels.reserve(pts.size());
-    for (const auto& [id, p] : pts) {
-      points.push_back(p);
-      labels.push_back(st.owner_of(id));
-    }
+    // Each contact node has exactly one owner: placing the points by id
+    // yields the global ascending contact-id order of the oracle.
+    place_contact_points(states_[0], exchange_.coupling_forward().inbox(0),
+                         gather_slot_, gather_points_, gather_labels_);
   };
   const std::array<AsyncPhase, 3> kinematics_phases = {
       AsyncPhase{.body = phase_a,
@@ -635,8 +621,9 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
     DescriptorOptions options = config_.decomposition.descriptor;
     options.dim = topology().mesh().dim();
     st.descriptors.reset();
-    induce_and_broadcast_descriptors(points, labels, np, options, induce_ws_,
-                                     induced_descriptors_, exchange_);
+    induce_and_broadcast_descriptors(gather_points_, gather_labels_, np,
+                                     options, induce_ws_, induced_descriptors_,
+                                     exchange_);
     st.descriptors = induced_descriptors_;
     const std::vector<LabelUpdate> updates =
         migrate ? label_changes(new_part, *owner_) : std::vector<LabelUpdate>{};
@@ -656,7 +643,6 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
   // migration steps F consumes the migration channels (delivery #5) and
   // commits the handover. ---------------------------------------------------
   const LocalSearchOptions local = config_.search.local_options(body_of_node_);
-  const int dim = topology().mesh().dim();
   SharedBroadcastDecode decodes(np, owner_);
   // epochs[r]: rank r's decode of the label broadcast, null when no label
   // changes. Rank 0 has no inbox: it looks up the buffer it broadcast.
@@ -700,19 +686,15 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
   };
   const auto phase_e = [&](idx_t r) {
     SubdomainState& st = states_[static_cast<std::size_t>(r)];
+    // Each record is copied once, in arrival order: the kernel's events do
+    // not depend on the order of its faces (see event_order).
     st.local_records.assign(st.owned_records.begin(), st.owned_records.end());
     for (const FaceShipMsg& m : exchange_.faces().inbox(r)) {
       st.local_records.push_back({m.face, m.num_nodes, m.nodes, m.coords});
     }
-    // Face keys are globally unique (one home rank derives each face), so
-    // sorting by key reproduces the oracle's global ascending-key order.
-    std::sort(st.local_records.begin(), st.local_records.end(),
-              [](const FaceRecord& a, const FaceRecord& b) {
-                return a.key < b.key;
-              });
     if (!st.contact_nodes.empty() && !st.local_records.empty()) {
       local_contact_search_records_into(st.contact_nodes, st.contact_points,
-                                        dim, st.local_records, local,
+                                        st.local_records, local,
                                         st.search_scratch, st.events);
     }
     // Events ascend by node, like contact_nodes: walk both.
@@ -1034,7 +1016,6 @@ void DistributedSim::run_reference_step(idx_t s,
         .push_back(v);
   }
   const LocalSearchOptions local = config_.search.local_options(body_of_node_);
-  const int dim = topology().mesh().dim();
   report.events_per_processor.assign(static_cast<std::size_t>(np), 0);
   SubsetSearchScratch scratch;
   std::vector<ContactEvent> rank_events;
@@ -1047,7 +1028,7 @@ void DistributedSim::run_reference_step(idx_t s,
       for (idx_t v : nodes_on[sq]) {
         node_positions.push_back(positions[static_cast<std::size_t>(v)]);
       }
-      local_contact_search_records_into(nodes_on[sq], node_positions, dim,
+      local_contact_search_records_into(nodes_on[sq], node_positions,
                                         faces_on[sq], local, scratch,
                                         rank_events);
     }
@@ -1199,6 +1180,9 @@ bool DistributedSim::suspend(double* backoff_ms_accum) {
   owner_ = std::make_shared<const std::vector<idx_t>>();
   start_hits_ = {};
   end_hits_ = {};
+  gather_slot_ = {};
+  gather_points_ = {};
+  gather_labels_ = {};
   two_phase_graph_.reset();
   step_history_.clear();
   replay_pos_ = 0;
@@ -1243,11 +1227,11 @@ std::size_t DistributedSim::estimate_resident_bytes(idx_t num_nodes,
   // node: global id, position and mask; per owned node its hit counter;
   // per tracked element its id, its local connectivity (at most 8 ids)
   // and its owned-element entry; x1.5 for push_back growth slack. The
-  // per-step products (face records, contact lists, search scratch) scale
-  // with the contact surface, modelled per node, plus a fixed share per
-  // rank. The descriptors are two trees of ~2 k n^0.25 nodes each: the one
-  // rank 0 induced and the one the other ranks share, decoded from the
-  // broadcast.
+  // per-step products (face records, contact lists, search scratch with
+  // its candidate grids) scale with the contact surface, modelled per
+  // node, plus a fixed share per rank. The descriptors are two trees of
+  // ~2 k n^0.25 nodes each: the one rank 0 induced and the one the other
+  // ranks share, decoded from the broadcast.
   const double n = num_nodes;
   const double kk = static_cast<double>(k);
   const double ghosts =
@@ -1258,7 +1242,7 @@ std::size_t DistributedSim::estimate_resident_bytes(idx_t num_nodes,
              ghosts * sizeof(HaloSend) + n * sizeof(wgt_t) +
              (static_cast<double>(num_elements) + 0.5 * ghosts) * 10 *
                  sizeof(idx_t));
-  const double per_step = 180.0 * n + 25e3 * kk;
+  const double per_step = 200.0 * n + 25e3 * kk;
   const double trees = 2 * sizeof(TreeNode) * 2 * kk * std::pow(n, 0.25);
   return static_cast<std::size_t>(owner_map + local_set + per_step + trees);
 }

@@ -418,6 +418,11 @@ class DistributedSim {
   idx_t steps_run_ = 0;
   // Driver scratch.
   TreeInduceWorkspace induce_ws_;  // warm storage across per-step inductions
+  // Rank 0's contact-point gather (place_contact_points), reused across
+  // steps and released by suspend().
+  std::vector<idx_t> gather_slot_;
+  std::vector<Vec3> gather_points_;
+  std::vector<idx_t> gather_labels_;
   // halo_providers_[r]: the ranks that post halo nodes to r, which are the
   // distinct owners of r's ghosts, ascending. Rank r writes its own entry
   // wherever its views change: in load_states, and in phase F after

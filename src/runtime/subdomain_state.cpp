@@ -426,9 +426,8 @@ std::size_t SubdomainState::heap_bytes() const {
          bytes(positions) + bytes(contact_hits) + bytes(contact_nodes) +
          bytes(contact_local) + bytes(contact_points) + bytes(owned_records) +
          bytes(local_records) + bytes(events) + bytes(query_parts) +
-         bytes(search_scratch.centroids) + bytes(search_scratch.candidates) +
-         bytes(search_scratch.triangles) + bytes(relabels) +
-         bytes(node_mask) + bytes(rank_seen) + bytes(touched);
+         search_scratch.heap_bytes() + bytes(relabels) + bytes(node_mask) +
+         bytes(rank_seen) + bytes(touched);
 }
 
 }  // namespace cpart

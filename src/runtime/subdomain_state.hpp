@@ -100,7 +100,7 @@ struct SubdomainState {
   std::vector<idx_t> contact_local;        // their local ids
   std::vector<Vec3> contact_points;        // their positions
   std::vector<FaceRecord> owned_records;   // home faces, ascending key
-  std::vector<FaceRecord> local_records;   // owned + received, ascending key
+  std::vector<FaceRecord> local_records;   // owned, then received
   /// This step's descriptors, shared and immutable: rank 0 holds the tree
   /// it induced, the other ranks the one tree decoded from their validated
   /// broadcast wire. Queried with the scratch below (rank_seen, touched).

@@ -261,8 +261,7 @@ TEST(MlRcb, BoxFilterSearchMatchesSerial) {
         std::vector<Vec3> node_positions;
         for (idx_t v : nodes_on[q]) node_positions.push_back(mesh.node(v));
         local_contact_search_records_into(nodes_on[q], node_positions,
-                                          mesh.dim(), records, local, scratch,
-                                          events);
+                                          records, local, scratch, events);
         merged.insert(merged.end(), events.begin(), events.end());
       }
       std::sort(merged.begin(), merged.end(),

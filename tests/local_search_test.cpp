@@ -219,8 +219,8 @@ void expect_kernels_match_brute_force(const Mesh& mesh, const Surface& surface,
     std::vector<ContactEvent> got;
     std::vector<Vec3> node_positions;
     for (idx_t v : node_ids) node_positions.push_back(mesh.node(v));
-    local_contact_search_records_into(node_ids, node_positions, mesh.dim(),
-                                      records, o, scratch, got);
+    local_contact_search_records_into(node_ids, node_positions, records, o,
+                                      scratch, got);
     for (ContactEvent& e : got) e.face -= kKeyOffset;
     return got;
   };
@@ -332,6 +332,70 @@ TEST(LocalSearchKernels, MatchBruteForceWithManyBodies) {
                                    "many bodies");
 }
 
+TEST(LocalSearchKernels, WideBodyIdsGroupOnceEachInFaceOrder) {
+  // Body ids below zero that differ only in their third byte: the grouping
+  // takes several counting passes, and must still give each body one group
+  // with its faces in their given order.
+  const ThreeBodies scene;
+  std::vector<int> body(scene.body.size());
+  for (std::size_t v = 0; v < body.size(); ++v) {
+    body[v] = static_cast<int>(v % 23) * 65536 - 1000000;
+  }
+  LocalSearchOptions opts;
+  opts.tolerance = 0.3;
+  opts.body_of_node = body;
+  const std::vector<idx_t> faces = shuffled_faces(scene.surface, 5);
+  expect_kernels_match_brute_force(scene.mesh, scene.surface,
+                                   scene.surface.contact_nodes, faces, opts,
+                                   "wide body ids");
+
+  std::vector<FaceRecord> records;
+  for (idx_t f : faces) {
+    const SurfaceFace& face = scene.surface.faces[static_cast<std::size_t>(f)];
+    FaceRecord& rec = records.emplace_back();
+    rec.key = f;
+    rec.num_nodes = static_cast<std::int32_t>(face.nodes.size());
+    for (std::size_t j = 0; j < face.nodes.size(); ++j) {
+      rec.nodes[j] = face.nodes[j];
+      rec.coords[j] = scene.mesh.node(face.nodes[j]);
+    }
+  }
+  const std::vector<idx_t> nodes = {scene.surface.contact_nodes.front()};
+  const std::vector<Vec3> at = {scene.mesh.node(nodes.front())};
+  SubsetSearchScratch scratch;
+  std::vector<ContactEvent> events;
+  local_contact_search_records_into(nodes, at, records, opts, scratch, events);
+  const auto body_of = [&](idx_t i) {
+    return body[static_cast<std::size_t>(
+        records[static_cast<std::size_t>(i)].nodes[0])];
+  };
+  std::vector<int> seen;
+  std::size_t covered = 0;
+  for (const SubsetSearchScratch::Group& g : scratch.groups) {
+    ASSERT_EQ(g.begin, covered);
+    ASSERT_LT(g.begin, g.end);
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), g.body), 0)
+        << "body " << g.body << " split into several groups";
+    seen.push_back(g.body);
+    for (std::size_t k = g.begin; k < g.end; ++k) {
+      EXPECT_EQ(body_of(scratch.order[k]), g.body);
+      if (k > g.begin) {
+        EXPECT_LT(scratch.order[k - 1], scratch.order[k]);
+      }
+    }
+    covered = g.end;
+  }
+  EXPECT_EQ(covered, records.size());
+  std::vector<int> distinct;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    distinct.push_back(body_of(to_idx(i)));
+  }
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  EXPECT_EQ(seen.size(), distinct.size());
+}
+
 TEST(LocalSearchKernels, ClosestTieGoesToLowerKey) {
   // Node 6 hovers over the vertex (1, 0, 0) shared by two unit squares, so
   // both faces are exactly equidistant; either record order picks key 3.
@@ -354,11 +418,69 @@ TEST(LocalSearchKernels, ClosestTieGoesToLowerKey) {
        {std::vector<FaceRecord>{a, b}, std::vector<FaceRecord>{b, a}}) {
     SubsetSearchScratch scratch;
     std::vector<ContactEvent> events;
-    local_contact_search_records_into(nodes, {&positions[6], 1}, 3, records,
+    local_contact_search_records_into(nodes, {&positions[6], 1}, records,
                                       opts, scratch, events);
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].face, 3);
     EXPECT_DOUBLE_EQ(events[0].distance, 0.05);
+  }
+}
+
+TEST(LocalSearchKernels, AllInRangeOutputIgnoresFaceOrder) {
+  // A 2x2x1 box sits 0.05 above a 4x4x1 slab on the same unit lattice, so
+  // every node of the facing sides is exactly equidistant from the two or
+  // four faces that share the vertex below or above it. With every face in
+  // range kept, the raw output (not re-sorted) must not depend on the order
+  // of the records: ties come in ascending key.
+  Mesh mesh = make_hex_box(4, 4, 1, Vec3{0, 0, 0}, Vec3{4, 4, 1});
+  std::vector<int> body(static_cast<std::size_t>(mesh.num_nodes()), 0);
+  mesh.append(make_hex_box(2, 2, 1, Vec3{1, 1, 1.05}, Vec3{2, 2, 1}));
+  body.resize(static_cast<std::size_t>(mesh.num_nodes()), 1);
+  const Surface surface = extract_surface(mesh);
+  LocalSearchOptions opts;
+  opts.tolerance = 0.1;
+  opts.body_of_node = body;
+  opts.closest_only = false;
+  std::vector<Vec3> positions;
+  for (idx_t v : surface.contact_nodes) positions.push_back(mesh.node(v));
+
+  std::vector<ContactEvent> first;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    std::vector<FaceRecord> records;
+    for (idx_t f : shuffled_faces(surface, seed)) {
+      const SurfaceFace& face = surface.faces[static_cast<std::size_t>(f)];
+      FaceRecord& rec = records.emplace_back();
+      rec.key = f;
+      rec.num_nodes = static_cast<std::int32_t>(face.nodes.size());
+      for (std::size_t j = 0; j < face.nodes.size(); ++j) {
+        rec.nodes[j] = face.nodes[j];
+        rec.coords[j] = mesh.node(face.nodes[j]);
+      }
+    }
+    SubsetSearchScratch scratch;
+    std::vector<ContactEvent> events;
+    local_contact_search_records_into(surface.contact_nodes, positions,
+                                      records, opts, scratch, events);
+    if (seed == 1) {
+      first = events;
+      // The 9 box nodes each see the 4 slab faces around the vertex below.
+      // Of the 9 slab nodes under the box, the centre sees 4 bottom faces,
+      // an edge node 2 bottom and 2 side faces, a corner 1 bottom and 2
+      // side faces (their lower edge is 0.05 above it too).
+      ASSERT_EQ(events.size(), 9u * 4 + 4 + 4 * (2 + 2) + 4 * (1 + 2));
+      for (std::size_t i = 1; i < events.size(); ++i) {
+        EXPECT_TRUE(event_order(events[i - 1], events[i])) << "event " << i;
+      }
+      continue;
+    }
+    ASSERT_EQ(events.size(), first.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      EXPECT_EQ(events[i].node, first[i].node) << "seed " << seed;
+      EXPECT_EQ(events[i].face, first[i].face) << "seed " << seed;
+      EXPECT_EQ(events[i].distance, first[i].distance) << "seed " << seed;
+      EXPECT_EQ(events[i].signed_distance, first[i].signed_distance);
+      EXPECT_EQ(events[i].closest_point, first[i].closest_point);
+    }
   }
 }
 
