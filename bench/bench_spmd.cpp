@@ -1,13 +1,14 @@
 // Benchmark of the distributed MCML+DT contact step (DistributedSim)
-// against its retained centralized reference.
+// against the centralized reference of tests/support (ReferenceSim).
 //
-// For each thread count, two identically configured DistributedSim
-// instances drive the same snapshot sequence, repartitioning and migrating
-// live state every --repart_period steps:
-//   * reference — run_step_reference, the centralized step (serial; traffic
-//     is accounted analytically);
-//   * spmd — run_step, k rank programs executing the step concurrently on
-//     the thread pool, moving real payloads through the exchange.
+// For each thread count, two identically configured runs drive the same
+// snapshot sequence, repartitioning and migrating live state every
+// --repart_period steps:
+//   * reference — ReferenceSim::run_step, the centralized step (serial;
+//     traffic is accounted from a byte model);
+//   * spmd — DistributedSim::run_step, k rank programs executing the step
+//     concurrently on the thread pool, moving real payloads through the
+//     exchange.
 // Every step cross-checks the two flavors — merged events (including each
 // closest point), per-rank event counts, traffic, descriptor, payload and
 // migration bytes, and the ownership hash must be bit-identical — and the
@@ -43,10 +44,15 @@
 // to the reference as long as the schedule stays within --max_attempts.
 //
 // --checkpoint_period > 0 (the default) appends a "recovery" block: the
-// zero-fault checkpoint overhead (checkpointed vs plain distributed run,
-// A/B over the same snapshots) and an MTTR probe that kills --kill_rank at
-// --kill_step and requires the restored+replayed run to stay bit-identical
-// to the fault-free baseline at every step.
+// zero-fault checkpoint overhead (the median and inter-quartile range over
+// kOverheadPairs alternating plain and checkpointed distributed runs of the
+// same snapshots) and an MTTR probe that kills --kill_rank at --kill_step
+// (counted in steps run) and requires the restored+replayed run to stay
+// bit-identical to the fault-free baseline at every step.
+//
+// The exit status names each failed check on stderr: SPMD vs reference,
+// warm vs cold induction, recovered or checkpointed runs vs the baseline,
+// and a seeded kill that never fired.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -63,6 +69,8 @@
 #include "parallel/thread_pool.hpp"
 #include "runtime/fault_injector.hpp"
 #include "sim/impact_sim.hpp"
+#include "support/reference_sim.hpp"
+#include "support/report_compare.hpp"
 #include "tree/decision_tree.hpp"
 #include "tree/tree_io.hpp"
 #include "util/atomic_file.hpp"
@@ -73,39 +81,6 @@
 using namespace cpart;
 
 namespace {
-
-bool distributed_reports_identical(const DistributedStepReport& a,
-                                   const DistributedStepReport& b) {
-  if (a.events.size() != b.events.size()) return false;
-  for (std::size_t i = 0; i < a.events.size(); ++i) {
-    const ContactEvent& x = a.events[i];
-    const ContactEvent& y = b.events[i];
-    if (x.node != y.node || x.face != y.face || x.distance != y.distance ||
-        x.signed_distance != y.signed_distance ||
-        x.closest_point[0] != y.closest_point[0] ||
-        x.closest_point[1] != y.closest_point[1] ||
-        x.closest_point[2] != y.closest_point[2]) {
-      return false;
-    }
-  }
-  return a.migrated == b.migrated && a.contact_events == b.contact_events &&
-         a.penetrating_events == b.penetrating_events &&
-         a.events_per_processor == b.events_per_processor &&
-         a.fe_exchange == b.fe_exchange &&
-         a.coupling_exchange == b.coupling_exchange &&
-         a.search_exchange == b.search_exchange &&
-         a.migration_exchange == b.migration_exchange &&
-         a.descriptor_tree_nodes == b.descriptor_tree_nodes &&
-         a.descriptor_broadcast_bytes == b.descriptor_broadcast_bytes &&
-         a.halo_payload_bytes == b.halo_payload_bytes &&
-         a.coupling_payload_bytes == b.coupling_payload_bytes &&
-         a.face_payload_bytes == b.face_payload_bytes &&
-         a.repart_moved_nodes == b.repart_moved_nodes &&
-         a.repart_moved_elements == b.repart_moved_elements &&
-         a.migration_payload_bytes == b.migration_payload_bytes &&
-         a.label_broadcast_bytes == b.label_broadcast_bytes &&
-         a.ownership_hash == b.ownership_hash;
-}
 
 /// Structural equality of two descriptor trees: same node array, split
 /// geometry, labels and counts.
@@ -132,14 +107,20 @@ std::string hex_u64(std::uint64_t v) {
   return buf;
 }
 
-/// The median of `v` (0 when empty); reorders `v`.
-double median(std::vector<double>& v) {
+/// The p-quantile of `v`, linearly interpolated between order statistics
+/// (0 when empty); sorts `v`.
+double quantile(std::vector<double>& v, double p) {
   if (v.empty()) return 0;
-  const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
-  std::nth_element(v.begin(), mid, v.end());
-  if (v.size() % 2 == 1) return *mid;
-  return 0.5 * (*mid + *std::max_element(v.begin(), mid));
+  std::sort(v.begin(), v.end());
+  const double pos = p * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
 }
+
+/// Alternating plain/checkpointed run pairs behind the checkpoint-overhead
+/// median: a single A/B swings by more than the overhead on a shared host.
+constexpr int kOverheadPairs = 5;
 
 void json_array(std::ostream& os, const std::vector<double>& v) {
   os << "[";
@@ -207,8 +188,9 @@ int main(int argc, char** argv) {
   flags.define("kill_rank", "-1",
                "recovery probe: rank to kill (-1 = k / 2)");
   flags.define("kill_step", "-1",
-               "recovery probe: step to kill it at (-1 = mid-run, placed "
-               "mid-way through a checkpoint period so replay is nonempty)");
+               "recovery probe: step (counted in steps run) to kill it at "
+               "(-1 = mid-run, placed mid-way through a checkpoint period so "
+               "replay is nonempty)");
   try {
     flags.parse(argc, argv);
     const double resolution = flags.get_double("resolution");
@@ -365,16 +347,16 @@ int main(int argc, char** argv) {
          << wire_json.str() << ",\n \"induction\": " << induction_json.str()
          << ",\n \"results\": [\n";
     bool first_record = true;
-    bool all_equal = true;
+    bool all_equal = true;       // SPMD vs reference, every row
+    bool recovery_equal = true;  // checkpointed and recovered runs
+    bool kill_fired = true;
     // (threads, mean spmd ms) per row, for the scaling-slope summary.
     std::vector<std::pair<unsigned, double>> dist_rows;
 
     for (unsigned t : thread_counts) {
       ThreadPool::set_global_threads(t);
-      // One SPMD instance against one centralized-oracle instance: both
-      // flavors mutate rank state, so they cannot share an instance.
       DistributedSim dist(sim, dconfig);
-      DistributedSim oracle(sim, dconfig);
+      ReferenceSim oracle(sim, dconfig);
       dist.exchange().set_retry_policy(retry);
       std::optional<FaultInjector> injector;
       if (fault_rate > 0) {
@@ -396,7 +378,7 @@ int main(int argc, char** argv) {
 
       for (idx_t s = 0; s < sim.num_snapshots(); s += stride) {
         Timer timer;
-        const DistributedStepReport ref = oracle.run_step_reference(s);
+        const DistributedStepReport ref = oracle.run_step(s);
         const double ref_ms = timer.milliseconds();
 
         timer.reset();
@@ -404,7 +386,7 @@ int main(int argc, char** argv) {
         const double spmd_ms = timer.milliseconds();
 
         dist_health += got.health;
-        if (!distributed_reports_identical(got, ref)) {
+        if (!reports_identical(got, ref)) {
           std::cerr << "DISTRIBUTED EQUIVALENCE FAILURE at step " << s
                     << ", threads " << t << "\n";
           row_equal = false;
@@ -491,8 +473,9 @@ int main(int argc, char** argv) {
            << ",\n    \"reference_mean_ms\": " << dist_ref_mean
            << ", \"spmd_mean_ms\": " << dist_spmd_mean
            << ", \"speedup\": " << dist_speedup
-           << ",\n    \"plain_step_ms_median\": " << median(plain_ms)
-           << ", \"migration_step_ms_median\": " << median(migration_ms)
+           << ",\n    \"plain_step_ms_median\": " << quantile(plain_ms, 0.5)
+           << ", \"migration_step_ms_median\": "
+           << quantile(migration_ms, 0.5)
            << ",\n    \"migration_steps\": " << migration_steps
            << ", \"repart_moved_nodes\": " << moved_nodes
            << ", \"repart_moved_elements\": " << moved_elements
@@ -540,16 +523,17 @@ int main(int argc, char** argv) {
                 << "/doubling)\n";
     }
     // Rank-death recovery probe at the largest thread count: (1) zero-fault
-    // checkpoint overhead, A/B over the same distributed run, and (2) MTTR
-    // for a seeded one-shot kill — the recovered run must stay bit-identical
-    // to the fault-free baseline at every step.
+    // checkpoint overhead, alternating plain and checkpointed runs of the
+    // same snapshots, and (2) MTTR for a seeded one-shot kill — the
+    // recovered run must stay bit-identical to the fault-free baseline at
+    // every step.
     std::ostringstream recovery_json;
     if (checkpoint_period > 0) {
       ThreadPool::set_global_threads(thread_counts.back());
 
+      // One pass over the snapshots; returns its steady-state mean ms.
       const auto run_all = [&](DistributedSim& dsim,
-                               std::vector<DistributedStepReport>* out,
-                               double* ckpt_ms, double* rec_ms) {
+                               std::vector<DistributedStepReport>& out) {
         double sum = 0;
         idx_t steady = 0;
         for (idx_t s = 0; s < sim.num_snapshots(); s += stride) {
@@ -560,57 +544,78 @@ int main(int argc, char** argv) {
             sum += ms;
             ++steady;
           }
-          if (ckpt_ms != nullptr) *ckpt_ms += got.checkpoint_ms;
-          if (rec_ms != nullptr) *rec_ms += got.recovery_ms;
-          if (out != nullptr) out->push_back(std::move(got));
+          out.push_back(std::move(got));
         }
         return sum / static_cast<double>(std::max<idx_t>(steady, 1));
       };
-
-      // Fault-free baseline, checkpointing off.
+      // Every report of `got` must equal the baseline's.
       std::vector<DistributedStepReport> baseline;
-      double base_mean = 0;
-      {
-        DistributedSim base(sim, dconfig);
-        base.exchange().set_retry_policy(retry);
-        base_mean = run_all(base, &baseline, nullptr, nullptr);
-      }
+      const auto matches_baseline =
+          [&](const std::vector<DistributedStepReport>& got) {
+            bool equal = got.size() == baseline.size();
+            for (std::size_t i = 0; equal && i < got.size(); ++i) {
+              equal = reports_identical(got[i], baseline[i]);
+            }
+            return equal;
+          };
 
-      // Checkpointing on, zero faults: the steady-state overhead.
-      double ckpt_mean = 0;
-      double overhead_checkpoint_ms = 0;
+      // Zero faults, checkpointing off (plain) and on, alternating. The
+      // first plain run is the baseline every other run must equal.
+      std::vector<double> plain_means, ckpt_means, overheads, ckpt_ms;
       PipelineHealth overhead_health;
       bool overhead_equal = true;
-      {
+      for (int pair = 0; pair < kOverheadPairs; ++pair) {
+        std::vector<DistributedStepReport> plain;
+        {
+          DistributedSim base(sim, dconfig);
+          base.exchange().set_retry_policy(retry);
+          plain_means.push_back(run_all(base, plain));
+        }
+        if (pair == 0) baseline = plain;
+        overhead_equal = overhead_equal && matches_baseline(plain);
+
         DistributedSimConfig oconfig = dconfig;
         oconfig.checkpoint_period = checkpoint_period;
         oconfig.checkpoint_dir = checkpoint_dir + "/overhead";
-        DistributedSim withckpt(sim, oconfig);
-        withckpt.exchange().set_retry_policy(retry);
+        std::error_code ec;
+        std::filesystem::remove_all(oconfig.checkpoint_dir, ec);
         std::vector<DistributedStepReport> got;
-        ckpt_mean = run_all(withckpt, &got, &overhead_checkpoint_ms, nullptr);
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          overhead_health += got[i].health;
-          overhead_equal = overhead_equal &&
-                           distributed_reports_identical(got[i], baseline[i]);
+        {
+          DistributedSim withckpt(sim, oconfig);
+          withckpt.exchange().set_retry_policy(retry);
+          ckpt_means.push_back(run_all(withckpt, got));
         }
+        overhead_equal = overhead_equal && matches_baseline(got);
+        overheads.push_back(ckpt_means.back() /
+                                std::max(plain_means.back(), 1e-9) -
+                            1.0);
+        double commit_ms = 0;
+        for (const DistributedStepReport& r : got) {
+          commit_ms += r.checkpoint_ms;
+          if (pair == 0) overhead_health += r.health;
+        }
+        ckpt_ms.push_back(commit_ms);
       }
-      const double overhead = ckpt_mean / std::max(base_mean, 1e-9) - 1.0;
+      const double overhead = quantile(overheads, 0.5);
+      const double overhead_iqr =
+          quantile(overheads, 0.75) - quantile(overheads, 0.25);
 
       // MTTR: the same run with a seeded one-shot kill. Recovery restores
       // the last checkpoint and replays; every report — including the kill
       // step's — must match the baseline bit-for-bit.
       const idx_t kill_rank = kill_rank_flag >= 0 ? kill_rank_flag : k / 2;
-      // Default kill point: half a period past the commit boundary nearest
-      // mid-run, so the MTTR number includes replayed steps (a kill landing
-      // exactly on a boundary replays nothing).
+      // Default kill point, in steps run (what the injector counts): half
+      // a period past the commit boundary nearest mid-run, so the MTTR
+      // number includes replayed steps (a kill landing exactly on a
+      // boundary replays nothing).
+      const idx_t steps = to_idx(baseline.size());
       const idx_t mid_boundary =
-          sim.num_snapshots() / 2 / checkpoint_period * checkpoint_period;
+          steps / 2 / checkpoint_period * checkpoint_period;
       const idx_t kill_step =
           kill_step_flag >= 0
               ? kill_step_flag
               : std::min<idx_t>(
-                    sim.num_snapshots() - 1,
+                    steps - 1,
                     mid_boundary + std::max<idx_t>(1, checkpoint_period / 2));
       double mttr_recovery_ms = 0;
       double mttr_checkpoint_ms = 0;
@@ -630,31 +635,29 @@ int main(int argc, char** argv) {
         FaultInjector kill_injector(fc);
         victim.exchange().set_fault_injector(&kill_injector);
         std::vector<DistributedStepReport> got;
-        run_all(victim, &got, &mttr_checkpoint_ms, &mttr_recovery_ms);
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          mttr_health += got[i].health;
-          mttr_replayed += got[i].replayed_steps;
-          mttr_equal = mttr_equal &&
-                       distributed_reports_identical(got[i], baseline[i]);
+        run_all(victim, got);
+        for (const DistributedStepReport& r : got) {
+          mttr_health += r.health;
+          mttr_replayed += r.replayed_steps;
+          mttr_checkpoint_ms += r.checkpoint_ms;
+          mttr_recovery_ms += r.recovery_ms;
         }
-        if (mttr_health.rank_deaths == 0) {
-          std::cerr << "recovery probe: the seeded kill never fired\n";
-          all_equal = false;
-        }
+        mttr_equal = matches_baseline(got);
+        kill_fired = mttr_health.rank_deaths > 0;
       }
-      if (!overhead_equal || !mttr_equal) {
-        std::cerr << "RECOVERY EQUIVALENCE FAILURE\n";
-        all_equal = false;
-      }
+      recovery_equal = overhead_equal && mttr_equal;
       std::error_code ec;
       std::filesystem::remove_all(checkpoint_dir, ec);
 
       recovery_json << "{\"threads\": " << thread_counts.back()
                     << ", \"checkpoint_period\": " << checkpoint_period
-                    << ", \"baseline_mean_ms\": " << base_mean
-                    << ", \"checkpointed_mean_ms\": " << ckpt_mean
-                    << ", \"checkpoint_overhead\": " << overhead
-                    << ", \"checkpoint_ms\": " << overhead_checkpoint_ms
+                    << ", \"overhead_pairs\": " << kOverheadPairs
+                    << ", \"baseline_mean_ms\": " << quantile(plain_means, 0.5)
+                    << ", \"checkpointed_mean_ms\": "
+                    << quantile(ckpt_means, 0.5)
+                    << ",\n  \"checkpoint_overhead\": " << overhead
+                    << ", \"checkpoint_overhead_iqr\": " << overhead_iqr
+                    << ", \"checkpoint_ms\": " << quantile(ckpt_ms, 0.5)
                     << ", \"checkpoints_written\": "
                     << overhead_health.checkpoints_written
                     << ", \"overhead_equivalent\": "
@@ -671,7 +674,8 @@ int main(int argc, char** argv) {
                     << ", \"recovered_equivalent\": "
                     << (mttr_equal ? "true" : "false") << "}}";
       std::cout << "recovery: checkpoint overhead " << overhead * 100
-                << "% at period " << checkpoint_period << ", MTTR "
+                << "% (IQR " << overhead_iqr * 100 << "%, " << kOverheadPairs
+                << " pairs) at period " << checkpoint_period << ", MTTR "
                 << mttr_recovery_ms << " ms (" << mttr_replayed
                 << " replayed steps)\n";
     }
@@ -688,14 +692,25 @@ int main(int argc, char** argv) {
     require(atomic_write_file(out_path, json.str()),
             "cannot write --out (atomic commit failed)");
     std::cout << "\nWrote " << out_path << ".\n";
+    bool ok = true;
     if (!induction_equal) {
       std::cerr << "warm and cold descriptor trees differ — failing.\n";
-      return 1;
+      ok = false;
     }
     if (!all_equal) {
       std::cerr << "SPMD and reference reports differ — failing.\n";
-      return 1;
+      ok = false;
     }
+    if (!recovery_equal) {
+      std::cerr << "checkpointed or recovered reports differ from the "
+                   "fault-free baseline — failing.\n";
+      ok = false;
+    }
+    if (!kill_fired) {
+      std::cerr << "recovery probe: the seeded kill never fired — failing.\n";
+      ok = false;
+    }
+    if (!ok) return 1;
     std::cout << "SPMD and reference reports are bit-identical at every step.\n";
     return 0;
   } catch (const InputError& e) {

@@ -159,29 +159,9 @@ class SharedBroadcastDecode {
   std::vector<Entry> decoded_;  // guarded by mu_
 };
 
-/// The reference body's byte model of the broadcast: the binary wire of
-/// `descriptors` once per receiving rank.
-wgt_t descriptor_broadcast_bytes(const SubdomainDescriptors& descriptors,
-                                 idx_t k) {
-  return static_cast<wgt_t>(tree_to_binary(descriptors.tree()).size()) *
-         std::max<wgt_t>(0, k - 1);
-}
-
-/// Sorts `out.events` into event_order — the deterministic order both
-/// step flavors report, whatever order the ranks' events come in — and
-/// recounts contact and penetrating events.
-void finalize_events(StepEvents& out) {
-  std::sort(out.events.begin(), out.events.end(), event_order);
-  out.contact_events = to_idx(out.events.size());
-  out.penetrating_events = 0;
-  for (const ContactEvent& e : out.events) {
-    if (e.signed_distance < 0) ++out.penetrating_events;
-  }
-}
-
 /// Deterministic merge of per-rank events: concatenated in rank order (with
-/// the per-rank counts), then finalize_events — the identical sequence and
-/// comparison the reference body sorts, hence bit-identical output.
+/// the per-rank counts), then sorted into event_order, whatever order the
+/// ranks' events come in, with contact and penetrating events recounted.
 void merge_rank_events(const std::vector<SubdomainState>& ranks,
                        StepEvents& out) {
   out.events_per_processor.assign(ranks.size(), 0);
@@ -191,7 +171,12 @@ void merge_rank_events(const std::vector<SubdomainState>& ranks,
     out.events.insert(out.events.end(), ranks[q].events.begin(),
                       ranks[q].events.end());
   }
-  finalize_events(out);
+  std::sort(out.events.begin(), out.events.end(), event_order);
+  out.contact_events = to_idx(out.events.size());
+  out.penetrating_events = 0;
+  for (const ContactEvent& e : out.events) {
+    if (e.signed_distance < 0) ++out.penetrating_events;
+  }
 }
 
 /// Rank 0's contact-point gather: its own contact points and its inbox
@@ -366,7 +351,7 @@ DistributedStepReport DistributedSim::run_step(idx_t s) {
         // unreadable): complete this step degraded from the start-of-step
         // snapshot and continue unprotected — the same fallback the
         // transport-exhaustion path uses.
-        run_reference_step(step_history_[replay_pos_], report);
+        rerun_step_degraded(step_history_[replay_pos_], report);
         ++recovery_health.degraded_steps;
         ++steps_run_;
         ++replay_pos_;
@@ -427,16 +412,45 @@ void DistributedSim::run_step_attempt(idx_t s, DistributedStepReport& report) {
     }
   }
 
-  // If the transport gives up mid-step the reference body reruns the whole
-  // step from the start-of-step snapshot (positions need no recovery — they
-  // are recomputed closed-form and re-haloed every step).
+  // If the transport gives up mid-step the step reruns whole from the
+  // start-of-step snapshot; the report keeps the failed attempt's health.
   PipelineHealth health;
   if (try_spmd_step(s, migrate, report, health)) {
     report.health = exchange_.take_health();
   } else {
-    run_reference_step(s, report);
+    rerun_step_degraded(s, report);
     report.health = health;
   }
+}
+
+void DistributedSim::rerun_step_degraded(idx_t s,
+                                         DistributedStepReport& report) {
+  // The failed attempt left the rank states mid-step. Phase A and the halo
+  // rewrite every local position, so the reload needs none.
+  load_states(*owner_, start_hits_, [](idx_t) { return Vec3{}; });
+  death_mask_.clear();
+  hang_mask_.clear();
+  any_death_ = false;
+  any_hang_ = false;
+  // The rerun draws no fault decisions, and the superstep cursor goes back
+  // to where the failed attempt left it, so later steps key the same
+  // transport fault schedule as if the step had not been rerun.
+  FaultInjector* injector = exchange_.fault_injector();
+  const std::uint64_t superstep = exchange_.next_superstep();
+  const auto rearm = [&] {
+    exchange_.take_health();  // the rerun's deliveries are not reported
+    exchange_.set_fault_injector(injector);
+    exchange_.set_next_superstep(superstep);
+  };
+  exchange_.set_fault_injector(nullptr);
+  report = DistributedStepReport{};
+  try {
+    run_step_spmd(s, is_migration_step(), report);
+  } catch (...) {
+    rearm();
+    throw;
+  }
+  rearm();
 }
 
 bool DistributedSim::try_spmd_step(idx_t s, bool migrate,
@@ -462,14 +476,6 @@ bool DistributedSim::try_spmd_step(idx_t s, bool migrate,
   ++health.degraded_steps;
   exchange_.abort_step();
   return false;
-}
-
-DistributedStepReport DistributedSim::run_step_reference(idx_t s) {
-  require(!suspended_, "DistributedSim::run_step_reference: sim is suspended");
-  DistributedStepReport report;
-  run_reference_step(s, report);
-  ++steps_run_;
-  return report;
 }
 
 void DistributedSim::run_step_spmd(idx_t s, bool migrate,
@@ -558,7 +564,7 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
   const auto gather_phase = [&](idx_t r) {
     if (r != 0) return;
     // Each contact node has exactly one owner: placing the points by id
-    // yields the global ascending contact-id order of the oracle.
+    // yields the global ascending contact-id order.
     place_contact_points(states_[0], exchange_.coupling_forward().inbox(0),
                          gather_slot_, gather_points_, gather_labels_);
   };
@@ -866,209 +872,6 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
   if (epochs[0] != nullptr) owner_ = epochs[0]->owner;
   start_hits_.swap(end_hits_);
   report.ownership_hash = ownership_hash(*owner_, start_hits_);
-}
-
-void DistributedSim::run_reference_step(idx_t s,
-                                        DistributedStepReport& report) {
-  const idx_t np = k();
-  const idx_t nn = topology().num_nodes();
-  const idx_t ne = topology().num_elements();
-  const real_t nose = sim_->nose_z(s);
-  const bool migrate = is_migration_step();
-  // The centralized body holds the whole state, read and updated in place.
-  std::vector<idx_t> owner = *owner_;
-  std::vector<wgt_t> hits = start_hits_;
-  report = DistributedStepReport{};
-  report.step = s;
-  report.migrated = migrate;
-
-  // Kinematics for every node — the centralized body holds the whole state.
-  std::vector<Vec3> positions(static_cast<std::size_t>(nn));
-  for (idx_t v = 0; v < nn; ++v) {
-    positions[static_cast<std::size_t>(v)] = sim_->displaced(v, nose);
-  }
-
-  // FE halo: one unit per (owned node, tracker rank) pair — the identical
-  // enumeration the rank states post from (shared collect_tracker_ranks).
-  {
-    VirtualCluster fe(np);
-    std::vector<char> seen(static_cast<std::size_t>(np), 0);
-    std::vector<idx_t> trackers;
-    const wgt_t msg_bytes = wire_bytes(HaloNodeMsg{});
-    for (idx_t v = 0; v < nn; ++v) {
-      collect_tracker_ranks(topology(), owner, v, seen, trackers);
-      for (idx_t q : trackers) {
-        fe.send(owner[static_cast<std::size_t>(v)], q, 1);
-        report.halo_payload_bytes += msg_bytes;
-      }
-    }
-    report.fe_exchange = fe.finish();
-  }
-
-  // Global surface extraction + contact designation (same per-element scan
-  // as the rank programs, over all elements in ascending order).
-  struct HomedRecord {
-    FaceRecord rec;
-    idx_t home = kInvalidIndex;
-  };
-  std::vector<HomedRecord> records;
-  std::vector<char> is_contact(static_cast<std::size_t>(nn), 0);
-  for (idx_t e = 0; e < ne; ++e) {
-    sim_->for_each_contact_face(
-        e, nose, topology().mesh().element(e), positions,
-        [&](int lf, const std::array<idx_t, 4>& ids,
-            const std::array<idx_t, 4>&, int nf) {
-          for (int i = 0; i < nf; ++i) {
-            is_contact[static_cast<std::size_t>(ids[i])] = 1;
-          }
-          HomedRecord hr;
-          hr.home = majority_owner(
-              {ids.data(), static_cast<std::size_t>(nf)}, owner);
-          hr.rec.key = topology().face_key(e, lf);
-          hr.rec.num_nodes = nf;
-          for (int i = 0; i < nf; ++i) {
-            hr.rec.nodes[i] = ids[i];
-            hr.rec.coords[i] = positions[static_cast<std::size_t>(ids[i])];
-          }
-          records.push_back(hr);
-        });
-  }
-  std::vector<idx_t> contact_ids;
-  for (idx_t v = 0; v < nn; ++v) {
-    if (is_contact[static_cast<std::size_t>(v)]) contact_ids.push_back(v);
-  }
-
-  // Contact-point gather to rank 0.
-  {
-    VirtualCluster coupling(np);
-    const wgt_t msg_bytes = wire_bytes(ContactPointMsg{});
-    for (idx_t v : contact_ids) {
-      if (owner[static_cast<std::size_t>(v)] == 0) continue;
-      coupling.send(owner[static_cast<std::size_t>(v)], 0, 1);
-      report.coupling_payload_bytes += msg_bytes;
-    }
-    report.coupling_exchange = coupling.finish();
-  }
-
-  // Descriptor induction from the gathered points (labels are the current,
-  // pre-migration owners, exactly as rank 0 induces them).
-  std::vector<Vec3> points;
-  std::vector<idx_t> labels;
-  points.reserve(contact_ids.size());
-  labels.reserve(contact_ids.size());
-  for (idx_t v : contact_ids) {
-    points.push_back(positions[static_cast<std::size_t>(v)]);
-    labels.push_back(owner[static_cast<std::size_t>(v)]);
-  }
-  DescriptorOptions options = config_.decomposition.descriptor;
-  options.dim = topology().mesh().dim();
-  const SubdomainDescriptors descriptors(points, labels, np, options);
-  report.descriptor_tree_nodes = descriptors.num_tree_nodes();
-  report.descriptor_broadcast_bytes =
-      descriptor_broadcast_bytes(descriptors, np);
-
-  // Repartition: computed here (where the SPMD driver computes it, from the
-  // same labels and contact mask) but APPLIED only after the search — the
-  // rank protocol commits ownership at superstep F.
-  std::vector<idx_t> new_part;
-  std::vector<LabelUpdate> changed;
-  if (migrate) {
-    new_part = compute_repartition(s, owner, is_contact, report);
-    changed = label_changes(new_part, owner);
-    if (!changed.empty()) {
-      report.label_broadcast_bytes =
-          static_cast<wgt_t>(encode_label_updates(changed).size()) *
-          std::max<wgt_t>(0, np - 1);
-    }
-  }
-
-  // Global search + element shipping under the descriptor filter.
-  std::vector<std::vector<FaceRecord>> faces_on(
-      static_cast<std::size_t>(np));
-  {
-    VirtualCluster search(np);
-    std::vector<idx_t> parts;
-    std::vector<char> mask;
-    std::vector<idx_t> touched;
-    for (const HomedRecord& hr : records) {
-      faces_on[static_cast<std::size_t>(hr.home)].push_back(hr.rec);
-      BBox box;
-      for (int i = 0; i < hr.rec.num_nodes; ++i) box.expand(hr.rec.coords[i]);
-      box.inflate(config_.search.search_margin);
-      parts.clear();
-      descriptors.query_box(box, parts, mask, touched);
-      FaceShipMsg probe;
-      probe.num_nodes = hr.rec.num_nodes;
-      for (idx_t q : parts) {
-        if (q == hr.home) continue;
-        search.send(hr.home, q, 1);
-        report.face_payload_bytes += wire_bytes(probe);
-        faces_on[static_cast<std::size_t>(q)].push_back(hr.rec);
-      }
-    }
-    report.search_exchange = search.finish();
-  }
-
-  // Per-rank local search (serial) + hit accounting.
-  std::vector<std::vector<idx_t>> nodes_on(static_cast<std::size_t>(np));
-  for (idx_t v : contact_ids) {
-    nodes_on[static_cast<std::size_t>(owner[static_cast<std::size_t>(v)])]
-        .push_back(v);
-  }
-  const LocalSearchOptions local = config_.search.local_options(body_of_node_);
-  report.events_per_processor.assign(static_cast<std::size_t>(np), 0);
-  SubsetSearchScratch scratch;
-  std::vector<ContactEvent> rank_events;
-  std::vector<Vec3> node_positions;
-  for (idx_t q = 0; q < np; ++q) {
-    const auto sq = static_cast<std::size_t>(q);
-    rank_events.clear();
-    if (!nodes_on[sq].empty() && !faces_on[sq].empty()) {
-      node_positions.clear();
-      for (idx_t v : nodes_on[sq]) {
-        node_positions.push_back(positions[static_cast<std::size_t>(v)]);
-      }
-      local_contact_search_records_into(nodes_on[sq], node_positions,
-                                        faces_on[sq], local, scratch,
-                                        rank_events);
-    }
-    report.events_per_processor[sq] = to_idx(rank_events.size());
-    report.events.insert(report.events.end(), rank_events.begin(),
-                         rank_events.end());
-    for (const ContactEvent& ev : rank_events) {
-      ++hits[static_cast<std::size_t>(ev.node)];
-    }
-  }
-  finalize_events(report);
-
-  // Migration accounting + ownership commit. Moving a node's state between
-  // owners is a no-op on the global arrays, so only owner changes apply.
-  if (migrate) {
-    VirtualCluster migration(np);
-    const wgt_t node_bytes = wire_bytes(NodeMigrateMsg{});
-    for (const auto& [v, o] : changed) {
-      migration.send(owner[static_cast<std::size_t>(v)], o, 1);
-      report.migration_payload_bytes += node_bytes;
-    }
-    report.repart_moved_nodes = to_idx(changed.size());
-    for (idx_t e = 0; e < ne; ++e) {
-      const auto elem = topology().mesh().element(e);
-      const idx_t old_home = majority_owner(elem, owner);
-      const idx_t new_home = majority_owner(elem, new_part);
-      if (old_home == new_home) continue;
-      migration.send(old_home, new_home, 1);
-      ElementMigrateMsg probe;
-      probe.num_nodes = static_cast<std::int32_t>(elem.size());
-      report.migration_payload_bytes += wire_bytes(probe);
-      ++report.repart_moved_elements;
-    }
-    report.migration_exchange = migration.finish();
-    owner = std::move(new_part);
-  }
-
-  report.ownership_hash = ownership_hash(owner, hits);
-  load_states(std::move(owner), std::move(hits),
-              [&](idx_t v) { return sim_->displaced(v, nose); });
 }
 
 void DistributedSim::load_states(

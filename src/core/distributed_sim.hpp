@@ -55,15 +55,13 @@
 // migration commit F consumes the migration channels as the last phase of
 // the second run: 4 deliveries per step, 5 with migration.
 //
-// The pre-refactor shape survives as run_step_reference(): one centralized
-// body computing the same step on gathered global state, with all traffic
-// modeled analytically. It is the bit-identity oracle — events, traffic
-// matrices, payload bytes, ownership maps, and hit accumulators must match
-// the SPMD path exactly at any thread count, including across a
-// repartition-with-migration step. Both flavors read and write the same
-// rank states, so a single instance can interleave them, and the degraded
-// path (transport retry exhaustion under fault injection) completes the
-// step by running the reference body on the start-of-step state.
+// This is the library's one step body. A degraded step (transport retry
+// exhaustion, a rejected wire, a failing rank program, or a rank death with
+// no usable checkpoint) reloads the start-of-step snapshot and runs the
+// same body again with the fault injector disarmed. A bug in the rank body
+// is therefore not masked: it recurs in the rerun and surfaces as that
+// rerun's exception. The centralized reference the tests and bench_spmd
+// compare against lives in tests/support, outside the library.
 #pragma once
 
 #include <cstdint>
@@ -115,12 +113,11 @@ struct StepEvents {
 };
 
 /// Per-rank wall milliseconds of each SPMD phase of the last run_step,
-/// filled from the executor's per-body and per-wait timers (empty after
-/// run_step_reference and on degraded steps, which have no per-rank
-/// execution). Each wait is the readiness wait before a phase that reads a
-/// channel: time the rank spent blocked until the inbox rows it reads were
-/// closed (0 for already-ready inputs). Superstep letters as in this file's
-/// header comment:
+/// filled from the executor's per-body and per-wait timers (on a degraded
+/// step, those of the rerun). Each wait is the readiness wait before a
+/// phase that reads a channel: time the rank spent blocked until the inbox
+/// rows it reads were closed (0 for already-ready inputs). Superstep
+/// letters as in this file's header comment:
 ///   descriptor_ms[0]    the driver's descriptor induction + encode (and the
 ///                       label encode on migration steps); 0 on other ranks;
 ///   halo_ms             A kinematics + halo post, B surface extraction +
@@ -164,7 +161,7 @@ struct DistributedSimConfig {
   /// Durable checkpoint cadence: commit a checkpoint after every `period`
   /// completed steps (plus a baseline before the first step); 0 disables
   /// checkpointing, in which case a detected rank death degrades the step
-  /// to the centralized reference body instead of restore+replay. Requires
+  /// (a fault-free rerun) instead of restore+replay. Requires
   /// checkpoint_dir when > 0.
   idx_t checkpoint_period = 0;
   /// Directory holding the checkpoint blobs and manifest (created on first
@@ -195,8 +192,7 @@ struct DistributedStepReport : StepEvents {
   idx_t repart_moved_nodes = 0;
   idx_t repart_moved_elements = 0;
   /// Ranks whose local numbering and views the migration commit updated:
-  /// those a label change touches (0 when no label changed). SPMD only —
-  /// the reference body and degraded steps report 0.
+  /// those a label change touches (0 when no label changed).
   idx_t migration_ranks_rebuilt = 0;
   /// True when a hierarchical repartition escalated past the group level:
   /// some rank group breached kCrossGroupThreshold and one global
@@ -208,7 +204,7 @@ struct DistributedStepReport : StepEvents {
   /// migrate.
   double repartition_ms = 0;
   /// FNV-1a over the end-of-step ownership map and the owner-authoritative
-  /// contact-hit accumulators — the cheap cross-flavor state oracle.
+  /// contact-hit accumulators — the cheap state oracle.
   std::uint64_t ownership_hash = 0;
   /// Rank-death recovery accounting: `recovered` is set when at least one
   /// death was detected and repaired while producing this report, and
@@ -219,9 +215,8 @@ struct DistributedStepReport : StepEvents {
   idx_t replayed_steps = 0;
   double checkpoint_ms = 0;
   double recovery_ms = 0;
-  /// Per-rank phase timings of the SPMD path (see RankPhaseBreakdown for
-  /// how supersteps A-F map onto its arrays); empty after
-  /// run_step_reference and on degraded steps.
+  /// Per-rank phase timings (see RankPhaseBreakdown for how supersteps A-F
+  /// map onto its arrays); k entries each, on degraded steps too.
   RankPhaseBreakdown phase;
   PipelineHealth health;
 };
@@ -246,7 +241,7 @@ class DistributedSim {
   /// Executes snapshot step `s` SPMD (k rank programs on the global
   /// ThreadPool). Steps must be run in the order the instance is driven —
   /// the migration cadence counts steps run, not snapshot indices. Degrades
-  /// to the reference body on transport/rank failure, with
+  /// on transport/rank failure (see rerun_step_degraded), with
   /// health.degraded_steps == 1 on the report.
   ///
   /// Rank-death tolerance: with checkpoint_period > 0 the sim keeps a
@@ -258,12 +253,6 @@ class DistributedSim {
   /// injector keys rank faults on the per-step incarnation, which the sim
   /// bumps on every re-execution.
   DistributedStepReport run_step(idx_t s);
-
-  /// The centralized oracle: gathers the rank states, computes the same
-  /// step (including repartition + migration accounting) in one body, and
-  /// loads the result back into the rank states. Bit-identical to
-  /// run_step at any thread count. Throws while suspended.
-  DistributedStepReport run_step_reference(idx_t s);
 
   /// The exchange the SPMD supersteps run over — for fault injection and
   /// retry-policy tuning by tests/benches.
@@ -343,7 +332,7 @@ class DistributedSim {
                      PipelineHealth& health);
 
   /// One attempt at snapshot step `s`: the SPMD path with the degraded
-  /// reference fallback — exactly the pre-recovery run_step body, minus the
+  /// fallback — exactly the pre-recovery run_step body, minus the
   /// step-counter bump. Throws RankDeathError when a rank dies (injected
   /// death or watchdog-declared hang); every other failure completes the
   /// step degraded as before.
@@ -379,7 +368,7 @@ class DistributedSim {
   bool commit_checkpoint(PipelineHealth& health, double& checkpoint_ms);
 
   /// Computes this step's repartition from the current labels and the
-  /// contact mask (identical call on both flavors: same graph, same seed).
+  /// contact mask (seed: repartition.seed + s).
   /// Hierarchical configurations repartition group-locally by default and
   /// escalate cross-group only on threshold breach (report.repart_cross_group
   /// says which); report.repartition_ms gets the call's wall time. Runs on
@@ -389,14 +378,16 @@ class DistributedSim {
                                          std::span<const char> is_contact,
                                          DistributedStepReport& report);
 
-  /// Snapshot step `s` through the centralized reference body, from the
-  /// start-of-step snapshot into a fresh `report`, then loads its end state
-  /// with every local position at snapshot `s`'s: run_step_reference, and
-  /// the degraded fallback of run_step.
-  void run_reference_step(idx_t s, DistributedStepReport& report);
+  /// The degraded fallback: reloads the start-of-step snapshot, clears the
+  /// death and hang masks, and reruns run_step_spmd into a fresh `report`
+  /// with the injector disarmed. The injector and the superstep cursor the
+  /// failed attempt left are restored afterwards, so the rerun draws no
+  /// fault decisions. A throwing rerun propagates: there is no second
+  /// fallback.
+  void rerun_step_degraded(idx_t s, DistributedStepReport& report);
 
   /// The one way rank states are built from global state: construction,
-  /// the reference and degraded steps, and restore_from_checkpoint.
+  /// degraded steps, and restore_from_checkpoint.
   /// `owner` becomes the shared map of a new label epoch. Every rank runs
   /// SubdomainState::init on it in one channel-free executor phase (it
   /// consumes no exchange superstep), takes its positions from

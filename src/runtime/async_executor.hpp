@@ -70,9 +70,9 @@ class Exchange;
 /// One or more rank programs were declared dead: either a body threw this
 /// (the seeded death schedule's injection point), or the run's watchdog
 /// expired on a rank that never published its rows. The step's state is
-/// unusable — unlike TransportError/ParallelGroupError, DistributedSim does
-/// NOT degrade this to the centralized reference; it restores the last
-/// durable checkpoint and replays (see runtime/checkpoint.hpp).
+/// unusable — unlike TransportError/ParallelGroupError, DistributedSim
+/// restores the last durable checkpoint and replays (see
+/// runtime/checkpoint.hpp), and degrades the step only without one.
 class RankDeathError : public std::runtime_error {
  public:
   explicit RankDeathError(std::vector<idx_t> ranks);

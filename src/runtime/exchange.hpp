@@ -23,8 +23,8 @@
 // memory corruption — are re-staged from the retained outbox and
 // re-validated with bounded retries and exponential backoff; only when the
 // budget is exhausted does the run throw TransportError, which
-// DistributedSim catches to degrade the step to the centralized reference
-// path.
+// DistributedSim catches to degrade the step (a fault-free rerun from the
+// start-of-step snapshot).
 // All detection and recovery activity is counted in PipelineHealth.
 #pragma once
 
@@ -388,7 +388,7 @@ inline bool fault_truncate_payload(ElementMigrateMsg&, std::uint64_t) {
 
 /// Thrown by AsyncExecutor::run when a delivery still has corrupt cells
 /// after the full retry budget. DistributedSim catches it and completes the
-/// step through the centralized reference path.
+/// step degraded, by a fault-free rerun.
 class TransportError : public std::runtime_error {
  public:
   TransportError(const std::string& msg, std::uint64_t superstep,
@@ -651,14 +651,14 @@ class TypedChannel final : public ChannelCells {
 /// transports underneath. Every per-channel concern is one table indexed by
 /// ChannelId: the channel's cells, the cluster its commits charge, and its
 /// payload-byte accumulator. The constructor fills the table; four traffic
-/// groups mirror the report fields of the centralized reference step:
+/// groups fill the traffic fields of the step report:
 ///   * halo             -> fe cluster       (units == fe_halo_traffic)
 ///   * faces            -> search cluster   (units == NRemote shipping)
 ///   * coupling_forward -> coupling cluster (the contact-point gather);
 ///   * migrate_nodes + migrate_elements -> one shared migration cluster
 ///     (units == migrated records, the repartition redistribution volume);
 /// descriptor and label broadcasts move bytes but are charged to no
-/// cluster — the reference step reports them as byte counts, not
+/// cluster — the report carries them as byte counts, not
 /// StepTraffic. Retired ids have no entry.
 class Exchange {
  public:

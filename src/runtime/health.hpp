@@ -5,7 +5,7 @@
 // fields) at send time and verified at delivery. This header defines the
 // counters that record what the transport detected and did about it —
 // corrupt cells per channel, re-delivery attempts, backoff, and whole-step
-// degradations to the centralized reference path. A PipelineHealth travels
+// degradations (fault-free reruns of the step). A PipelineHealth travels
 // on every step report and aggregates across steps with operator+=, so a
 // run's fault history is a first-class output next to the traffic matrices.
 #pragma once
@@ -91,7 +91,7 @@ struct PipelineHealth {
   wgt_t count_mismatches = 0;
   wgt_t redelivered_bytes = 0;
   wgt_t exhausted_deliveries = 0;  // deliveries that ran out of retry budget
-  wgt_t degraded_steps = 0;        // steps completed via run_step_reference
+  wgt_t degraded_steps = 0;        // steps completed by a fault-free rerun
   wgt_t wire_parse_failures = 0;   // descriptor wires the scanner rejected
   wgt_t failed_ranks = 0;          // rank programs that threw in a superstep
   // Rank-death tolerance (see runtime/checkpoint.hpp and the recovery loop
@@ -119,7 +119,7 @@ struct PipelineHealth {
     return channels[static_cast<std::size_t>(static_cast<int>(id))];
   }
 
-  /// True when this step fell back to the centralized reference path.
+  /// True when this step fell back to a fault-free rerun.
   bool degraded() const { return degraded_steps > 0; }
   /// True when the transport saw no corruption, no retries, no fallback.
   bool clean() const;

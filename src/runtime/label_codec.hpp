@@ -17,7 +17,7 @@
 // against the remaining bytes, rejects unsorted/duplicate node ids and
 // trailing garbage, and throws TreeParseError (the step's "payload
 // failed validation after transport accepted the frame" error, which the
-// SPMD step catches to degrade to the reference path).
+// SPMD step catches to degrade the step).
 #pragma once
 
 #include <string>

@@ -140,8 +140,8 @@ struct SubdomainState {
   /// Recomputes the local numbering and every view from node_owner, and
   /// resizes positions / contact_hits / node_mask to it, zeroed (callers
   /// refill the state they carry). The cold path, run by init: every
-  /// wholesale load of the map (construction, a degraded or reference
-  /// step, restore). Between those, the views are stable because the
+  /// wholesale load of the map (construction, a degraded step's reload,
+  /// restore). Between those, the views are stable because the
   /// topology is, and a migration commit updates them in place
   /// (note_relabels, apply_relabels).
   void rebuild_views(const MeshTopology& topo, idx_t k);

@@ -54,7 +54,7 @@ struct StepTraffic {
   /// Element-wise sum of two traffic snapshots (same k).
   StepTraffic& operator+=(const StepTraffic& other);
 
-  /// Exact per-processor equality — what the SPMD-vs-centralized
+  /// Exact per-processor equality — what the step-vs-reference
   /// equivalence tests assert.
   bool operator==(const StepTraffic&) const = default;
 };

@@ -1,7 +1,7 @@
 // Chaos tests for the fault-injected exchange transport: every fault kind
 // must be detected by the cell framing/checksum, retries must recover from
 // transient corruption with bit-identical results, exhausted budgets must
-// degrade to the centralized reference path instead of crashing, and the
+// degrade to a fault-free rerun of the step instead of crashing, and the
 // health counters must match the injected schedule exactly. The soaks drive
 // DistributedSim (the MCML+DT step, fixed partition); its degraded path is
 // covered by distributed_test.
@@ -22,6 +22,7 @@
 #include "runtime/exchange.hpp"
 #include "runtime/fault_injector.hpp"
 #include "sim/impact_sim.hpp"
+#include "support/expect_reports.hpp"
 #include "tree/tree_io.hpp"
 
 namespace cpart {
@@ -31,20 +32,6 @@ std::uint64_t chaos_seed() {
   const char* env = std::getenv("CPART_CHAOS_SEED");
   if (env == nullptr || *env == '\0') return 1;
   return static_cast<std::uint64_t>(std::strtoull(env, nullptr, 10));
-}
-
-void expect_events_identical(const std::vector<ContactEvent>& got,
-                             const std::vector<ContactEvent>& want,
-                             const std::string& what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].node, want[i].node) << what << " event " << i;
-    EXPECT_EQ(got[i].face, want[i].face) << what << " event " << i;
-    // Exact double comparison — bit-identity, not tolerance.
-    EXPECT_EQ(got[i].distance, want[i].distance) << what << " event " << i;
-    EXPECT_EQ(got[i].signed_distance, want[i].signed_distance)
-        << what << " event " << i;
-  }
 }
 
 /// A FaultConfig that fires on every cell with exactly one kind.

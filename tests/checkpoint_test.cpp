@@ -21,6 +21,8 @@
 #include "runtime/checkpoint.hpp"
 #include "runtime/fault_injector.hpp"
 #include "sim/impact_sim.hpp"
+#include "support/expect_reports.hpp"
+#include "support/scenes.hpp"
 
 namespace cpart {
 namespace {
@@ -29,52 +31,6 @@ std::uint64_t chaos_seed() {
   const char* env = std::getenv("CPART_CHAOS_SEED");
   if (env == nullptr || *env == '\0') return 11;
   return static_cast<std::uint64_t>(std::strtoull(env, nullptr, 10));
-}
-
-void expect_events_identical(const std::vector<ContactEvent>& got,
-                             const std::vector<ContactEvent>& want,
-                             const std::string& what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].node, want[i].node) << what << " event " << i;
-    EXPECT_EQ(got[i].face, want[i].face) << what << " event " << i;
-    // Exact double comparison — bit-identity, not tolerance.
-    EXPECT_EQ(got[i].distance, want[i].distance) << what << " event " << i;
-    EXPECT_EQ(got[i].signed_distance, want[i].signed_distance)
-        << what << " event " << i;
-    for (int c = 0; c < 3; ++c) {
-      EXPECT_EQ(got[i].closest_point[c], want[i].closest_point[c])
-          << what << " event " << i;
-    }
-  }
-}
-
-// Every report field except health (recovery legitimately adds transport
-// activity) and the wall-clock recovery fields.
-void expect_reports_identical(const DistributedStepReport& got,
-                              const DistributedStepReport& want,
-                              const std::string& what) {
-  EXPECT_EQ(got.step, want.step) << what;
-  EXPECT_EQ(got.migrated, want.migrated) << what;
-  EXPECT_EQ(got.fe_exchange, want.fe_exchange) << what;
-  EXPECT_EQ(got.coupling_exchange, want.coupling_exchange) << what;
-  EXPECT_EQ(got.search_exchange, want.search_exchange) << what;
-  EXPECT_EQ(got.migration_exchange, want.migration_exchange) << what;
-  EXPECT_EQ(got.descriptor_tree_nodes, want.descriptor_tree_nodes) << what;
-  EXPECT_EQ(got.descriptor_broadcast_bytes, want.descriptor_broadcast_bytes)
-      << what;
-  EXPECT_EQ(got.label_broadcast_bytes, want.label_broadcast_bytes) << what;
-  EXPECT_EQ(got.halo_payload_bytes, want.halo_payload_bytes) << what;
-  EXPECT_EQ(got.coupling_payload_bytes, want.coupling_payload_bytes) << what;
-  EXPECT_EQ(got.face_payload_bytes, want.face_payload_bytes) << what;
-  EXPECT_EQ(got.migration_payload_bytes, want.migration_payload_bytes) << what;
-  EXPECT_EQ(got.repart_moved_nodes, want.repart_moved_nodes) << what;
-  EXPECT_EQ(got.repart_moved_elements, want.repart_moved_elements) << what;
-  EXPECT_EQ(got.contact_events, want.contact_events) << what;
-  EXPECT_EQ(got.penetrating_events, want.penetrating_events) << what;
-  EXPECT_EQ(got.events_per_processor, want.events_per_processor) << what;
-  EXPECT_EQ(got.ownership_hash, want.ownership_hash) << what;
-  expect_events_identical(got.events, want.events, what);
 }
 
 CheckpointData sample_data(idx_t k = 3, idx_t nn = 7) {
@@ -385,13 +341,7 @@ TEST(RetryPolicyTest, BackoffSaturatesInsteadOfOverflowing) {
 class RecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ImpactSimConfig sc;
-    sc.plate_cells_xy = 12;
-    sc.plate_cells_z = 2;
-    sc.proj_cells_diameter = 6;
-    sc.proj_cells_z = 6;
-    sc.num_snapshots = 40;
-    sim_ = std::make_unique<ImpactSim>(sc);
+    sim_ = std::make_unique<ImpactSim>(small_impact_config());
     dir_ = std::filesystem::temp_directory_path() /
            ("cpart_recovery_" + std::to_string(::getpid()));
     std::filesystem::remove_all(dir_);
@@ -511,21 +461,30 @@ TEST_F(RecoveryTest, SeededDeathScheduleSoakStaysBitIdentical) {
 
 TEST_F(RecoveryTest, DeathWithoutCheckpointingDegradesAndContinues) {
   // checkpoint_period == 0: no durable state, so a death completes the
-  // step via the centralized reference body — still bit-identical, but
-  // counted as degraded, not recovered.
+  // step by a fault-free rerun from the start-of-step snapshot — still
+  // bit-identical, but counted as degraded, not recovered. A kill and a
+  // hang, each on a plain step (3) and on a migration step (4, period 4).
+  // A rerun that kept the hang mask would be watchdogged again and throw.
   ThreadPool::set_global_threads(4);
-  FaultConfig fc;
-  fc.seed = chaos_seed();
-  fc.kill_rank = 0;
-  fc.kill_step = 3;
-  const PipelineHealth h = expect_recovers_bit_identical(
-      make_config(5, /*checkpoint_period=*/0, "nockpt"), fc, /*steps=*/7,
-      "no-checkpoint");
-  EXPECT_EQ(h.rank_deaths, 1);
-  EXPECT_EQ(h.recoveries, 0);
-  EXPECT_EQ(h.replay_steps, 0);
-  EXPECT_EQ(h.degraded_steps, 1);
-  EXPECT_EQ(h.checkpoints_written, 0);
+  for (const bool hang : {false, true}) {
+    for (const idx_t kill_step : {idx_t{3}, idx_t{4}}) {
+      const std::string what = std::string(hang ? "hang" : "kill") +
+                               " at step " + std::to_string(kill_step);
+      FaultConfig fc;
+      fc.seed = chaos_seed();
+      fc.kill_rank = hang ? 1 : 0;
+      fc.kill_step = kill_step;
+      fc.kill_hang = hang;
+      const PipelineHealth h = expect_recovers_bit_identical(
+          make_config(5, /*checkpoint_period=*/0, "nockpt"), fc,
+          /*steps=*/7, what);
+      EXPECT_EQ(h.rank_deaths, 1) << what;
+      EXPECT_EQ(h.recoveries, 0) << what;
+      EXPECT_EQ(h.replay_steps, 0) << what;
+      EXPECT_EQ(h.degraded_steps, 1) << what;
+      EXPECT_EQ(h.checkpoints_written, 0) << what;
+    }
+  }
 }
 
 TEST_F(RecoveryTest, CheckpointWriteFaultsNeverLoseLastGoodMidRun) {
@@ -569,7 +528,7 @@ TEST_F(RecoveryTest, CheckpointWriteFaultsNeverLoseLastGoodMidRun) {
   EXPECT_GT(shim.stats().short_writes + shim.stats().enospc_failures, 0);
   // The death is survived either way: replay from whatever commit last
   // succeeded, or — if every commit before the kill failed — the degraded
-  // reference path. Both keep the run bit-identical (asserted above).
+  // rerun. Both keep the run bit-identical (asserted above).
   EXPECT_EQ(total.recoveries + total.degraded_steps, 1);
   if (total.checkpoints_written == 0) {
     EXPECT_EQ(total.degraded_steps, 1);

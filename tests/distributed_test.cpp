@@ -1,9 +1,10 @@
 // DistributedSim equivalence: the rank-owned SPMD step (per-rank kinematics,
 // halo exchange, local surface extraction, descriptor induction, global +
 // local search, and live element migration on repartition steps) must be
-// bit-identical to the centralized reference body — events, traffic
-// matrices, payload bytes, ownership maps, and contact-hit accumulators — at
-// 1 worker thread and at 8, including under the fault-injected transport.
+// bit-identical to the centralized reference (ReferenceSim, tests/support)
+// — events, traffic matrices, payload bytes, ownership maps, and
+// contact-hit accumulators — at 1 worker thread and at 8, including under
+// the fault-injected transport and on degraded steps.
 // The step must also be exact against a serial search of the snapshot (no
 // contact is lost to the decomposition), and its halo traffic must equal a
 // brute-force count over the element closure.
@@ -32,6 +33,9 @@
 #include "runtime/fault_injector.hpp"
 #include "runtime/virtual_cluster.hpp"
 #include "sim/impact_sim.hpp"
+#include "support/expect_reports.hpp"
+#include "support/scenes.hpp"
+#include "support/reference_sim.hpp"
 
 namespace cpart {
 namespace {
@@ -44,61 +48,10 @@ std::uint64_t chaos_seed() {
   return static_cast<std::uint64_t>(std::strtoull(env, nullptr, 10));
 }
 
-void expect_events_identical(const std::vector<ContactEvent>& got,
-                             const std::vector<ContactEvent>& want,
-                             const std::string& what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].node, want[i].node) << what << " event " << i;
-    EXPECT_EQ(got[i].face, want[i].face) << what << " event " << i;
-    // Exact double comparison — bit-identity, not tolerance.
-    EXPECT_EQ(got[i].distance, want[i].distance) << what << " event " << i;
-    EXPECT_EQ(got[i].signed_distance, want[i].signed_distance)
-        << what << " event " << i;
-    for (int c = 0; c < 3; ++c) {
-      EXPECT_EQ(got[i].closest_point[c], want[i].closest_point[c])
-          << what << " event " << i;
-    }
-  }
-}
-
-// Every report field except health (the reference path runs no transport).
-void expect_reports_identical(const DistributedStepReport& got,
-                              const DistributedStepReport& want,
-                              const std::string& what) {
-  EXPECT_EQ(got.step, want.step) << what;
-  EXPECT_EQ(got.migrated, want.migrated) << what;
-  EXPECT_EQ(got.fe_exchange, want.fe_exchange) << what;
-  EXPECT_EQ(got.coupling_exchange, want.coupling_exchange) << what;
-  EXPECT_EQ(got.search_exchange, want.search_exchange) << what;
-  EXPECT_EQ(got.migration_exchange, want.migration_exchange) << what;
-  EXPECT_EQ(got.descriptor_tree_nodes, want.descriptor_tree_nodes) << what;
-  EXPECT_EQ(got.descriptor_broadcast_bytes, want.descriptor_broadcast_bytes)
-      << what;
-  EXPECT_EQ(got.label_broadcast_bytes, want.label_broadcast_bytes) << what;
-  EXPECT_EQ(got.halo_payload_bytes, want.halo_payload_bytes) << what;
-  EXPECT_EQ(got.coupling_payload_bytes, want.coupling_payload_bytes) << what;
-  EXPECT_EQ(got.face_payload_bytes, want.face_payload_bytes) << what;
-  EXPECT_EQ(got.migration_payload_bytes, want.migration_payload_bytes) << what;
-  EXPECT_EQ(got.repart_moved_nodes, want.repart_moved_nodes) << what;
-  EXPECT_EQ(got.repart_moved_elements, want.repart_moved_elements) << what;
-  EXPECT_EQ(got.contact_events, want.contact_events) << what;
-  EXPECT_EQ(got.penetrating_events, want.penetrating_events) << what;
-  EXPECT_EQ(got.events_per_processor, want.events_per_processor) << what;
-  EXPECT_EQ(got.ownership_hash, want.ownership_hash) << what;
-  expect_events_identical(got.events, want.events, what);
-}
-
 class DistributedSimTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ImpactSimConfig sc;
-    sc.plate_cells_xy = 12;
-    sc.plate_cells_z = 2;
-    sc.proj_cells_diameter = 6;
-    sc.proj_cells_z = 6;
-    sc.num_snapshots = 40;
-    sim_ = std::make_unique<ImpactSim>(sc);
+    sim_ = std::make_unique<ImpactSim>(small_impact_config());
   }
 
   void TearDown() override {
@@ -120,20 +73,20 @@ class DistributedSimTest : public ::testing::Test {
     return c;
   }
 
-  // Two identically-configured instances: one driven SPMD, one through the
-  // centralized reference body. Every step — including the two
+  // Two identically-configured runs: one driven SPMD, one through the
+  // centralized reference. Every step — including the two
   // repartition+migration steps the period puts in the sequence — must
   // produce identical reports and identical end-of-step rank state.
   void check_bit_identity(idx_t k) {
     const DistributedSimConfig config = make_config(k, /*period=*/2);
     DistributedSim spmd(*sim_, config);
-    DistributedSim oracle(*sim_, config);
+    ReferenceSim oracle(*sim_, config);
     bool saw_migration = false;
     for (idx_t s : {idx_t{0}, idx_t{5}, idx_t{10}, idx_t{15}, idx_t{20},
                     idx_t{29}}) {
       const std::string what = "k=" + std::to_string(k) +
                                " s=" + std::to_string(s);
-      const DistributedStepReport ref = oracle.run_step_reference(s);
+      const DistributedStepReport ref = oracle.run_step(s);
       const DistributedStepReport got = spmd.run_step(s);
       expect_reports_identical(got, ref, what);
       saw_migration = saw_migration || got.migrated;
@@ -142,8 +95,8 @@ class DistributedSimTest : public ::testing::Test {
       EXPECT_EQ(spmd.gather_contact_hits(), oracle.gather_contact_hits())
           << what;
       // A fault-free transport is clean: 4 deliveries per step, plus the
-      // migration superstep on repartition steps. The reference path runs
-      // no transport at all.
+      // migration superstep on repartition steps. The reference runs no
+      // transport at all.
       EXPECT_TRUE(got.health.clean()) << what << " " << got.health.summary();
       EXPECT_FALSE(got.health.degraded()) << what;
       EXPECT_EQ(got.health.deliveries, got.migrated ? 5 : 4) << what;
@@ -203,12 +156,12 @@ TEST_F(DistributedSimTest, GangInductionMatchesReferenceAtOneAndFour) {
   for (const unsigned width : {1u, 4u}) {
     ThreadPool::set_global_threads(width);
     DistributedSim spmd(sim, config);
-    DistributedSim oracle(sim, config);
+    ReferenceSim oracle(sim, config);
     std::size_t i = 0;
     for (idx_t s : {idx_t{0}, idx_t{28}, idx_t{29}}) {
       const std::string what =
           "width " + std::to_string(width) + " s=" + std::to_string(s);
-      const DistributedStepReport ref = oracle.run_step_reference(s);
+      const DistributedStepReport ref = oracle.run_step(s);
       const DistributedStepReport got = spmd.run_step(s);
       expect_reports_identical(got, ref, what);
       if (width == 1) {
@@ -294,17 +247,17 @@ TEST_F(DistributedSimTest, RepartitionGraphReuseMatchesRebuildAndReference) {
     const DistributedSimConfig config =
         make_config(kReuseRanks, /*period=*/2);
     DistributedSim spmd(*sim_, config);
-    DistributedSim oracle(*sim_, config);
+    ReferenceSim oracle(*sim_, config);
     idx_t migrations = 0;
     for (const StepFingerprint& f : kRebuildFingerprints) {
       const std::string what = "width " + std::to_string(width) +
                                " s=" + std::to_string(f.snapshot);
-      const DistributedStepReport ref = oracle.run_step_reference(f.snapshot);
+      const DistributedStepReport ref = oracle.run_step(f.snapshot);
       const DistributedStepReport got = spmd.run_step(f.snapshot);
       expect_reports_identical(got, ref, what);
       EXPECT_EQ(got.ownership_hash, f.ownership_hash) << what;
       EXPECT_EQ(got.repart_moved_nodes, f.repart_moved_nodes) << what;
-      // Both flavors time the repartition, and only on migration steps.
+      // Both time the repartition, and only on migration steps.
       for (const DistributedStepReport* r : {&got, &ref}) {
         if (r->migrated) {
           EXPECT_GT(r->repartition_ms, 0.0) << what;
@@ -387,9 +340,9 @@ TEST_F(DistributedSimTest, OwnedRecordsTileTheSnapshotSurface) {
 TEST_F(DistributedSimTest, SingleRankMovesNoBytes) {
   ThreadPool::set_global_threads(8);
   DistributedSim dsim(*sim_, make_config(1, /*period=*/2));
-  DistributedSim oracle(*sim_, make_config(1, /*period=*/2));
+  ReferenceSim oracle(*sim_, make_config(1, /*period=*/2));
   for (idx_t s : {idx_t{0}, idx_t{10}, idx_t{20}, idx_t{29}}) {
-    const DistributedStepReport ref = oracle.run_step_reference(s);
+    const DistributedStepReport ref = oracle.run_step(s);
     const DistributedStepReport got = dsim.run_step(s);
     expect_reports_identical(got, ref, "k=1 s=" + std::to_string(s));
     EXPECT_EQ(got.fe_exchange.total_units(), 0);
@@ -442,42 +395,85 @@ TEST_F(DistributedSimTest, FaultRetryKeepsBitIdentityAcrossMigration) {
 
 TEST_F(DistributedSimTest, ExhaustedBudgetDegradesToReferenceNotCrash) {
   ThreadPool::set_global_threads(4);
-  DistributedSim faulty(*sim_, make_config(4, /*period=*/2));
-  DistributedSim oracle(*sim_, make_config(4, /*period=*/2));
+  const idx_t k = 4;
+  DistributedSim faulty(*sim_, make_config(k, /*period=*/2));
+  DistributedSim clean(*sim_, make_config(k, /*period=*/2));
+  ReferenceSim oracle(*sim_, make_config(k, /*period=*/2));
   FaultInjector injector(
       FaultConfig{.seed = 7, .cell_fault_probability = 1.0});
 
   // Step 0 runs clean on both, step 1 (not yet a migration step) and step 2
   // (the first migration step) exhaust the budget on the faulty instance.
   for (idx_t s : {idx_t{0}, idx_t{5}, idx_t{10}}) {
+    const std::string what = "degraded s=" + std::to_string(s);
     const bool inject = s != 0;
     faulty.exchange().set_fault_injector(inject ? &injector : nullptr);
     faulty.exchange().set_retry_policy({.max_attempts = 2});
-    const DistributedStepReport ref = oracle.run_step_reference(s);
+    const DistributedStepReport ref = oracle.run_step(s);
+    const DistributedStepReport want = clean.run_step(s);
     const DistributedStepReport got = faulty.run_step(s);
-    EXPECT_EQ(got.health.degraded(), inject) << "s=" << s;
+    EXPECT_EQ(got.health.degraded(), inject) << what;
     if (inject) {
-      EXPECT_EQ(got.health.degraded_steps, 1) << "s=" << s;
-      // The degraded step ran no per-rank execution.
-      EXPECT_TRUE(got.phase.search_ms.empty()) << "s=" << s;
-      EXPECT_EQ(got.health.exhausted_deliveries, 1) << "s=" << s;
-      EXPECT_GT(got.health.corrupt_cells, 0) << "s=" << s;
+      EXPECT_EQ(got.health.degraded_steps, 1) << what;
+      EXPECT_EQ(got.health.exhausted_deliveries, 1) << what;
+      EXPECT_GT(got.health.corrupt_cells, 0) << what;
     }
+    // The degraded step reran the rank programs: a full breakdown.
+    EXPECT_EQ(got.phase.search_ms.size(), static_cast<std::size_t>(k))
+        << what;
     // The degraded step still produces the full, correct answer — the
     // mid-step corruption never leaks into the authoritative state.
-    expect_reports_identical(got, ref, "degraded s=" + std::to_string(s));
-    EXPECT_EQ(faulty.ownership_map(), oracle.ownership_map()) << "s=" << s;
+    expect_reports_identical(got, ref, what);
+    expect_reports_identical(got, want, what);
+    EXPECT_EQ(got.migration_ranks_rebuilt, want.migration_ranks_rebuilt)
+        << what;
+    EXPECT_EQ(faulty.ownership_map(), oracle.ownership_map()) << what;
     EXPECT_EQ(faulty.gather_contact_hits(), oracle.gather_contact_hits())
-        << "s=" << s;
+        << what;
+    EXPECT_EQ(faulty.gather_contact_hits(), clean.gather_contact_hits())
+        << what;
   }
 
   // Disarming the injector heals the sequence completely: the degraded
   // steps left the same state a clean run would have.
   faulty.exchange().set_fault_injector(nullptr);
-  const DistributedStepReport ref = oracle.run_step_reference(15);
+  const DistributedStepReport ref = oracle.run_step(15);
   const DistributedStepReport healed = faulty.run_step(15);
   EXPECT_TRUE(healed.health.clean()) << healed.health.summary();
   expect_reports_identical(healed, ref, "healed s=15");
+}
+
+TEST_F(DistributedSimTest, DegradedStepConsumesOnlyTheFailedDelivery) {
+  // Every cell corrupted, one attempt: the step's first delivery fails.
+  // The fault-free rerun consumes no superstep of its own, so the cursor
+  // moves by exactly that one delivery, and the injector stays armed for
+  // the next step — on a plain step and on a migration step alike.
+  ThreadPool::set_global_threads(4);
+  DistributedSim faulty(*sim_, make_config(4, /*period=*/2));
+  DistributedSim clean(*sim_, make_config(4, /*period=*/2));
+  FaultConfig fc;
+  fc.seed = chaos_seed();
+  fc.cell_fault_probability = 1.0;
+  FaultInjector injector(fc);
+  faulty.exchange().set_fault_injector(&injector);
+  faulty.exchange().set_retry_policy({.max_attempts = 1});
+  bool saw_migration = false;
+  for (idx_t s : {idx_t{0}, idx_t{5}, idx_t{10}, idx_t{15}}) {
+    const std::string what = "s=" + std::to_string(s);
+    const std::uint64_t before = faulty.exchange().next_superstep();
+    const DistributedStepReport want = clean.run_step(s);
+    const DistributedStepReport got = faulty.run_step(s);
+    EXPECT_EQ(faulty.exchange().next_superstep(), before + 1) << what;
+    EXPECT_EQ(faulty.exchange().fault_injector(), &injector) << what;
+    EXPECT_EQ(got.health.degraded_steps, 1) << what;
+    EXPECT_EQ(got.health.deliveries, 1) << what;
+    EXPECT_EQ(got.health.exhausted_deliveries, 1) << what;
+    expect_reports_identical(got, want, what);
+    EXPECT_EQ(faulty.gather_contact_hits(), clean.gather_contact_hits())
+        << what;
+    saw_migration = saw_migration || got.migrated;
+  }
+  EXPECT_TRUE(saw_migration);
 }
 
 TEST_F(DistributedSimTest, RejectsMarginSmallerThanTolerance) {
@@ -605,10 +601,6 @@ TEST_F(DistributedSimTest, PhaseTimingsCoverEveryRank) {
   EXPECT_GT(p.descriptor_ms[0], 0.0);
   // Every rank validates at least the descriptor broadcast.
   for (double ms : p.deliver_ms) EXPECT_GT(ms, 0.0);
-  // The reference path has no per-rank execution: its breakdown is empty.
-  const DistributedStepReport ref = dsim.run_step_reference(30);
-  EXPECT_TRUE(ref.phase.descriptor_ms.empty());
-  EXPECT_TRUE(ref.phase.search_ms.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -710,9 +702,9 @@ TEST_F(SpmdTest, SingleRankMovesNoBytes) {
   // body's bit for bit and the serial search's nodes and distances.
   ThreadPool::set_global_threads(8);
   DistributedSim dsim(*sim_, make_config(1, /*period=*/0));
-  DistributedSim oracle(*sim_, make_config(1, /*period=*/0));
+  ReferenceSim oracle(*sim_, make_config(1, /*period=*/0));
   const DistributedStepReport r = dsim.run_step(29);
-  expect_events_identical(r.events, oracle.run_step_reference(29).events,
+  expect_events_identical(r.events, oracle.run_step(29).events,
                           "k=1");
   EXPECT_EQ(r.halo_payload_bytes, 0);
   EXPECT_EQ(r.face_payload_bytes, 0);
@@ -752,10 +744,6 @@ TEST_F(SpmdTest, PhaseTimingsCoverEveryRank) {
     }
   }
   EXPECT_TRUE(saw_migration);
-  // The reference path has no per-rank execution: its breakdown is empty.
-  const DistributedStepReport ref = dsim.run_step_reference(20);
-  EXPECT_TRUE(ref.phase.halo_ms.empty());
-  EXPECT_TRUE(ref.phase.search_ms.empty());
 }
 
 
@@ -819,13 +807,7 @@ void expect_rank_states_local(const DistributedSim& dsim,
 
 TEST(DistributedSim, RankStateIsLocal) {
   ThreadPool::set_global_threads(4);
-  ImpactSimConfig sc;
-  sc.plate_cells_xy = 12;
-  sc.plate_cells_z = 2;
-  sc.proj_cells_diameter = 6;
-  sc.proj_cells_z = 6;
-  sc.num_snapshots = 40;
-  const ImpactSim sim(sc);
+  const ImpactSim sim(small_impact_config());
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
       ("cpart_rank_state_local_" + std::to_string(::getpid()));
@@ -918,13 +900,7 @@ TEST(DistributedSim, MigrationViewsMatchFullRebuild) {
   // full rebuild from the new labels, and the step must equal the
   // reference body — plain and under a seeded 2% fault schedule.
   ThreadPool::set_global_threads(4);
-  ImpactSimConfig sc;
-  sc.plate_cells_xy = 12;
-  sc.plate_cells_z = 2;
-  sc.proj_cells_diameter = 6;
-  sc.proj_cells_z = 6;
-  sc.num_snapshots = 40;
-  const ImpactSim sim(sc);
+  const ImpactSim sim(small_impact_config());
   DistributedSimConfig config;
   config.decomposition.k = 25;
   config.search.search_margin = 0.12;
@@ -933,7 +909,7 @@ TEST(DistributedSim, MigrationViewsMatchFullRebuild) {
   config.repartition.epsilon = 0.02;
   for (const double fault_rate : {0.0, 0.02}) {
     DistributedSim dsim(sim, config);
-    DistributedSim oracle(sim, config);
+    ReferenceSim oracle(sim, config);
     FaultConfig fc;
     fc.seed = chaos_seed();
     fc.cell_fault_probability = fault_rate;
@@ -951,7 +927,7 @@ TEST(DistributedSim, MigrationViewsMatchFullRebuild) {
       const idx_t s = (7 * i) % 40;
       const std::string what = "fault rate " + std::to_string(fault_rate) +
                                " s=" + std::to_string(s);
-      const DistributedStepReport want = oracle.run_step_reference(s);
+      const DistributedStepReport want = oracle.run_step(s);
       const DistributedStepReport got = dsim.run_step(s);
       expect_reports_identical(got, want, what);
       expect_views_match_full_rebuild(dsim, what);
@@ -991,13 +967,7 @@ TEST(DistributedSim, StartSnapshotTracksRankState) {
   // view the very map start_owner() views, and every rank's halo providers
   // must be its ghosts' owners.
   ThreadPool::set_global_threads(4);
-  ImpactSimConfig sc;
-  sc.plate_cells_xy = 12;
-  sc.plate_cells_z = 2;
-  sc.proj_cells_diameter = 6;
-  sc.proj_cells_z = 6;
-  sc.num_snapshots = 40;
-  const ImpactSim sim(sc);
+  const ImpactSim sim(small_impact_config());
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
       ("cpart_start_snapshot_" + std::to_string(::getpid()));
@@ -1055,9 +1025,6 @@ TEST(DistributedSim, StartSnapshotTracksRankState) {
   EXPECT_TRUE(step("restore and replay").recovered);
   dsim.exchange().set_fault_injector(nullptr);
 
-  dsim.run_step_reference(s);
-  s += 3;
-  expect_current("reference step");
   ASSERT_TRUE(dsim.suspend());
   ASSERT_TRUE(dsim.resume());
   expect_current("resume");
@@ -1078,13 +1045,7 @@ TEST(DistributedSim, MigrationSharesOneDecodedMap) {
   // the reference body's labels — plain and under a seeded 2% fault
   // schedule.
   ThreadPool::set_global_threads(4);
-  ImpactSimConfig sc;
-  sc.plate_cells_xy = 12;
-  sc.plate_cells_z = 2;
-  sc.proj_cells_diameter = 6;
-  sc.proj_cells_z = 6;
-  sc.num_snapshots = 40;
-  const ImpactSim sim(sc);
+  const ImpactSim sim(small_impact_config());
   DistributedSimConfig config;
   config.decomposition.k = 8;
   config.search.search_margin = 0.12;
@@ -1093,7 +1054,7 @@ TEST(DistributedSim, MigrationSharesOneDecodedMap) {
   config.repartition.epsilon = 0.02;
   for (const double fault_rate : {0.0, 0.02}) {
     DistributedSim dsim(sim, config);
-    DistributedSim oracle(sim, config);
+    ReferenceSim oracle(sim, config);
     FaultConfig fc;
     fc.seed = chaos_seed();
     fc.cell_fault_probability = fault_rate;
@@ -1108,7 +1069,7 @@ TEST(DistributedSim, MigrationSharesOneDecodedMap) {
       const std::string what = "fault rate " + std::to_string(fault_rate) +
                                " s=" + std::to_string(s);
       const std::vector<idx_t>* before = dsim.states()[0].node_owner.get();
-      oracle.run_step_reference(s);
+      oracle.run_step(s);
       const DistributedStepReport got = dsim.run_step(s);
       ASSERT_EQ(got.health.degraded_steps, 0) << what;
       const auto& map = dsim.states()[0].node_owner;
@@ -1129,16 +1090,10 @@ TEST(DistributedSim, MigrationSharesOneDecodedMap) {
 TEST(DistributedSim, SuspendedAccessorsThrow) {
   // suspend() releases the rank states: every accessor that reads them
   // throws until resume() restores them, and then returns what it returned
-  // before the suspend. A reference step after the resume equals the one
-  // of a twin that never suspended.
+  // before the suspend. A step after the resume equals the one of a twin
+  // that never suspended.
   ThreadPool::set_global_threads(4);
-  ImpactSimConfig sc;
-  sc.plate_cells_xy = 12;
-  sc.plate_cells_z = 2;
-  sc.proj_cells_diameter = 6;
-  sc.proj_cells_z = 6;
-  sc.num_snapshots = 40;
-  const ImpactSim sim(sc);
+  const ImpactSim sim(small_impact_config());
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
       ("cpart_suspended_accessors_" + std::to_string(::getpid()));
@@ -1160,14 +1115,13 @@ TEST(DistributedSim, SuspendedAccessorsThrow) {
   ASSERT_TRUE(dsim.suspend());
   EXPECT_THROW(dsim.ownership_map(), InputError);
   EXPECT_THROW(dsim.gather_contact_hits(), InputError);
-  EXPECT_THROW(dsim.run_step_reference(12), InputError);
   EXPECT_THROW(dsim.run_step(12), InputError);
   EXPECT_TRUE(dsim.start_owner().empty());
   ASSERT_TRUE(dsim.resume());
   EXPECT_EQ(dsim.ownership_map(), owner);
   EXPECT_EQ(dsim.gather_contact_hits(), hits);
-  const DistributedStepReport want = twin.run_step_reference(12);
-  const DistributedStepReport got = dsim.run_step_reference(12);
+  const DistributedStepReport want = twin.run_step(12);
+  const DistributedStepReport got = dsim.run_step(12);
   EXPECT_EQ(got.ownership_hash, want.ownership_hash);
   EXPECT_EQ(dsim.ownership_map(), twin.ownership_map());
   std::filesystem::remove_all(dir);
