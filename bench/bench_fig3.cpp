@@ -34,8 +34,8 @@ void render_cross_section(const ImpactSim& sim, idx_t step,
   for (idx_t e = 0; e < mesh.num_elements(); ++e) {
     const Vec3 c = mesh.element_center(e);
     if (std::abs(c.y) > slab) continue;
-    const Body body =
-        sim.node_body()[static_cast<std::size_t>(mesh.element(e).front())];
+    const auto body = static_cast<Body>(
+        sim.node_body()[static_cast<std::size_t>(mesh.element(e).front())]);
     const BBox eb = mesh.element_bbox(e);
     BBox flat;
     flat.expand(Vec3{eb.lo.x, eb.lo.z, 0});

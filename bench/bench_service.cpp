@@ -15,6 +15,11 @@
 //     executed-step p99 in both and their ratio; under fair scheduling the
 //     big tenant may add queueing delay but must not inflate the smalls'
 //     own step cost: the binary exits nonzero when the ratio exceeds 2.
+//   * scene sharing — the throughput probe's sessions share one sim config,
+//     so the service must build exactly one scene for them (the head of the
+//     admission queue holds it while the residents of a wave leave); the
+//     binary exits nonzero otherwise. The JSON reports the scenes built
+//     and the scene's bytes, charged to the budget once.
 //   * suspend/resume — one session stepped halfway, suspended (durable
 //     checkpoint, rank states + arena released, accounted bytes back to
 //     zero), resumed, stepped to completion; the full report sequence must
@@ -33,7 +38,8 @@
 //
 // JSON output: {"env": {...}, "config": {...}, "results": [{threads,
 // wall_ms, throughput_steps_per_s, latency percentiles, fairness_ratio,
-// bit_identical, admission: {...}, scheduler: {...}}], "isolation": {...},
+// bit_identical, admission: {..., scenes, scene_bytes}, scheduler: {...}}],
+// "isolation": {...},
 // "suspend_resume": {...}}.
 #include <algorithm>
 #include <filesystem>
@@ -246,6 +252,7 @@ int main(int argc, char** argv) {
       for (idx_t i = 0; i < n_sessions; ++i) {
         require(mgr.create(make_session(i)), "create rejected");
       }
+      const std::size_t scene_bytes = mgr.scene(session_name(0))->heap_bytes();
       std::vector<bool> finished(static_cast<std::size_t>(n_sessions), false);
       idx_t done = 0;
       idx_t waves = 0;
@@ -291,6 +298,13 @@ int main(int argc, char** argv) {
         all_ok = false;
       }
       all_ok = all_ok && identical;
+      const idx_t scenes = mgr.scenes_built();
+      if (scenes != 1) {
+        std::cerr << "SCENE CACHE FAILURE: " << scenes
+                  << " scenes built for one sim config at threads " << t
+                  << "\n";
+        all_ok = false;
+      }
 
       const ServiceStats stats = mgr.service_stats();
       // Fairness across identical tenants: the spread of per-session mean
@@ -336,7 +350,9 @@ int main(int argc, char** argv) {
            << ", \"peak_resident_bytes\": " << peak_bytes
            << ", \"waves\": " << waves
            << ", \"leaked_bytes\": " << leaked_bytes
-           << ", \"leaked_sessions\": " << leaked_sessions << "}"
+           << ", \"leaked_sessions\": " << leaked_sessions
+           << ", \"scenes\": " << scenes
+           << ", \"scene_bytes\": " << scene_bytes << "}"
            << ",\n   \"scheduler\": {\"workers\": " << sched.total_workers
            << ", \"items_executed\": " << sched.items_executed
            << ", \"gang_slots_executed\": " << sched.gang_slots_executed
@@ -466,12 +482,13 @@ int main(int argc, char** argv) {
             "cannot write --out (atomic commit failed)");
     std::cout << "\nWrote " << out_path << ".\n";
     if (!all_ok) {
-      std::cerr << "service run failed a gate (identity, leaks, isolation "
-                   "or suspend/resume) — failing.\n";
+      std::cerr << "service run failed a gate (identity, leaks, isolation, "
+                   "scene sharing or suspend/resume) — failing.\n";
       return 1;
     }
     std::cout << "All sessions bit-identical to their solo runs; no "
-                 "admission leaks; isolation within bound.\n";
+                 "admission leaks; one shared scene; isolation within "
+                 "bound.\n";
     return 0;
   } catch (const InputError& e) {
     std::cerr << "error: " << e.what() << "\n" << flags.usage("bench_service");

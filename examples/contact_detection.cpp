@@ -54,13 +54,9 @@ int main(int argc, char** argv) {
               << snap.surface.num_faces() << " elements leave home)\n";
 
     // Local search: the actual contacts (cross-body proximities).
-    std::vector<int> body(static_cast<std::size_t>(snap.mesh.num_nodes()));
-    for (std::size_t i = 0; i < body.size(); ++i) {
-      body[i] = static_cast<int>(sim.node_body()[i]);
-    }
     LocalSearchOptions ls;
     ls.tolerance = tolerance;
-    ls.body_of_node = body;
+    ls.body_of_node = sim.node_body();
     const auto events = local_contact_search(snap.mesh, snap.surface, ls);
     idx_t penetrating = 0;
     real_t min_gap = tolerance;

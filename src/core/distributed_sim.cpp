@@ -252,9 +252,6 @@ DistributedSim::DistributedSim(const ImpactSim& sim,
   require(config_.repartition_period >= 0,
           "DistributedSim: repartition_period must be >= 0");
 
-  body_of_node_.reserve(sim.node_body().size());
-  for (Body b : sim.node_body()) body_of_node_.push_back(static_cast<int>(b));
-
   // Initial decomposition: the paper's MCML+DT partition of the snapshot-0
   // mesh becomes the initial ownership map. The partitioner is not kept —
   // afterwards the labels live in (and only in) the shared map. Positions
@@ -648,7 +645,8 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
   // E follows per rank as its faces cells commit (delivery #4); on
   // migration steps F consumes the migration channels (delivery #5) and
   // commits the handover. ---------------------------------------------------
-  const LocalSearchOptions local = config_.search.local_options(body_of_node_);
+  const LocalSearchOptions local =
+      config_.search.local_options(sim_->node_body());
   SharedBroadcastDecode decodes(np, owner_);
   // epochs[r]: rank r's decode of the label broadcast, null when no label
   // changes. Rank 0 has no inbox: it looks up the buffer it broadcast.

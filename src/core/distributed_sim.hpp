@@ -402,7 +402,6 @@ class DistributedSim {
   const ImpactSim* sim_;
   DistributedSimConfig config_;
   Partitioner partitioner_;  // the unified repartition entry (owns hierarchy)
-  std::vector<int> body_of_node_;  // same-body search exclusion
   std::vector<SubdomainState> states_;
   Exchange exchange_;
   AsyncExecutor async_;

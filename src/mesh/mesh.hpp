@@ -74,6 +74,12 @@ class Mesh {
   /// bodies are not stitched). Returns the node-id offset applied to `other`.
   idx_t append(const Mesh& other);
 
+  /// Heap bytes of the node and connectivity arrays, by capacity.
+  std::size_t heap_bytes() const {
+    return nodes_.capacity() * sizeof(Vec3) +
+           elem_nodes_.capacity() * sizeof(idx_t);
+  }
+
  private:
   ElementType type_ = ElementType::kHex8;
   std::vector<Vec3> nodes_;

@@ -56,6 +56,13 @@ class MeshTopology {
     return {elem_incidence_.data() + b, e - b};
   }
 
+  /// Heap bytes of the neighbour and incidence arrays, by capacity.
+  std::size_t heap_bytes() const {
+    return (face_neighbor_.capacity() + elem_offsets_.capacity() +
+            elem_incidence_.capacity()) *
+           sizeof(idx_t);
+  }
+
  private:
   const Mesh* mesh_;
   int fpe_ = 0;

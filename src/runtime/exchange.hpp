@@ -457,11 +457,11 @@ class ChannelCells {
 /// cells are indexed (from, to), and rank r only ever writes row r. Each
 /// cell carries a frame (message count + running FNV-1a checksum) built at
 /// send time. Delivery is two-phase and per destination:
-/// attempt_deliver_cell() stages one pending cell onto the "wire"
-/// (optionally corrupted by a FaultInjector) and validates it against the
-/// frame — the outbox is retained until its cell validates, so corrupt
-/// cells can be re-staged; commit_dst() then assembles one inbox from the
-/// validated cells in ascending source order and charges the transport.
+/// attempt_deliver_cell() validates one pending cell against the frame —
+/// the outbox itself, or a copy a FaultInjector corrupted, so the outbox
+/// stays pristine and a corrupt cell can be re-staged; commit_dst() then
+/// moves the validated outboxes into one inbox in ascending source order
+/// and charges the transport.
 template <typename T>
 class TypedChannel final : public ChannelCells {
  public:
@@ -496,13 +496,14 @@ class TypedChannel final : public ChannelCells {
     }
   }
 
-  /// One validation attempt of the single (from, to) cell: stages it onto
-  /// the wire (through `injector` when non-null — the wire copy may be
-  /// corrupted, the outbox stays pristine), recomputes count + checksum,
-  /// and keys the injector decision on (channel, superstep, attempt, from,
-  /// to). Returns true when the cell is staged OK (empty cells validate
-  /// trivially); detection counters accumulate into `health`, whatever
-  /// scratch the caller owns. Safe to call concurrently for distinct cells.
+  /// One validation attempt of the single (from, to) cell: recomputes
+  /// count + checksum over the wire — the outbox, or a corrupted copy when
+  /// `injector` is non-null and decides to corrupt it (the outbox stays
+  /// pristine) — keying the injector decision on (channel, superstep,
+  /// attempt, from, to). Returns true when the cell is staged OK (empty
+  /// cells validate trivially); detection counters accumulate into
+  /// `health`, whatever scratch the caller owns. Safe to call concurrently
+  /// for distinct cells.
   bool attempt_deliver_cell(FaultInjector* injector, ChannelId id,
                             std::uint64_t superstep, idx_t attempt, idx_t from,
                             idx_t to, PipelineHealth& health) override {
@@ -514,28 +515,30 @@ class TypedChannel final : public ChannelCells {
       cell.staged_ok = true;
       return true;
     }
-    // The wire is the outbox itself on the fast path: nothing between us
-    // and the inbox can corrupt it except genuine in-process memory
-    // corruption, which the checksum below still detects (and which no
-    // retry could fix). Under an injector it is a copy in the retained
-    // staging buffer, which the injector may corrupt while the outbox stays
-    // pristine until the cell validates.
-    const std::vector<T>* wire = &cell.items;
-    if (injector != nullptr) {
-      cell.staged.assign(cell.items.begin(), cell.items.end());
-      injector->maybe_corrupt(id, superstep, attempt, from, to, cell.staged);
-      wire = &cell.staged;
+    // The wire is the outbox itself: nothing between us and the inbox can
+    // corrupt it except genuine in-process memory corruption, which the
+    // checksum below still detects (and which no retry could fix). Only a
+    // cell the injector decides to corrupt goes through a copy, which the
+    // injector corrupts while the outbox stays pristine for the retry.
+    const bool corrupt =
+        injector != nullptr &&
+        injector->corrupts_cell(id, superstep, attempt, from, to);
+    if (corrupt) {
+      cell.corrupted.assign(cell.items.begin(), cell.items.end());
+      injector->maybe_corrupt(id, superstep, attempt, from, to,
+                              cell.corrupted);
     }
+    const std::vector<T>& wire = corrupt ? cell.corrupted : cell.items;
     std::uint64_t h = kFnvOffsetBasis;
-    for (const T& item : *wire) {
+    for (const T& item : wire) {
       h = (h ^ validation_hash(item, superstep, attempt)) * kFnvPrime;
     }
-    const bool count_ok = to_idx(wire->size()) == cell.count;
+    const bool count_ok = to_idx(wire.size()) == cell.count;
     const bool hash_ok = h == cell.hash;
     if (count_ok && hash_ok) {
-      // A swap, not a move: the outbox takes the staging buffer's capacity,
-      // so the next step's sends do not regrow it from zero.
-      if (injector == nullptr) cell.staged.swap(cell.items);
+      // commit_dst() moves the validated wire out of the outbox: a
+      // corrupted copy that still validates is delivered as it is.
+      if (corrupt) cell.items.swap(cell.corrupted);
       cell.staged_ok = true;
       return true;
     }
@@ -555,7 +558,7 @@ class TypedChannel final : public ChannelCells {
   }
 
   /// Per-destination commit: assembles rank `to`'s inbox from its validated
-  /// staged cells in ascending source order, charges `transport`, resets
+  /// cells' outboxes in ascending source order, charges `transport`, resets
   /// the column's cells, and returns the payload bytes moved. The caller
   /// guarantees every non-empty cell of the column is staged_ok. Concurrent
   /// calls for different `to` are safe: they touch disjoint cells, inboxes,
@@ -571,8 +574,8 @@ class TypedChannel final : public ChannelCells {
                           static_cast<std::size_t>(to)];
       if (cell.count > 0) {
         inbox.insert(inbox.end(),
-                     std::make_move_iterator(cell.staged.begin()),
-                     std::make_move_iterator(cell.staged.end()));
+                     std::make_move_iterator(cell.items.begin()),
+                     std::make_move_iterator(cell.items.end()));
         if (transport != nullptr) transport->send(from, to, cell.count);
         bytes += cell.bytes;
       }
@@ -581,7 +584,7 @@ class TypedChannel final : public ChannelCells {
     return bytes;
   }
 
-  /// Drops all pending outboxes, staged data, and inboxes (degraded-mode
+  /// Drops all pending outboxes, corrupted copies, and inboxes (degraded-mode
   /// cleanup after an exhausted delivery).
   void abort() override {
     for (Cell& cell : cells_) cell.reset();
@@ -620,8 +623,8 @@ class TypedChannel final : public ChannelCells {
 
   // Both buffers keep their capacity across steps (reset() clears them).
   struct Cell {
-    std::vector<T> items;   // outbox, retained until validated
-    std::vector<T> staged;  // validated wire awaiting commit
+    std::vector<T> items;      // outbox, retained until committed
+    std::vector<T> corrupted;  // the injector's copy, for cells it corrupts
     wgt_t bytes = 0;
     std::uint64_t hash = kFnvOffsetBasis;  // send-side frame checksum
     idx_t count = 0;                       // send-side frame message count
@@ -629,7 +632,7 @@ class TypedChannel final : public ChannelCells {
 
     void reset() {
       items.clear();
-      staged.clear();
+      corrupted.clear();
       bytes = 0;
       hash = kFnvOffsetBasis;
       count = 0;

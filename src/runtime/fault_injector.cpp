@@ -56,6 +56,13 @@ std::uint64_t FaultInjector::decision_seed(ChannelId channel,
   return h;
 }
 
+bool FaultInjector::corrupts_cell(ChannelId channel, std::uint64_t superstep,
+                                  idx_t attempt, idx_t from, idx_t to) const {
+  if (config_.cell_fault_probability <= 0.0) return false;
+  Rng rng(decision_seed(channel, superstep, attempt, from, to));
+  return rng.uniform() < config_.cell_fault_probability;
+}
+
 FaultKind FaultInjector::pick_kind(Rng& rng) const {
   double total = 0;
   for (double w : config_.kind_weights) total += w;

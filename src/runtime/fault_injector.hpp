@@ -18,8 +18,10 @@
 //   drop, duplicate, truncate(tail) -> count mismatch
 //   bit-flip, reorder, truncate(payload) -> checksum mismatch
 //
-// maybe_corrupt() is thread-safe: the decision itself is a pure function of
-// the tuple (no shared state), and the stats counters are commutative sums
+// corrupts_cell() exposes that decision as a const query, so a channel
+// stages a wire copy only for the cells it will corrupt. maybe_corrupt()
+// is thread-safe: the decision itself is a pure function of the tuple (no
+// shared state), and the stats counters are commutative sums
 // recorded with atomic increments — under the async executor concurrent
 // rank programs validate their own inbox cells, so decisions land from
 // several threads at once. Totals are exact and schedule-independent.
@@ -112,15 +114,23 @@ class FaultInjector {
   /// this once per rank it actually sabotages).
   void record_rank_fault(RankFaultKind kind);
 
+  /// The cell-fault decision for (channel, superstep, attempt, from, to): a
+  /// pure function of the tuple and the seed. maybe_corrupt() applies a
+  /// fault to a non-empty wire exactly when this is true.
+  bool corrupts_cell(ChannelId channel, std::uint64_t superstep, idx_t attempt,
+                     idx_t from, idx_t to) const;
+
   /// Decides deterministically whether to corrupt `wire` (the staged copy of
   /// one cell) and applies at most one fault. Returns true when a fault was
-  /// applied. `wire` must be non-empty.
+  /// applied: when `wire` is non-empty and corrupts_cell() holds.
   template <typename T>
   bool maybe_corrupt(ChannelId channel, std::uint64_t superstep, idx_t attempt,
                      idx_t from, idx_t to, std::vector<T>& wire) {
-    if (wire.empty() || config_.cell_fault_probability <= 0.0) return false;
+    if (wire.empty() || !corrupts_cell(channel, superstep, attempt, from, to)) {
+      return false;
+    }
     Rng rng(decision_seed(channel, superstep, attempt, from, to));
-    if (rng.uniform() >= config_.cell_fault_probability) return false;
+    rng.uniform();  // the draw corrupts_cell() decided on
     FaultKind kind = pick_kind(rng);
     // A reorder needs two messages to be observable; demote to a drop so
     // every injected fault is guaranteed detectable (stats record what was

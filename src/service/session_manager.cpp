@@ -38,6 +38,34 @@ std::shared_ptr<SessionManager::Session> SessionManager::find(
   return it->second;
 }
 
+std::shared_ptr<const ImpactSim> SessionManager::acquire_scene(
+    const ImpactSimConfig& config) {
+  std::erase_if(scenes_, [](const auto& w) { return w.expired(); });
+  for (const auto& w : scenes_) {
+    std::shared_ptr<const ImpactSim> scene = w.lock();
+    if (scene && scene->config() == config) return scene;
+  }
+  std::shared_ptr<const ImpactSim> scene = std::make_shared<ImpactSim>(config);
+  scenes_.push_back(scene);
+  ++scenes_built_;
+  return scene;
+}
+
+bool SessionManager::scene_charged(const ImpactSim& scene) const {
+  return std::any_of(sessions_.begin(), sessions_.end(), [&](auto& e) {
+    return e.second->state == SessionState::kResident &&
+           e.second->sim.get() == &scene;
+  });
+}
+
+std::size_t SessionManager::admission_estimate(const Session& s) const {
+  const Mesh& mesh = s.sim->initial_mesh();
+  std::size_t estimate = DistributedSim::estimate_resident_bytes(
+      mesh.num_nodes(), mesh.num_elements(), s.config.dist.decomposition.k);
+  if (!scene_charged(*s.sim)) estimate += s.sim->heap_bytes();
+  return estimate;
+}
+
 bool SessionManager::admission_fits(std::size_t estimate) const {
   const idx_t resident =
       to_idx(std::count_if(sessions_.begin(), sessions_.end(), [](auto& e) {
@@ -67,9 +95,18 @@ void SessionManager::make_resident(Session& s) {
 
 void SessionManager::mark_resident(Session& s) {
   s.arena = std::make_unique<TaskArena>(pool_);
+  if (!scene_charged(*s.sim)) resident_bytes_ += s.sim->heap_bytes();
   s.accounted_bytes = s.dist->resident_bytes();
   resident_bytes_ += s.accounted_bytes;
   s.state = SessionState::kResident;
+}
+
+void SessionManager::release_charges(Session& s) {
+  std::size_t released = std::exchange(s.accounted_bytes, 0);
+  if (!scene_charged(*s.sim)) released += s.sim->heap_bytes();
+  require(resident_bytes_ >= released,
+          "SessionManager: resident-bytes accounting underflow");
+  resident_bytes_ -= released;
 }
 
 void SessionManager::admit_pending() {
@@ -80,14 +117,10 @@ void SessionManager::admit_pending() {
       continue;
     }
     Session& s = *it->second;
-    // Build the ImpactSim first: the admission estimate needs the mesh
-    // dimensions, and the sim itself is cheap (snapshots are generated on
-    // demand) — only the DistributedSim rank states are metered.
-    if (!s.sim) s.sim = std::make_unique<ImpactSim>(s.config.sim);
-    const Mesh& mesh = s.sim->initial_mesh();
-    const std::size_t estimate = DistributedSim::estimate_resident_bytes(
-        mesh.num_nodes(), mesh.num_elements(), s.config.dist.decomposition.k);
-    if (!admission_fits(estimate)) return;  // FIFO: head blocks the queue
+    // Acquire the scene first: the admission estimate needs the mesh
+    // dimensions and, if no resident session holds the scene yet, its bytes.
+    if (!s.sim) s.sim = acquire_scene(s.config.sim);
+    if (!admission_fits(admission_estimate(s))) return;  // FIFO: head blocks
     pending_.pop_front();
     make_resident(s);
   }
@@ -202,11 +235,8 @@ bool SessionManager::suspend(const std::string& name) {
   s->arena->drain();
   if (!s->dist->suspend()) return false;  // keep-last-good: still resident
   s->arena.reset();  // unregisters the queue; drained, so safe
-  require(resident_bytes_ >= s->accounted_bytes,
-          "SessionManager: resident-bytes accounting underflow");
-  resident_bytes_ -= s->accounted_bytes;
-  s->accounted_bytes = 0;
   s->state = SessionState::kSuspended;
+  release_charges(*s);
   admit_pending();
   return true;
 }
@@ -216,10 +246,7 @@ bool SessionManager::resume(const std::string& name) {
   if (s->state == SessionState::kResident) return true;
   require(s->state == SessionState::kSuspended,
           "SessionManager::resume: session " + name + " is pending");
-  const Mesh& mesh = s->sim->initial_mesh();
-  const std::size_t estimate = DistributedSim::estimate_resident_bytes(
-      mesh.num_nodes(), mesh.num_elements(), s->config.dist.decomposition.k);
-  if (!admission_fits(estimate)) return false;
+  if (!admission_fits(admission_estimate(*s))) return false;
   if (!s->dist->resume()) return false;
   mark_resident(*s);
   return true;
@@ -228,17 +255,15 @@ bool SessionManager::resume(const std::string& name) {
 void SessionManager::destroy(const std::string& name) {
   auto s = find(name);
   if (s->arena) s->arena->drain();
-  if (s->state == SessionState::kResident) {
-    require(resident_bytes_ >= s->accounted_bytes,
-            "SessionManager: resident-bytes accounting underflow");
-    resident_bytes_ -= s->accounted_bytes;
-  }
   ++retired_sessions_;
   retired_steps_ += s->context.steps_recorded();
   retired_health_ += s->context.health();
   const auto pending_it = std::find(pending_.begin(), pending_.end(), name);
   if (pending_it != pending_.end()) pending_.erase(pending_it);
   sessions_.erase(name);
+  if (s->state == SessionState::kResident) release_charges(*s);
+  // s still holds the scene here, so a pending session of the same config
+  // reuses it; the scene goes with the last holder.
   admit_pending();
 }
 
@@ -264,6 +289,11 @@ const SessionContext& SessionManager::context(const std::string& name) const {
 DistributedSim* SessionManager::sim(const std::string& name) {
   auto s = find(name);
   return s->state == SessionState::kResident ? s->dist.get() : nullptr;
+}
+
+std::shared_ptr<const ImpactSim> SessionManager::scene(
+    const std::string& name) const {
+  return find(name)->sim;
 }
 
 idx_t SessionManager::resident_sessions() const {

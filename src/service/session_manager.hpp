@@ -8,6 +8,13 @@
 // it queue (or are rejected) and are admitted as residents leave — and the
 // lifecycle verbs: create, step, suspend, resume, destroy.
 //
+// Scenes: the ImpactSim (mesh, topology, body arrays, open-face mask) is
+// immutable, so sessions of equal ImpactSimConfig share one. The manager
+// caches a weak reference per distinct config; the scene is built when the
+// first session of its config reaches the head of admission and freed
+// with its last session. The budget charges a scene's heap bytes once,
+// while at least one resident session holds it.
+//
 // Execution model: step() queues work on the session's arena and returns;
 // pool workers execute the steps. Each session runs one step per queued
 // arena job and requeues itself for the next, so the pool's round-robin
@@ -73,10 +80,10 @@ struct ServiceConfig {
   /// Admission control: bounded resident sessions ...
   idx_t max_resident_sessions = 64;
   /// ... and a resident-bytes budget over the sims' rank-state footprint
-  /// (0 = unmetered). A session that would not fit waits in the pending
-  /// queue. The first session is always admitted even when it alone
-  /// exceeds the budget, so an oversized session reports its true cost
-  /// instead of starving forever.
+  /// plus each resident scene, once (0 = unmetered). A session that would
+  /// not fit waits in the pending queue. The first session is always
+  /// admitted even when it alone exceeds the budget, so an oversized
+  /// session reports its true cost instead of starving forever.
   std::size_t resident_bytes_budget = 0;
   /// Full service: queue the create (admit later, FIFO) or reject it.
   bool queue_when_full = true;
@@ -134,12 +141,22 @@ class SessionManager {
   /// comparisons by tests and benches.
   DistributedSim* sim(const std::string& name);
 
+  /// The session's scene, shared with every live session of an equal
+  /// ImpactSimConfig. Null while the session waits behind the head of the
+  /// admission queue (the scene is acquired when admission first weighs
+  /// the session).
+  std::shared_ptr<const ImpactSim> scene(const std::string& name) const;
+  /// Scenes built over the manager's life. A config builds again only
+  /// after every session holding its previous scene is gone.
+  idx_t scenes_built() const { return scenes_built_; }
+
   idx_t resident_sessions() const;
   idx_t pending_sessions() const;
   idx_t suspended_sessions() const;
   /// Resident-bytes currently accounted against the budget. Exactly what
-  /// admission added for each resident session, so it returns to zero
-  /// when every session is suspended or destroyed (leak check).
+  /// admission added for each resident session plus each scene a resident
+  /// session holds, once, so it returns to zero when every session is
+  /// suspended or destroyed (leak check).
   std::size_t resident_bytes() const;
 
   StatRegistry& stats() { return registry_; }
@@ -153,10 +170,10 @@ class SessionManager {
     SessionConfig config;
     SessionContext context;
     SessionState state = SessionState::kPending;
-    std::unique_ptr<ImpactSim> sim;
+    std::shared_ptr<const ImpactSim> sim;  // the shared scene; outlives dist
     std::unique_ptr<TaskArena> arena;
     std::unique_ptr<DistributedSim> dist;
-    std::size_t accounted_bytes = 0;  // what admission charged the budget
+    std::size_t accounted_bytes = 0;  // dist's charge; the scene's is apart
     // Step-pump state, guarded by m (touched by pool workers).
     std::mutex m;
     idx_t steps_requested = 0;
@@ -172,16 +189,29 @@ class SessionManager {
   std::shared_ptr<Session> find(const std::string& name) const;
 
   /// Admits pending sessions FIFO while the resident count and byte
-  /// budget allow: builds the ImpactSim (for the size estimate), then the
-  /// arena and the DistributedSim, and charges the actual footprint.
+  /// budget allow: acquires the scene (for the size estimate), then builds
+  /// the arena and the DistributedSim, and charges the actual footprint.
   void admit_pending();
+  /// The scene of `config`: the cached one while a session holds it,
+  /// otherwise a new one.
+  std::shared_ptr<const ImpactSim> acquire_scene(const ImpactSimConfig& config);
+  /// True when a resident session holds `scene` (its bytes are charged).
+  bool scene_charged(const ImpactSim& scene) const;
+  /// Admission estimate of session s: its rank states, plus its scene when
+  /// no resident session has charged it yet.
+  std::size_t admission_estimate(const Session& s) const;
   /// True when a session of `estimate` bytes fits right now.
   bool admission_fits(std::size_t estimate) const;
   /// Builds a queued session's DistributedSim, then mark_resident().
   void make_resident(Session& s);
-  /// Opens the session's arena, charges its actual footprint to the budget
-  /// and marks it resident (admission and resume()).
+  /// Opens the session's arena, charges its actual footprint (and its
+  /// scene, if uncharged) to the budget and marks it resident (admission
+  /// and resume()).
   void mark_resident(Session& s);
+  /// Returns the charges of a session that has just left residency (its
+  /// state changed or it left sessions_): its own bytes, and its scene's
+  /// once no resident session holds the scene.
+  void release_charges(Session& s);
 
   /// One queued step: runs it, records latency/health/report, requeues
   /// itself while more steps are requested.
@@ -191,6 +221,10 @@ class SessionManager {
   ServiceConfig config_;
   StatRegistry registry_;
   std::map<std::string, std::shared_ptr<Session>> sessions_;
+  // One weak reference per distinct live scene; expired ones are pruned
+  // when the next scene is acquired.
+  std::vector<std::weak_ptr<const ImpactSim>> scenes_;
+  idx_t scenes_built_ = 0;
   std::deque<std::string> pending_;  // FIFO admission queue
   std::uint64_t next_session_key_ = 0;
   std::size_t resident_bytes_ = 0;

@@ -92,7 +92,7 @@ Mesh ImpactSim::build_scene() {
   element_body_.assign(static_cast<std::size_t>(mesh.num_elements()),
                        Body::kUpperPlate);
   node_body_.assign(static_cast<std::size_t>(mesh.num_nodes()),
-                    Body::kUpperPlate);
+                    static_cast<int>(Body::kUpperPlate));
 
   // Lower plate (body 2).
   Mesh plate2 = make_hex_box(config_.plate_cells_xy, config_.plate_cells_xy,
@@ -104,7 +104,7 @@ Mesh ImpactSim::build_scene() {
                        Body::kLowerPlate);
   node_body_.insert(node_body_.end(),
                     static_cast<std::size_t>(plate2.num_nodes()),
-                    Body::kLowerPlate);
+                    static_cast<int>(Body::kLowerPlate));
 
   // Projectile (body 0), nose hovering just above the upper plate.
   nose_start_ = 0.15 * t;
@@ -118,9 +118,16 @@ Mesh ImpactSim::build_scene() {
                        Body::kProjectile);
   node_body_.insert(node_body_.end(),
                     static_cast<std::size_t>(proj.num_nodes()),
-                    Body::kProjectile);
+                    static_cast<int>(Body::kProjectile));
 
   return mesh;
+}
+
+std::size_t ImpactSim::heap_bytes() const {
+  return initial_.heap_bytes() + topo_.heap_bytes() +
+         element_body_.capacity() * sizeof(Body) +
+         node_body_.capacity() * sizeof(int) +
+         erosion_height_.capacity() * sizeof(real_t) + open_faces_.capacity();
 }
 
 real_t ImpactSim::nose_z(idx_t s) const {
@@ -137,7 +144,8 @@ bool ImpactSim::element_eroded(idx_t element, real_t nose) const {
 
 Vec3 ImpactSim::displaced(idx_t node, real_t nose) const {
   const Vec3 p0 = initial_.node(node);
-  const Body body = node_body_[static_cast<std::size_t>(node)];
+  const auto body =
+      static_cast<Body>(node_body_[static_cast<std::size_t>(node)]);
   const real_t r = config_.proj_radius;
 
   const real_t drift = config_.obliquity * (nose_start_ - nose);
@@ -196,7 +204,8 @@ Vec3 ImpactSim::displaced(idx_t node, real_t nose) const {
 bool ImpactSim::face_in_contact_zone(idx_t first_node,
                                      const Vec3& centroid) const {
   if (config_.contact_zone_factor <= 0) return true;
-  if (node_body_[static_cast<std::size_t>(first_node)] == Body::kProjectile) {
+  if (node_body_[static_cast<std::size_t>(first_node)] ==
+      static_cast<int>(Body::kProjectile)) {
     return true;
   }
   const real_t zone = config_.contact_zone_factor * config_.proj_radius;

@@ -20,6 +20,10 @@
 // the mask;
 // snapshot_into and the rank programs of DistributedSim both call it, so
 // the central snapshot and the distributed step keep the same faces.
+//
+// An ImpactSim is immutable once built and has no mutable members, so any
+// number of threads and DistributedSims may read one scene at once; the
+// service builds one per distinct ImpactSimConfig and shares it.
 #pragma once
 
 #include <array>
@@ -66,6 +70,10 @@ struct ImpactSimConfig {
   /// Scales the resolution so total node counts approach the published
   /// EPIC mesh magnitude (~156k nodes). Factor 1 keeps the defaults.
   void scale_resolution(double factor);
+
+  /// Every field is part of a scene's identity: equal configs build
+  /// identical scenes (SessionManager shares one per config).
+  bool operator==(const ImpactSimConfig&) const = default;
 };
 
 /// Body id of an element or node: projectile, upper plate, lower plate.
@@ -88,9 +96,16 @@ class ImpactSim {
   /// Face neighbours and node incidence of the initial mesh.
   const MeshTopology& topology() const { return topo_; }
 
-  /// Body of each initial-mesh element / node.
+  /// Body of each initial-mesh element.
   const std::vector<Body>& element_body() const { return element_body_; }
-  const std::vector<Body>& node_body() const { return node_body_; }
+  /// Body of each initial-mesh node, as the int value of its Body: the
+  /// array local search's same-body exclusion reads
+  /// (LocalSearchOptions::body_of_node), held once per scene.
+  std::span<const int> node_body() const { return node_body_; }
+
+  /// Heap bytes the scene holds, by capacity: the initial mesh, its
+  /// topology, the body arrays, erosion heights and open-face mask.
+  std::size_t heap_bytes() const;
 
   /// Projectile nose z-coordinate at step s.
   real_t nose_z(idx_t s) const;
@@ -187,7 +202,7 @@ class ImpactSim {
   // list constructs before topo_; keep this declaration order.
   ImpactSimConfig config_;
   std::vector<Body> element_body_;
-  std::vector<Body> node_body_;
+  std::vector<int> node_body_;
   real_t nose_start_ = 0;
   real_t nose_end_ = 0;
   real_t plate1_top_ = 0, plate1_bottom_ = 0;

@@ -101,6 +101,53 @@ TEST(FaultInjector, ScheduleIsDeterministic) {
   EXPECT_LT(a.stats().faults_injected, 32);  // p=0.5 must also skip some
 }
 
+TEST(FaultInjector, CellDecisionQueryAgreesWithMaybeCorrupt) {
+  // A channel stages a wire copy only for the cells corrupts_cell() names,
+  // so the query must be exactly the decision maybe_corrupt() acts on, for
+  // every key and probability.
+  for (double p : {0.0, 0.02, 0.3, 0.5, 0.97, 1.0}) {
+    FaultInjector injector(
+        FaultConfig{.seed = chaos_seed(), .cell_fault_probability = p});
+    idx_t keys = 0, fired = 0, disagreements = 0;
+    for (ChannelId id : kChannels) {
+      for (std::uint64_t superstep = 0; superstep < 8; ++superstep) {
+        for (idx_t attempt = 0; attempt < 3; ++attempt) {
+          for (idx_t from = 0; from < 3; ++from) {
+            for (idx_t to = 0; to < 3; ++to) {
+              if (from == to) continue;
+              const bool decided =
+                  injector.corrupts_cell(id, superstep, attempt, from, to);
+              const wgt_t before = injector.stats().faults_injected;
+              std::vector<HaloNodeMsg> wire = halo_inbox_payload(from);
+              const bool applied = injector.maybe_corrupt(
+                  id, superstep, attempt, from, to, wire);
+              const bool recorded =
+                  injector.stats().faults_injected == before + 1;
+              disagreements += decided != applied || applied != recorded;
+              std::vector<HaloNodeMsg> empty;
+              disagreements +=
+                  injector.maybe_corrupt(id, superstep, attempt, from, to,
+                                         empty);
+              ++keys;
+              fired += decided;
+            }
+          }
+        }
+      }
+    }
+    EXPECT_EQ(disagreements, 0) << "p = " << p;
+    EXPECT_EQ(injector.stats().faults_injected, fired) << "p = " << p;
+    if (p == 0.0) {
+      EXPECT_EQ(fired, 0);
+    } else if (p == 1.0) {
+      EXPECT_EQ(fired, keys);
+    } else {
+      EXPECT_GT(fired, 0) << "p = " << p;
+      EXPECT_LT(fired, keys) << "p = " << p;
+    }
+  }
+}
+
 TEST(Exchange, EveryFaultKindIsDetectedAndClassified) {
   for (int kind = 0; kind < kNumFaultKinds; ++kind) {
     FaultInjector injector(only_kind(static_cast<FaultKind>(kind)));

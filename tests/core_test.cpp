@@ -189,10 +189,7 @@ TEST(MlRcb, BoxFilterSearchMatchesSerial) {
   sc.num_snapshots = 60;
   const ImpactSim sim(sc);
   const auto snap0 = sim.snapshot(0);
-  std::vector<int> body(sim.node_body().size());
-  for (std::size_t i = 0; i < body.size(); ++i) {
-    body[i] = static_cast<int>(sim.node_body()[i]);
-  }
+  const std::span<const int> body = sim.node_body();
   constexpr real_t kMargin = 0.12;
   LocalSearchOptions local;
   local.tolerance = 0.08;
@@ -293,10 +290,7 @@ TEST(MlRcb, BoxFilterSearchMatchesSerial) {
 TEST(Apriori, PredictionFindsCrossBodyPairsOnly) {
   const ImpactSim sim(tiny_sim());
   const auto snap = sim.snapshot(2);  // projectile near the upper plate
-  std::vector<int> body(static_cast<std::size_t>(snap.mesh.num_nodes()));
-  for (std::size_t i = 0; i < body.size(); ++i) {
-    body[i] = static_cast<int>(sim.node_body()[i]);
-  }
+  const std::span<const int> body = sim.node_body();
   const ContactPairs pairs =
       predict_contact_pairs(snap.mesh, snap.surface, body, 0.5);
   EXPECT_GT(pairs.size(), 0u);
@@ -310,10 +304,7 @@ TEST(Apriori, PredictionFindsCrossBodyPairsOnly) {
 TEST(Apriori, PartitionColocatesPredictedPairs) {
   const ImpactSim sim(tiny_sim());
   const auto snap = sim.snapshot(2);
-  std::vector<int> body(static_cast<std::size_t>(snap.mesh.num_nodes()));
-  for (std::size_t i = 0; i < body.size(); ++i) {
-    body[i] = static_cast<int>(sim.node_body()[i]);
-  }
+  const std::span<const int> body = sim.node_body();
   const ContactPairs pairs =
       predict_contact_pairs(snap.mesh, snap.surface, body, 0.6);
   ASSERT_GT(pairs.size(), 10u);

@@ -111,11 +111,9 @@ class DistributedSimTest : public ::testing::Test {
   // with the same tolerance and same-body exclusion as make_config.
   std::vector<ContactEvent> serial_events(idx_t s) const {
     const ImpactSim::Snapshot snap = sim_->snapshot(s);
-    std::vector<int> body;
-    for (Body b : sim_->node_body()) body.push_back(static_cast<int>(b));
     LocalSearchOptions opts;
     opts.tolerance = 0.08;
-    opts.body_of_node = body;
+    opts.body_of_node = sim_->node_body();
     return local_contact_search(snap.mesh, snap.surface, opts);
   }
 

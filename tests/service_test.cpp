@@ -1,11 +1,13 @@
 // Tests for service/: session lifecycle over the shared pool, admission
 // control accounting, fair-scheduler integration, and the multi-tenant
 // isolation contract — every session's results bit-identical to a solo run
-// of the same sim, at any pool width, through suspend/resume.
+// of the same sim, at any pool width, through suspend/resume — and the
+// scene cache: one shared, once-metered scene per distinct sim config.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -342,6 +344,145 @@ TEST_F(ServiceTest, ServiceStatsAggregateAcrossSessions) {
   const SchedulerStats sched = mgr.scheduler_stats();
   EXPECT_EQ(sched.total_workers, 2);
   EXPECT_GT(sched.items_executed, 0);
+}
+
+TEST_F(ServiceTest, SameConfigSessionsShareOneScene) {
+  ThreadPool pool(1);
+  ServiceConfig svc;
+  SessionManager mgr(pool.workers(), svc);
+  ASSERT_TRUE(mgr.create(tiny_session("a")));
+  ASSERT_TRUE(mgr.create(tiny_session("b")));
+  // One field apart: the snapshot count.
+  ASSERT_TRUE(mgr.create(tiny_session("c", 2, 5)));
+  ASSERT_NE(mgr.scene("a"), nullptr);
+  EXPECT_EQ(mgr.scene("a"), mgr.scene("b"));
+  EXPECT_NE(mgr.scene("a"), mgr.scene("c"));
+  EXPECT_EQ(mgr.scenes_built(), 2);
+  // The rank programs read the shared scene, not a copy.
+  EXPECT_EQ(&mgr.sim("a")->topology(), &mgr.scene("a")->topology());
+  EXPECT_EQ(&mgr.sim("b")->topology(), &mgr.scene("a")->topology());
+  EXPECT_EQ(mgr.resident_bytes(),
+            mgr.sim("a")->resident_bytes() + mgr.sim("b")->resident_bytes() +
+                mgr.sim("c")->resident_bytes() +
+                mgr.scene("a")->heap_bytes() + mgr.scene("c")->heap_bytes());
+}
+
+TEST_F(ServiceTest, LastHolderFreesTheScene) {
+  ThreadPool pool(1);
+  ServiceConfig svc;
+  svc.checkpoint_root = dir();
+  SessionManager mgr(pool.workers(), svc);
+  ASSERT_TRUE(mgr.create(tiny_session("a")));
+  ASSERT_TRUE(mgr.create(tiny_session("b")));
+  const std::weak_ptr<const ImpactSim> scene = mgr.scene("a");
+  const std::size_t scene_bytes = scene.lock()->heap_bytes();
+  EXPECT_GT(scene_bytes, 0u);
+
+  // A suspended session keeps its scene but no longer pays for it.
+  ASSERT_TRUE(mgr.suspend("a"));
+  EXPECT_EQ(mgr.resident_bytes(),
+            mgr.sim("b")->resident_bytes() + scene_bytes);
+  ASSERT_TRUE(mgr.suspend("b"));
+  EXPECT_EQ(mgr.resident_bytes(), 0u);
+  EXPECT_FALSE(scene.expired());
+  ASSERT_TRUE(mgr.resume("a"));
+  EXPECT_EQ(mgr.resident_bytes(),
+            mgr.sim("a")->resident_bytes() + scene_bytes);
+
+  mgr.destroy("a");
+  EXPECT_FALSE(scene.expired());  // b still holds it
+  EXPECT_EQ(mgr.resident_bytes(), 0u);
+  mgr.destroy("b");
+  EXPECT_TRUE(scene.expired());
+  EXPECT_EQ(mgr.resident_bytes(), 0u);
+
+  // A later session of the same config builds the scene anew.
+  ASSERT_TRUE(mgr.create(tiny_session("c")));
+  EXPECT_EQ(mgr.scenes_built(), 2);
+  mgr.destroy("c");
+  EXPECT_EQ(mgr.resident_bytes(), 0u);
+}
+
+TEST_F(ServiceTest, ByteBudgetChargesTheSceneOnce) {
+  const SessionConfig sc = tiny_session("a");
+  std::size_t alone = 0;  // session a's rank states plus its scene
+  std::size_t estimate = 0;
+  std::size_t scene_bytes = 0;
+  {
+    ThreadPool pool(1);
+    SessionManager mgr(pool.workers(), ServiceConfig{});
+    ASSERT_TRUE(mgr.create(sc));
+    alone = mgr.resident_bytes();
+    scene_bytes = mgr.scene("a")->heap_bytes();
+    EXPECT_EQ(alone, mgr.sim("a")->resident_bytes() + scene_bytes);
+    const Mesh& mesh = mgr.scene("a")->initial_mesh();
+    estimate = DistributedSim::estimate_resident_bytes(
+        mesh.num_nodes(), mesh.num_elements(), sc.dist.decomposition.k);
+  }
+  // Room for a second session's rank states but not for a second copy of
+  // the scene: a same-config session fits, a session on a new scene not.
+  ThreadPool pool(1);
+  ServiceConfig svc;
+  svc.resident_bytes_budget = alone + estimate;
+  SessionManager mgr(pool.workers(), svc);
+  ASSERT_TRUE(mgr.create(sc));
+  ASSERT_TRUE(mgr.create(tiny_session("b")));
+  ASSERT_EQ(mgr.state("b"), SessionState::kResident);
+  EXPECT_EQ(mgr.resident_bytes(), mgr.sim("a")->resident_bytes() +
+                                      mgr.sim("b")->resident_bytes() +
+                                      scene_bytes);
+  ASSERT_TRUE(mgr.create(tiny_session("c", 2, 5)));
+  EXPECT_EQ(mgr.state("c"), SessionState::kPending);
+  mgr.destroy("a");
+  mgr.destroy("b");
+  EXPECT_EQ(mgr.state("c"), SessionState::kResident);
+  mgr.destroy("c");
+  EXPECT_EQ(mgr.resident_bytes(), 0u);
+}
+
+TEST_F(ServiceTest, SuspendResumeBesideCoResidentOnSharedScene) {
+  // Two tenants on one scene, with chaos: suspending and resuming one while
+  // the other keeps stepping leaves both bit-identical to their solo runs.
+  constexpr std::uint64_t kSeed = 11;
+  std::vector<SessionConfig> configs;
+  std::vector<std::vector<Fingerprint>> solo;
+  for (const char* name : {"a", "b"}) {
+    SessionConfig sc = tiny_session(name);
+    sc.inject_faults = true;
+    sc.faults.cell_fault_probability = 0.2;
+    solo.push_back(solo_fingerprints(sc, kSeed, configs.size(), 4));
+    configs.push_back(sc);
+  }
+  ThreadPool pool(2);
+  ServiceConfig svc;
+  svc.seed = kSeed;
+  svc.checkpoint_root = dir();
+  SessionManager mgr(pool.workers(), svc);
+  for (const auto& sc : configs) ASSERT_TRUE(mgr.create(sc));
+  ASSERT_EQ(mgr.scene("a"), mgr.scene("b"));
+  mgr.step("a", 2);
+  mgr.step("b", 1);
+  mgr.wait_all();
+  auto a = mgr.take_reports("a");
+  auto b = mgr.take_reports("b");
+
+  ASSERT_TRUE(mgr.suspend("a"));
+  mgr.step("b", 2);
+  mgr.wait("b");
+  const auto b_mid = mgr.take_reports("b");
+  b.insert(b.end(), b_mid.begin(), b_mid.end());
+  ASSERT_TRUE(mgr.resume("a"));
+  EXPECT_EQ(mgr.scene("a"), mgr.scene("b"));
+  mgr.step("a", 2);
+  mgr.step("b", 1);
+  mgr.wait_all();
+  const auto a_tail = mgr.take_reports("a");
+  const auto b_tail = mgr.take_reports("b");
+  a.insert(a.end(), a_tail.begin(), a_tail.end());
+  b.insert(b.end(), b_tail.begin(), b_tail.end());
+  EXPECT_EQ(fingerprints_of(a), solo[0]);
+  EXPECT_EQ(fingerprints_of(b), solo[1]);
+  EXPECT_EQ(mgr.scenes_built(), 1);
 }
 
 TEST(StatRegistryTest, PercentileIsNearestRank) {

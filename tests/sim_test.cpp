@@ -27,7 +27,7 @@ TEST(ImpactSim, InitialMeshHasThreeBodies) {
   const ImpactSim sim(tiny_config());
   const Mesh& m = sim.initial_mesh();
   EXPECT_GT(m.num_nodes(), 0);
-  std::set<Body> bodies(sim.node_body().begin(), sim.node_body().end());
+  std::set<int> bodies(sim.node_body().begin(), sim.node_body().end());
   EXPECT_EQ(bodies.size(), 3u);
   EXPECT_EQ(sim.element_body().size(),
             static_cast<std::size_t>(m.num_elements()));
@@ -136,7 +136,7 @@ bool in_zone_closed_form(const ImpactSim& sim, const Mesh& mesh,
   const ImpactSimConfig& c = sim.config();
   if (c.contact_zone_factor <= 0) return true;
   if (sim.node_body()[static_cast<std::size_t>(face.nodes.front())] ==
-      Body::kProjectile) {
+      static_cast<int>(Body::kProjectile)) {
     return true;
   }
   Vec3 centroid{};
@@ -281,7 +281,8 @@ TEST(ImpactSim, PlateNodesDeformNearImpactOnly) {
   const Mesh& init = sim.initial_mesh();
   real_t max_near = 0, max_far = 0;
   for (idx_t v = 0; v < init.num_nodes(); ++v) {
-    if (sim.node_body()[static_cast<std::size_t>(v)] == Body::kProjectile) {
+    if (sim.node_body()[static_cast<std::size_t>(v)] ==
+        static_cast<int>(Body::kProjectile)) {
       continue;
     }
     const Vec3 p0 = init.node(v);
@@ -325,7 +326,8 @@ TEST(ImpactSim, ObliqueImpactDriftsCrater) {
   real_t mean_sx = 0, mean_ox = 0;
   idx_t count = 0;
   for (idx_t v = 0; v < end_s.num_nodes(); ++v) {
-    if (sim_s.node_body()[static_cast<std::size_t>(v)] == Body::kProjectile) {
+    if (sim_s.node_body()[static_cast<std::size_t>(v)] ==
+        static_cast<int>(Body::kProjectile)) {
       mean_sx += end_s.node(v).x;
       mean_ox += end_o.node(v).x;
       ++count;

@@ -42,7 +42,6 @@ ReferenceSim::ReferenceSim(const ImpactSim& sim,
     : sim_(&sim),
       config_(config),
       partitioner_(repartitioner_config(config)) {
-  for (Body b : sim.node_body()) body_of_node_.push_back(static_cast<int>(b));
   const ImpactSim::Snapshot snap0 = sim.snapshot(0);
   owner_ = McmlDtPartitioner(snap0.mesh, snap0.surface, config_.decomposition)
                .node_partition();
@@ -190,7 +189,8 @@ DistributedStepReport ReferenceSim::run_step(idx_t s) {
     nodes_on[static_cast<std::size_t>(owner_[static_cast<std::size_t>(v)])]
         .push_back(v);
   }
-  const LocalSearchOptions local = config_.search.local_options(body_of_node_);
+  const LocalSearchOptions local =
+      config_.search.local_options(sim_->node_body());
   report.events_per_processor.assign(static_cast<std::size_t>(np), 0);
   SubsetSearchScratch scratch;
   std::vector<ContactEvent> rank_events;

@@ -45,7 +45,6 @@ class ReferenceSim {
   const ImpactSim* sim_;
   DistributedSimConfig config_;
   Partitioner partitioner_;
-  std::vector<int> body_of_node_;
   std::vector<idx_t> owner_;
   std::vector<wgt_t> hits_;
   idx_t steps_run_ = 0;
